@@ -235,6 +235,9 @@ struct DeferredTrace {
     kind: SpanKind,
     /// Per-statement engine phase samples captured during dispatch.
     phases: Vec<(Phase, u64)>,
+    /// An `INSPECT`'s own stages (`capture`, one per pipeline line,
+    /// `scratch-drop`) with their times in µs; empty for other verbs.
+    stages: Vec<(String, u64)>,
     /// Time spent installing foreign images (gather legs only), µs.
     install_us: Option<u64>,
 }
@@ -332,6 +335,7 @@ pub(crate) fn spawn(
                 lane: cfg.lane,
                 auto_checkpoint_wal_bytes: cfg.auto_checkpoint_wal_bytes,
                 shard_id: cfg.shard_id as u16,
+                inspect_stages: Vec::new(),
             };
             if state.slow_query_us.is_some() {
                 // The slow-query log wants operator profiles for QUERY too,
@@ -566,6 +570,9 @@ struct ExecutorState {
     auto_checkpoint_wal_bytes: Option<u64>,
     /// This executor's shard id, stamped on every span it records.
     shard_id: u16,
+    /// Stage timings of the `INSPECT` being dispatched, handed to its trace
+    /// record by [`ExecutorState::collect_phases`].
+    inspect_stages: Vec<(String, u64)>,
 }
 
 impl ExecutorState {
@@ -584,6 +591,7 @@ impl ExecutorState {
             wait_us,
             kind,
             phases: Vec::new(),
+            stages: Vec::new(),
             install_us: None,
         });
         self.engine
@@ -594,10 +602,13 @@ impl ExecutorState {
         trace
     }
 
-    /// Drain the engine's captured phase samples into the trace record.
+    /// Drain the engine's captured phase samples, and the stages of an
+    /// `INSPECT`, into the trace record.
     fn collect_phases(&mut self, mut trace: Option<DeferredTrace>) -> Option<DeferredTrace> {
+        let stages = std::mem::take(&mut self.inspect_stages);
         if let Some(t) = trace.as_mut() {
             t.phases = self.engine.take_phase_spans();
+            t.stages = stages;
         }
         trace
     }
@@ -643,6 +654,17 @@ impl ExecutorState {
                         phase.name(),
                         "",
                         *pus,
+                        true,
+                    ));
+                }
+                for (stage, sus) in &t.stages {
+                    self.ring.record(SpanRecord::child(
+                        exec_ctx,
+                        SpanKind::InspectStage,
+                        self.shard_id,
+                        stage.as_str(),
+                        "",
+                        *sus,
                         true,
                     ));
                 }
@@ -980,10 +1002,12 @@ impl ExecutorState {
                     None => source,
                 };
                 let cols: Vec<&str> = columns.iter().map(|c| c.as_str()).collect();
-                // Inspection materializes scratch tables it recreates on
-                // every run — running it unlogged keeps those out of the
-                // WAL and lets INSPECT keep serving when durable storage
-                // has degraded the engine to read-only.
+                // Every operator is stored once as a materialized view and
+                // every inspection query scans that stored result; the run
+                // drops its views and base tables before it returns, pass
+                // or fail. Running unlogged keeps the scratch tables out of
+                // the WAL and lets INSPECT keep serving when durable
+                // storage has degraded the engine to read-only.
                 let was_unlogged = self.engine.unlogged();
                 self.engine.set_unlogged(true);
                 let report = mlinspect::inspect_pipeline_in_sql(
@@ -992,11 +1016,20 @@ impl ExecutorState {
                     &cols,
                     threshold,
                     &mut self.engine,
-                    SqlMode::Cte,
-                    false,
+                    SqlMode::View,
+                    true,
                 );
                 self.engine.set_unlogged(was_unlogged);
                 let report = report.map_err(|e| (codes::INSPECT, format!("inspect {e}")))?;
+                self.inspect_stages = std::iter::once(("capture".to_string(), report.capture_us))
+                    .chain(
+                        report
+                            .lines
+                            .iter()
+                            .map(|l| (format!("{}:{}", l.line, l.label), l.time_us)),
+                    )
+                    .chain([("scratch-drop".to_string(), report.scratch_drop_us)])
+                    .collect();
                 Ok(report.render())
             }
             Command::Set { name, value } => match name.as_str() {

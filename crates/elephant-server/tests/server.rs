@@ -395,3 +395,63 @@ fn protocol_errors_keep_the_session_and_server_alive() {
     drop(raw);
     handle.join();
 }
+
+/// `INSPECT` stores every operator as a scratch relation while it runs and
+/// drops them all before it answers — after a run that passed and after
+/// one that failed mid-pipeline — so none is queryable afterwards, none
+/// reaches the WAL, and a `CHECKPOINT` snapshots the user's tables only.
+#[test]
+fn inspect_leaves_no_relation_behind() {
+    let dir = std::env::temp_dir().join(format!("elephant-inspect-scratch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = start(ServerConfig {
+        files: pipeline_files(),
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = ElephantClient::connect(handle.local_addr()).unwrap();
+    c.query_raw("CREATE TABLE t (a int)").unwrap();
+    let wal_before = stat(&c.stats().unwrap(), "wal_records_appended");
+
+    c.inspect(&["age_group"], 0.3, HEALTHCARE_PIPELINE).unwrap();
+    // Loads `patients` (source line 1), then fails on the second read.
+    let failing = "patients = pd.read_csv(\"patients.csv\", na_values='?')\n\
+                   lost = pd.read_csv(\"not_registered.csv\", na_values='?')\n";
+    match c.inspect(&["age_group"], 0.3, failing) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, "ERR_INSPECT");
+            assert!(e.message.contains("not_registered.csv"), "{e}");
+        }
+        other => panic!("expected ERR_INSPECT, got {other:?}"),
+    }
+
+    // Base tables and operator views of both runs (`<stem>_<line>_mlinid<n>`).
+    for scratch in [
+        "patients_2_mlinid0",
+        "patients_2_mlinid0_ctid",
+        "histories_3_mlinid1",
+        "block_mlinid2_4",
+        "patients_1_mlinid0",
+        "patients_1_mlinid0_ctid",
+    ] {
+        match c.query_raw(&format!("SELECT count(*) AS n FROM {scratch}")) {
+            Err(ClientError::Server(e)) => {
+                assert!(e.message.contains("unknown relation"), "{scratch}: {e}")
+            }
+            other => panic!("{scratch} outlived its INSPECT: {other:?}"),
+        }
+    }
+    assert_eq!(
+        stat(&c.stats().unwrap(), "wal_records_appended"),
+        wal_before,
+        "INSPECT appended WAL records"
+    );
+    let reply = c.checkpoint().unwrap();
+    assert!(reply.starts_with("checkpoint tables=1 "), "{reply}");
+
+    c.shutdown().unwrap();
+    drop(c);
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -255,3 +255,64 @@ fn trace_listing_is_cross_shard_and_newest_first() {
     drop(c);
     handle.join();
 }
+
+/// An `INSPECT`'s own stages — capturing the pipeline, one span per
+/// pipeline line, dropping the scratch relations — hang under the command's
+/// `shard-exec` span, so the time between the engine phases is attributed
+/// too.
+#[test]
+fn inspect_stages_hang_under_shard_exec() {
+    let handle = start(ServerConfig::default().with_standard_pipeline_data(60, 3)).unwrap();
+    let mut c = ElephantClient::connect(handle.local_addr()).unwrap();
+    let report = c
+        .inspect(&["race", "age_group"], 0.3, "@healthcare")
+        .unwrap();
+
+    let listing = c.trace(Some(4)).unwrap();
+    let tree = c
+        .trace_tree(find_query_id(&listing, "columns=race,age_group"))
+        .unwrap();
+    let spans: Vec<&str> = tree.lines().filter(|l| l.contains("span seq=")).collect();
+    let exec = spans
+        .iter()
+        .find(|l| field(l, "kind") == "shard-exec")
+        .unwrap_or_else(|| panic!("no shard-exec span:\n{tree}"));
+    let stages: Vec<&&str> = spans
+        .iter()
+        .filter(|l| field(l, "kind") == "inspect-stage")
+        .collect();
+
+    // Every stage is a direct child of the exec span, and together they
+    // fit inside it.
+    for stage in &stages {
+        assert_eq!(field(stage, "parent"), field(exec, "id"), "{stage}");
+    }
+    let stage_us: u64 = stages
+        .iter()
+        .map(|l| field(l, "us").parse::<u64>().unwrap())
+        .sum();
+    let exec_us: u64 = field(exec, "us").parse().unwrap();
+    assert!(
+        stage_us <= exec_us,
+        "stages {stage_us}µs > exec {exec_us}µs"
+    );
+
+    // `capture` first, `scratch-drop` last, and in between one span per
+    // `line` entry of the report, named `<line>:<operator>`.
+    let names: Vec<&str> = stages.iter().map(|l| field(l, "name")).collect();
+    let expected: Vec<String> = std::iter::once("capture".to_string())
+        .chain(
+            report
+                .lines()
+                .filter(|l| l.starts_with("line no="))
+                .map(|l| format!("{}:{}", field(l, "no"), field(l, "op"))),
+        )
+        .chain(["scratch-drop".to_string()])
+        .collect();
+    assert_eq!(names, expected, "{tree}");
+    assert!(names.contains(&"14:merge"), "{tree}");
+
+    c.shutdown().unwrap();
+    drop(c);
+    handle.join();
+}

@@ -145,6 +145,10 @@ pub enum SpanKind {
     WalGroupFsync,
     /// One engine phase (lex/parse/bind/optimize/execute/wal_append/fsync).
     EnginePhase,
+    /// One stage of an `INSPECT` inside its executor dispatch: capturing the
+    /// pipeline, one pipeline line's operator and inspection queries, or
+    /// dropping the run's scratch relations.
+    InspectStage,
     /// Replication apply work on a follower.
     ReplApply,
     /// One participant shard executing + durably preparing its slice of a
@@ -170,6 +174,7 @@ impl SpanKind {
             SpanKind::SgGather => "sg-gather",
             SpanKind::WalGroupFsync => "wal-group-fsync",
             SpanKind::EnginePhase => "engine-phase",
+            SpanKind::InspectStage => "inspect-stage",
             SpanKind::ReplApply => "repl-apply",
             SpanKind::TxnPrepare => "txn-prepare",
             SpanKind::TxnDecision => "txn-decision",

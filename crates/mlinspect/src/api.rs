@@ -10,6 +10,7 @@ use crate::error::Result;
 use crate::inspection::{Inspection, InspectionResults};
 use sqlengine::Engine;
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 pub use crate::sqlgen::SqlMode;
 
@@ -28,7 +29,11 @@ pub struct InspectorResult {
     /// Operator outputs (only with [`PipelineInspector::keep_relations`]).
     pub relations: HashMap<NodeId, NodeRelation>,
     /// Per-operator wall-clock times.
-    pub op_timings: Vec<(NodeId, String, std::time::Duration)>,
+    pub op_timings: Vec<(NodeId, String, Duration)>,
+    /// Time spent capturing the pipeline source into its DAG.
+    pub capture_time: Duration,
+    /// Time the SQL backend spent dropping the run's scratch relations.
+    pub scratch_drop: Duration,
 }
 
 impl InspectorResult {
@@ -146,11 +151,18 @@ impl PipelineInspector {
         }
     }
 
-    fn capture(&self) -> Result<Captured> {
-        capture_with_seed(&self.source, self.seed)
+    /// Capture the pipeline, timed.
+    fn capture(&self) -> Result<(Captured, Duration)> {
+        let started = Instant::now();
+        let captured = capture_with_seed(&self.source, self.seed)?;
+        Ok((captured, started.elapsed()))
     }
 
-    fn finish(&self, captured: Captured, artifacts: RunArtifacts) -> InspectorResult {
+    fn finish(
+        &self,
+        (captured, capture_time): (Captured, Duration),
+        artifacts: RunArtifacts,
+    ) -> InspectorResult {
         let mut check_results = Vec::new();
         for check in &self.checks {
             check_results.push(match check {
@@ -169,6 +181,8 @@ impl PipelineInspector {
             accuracies: artifacts.accuracies,
             relations: artifacts.relations,
             op_timings: artifacts.op_timings,
+            capture_time,
+            scratch_drop: artifacts.scratch_drop,
         }
     }
 
@@ -176,7 +190,7 @@ impl PipelineInspector {
     pub fn execute(self) -> Result<InspectorResult> {
         let captured = self.capture()?;
         let config = self.run_config();
-        let artifacts = PandasBackend::run(&captured.dag, &self.files, &config)?;
+        let artifacts = PandasBackend::run(&captured.0.dag, &self.files, &config)?;
         Ok(self.finish(captured, artifacts))
     }
 
@@ -191,7 +205,7 @@ impl PipelineInspector {
         let captured = self.capture()?;
         let config = self.run_config();
         let artifacts = SqlBackend::run(
-            &captured.dag,
+            &captured.0.dag,
             &self.files,
             &config,
             engine,
@@ -203,7 +217,7 @@ impl PipelineInspector {
 
     /// Generate the SQL without executing it.
     pub fn transpile_only(self, mode: SqlMode) -> Result<TranspiledSql> {
-        let captured = self.capture()?;
+        let (captured, _) = self.capture()?;
         SqlBackend::transpile(&captured.dag, &self.files, mode)
     }
 }
@@ -268,6 +282,11 @@ pub struct InspectionReport {
     pub accuracies: Vec<f64>,
     /// Per-pipeline-line timing and row-count deltas, in DAG order.
     pub lines: Vec<LineTrace>,
+    /// Time spent capturing the pipeline source into its DAG, microseconds
+    /// (not rendered: like `lines[].time_us`, it feeds the server's trace).
+    pub capture_us: u64,
+    /// Time spent dropping the run's scratch relations, microseconds.
+    pub scratch_drop_us: u64,
 }
 
 impl InspectionReport {
@@ -411,6 +430,8 @@ pub fn inspect_pipeline_in_sql(
         ops,
         accuracies: result.accuracies,
         lines,
+        capture_us: result.capture_time.as_micros() as u64,
+        scratch_drop_us: result.scratch_drop.as_micros() as u64,
     })
 }
 

@@ -163,6 +163,9 @@ pub struct RunArtifacts {
     pub relations: HashMap<NodeId, NodeRelation>,
     /// Wall-clock per operator, in DAG order (Figure 10's breakdown).
     pub op_timings: Vec<(NodeId, String, std::time::Duration)>,
+    /// Time the SQL backend spent dropping the run's scratch relations
+    /// (zero on the baseline, which creates none).
+    pub scratch_drop: std::time::Duration,
 }
 
 impl RunArtifacts {

@@ -10,7 +10,8 @@ use crate::sqlgen::{ReadCsvSql, SqlGen, SqlMode, SqlQueryContainer};
 use etypes::{CsvOptions, Value};
 use sklearn::{LogisticRegression, Matrix, MlpClassifier};
 use sqlengine::{Engine, Relation};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::time::Instant;
 
 /// The generated SQL of a pipeline, without execution (the paper's
 /// "functionality to generate inspection-enabled SQL queries from pipelines
@@ -60,7 +61,8 @@ pub struct SqlBackend<'a> {
     engine: Option<&'a mut Engine>,
     gen: SqlGen,
     setup: Vec<ReadCsvSql>,
-    created_entries: usize,
+    /// Container entries that exist as catalog views (VIEW mode only).
+    created_views: usize,
     models: HashMap<NodeId, FittedModel>,
     artifacts: RunArtifacts,
 }
@@ -83,23 +85,58 @@ impl<'a> SqlBackend<'a> {
             engine: Some(engine),
             gen: SqlGen::new(),
             setup: Vec::new(),
-            created_entries: 0,
+            created_views: 0,
             models: HashMap::new(),
             artifacts: RunArtifacts::default(),
         };
+        let ran = backend.execute_dag(dag);
+        let dropped = backend.drop_scratch();
+        ran.and(dropped)?;
+        Ok(backend.artifacts)
+    }
+
+    fn execute_dag(&mut self, dag: &Dag) -> Result<()> {
         for node in &dag.nodes {
-            let started = std::time::Instant::now();
-            backend.execute_node(node.id, node.line, &node.kind)?;
-            backend.artifacts.op_timings.push((
+            let started = Instant::now();
+            self.execute_node(node.id, node.line, &node.kind)?;
+            self.artifacts.op_timings.push((
                 node.id,
                 node.kind.label().to_string(),
                 started.elapsed(),
             ));
         }
-        if config.force_outputs {
-            backend.force_terminal_outputs(dag)?;
+        if self.config.force_outputs {
+            self.force_terminal_outputs(dag)?;
         }
-        Ok(backend.artifacts)
+        Ok(())
+    }
+
+    /// Drop every view and base table this run created, newest first, so a
+    /// run — finished or failed — leaves nothing in the caller's catalog
+    /// (and nothing for a later `CHECKPOINT` to make durable). Every drop is
+    /// attempted; the first failure is reported.
+    fn drop_scratch(&mut self) -> Result<()> {
+        let Some(engine) = self.engine.as_deref_mut() else {
+            return Ok(());
+        };
+        let started = Instant::now();
+        let views = self.gen.container.entries()[..self.created_views]
+            .iter()
+            .rev()
+            .map(|entry| format!("DROP VIEW IF EXISTS {}", entry.name));
+        let tables = self
+            .setup
+            .iter()
+            .rev()
+            .map(|read| format!("DROP TABLE IF EXISTS {}", read.table));
+        let mut outcome = Ok(());
+        for drop in views.chain(tables) {
+            if let Err(e) = engine.execute(&drop) {
+                outcome = outcome.and(Err(e.into()));
+            }
+        }
+        self.artifacts.scratch_drop = started.elapsed();
+        outcome
     }
 
     /// Evaluate every frame node no other node consumes (the lazy SQL
@@ -137,7 +174,7 @@ impl<'a> SqlBackend<'a> {
             engine: None,
             gen: SqlGen::new(),
             setup: Vec::new(),
-            created_entries: 0,
+            created_views: 0,
             models: HashMap::new(),
             artifacts: RunArtifacts::default(),
         };
@@ -168,23 +205,20 @@ impl<'a> SqlBackend<'a> {
     }
 
     /// In VIEW mode, create catalog views for entries generated since the
-    /// last call.
+    /// last call. "When the user chooses to materialise, all created
+    /// views/CTEs, for which recalculating can be avoided, as well as all
+    /// fitting parameters are materialised" (§3.4.2).
     fn flush_views(&mut self) -> Result<()> {
-        if self.mode != SqlMode::View || self.dry_run() {
-            self.created_entries = self.gen.container.len();
+        if self.mode != SqlMode::View {
             return Ok(());
         }
-        let entries: Vec<_> = self.gen.container.entries()[self.created_entries..].to_vec();
-        for entry in entries {
-            // "When the user chooses to materialise, all created views/CTEs,
-            // for which recalculating can be avoided, as well as all fitting
-            // parameters are materialised" (§3.4.2).
-            let materialized = self.materialize;
-            let engine = self.engine.as_deref_mut().expect("dry_run checked above");
-            engine.execute(&format!("DROP VIEW IF EXISTS {}", entry.name))?;
-            engine.execute(&SqlQueryContainer::view_ddl(&entry, materialized))?;
+        let Some(engine) = self.engine.as_deref_mut() else {
+            return Ok(());
+        };
+        for entry in &self.gen.container.entries()[self.created_views..] {
+            engine.execute(&SqlQueryContainer::view_ddl(entry, self.materialize))?;
+            self.created_views += 1;
         }
-        self.created_entries = self.gen.container.len();
         Ok(())
     }
 
@@ -216,11 +250,13 @@ impl<'a> SqlBackend<'a> {
                     &nullable,
                     na_values.as_deref(),
                 );
-                if let Some(engine) = self.engine.as_deref_mut() {
+                // Registered before it exists, so a failed load is still
+                // dropped with the rest of the run's scratch relations.
+                self.setup.push(sql);
+                if let (Some(engine), Some(sql)) = (self.engine.as_deref_mut(), self.setup.last()) {
                     engine.execute_script(&sql.create)?;
                     engine.copy_rows(&sql.table, None, csv)?;
                 }
-                self.setup.push(sql);
             }
             OpKind::Join { left, right, on } => {
                 self.gen.join(id, line, *left, *right, on)?;
@@ -350,23 +386,29 @@ impl<'a> SqlBackend<'a> {
         }
         let sensitive = self.config.sensitive_columns();
         if !sensitive.is_empty() {
-            let mut hists = Vec::new();
-            for col in &sensitive {
-                let Some(select) = self.gen.histogram_select(id, col) else {
-                    continue;
-                };
-                let sql = self.assemble(&select);
+            // One query per restoration path measures all of its columns
+            // jointly; summing the joint counts per value gives each
+            // column's own histogram (integer sums, so ratios are exact).
+            let mut measured: HashMap<String, ColumnHistogram> = HashMap::new();
+            for query in self.gen.histogram_selects(id, &sensitive) {
+                let sql = self.assemble(&query.select);
                 let rel = self.run_sql(&sql)?;
-                let counts = rel
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        let n = r[1].as_i64().map_err(MlError::Value)? as u64;
-                        Ok((r[0].clone(), n))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                hists.push(ColumnHistogram::new(col.clone(), counts));
+                let mut marginals = vec![BTreeMap::<Value, u64>::new(); query.columns.len()];
+                for row in &rel.rows {
+                    let n = row[marginals.len()].as_i64().map_err(MlError::Value)? as u64;
+                    for (counts, value) in marginals.iter_mut().zip(row) {
+                        *counts.entry(value.clone()).or_default() += n;
+                    }
+                }
+                for (column, counts) in query.columns.into_iter().zip(marginals) {
+                    let hist = ColumnHistogram::new(column.clone(), counts.into_iter().collect());
+                    measured.insert(column, hist);
+                }
             }
+            let hists = sensitive
+                .iter()
+                .filter_map(|column| measured.remove(column))
+                .collect();
             self.artifacts.inspections.histograms.insert(id, hists);
         }
         if let Some(k) = self.config.lineage_k() {

@@ -84,6 +84,16 @@ pub struct ReadCsvSql {
     pub copy: String,
 }
 
+/// One inspection query measuring several sensitive columns at once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HistogramQuery {
+    /// The measured columns; result column `i` holds `columns[i]`'s value,
+    /// the last result column the joint count.
+    pub columns: Vec<String>,
+    /// The bare `SELECT`, to be assembled for the active [`SqlMode`].
+    pub select: String,
+}
+
 /// The SQL generator: translates captured operators into container entries.
 #[derive(Debug, Clone, Default)]
 pub struct SqlGen {
@@ -707,45 +717,81 @@ impl SqlGen {
 
     // ---- inspection ------------------------------------------------------------
 
-    /// The histogram query of a sensitive column at a node (paper Listing 5
-    /// lines 31-33): direct `GROUP BY` when present, join-back through the
-    /// tuple identifier (with `unnest` after aggregations) otherwise.
-    /// Returns `None` when the column cannot be restored.
-    pub fn histogram_select(&self, node: NodeId, column: &str) -> Option<String> {
-        let te = self.mapping.get(&node)?;
-        let cq = quote_ident(column);
-        if te.columns.iter().any(|c| c == column) {
-            return Some(format!(
-                "SELECT {cq} AS value, count(*) AS cnt FROM {} GROUP BY {cq}",
-                te.sql_name
-            ));
-        }
-        for ctid in &te.ctids {
-            let origin = self.origins.get(&ctid.source)?;
-            if !origin.columns.iter().any(|c| c == column) {
-                continue;
-            }
-            let oname = &origin.sql_name;
-            let octid = quote_ident(&origin.ctids[0].name);
-            let curq = quote_ident(&ctid.name);
-            return Some(if ctid.aggregated {
-                format!(
-                    "SELECT tb_orig.{cq} AS value, count(*) AS cnt \
-                     FROM (SELECT unnest({curq}) AS u FROM {}) tb_curr \
-                     JOIN {oname} tb_orig ON tb_curr.u = tb_orig.{octid} \
-                     GROUP BY tb_orig.{cq}",
-                    te.sql_name
-                )
+    /// The histogram queries of the sensitive `columns` at a node (paper
+    /// Listing 5 lines 31-33), one per restoration path instead of one per
+    /// column: columns present in the relation share a direct `GROUP BY`,
+    /// columns restored through the same tuple identifier share one
+    /// join-back (with `unnest` after aggregations). Each query groups by
+    /// all of its columns at once; the caller folds the joint counts into
+    /// per-column marginals. Columns that cannot be restored are left out.
+    pub fn histogram_selects(&self, node: NodeId, columns: &[String]) -> Vec<HistogramQuery> {
+        let Some(te) = self.mapping.get(&node) else {
+            return Vec::new();
+        };
+        // `None` is the direct path, `Some(i)` the join-back through
+        // `te.ctids[i]`; first-seen order keeps the output deterministic.
+        let mut paths: Vec<(Option<usize>, Vec<String>)> = Vec::new();
+        for column in columns {
+            let path = if te.columns.contains(column) {
+                None
             } else {
-                format!(
-                    "SELECT tb_orig.{cq} AS value, count(*) AS cnt \
-                     FROM {} tb_curr JOIN {oname} tb_orig ON tb_curr.{curq} = tb_orig.{octid} \
-                     GROUP BY tb_orig.{cq}",
-                    te.sql_name
-                )
-            });
+                let restoring = te.ctids.iter().position(|ctid| {
+                    self.origins
+                        .get(&ctid.source)
+                        .is_some_and(|origin| origin.columns.contains(column))
+                });
+                if restoring.is_none() {
+                    continue;
+                }
+                restoring
+            };
+            match paths.iter_mut().find(|(p, _)| *p == path) {
+                Some((_, cols)) => cols.push(column.clone()),
+                None => paths.push((path, vec![column.clone()])),
+            }
         }
-        None
+        paths
+            .into_iter()
+            .map(|(path, columns)| {
+                let qualifier = if path.is_some() { "tb_orig." } else { "" };
+                let keys: Vec<String> = columns
+                    .iter()
+                    .map(|c| format!("{qualifier}{}", quote_ident(c)))
+                    .collect();
+                let values: Vec<String> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, k)| format!("{k} AS value{i}"))
+                    .collect();
+                let from = match path {
+                    None => te.sql_name.clone(),
+                    Some(i) => {
+                        let ctid = &te.ctids[i];
+                        let origin = &self.origins[&ctid.source];
+                        let octid = quote_ident(&origin.ctids[0].name);
+                        let curq = quote_ident(&ctid.name);
+                        let (current, key) = if ctid.aggregated {
+                            (
+                                format!("(SELECT unnest({curq}) AS u FROM {})", te.sql_name),
+                                "u".to_string(),
+                            )
+                        } else {
+                            (te.sql_name.clone(), curq)
+                        };
+                        format!(
+                            "{current} tb_curr JOIN {} tb_orig ON tb_curr.{key} = tb_orig.{octid}",
+                            origin.sql_name
+                        )
+                    }
+                };
+                let select = format!(
+                    "SELECT {}, count(*) AS cnt FROM {from} GROUP BY {}",
+                    values.join(", "),
+                    keys.join(", ")
+                );
+                HistogramQuery { columns, select }
+            })
+            .collect()
     }
 
     /// `SELECT <visible columns> FROM node`, optionally limited.
@@ -857,9 +903,39 @@ mod tests {
         let te = gen.table_expr(1).unwrap();
         assert!(!te.columns.contains(&"age_group".to_string()));
         // ...but the histogram query can still restore it via the ctid.
-        let q = gen.histogram_select(1, "age_group").unwrap();
+        let q = &gen.histogram_selects(1, &["age_group".into()])[0].select;
         assert!(q.contains("JOIN patients_20_mlinid0_ctid"));
         assert!(q.contains("GROUP BY tb_orig.\"age_group\""));
+    }
+
+    #[test]
+    fn histogram_queries_are_one_per_restoration_path() {
+        let mut gen = SqlGen::new();
+        read(&mut gen, 0);
+        let both = ["race".to_string(), "age_group".to_string()];
+        // Both present: one direct GROUP BY over both.
+        let present = gen.histogram_selects(0, &both);
+        assert_eq!(present.len(), 1);
+        assert_eq!(present[0].columns, both);
+        assert_eq!(
+            present[0].select,
+            "SELECT \"race\" AS value0, \"age_group\" AS value1, count(*) AS cnt \
+             FROM patients_20_mlinid0_ctid GROUP BY \"race\", \"age_group\""
+        );
+        // One present, one projected away: a direct query and a join-back.
+        gen.project(1, 33, 0, &["race".into()]).unwrap();
+        let split = gen.histogram_selects(1, &both);
+        assert_eq!(split.len(), 2);
+        assert_eq!(split[0].columns, ["race"]);
+        assert_eq!(split[1].columns, ["age_group"]);
+        // Both projected away: they share the one join-back.
+        gen.project(2, 34, 0, &["ssn".into()]).unwrap();
+        let shared = gen.histogram_selects(2, &both);
+        assert_eq!(shared.len(), 1);
+        assert_eq!(shared[0].select.matches("JOIN").count(), 1);
+        assert!(shared[0]
+            .select
+            .ends_with("GROUP BY tb_orig.\"race\", tb_orig.\"age_group\""));
     }
 
     #[test]
@@ -880,7 +956,7 @@ mod tests {
         .unwrap();
         let body = &gen.container.entries()[1].body;
         assert!(body.contains("array_agg(\"patients_20_mlinid0_ctid\")"));
-        let q = gen.histogram_select(1, "race").unwrap();
+        let q = &gen.histogram_selects(1, &["race".into()])[0].select;
         assert!(q.contains("unnest("), "{q}");
     }
 
@@ -974,7 +1050,9 @@ mod tests {
     fn histogram_of_unknown_column_is_none() {
         let mut gen = SqlGen::new();
         read(&mut gen, 0);
-        assert!(gen.histogram_select(0, "no_such_column").is_none());
+        assert!(gen
+            .histogram_selects(0, &["no_such_column".into()])
+            .is_empty());
     }
 
     #[test]

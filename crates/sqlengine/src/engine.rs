@@ -834,7 +834,7 @@ impl Engine {
     /// every call site does, so memory never diverges from what replay
     /// will reconstruct. Unlogged mode (inspection) bypasses both.
     fn log_durable(&mut self, record: &WalRecord) -> Result<()> {
-        if self.unlogged || !self.backend.is_durable() {
+        if !self.logs_mutations() {
             return Ok(());
         }
         if let Health::ReadOnly { reason } = &self.health {
@@ -872,6 +872,13 @@ impl Engine {
             return Err(e);
         }
         Ok(())
+    }
+
+    /// Whether [`Engine::log_durable`] would log a mutation right now:
+    /// callers that must build the record first (a copy of the loaded rows)
+    /// ask before paying for it.
+    fn logs_mutations(&self) -> bool {
+        !self.unlogged && self.backend.is_durable()
     }
 
     /// Execute one parsed statement.
@@ -1432,6 +1439,10 @@ impl Engine {
         columns: Option<&[String]>,
         csv: etypes::CsvTable,
     ) -> Result<ExecOutcome> {
+        // An unlogged load (INSPECT's base tables) has no record to build:
+        // copying every loaded row for `log_durable` to discard would
+        // double the load's memory traffic.
+        let builds_record = self.logs_mutations() || self.txn_capture.is_some();
         let table_ref = self
             .catalog
             .table_mut(table)
@@ -1467,7 +1478,7 @@ impl Engine {
             table_ref.append(full)?;
             count += 1;
         }
-        if count > 0 && (self.backend.is_durable() || self.txn_capture.is_some()) {
+        if count > 0 && builds_record {
             let rows = table_ref.data.rows[first_new_row..].to_vec();
             if let Err(e) = self.log_durable(&WalRecord::Insert {
                 table: table.to_string(),
@@ -2232,6 +2243,25 @@ mod tests {
         assert_eq!(e.catalog().table_names(), vec!["keep"]);
         assert!(e.query("SELECT b FROM gone").is_err());
         assert!(e.recovery_report().unwrap().notes.is_empty());
+    }
+
+    #[test]
+    fn unlogged_copy_on_durable_engine_logs_and_defers_nothing() {
+        let dir = durable_dir("unlogged-copy");
+        let mut e =
+            Engine::open_durable(EngineProfile::in_memory(), &dir, FsyncPolicy::Always).unwrap();
+        e.begin_commit_group();
+        e.set_unlogged(true);
+        let appended = |e: &Engine| e.storage_stats().unwrap().wal.records_appended;
+        let before = appended(&e);
+        e.execute("CREATE TABLE scratch (a int, b text)").unwrap();
+        e.copy_from_str("scratch", None, "a,b\n1,x\n2,y\n", &CsvOptions::default())
+            .unwrap();
+        assert_eq!(e.group_pending(), 0, "unlogged load left an undo entry");
+        assert_eq!(appended(&e), before, "unlogged load reached the WAL");
+        e.set_unlogged(false);
+        assert_eq!(e.end_commit_group().unwrap(), 0);
+        assert_eq!(e.query("SELECT a FROM scratch").unwrap().rows.len(), 2);
     }
 
     #[test]

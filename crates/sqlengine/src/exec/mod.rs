@@ -384,20 +384,24 @@ pub fn execute(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
         PlanNode::Unnest { input, column, .. } => {
             let rows = execute(input, ctx)?;
             let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                match &row[*column] {
+            for mut row in rows {
+                // Take the array out of the row first: cloning the row per
+                // element with the array still inside copies the whole list
+                // each time, O(len²) per row (an `array_agg` ctid list holds
+                // a group's every tuple identifier).
+                match std::mem::replace(&mut row[*column], Value::Null) {
                     Value::Array(items) => {
+                        out.reserve(items.len());
                         for item in items {
                             let mut r = row.clone();
-                            r[*column] = item.clone();
+                            r[*column] = item;
                             out.push(r);
                         }
                     }
                     Value::Null => {}
                     scalar => {
-                        let mut r = row.clone();
-                        r[*column] = scalar.clone();
-                        out.push(r);
+                        row[*column] = scalar;
+                        out.push(row);
                     }
                 }
             }

@@ -26,8 +26,7 @@
 //! the shard's shared ring — queue wait, the dispatch itself
 //! (`shard-exec` / `sg-gather`), the engine phases under it, foreign-image
 //! installs, and the command's share of the group-fsync window. All child
-//! spans are recorded when the batch's replies are released, so a `STATS`
-//! body rendered mid-batch matches an earlier `/metrics` scrape.
+//! spans are recorded when the batch's replies are released.
 //!
 //! Shutdown is cooperative and loses nothing: `SHUTDOWN` travels through
 //! the queue like any command; the executor flips the shared flag (stopping
@@ -37,10 +36,10 @@
 //! exits. Every job enqueued before the last sender dropped still gets its
 //! response.
 
-use crate::metrics::{render_stats_text, HistSnapshot, Metric, Metrics};
-use crate::protocol::{codes, Command, TraceRequest};
+use crate::metrics::{ratio, sample, Metric, Metrics};
+use crate::protocol::{codes, Command};
 use crate::repl::{ReplRole, ReplState};
-use crate::shard::{render_query_tree, render_recent_roots, ShardStats};
+use crate::shard::ShardStats;
 use elephant_repl::ReplOp;
 use etypes::{next_span_id, SharedSpanRing, SpanKind, SpanRecord, TraceContext};
 use mlinspect::SqlMode;
@@ -150,32 +149,16 @@ pub(crate) enum Job {
         /// When the router admitted the job (measures queue wait).
         enqueued: Instant,
     },
-    /// Snapshot this shard's health and WAL counters for composed `STATS`.
-    ShardInfo {
-        /// Where the router waits for the snapshot.
-        reply: mpsc::Sender<ShardSnapshot>,
-    },
-    /// Collect this shard's typed engine samples for the `/metrics`
-    /// exporter. Deliberately uncounted: a scrape must not perturb the
-    /// counters it reports, or scrape-vs-`STATS` parity breaks.
+    /// Collect this shard's engine-scoped samples for the router's metric
+    /// collector. Deliberately uncounted: neither `STATS` nor a `/metrics`
+    /// scrape may perturb the counters it reports, or their parity breaks.
     MetricsSnapshot {
-        /// Where the scrape thread waits for the samples.
+        /// The session asking (`STATS`), whose `exec_mode` is reported;
+        /// `None` for a `/metrics` scrape, which sees the server default.
+        session: Option<u64>,
+        /// Where the collector waits for the samples.
         reply: mpsc::Sender<Vec<Metric>>,
     },
-}
-
-/// Per-shard counters surfaced in composed `STATS` output.
-pub(crate) struct ShardSnapshot {
-    /// The engine's health line (`healthy` / `read_only (...)`).
-    pub health: String,
-    /// WAL records appended (0 for volatile shards).
-    pub wal_records: u64,
-    /// WAL fsyncs issued (0 for volatile shards).
-    pub wal_fsyncs: u64,
-    /// Group-commit windows that acknowledged at least one deferred record.
-    pub wal_group_commits: u64,
-    /// Records acknowledged by those group fsyncs.
-    pub wal_group_records: u64,
 }
 
 /// Executor construction parameters.
@@ -201,8 +184,8 @@ pub(crate) struct ExecutorConfig {
     pub statement_timeout_ms: Option<u64>,
     /// Checkpoint automatically once the WAL grows past this many bytes.
     pub auto_checkpoint_wal_bytes: Option<u64>,
-    /// Replication topology shared with `REPLICA`/`LAG`/`STATS`. Follower
-    /// role pins the engine read-only for the server's whole life.
+    /// Replication topology shared with `REPLICA`/`LAG`. Follower role
+    /// pins the engine read-only for the server's whole life.
     pub repl: Arc<ReplState>,
     /// This executor's shard id (names the thread, labels diagnostics).
     pub shard_id: usize,
@@ -485,11 +468,8 @@ pub(crate) fn spawn(
                                 counted: true,
                             });
                         }
-                        Job::ShardInfo { reply } => {
-                            let _ = reply.send(state.shard_snapshot());
-                        }
-                        Job::MetricsSnapshot { reply } => {
-                            let _ = reply.send(state.engine_samples());
+                        Job::MetricsSnapshot { session, reply } => {
+                            let _ = reply.send(state.engine_samples(session));
                         }
                     }
                 }
@@ -761,113 +741,74 @@ impl ExecutorState {
     }
 
     /// This shard's engine-scoped samples, labeled `shard=<id>`: the plan
-    /// cache block, per-phase histograms, execution/trace/health/storage
-    /// state, and the replication lines. Shard 0's set is what `STATS` has
-    /// always rendered after the server block; `/metrics` exports every
-    /// shard's, distinguished by the label.
-    fn engine_samples(&self) -> Vec<Metric> {
-        let shard = self.shard_id.to_string();
-        let tag = |m: Metric| m.label("shard", shard.clone());
-        let prepared_total: usize = self.prepared.values().map(Vec::len).sum();
-        let mut v: Vec<Metric> = Metrics::plan_samples(
-            self.engine.plan_cache_stats(),
-            self.engine.plan_cache_len(),
-            prepared_total,
-        )
-        .into_iter()
-        .map(tag)
-        .collect();
+    /// cache block, per-phase histograms, and execution, trace, health,
+    /// storage and recovery state.
+    fn engine_samples(&self, session: Option<u64>) -> Vec<Metric> {
+        let exec_mode = session
+            .and_then(|s| self.session_modes.get(&s))
+            .unwrap_or(&self.default_exec_mode);
+        let plan = self.engine.plan_cache_stats();
+        let prepared: usize = self.prepared.values().map(Vec::len).sum();
+        let mut v = vec![
+            sample("plan_cache_entries", self.engine.plan_cache_len() as u64),
+            sample("plan_cache_hits", plan.hits),
+            sample("plan_cache_misses", plan.misses),
+            sample("plan_cache_evictions", plan.evictions),
+            sample("plan_cache_invalidations", plan.invalidations),
+            sample("plan_cache_hit_rate", plan.hit_rate()),
+            sample("prepared_statements", prepared as u64),
+        ];
         for (table, n) in self.engine.plan_cache_table_invalidations() {
-            v.push(
-                Metric::counter(format!("plan_cache_invalidations.{table}"), n)
-                    .named("plan_cache_table_invalidations")
-                    .label("table", table)
-                    .label("shard", shard.clone()),
-            );
+            v.push(sample("plan_cache_table_invalidations", n).label("table", table));
         }
         for phase in Phase::ALL {
-            let mut snap = HistSnapshot::from_histogram(self.engine.trace().phase(phase));
-            snap.emit_total = true;
-            snap.skip_if_empty = true;
-            v.push(tag(Metric::hist(format!("phase_{}", phase.name()), snap)));
+            let hist = self.engine.trace().phase(phase).clone();
+            v.push(sample("phase_{phase}", hist).label("phase", phase.name()));
         }
         let engine_stats = self.engine.stats();
-        v.push(tag(Metric::text(
-            "exec_mode",
-            self.engine.exec_mode().to_string(),
-        )));
-        v.push(tag(Metric::counter(
-            "batches_executed",
-            engine_stats.batches_executed,
-        )));
-        v.push(tag(Metric::counter(
-            "colexec_fallbacks",
-            engine_stats.colexec_fallbacks,
-        )));
-        v.push(tag(Metric::counter(
-            "trace_spans_recorded",
-            self.ring.pushed(),
-        )));
-        v.push(tag(Metric::gauge(
-            "trace_spans_retained",
-            self.ring.len() as u64,
-        )));
-        v.push(tag(Metric::gauge(
-            "trace_spans_open",
-            self.ring.open_len() as u64,
-        )));
-        v.push(tag(Metric::text("health", self.engine.health().render())));
-        v.push(tag(Metric::counter(
-            "faults_injected",
-            etypes::fault::injected(),
-        )));
-        v.push(tag(Metric::gauge(
-            "storage_durable",
-            u64::from(self.engine.is_durable()),
-        )));
-        if let Some(stats) = self.engine.storage_stats() {
-            v.push(tag(Metric::counter(
-                "wal_records_appended",
-                stats.wal.records_appended,
-            )));
-            v.push(tag(Metric::counter("wal_fsyncs", stats.wal.fsyncs)));
-            v.push(tag(Metric::gauge("wal_bytes", stats.wal.bytes)));
-            v.push(tag(Metric::counter(
-                "storage_checkpoints",
-                stats.checkpoints,
-            )));
+        v.extend([
+            sample("exec_mode", exec_mode.to_string()),
+            sample("batches_executed", engine_stats.batches_executed),
+            sample("colexec_fallbacks", engine_stats.colexec_fallbacks),
+            sample("trace_spans_recorded", self.ring.pushed()),
+            sample("trace_spans_retained", self.ring.len() as u64),
+            sample("trace_spans_open", self.ring.open_len() as u64),
+            sample("health", self.engine.health().render()),
+            sample("storage_durable", u64::from(self.engine.is_durable())),
+        ]);
+        let storage = self.engine.storage_stats();
+        if let Some(stats) = &storage {
+            v.extend([
+                sample("wal_records_appended", stats.wal.records_appended),
+                sample("wal_fsyncs", stats.wal.fsyncs),
+                sample("wal_bytes", stats.wal.bytes),
+                sample("storage_checkpoints", stats.checkpoints),
+            ]);
         }
+        // A volatile shard has no WAL, but the group-commit keys are always
+        // reported (zero) so readers need no durability special case.
+        let wal = storage.map(|stats| stats.wal).unwrap_or_default();
+        v.extend([
+            sample("wal_group_commits", wal.group_commits),
+            sample("wal_group_committed_records", wal.group_committed_records),
+            sample(
+                "wal_commits_per_fsync",
+                ratio(wal.records_appended, wal.fsyncs),
+            ),
+        ]);
         if let Some(rec) = self.engine.recovery_report() {
-            v.push(tag(Metric::gauge(
-                "recovered_snapshot_tables",
-                rec.snapshot_tables as u64,
-            )));
-            v.push(tag(Metric::gauge(
-                "recovered_snapshot_rows",
-                rec.snapshot_rows,
-            )));
-            v.push(tag(Metric::gauge(
-                "recovered_wal_records",
-                rec.wal_records_applied,
-            )));
-            v.push(tag(Metric::gauge(
-                "recovered_wal_torn_bytes",
-                rec.wal_torn_bytes,
-            )));
+            v.extend([
+                sample("recovered_snapshot_tables", rec.snapshot_tables as u64),
+                sample("recovered_snapshot_rows", rec.snapshot_rows),
+                sample("recovered_wal_records", rec.wal_records_applied),
+                sample("recovered_wal_torn_bytes", rec.wal_torn_bytes),
+            ]);
         }
-        v.push(tag(Metric::counter(
-            "auto_checkpoints",
-            self.engine.auto_checkpoints(),
-        )));
-        for line in self.repl.stats_lines(self.committed_lsn()).lines() {
-            if let Some((key, value)) = line.split_once(' ') {
-                match value.parse::<u64>() {
-                    Ok(n) => v.push(tag(Metric::gauge(key, n))),
-                    Err(_) => v.push(tag(Metric::text(key, value))),
-                }
-            }
-        }
-        v
+        v.push(sample("auto_checkpoints", self.engine.auto_checkpoints()));
+        let shard = self.shard_id.to_string();
+        v.into_iter()
+            .map(|m| m.label("shard", shard.clone()))
+            .collect()
     }
 
     fn dispatch(&mut self, session: u64, command: Command) -> Reply {
@@ -963,16 +904,11 @@ impl ExecutorState {
                 };
                 out.map_err(|e| self.classify(e))
             }
-            // The router answers TRACE without an executor round-trip (it
-            // walks every shard's ring); this arm serves direct-queue
-            // callers (unit tests, embedded use) from the local ring only.
-            Command::Trace(TraceRequest::Recent(n)) => {
-                let spans = self.ring.recent(self.ring.len());
-                Ok(render_recent_roots(spans, n))
-            }
-            Command::Trace(TraceRequest::Tree(query_id)) => Ok(render_query_tree(
-                query_id,
-                self.ring.spans_for_query(query_id),
+            // The router answers both itself, from every shard's ring and
+            // every shard's samples; neither is ever queued.
+            Command::Trace(_) | Command::Stats => Err((
+                codes::INTERNAL,
+                "TRACE and STATS are answered by the shard router".into(),
             )),
             Command::Inspect {
                 columns,
@@ -1045,11 +981,6 @@ impl ExecutorState {
                     format!("unknown session variable '{other}' (known: exec_mode)"),
                 )),
             },
-            Command::Stats => {
-                let mut samples = self.metrics.server_samples();
-                samples.extend(self.engine_samples());
-                Ok(render_stats_text(&samples))
-            }
             Command::Checkpoint => match self.engine.checkpoint() {
                 Ok(Some(stats)) => Ok(format!(
                     "checkpoint tables={} rows={} snapshot_bytes={} wal_truncated={}",
@@ -1237,18 +1168,6 @@ impl ExecutorState {
         }
         let _ = done.send(outcome);
     }
-
-    /// Health + WAL counters for composed `STATS`.
-    fn shard_snapshot(&self) -> ShardSnapshot {
-        let wal = self.engine.storage_stats().map(|s| s.wal);
-        ShardSnapshot {
-            health: self.engine.health().render(),
-            wal_records: wal.as_ref().map_or(0, |w| w.records_appended),
-            wal_fsyncs: wal.as_ref().map_or(0, |w| w.fsyncs),
-            wal_group_commits: wal.as_ref().map_or(0, |w| w.group_commits),
-            wal_group_records: wal.as_ref().map_or(0, |w| w.group_committed_records),
-        }
-    }
 }
 
 fn scoped_name(session: u64, name: &str) -> String {
@@ -1272,6 +1191,17 @@ mod tests {
         })
         .expect("executor alive");
         rrx.recv().expect("reply")
+    }
+
+    /// This shard's engine samples, rendered as `STATS` lines.
+    fn engine_stats(tx: &SyncSender<Job>) -> String {
+        let (rtx, rrx) = mpsc::channel();
+        tx.send(Job::MetricsSnapshot {
+            session: None,
+            reply: rtx,
+        })
+        .expect("executor alive");
+        crate::metrics::render_stats_text(&rrx.recv().expect("samples"))
     }
 
     fn spawn_volatile(
@@ -1376,8 +1306,7 @@ mod tests {
         );
         assert_eq!(r.unwrap_err().0, codes::EXEC);
         // Shutdown flips the flag but the executor keeps draining.
-        let r = send(&tx, &metrics, 1, Command::Stats);
-        assert!(r.unwrap().contains("prepared_statements 2"));
+        assert!(engine_stats(&tx).contains("prepared_statements 2"));
         let r = send(&tx, &metrics, 1, Command::Shutdown);
         assert_eq!(r.unwrap(), "draining");
         assert!(shutdown.load(Ordering::SeqCst));
@@ -1396,9 +1325,8 @@ mod tests {
         let (code, msg) = r.unwrap_err();
         assert_eq!(code, codes::EXEC);
         assert!(msg.contains("--data-dir"), "{msg}");
-        // Volatile STATS still reports the storage flag.
-        let r = send(&tx, &metrics, 1, Command::Stats);
-        let body = r.unwrap();
+        // A volatile engine still reports the storage flag.
+        let body = engine_stats(&tx);
         assert!(body.contains("storage_durable 0"), "{body}");
         assert!(!body.contains("wal_records_appended"), "{body}");
         drop(tx);
@@ -1564,7 +1492,7 @@ mod tests {
             Command::Query("SELECT a FROM t ORDER BY a".into()),
         );
         assert_eq!(r.unwrap(), "a\n1\n2\n3\n");
-        let body = send(&tx, &metrics, 1, Command::Stats).unwrap();
+        let body = engine_stats(&tx);
         assert!(body.contains("storage_durable 1"), "{body}");
         assert!(body.contains("recovered_snapshot_tables 1"), "{body}");
         assert!(body.contains("recovered_wal_records 1"), "{body}");

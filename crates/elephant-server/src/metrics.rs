@@ -1,18 +1,20 @@
-//! Lock-free server metrics and the typed metrics registry.
+//! Lock-free server counters and the one table that declares every metric.
 //!
 //! Everything is atomics so sessions and the executor update without
 //! contention. Bucket edges are shared with the engine's phase histograms
 //! via [`etypes::bucket_index`].
 //!
-//! Both observability surfaces render from the **same** typed samples: a
-//! [`Metric`] carries its `STATS` key, its Prometheus name + labels, and a
-//! typed [`MetricValue`]. [`render_stats_text`] produces the line-oriented
-//! `STATS` body; [`render_prometheus`] produces the text exposition format
-//! (0.0.4) served on `GET /metrics`, with histograms as cumulative
-//! `_bucket{le=...}` series. One collection, two renderings — the surfaces
-//! cannot drift.
+//! Each metric is declared once, in [`DECLS`]: its `STATS` key, Prometheus
+//! name, [`Kind`] and [`Scope`]. Code that owns a value emits it with
+//! [`sample`]; the shard router collects every owner's samples into one
+//! list. [`render_prometheus`] renders that list for `GET /metrics` as it
+//! is (engine-scoped samples carry a `shard="k"` label); `STATS` passes it
+//! through [`fold_shards`] first, which puts the all-shard total under the
+//! bare key and each shard's own value under `shard{k}.<key>`, and then
+//! through [`render_stats_text`]. One collection, one table, two renderings
+//! — the surfaces cannot drift.
 
-use sqlengine::PlanCacheStats;
+use etypes::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -60,195 +62,475 @@ impl LatencyHistogram {
     /// Upper bucket edge (µs) below which at least `p` (in `[0,1]`) of the
     /// samples fall; 0 when empty.
     pub fn percentile(&self, p: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((total as f64) * p.clamp(0.0, 1.0)).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << BUCKETS
+        self.snapshot().percentile(p)
     }
 
-    /// A point-in-time copy of the buckets for the registry.
-    pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count(),
-            total_us: self.total_us(),
-            percentiles: PCT_P50_P95,
-            emit_total: false,
-            skip_if_empty: false,
-        }
+    /// A point-in-time copy, in the type the engine's histograms use.
+    pub fn snapshot(&self) -> Histogram {
+        Histogram::from_parts(
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            self.count(),
+            self.total_us(),
+        )
     }
 }
 
-/// Percentile suffixes rendered for the all-verbs latency histogram.
-pub const PCT_P50_P95_P99: &[(&str, f64)] = &[("p50_us", 0.50), ("p95_us", 0.95), ("p99_us", 0.99)];
+/// Who owns a metric's value, and so how `STATS` totals it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scope {
+    /// One value per process: the [`Metrics`] atomics, the failpoint
+    /// registry, the replication topology.
+    Server,
+    /// One value per process, counted by the shard router.
+    Router,
+    /// One value per shard, sampled with a `shard="k"` label. `STATS` shows
+    /// each as `shard{k}.<key>` and combines them under `<key>` by the
+    /// [`Fold`].
+    Engine(Fold),
+}
 
-/// Percentile suffixes rendered for per-verb and per-phase histograms.
-pub const PCT_P50_P95: &[(&str, f64)] = &[("p50_us", 0.50), ("p95_us", 0.95)];
+/// How the shards' values of one engine-scoped metric combine into the
+/// all-shard total.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Fold {
+    /// Counters and gauges add; histograms merge bucket-wise
+    /// ([`Histogram::merge`]).
+    Sum,
+    /// A ratio, recomputed as `sum(num) / sum(den)` over the named
+    /// engine-scoped keys — never an average of the shards' ratios.
+    Ratio {
+        /// Key whose shard values sum to the numerator.
+        num: &'static str,
+        /// Keys whose shard values sum to the denominator.
+        den: &'static [&'static str],
+    },
+    /// The shards' common value, or the text `mixed` when they disagree.
+    AllEqual,
+    /// The first shard value that is not [`HEALTHY`]; `healthy` when every
+    /// shard is.
+    Worst,
+    /// No total: the value only means something per shard (a server-scoped
+    /// metric already covers the whole process).
+    PerShard,
+}
 
-/// A point-in-time histogram copy with its rendering policy.
-#[derive(Debug, Clone)]
-pub struct HistSnapshot {
-    /// Per-bucket counts, log2 edges shared with [`etypes::bucket_index`].
-    pub buckets: Vec<u64>,
-    /// Total samples.
-    pub count: u64,
-    /// Sum of all samples in microseconds (the Prometheus `_sum`).
-    pub total_us: u64,
-    /// `(suffix, p)` pairs rendered as `<key>_<suffix>` percentile lines.
+/// What a healthy engine reports under `health`.
+pub const HEALTHY: &str = "healthy";
+
+/// How one histogram family renders in `STATS`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HistRender {
+    /// `(suffix, p)` pairs rendered as `<key>_<suffix>` percentile lines
+    /// (and as companion gauges on `/metrics`).
     pub percentiles: &'static [(&'static str, f64)],
-    /// Render a `<key>_total_us` STATS line (phase histograms do).
-    pub emit_total: bool,
-    /// Omit from STATS entirely while empty (per-verb and phase histograms).
+    /// Render a `<key>_total_us` line.
+    pub total: bool,
+    /// Leave the family out of `STATS` while it holds no sample.
     pub skip_if_empty: bool,
 }
 
-impl HistSnapshot {
-    /// Build from an engine-side (single-threaded) histogram.
-    pub fn from_histogram(h: &etypes::Histogram) -> HistSnapshot {
-        HistSnapshot {
-            buckets: h.buckets().to_vec(),
-            count: h.count(),
-            total_us: h.total_us(),
-            percentiles: PCT_P50_P95,
-            emit_total: false,
-            skip_if_empty: false,
+const P50_P95: &[(&str, f64)] = &[("p50_us", 0.50), ("p95_us", 0.95)];
+const P50_P95_P99: &[(&str, f64)] = &[("p50_us", 0.50), ("p95_us", 0.95), ("p99_us", 0.99)];
+
+/// The all-verbs latency histogram: always shown, with a p99.
+const ALL_VERBS: Kind = Kind::Histogram(HistRender {
+    percentiles: P50_P95_P99,
+    total: false,
+    skip_if_empty: false,
+});
+/// One verb's latency histogram: shown once the verb was served.
+const ONE_VERB: Kind = Kind::Histogram(HistRender {
+    percentiles: P50_P95,
+    total: false,
+    skip_if_empty: true,
+});
+/// One engine phase's histogram: shown once it ran, with its total.
+const PHASE: Kind = Kind::Histogram(HistRender {
+    percentiles: P50_P95,
+    total: true,
+    skip_if_empty: true,
+});
+
+/// The type of a metric and how its value renders.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Kind {
+    /// Monotonically increasing integer.
+    Counter,
+    /// Point-in-time integer.
+    Gauge,
+    /// Point-in-time float, rendered with this many decimals.
+    Float(usize),
+    /// Non-numeric state (health, exec mode, build version): `key value` in
+    /// `STATS`, an `_info{value="..."} 1` gauge on `/metrics`.
+    Text,
+    /// Log2 latency histogram: count and percentile lines in `STATS`,
+    /// cumulative buckets on `/metrics`.
+    Histogram(HistRender),
+}
+
+impl Kind {
+    /// Decimals a float renders with.
+    fn decimals(self) -> usize {
+        match self {
+            Kind::Float(decimals) => decimals,
+            _ => 0,
         }
     }
 
-    /// Upper bucket edge (µs) covering fraction `p` of the samples.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
+    /// How a histogram renders.
+    fn hist(self) -> HistRender {
+        match self {
+            Kind::Histogram(render) => render,
+            _ => HistRender {
+                percentiles: &[],
+                total: false,
+                skip_if_empty: false,
+            },
         }
-        let target = ((self.count as f64) * p.clamp(0.0, 1.0)).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << BUCKETS
     }
 }
 
-/// The typed value of one metric sample.
-#[derive(Debug, Clone)]
+/// The declaration of one metric. A `{label}` in `key` or `name` stands for
+/// the value of that label on the sample (`latency_{verb}` is one
+/// declaration for thirteen histograms).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decl {
+    /// The `STATS` key (the stem, for histograms).
+    pub key: &'static str,
+    /// Prometheus family name without the `elephant_` prefix; unique in
+    /// [`DECLS`], and what [`sample`] looks a declaration up by.
+    pub name: &'static str,
+    /// Type and rendering.
+    pub kind: Kind,
+    /// Owner and fold rule.
+    pub scope: Scope,
+}
+
+impl Decl {
+    /// Override the Prometheus name where it differs from the `STATS` key.
+    const fn named(mut self, name: &'static str) -> Decl {
+        self.name = name;
+        self
+    }
+}
+
+const fn decl(key: &'static str, kind: Kind, scope: Scope) -> Decl {
+    Decl {
+        key,
+        name: key,
+        kind,
+        scope,
+    }
+}
+
+const fn server(key: &'static str, kind: Kind) -> Decl {
+    decl(key, kind, Scope::Server)
+}
+
+const fn router(key: &'static str, kind: Kind) -> Decl {
+    decl(key, kind, Scope::Router)
+}
+
+const fn engine(key: &'static str, kind: Kind, fold: Fold) -> Decl {
+    decl(key, kind, Scope::Engine(fold))
+}
+
+use Fold::{AllEqual, PerShard, Sum, Worst};
+use Kind::{Counter, Gauge, Text};
+
+/// Every metric the server reports, in no particular order (`STATS` lines
+/// follow the order the samples were collected in).
+pub static DECLS: &[Decl] = &[
+    // Identity and per-verb accounting ([`VERBS`] names the counter keys).
+    server("uptime_s", Gauge),
+    server("started_at_unix", Gauge),
+    server("build_version", Text).named("build"),
+    server("commands_served", Counter),
+    server("queries", Counter),
+    server("batches", Counter),
+    server("prepares", Counter),
+    server("executes", Counter),
+    server("explains", Counter),
+    server("inspects", Counter),
+    server("set_calls", Counter),
+    server("stats_calls", Counter),
+    server("checkpoints_served", Counter),
+    server("traces", Counter),
+    server("replica_calls", Counter),
+    server("lag_calls", Counter),
+    server("other_commands", Counter),
+    server("errors", Counter),
+    server("protocol_errors", Counter),
+    server("exec_errors", Counter),
+    server("sessions_opened", Counter),
+    server("sessions_open", Gauge),
+    server("queue_depth", Gauge),
+    server("busy_rejections", Counter),
+    server("statements_timed_out", Counter),
+    server("metrics_scrapes", Counter),
+    server("pipelined_frames", Counter),
+    server("batch_statements", Counter),
+    server("params_bound", Counter),
+    server("chunks_streamed", Counter),
+    server("result_buffer_bytes", Gauge),
+    server("result_buffer_peak_bytes", Gauge),
+    server("latency", ALL_VERBS),
+    server("latency_{verb}", ONE_VERB),
+    // The failpoint registry is process-global.
+    server("faults_injected", Counter),
+    // Replication topology: one per server (replication forces one shard).
+    server("repl_role", Text),
+    server("repl_committed_lsn", Gauge),
+    server("repl_followers_connected", Gauge),
+    server("repl_bytes_shipped", Gauge),
+    server("repl_snapshots_sent", Gauge),
+    server("repl_min_acked_lsn", Gauge),
+    server("repl_lag_lsns", Gauge),
+    server("repl_applied_lsn", Gauge),
+    server("repl_leader_lsn", Gauge),
+    server("repl_bytes_received", Gauge),
+    server("repl_snapshots_loaded", Gauge),
+    server("repl_reconnects", Gauge),
+    server("repl_connected", Gauge),
+    // Lane gauges: the server-scoped `queue_depth` and `commands_served`
+    // are the process-wide views, so these have no total.
+    engine("queue_depth", Gauge, PerShard).named("shard_queue_depth"),
+    engine("commands", Counter, PerShard).named("shard_commands"),
+    // Plan cache and prepared statements.
+    engine("plan_cache_entries", Gauge, Sum),
+    engine("plan_cache_hits", Counter, Sum),
+    engine("plan_cache_misses", Counter, Sum),
+    engine("plan_cache_evictions", Counter, Sum),
+    engine("plan_cache_invalidations", Counter, Sum),
+    engine(
+        "plan_cache_hit_rate",
+        Kind::Float(4),
+        Fold::Ratio {
+            num: "plan_cache_hits",
+            den: &["plan_cache_hits", "plan_cache_misses"],
+        },
+    ),
+    engine("prepared_statements", Gauge, Sum),
+    engine("plan_cache_invalidations.{table}", Counter, Sum)
+        .named("plan_cache_table_invalidations"),
+    // Execution.
+    engine("phase_{phase}", PHASE, Sum),
+    engine("exec_mode", Text, AllEqual),
+    engine("batches_executed", Counter, Sum),
+    engine("colexec_fallbacks", Counter, Sum),
+    engine("trace_spans_recorded", Counter, Sum),
+    engine("trace_spans_retained", Gauge, Sum),
+    engine("trace_spans_open", Gauge, Sum),
+    engine("health", Text, Worst),
+    // Storage and recovery.
+    engine("storage_durable", Gauge, AllEqual),
+    engine("wal_records_appended", Counter, Sum),
+    engine("wal_fsyncs", Counter, Sum),
+    engine("wal_bytes", Gauge, Sum),
+    engine("storage_checkpoints", Counter, Sum),
+    engine("wal_group_commits", Counter, Sum),
+    engine("wal_group_committed_records", Counter, Sum),
+    engine(
+        "wal_commits_per_fsync",
+        Kind::Float(2),
+        Fold::Ratio {
+            num: "wal_records_appended",
+            den: &["wal_fsyncs"],
+        },
+    ),
+    engine("recovered_snapshot_tables", Gauge, Sum),
+    engine("recovered_snapshot_rows", Gauge, Sum),
+    engine("recovered_wal_records", Gauge, Sum),
+    engine("recovered_wal_torn_bytes", Gauge, Sum),
+    engine("auto_checkpoints", Counter, Sum),
+    // Sharding.
+    router("shards", Gauge),
+    router("shard_fallbacks", Counter),
+    router("shard_scatter_gather", Counter),
+    router("cross_shard_rejects", Counter),
+    router("txn_commits", Counter),
+    router("txn_aborts", Counter),
+];
+
+/// The value of one sample; its [`Kind`] is in the declaration.
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
-    /// Monotonically increasing count.
-    Counter(u64),
-    /// Point-in-time integer value.
-    Gauge(u64),
-    /// Point-in-time float rendered with a fixed number of decimals.
-    GaugeF {
-        /// The value.
-        value: f64,
-        /// Decimals in the STATS rendering (`{:.d$}`).
-        decimals: usize,
-    },
-    /// Non-numeric state (health, exec mode, build version). Rendered as
-    /// `key value` in STATS and as an `_info`-style gauge on /metrics.
+    /// A counter or integer gauge.
+    Int(u64),
+    /// A float gauge.
+    Float(f64),
+    /// A text state.
     Text(String),
-    /// A latency histogram (cumulative buckets on /metrics; count +
-    /// percentile lines in STATS).
-    Histogram(HistSnapshot),
+    /// A latency histogram (boxed: it dwarfs the other variants).
+    Hist(Box<Histogram>),
 }
 
-/// One named sample in the registry: the single source of truth both the
-/// `STATS` body and the Prometheus exposition render from.
+impl From<u64> for MetricValue {
+    fn from(v: u64) -> Self {
+        MetricValue::Int(v)
+    }
+}
+
+impl From<f64> for MetricValue {
+    fn from(v: f64) -> Self {
+        MetricValue::Float(v)
+    }
+}
+
+impl From<String> for MetricValue {
+    fn from(v: String) -> Self {
+        MetricValue::Text(v)
+    }
+}
+
+impl From<&str> for MetricValue {
+    fn from(v: &str) -> Self {
+        MetricValue::Text(v.to_string())
+    }
+}
+
+impl From<Histogram> for MetricValue {
+    fn from(v: Histogram) -> Self {
+        MetricValue::Hist(Box::new(v))
+    }
+}
+
+/// One collected sample of a declared metric.
 #[derive(Debug, Clone)]
 pub struct Metric {
-    /// The `STATS` key (base key for histograms).
+    /// The metric's declaration.
+    pub decl: &'static Decl,
+    /// The `STATS` key: the declared one with its `{label}`s filled in,
+    /// and the `shard{k}.` prefix on a per-shard line.
     pub key: String,
-    /// Prometheus metric name without the `elephant_` prefix.
+    /// The Prometheus name, `{label}`s filled in.
     pub name: String,
-    /// Prometheus labels (`shard`, `table`, ...).
+    /// Prometheus labels (`shard`, `verb`, `table`, ...).
     pub labels: Vec<(&'static str, String)>,
     /// The sample.
     pub value: MetricValue,
 }
 
+/// Sample the metric declared under Prometheus name `name`.
+///
+/// # Panics
+/// When [`DECLS`] has no such name — an undeclared metric is a bug here,
+/// not a runtime condition.
+pub fn sample(name: &str, value: impl Into<MetricValue>) -> Metric {
+    let decl = DECLS
+        .iter()
+        .find(|d| d.name == name)
+        .unwrap_or_else(|| panic!("metric '{name}' is not declared in metrics::DECLS"));
+    Metric {
+        decl,
+        key: decl.key.to_string(),
+        name: decl.name.to_string(),
+        labels: Vec::new(),
+        value: value.into(),
+    }
+}
+
 impl Metric {
-    /// A counter whose Prometheus name equals its STATS key.
-    pub fn counter(key: impl Into<String>, v: u64) -> Metric {
-        let key = key.into();
-        Metric {
-            name: key.clone(),
-            key,
-            labels: Vec::new(),
-            value: MetricValue::Counter(v),
-        }
-    }
-
-    /// A gauge whose Prometheus name equals its STATS key.
-    pub fn gauge(key: impl Into<String>, v: u64) -> Metric {
-        let key = key.into();
-        Metric {
-            name: key.clone(),
-            key,
-            labels: Vec::new(),
-            value: MetricValue::Gauge(v),
-        }
-    }
-
-    /// A fixed-decimals float gauge.
-    pub fn gaugef(key: impl Into<String>, value: f64, decimals: usize) -> Metric {
-        let key = key.into();
-        Metric {
-            name: key.clone(),
-            key,
-            labels: Vec::new(),
-            value: MetricValue::GaugeF { value, decimals },
-        }
-    }
-
-    /// A text sample.
-    pub fn text(key: impl Into<String>, v: impl Into<String>) -> Metric {
-        let key = key.into();
-        Metric {
-            name: key.clone(),
-            key,
-            labels: Vec::new(),
-            value: MetricValue::Text(v.into()),
-        }
-    }
-
-    /// A histogram sample.
-    pub fn hist(key: impl Into<String>, snap: HistSnapshot) -> Metric {
-        let key = key.into();
-        Metric {
-            name: key.clone(),
-            key,
-            labels: Vec::new(),
-            value: MetricValue::Histogram(snap),
-        }
-    }
-
-    /// Override the Prometheus name (when the STATS key embeds an id, e.g.
-    /// `shard0.commands` → `shard_commands{shard="0"}`).
-    pub fn named(mut self, name: impl Into<String>) -> Metric {
-        self.name = name.into();
-        self
-    }
-
-    /// Attach one Prometheus label.
+    /// Attach one Prometheus label, filling `{k}` in the key and name.
     pub fn label(mut self, k: &'static str, v: impl Into<String>) -> Metric {
-        self.labels.push((k, v.into()));
+        let v = v.into();
+        let slot = format!("{{{k}}}");
+        self.key = self.key.replace(&slot, &v);
+        self.name = self.name.replace(&slot, &v);
+        self.labels.push((k, v));
         self
     }
+
+    /// The value of the `shard` label, on engine-scoped samples.
+    fn shard(&self) -> Option<&str> {
+        self.labels
+            .iter()
+            .find(|(k, _)| *k == "shard")
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// `num / den` as the ratio metrics report it: 0 while nothing was counted.
+pub fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Turn the collector's samples into what `STATS` shows: server-scoped
+/// samples as they are, then for every engine-scoped key the all-shard
+/// total under the bare key (by its [`Fold`]), then every shard's own value
+/// as `shard{k}.<key>`, then the router's. The shard count is never looked
+/// at: one shard folds like any other number.
+pub fn fold_shards(samples: Vec<Metric>) -> Vec<Metric> {
+    let is_engine = |m: &Metric| matches!(m.decl.scope, Scope::Engine(_));
+    let (engine, rest): (Vec<Metric>, Vec<Metric>) = samples.into_iter().partition(is_engine);
+    let (router, mut out): (Vec<Metric>, Vec<Metric>) = rest
+        .into_iter()
+        .partition(|m| m.decl.scope == Scope::Router);
+    let sum_of = |key: &str| -> u64 {
+        engine
+            .iter()
+            .filter(|m| m.key == key)
+            .map(|m| match m.value {
+                MetricValue::Int(v) => v,
+                _ => 0,
+            })
+            .sum()
+    };
+    let mut folded: Vec<&str> = Vec::new();
+    for first in &engine {
+        if folded.contains(&first.key.as_str()) {
+            continue;
+        }
+        folded.push(&first.key);
+        let Scope::Engine(fold) = first.decl.scope else {
+            continue;
+        };
+        let shards = || engine.iter().filter(|m| m.key == first.key);
+        let total = match fold {
+            PerShard => continue,
+            Sum => match first.value {
+                MetricValue::Hist(_) => {
+                    let mut merged = Histogram::default();
+                    for m in shards() {
+                        if let MetricValue::Hist(h) = &m.value {
+                            merged.merge(h);
+                        }
+                    }
+                    merged.into()
+                }
+                _ => MetricValue::Int(sum_of(&first.key)),
+            },
+            Fold::Ratio { num, den } => {
+                MetricValue::Float(ratio(sum_of(num), den.iter().map(|key| sum_of(key)).sum()))
+            }
+            AllEqual if shards().all(|m| m.value == first.value) => first.value.clone(),
+            AllEqual => MetricValue::Text("mixed".into()),
+            Worst => shards()
+                .map(|m| &m.value)
+                .find(|v| **v != MetricValue::Text(HEALTHY.into()))
+                .unwrap_or(&first.value)
+                .clone(),
+        };
+        out.push(Metric {
+            labels: Vec::new(),
+            value: total,
+            ..first.clone()
+        });
+    }
+    for m in &engine {
+        if let Some(shard) = m.shard() {
+            out.push(Metric {
+                key: format!("shard{shard}.{}", m.key),
+                ..m.clone()
+            });
+        }
+    }
+    out.extend(router);
+    out
 }
 
 /// Render samples as the line-oriented `STATS` body (no trailing newline).
@@ -262,18 +544,22 @@ pub fn render_stats_text(metrics: &[Metric]) -> String {
     };
     for m in metrics {
         match &m.value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => line(&m.key, &v.to_string()),
-            MetricValue::GaugeF { value, decimals } => line(&m.key, &format!("{value:.decimals$}")),
+            MetricValue::Int(v) => line(&m.key, &v.to_string()),
+            MetricValue::Float(v) => {
+                let decimals = m.decl.kind.decimals();
+                line(&m.key, &format!("{v:.decimals$}"))
+            }
             MetricValue::Text(v) => line(&m.key, v),
-            MetricValue::Histogram(h) => {
-                if h.skip_if_empty && h.count == 0 {
+            MetricValue::Hist(h) => {
+                let render = m.decl.kind.hist();
+                if render.skip_if_empty && h.count() == 0 {
                     continue;
                 }
-                line(&format!("{}_count", m.key), &h.count.to_string());
-                if h.emit_total {
-                    line(&format!("{}_total_us", m.key), &h.total_us.to_string());
+                line(&format!("{}_count", m.key), &h.count().to_string());
+                if render.total {
+                    line(&format!("{}_total_us", m.key), &h.total_us().to_string());
                 }
-                for (suffix, p) in h.percentiles {
+                for (suffix, p) in render.percentiles {
                     line(
                         &format!("{}_{suffix}", m.key),
                         &h.percentile(*p).to_string(),
@@ -307,7 +593,7 @@ fn render_labels(labels: &[(&'static str, String)]) -> String {
 
 /// Render samples in the Prometheus text exposition format (0.0.4). Every
 /// name is prefixed `elephant_`; histograms become cumulative
-/// `_bucket{le=...}` series plus `_sum`/`_count`, with the configured
+/// `_bucket{le=...}` series plus `_sum`/`_count`, with the declared
 /// percentile estimates exported as companion gauges. Text samples become
 /// `<name>_info{value="..."} 1` gauges.
 ///
@@ -329,72 +615,52 @@ pub fn render_prometheus(metrics: &[Metric]) -> String {
     };
     for m in metrics {
         let labels = render_labels(&m.labels);
+        let name = &m.name;
         match &m.value {
-            MetricValue::Counter(v) => {
-                push(
-                    &m.name,
-                    "counter",
-                    format!("elephant_{}{labels} {v}", m.name),
-                );
+            MetricValue::Int(v) => {
+                let kind = if m.decl.kind == Counter {
+                    "counter"
+                } else {
+                    "gauge"
+                };
+                push(name, kind, format!("elephant_{name}{labels} {v}"));
             }
-            MetricValue::Gauge(v) => {
-                push(&m.name, "gauge", format!("elephant_{}{labels} {v}", m.name));
-            }
-            MetricValue::GaugeF { value, decimals } => {
-                push(
-                    &m.name,
-                    "gauge",
-                    format!("elephant_{}{labels} {value:.decimals$}", m.name),
-                );
+            MetricValue::Float(v) => {
+                let decimals = m.decl.kind.decimals();
+                let line = format!("elephant_{name}{labels} {v:.decimals$}");
+                push(name, "gauge", line);
             }
             MetricValue::Text(v) => {
-                let info = format!("{}_info", m.name);
+                let info = format!("{name}_info");
                 let mut labels = m.labels.clone();
                 labels.push(("value", v.clone()));
                 let line = format!("elephant_{info}{} 1", render_labels(&labels));
                 push(&info, "gauge", line);
             }
-            MetricValue::Histogram(h) => {
-                let last_nonzero = h.buckets.iter().rposition(|b| *b > 0).unwrap_or(0);
+            MetricValue::Hist(h) => {
+                let buckets = h.buckets();
+                let last_nonzero = buckets.iter().rposition(|b| *b > 0).unwrap_or(0);
                 let mut cumulative = 0u64;
-                for (i, b) in h.buckets.iter().enumerate().take(last_nonzero + 1) {
+                for (i, b) in buckets.iter().enumerate().take(last_nonzero + 1) {
                     cumulative += b;
                     let mut labels = m.labels.clone();
                     labels.push(("le", (1u64 << (i + 1)).to_string()));
-                    push(
-                        &m.name,
-                        "histogram",
-                        format!(
-                            "elephant_{}_bucket{} {cumulative}",
-                            m.name,
-                            render_labels(&labels)
-                        ),
-                    );
+                    let labels = render_labels(&labels);
+                    let line = format!("elephant_{name}_bucket{labels} {cumulative}");
+                    push(name, "histogram", line);
                 }
                 let mut inf = m.labels.clone();
                 inf.push(("le", "+Inf".to_string()));
-                push(
-                    &m.name,
-                    "histogram",
-                    format!(
-                        "elephant_{}_bucket{} {}",
-                        m.name,
-                        render_labels(&inf),
-                        h.count
-                    ),
-                );
-                push(
-                    &m.name,
-                    "histogram",
-                    format!("elephant_{}_sum{labels} {}", m.name, h.total_us),
-                );
-                push(
-                    &m.name,
-                    "histogram",
-                    format!("elephant_{}_count{labels} {}", m.name, h.count),
-                );
-                for (suffix, p) in h.percentiles {
-                    let pname = format!("{}_{suffix}", m.name);
+                let inf = render_labels(&inf);
+                let count = h.count();
+                let line = format!("elephant_{name}_bucket{inf} {count}");
+                push(name, "histogram", line);
+                let line = format!("elephant_{name}_sum{labels} {}", h.total_us());
+                push(name, "histogram", line);
+                let line = format!("elephant_{name}_count{labels} {count}");
+                push(name, "histogram", line);
+                for (suffix, p) in m.decl.kind.hist().percentiles {
+                    let pname = format!("{name}_{suffix}");
                     let line = format!("elephant_{pname}{labels} {}", h.percentile(*p));
                     push(&pname, "gauge", line);
                 }
@@ -413,61 +679,37 @@ pub fn render_prometheus(metrics: &[Metric]) -> String {
     out
 }
 
-/// Verbs with their own counter and latency histogram, plus `OTHER` for
-/// everything else (SHUTDOWN, DEALLOCATE) so `commands_served` reconciles.
-const VERBS: [&str; 13] = [
-    "QUERY",
-    "BATCH",
-    "PREPARE",
-    "EXECUTE",
-    "EXPLAIN",
-    "INSPECT",
-    "SET",
-    "STATS",
-    "CHECKPOINT",
-    "TRACE",
-    "REPLICA",
-    "LAG",
-    "OTHER",
+/// The verbs with their own served-counter and latency histogram, as
+/// `(verb, STATS key of the counter)`; `OTHER` collects everything else
+/// (SHUTDOWN, DEALLOCATE) so `commands_served` reconciles.
+pub const VERBS: [(&str, &str); 13] = [
+    ("QUERY", "queries"),
+    ("BATCH", "batches"),
+    ("PREPARE", "prepares"),
+    ("EXECUTE", "executes"),
+    ("EXPLAIN", "explains"),
+    ("INSPECT", "inspects"),
+    ("SET", "set_calls"),
+    ("STATS", "stats_calls"),
+    ("CHECKPOINT", "checkpoints_served"),
+    ("TRACE", "traces"),
+    ("REPLICA", "replica_calls"),
+    ("LAG", "lag_calls"),
+    ("OTHER", "other_commands"),
 ];
 
 fn verb_index(verb: &str) -> usize {
     VERBS
         .iter()
-        .position(|v| *v == verb)
+        .position(|(v, _)| *v == verb)
         .unwrap_or(VERBS.len() - 1)
 }
 
 /// Shared server counters; one instance per server, updated everywhere.
 #[derive(Debug)]
 pub struct Metrics {
-    /// Commands answered successfully, by verb.
-    pub queries: AtomicU64,
-    /// BATCH commands served.
-    pub batches: AtomicU64,
-    /// PREPARE commands served.
-    pub prepares: AtomicU64,
-    /// EXECUTE commands served.
-    pub executes: AtomicU64,
-    /// EXPLAIN commands served.
-    pub explains: AtomicU64,
-    /// INSPECT commands served.
-    pub inspects: AtomicU64,
-    /// SET commands served.
-    pub set_calls: AtomicU64,
-    /// STATS commands served.
-    pub stats_calls: AtomicU64,
-    /// CHECKPOINT commands served.
-    pub checkpoints: AtomicU64,
-    /// TRACE commands served.
-    pub traces: AtomicU64,
-    /// REPLICA commands served.
-    pub replica_calls: AtomicU64,
-    /// LAG commands served.
-    pub lag_calls: AtomicU64,
-    /// Commands served by verbs without their own counter (SHUTDOWN,
-    /// DEALLOCATE), so `commands_served` reconciles with reality.
-    pub other_commands: AtomicU64,
+    /// Commands answered successfully, one slot per [`VERBS`] row.
+    served: [AtomicU64; VERBS.len()],
     /// Error responses produced before execution (framing, oversized,
     /// unknown verb, draining).
     pub protocol_errors: AtomicU64,
@@ -501,8 +743,7 @@ pub struct Metrics {
     pub result_buffer_peak_bytes: AtomicU64,
     /// End-to-end executor latency per job, all verbs combined.
     pub latency: LatencyHistogram,
-    /// Executor latency per verb (same order as the verb counters, with the
-    /// last slot collecting the `OTHER` verbs).
+    /// Executor latency per verb, one slot per [`VERBS`] row.
     verb_latency: [LatencyHistogram; VERBS.len()],
     /// Process start instant (drives `uptime_s`).
     started: Instant,
@@ -513,19 +754,7 @@ pub struct Metrics {
 impl Default for Metrics {
     fn default() -> Self {
         Metrics {
-            queries: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            prepares: AtomicU64::new(0),
-            executes: AtomicU64::new(0),
-            explains: AtomicU64::new(0),
-            inspects: AtomicU64::new(0),
-            set_calls: AtomicU64::new(0),
-            stats_calls: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            traces: AtomicU64::new(0),
-            replica_calls: AtomicU64::new(0),
-            lag_calls: AtomicU64::new(0),
-            other_commands: AtomicU64::new(0),
+            served: std::array::from_fn(|_| AtomicU64::new(0)),
             protocol_errors: AtomicU64::new(0),
             exec_errors: AtomicU64::new(0),
             sessions_opened: AtomicU64::new(0),
@@ -554,22 +783,7 @@ impl Default for Metrics {
 impl Metrics {
     /// Count one served command for `verb` (post-success).
     pub fn count_verb(&self, verb: &str) {
-        let c = match verb {
-            "QUERY" => &self.queries,
-            "BATCH" => &self.batches,
-            "PREPARE" => &self.prepares,
-            "EXECUTE" => &self.executes,
-            "EXPLAIN" => &self.explains,
-            "INSPECT" => &self.inspects,
-            "SET" => &self.set_calls,
-            "STATS" => &self.stats_calls,
-            "CHECKPOINT" => &self.checkpoints,
-            "TRACE" => &self.traces,
-            "REPLICA" => &self.replica_calls,
-            "LAG" => &self.lag_calls,
-            _ => &self.other_commands,
-        };
-        c.fetch_add(1, Ordering::Relaxed);
+        self.served[verb_index(verb)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Track `n` more result bytes buffered for streaming and refresh the
@@ -614,137 +828,64 @@ impl Metrics {
 
     /// Total commands served across all verbs.
     pub fn total_served(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-            + self.batches.load(Ordering::Relaxed)
-            + self.prepares.load(Ordering::Relaxed)
-            + self.executes.load(Ordering::Relaxed)
-            + self.explains.load(Ordering::Relaxed)
-            + self.inspects.load(Ordering::Relaxed)
-            + self.set_calls.load(Ordering::Relaxed)
-            + self.stats_calls.load(Ordering::Relaxed)
-            + self.checkpoints.load(Ordering::Relaxed)
-            + self.traces.load(Ordering::Relaxed)
-            + self.replica_calls.load(Ordering::Relaxed)
-            + self.lag_calls.load(Ordering::Relaxed)
-            + self.other_commands.load(Ordering::Relaxed)
+        self.served.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// Collect the server-wide samples (everything `Metrics` itself owns:
-    /// identity, verb counters, error counters, session gauges, latency
-    /// histograms). Engine- and router-scoped samples are appended by their
-    /// owners; all of them feed both `STATS` and `/metrics`.
+    /// Collect the server-scoped samples this struct and the failpoint
+    /// registry own.
     pub fn server_samples(&self) -> Vec<Metric> {
-        let o = Ordering::Relaxed;
-        let opened = self.sessions_opened.load(o);
-        let closed = self.sessions_closed.load(o);
-        let mut v: Vec<Metric> = Vec::with_capacity(48);
-        v.push(Metric::gauge("uptime_s", self.uptime_s()));
-        v.push(Metric::gauge("started_at_unix", self.started_at_unix));
-        v.push(Metric::text("build_version", env!("CARGO_PKG_VERSION")).named("build"));
-        v.push(Metric::counter("commands_served", self.total_served()));
-        v.push(Metric::counter("queries", self.queries.load(o)));
-        v.push(Metric::counter("batches", self.batches.load(o)));
-        v.push(Metric::counter("prepares", self.prepares.load(o)));
-        v.push(Metric::counter("executes", self.executes.load(o)));
-        v.push(Metric::counter("explains", self.explains.load(o)));
-        v.push(Metric::counter("inspects", self.inspects.load(o)));
-        v.push(Metric::counter("set_calls", self.set_calls.load(o)));
-        v.push(Metric::counter("stats_calls", self.stats_calls.load(o)));
-        v.push(Metric::counter(
-            "checkpoints_served",
-            self.checkpoints.load(o),
-        ));
-        v.push(Metric::counter("traces", self.traces.load(o)));
-        v.push(Metric::counter("replica_calls", self.replica_calls.load(o)));
-        v.push(Metric::counter("lag_calls", self.lag_calls.load(o)));
-        v.push(Metric::counter(
-            "other_commands",
-            self.other_commands.load(o),
-        ));
-        v.push(Metric::counter("errors", self.total_errors()));
-        v.push(Metric::counter(
-            "protocol_errors",
-            self.protocol_errors.load(o),
-        ));
-        v.push(Metric::counter("exec_errors", self.exec_errors.load(o)));
-        v.push(Metric::counter("sessions_opened", opened));
-        v.push(Metric::gauge(
-            "sessions_open",
-            opened.saturating_sub(closed),
-        ));
-        v.push(Metric::gauge("queue_depth", self.queue_depth.load(o)));
-        v.push(Metric::counter(
-            "busy_rejections",
-            self.busy_rejections.load(o),
-        ));
-        v.push(Metric::counter(
-            "statements_timed_out",
-            self.statements_timed_out.load(o),
-        ));
-        v.push(Metric::counter(
-            "metrics_scrapes",
-            self.metrics_scrapes.load(o),
-        ));
-        v.push(Metric::counter(
-            "pipelined_frames",
-            self.pipelined_frames.load(o),
-        ));
-        v.push(Metric::counter(
-            "batch_statements",
-            self.batch_statements.load(o),
-        ));
-        v.push(Metric::counter("params_bound", self.params_bound.load(o)));
-        v.push(Metric::counter(
-            "chunks_streamed",
-            self.chunks_streamed.load(o),
-        ));
-        v.push(Metric::gauge(
-            "result_buffer_bytes",
-            self.result_buffer_bytes.load(o),
-        ));
-        v.push(Metric::gauge(
-            "result_buffer_peak_bytes",
-            self.result_buffer_peak_bytes.load(o),
-        ));
-        let mut all = self.latency.snapshot();
-        all.percentiles = PCT_P50_P95_P99;
-        v.push(Metric::hist("latency", all));
-        for (verb, hist) in VERBS.iter().zip(self.verb_latency.iter()) {
-            let mut snap = hist.snapshot();
-            snap.skip_if_empty = true;
-            let verb = verb.to_ascii_lowercase();
-            v.push(Metric::hist(format!("latency_{verb}"), snap).label("verb", verb.clone()));
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let opened = load(&self.sessions_opened);
+        let mut v = vec![
+            sample("uptime_s", self.uptime_s()),
+            sample("started_at_unix", self.started_at_unix),
+            sample("build", env!("CARGO_PKG_VERSION")),
+            sample("commands_served", self.total_served()),
+        ];
+        for ((_, key), served) in VERBS.iter().zip(&self.served) {
+            v.push(sample(key, load(served)));
         }
+        v.extend([
+            sample("errors", self.total_errors()),
+            sample("protocol_errors", load(&self.protocol_errors)),
+            sample("exec_errors", load(&self.exec_errors)),
+            sample("sessions_opened", opened),
+            sample(
+                "sessions_open",
+                opened.saturating_sub(load(&self.sessions_closed)),
+            ),
+            sample("queue_depth", load(&self.queue_depth)),
+            sample("busy_rejections", load(&self.busy_rejections)),
+            sample("statements_timed_out", load(&self.statements_timed_out)),
+            sample("metrics_scrapes", load(&self.metrics_scrapes)),
+            sample("pipelined_frames", load(&self.pipelined_frames)),
+            sample("batch_statements", load(&self.batch_statements)),
+            sample("params_bound", load(&self.params_bound)),
+            sample("chunks_streamed", load(&self.chunks_streamed)),
+            sample("result_buffer_bytes", load(&self.result_buffer_bytes)),
+            sample(
+                "result_buffer_peak_bytes",
+                load(&self.result_buffer_peak_bytes),
+            ),
+            sample("latency", self.latency.snapshot()),
+        ]);
+        for ((verb, _), hist) in VERBS.iter().zip(&self.verb_latency) {
+            let verb = verb.to_ascii_lowercase();
+            v.push(sample("latency_{verb}", hist.snapshot()).label("verb", verb));
+        }
+        v.push(sample("faults_injected", etypes::fault::injected()));
         v
-    }
-
-    /// Samples for the engine's plan cache and prepared-statement count
-    /// (engine-owned state, historically rendered with the server block).
-    pub fn plan_samples(plan: PlanCacheStats, plan_entries: usize, prepared: usize) -> Vec<Metric> {
-        vec![
-            Metric::gauge("plan_cache_entries", plan_entries as u64),
-            Metric::counter("plan_cache_hits", plan.hits),
-            Metric::counter("plan_cache_misses", plan.misses),
-            Metric::counter("plan_cache_evictions", plan.evictions),
-            Metric::counter("plan_cache_invalidations", plan.invalidations),
-            Metric::gaugef("plan_cache_hit_rate", plan.hit_rate(), 4),
-            Metric::gauge("prepared_statements", prepared as u64),
-        ]
-    }
-
-    /// Render the `STATS` body: one `key value` pair per line (the
-    /// historical entry point; equivalent to rendering `server_samples` +
-    /// `plan_samples`).
-    pub fn render(&self, plan: PlanCacheStats, plan_entries: usize, prepared: usize) -> String {
-        let mut samples = self.server_samples();
-        samples.extend(Self::plan_samples(plan, plan_entries, prepared));
-        render_stats_text(&samples)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{self, ExecutorConfig};
+    use crate::protocol::Command;
+    use crate::repl::ReplState;
+    use crate::shard::{Lane, ShardRouter, ShardStats};
+    use std::sync::Arc;
 
     #[test]
     fn histogram_percentiles_are_ordered() {
@@ -786,12 +927,10 @@ mod tests {
         let m = Metrics::default();
         m.count_verb("QUERY");
         m.count_verb("STATS");
-        let body = m.render(PlanCacheStats::default(), 0, 2);
+        let body = render_stats_text(&m.server_samples());
         for key in [
             "commands_served 2",
             "queries 1",
-            "plan_cache_hit_rate 0.0000",
-            "prepared_statements 2",
             "latency_p99_us 0",
             "other_commands 0",
             "protocol_errors 0",
@@ -815,8 +954,7 @@ mod tests {
         m.count_verb("DEALLOCATE");
         m.count_verb("TRACE");
         assert_eq!(m.total_served(), 4);
-        assert_eq!(m.other_commands.load(Ordering::Relaxed), 2);
-        let body = m.render(PlanCacheStats::default(), 0, 0);
+        let body = render_stats_text(&m.server_samples());
         assert!(body.contains("commands_served 4"), "{body}");
         assert!(body.contains("other_commands 2"), "{body}");
         assert!(body.contains("traces 1"), "{body}");
@@ -830,7 +968,7 @@ mod tests {
         assert_eq!(m.latency.count(), 2);
         assert_eq!(m.verb_latency("QUERY").count(), 1);
         assert_eq!(m.verb_latency("SHUTDOWN").count(), 1); // folded into OTHER
-        let body = m.render(PlanCacheStats::default(), 0, 0);
+        let body = render_stats_text(&m.server_samples());
         assert!(body.contains("latency_query_count 1"), "{body}");
         assert!(body.contains("latency_query_p95_us"), "{body}");
         assert!(body.contains("latency_other_count 1"), "{body}");
@@ -853,9 +991,9 @@ mod tests {
             text.contains("elephant_latency_bucket{le=\"+Inf\"} 1"),
             "{text}"
         );
+        assert!(text.contains("elephant_build_info{value=\""), "{text}");
         assert!(
-            text.contains("elephant_build_info{value=\"")
-                || text.contains("elephant_build_info{value="),
+            text.contains("elephant_latency_query_count{verb=\"query\"} 1"),
             "{text}"
         );
         // One TYPE line per name, buckets cumulative.
@@ -888,15 +1026,219 @@ mod tests {
         h.record(Duration::from_micros(1)); // bucket 0
         h.record(Duration::from_micros(3)); // bucket 1
         h.record(Duration::from_micros(100)); // bucket 6
-        let m = Metric::hist("lat", h.snapshot());
-        let text = render_prometheus(&[m]);
-        assert!(text.contains("elephant_lat_bucket{le=\"2\"} 1"), "{text}");
-        assert!(text.contains("elephant_lat_bucket{le=\"4\"} 2"), "{text}");
-        assert!(text.contains("elephant_lat_bucket{le=\"128\"} 3"), "{text}");
-        assert!(
-            text.contains("elephant_lat_bucket{le=\"+Inf\"} 3"),
-            "{text}"
-        );
-        assert!(text.contains("elephant_lat_count 3"), "{text}");
+        let text = render_prometheus(&[sample("latency", h.snapshot())]);
+        for line in [
+            "elephant_latency_bucket{le=\"2\"} 1",
+            "elephant_latency_bucket{le=\"4\"} 2",
+            "elephant_latency_bucket{le=\"128\"} 3",
+            "elephant_latency_bucket{le=\"+Inf\"} 3",
+            "elephant_latency_count 3",
+        ] {
+            assert!(text.contains(line), "missing '{line}' in:\n{text}");
+        }
+    }
+
+    /// A durable two-shard router over `dir`, built the way `start()` does.
+    fn router_on(dir: &std::path::Path) -> (ShardRouter, Vec<std::thread::JoinHandle<()>>) {
+        let metrics = Arc::new(Metrics::default());
+        let repl = Arc::new(ReplState::standalone());
+        let mut lanes = Vec::new();
+        let mut recovered_per_shard = Vec::new();
+        let mut joins = Vec::new();
+        for shard_id in 0..2 {
+            let stats = Arc::new(ShardStats::default());
+            let ring = Arc::new(etypes::SharedSpanRing::new(64));
+            let (tx, join, wal, recovered) = executor::spawn(
+                ExecutorConfig {
+                    in_memory: true,
+                    exec_mode: sqlengine::ExecMode::default(),
+                    files: Vec::new(),
+                    queue_capacity: 4,
+                    data_dir: Some(dir.join(format!("shard-{shard_id}"))),
+                    fsync: sqlengine::FsyncPolicy::Always,
+                    slow_query_us: None,
+                    statement_timeout_ms: None,
+                    auto_checkpoint_wal_bytes: None,
+                    repl: Arc::clone(&repl),
+                    shard_id,
+                    lane: Arc::clone(&stats),
+                    ring: Arc::clone(&ring),
+                    txn_decisions: std::collections::HashMap::new(),
+                },
+                Arc::clone(&metrics),
+                Arc::new(std::sync::atomic::AtomicBool::new(false)),
+            )
+            .expect("executor spawns");
+            lanes.push(Lane {
+                tx,
+                stats,
+                ring,
+                wal,
+            });
+            recovered_per_shard.push(recovered);
+            joins.push(join);
+        }
+        let router = ShardRouter::new(lanes, metrics, repl, None);
+        for (shard, names) in recovered_per_shard.iter().enumerate() {
+            router.seed(shard, names);
+        }
+        (router, joins)
+    }
+
+    /// The collector's output over a server that recovered, invalidated a
+    /// prepared plan per table and played every replication role is the
+    /// declaration table, exactly: nothing undeclared (`sample` would have
+    /// panicked), nothing of the wrong type, nothing declared but dead.
+    #[test]
+    fn every_declaration_is_sampled_with_its_declared_type() {
+        let dir = std::env::temp_dir().join(format!("elephant-decls-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let query = |router: &ShardRouter, sql: &str| {
+            router.submit(1, Command::Query(sql.into())).expect(sql);
+        };
+        let (router, joins) = router_on(&dir);
+        query(&router, "CREATE TABLE t (a int)");
+        query(&router, "INSERT INTO t VALUES (1)");
+        drop(router);
+        joins.into_iter().for_each(|j| j.join().unwrap());
+
+        let (router, joins) = router_on(&dir);
+        let prepare = Command::Prepare {
+            name: "p".into(),
+            sql: "SELECT a FROM t".into(),
+        };
+        router.submit(1, prepare).unwrap();
+        query(&router, "DROP TABLE t");
+        let mut samples = router.collect(None).unwrap();
+        drop(router);
+        joins.into_iter().for_each(|j| j.join().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let leader = ReplState::leader();
+        let registry = Arc::new(elephant_repl::LeaderRegistry::default());
+        registry.register("10.0.0.2:9999");
+        leader.set_registry(registry);
+        samples.extend(leader.samples(Some(9)));
+        let status = Arc::new(elephant_repl::FollowerStatus::default());
+        samples.extend(ReplState::follower("127.0.0.1:1".into(), status).samples(None));
+
+        for m in &samples {
+            let typed = matches!(
+                (&m.value, m.decl.kind),
+                (MetricValue::Int(_), Counter | Gauge)
+                    | (MetricValue::Float(_), Kind::Float(_))
+                    | (MetricValue::Text(_), Text)
+                    | (MetricValue::Hist(_), Kind::Histogram(_))
+            );
+            assert!(typed, "{} sampled as {:?}", m.name, m.value);
+            assert_eq!(
+                m.shard().is_some(),
+                matches!(m.decl.scope, Scope::Engine(_)),
+                "{}: the shard label goes with engine scope",
+                m.name
+            );
+        }
+        for d in DECLS {
+            let sampled = samples.iter().any(|m| std::ptr::eq(m.decl, d));
+            assert!(sampled, "'{}' is declared but never sampled", d.name);
+        }
+    }
+
+    fn on_shard(name: &str, shard: u64, value: impl Into<MetricValue>) -> Metric {
+        sample(name, value).label("shard", shard.to_string())
+    }
+
+    #[test]
+    fn fold_totals_each_kind_by_its_rule_and_keeps_every_shard() {
+        let mut fast = Histogram::default();
+        fast.record_us(3);
+        let mut slow = Histogram::default();
+        slow.record_us(1000);
+        slow.record_us(2000);
+        let phase = |shard, h: &Histogram| {
+            on_shard("phase_{phase}", shard, h.clone()).label("phase", "lex")
+        };
+        let body = render_stats_text(&fold_shards(vec![
+            sample("faults_injected", 3u64),
+            on_shard("shard_commands", 0, 5u64),
+            on_shard("plan_cache_hits", 0, 9u64),
+            on_shard("plan_cache_misses", 0, 1u64),
+            on_shard("plan_cache_hit_rate", 0, 0.9),
+            phase(0, &fast),
+            on_shard("exec_mode", 0, "row"),
+            on_shard("health", 0, HEALTHY),
+            on_shard("storage_durable", 0, 1u64),
+            on_shard("shard_commands", 1, 7u64),
+            on_shard("plan_cache_hits", 1, 0u64),
+            on_shard("plan_cache_misses", 1, 10u64),
+            on_shard("plan_cache_hit_rate", 1, 0.0),
+            phase(1, &slow),
+            on_shard("exec_mode", 1, "columnar"),
+            on_shard("health", 1, "read_only (disk full)"),
+            on_shard("storage_durable", 1, 1u64),
+            sample("shards", 2u64),
+        ]));
+        let lines: Vec<&str> = body.lines().collect();
+        for want in [
+            // Server scope passes through once, whatever the shard count.
+            "faults_injected 3",
+            // Counters add; the ratio is 9 / 20, not the mean of 0.9 and 0.
+            "plan_cache_hits 9",
+            "plan_cache_misses 11",
+            "plan_cache_hit_rate 0.4500",
+            // Histograms merge: three samples, the median in the slow shard.
+            "phase_lex_count 3",
+            "phase_lex_total_us 3003",
+            "phase_lex_p50_us 1024",
+            "exec_mode mixed",
+            "health read_only (disk full)",
+            "storage_durable 1",
+            // Every shard keeps its own line.
+            "shard0.plan_cache_hit_rate 0.9000",
+            "shard1.plan_cache_misses 10",
+            "shard0.phase_lex_count 1",
+            "shard1.exec_mode columnar",
+            "shard0.health healthy",
+            "shard0.commands 5",
+            "shard1.commands 7",
+            "shards 2",
+        ] {
+            assert!(lines.contains(&want), "missing '{want}' in:\n{body}");
+        }
+        // Lane gauges have no total, and no key is printed twice.
+        assert!(!lines.iter().any(|l| l.starts_with("commands ")), "{body}");
+        let mut keys: Vec<&str> = lines.iter().map(|l| l.split(' ').next().unwrap()).collect();
+        keys.sort_unstable();
+        let before = keys.len();
+        keys.dedup();
+        assert_eq!(keys.len(), before, "duplicate STATS key in:\n{body}");
+    }
+
+    #[test]
+    fn declarations_are_unique_and_ratios_name_declared_parts() {
+        for (i, d) in DECLS.iter().enumerate() {
+            assert!(
+                DECLS[..i].iter().all(|o| o.name != d.name),
+                "Prometheus name '{}' declared twice",
+                d.name
+            );
+            assert!(
+                DECLS[..i].iter().all(|o| o.key != d.key
+                    || matches!(o.scope, Scope::Engine(_)) != matches!(d.scope, Scope::Engine(_))),
+                "STATS key '{}' declared twice in one scope",
+                d.key
+            );
+            if let Scope::Engine(Fold::Ratio { num, den }) = d.scope {
+                for part in den.iter().chain([&num]) {
+                    let summed = DECLS
+                        .iter()
+                        .any(|o| o.key == *part && o.scope == Scope::Engine(Sum));
+                    assert!(summed, "'{}' folds over undeclared part '{part}'", d.key);
+                }
+            }
+        }
+        for (_, key) in VERBS {
+            assert!(DECLS.iter().any(|d| d.key == key && d.kind == Counter));
+        }
     }
 }

@@ -1,10 +1,12 @@
 //! Replication role state shared between `start()` and the executor.
 //!
-//! The executor answers `REPLICA`, `LAG`, and the replication section of
-//! `STATS` from this snapshot of the topology: which role the server plays,
-//! the leader's follower registry (set after the replication listener
-//! binds, hence the `OnceLock`), and the follower's own progress counters.
+//! The executor answers `REPLICA` and `LAG`, and the router samples the
+//! replication metrics, from this snapshot of the topology: which role the
+//! server plays, the leader's follower registry (set after the replication
+//! listener binds, hence the `OnceLock`), and the follower's own progress
+//! counters.
 
+use crate::metrics::{sample, Metric};
 use elephant_repl::{FollowerStatus, LeaderRegistry};
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
@@ -32,7 +34,7 @@ impl ReplRole {
     }
 }
 
-/// Topology info the executor renders for `REPLICA` / `LAG` / `STATS`.
+/// Topology info behind `REPLICA`, `LAG` and the `repl_*` metrics.
 #[derive(Debug)]
 pub(crate) struct ReplState {
     role: ReplRole,
@@ -148,25 +150,25 @@ impl ReplState {
         s
     }
 
-    /// Replication lines appended to the `STATS` body.
-    pub fn stats_lines(&self, committed_lsn: Option<u64>) -> String {
-        let mut s = format!("repl_role {}", self.role.label());
+    /// The replication samples `STATS` and `/metrics` report.
+    pub fn samples(&self, committed_lsn: Option<u64>) -> Vec<Metric> {
+        let mut v = vec![sample("repl_role", self.role.label())];
         match self.role {
             ReplRole::Leader => {
                 if let Some(lsn) = committed_lsn {
-                    let _ = write!(s, "\nrepl_committed_lsn {lsn}");
+                    v.push(sample("repl_committed_lsn", lsn));
                 }
                 if let Some(reg) = self.registry.get() {
-                    let _ = write!(s, "\nrepl_followers_connected {}", reg.connected());
                     let views = reg.views();
-                    let bytes: u64 = views.iter().map(|v| v.bytes_shipped).sum();
-                    let snaps: u64 = views.iter().map(|v| v.snapshots_sent).sum();
-                    let _ = write!(s, "\nrepl_bytes_shipped {bytes}");
-                    let _ = write!(s, "\nrepl_snapshots_sent {snaps}");
+                    let bytes: u64 = views.iter().map(|f| f.bytes_shipped).sum();
+                    let snaps: u64 = views.iter().map(|f| f.snapshots_sent).sum();
+                    v.push(sample("repl_followers_connected", reg.connected() as u64));
+                    v.push(sample("repl_bytes_shipped", bytes));
+                    v.push(sample("repl_snapshots_sent", snaps));
                     if let Some(min) = reg.min_acked_lsn() {
-                        let _ = write!(s, "\nrepl_min_acked_lsn {min}");
+                        v.push(sample("repl_min_acked_lsn", min));
                         if let Some(lsn) = committed_lsn {
-                            let _ = write!(s, "\nrepl_lag_lsns {}", lsn.saturating_sub(min));
+                            v.push(sample("repl_lag_lsns", lsn.saturating_sub(min)));
                         }
                     }
                 }
@@ -174,30 +176,21 @@ impl ReplState {
             ReplRole::Follower => {
                 if let Some(f) = &self.follower {
                     let o = Ordering::Acquire;
-                    let _ = write!(s, "\nrepl_applied_lsn {}", f.applied_lsn.load(o));
-                    let _ = write!(s, "\nrepl_leader_lsn {}", f.leader_lsn.load(o));
-                    let _ = write!(s, "\nrepl_lag_lsns {}", f.lag_lsns());
-                    let _ = write!(
-                        s,
-                        "\nrepl_bytes_received {}",
-                        f.bytes_received.load(Ordering::Relaxed)
-                    );
-                    let _ = write!(
-                        s,
-                        "\nrepl_snapshots_loaded {}",
-                        f.snapshots_loaded.load(Ordering::Relaxed)
-                    );
-                    let _ = write!(
-                        s,
-                        "\nrepl_reconnects {}",
-                        f.reconnects.load(Ordering::Relaxed)
-                    );
-                    let _ = write!(s, "\nrepl_connected {}", u8::from(f.connected.load(o)));
+                    let relaxed = Ordering::Relaxed;
+                    v.extend([
+                        sample("repl_applied_lsn", f.applied_lsn.load(o)),
+                        sample("repl_leader_lsn", f.leader_lsn.load(o)),
+                        sample("repl_lag_lsns", f.lag_lsns()),
+                        sample("repl_bytes_received", f.bytes_received.load(relaxed)),
+                        sample("repl_snapshots_loaded", f.snapshots_loaded.load(relaxed)),
+                        sample("repl_reconnects", f.reconnects.load(relaxed)),
+                        sample("repl_connected", u64::from(f.connected.load(o))),
+                    ]);
                 }
             }
             ReplRole::Standalone => {}
         }
-        s
+        v
     }
 }
 
@@ -227,12 +220,16 @@ fn render_follower(f: &FollowerStatus) -> String {
 mod tests {
     use super::*;
 
+    fn stats(st: &ReplState, committed_lsn: Option<u64>) -> String {
+        crate::metrics::render_stats_text(&st.samples(committed_lsn))
+    }
+
     #[test]
     fn standalone_renders_bare_role() {
         let st = ReplState::standalone();
         assert_eq!(st.render_replica(None), "role standalone");
         assert_eq!(st.render_lag(Some(7)), "role standalone\ncommitted_lsn 7");
-        assert_eq!(st.stats_lines(None), "repl_role standalone");
+        assert_eq!(stats(&st, None), "repl_role standalone");
     }
 
     #[test]
@@ -254,7 +251,7 @@ mod tests {
             body.contains("follower 10.0.0.2:9999 connected=1 acked_lsn=8 bytes_shipped=512"),
             "{body}"
         );
-        let stats = st.stats_lines(Some(9));
+        let stats = stats(&st, Some(9));
         assert!(stats.contains("repl_lag_lsns 1"), "{stats}");
         assert!(stats.contains("repl_bytes_shipped 512"), "{stats}");
     }

@@ -323,7 +323,12 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         recovered_per_shard.push(recovered);
     }
     let tx = lanes[0].tx.clone();
-    let router = Arc::new(ShardRouter::new(lanes, Arc::clone(&metrics), txn_log));
+    let router = Arc::new(ShardRouter::new(
+        lanes,
+        Arc::clone(&metrics),
+        Arc::clone(&repl),
+        txn_log,
+    ));
     for (shard_id, names) in recovered_per_shard.into_iter().enumerate() {
         router.seed(shard_id, &names);
     }

@@ -54,15 +54,16 @@
 //! walks every shard's ring, so `TRACE q<id>` reassembles the spans of one
 //! distributed query into a single tree with per-shard time attribution.
 //!
-//! The router also serves the machine-readable metrics plane:
-//! [`ShardRouter::prometheus_body`] collects the same typed samples that
-//! `STATS` renders — server counters, every shard's engine samples, lane
-//! gauges, and the sharding aggregates — and renders them in the
-//! Prometheus text exposition format for the `/metrics` listener.
+//! The router is also the one place metrics are collected:
+//! [`ShardRouter::collect`] gathers the server counters, every shard's
+//! engine samples and lane gauges, and the sharding counters into one list
+//! that `STATS` (answered here, like `TRACE`) and the `/metrics` listener
+//! both render — see [`crate::metrics`].
 
-use crate::executor::{Job, Reply, ShardSnapshot};
-use crate::metrics::{render_prometheus, Metric, Metrics};
+use crate::executor::{Job, Reply};
+use crate::metrics::{fold_shards, render_prometheus, render_stats_text, sample, Metric, Metrics};
 use crate::protocol::{codes, Command, TraceRequest};
+use crate::repl::ReplState;
 use etypes::{SharedSpanRing, Span, SpanKind, SpanRecord, TraceContext};
 use sqlengine::{parse_sql, statement_deps, TableImage, TxnDecisionLog, WalHandle};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -101,9 +102,9 @@ pub fn shard_of(name: &str, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
-/// Per-shard gauges rendered as `shard{k}.*` STATS lines. Shared between
-/// the router (increments on admit) and the executor thread (decrements on
-/// dequeue, counts processed commands).
+/// Per-shard gauges (`shard{k}.queue_depth`, `shard{k}.commands`). Shared
+/// between the router (increments on admit) and the executor thread
+/// (decrements on dequeue, counts processed commands).
 #[derive(Debug, Default)]
 pub(crate) struct ShardStats {
     /// Jobs queued for (or running on) this shard's executor.
@@ -300,6 +301,8 @@ pub(crate) struct ShardRouter {
     /// Per-command query-id allocator (`q<N>` on the wire, 1-based).
     next_query_id: AtomicU64,
     metrics: Arc<Metrics>,
+    /// Replication topology, sampled with the server-scoped metrics.
+    repl: Arc<ReplState>,
 }
 
 impl ShardRouter {
@@ -309,6 +312,7 @@ impl ShardRouter {
     pub fn new(
         lanes: Vec<Lane>,
         metrics: Arc<Metrics>,
+        repl: Arc<ReplState>,
         txn_log: Option<TxnDecisionLog>,
     ) -> ShardRouter {
         assert!(!lanes.is_empty(), "a server needs at least one shard");
@@ -327,6 +331,7 @@ impl ShardRouter {
             txn_gate: RwLock::new(()),
             next_query_id: AtomicU64::new(1),
             metrics,
+            repl,
         }
     }
 
@@ -349,12 +354,12 @@ impl ShardRouter {
     /// Route one client command and wait for its reply.
     pub fn submit(&self, session: u64, command: Command) -> Reply {
         match command {
-            // TRACE is answered by the router itself: it is the only verb
-            // that needs every shard's ring, and answering it here keeps it
-            // out of the rings (a TRACE never traces itself). STATS keeps
-            // its composed multi-shard body.
+            // TRACE and STATS are answered by the router itself: they are
+            // the verbs that need every shard's ring or samples, and
+            // answering them here keeps them out of the rings and the lane
+            // counters (neither traces nor counts itself).
             Command::Trace(req) => return self.serve_trace(req),
-            Command::Stats => return self.stats(session),
+            Command::Stats => return self.serve_stats(session),
             _ => {}
         }
         let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
@@ -493,12 +498,6 @@ impl ShardRouter {
         reply_rx
             .recv()
             .map_err(|_| (codes::INTERNAL, "executor dropped the job".to_string()))?
-    }
-
-    /// Run one command on one shard without a trace context (STATS, and
-    /// paths that manage their own roots).
-    fn run_on(&self, shard: usize, session: u64, command: Command) -> Reply {
-        self.run_on_ctx(shard, session, command, None, true)
     }
 
     /// Route one client command WITHOUT waiting for its reply, so a
@@ -1533,161 +1532,73 @@ impl ShardRouter {
         Ok(body)
     }
 
-    /// `STATS`: shard 0's full body plus per-shard gauges and the sharding
-    /// aggregates (always present, even with one shard, so dashboards need
-    /// no shard-count special case).
-    fn stats(&self, session: u64) -> Reply {
-        // Snapshot the lane gauges BEFORE admitting the STATS job: the job
-        // itself ticks shard 0's dequeue counter, and the rendered body
-        // must match what a `/metrics` scrape read a moment earlier.
-        let gauges: Vec<(u64, u64)> = self
-            .lanes
-            .iter()
-            .map(|l| {
-                (
-                    l.stats.queue_depth.load(Ordering::Relaxed),
-                    l.stats.commands.load(Ordering::Relaxed),
-                )
-            })
-            .collect();
-        let mut body = self.run_on(0, session, Command::Stats)?;
-        let snapshots = self.shard_snapshots()?;
-        use std::fmt::Write as _;
-        for (k, snap) in snapshots.iter().enumerate() {
-            let (queued, commands) = gauges[k];
-            let _ = write!(body, "\nshard{k}.queue_depth {queued}");
-            let _ = write!(body, "\nshard{k}.commands {commands}");
-            let _ = write!(body, "\nshard{k}.health {}", snap.health);
-            let _ = write!(
-                body,
-                "\nshard{k}.wal_group_commits {}",
-                snap.wal_group_commits
-            );
-        }
-        for m in self.router_samples(&snapshots) {
-            let _ = write!(body, "\n{}", crate::metrics::render_stats_text(&[m]));
-        }
+    /// Answer `STATS` from the collected samples, without queueing a
+    /// command anywhere. Like `TRACE`, the verb counts itself only after
+    /// rendering, so the body matches a `/metrics` scrape taken a moment
+    /// earlier on a quiet server.
+    fn serve_stats(&self, session: u64) -> Reply {
+        let started = Instant::now();
+        let body = render_stats_text(&fold_shards(self.collect(Some(session))?));
+        self.metrics.record_latency("STATS", started.elapsed());
+        self.metrics.count_verb("STATS");
         Ok(body)
     }
 
-    /// One [`ShardSnapshot`] per lane (health + WAL counters).
-    fn shard_snapshots(&self) -> Result<Vec<ShardSnapshot>, (&'static str, String)> {
+    /// The `/metrics` exposition body. The scrape counts itself *before*
+    /// collecting, so the exported `metrics_scrapes` includes the serving
+    /// scrape.
+    pub fn prometheus_body(&self) -> Result<String, (&'static str, String)> {
+        self.metrics.metrics_scrapes.fetch_add(1, Ordering::Relaxed);
+        Ok(render_prometheus(&self.collect(None)?))
+    }
+
+    /// Collect every sample both observability surfaces render: the
+    /// server's, then per shard the lane gauges and the engine's own
+    /// samples (labelled `shard="k"`), then the router's counters. `session`
+    /// is the session asking, whose `exec_mode` the engines report.
+    pub fn collect(&self, session: Option<u64>) -> Result<Vec<Metric>, (&'static str, String)> {
+        // Engine samples ride the job queue (the engine is not Send); the
+        // snapshot job is uncounted so collecting does not perturb what it
+        // reports. Every shard is asked before any is waited for.
         let mut waits = Vec::with_capacity(self.lanes.len());
         for lane in &self.lanes {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if lane.tx.send(Job::ShardInfo { reply: reply_tx }).is_err() {
-                return Err((codes::INTERNAL, "executor unavailable".into()));
-            }
+            let (reply, reply_rx) = mpsc::channel();
+            lane.tx
+                .send(Job::MetricsSnapshot { session, reply })
+                .map_err(|_| (codes::INTERNAL, "executor unavailable".to_string()))?;
             waits.push(reply_rx);
         }
-        let mut snapshots: Vec<ShardSnapshot> = Vec::with_capacity(waits.len());
-        for reply_rx in waits {
-            snapshots.push(
+        let mut samples = self.metrics.server_samples();
+        let committed_lsn = self.lanes[0].wal.as_ref().map(WalHandle::committed_lsn);
+        samples.extend(self.repl.samples(committed_lsn));
+        for (k, (lane, reply_rx)) in self.lanes.iter().zip(waits).enumerate() {
+            let queued = lane.stats.queue_depth.load(Ordering::Relaxed);
+            let commands = lane.stats.commands.load(Ordering::Relaxed);
+            samples.push(sample("shard_queue_depth", queued).label("shard", k.to_string()));
+            samples.push(sample("shard_commands", commands).label("shard", k.to_string()));
+            samples.extend(
                 reply_rx
                     .recv()
                     .map_err(|_| (codes::INTERNAL, "executor dropped the job".to_string()))?,
             );
         }
-        Ok(snapshots)
-    }
-
-    /// The router-scoped samples (sharding and group-commit aggregates),
-    /// rendered at the tail of `STATS` and exported on `/metrics`.
-    fn router_samples(&self, snapshots: &[ShardSnapshot]) -> Vec<Metric> {
-        let records: u64 = snapshots.iter().map(|s| s.wal_records).sum();
-        let fsyncs: u64 = snapshots.iter().map(|s| s.wal_fsyncs).sum();
-        let group_commits: u64 = snapshots.iter().map(|s| s.wal_group_commits).sum();
-        let group_records: u64 = snapshots.iter().map(|s| s.wal_group_records).sum();
-        let per_fsync = if fsyncs == 0 {
-            0.0
-        } else {
-            records as f64 / fsyncs as f64
-        };
-        vec![
-            Metric::gauge("shards", self.lanes.len() as u64),
-            Metric::counter("shard_fallbacks", self.fallbacks.load(Ordering::Relaxed)),
-            Metric::counter(
-                "shard_scatter_gather",
-                self.scatter_gathers.load(Ordering::Relaxed),
-            ),
-            Metric::counter(
-                "cross_shard_rejects",
-                self.cross_shard_rejects.load(Ordering::Relaxed),
-            ),
-            Metric::counter("txn_commits", self.txn_commits.load(Ordering::Relaxed)),
-            Metric::counter("txn_aborts", self.txn_aborts.load(Ordering::Relaxed)),
-            Metric::counter("wal_group_commits", group_commits),
-            Metric::counter("wal_group_committed_records", group_records),
-            Metric::gaugef("wal_commits_per_fsync", per_fsync, 2),
-        ]
-    }
-
-    /// The full `/metrics` exposition body: server samples, every shard's
-    /// engine samples and gauges (labeled `shard="k"`), and the router
-    /// aggregates — the same typed samples `STATS` renders, in Prometheus
-    /// text format. The scrape counts itself *before* collecting, so the
-    /// exported `metrics_scrapes` includes the serving scrape — mirroring
-    /// `STATS`, which counts itself only after rendering, keeps both
-    /// surfaces stable under the "scrape, then STATS" comparison.
-    pub fn prometheus_body(&self) -> Result<String, (&'static str, String)> {
-        self.metrics.metrics_scrapes.fetch_add(1, Ordering::Relaxed);
-        let mut samples = self.metrics.server_samples();
-        for (k, lane) in self.lanes.iter().enumerate() {
-            let shard = k.to_string();
-            samples.push(
-                Metric::gauge(
-                    format!("shard{k}.queue_depth"),
-                    lane.stats.queue_depth.load(Ordering::Relaxed),
-                )
-                .named("shard_queue_depth")
-                .label("shard", shard.clone()),
-            );
-            samples.push(
-                Metric::counter(
-                    format!("shard{k}.commands"),
-                    lane.stats.commands.load(Ordering::Relaxed),
-                )
-                .named("shard_commands")
-                .label("shard", shard.clone()),
-            );
-            // Engine samples ride the job queue (the engine is not Send);
-            // the snapshot job is deliberately uncounted so scraping does
-            // not perturb what it reports.
-            let (reply_tx, reply_rx) = mpsc::channel();
-            lane.tx
-                .send(Job::MetricsSnapshot { reply: reply_tx })
-                .map_err(|_| (codes::INTERNAL, "executor unavailable".to_string()))?;
-            let engine = reply_rx
-                .recv()
-                .map_err(|_| (codes::INTERNAL, "executor dropped the job".to_string()))?;
-            samples.extend(engine);
-        }
-        let snapshots = self.shard_snapshots()?;
-        for (k, snap) in snapshots.iter().enumerate() {
-            let shard = k.to_string();
-            samples.push(
-                Metric::text(format!("shard{k}.health"), snap.health.clone())
-                    .named("shard_health")
-                    .label("shard", shard.clone()),
-            );
-            samples.push(
-                Metric::counter(
-                    format!("shard{k}.wal_group_commits"),
-                    snap.wal_group_commits,
-                )
-                .named("shard_wal_group_commits")
-                .label("shard", shard),
-            );
-        }
-        samples.extend(self.router_samples(&snapshots));
-        Ok(render_prometheus(&samples))
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        samples.extend([
+            sample("shards", self.lanes.len() as u64),
+            sample("shard_fallbacks", load(&self.fallbacks)),
+            sample("shard_scatter_gather", load(&self.scatter_gathers)),
+            sample("cross_shard_rejects", load(&self.cross_shard_rejects)),
+            sample("txn_commits", load(&self.txn_commits)),
+            sample("txn_aborts", load(&self.txn_aborts)),
+        ]);
+        Ok(samples)
     }
 }
 
 /// Render the most recent `n` finished **root** spans across all rings,
 /// newest first (the `TRACE [n]` listing). Children are reachable via
 /// `TRACE q<id>`; keeping the listing roots-only makes it a query log.
-pub(crate) fn render_recent_roots(mut spans: Vec<Span>, n: usize) -> String {
+fn render_recent_roots(mut spans: Vec<Span>, n: usize) -> String {
     spans.retain(|s| s.parent == 0);
     // Per-ring seq is the finish order; the span id breaks cross-ring ties
     // (ids are process-global and allocation-ordered).
@@ -1706,7 +1617,7 @@ pub(crate) fn render_recent_roots(mut spans: Vec<Span>, n: usize) -> String {
 /// Render one query's span tree (the `TRACE q<id>` body): a header, the
 /// spans as an indented tree in id (allocation) order, per-shard time
 /// attribution, and the root's total.
-pub(crate) fn render_query_tree(query_id: u64, mut spans: Vec<Span>) -> String {
+fn render_query_tree(query_id: u64, mut spans: Vec<Span>) -> String {
     if spans.is_empty() {
         return format!("no spans recorded for q{query_id}");
     }

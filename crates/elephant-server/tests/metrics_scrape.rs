@@ -1,16 +1,19 @@
-//! Exposition parity: the `/metrics` listener and the `STATS` verb are two
-//! renderings of the SAME registry, so every key STATS prints must appear
-//! on `/metrics` with the identical value (modulo the documented naming
-//! map). The scrape runs FIRST and the STATS render counts itself only
-//! after rendering, so the two snapshots are directly comparable on a
-//! quiesced server.
+//! Exposition parity: the `/metrics` listener and the `STATS` verb render
+//! the SAME collected samples, declared once in `metrics::DECLS`. So every
+//! sample on `/metrics` is a `STATS` line with the identical value (the
+//! declaration gives the key), every engine-scoped `shard="k"` sample is the
+//! `shard{k}.<key>` line, the bare `<key>` line is the declared fold of the
+//! shard series, and `STATS` prints nothing else. The scrape runs FIRST and
+//! `STATS` counts itself only after rendering, so the two snapshots are
+//! directly comparable on a quiesced server.
 //!
 //! Also covers exposition well-formedness (families contiguous under one
 //! `# TYPE` each), per-shard labels on a 4-shard server, and the tiny HTTP
 //! surface (404 / 405 / scrape counter).
 
+use elephant_server::metrics::{ratio, Decl, Fold, Kind, Scope, DECLS, HEALTHY};
 use elephant_server::{shard_of, start, ElephantClient, PipelineClient, ServerConfig};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -35,11 +38,34 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String, String) {
     (status, content_type, body.to_string())
 }
 
-/// One parsed exposition sample: (family-qualified name, raw labels, value).
+/// One parsed exposition sample.
 struct Sample {
     name: String,
-    labels: String,
+    labels: BTreeMap<String, String>,
     value: String,
+}
+
+/// Parse `k="v",k2="v2"` (the inside of the braces), honouring `\"`.
+fn parse_labels(raw: &str) -> BTreeMap<String, String> {
+    let mut labels = BTreeMap::new();
+    let mut rest = raw;
+    while let Some((key, after)) = rest.split_once("=\"") {
+        let mut value = String::new();
+        let mut chars = after.char_indices();
+        let end = loop {
+            match chars.next().expect("unterminated label value") {
+                (_, '\\') => value.push(match chars.next().expect("dangling escape").1 {
+                    'n' => '\n',
+                    c => c,
+                }),
+                (i, '"') => break i,
+                (_, c) => value.push(c),
+            }
+        };
+        labels.insert(key.trim_start_matches(',').to_string(), value);
+        rest = &after[end + 1..];
+    }
+    labels
 }
 
 fn parse_exposition(body: &str) -> Vec<Sample> {
@@ -50,11 +76,11 @@ fn parse_exposition(body: &str) -> Vec<Sample> {
                 .rsplit_once(' ')
                 .unwrap_or_else(|| panic!("bad line: {l}"));
             let (name, labels) = match ident.split_once('{') {
-                Some((n, rest)) => (n.to_string(), format!("{{{rest}")),
-                None => (ident.to_string(), String::new()),
+                Some((n, rest)) => (n, parse_labels(rest.trim_end_matches('}'))),
+                None => (ident, BTreeMap::new()),
             };
             Sample {
-                name,
+                name: name.to_string(),
                 labels,
                 value: value.to_string(),
             }
@@ -62,29 +88,49 @@ fn parse_exposition(body: &str) -> Vec<Sample> {
         .collect()
 }
 
-/// Map a STATS key to its candidate Prometheus family names (without the
-/// `elephant_` prefix). See docs/OBSERVABILITY.md for the naming map.
-fn prom_candidates(key: &str) -> Vec<String> {
-    let mapped = if key == "build_version" {
-        "build".to_string()
-    } else if let Some(rest) = key.strip_prefix("shard").and_then(|r| {
-        // `shard<k>.<field>` only; `shards`/`shard_fallbacks` pass through.
-        r.split_once('.')
-            .filter(|(k, _)| k.chars().all(|c| c.is_ascii_digit()))
-            .map(|(_, field)| field)
-    }) {
-        format!("shard_{rest}")
-    } else if key.starts_with("plan_cache_invalidations.") {
-        "plan_cache_table_invalidations".to_string()
-    } else {
-        key.to_string()
-    };
-    let mut cands = vec![mapped.clone()];
-    // Histogram totals export under the conventional `_sum` suffix.
-    if let Some(stem) = mapped.strip_suffix("_total_us") {
-        cands.push(format!("{stem}_sum"));
+/// Fill the `{label}` slots of a declared key or name from a sample's labels.
+fn fill(template: &str, labels: &BTreeMap<String, String>) -> String {
+    labels.iter().fold(template.to_string(), |out, (k, v)| {
+        out.replace(&format!("{{{k}}}"), v)
+    })
+}
+
+/// The `STATS` line one exposition sample stands for, by its declaration:
+/// `(declaration, key, value, STATS may omit it while the histogram is
+/// empty)`. `None` for samples `STATS` has no line for (`_bucket` series,
+/// the `_sum` of a histogram declared without a total).
+fn stats_line(sample: &Sample) -> Option<(&'static Decl, String, String, bool)> {
+    let name = sample.name.strip_prefix("elephant_").expect("prefixed");
+    let value = sample.value.clone();
+    for d in DECLS {
+        let family = fill(d.name, &sample.labels);
+        let key = fill(d.key, &sample.labels);
+        match d.kind {
+            Kind::Text if name == format!("{family}_info") => {
+                return Some((d, key, sample.labels["value"].clone(), false));
+            }
+            Kind::Histogram(render) => {
+                let skip = render.skip_if_empty;
+                if name == format!("{family}_bucket") {
+                    return None;
+                } else if name == format!("{family}_count") {
+                    return Some((d, format!("{key}_count"), value, skip));
+                } else if name == format!("{family}_sum") {
+                    return render
+                        .total
+                        .then(|| (d, format!("{key}_total_us"), value, skip));
+                }
+                for (suffix, _) in render.percentiles {
+                    if name == format!("{family}_{suffix}") {
+                        return Some((d, format!("{key}_{suffix}"), value, skip));
+                    }
+                }
+            }
+            _ if name == family => return Some((d, key, value, false)),
+            _ => {}
+        }
     }
-    cands
+    panic!("sample {name} has no declaration in metrics::DECLS");
 }
 
 #[test]
@@ -126,14 +172,9 @@ fn every_stats_key_is_on_the_metrics_endpoint_with_the_same_value() {
     c.prepare("p", &format!("SELECT sum(x) AS s FROM {a}"))
         .unwrap();
     c.execute("p").unwrap();
-    // A scratch table pinned to shard 0 (the shard STATS reads engine
-    // counters from): DROP after PREPARE drives the targeted per-table
-    // plan-cache invalidation counter.
-    let scratch = names
-        .iter()
-        .find(|n| shard_of(n, SHARDS) == 0 && **n != a && **n != b)
-        .unwrap()
-        .clone();
+    // DROP after PREPARE drives the targeted per-table plan-cache
+    // invalidation counter, on whichever shard owns the scratch table.
+    let scratch = names.iter().find(|n| **n != a && **n != b).unwrap().clone();
     c.query_raw(&format!("CREATE TABLE {scratch} (y int)"))
         .unwrap();
     c.prepare("stale", &format!("SELECT count(*) AS n FROM {scratch}"))
@@ -167,42 +208,117 @@ fn every_stats_key_is_on_the_metrics_endpoint_with_the_same_value() {
     p.send("EXECUTE byx (2)").unwrap();
     drop(p);
 
+    // STATS reports the asking session's `exec_mode` and a scrape has no
+    // session, so ask from one that never SET anything. Its first reply
+    // proves the accept loop counted it before the scrape reads the
+    // session gauges.
+    let mut observer = ElephantClient::connect(handle.local_addr()).unwrap();
+    observer.query_raw("SELECT 1 AS one").unwrap();
     // Scrape FIRST (the scrape counter increments before collection, the
     // STATS render counts itself after rendering: both snapshots agree).
     let (status, content_type, prom) = http_get(metrics_addr, "/metrics");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(content_type.contains("version=0.0.4"), "{content_type}");
-    let stats = c.stats().unwrap();
+    let stats = observer.stats().unwrap();
+    drop(observer);
 
     let samples = parse_exposition(&prom);
-    let mut missing: Vec<String> = Vec::new();
+    let mut lines: BTreeMap<&str, &str> = BTreeMap::new();
     for line in stats.lines() {
         let (key, value) = line
             .split_once(' ')
             .unwrap_or_else(|| panic!("bad STATS line: {line}"));
-        // Wall-clock seconds tick between the two renders; open spans are
-        // a race against the in-flight STATS command itself.
-        if key == "uptime_s" || key.ends_with("trace_spans_open") {
-            continue;
-        }
-        let matched = prom_candidates(key).iter().any(|cand| {
-            let numeric = format!("elephant_{cand}");
-            let info = format!("elephant_{cand}_info");
-            let value_label = format!("value=\"{value}\"");
-            samples.iter().any(|s| {
-                (s.name == numeric && s.value == value)
-                    || (s.name == info && s.labels.contains(&value_label))
-            })
-        });
-        if !matched {
-            missing.push(format!("{key} {value}"));
-        }
+        assert!(
+            lines.insert(key, value).is_none(),
+            "STATS prints {key} twice"
+        );
     }
-    assert!(
-        missing.is_empty(),
-        "STATS keys absent (or with different values) on /metrics:\n{}\n\n--- STATS ---\n{stats}\n--- /metrics ---\n{prom}",
-        missing.join("\n")
-    );
+    let context = format!("\n--- STATS ---\n{stats}\n--- /metrics ---\n{prom}");
+    let number = |v: &str| -> u64 { v.parse().unwrap_or_else(|_| panic!("not a count: {v}")) };
+
+    // Every sample is a STATS line with the same value: engine-scoped ones
+    // under `shard{k}.<key>`, the rest under the bare key.
+    let mut covered: BTreeSet<String> = BTreeSet::new();
+    let mut series: BTreeMap<String, (&Decl, bool, Vec<String>)> = BTreeMap::new();
+    for sample in &samples {
+        let Some((decl, key, value, may_skip)) = stats_line(sample) else {
+            continue;
+        };
+        let key = match (decl.scope, sample.labels.get("shard")) {
+            (Scope::Engine(_), Some(k)) => {
+                let entry = series.entry(key.clone());
+                entry
+                    .or_insert((decl, may_skip, Vec::new()))
+                    .2
+                    .push(value.clone());
+                format!("shard{k}.{key}")
+            }
+            (Scope::Engine(_), None) => panic!("{key}: engine-scoped but unlabelled{context}"),
+            (_, Some(_)) => panic!("{key}: one per server but labelled by shard{context}"),
+            (_, None) => key,
+        };
+        match lines.get(key.as_str()) {
+            // Wall-clock seconds tick between the two renders.
+            Some(_) if key == "uptime_s" => {}
+            Some(got) => assert_eq!(*got, value, "{key} differs{context}"),
+            None => assert!(may_skip, "{key} {value} is not in STATS{context}"),
+        }
+        covered.insert(key);
+    }
+
+    // The bare key of an engine-scoped metric is the declared fold of its
+    // shard series.
+    for (key, (decl, may_skip, values)) in &series {
+        let Scope::Engine(fold) = decl.scope else {
+            unreachable!("series holds engine-scoped samples only");
+        };
+        let sum_of = |key: &str| number(lines[key]);
+        let is_percentile = matches!(decl.kind, Kind::Histogram(_))
+            && !key.ends_with("_count")
+            && !key.ends_with("_total_us");
+        let want = match fold {
+            Fold::PerShard => continue,
+            // A merged histogram's percentile is not a function of the
+            // shards' percentiles; its count and total are their sums.
+            Fold::Sum if is_percentile => {
+                covered.insert(key.clone());
+                continue;
+            }
+            Fold::Sum => values.iter().map(|v| number(v)).sum::<u64>().to_string(),
+            Fold::Ratio { num, den } => {
+                let Kind::Float(decimals) = decl.kind else {
+                    panic!("{key}: a ratio is a float");
+                };
+                let ratio = ratio(sum_of(num), den.iter().map(|k| sum_of(k)).sum());
+                format!("{ratio:.decimals$}")
+            }
+            Fold::AllEqual if values.iter().all(|v| *v == values[0]) => values[0].clone(),
+            Fold::AllEqual => "mixed".to_string(),
+            Fold::Worst => values
+                .iter()
+                .find(|v| *v != HEALTHY)
+                .unwrap_or(&values[0])
+                .clone(),
+        };
+        match lines.get(key.as_str()) {
+            Some(got) => assert_eq!(*got, want, "{key} is not the fold of {values:?}{context}"),
+            None => assert!(*may_skip && want == "0", "{key} has no total{context}"),
+        }
+        covered.insert(key.clone());
+    }
+
+    // And STATS prints nothing the collector did not sample.
+    let extra: Vec<&&str> = lines.keys().filter(|k| !covered.contains(**k)).collect();
+    assert!(extra.is_empty(), "STATS-only keys: {extra:?}{context}");
+    // The fold is not vacuous here: the workload wrote on two shards, and
+    // the process-global failpoint counter is reported once, not per shard.
+    let busy = series["wal_records_appended"]
+        .2
+        .iter()
+        .filter(|v| *v != "0");
+    assert!(busy.count() >= 2, "{context}");
+    assert!(lines.contains_key("faults_injected"), "{context}");
+    assert!(!lines.contains_key("shard0.faults_injected"), "{context}");
 
     // The workload's counters really are live on the exposition (guards
     // against a parity pass on an all-zero registry).
@@ -245,11 +361,9 @@ fn every_stats_key_is_on_the_metrics_endpoint_with_the_same_value() {
 
     // 4-shard labels: every shard reports its gauges.
     for k in 0..SHARDS {
-        let want = format!("{{shard=\"{k}\"}}");
         assert!(
-            samples
-                .iter()
-                .any(|s| s.name == "elephant_shard_commands" && s.labels == want),
+            samples.iter().any(|s| s.name == "elephant_shard_commands"
+                && s.labels.get("shard") == Some(&k.to_string())),
             "missing shard_commands for shard {k}:\n{prom}"
         );
     }

@@ -3,46 +3,26 @@
 //! the same directory, and require every acknowledged write back — ctids,
 //! serial counters, and the pipeline inspection report byte-identical.
 
-use elephant_server::ElephantClient;
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod support;
 
-/// Start the server binary durably on `dir`; returns after it prints its
-/// bound address. Pipeline data is seeded deterministically so inspection
-/// reports are comparable across incarnations.
-fn serve(dir: &Path) -> (Child, SocketAddr) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_elephant-serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--rows",
-            "60",
-            "--seed",
-            "7",
-            "--fsync",
-            "always",
-            "--data-dir",
-        ])
-        .arg(dir)
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn elephant-serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read startup line");
+use elephant_server::ElephantClient;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU32, Ordering};
+use support::ServerChild;
+
+/// Start the server binary durably on `dir` with `shards` engine shards.
+/// Pipeline data is seeded deterministically so inspection reports are
+/// comparable across incarnations.
+fn serve(dir: &Path, shards: usize) -> ServerChild {
+    let shards = shards.to_string();
+    let args = [
+        "--rows", "60", "--seed", "7", "--fsync", "always", "--shards", &shards,
+    ];
+    let server = ServerChild::spawn(dir, &args, None);
     // "elephant-serve listening on <addr> (... profile, durable storage); ..."
+    let line = server.startup_line();
     assert!(line.contains("durable storage"), "{line}");
-    let addr = line
-        .split_whitespace()
-        .nth(3)
-        .unwrap_or_else(|| panic!("no address in startup line: {line}"))
-        .parse()
-        .expect("parse bound address");
-    (child, addr)
+    server
 }
 
 fn stat(stats: &str, key: &str) -> u64 {
@@ -81,12 +61,20 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn kill_nine_loses_no_acknowledged_writes() {
-    let dir = fresh_dir("kill9");
+    // One shard, the two the benchmark runs on, and four: wherever the
+    // router places `t`, STATS must report what recovery found.
+    for shards in [1, 2, 4] {
+        kill_nine_on(shards);
+    }
+}
+
+fn kill_nine_on(shards: usize) {
+    let dir = fresh_dir(&format!("kill9-{shards}"));
 
     // First incarnation: checkpointed rows AND a WAL tail past the
     // checkpoint, both acknowledged under fsync=always.
-    let (mut child, addr) = serve(&dir);
-    let mut c = ElephantClient::connect(addr).unwrap();
+    let server = serve(&dir, shards);
+    let mut c = ElephantClient::connect(server.addr()).unwrap();
     c.query_raw("CREATE TABLE t (id serial, a int)").unwrap();
     c.query_raw("INSERT INTO t (a) VALUES (10), (20), (30)")
         .unwrap();
@@ -101,12 +89,11 @@ fn kill_nine_loses_no_acknowledged_writes() {
         report_before.contains("inspection verdict="),
         "{report_before}"
     );
-    child.kill().unwrap();
-    child.wait().unwrap();
+    server.kill_keep_data();
 
     // Second incarnation on the same directory: snapshot + WAL replay.
-    let (mut child, addr) = serve(&dir);
-    let mut c = ElephantClient::connect(addr).unwrap();
+    let server = serve(&dir, shards);
+    let mut c = ElephantClient::connect(server.addr()).unwrap();
     let rows_after = c
         .query_raw("SELECT ctid, id, a FROM t ORDER BY id")
         .unwrap();
@@ -126,9 +113,29 @@ fn kill_nine_loses_no_acknowledged_writes() {
     assert_eq!(stat(&stats, "storage_durable"), 1, "{stats}");
     assert!(stat(&stats, "recovered_snapshot_tables") >= 1, "{stats}");
     assert!(stat(&stats, "recovered_wal_records") >= 1, "{stats}");
-    child.kill().unwrap();
-    child.wait().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A test body that fails while it holds a server must not leak it: the
+/// guard's drop runs during the unwind, kills and reaps the child and
+/// removes its data directory.
+#[test]
+fn a_panicking_test_body_leaves_no_server_behind() {
+    let dir = fresh_dir("guard");
+    let pid = AtomicU32::new(0);
+    let outcome = std::panic::catch_unwind(|| {
+        let server = ServerChild::spawn(&dir, &["--no-data"], None);
+        pid.store(server.pid(), Ordering::SeqCst);
+        assert!(Path::new(&format!("/proc/{}", server.pid())).exists());
+        panic!("the test body failed while the server was up");
+    });
+    assert!(outcome.is_err());
+    let pid = pid.load(Ordering::SeqCst);
+    assert_ne!(pid, 0, "the server never started");
+    assert!(
+        !Path::new(&format!("/proc/{pid}")).exists(),
+        "elephant-serve {pid} outlived its guard"
+    );
+    assert!(!dir.exists(), "{} outlived its guard", dir.display());
 }
 
 #[test]

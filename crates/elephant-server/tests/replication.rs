@@ -222,6 +222,12 @@ fn replicated_client_routes_reads_writes_and_bounds_staleness() {
         .unwrap();
     assert_eq!(rows, "k,v\n1,one\n2,two\n");
 
+    // Plain reads promise no staleness bound and the read above waited for
+    // one follower only: let both catch up before expecting exact counts.
+    for h in [&f1_handle, &f2_handle] {
+        let mut follower = ElephantClient::connect(h.local_addr()).unwrap();
+        wait_caught_up(rc.leader(), &mut follower);
+    }
     // Plain reads round-robin across followers and never touch the leader:
     // the leader's QUERY counter must not move.
     let leader_queries_before = {

@@ -5,14 +5,14 @@
 //! and group commit must not weaken the durability contract (an fsync that
 //! covers a whole batch still happens *before* any ack in the batch).
 
+mod support;
+
 use elephant_server::{shard_of, ElephantClient};
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::ServerChild;
 
 const SHARDS: usize = 4;
 const WRITERS: usize = 4;
@@ -20,36 +20,13 @@ const WRITERS: usize = 4;
 /// the kill lands, so recovery has real per-shard WAL tails to replay.
 const MIN_ACKS: u64 = 20;
 
-fn serve(dir: &Path) -> (Child, SocketAddr) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_elephant-serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--no-data",
-            "--shards",
-            "4",
-            "--fsync",
-            "always",
-            "--data-dir",
-        ])
-        .arg(dir)
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn elephant-serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read startup line");
+fn serve(dir: &Path) -> ServerChild {
+    let args = ["--no-data", "--shards", "4", "--fsync", "always"];
+    let server = ServerChild::spawn(dir, &args, None);
+    let line = server.startup_line();
     assert!(line.contains("durable storage"), "{line}");
     assert!(line.contains("4 shards"), "{line}");
-    let addr = line
-        .split_whitespace()
-        .nth(3)
-        .unwrap_or_else(|| panic!("no address in startup line: {line}"))
-        .parse()
-        .expect("parse bound address");
-    (child, addr)
+    server
 }
 
 #[test]
@@ -57,7 +34,8 @@ fn concurrent_writers_survive_kill_nine_on_every_shard() {
     let dir = std::env::temp_dir().join(format!("elephant-shard-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let (mut child, addr) = serve(&dir);
+    let server = serve(&dir);
+    let addr = server.addr();
 
     // Disjoint tables, greedily spread over distinct shards so the storm
     // (and the recovery) exercises more than one WAL.
@@ -117,8 +95,7 @@ fn concurrent_writers_survive_kill_nine_on_every_shard() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    child.kill().unwrap();
-    child.wait().unwrap();
+    server.kill_keep_data();
     for w in writers {
         w.join().unwrap();
     }
@@ -126,8 +103,8 @@ fn concurrent_writers_survive_kill_nine_on_every_shard() {
 
     // Restart on the same directory: every shard recovers its snapshot +
     // WAL; every acknowledged row must be present.
-    let (mut child, addr) = serve(&dir);
-    let mut c = ElephantClient::connect(addr).unwrap();
+    let server = serve(&dir);
+    let mut c = ElephantClient::connect(server.addr()).unwrap();
     for (i, table) in tables.iter().enumerate() {
         let want = acked[i];
         assert!(want >= MIN_ACKS);
@@ -164,8 +141,4 @@ fn concurrent_writers_survive_kill_nine_on_every_shard() {
     }
     let stats = c.stats().unwrap();
     assert!(stats.contains("\nshards 4"), "{stats}");
-
-    child.kill().unwrap();
-    child.wait().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,14 +19,14 @@
 //! The CI `txn-chaos` job runs this once per phase (`TXN_CHAOS_PHASE`)
 //! under seeds 1/2/3; without the variable every phase runs in sequence.
 
+mod support;
+
 use elephant_server::{shard_of, ElephantClient};
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use support::ServerChild;
 
 const SHARDS: usize = 4;
 const WRITERS: usize = 4;
@@ -42,31 +42,10 @@ const PHASES: [&str; 4] = [
     "txn.commit_append",
 ];
 
-fn serve(dir: &Path, shards: usize, faults: Option<&str>) -> (Child, SocketAddr) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_elephant-serve"));
-    cmd.args(["--addr", "127.0.0.1:0", "--no-data", "--fsync", "always"])
-        .arg("--shards")
-        .arg(shards.to_string())
-        .arg("--data-dir")
-        .arg(dir)
-        .stdout(Stdio::piped());
-    match faults {
-        Some(spec) => cmd.env("ELEPHANT_FAULTS", spec),
-        None => cmd.env_remove("ELEPHANT_FAULTS"),
-    };
-    let mut child = cmd.spawn().expect("spawn elephant-serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read startup line");
-    let addr = line
-        .split_whitespace()
-        .nth(3)
-        .unwrap_or_else(|| panic!("no address in startup line: {line}"))
-        .parse()
-        .expect("parse bound address");
-    (child, addr)
+fn serve(dir: &Path, shards: usize, faults: Option<&str>) -> ServerChild {
+    let shards = shards.to_string();
+    let args = ["--no-data", "--fsync", "always", "--shards", &shards];
+    ServerChild::spawn(dir, &args, faults)
 }
 
 /// Writer `i`'s table pair, provably split across two shards.
@@ -100,7 +79,8 @@ fn run_phase(phase: &str) {
     // timed kill lands inside this phase with high probability (the armed
     // site dominates transaction latency).
     let spec = format!("{phase}=delay_us:250000");
-    let (mut child, addr) = serve(&dir, SHARDS, Some(&spec));
+    let server = serve(&dir, SHARDS, Some(&spec));
+    let addr = server.addr();
 
     let mut admin = ElephantClient::connect(addr).unwrap();
     let pairs: Vec<(String, String)> = (0..WRITERS).map(pair).collect();
@@ -149,8 +129,7 @@ fn run_phase(phase: &str) {
     }
     // All writers are mid-stream; the armed delay makes it overwhelmingly
     // likely at least one transaction sits inside the phase window now.
-    child.kill().unwrap();
-    child.wait().unwrap();
+    server.kill_keep_data();
     for w in writers {
         w.join().unwrap();
     }
@@ -158,8 +137,8 @@ fn run_phase(phase: &str) {
 
     // Restart with the failpoint disarmed: recovery replays per-shard WALs
     // and resolves prepared groups against the coordinator decision log.
-    let (mut child, addr) = serve(&dir, SHARDS, None);
-    let mut c = ElephantClient::connect(addr).unwrap();
+    let server = serve(&dir, SHARDS, None);
+    let mut c = ElephantClient::connect(server.addr()).unwrap();
     for (i, (a, b)) in pairs.iter().enumerate() {
         let want = acked[i];
         assert!(want >= MIN_ACKS);
@@ -183,9 +162,8 @@ fn run_phase(phase: &str) {
 
         // Byte-identical against a single-shard oracle fed the same
         // committed prefix.
-        let _ = std::fs::remove_dir_all(&oracle_dir);
-        let (mut oracle_child, oracle_addr) = serve(&oracle_dir, 1, None);
-        let mut o = ElephantClient::connect(oracle_addr).unwrap();
+        let oracle = serve(&oracle_dir, 1, None);
+        let mut o = ElephantClient::connect(oracle.addr()).unwrap();
         o.query_raw(&format!("CREATE TABLE {a} (x int)")).unwrap();
         for k in 1..=total {
             o.query_raw(&format!("INSERT INTO {a} VALUES ({k})"))
@@ -196,9 +174,6 @@ fn run_phase(phase: &str) {
             body_a, oracle_body,
             "phase {phase}: {a} diverged from the 1-shard oracle"
         );
-        drop(o);
-        oracle_child.kill().unwrap();
-        oracle_child.wait().unwrap();
     }
 
     // The decision log survived and the server still serves transactions.
@@ -212,11 +187,6 @@ fn run_phase(phase: &str) {
         "ok 2",
         "phase {phase}: post-recovery transaction failed"
     );
-
-    drop(c);
-    child.kill().unwrap();
-    child.wait().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

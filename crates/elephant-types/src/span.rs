@@ -54,6 +54,16 @@ impl Default for Histogram {
 }
 
 impl Histogram {
+    /// Rebuild a histogram from counters kept elsewhere (the server's
+    /// lock-free per-verb histograms snapshot into this type).
+    pub fn from_parts(buckets: [u64; HIST_BUCKETS], count: u64, total_us: u64) -> Histogram {
+        Histogram {
+            buckets,
+            count,
+            total_us,
+        }
+    }
+
     /// Record one sample in microseconds.
     #[inline]
     pub fn record_us(&mut self, us: u64) {

@@ -1,6 +1,6 @@
 //! A blocking client for the elephant wire protocol.
 //!
-//! [`ElephantClient`] speaks exactly the protocol in [`crate::protocol`]:
+//! [`ElephantClient`] speaks the v1 envelope of [`crate::protocol`]:
 //! simple-line frames when the command fits on one line, length-prefixed
 //! otherwise, and length-prefixed `+`/`-` responses either way. Response
 //! bodies come back verbatim (`query_raw` returns the CSV bytes exactly as
@@ -8,13 +8,13 @@
 //! byte-for-byte against the embedded engine.
 //!
 //! The [`wire`] submodule holds [`wire::PipelineClient`], which negotiates
-//! the v2 protocol (`HELLO v2`) and keeps many requests in flight on one
-//! connection — see [`crate::proto2`] for the frame grammar.
+//! the v2 envelope (`HELLO v2`) and keeps many requests in flight on one
+//! connection. Both clients read responses with the one `read_response`.
 
 use crate::protocol::{codes, encode_request};
 use etypes::Prng;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::thread;
 use std::time::Duration;
@@ -348,9 +348,49 @@ impl ElephantClient {
     }
 
     fn read_response(&mut self) -> ClientResult<String> {
+        match read_response(&mut self.reader)? {
+            (None, result) => result.map_err(ClientError::Server),
+            (Some(seq), _) => Err(invalid(format!(
+                "v2 response (seq {seq}) on a v1 connection"
+            ))),
+        }
+    }
+}
+
+fn invalid(what: String) -> ClientError {
+    ClientError::Io(io::Error::new(io::ErrorKind::InvalidData, what))
+}
+
+/// Parse a response status line — `(+|-)<len>` on v1, `(+|-|*)<seq> <len>`
+/// on v2 — into `(kind, seq, len)`.
+fn parse_status(line: &str) -> ClientResult<(u8, Option<u64>, usize)> {
+    let bad = || invalid(format!("bad status line '{line}'"));
+    let kind = *line.as_bytes().first().ok_or_else(bad)?;
+    if !matches!(kind, b'+' | b'-' | b'*') {
+        return Err(bad());
+    }
+    let (seq, len) = match line[1..].split_once(' ') {
+        Some((seq, len)) => (Some(seq.parse().map_err(|_| bad())?), len),
+        None => (None, &line[1..]),
+    };
+    Ok((kind, seq, len.parse().map_err(|_| bad())?))
+}
+
+/// Read the next response in wire order, in either envelope: the sequence
+/// id it carries (`None` on v1) and the body or the server's structured
+/// error. Stream chunks are reassembled into one body (and checked against
+/// the trailer) before returning.
+fn read_response(
+    reader: &mut impl BufRead,
+) -> ClientResult<(Option<u64>, Result<String, ServerError>)> {
+    let utf8 = |bytes: Vec<u8>| {
+        String::from_utf8(bytes).map_err(|_| invalid("response body is not UTF-8".into()))
+    };
+    let mut streamed: Vec<u8> = Vec::new();
+    loop {
         let mut status = String::new();
         loop {
-            match self.reader.read_line(&mut status) {
+            match reader.read_line(&mut status) {
                 Ok(0) => {
                     return Err(ClientError::Io(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -363,46 +403,38 @@ impl ElephantClient {
                 Err(e) => return Err(ClientError::Io(e)),
             }
         }
-        let status = status.trim_end();
-        if status.is_empty() {
-            return Err(ClientError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "empty status line",
-            )));
-        }
-        let (ok, len_text) = match status.split_at(1) {
-            ("+", rest) => (true, rest),
-            ("-", rest) => (false, rest),
-            _ => {
-                return Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad status line '{status}'"),
-                )))
-            }
-        };
-        let n: usize = len_text.parse().map_err(|_| {
-            ClientError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad response length '{len_text}'"),
-            ))
-        })?;
-        let mut body = vec![0u8; n + 1];
-        self.reader.read_exact(&mut body)?;
+        let (kind, seq, len) = parse_status(status.trim_end())?;
+        let mut body = vec![0u8; len + 1];
+        reader.read_exact(&mut body)?;
         body.pop(); // trailing newline
-        let body = String::from_utf8(body).map_err(|_| {
-            ClientError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "response body is not UTF-8",
-            ))
-        })?;
-        if ok {
-            Ok(body)
-        } else {
-            let (code, message) = body.split_once(' ').unwrap_or((body.as_str(), ""));
-            Err(ClientError::Server(ServerError {
-                code: code.to_string(),
-                message: message.to_string(),
-            }))
+        match kind {
+            b'*' => streamed.extend_from_slice(&body),
+            b'+' if streamed.is_empty() => return Ok((seq, Ok(utf8(body)?))),
+            b'+' => {
+                // Trailer after a chunked stream: verify the byte count,
+                // then hand back the reassembled body.
+                let trailer = utf8(body)?;
+                let declared = trailer
+                    .strip_prefix("stream bytes=")
+                    .and_then(|r| r.split_whitespace().next())
+                    .and_then(|n| n.parse::<usize>().ok());
+                if declared != Some(streamed.len()) {
+                    return Err(invalid(format!(
+                        "stream trailer '{trailer}' does not match {} received bytes",
+                        streamed.len()
+                    )));
+                }
+                return Ok((seq, Ok(utf8(streamed)?)));
+            }
+            _ => {
+                let body = String::from_utf8_lossy(&body);
+                let (code, message) = body.split_once(' ').unwrap_or((body.as_ref(), ""));
+                let error = ServerError {
+                    code: code.to_string(),
+                    message: message.to_string(),
+                };
+                return Ok((seq, Err(error)));
+            }
         }
     }
 }
@@ -547,7 +579,7 @@ pub mod wire {
     //!
     //! [`PipelineClient`] upgrades a fresh connection with `HELLO v2` and
     //! then speaks sequence-tagged frames (`@seq len` requests, `+`/`-`
-    //! responses, `*` stream chunks — see [`crate::proto2`]). Unlike
+    //! responses, `*` stream chunks — see [`crate::protocol`]). Unlike
     //! [`ElephantClient`](super::ElephantClient), which is strictly
     //! request/response, this client separates *writing* commands from
     //! *reading* their results: [`pipeline`](PipelineClient::pipeline)
@@ -560,10 +592,10 @@ pub mod wire {
     //! (`*` chunks ending in a `stream bytes=.. chunks=..` trailer) are
     //! reassembled transparently — callers always see the full body.
 
-    use super::{busy_shard_salt, ClientError, ClientResult, ServerError};
+    use super::{busy_shard_salt, invalid, ClientError, ClientResult, ServerError};
     use crate::protocol::{codes, encode_request, BATCH_SEP};
     use crate::RetryPolicy;
-    use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+    use std::io::{self, BufReader, BufWriter, Write};
     use std::net::{TcpStream, ToSocketAddrs};
     use std::thread;
     use std::time::Duration;
@@ -603,28 +635,15 @@ pub mod wire {
             // expect `+2\nv2\n`.
             writer.write_all(encode_request("HELLO v2").as_bytes())?;
             writer.flush()?;
-            let mut status = String::new();
-            reader.read_line(&mut status)?;
-            let body_len: usize = status
-                .trim_end()
-                .strip_prefix('+')
-                .and_then(|n| n.parse().ok())
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("server refused v2 handshake: {}", status.trim_end()),
-                    )
-                })?;
-            let mut body = vec![0u8; body_len + 1];
-            reader.read_exact(&mut body)?;
-            body.pop();
-            if body != b"v2" {
+            let answer = match super::read_response(&mut reader) {
+                Ok((_, answer)) => answer,
+                Err(ClientError::Io(e)) => return Err(e),
+                Err(ClientError::Server(e)) => Err(e),
+            };
+            if answer.as_deref() != Ok("v2") {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!(
-                        "unexpected handshake body '{}'",
-                        String::from_utf8_lossy(&body)
-                    ),
+                    format!("server refused v2 handshake: {answer:?}"),
                 ));
             }
             Ok(PipelineClient {
@@ -653,61 +672,9 @@ pub mod wire {
         /// Read the next response in wire order: `(seq, result)`. Stream
         /// chunks are reassembled into one body before returning.
         pub fn read_response(&mut self) -> ClientResult<(u64, Result<String, ServerError>)> {
-            let mut streamed: Vec<u8> = Vec::new();
-            loop {
-                let (kind, seq, len) = self.read_status()?;
-                match kind {
-                    b'*' => {
-                        let chunk = self.read_body(len)?;
-                        streamed.extend_from_slice(&chunk);
-                    }
-                    b'+' => {
-                        let body = self.read_body(len)?;
-                        let body = String::from_utf8(body).map_err(|_| {
-                            ClientError::Io(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                "response body is not UTF-8",
-                            ))
-                        })?;
-                        if streamed.is_empty() {
-                            return Ok((seq, Ok(body)));
-                        }
-                        // Trailer after a chunked stream: verify the byte
-                        // count, then hand back the reassembled body.
-                        let declared = body
-                            .strip_prefix("stream bytes=")
-                            .and_then(|r| r.split_whitespace().next())
-                            .and_then(|n| n.parse::<usize>().ok());
-                        if declared != Some(streamed.len()) {
-                            return Err(ClientError::Io(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!(
-                                    "stream trailer '{body}' does not match {} received bytes",
-                                    streamed.len()
-                                ),
-                            )));
-                        }
-                        let body = String::from_utf8(streamed).map_err(|_| {
-                            ClientError::Io(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                "streamed body is not UTF-8",
-                            ))
-                        })?;
-                        return Ok((seq, Ok(body)));
-                    }
-                    _ => {
-                        let body = self.read_body(len)?;
-                        let body = String::from_utf8_lossy(&body);
-                        let (code, message) = body.split_once(' ').unwrap_or((body.as_ref(), ""));
-                        return Ok((
-                            seq,
-                            Err(ServerError {
-                                code: code.to_string(),
-                                message: message.to_string(),
-                            }),
-                        ));
-                    }
-                }
+            match super::read_response(&mut self.reader)? {
+                (Some(seq), result) => Ok((seq, result)),
+                (None, _) => Err(invalid("v1 response on a v2 connection".into())),
             }
         }
 
@@ -815,72 +782,25 @@ pub mod wire {
             let body = self.send(&format!("BATCH {joined}"))?;
             Ok(body.split(BATCH_SEP).map(str::to_string).collect())
         }
-
-        fn read_status(&mut self) -> ClientResult<(u8, u64, usize)> {
-            let mut status = String::new();
-            loop {
-                match self.reader.read_line(&mut status) {
-                    Ok(0) => {
-                        return Err(ClientError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server closed the connection",
-                        )))
-                    }
-                    Ok(_) if status.ends_with('\n') => break,
-                    Ok(_) => continue,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(ClientError::Io(e)),
-                }
-            }
-            parse_v2_status(status.trim_end()).map_err(ClientError::Io)
-        }
-
-        fn read_body(&mut self, len: usize) -> ClientResult<Vec<u8>> {
-            let mut body = vec![0u8; len + 1];
-            self.reader.read_exact(&mut body)?;
-            body.pop(); // trailing newline
-            Ok(body)
-        }
-    }
-
-    /// Parse a v2 response status line `(+|-|*)<seq> <len>` into
-    /// `(kind, seq, len)`.
-    fn parse_v2_status(line: &str) -> io::Result<(u8, u64, usize)> {
-        let bad = || {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad v2 status line '{line}'"),
-            )
-        };
-        let kind = *line.as_bytes().first().ok_or_else(bad)?;
-        if !matches!(kind, b'+' | b'-' | b'*') {
-            return Err(bad());
-        }
-        let (seq, len) = line[1..].split_once(' ').ok_or_else(bad)?;
-        let seq: u64 = seq.parse().map_err(|_| bad())?;
-        let len: usize = len.parse().map_err(|_| bad())?;
-        Ok((kind, seq, len))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::parse_v2_status;
-
-        #[test]
-        fn status_lines_parse() {
-            assert_eq!(parse_v2_status("+7 12").unwrap(), (b'+', 7, 12));
-            assert_eq!(parse_v2_status("-3 0").unwrap(), (b'-', 3, 0));
-            assert_eq!(parse_v2_status("*19 65536").unwrap(), (b'*', 19, 65536));
-            for bad in ["", "+", "+x 3", "+3", "+3 x", "?3 4", "+3  4 5x"] {
-                assert!(parse_v2_status(bad).is_err(), "{bad:?} should not parse");
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn status_lines_parse() {
+        let ok = |line| parse_status(line).unwrap();
+        assert_eq!(ok("+12"), (b'+', None, 12));
+        assert_eq!(ok("-0"), (b'-', None, 0));
+        assert_eq!(ok("+7 12"), (b'+', Some(7), 12));
+        assert_eq!(ok("-3 0"), (b'-', Some(3), 0));
+        assert_eq!(ok("*19 65536"), (b'*', Some(19), 65536));
+        for bad in ["", "+", "+x", "+x 3", "+3 x", "?3 4", "+3  4 5x"] {
+            assert!(parse_status(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
 
     #[test]
     fn backoff_salt_zero_is_identity() {

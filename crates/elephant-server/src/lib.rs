@@ -21,11 +21,12 @@
 //! | `LAG` | replication watermarks (committed vs. applied LSN) for read routing |
 //! | `SHUTDOWN` | graceful drain |
 //!
-//! Sending `HELLO v2` as the first command upgrades the connection to the
-//! pipelined v2 wire protocol ([`proto2`]): sequence-tagged frames, many
-//! requests in flight per connection, and chunked streaming of large
-//! results under a configurable result-buffer cap. Clients that never send
-//! `HELLO` keep speaking v1 byte-identically.
+//! Sending `HELLO v2` as the first command flips the connection to the v2
+//! envelope of the same protocol: sequence-tagged frames, many requests in
+//! flight per connection, and chunked streaming of large results under a
+//! configurable result-buffer cap. Clients that never send `HELLO` keep
+//! speaking v1 byte-identically. Both envelopes go through one frame
+//! reader, one reply writer ([`protocol`]) and one session loop.
 //!
 //! Started with a `--data-dir` (or [`ServerConfig::data_dir`]), the server
 //! write-ahead-logs every acknowledged DDL/DML through `elephant-store` and
@@ -60,11 +61,15 @@
 //! wrapped in a WAL **group commit**: one fsync acknowledges every write
 //! in the batch (`wal_group_commits` in `STATS`).
 //!
-//! Each connection gets a session thread that parses frames and holds the
-//! session id; prepared statements are namespaced per session inside the
-//! executor. The job queues are **bounded** `sync_channel`s: a slow
-//! executor triggers admission control (retryable `ERR_BUSY`) instead of
-//! buffering unboundedly. `SHUTDOWN` travels through the queue, so
+//! Each connection gets a session thread running the one serving loop
+//! (`session.rs`): it reads frames in the connection's envelope, hands each
+//! command to the router (`begin`, then `finish` in request order; `submit`
+//! for commands with cross-command effects) and writes replies lazily.
+//! Prepared statements are namespaced per session inside the executor. The
+//! job queues are **bounded** `sync_channel`s behind one admission
+//! function: a full queue makes a pipelining session settle its oldest
+//! reply and retry, and a session with nothing in flight wait briefly and
+//! then get the retryable `ERR_BUSY`, instead of buffering unboundedly. `SHUTDOWN` travels through the queue, so
 //! everything enqueued before it still completes — the executor flips a
 //! flag that stops the accept loop, sessions finish and hang up, and when
 //! the last queue sender drops the executors exit.
@@ -87,7 +92,6 @@
 pub mod client;
 mod executor;
 pub mod metrics;
-pub mod proto2;
 pub mod protocol;
 mod repl;
 mod scrape;

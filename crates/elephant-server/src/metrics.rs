@@ -881,10 +881,10 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{self, ExecutorConfig};
     use crate::protocol::Command;
     use crate::repl::ReplState;
-    use crate::shard::{Lane, ShardRouter, ShardStats};
+    use crate::shard::testing::router_on;
+    use crate::shard::ShardRouter;
     use std::sync::Arc;
 
     #[test]
@@ -1038,53 +1038,6 @@ mod tests {
         }
     }
 
-    /// A durable two-shard router over `dir`, built the way `start()` does.
-    fn router_on(dir: &std::path::Path) -> (ShardRouter, Vec<std::thread::JoinHandle<()>>) {
-        let metrics = Arc::new(Metrics::default());
-        let repl = Arc::new(ReplState::standalone());
-        let mut lanes = Vec::new();
-        let mut recovered_per_shard = Vec::new();
-        let mut joins = Vec::new();
-        for shard_id in 0..2 {
-            let stats = Arc::new(ShardStats::default());
-            let ring = Arc::new(etypes::SharedSpanRing::new(64));
-            let (tx, join, wal, recovered) = executor::spawn(
-                ExecutorConfig {
-                    in_memory: true,
-                    exec_mode: sqlengine::ExecMode::default(),
-                    files: Vec::new(),
-                    queue_capacity: 4,
-                    data_dir: Some(dir.join(format!("shard-{shard_id}"))),
-                    fsync: sqlengine::FsyncPolicy::Always,
-                    slow_query_us: None,
-                    statement_timeout_ms: None,
-                    auto_checkpoint_wal_bytes: None,
-                    repl: Arc::clone(&repl),
-                    shard_id,
-                    lane: Arc::clone(&stats),
-                    ring: Arc::clone(&ring),
-                    txn_decisions: std::collections::HashMap::new(),
-                },
-                Arc::clone(&metrics),
-                Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            )
-            .expect("executor spawns");
-            lanes.push(Lane {
-                tx,
-                stats,
-                ring,
-                wal,
-            });
-            recovered_per_shard.push(recovered);
-            joins.push(join);
-        }
-        let router = ShardRouter::new(lanes, metrics, repl, None);
-        for (shard, names) in recovered_per_shard.iter().enumerate() {
-            router.seed(shard, names);
-        }
-        (router, joins)
-    }
-
     /// The collector's output over a server that recovered, invalidated a
     /// prepared plan per table and played every replication role is the
     /// declaration table, exactly: nothing undeclared (`sample` would have
@@ -1096,13 +1049,13 @@ mod tests {
         let query = |router: &ShardRouter, sql: &str| {
             router.submit(1, Command::Query(sql.into())).expect(sql);
         };
-        let (router, joins) = router_on(&dir);
+        let (router, _, joins) = router_on(Some(&dir), 2);
         query(&router, "CREATE TABLE t (a int)");
         query(&router, "INSERT INTO t VALUES (1)");
         drop(router);
         joins.into_iter().for_each(|j| j.join().unwrap());
 
-        let (router, joins) = router_on(&dir);
+        let (router, _, joins) = router_on(Some(&dir), 2);
         let prepare = Command::Prepare {
             name: "p".into(),
             sql: "SELECT a FROM t".into(),

@@ -1,28 +1,50 @@
-//! Wire protocol: framing, command parsing, and response encoding.
+//! Wire protocol: framing, command parsing, and response encoding — one
+//! reader and one writer for both envelopes.
 //!
-//! Requests are text frames in one of two encodings:
+//! | | v1 (every connection starts here) | v2 (after `HELLO v2`) |
+//! |---|---|---|
+//! | request | `VERB rest\n` (one line) or `!<n>\n<payload>\n` | `@<seq> <n>\n<payload>\n` |
+//! | success | `+<n>\n<body>\n` | `+<seq> <n>\n<body>\n` |
+//! | error | `-<n>\n<CODE> <message>\n` | `-<seq> <n>\n<CODE> <message>\n` |
+//! | stream chunk | — | `*<seq> <n>\n<bytes>\n` |
 //!
-//! * **Simple line** — `VERB rest-of-command\n`. Usable for any command
-//!   whose text fits on one line (no embedded newlines).
-//! * **Length-prefixed** — `!<n>\n` followed by exactly `n` payload bytes
-//!   and a trailing `\n`. The payload is the command text and may span
-//!   multiple lines (required for `INSPECT`, whose pipeline source is
-//!   multi-line Python).
+//! `<n>` counts payload/body bytes, excluding the trailing newline. The
+//! payload is the same command text in both envelopes ([`parse_command`]);
+//! a v1 bare line is usable for any command without embedded newlines, a
+//! length-prefixed payload may span lines (required for `INSPECT`, whose
+//! pipeline source is multi-line Python). Error bodies start with a
+//! machine-readable code from [`codes`], a space, then a human-readable
+//! message.
 //!
-//! Responses are always length-prefixed so bodies can contain anything:
+//! **Negotiation**: a v1 frame `HELLO v2` is answered `+2\nv2\n` and flips
+//! the connection's [`FrameReader`] to the v2 envelope in place. Clients
+//! that never send it stay on v1 byte-for-byte.
 //!
-//! * success — `+<n>\n<body>\n`
-//! * error — `-<n>\n<CODE> <message>\n`
+//! **v2** tags every request with a client-chosen, strictly increasing
+//! sequence id that the response echoes, so a client may write many frames
+//! before reading any response — *pipelining* — and match responses by id.
+//! The server executes strictly in arrival order and responds in that
+//! order; the ids make the ordering *checkable* and let a retrying client
+//! resend exactly the commands that failed. Result bodies larger than
+//! [`V2_CHUNK`] are *streamed*: consecutive `*<seq>` chunks (each at most
+//! `V2_CHUNK` bytes) followed by a `+<seq>` trailer whose body is
+//! `stream bytes=<total> chunks=<n>`, which lets the client verify nothing
+//! was lost. Bodies larger than the server's `--max-result-buffer-bytes`
+//! cap are refused with `ERR_OVERSIZED` instead of being buffered. v1
+//! replies are always one `+<n>` body.
 //!
-//! where `<n>` counts the body bytes (excluding the trailing newline).
-//! Error payloads start with a machine-readable code from [`codes`],
-//! a space, then a human-readable message.
+//! The serving loop over these frames is `session.rs`; grammar and
+//! failure modes are tabulated in `docs/PROTOCOL.md`.
 
 use std::io::{self, BufRead, Read, Write};
 
 /// Hard ceiling on a single frame's payload (1 MiB). Oversized frames are
 /// drained and refused with [`codes::OVERSIZED`]; the session stays up.
 pub const MAX_FRAME: usize = 1 << 20;
+
+/// Fixed chunk size for streamed v2 result bodies (64 KiB). Bodies at or
+/// under this travel as one ordinary `+<seq>` response.
+pub const V2_CHUNK: usize = 64 * 1024;
 
 /// Separator between the statements of a `BATCH` frame and between the
 /// per-statement bodies of its response: ASCII Record Separator (0x1E),
@@ -204,19 +226,118 @@ impl Command {
     }
 }
 
+/// Which envelope a connection's frames travel in. Every connection starts
+/// on `V1`; a `HELLO v2` frame flips it in place
+/// ([`FrameReader::negotiate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Envelope {
+    /// One-shot framing: bare lines and `!<n>` payloads in, `+<n>` / `-<n>`
+    /// out.
+    #[default]
+    V1,
+    /// Sequence-tagged framing: `@<seq> <n>` payloads in, `+<seq> <n>` /
+    /// `-<seq> <n>` / `*<seq> <n>` out.
+    V2,
+}
+
+/// One request frame: the command text and, on v2, the sequence id its
+/// response must carry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// The client-chosen sequence id (`None` on the v1 envelope).
+    pub seq: Option<u64>,
+    /// The command text, exactly as [`parse_command`] takes it.
+    pub text: String,
+}
+
+/// What a request header line announces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Header {
+    /// A v1 bare line: the line itself is the whole frame.
+    Line,
+    /// A payload of `len` bytes plus a trailing newline follows (`!<len>`
+    /// on v1, `@<seq> <len>` on v2).
+    Payload {
+        /// Sequence id from the header (`None` on the v1 envelope).
+        seq: Option<u64>,
+        /// Declared payload length in bytes.
+        len: usize,
+    },
+}
+
+/// Parse one request header line (without its trailing newline). Pure — the
+/// fuzz harness drives it directly. The `Err` text is what the session
+/// reports: the offending length text on v1, a full description on v2.
+pub fn parse_header(envelope: Envelope, line: &str) -> Result<Header, String> {
+    match envelope {
+        Envelope::V1 => match line.strip_prefix('!') {
+            Some(len_text) => match len_text.trim().parse() {
+                Ok(len) => Ok(Header::Payload { seq: None, len }),
+                Err(_) => Err(len_text.to_string()),
+            },
+            None => Ok(Header::Line),
+        },
+        Envelope::V2 => {
+            let (seq_text, len_text) = line
+                .strip_prefix('@')
+                .and_then(|rest| rest.split_once(' '))
+                .ok_or_else(|| format!("expected '@<seq> <len>', got '{}'", printable(line)))?;
+            let seq: u64 = seq_text
+                .parse()
+                .map_err(|_| format!("bad sequence id '{}'", printable(seq_text)))?;
+            let len: usize = len_text
+                .trim()
+                .parse()
+                .map_err(|_| format!("bad length '{}'", printable(len_text)))?;
+            Ok(Header::Payload {
+                seq: Some(seq),
+                len,
+            })
+        }
+    }
+}
+
+/// Render untrusted header bytes safely for an error message.
+fn printable(s: &str) -> String {
+    s.chars()
+        .take(64)
+        .map(|c| {
+            if c.is_ascii_graphic() || c == ' ' {
+                c
+            } else {
+                '.'
+            }
+        })
+        .collect()
+}
+
 /// Why a frame could not be read.
 #[derive(Debug)]
 pub enum FrameError {
     /// Underlying transport error (includes mid-frame disconnects).
     Io(io::Error),
     /// Read timed out with no (complete) frame; caller may retry with the
-    /// same reader — partial data is preserved in the scratch buffer.
+    /// same reader — partial data is preserved in the reader state.
     Timeout,
-    /// `!<n>` declared a payload larger than [`MAX_FRAME`]. The payload has
-    /// already been drained; the connection is still usable.
-    Oversized(usize),
-    /// The `!<n>` length header was not a number.
-    BadLength(String),
+    /// The header declared a payload larger than [`MAX_FRAME`]. The payload
+    /// has already been drained; answer on `seq` and keep the connection.
+    Oversized {
+        /// Sequence id from the offending header (`None` on v1).
+        seq: Option<u64>,
+        /// Declared payload length.
+        declared: usize,
+    },
+    /// The payload arrived whole but is not valid UTF-8. The stream is
+    /// still in sync; answer on `seq` and keep the connection.
+    BadPayload {
+        /// Sequence id from the offending header (`None` on v1).
+        seq: Option<u64>,
+    },
+    /// The header line did not parse ([`parse_header`]'s message). On v1
+    /// only a `!<n>` length can be bad and the line is already consumed, so
+    /// the connection stays usable; on v2 the stream cannot be
+    /// resynchronized — answer once on sequence 0 and close.
+    BadHeader(String),
 }
 
 impl From<io::Error> for FrameError {
@@ -232,31 +353,72 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Reusable per-connection frame reader state. Keeping the partial-line
-/// buffer here lets reads resume cleanly after a timeout (needed for the
-/// shutdown-drain poll in sessions).
+fn closed(what: &str) -> FrameError {
+    FrameError::Io(io::Error::new(io::ErrorKind::UnexpectedEof, what))
+}
+
+/// The per-connection frame reader, for both envelopes. All partial state
+/// (header line, payload, oversized drain) lives here, so a read resumes
+/// cleanly after a socket timeout (needed for the shutdown-drain poll in
+/// sessions).
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    envelope: Envelope,
     line: String,
+    /// The payload being filled (`len + 1` bytes: trailing newline included);
+    /// empty between frames.
     payload: Vec<u8>,
     payload_filled: usize,
-    /// Set while draining an oversized payload: (remaining bytes, declared).
-    draining: Option<(usize, usize)>,
+    /// Header fields of the payload being read or drained.
+    seq: Option<u64>,
+    declared: usize,
+    /// Bytes still to discard of an oversized payload.
+    draining: Option<usize>,
 }
 
 impl FrameReader {
-    /// Create an empty reader state.
+    /// Create an empty reader on the v1 envelope.
     pub fn new() -> FrameReader {
         FrameReader::default()
     }
 
+    /// The envelope the next frame is read in.
+    pub fn envelope(&self) -> Envelope {
+        self.envelope
+    }
+
+    /// Protocol negotiation: a v1 frame `HELLO <version>` is a handshake,
+    /// not a command. `HELLO v2` flips this reader to the v2 envelope —
+    /// request bytes already buffered behind the handshake are read as v2
+    /// frames — and yields the acknowledgement body (answered on the v1
+    /// envelope the client is still speaking); any other version yields a
+    /// refusal naming what the server supports. `None` when `frame` is not
+    /// a handshake, which is always the case once on v2 (there `HELLO` is
+    /// an unknown verb).
+    pub fn negotiate(&mut self, frame: &Frame) -> Option<Result<&'static str, String>> {
+        if self.envelope != Envelope::V1 {
+            return None;
+        }
+        let version = frame
+            .text
+            .strip_prefix("HELLO ")
+            .or_else(|| frame.text.strip_prefix("hello "))?
+            .trim();
+        Some(if version == "v2" {
+            self.envelope = Envelope::V2;
+            Ok("v2")
+        } else {
+            Err(format!("unsupported protocol '{version}' (supported: v2)"))
+        })
+    }
+
     /// Read one frame. Returns `Ok(None)` on clean EOF at a frame boundary.
     /// [`FrameError::Timeout`] means "no complete frame yet, call again".
-    pub fn read_frame(&mut self, r: &mut impl BufRead) -> Result<Option<String>, FrameError> {
-        if let Some((remaining, declared)) = self.draining.take() {
-            return self.drain_oversized(r, remaining, declared);
+    pub fn read_frame(&mut self, r: &mut impl BufRead) -> Result<Option<Frame>, FrameError> {
+        if let Some(remaining) = self.draining.take() {
+            return self.drain_oversized(r, remaining);
         }
-        if self.payload_filled > 0 || !self.payload.is_empty() {
+        if !self.payload.is_empty() {
             return self.read_payload(r);
         }
         loop {
@@ -267,10 +429,7 @@ impl FrameReader {
                         Ok(None)
                     } else {
                         self.line.clear();
-                        Err(FrameError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-frame",
-                        )))
+                        Err(closed("connection closed mid-frame"))
                     };
                 }
                 Ok(_) if !self.line.ends_with('\n') => continue,
@@ -280,73 +439,70 @@ impl FrameReader {
         }
         let line = std::mem::take(&mut self.line);
         let line = line.trim_end_matches(['\n', '\r']);
-        if let Some(len_text) = line.strip_prefix('!') {
-            let n: usize = len_text
-                .trim()
-                .parse()
-                .map_err(|_| FrameError::BadLength(len_text.to_string()))?;
-            if n > MAX_FRAME {
-                // +1 for the trailing newline after the payload.
-                return self.drain_oversized(r, n + 1, n);
+        match parse_header(self.envelope, line).map_err(FrameError::BadHeader)? {
+            Header::Line => Ok(Some(Frame {
+                seq: None,
+                text: line.to_string(),
+            })),
+            Header::Payload { seq, len } => {
+                self.seq = seq;
+                self.declared = len;
+                if len > MAX_FRAME {
+                    // +1 for the trailing newline after the payload.
+                    return self.drain_oversized(r, len + 1);
+                }
+                self.payload = vec![0u8; len + 1];
+                self.payload_filled = 0;
+                self.read_payload(r)
             }
-            self.payload = vec![0u8; n + 1];
-            self.payload_filled = 0;
-            self.read_payload(r)
-        } else {
-            Ok(Some(line.to_string()))
         }
     }
 
-    fn read_payload(&mut self, r: &mut impl Read) -> Result<Option<String>, FrameError> {
+    fn read_payload(&mut self, r: &mut impl Read) -> Result<Option<Frame>, FrameError> {
         while self.payload_filled < self.payload.len() {
             match r.read(&mut self.payload[self.payload_filled..]) {
-                Ok(0) => {
-                    return Err(FrameError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-payload",
-                    )))
-                }
+                Ok(0) => return Err(closed("connection closed mid-payload")),
                 Ok(k) => self.payload_filled += k,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(FrameError::from(e)),
             }
         }
         let mut payload = std::mem::take(&mut self.payload);
-        self.payload_filled = 0;
         payload.pop(); // trailing newline
-        String::from_utf8(payload)
-            .map(Some)
-            .map_err(|_| FrameError::BadLength("payload is not UTF-8".into()))
+        match String::from_utf8(payload) {
+            Ok(text) => Ok(Some(Frame {
+                seq: self.seq,
+                text,
+            })),
+            Err(_) => Err(FrameError::BadPayload { seq: self.seq }),
+        }
     }
 
     fn drain_oversized(
         &mut self,
         r: &mut impl Read,
         mut remaining: usize,
-        declared: usize,
-    ) -> Result<Option<String>, FrameError> {
+    ) -> Result<Option<Frame>, FrameError> {
         let mut chunk = [0u8; 8192];
         while remaining > 0 {
             let want = remaining.min(chunk.len());
             match r.read(&mut chunk[..want]) {
-                Ok(0) => {
-                    return Err(FrameError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-payload",
-                    )))
-                }
+                Ok(0) => return Err(closed("connection closed mid-payload")),
                 Ok(k) => remaining -= k,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
                     let fe = FrameError::from(e);
                     if matches!(fe, FrameError::Timeout) {
-                        self.draining = Some((remaining, declared));
+                        self.draining = Some(remaining);
                     }
                     return Err(fe);
                 }
             }
         }
-        Err(FrameError::Oversized(declared))
+        Err(FrameError::Oversized {
+            seq: self.seq,
+            declared: self.declared,
+        })
     }
 }
 
@@ -551,18 +707,29 @@ pub fn parse_command(frame: &str) -> Result<Command, (&'static str, String)> {
     }
 }
 
-/// Write a success response: `+<n>\n<body>\n`.
-pub fn write_ok(w: &mut impl Write, body: &str) -> io::Result<()> {
-    write!(w, "+{}\n{}\n", body.len(), body)?;
-    w.flush()
+/// Write one response frame in the envelope `seq` selects:
+/// `<kind><n>\n<body>\n` on v1 (`None`), `<kind><seq> <n>\n<body>\n` on v2.
+/// `kind` is `+` (success), `-` (error, body from [`error_body`]) or `*`
+/// (stream chunk, v2 only); `<n>` counts the body bytes, excluding the
+/// trailing newline. No flush — the session loop flushes lazily.
+pub fn write_reply(
+    w: &mut impl Write,
+    seq: Option<u64>,
+    kind: char,
+    body: &[u8],
+) -> io::Result<()> {
+    match seq {
+        Some(seq) => writeln!(w, "{kind}{seq} {}", body.len())?,
+        None => writeln!(w, "{kind}{}", body.len())?,
+    }
+    w.write_all(body)?;
+    w.write_all(b"\n")
 }
 
-/// Write an error response: `-<n>\n<CODE> <message>\n`.
-pub fn write_err(w: &mut impl Write, code: &str, msg: &str) -> io::Result<()> {
-    let msg = msg.replace('\n', " ");
-    let body = format!("{code} {msg}");
-    write!(w, "-{}\n{}\n", body.len(), body)?;
-    w.flush()
+/// The body of an error response: `<CODE> <message>`, newlines in the
+/// message flattened so the body stays one line.
+pub fn error_body(code: &str, msg: &str) -> String {
+    format!("{code} {}", msg.replace('\n', " "))
 }
 
 /// Encode a request frame, choosing length-prefixed framing whenever the
@@ -580,64 +747,192 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn read_all(input: &str) -> Vec<Result<Option<String>, FrameError>> {
-        let mut r = Cursor::new(input.as_bytes().to_vec());
+    /// A reader already flipped to `envelope`, the way a session gets one.
+    fn reader(envelope: Envelope) -> FrameReader {
         let mut fr = FrameReader::new();
-        let mut out = Vec::new();
-        loop {
-            let item = fr.read_frame(&mut r);
-            let done = matches!(item, Ok(None) | Err(FrameError::Io(_)));
-            out.push(item);
-            if done {
-                break;
-            }
+        if envelope == Envelope::V2 {
+            let hello = Frame {
+                seq: None,
+                text: "HELLO v2".into(),
+            };
+            assert_eq!(fr.negotiate(&hello), Some(Ok("v2")));
         }
-        out
+        assert_eq!(fr.envelope(), envelope);
+        fr
     }
 
+    /// One payload frame in `envelope`'s header syntax, and the seq it
+    /// carries.
+    fn payload_frame(envelope: Envelope, seq: u64, payload: &[u8]) -> (Vec<u8>, Option<u64>) {
+        let (header, seq) = match envelope {
+            Envelope::V1 => (format!("!{}\n", payload.len()), None),
+            Envelope::V2 => (format!("@{seq} {}\n", payload.len()), Some(seq)),
+        };
+        let mut wire = header.into_bytes();
+        wire.extend_from_slice(payload);
+        wire.push(b'\n');
+        (wire, seq)
+    }
+
+    fn frame(seq: Option<u64>, text: &str) -> Option<Frame> {
+        Some(Frame {
+            seq,
+            text: text.into(),
+        })
+    }
+
+    const ENVELOPES: [Envelope; 2] = [Envelope::V1, Envelope::V2];
+
     #[test]
-    fn simple_line_frames() {
-        let frames = read_all("STATS\nQUERY SELECT 1\n");
-        assert_eq!(frames[0].as_ref().unwrap().as_deref(), Some("STATS"));
+    fn headers_parse_and_reject() {
+        use Envelope::{V1, V2};
+        let payload = |seq, len| Ok(Header::Payload { seq, len });
+        assert_eq!(parse_header(V1, "QUERY SELECT 1"), Ok(Header::Line));
+        assert_eq!(parse_header(V1, "@1 5"), Ok(Header::Line));
+        assert_eq!(parse_header(V1, "!12"), payload(None, 12));
+        assert_eq!(parse_header(V1, "! 12 "), payload(None, 12));
+        assert_eq!(parse_header(V1, "!abc"), Err("abc".into()));
+        assert_eq!(parse_header(V1, "!-1"), Err("-1".into()));
+        assert_eq!(parse_header(V2, "@1 5"), payload(Some(1), 5));
+        assert_eq!(parse_header(V2, "@42 0"), payload(Some(42), 0));
         assert_eq!(
-            frames[1].as_ref().unwrap().as_deref(),
-            Some("QUERY SELECT 1")
+            parse_header(V2, &format!("@{} {}", u64::MAX, MAX_FRAME)),
+            payload(Some(u64::MAX), MAX_FRAME)
         );
-        assert!(matches!(frames[2], Ok(None)));
+        for bad in [
+            "",
+            "@",
+            "@1",
+            "@ 5",
+            "@x 5",
+            "@1 x",
+            "@-1 5",
+            "@1 -5",
+            "!5",
+            "QUERY SELECT 1",
+        ] {
+            assert!(parse_header(V2, bad).is_err(), "accepted '{bad}'");
+        }
     }
 
     #[test]
-    fn length_prefixed_frame_with_newlines() {
+    fn frames_round_trip_in_every_envelope() {
+        let mut r = Cursor::new(b"STATS\r\nQUERY SELECT 1\n".to_vec());
+        let mut fr = reader(Envelope::V1);
+        assert_eq!(fr.read_frame(&mut r).unwrap(), frame(None, "STATS"));
+        assert_eq!(
+            fr.read_frame(&mut r).unwrap(),
+            frame(None, "QUERY SELECT 1")
+        );
+        assert_eq!(fr.read_frame(&mut r).unwrap(), None);
+
+        // Length-prefixed payloads may span lines; the client picks that
+        // framing by itself.
         let body = "INSPECT race 0.3\nline1\nline2";
         let wire = encode_request(body);
         assert!(wire.starts_with('!'));
-        let frames = read_all(&wire);
-        assert_eq!(frames[0].as_ref().unwrap().as_deref(), Some(body));
+        let mut r = Cursor::new(wire.into_bytes());
+        assert_eq!(fr.read_frame(&mut r).unwrap(), frame(None, body));
+
+        let mut r = Cursor::new(b"@7 14\nQUERY SELECT 1\n@9 3\nLAG\n".to_vec());
+        let mut fr = reader(Envelope::V2);
+        assert_eq!(
+            fr.read_frame(&mut r).unwrap(),
+            frame(Some(7), "QUERY SELECT 1")
+        );
+        assert_eq!(fr.read_frame(&mut r).unwrap(), frame(Some(9), "LAG"));
+        assert_eq!(fr.read_frame(&mut r).unwrap(), None);
     }
 
     #[test]
-    fn oversized_frame_is_drained_and_flagged() {
-        let n = MAX_FRAME + 5;
-        let mut wire = format!("!{n}\n");
-        wire.push_str(&"x".repeat(n));
-        wire.push('\n');
-        wire.push_str("STATS\n");
-        let frames = read_all(&wire);
-        assert!(matches!(frames[0], Err(FrameError::Oversized(d)) if d == n));
-        // The connection remains usable: the next frame parses.
-        assert_eq!(frames[1].as_ref().unwrap().as_deref(), Some("STATS"));
+    fn oversized_frame_is_drained_and_typed() {
+        for envelope in ENVELOPES {
+            let n = MAX_FRAME + 3;
+            let (mut wire, seq) = payload_frame(envelope, 5, &vec![b'x'; n]);
+            let (next, next_seq) = payload_frame(envelope, 6, b"LAG");
+            wire.extend(next);
+            let mut r = Cursor::new(wire);
+            let mut fr = reader(envelope);
+            match fr.read_frame(&mut r) {
+                Err(FrameError::Oversized { seq: s, declared }) => {
+                    assert_eq!((s, declared), (seq, n));
+                }
+                other => panic!("{envelope:?}: expected Oversized, got {other:?}"),
+            }
+            // The connection is still usable: the next frame parses.
+            assert_eq!(fr.read_frame(&mut r).unwrap(), frame(next_seq, "LAG"));
+        }
     }
 
     #[test]
-    fn bad_length_header() {
-        let frames = read_all("!abc\n");
-        assert!(matches!(frames[0], Err(FrameError::BadLength(_))));
+    fn bad_payload_utf8_keeps_sync() {
+        for envelope in ENVELOPES {
+            let (mut wire, seq) = payload_frame(envelope, 3, &[0xff, 0xfe, 0xfd, 0xfc]);
+            let (next, next_seq) = payload_frame(envelope, 4, b"LAG");
+            wire.extend(next);
+            let mut r = Cursor::new(wire);
+            let mut fr = reader(envelope);
+            match fr.read_frame(&mut r) {
+                Err(FrameError::BadPayload { seq: s }) => assert_eq!(s, seq),
+                other => panic!("{envelope:?}: expected BadPayload, got {other:?}"),
+            }
+            assert_eq!(fr.read_frame(&mut r).unwrap(), frame(next_seq, "LAG"));
+        }
     }
 
     #[test]
-    fn mid_frame_disconnect_is_io_error() {
-        let frames = read_all("!10\nabc");
-        assert!(matches!(frames[0], Err(FrameError::Io(_))));
+    fn bad_header_is_typed_and_v1_stays_in_sync() {
+        let mut r = Cursor::new(b"!abc\nSTATS\n".to_vec());
+        let mut fr = reader(Envelope::V1);
+        match fr.read_frame(&mut r) {
+            Err(FrameError::BadHeader(what)) => assert_eq!(what, "abc"),
+            other => panic!("expected BadHeader, got {other:?}"),
+        }
+        assert_eq!(fr.read_frame(&mut r).unwrap(), frame(None, "STATS"));
+
+        let mut r = Cursor::new(b"QUERY SELECT 1\n".to_vec());
+        match reader(Envelope::V2).read_frame(&mut r) {
+            Err(FrameError::BadHeader(what)) => assert!(what.contains("@<seq> <len>"), "{what}"),
+            other => panic!("expected BadHeader, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncated_frame_is_unexpected_eof() {
+        for envelope in ENVELOPES {
+            let (wire, _) = payload_frame(envelope, 1, &[b'x'; 100]);
+            // Mid-header and mid-payload.
+            for cut in [3, wire.len() - 40] {
+                let mut r = Cursor::new(wire[..cut].to_vec());
+                match reader(envelope).read_frame(&mut r) {
+                    Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+                    other => panic!("{envelope:?} cut {cut}: expected Io, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn negotiation_flips_the_reader_under_buffered_v2_frames() {
+        // Handshake and the first v2 frames in one segment: the bytes
+        // behind `HELLO v2` are already in the BufRead when the flip
+        // happens.
+        let mut r = Cursor::new(b"HELLO v9\nhello v2\n@1 3\nLAG\n".to_vec());
+        let mut fr = FrameReader::new();
+        let hello = fr.read_frame(&mut r).unwrap().unwrap();
+        assert_eq!(
+            fr.negotiate(&hello),
+            Some(Err("unsupported protocol 'v9' (supported: v2)".into()))
+        );
+        assert_eq!(fr.envelope(), Envelope::V1);
+        let hello = fr.read_frame(&mut r).unwrap().unwrap();
+        assert_eq!(fr.negotiate(&hello), Some(Ok("v2")));
+        let first = fr.read_frame(&mut r).unwrap().unwrap();
+        assert_eq!(Some(first.clone()), frame(Some(1), "LAG"));
+        // Not a handshake: commands, and everything once on v2.
+        assert_eq!(fr.negotiate(&first), None);
+        assert_eq!(fr.negotiate(&hello), None);
+        assert_eq!(fr.envelope(), Envelope::V2);
     }
 
     #[test]
@@ -809,18 +1104,19 @@ mod tests {
     }
 
     #[test]
-    fn response_encoding_round_trip() {
+    fn writer_emits_the_documented_shapes() {
         let mut buf = Vec::new();
-        write_ok(&mut buf, "a,b\n1,2").unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), "+7\na,b\n1,2\n");
-        let mut buf = Vec::new();
-        write_err(&mut buf, codes::EXEC, "no such\ntable").unwrap();
+        write_reply(&mut buf, None, '+', b"a,b\n1,2").unwrap();
+        let err = error_body(codes::EXEC, "no such\ntable");
+        write_reply(&mut buf, None, '-', err.as_bytes()).unwrap();
+        write_reply(&mut buf, Some(3), '+', b"ok 1").unwrap();
+        let err = error_body(codes::BUSY, "queue full\nretry");
+        write_reply(&mut buf, Some(4), '-', err.as_bytes()).unwrap();
+        write_reply(&mut buf, Some(5), '*', b"abc").unwrap();
         assert_eq!(
             String::from_utf8(buf).unwrap(),
-            format!(
-                "-{}\nERR_EXEC no such table\n",
-                "ERR_EXEC no such table".len()
-            )
+            "+7\na,b\n1,2\n-22\nERR_EXEC no such table\n\
+             +3 4\nok 1\n-4 25\nERR_BUSY queue full retry\n*5 3\nabc\n"
         );
     }
 }

@@ -75,7 +75,7 @@ pub struct ServerConfig {
     /// the listener. Use port 0 to let the OS pick (tests do).
     pub metrics_addr: Option<String>,
     /// Largest result body (bytes) a protocol-v2 session will buffer for
-    /// one response. Bodies above [`crate::proto2::V2_CHUNK`] stream as
+    /// one response. Bodies above [`crate::protocol::V2_CHUNK`] stream as
     /// chunks; bodies above this cap are refused with `ERR_OVERSIZED`
     /// instead of being buffered, bounding per-response server memory.
     /// v1 sessions are unaffected (their byte-level behavior is frozen).
@@ -414,7 +414,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
                         match thread::Builder::new()
                             .name(format!("elephant-session-{id}"))
                             .spawn(move || {
-                                run_session(stream, id, router, metrics, shutdown, result_cap)
+                                run_session(stream, id, &router, &metrics, &shutdown, result_cap)
                             }) {
                             Ok(h) => sessions.push(h),
                             Err(_) => {

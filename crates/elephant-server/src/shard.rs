@@ -38,10 +38,16 @@
 //! The per-shard committed-LSN watermarks at gate acquisition (the cut
 //! vector) are recorded on the query's route span for observability.
 //!
-//! Sessions are shard-agnostic: every session talks to the router, which
-//! also owns admission control (bounded wait for a queue slot, then the
-//! retryable `ERR_BUSY` naming the saturated shard so clients can salt
-//! their backoff per shard).
+//! Sessions are shard-agnostic: every session hands its commands to
+//! [`ShardRouter::begin`] and collects replies with [`ShardRouter::finish`]
+//! (or [`ShardRouter::submit`] for commands with cross-command effects).
+//! The router also owns admission control: one function,
+//! [`ShardRouter::admit`], puts jobs on lane queues. A full queue is
+//! answered by one rule — a session with replies in flight settles its
+//! oldest and tries again without sleeping; with nothing in flight the
+//! router waits up to `ADMISSION_WAIT` for a slot and then refuses with the
+//! retryable `ERR_BUSY` naming the saturated shard, so clients can salt
+//! their backoff per shard.
 //!
 //! **Tracing**: the router is where a command becomes a *query*. Every
 //! routed command gets a process-unique `query_id` and a root
@@ -171,40 +177,73 @@ enum Resolution {
     },
 }
 
-/// A command queued through [`ShardRouter::submit_pipelined`] whose reply
-/// has not been collected yet. The executor's reply and the open root
-/// span both live in here until [`ShardRouter::finish_pipelined`].
-pub(crate) struct PendingReply {
-    rx: mpsc::Receiver<Reply>,
+/// A command queued on its shard by [`ShardRouter::begin`] whose reply has
+/// not been collected yet. The executor's reply channel and the open root
+/// span both live in here until [`ShardRouter::finish`].
+pub(crate) struct InFlight {
+    rx: Receiver<Reply>,
     shard: usize,
     ctx: TraceContext,
     started: Instant,
 }
 
-/// What [`ShardRouter::submit_pipelined`] did with a command.
-pub(crate) enum Submission {
+/// What [`ShardRouter::begin`] did with a command.
+pub(crate) enum Begun {
     /// Queued on its shard; the reply is in flight.
-    Pending(PendingReply),
-    /// Not eligible for overlapped execution — the command is handed back
-    /// so the caller can drain its pending replies first and then use the
-    /// synchronous [`ShardRouter::submit`] path.
+    InFlight(InFlight),
+    /// The command has cross-command effects (or is answered by the router
+    /// itself): it is handed back so the session can settle every reply it
+    /// still owes and then run it with [`ShardRouter::submit`].
     Sync(Command),
-    /// The shard's queue is full right now. The command was NOT queued and
-    /// is handed back; the session should settle its oldest in-flight
-    /// reply (proof the executor has freed a slot) and resubmit, falling
-    /// back to the synchronous path — and its bounded admission wait that
-    /// turns sustained overload into `ERR_BUSY` — once nothing is in
-    /// flight. Pipelined admission never sleeps.
+    /// The shard's queue is full right now and the caller said it has
+    /// replies in flight. The command was NOT queued and is handed back:
+    /// settle the oldest in-flight reply (proof the executor has freed a
+    /// slot) and begin again.
     Backpressure(Command),
 }
 
-/// Outcome of the non-blocking admission used by the pipelined path.
-enum TryAdmit {
-    Admitted,
-    /// Queue full: the job is handed back (boxed to keep the variant
-    /// small).
-    Full(Box<Job>),
-    Disconnected,
+/// Where one command runs: the lane, and — when the SQL router made a
+/// decision worth a span of its own — the resolve duration in microseconds
+/// and the placement detail.
+struct Placement {
+    shard: usize,
+    route: Option<(u64, String)>,
+}
+
+impl Placement {
+    fn on(shard: usize) -> Placement {
+        Placement { shard, route: None }
+    }
+}
+
+/// Why [`ShardRouter::admit`] did not queue a job.
+enum Refused {
+    /// The queue stayed full for the whole wait; the job is handed back
+    /// (boxed to keep the variant small).
+    Full { shard: usize, job: Box<Job> },
+    /// The executor thread is gone.
+    Gone,
+}
+
+impl From<Refused> for (&'static str, String) {
+    fn from(refused: Refused) -> Self {
+        match refused {
+            Refused::Full { shard, .. } => (
+                codes::BUSY,
+                format!(
+                    "executor queue full after {} ms (shard={shard}); retry with backoff",
+                    ADMISSION_WAIT.as_millis()
+                ),
+            ),
+            Refused::Gone => (codes::INTERNAL, "executor unavailable".into()),
+        }
+    }
+}
+
+/// Wait for an executor's answer to one queued job.
+fn recv<T>(rx: &Receiver<Result<T, (&'static str, String)>>) -> Result<T, (&'static str, String)> {
+    rx.recv()
+        .map_err(|_| (codes::INTERNAL, "executor dropped the job".to_string()))?
 }
 
 /// Ownership-map updates applied after the owning shard acknowledged the
@@ -351,7 +390,106 @@ impl ShardRouter {
         }
     }
 
-    /// Route one client command and wait for its reply.
+    /// Take one client command from a session. A command whose completion
+    /// changes nothing the *next* command's routing depends on is queued on
+    /// its shard and comes back [`Begun::InFlight`] — the session collects
+    /// the reply later, in order, with [`ShardRouter::finish`], and
+    /// meanwhile overlaps executor work with its own socket I/O. Every
+    /// other command comes back [`Begun::Sync`] for [`ShardRouter::submit`].
+    ///
+    /// Ordering: each shard's queue is FIFO, so two commands begun on the
+    /// same shard execute in submission order. Commands on *different*
+    /// shards may execute concurrently — their replies still return in
+    /// order, and any command whose dependency set spans shards comes back
+    /// `Sync`, which makes the session settle everything first.
+    ///
+    /// Backpressure: with `patient` (the session has nothing in flight to
+    /// settle) a full shard queue is waited on for up to
+    /// [`ADMISSION_WAIT`] and then refused with the retryable `ERR_BUSY`;
+    /// without it admission never sleeps and the command comes back
+    /// [`Begun::Backpressure`], neither queued nor executed.
+    pub(crate) fn begin(
+        &self,
+        session: u64,
+        command: Command,
+        patient: bool,
+    ) -> Result<Begun, (&'static str, String)> {
+        let started = Instant::now();
+        let Some(placement) = self.overlap_lane(session, &command) else {
+            return Ok(Begun::Sync(command));
+        };
+        let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
+        let wait = if patient {
+            ADMISSION_WAIT
+        } else {
+            Duration::ZERO
+        };
+        match self.launch(placement, session, command, query_id, started, wait) {
+            Ok(in_flight) => Ok(Begun::InFlight(in_flight)),
+            Err(Refused::Full { job, .. }) if !patient => {
+                let Job::Command { command, .. } = *job else {
+                    unreachable!("admit hands back the job it was given")
+                };
+                Ok(Begun::Backpressure(command))
+            }
+            Err(refused) => Err(refused.into()),
+        }
+    }
+
+    /// Where `command` may be queued behind the session's back, or `None`
+    /// when the command has cross-command effects. On one shard there is no
+    /// placement to decide and no routing state to change: only the
+    /// router-answered verbs (`TRACE`, `STATS`) and `SHUTDOWN` (kept
+    /// synchronous so a draining pipeline has observed every earlier reply)
+    /// are excluded, and no SQL is parsed here. On several shards the
+    /// overlappable commands are `QUERY`/`EXPLAIN` resolving to one shard
+    /// with no ownership changes, plus `EXECUTE` (pinned at PREPARE time);
+    /// DDL, scatter-gather, 2PC, broadcasts and prepare bookkeeping are not.
+    fn overlap_lane(&self, session: u64, command: &Command) -> Option<Placement> {
+        if self.lanes.len() == 1 {
+            return match command {
+                Command::Trace(_) | Command::Stats | Command::Shutdown => None,
+                _ => Some(Placement::on(0)),
+            };
+        }
+        match command {
+            Command::Query(sql) | Command::Explain { sql, .. } => {
+                let resolve_started = Instant::now();
+                match self.resolve(sql) {
+                    Resolution::Single { shard, changes } if changes.is_empty() => {
+                        let resolve_us = resolve_started.elapsed().as_micros() as u64;
+                        let route = Some((resolve_us, format!("single shard={shard}")));
+                        Some(Placement { shard, route })
+                    }
+                    _ => None,
+                }
+            }
+            Command::Execute { name, .. } => {
+                Some(Placement::on(self.prepared_shard(session, name)))
+            }
+            _ => None,
+        }
+    }
+
+    /// Wait for a begun command's reply and close its root span. Every
+    /// [`InFlight`] must come back through here — dropping one leaks its
+    /// root span as pinned-unfinished in the shard's trace ring.
+    pub(crate) fn finish(&self, in_flight: InFlight) -> Reply {
+        let reply = recv(&in_flight.rx);
+        self.finish_root(
+            in_flight.shard,
+            in_flight.ctx,
+            in_flight.started,
+            reply.is_ok(),
+        );
+        reply
+    }
+
+    /// Run one command [`ShardRouter::begin`] handed back as
+    /// [`Begun::Sync`] and wait for its reply. The session has settled
+    /// every reply it owed first, so whatever this command changes —
+    /// ownership, prepared-statement placement, every shard's session
+    /// state — is in place before the next command is routed.
     pub fn submit(&self, session: u64, command: Command) -> Reply {
         match command {
             // TRACE and STATS are answered by the router itself: they are
@@ -364,9 +502,6 @@ impl ShardRouter {
         }
         let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        if self.lanes.len() == 1 {
-            return self.run_traced(0, session, command, query_id, started, None);
-        }
         match command {
             Command::Query(_) | Command::Explain { .. } => {
                 self.route_sql(session, command, query_id, started)
@@ -423,234 +558,74 @@ impl ShardRouter {
             .unwrap_or(0)
     }
 
-    /// Admit one job to a shard's queue within the bounded admission wait.
+    /// The one way onto a shard's queue: admit `job` within `wait`, keeping
+    /// the queue gauges true. A queue still full when the wait is over
+    /// hands the job back; after a real wait that is a client being
+    /// refused, so it counts as a busy rejection (a zero wait refuses
+    /// nothing yet — the caller retries).
     fn admit(
         &self,
         shard: usize,
         mut job: Job,
         admission: Admission,
-    ) -> Result<(), (&'static str, String)> {
+        wait: Duration,
+    ) -> Result<(), Refused> {
         let lane = &self.lanes[shard];
         if admission == Admission::Client {
             self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
         }
         lane.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let undo = |busy: bool| {
-            if admission == Admission::Client {
-                self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            }
-            lane.stats.dec_queue_depth();
-            if busy {
-                self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        let deadline = Instant::now() + ADMISSION_WAIT;
-        loop {
+        let deadline = Instant::now() + wait;
+        let refused = loop {
             match lane.tx.try_send(job) {
                 Ok(()) => return Ok(()),
-                Err(TrySendError::Full(j)) => {
-                    if Instant::now() >= deadline {
-                        undo(true);
-                        return Err((
-                            codes::BUSY,
-                            format!(
-                                "executor queue full after {} ms (shard={shard}); retry with backoff",
-                                ADMISSION_WAIT.as_millis()
-                            ),
-                        ));
-                    }
+                Err(TrySendError::Full(j)) if Instant::now() < deadline => {
                     job = j;
                     thread::sleep(ADMISSION_POLL);
                 }
-                Err(TrySendError::Disconnected(_)) => {
-                    undo(false);
-                    return Err((codes::INTERNAL, "executor unavailable".into()));
-                }
-            }
-        }
-    }
-
-    /// Run one command on one shard and wait for the reply, threading the
-    /// optional trace context into the job. `counted` says whether this leg
-    /// ticks the per-verb counters — broadcasts fan one client command out
-    /// to every shard and must count it exactly once (shard 0's leg).
-    fn run_on_ctx(
-        &self,
-        shard: usize,
-        session: u64,
-        command: Command,
-        ctx: Option<TraceContext>,
-        counted: bool,
-    ) -> Reply {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.admit(
-            shard,
-            Job::Command {
-                session,
-                command,
-                reply: reply_tx,
-                ctx,
-                enqueued: Instant::now(),
-                counted,
-            },
-            Admission::Client,
-        )?;
-        reply_rx
-            .recv()
-            .map_err(|_| (codes::INTERNAL, "executor dropped the job".to_string()))?
-    }
-
-    /// Route one client command WITHOUT waiting for its reply, so a
-    /// pipelining session can overlap executor work with its own socket
-    /// I/O. Eligible commands are queued on their shard and come back as
-    /// [`Submission::Pending`]; collect the reply (in submission order)
-    /// with [`ShardRouter::finish_pipelined`].
-    ///
-    /// Eligibility is about cross-command effects: a command may only be
-    /// queued behind-the-back if nothing the *next* command's routing
-    /// depends on changes when it completes. On a single shard that is
-    /// every verb except the router-answered ones (`TRACE`, `STATS`) and
-    /// `SHUTDOWN` (kept synchronous so a draining pipeline has observed
-    /// every earlier reply). On a multi-shard router it is `QUERY`/
-    /// `EXPLAIN` resolving to one shard with no ownership changes, plus
-    /// `EXECUTE` (pinned at PREPARE time) — DDL, scatter-gather, 2PC,
-    /// broadcasts, and prepare bookkeeping are handed back as
-    /// [`Submission::Sync`] for the ordinary [`ShardRouter::submit`] path.
-    ///
-    /// Ordering: each shard's queue is FIFO, so two pipelined commands on
-    /// the same shard execute in submission order. Commands on *different*
-    /// shards may execute concurrently — their replies still return in
-    /// order, and any command whose dependency set spans shards comes back
-    /// `Sync`, which makes the caller drain first.
-    ///
-    /// Admission here never sleeps: a full shard queue hands the command
-    /// back as [`Submission::Backpressure`] (not queued, not executed)
-    /// instead of polling inside the bounded admission wait.
-    pub(crate) fn submit_pipelined(
-        &self,
-        session: u64,
-        command: Command,
-    ) -> Result<Submission, (&'static str, String)> {
-        if self.lanes.len() == 1 {
-            return match command {
-                Command::Trace(_) | Command::Stats | Command::Shutdown => {
-                    Ok(Submission::Sync(command))
-                }
-                _ => self.start_pipelined(0, session, command, None),
-            };
-        }
-        match command {
-            Command::Query(_) | Command::Explain { .. } => {
-                let sql = match &command {
-                    Command::Query(sql) | Command::Explain { sql, .. } => sql.clone(),
-                    _ => unreachable!("matched above"),
-                };
-                let resolve_started = Instant::now();
-                match self.resolve(&sql) {
-                    Resolution::Single { shard, changes } if changes.is_empty() => {
-                        let resolve_us = resolve_started.elapsed().as_micros() as u64;
-                        let router = Some((resolve_us, format!("single shard={shard}")));
-                        self.start_pipelined(shard, session, command, router)
+                Err(TrySendError::Full(j)) => {
+                    if !wait.is_zero() {
+                        self.metrics.busy_rejections.fetch_add(1, Ordering::Relaxed);
                     }
-                    _ => Ok(Submission::Sync(command)),
+                    break Refused::Full {
+                        shard,
+                        job: Box::new(j),
+                    };
                 }
+                Err(TrySendError::Disconnected(_)) => break Refused::Gone,
             }
-            Command::Execute { ref name, .. } => {
-                let shard = self.prepared_shard(session, name);
-                self.start_pipelined(shard, session, command, None)
-            }
-            _ => Ok(Submission::Sync(command)),
+        };
+        if admission == Admission::Client {
+            self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         }
+        lane.stats.dec_queue_depth();
+        Err(refused)
     }
 
-    /// Open the root span and queue one pipelined command; the reply stays
-    /// in flight inside the returned [`PendingReply`].
-    fn start_pipelined(
+    /// Queue one command job on `shard` under the open root span `ctx`; the
+    /// reply arrives on the returned channel. `counted` says whether this
+    /// leg ticks the per-verb counters — broadcasts fan one client command
+    /// out to every shard and must count it exactly once (shard 0's leg).
+    fn send_command(
         &self,
         shard: usize,
         session: u64,
         command: Command,
-        router: Option<(u64, String)>,
-    ) -> Result<Submission, (&'static str, String)> {
-        let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let ctx = self.begin_root(shard, query_id, &command);
-        if let Some((us, detail)) = router {
-            self.lanes[shard].ring.record(SpanRecord::child(
-                ctx,
-                SpanKind::Router,
-                shard as u16,
-                "route",
-                &detail,
-                us,
-                true,
-            ));
-        }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        match self.try_admit(
-            shard,
-            Job::Command {
-                session,
-                command,
-                reply: reply_tx,
-                ctx: Some(ctx),
-                enqueued: Instant::now(),
-                counted: true,
-            },
-        ) {
-            TryAdmit::Admitted => Ok(Submission::Pending(PendingReply {
-                rx: reply_rx,
-                shard,
-                ctx,
-                started,
-            })),
-            TryAdmit::Full(job) => {
-                self.finish_root(shard, ctx, started, false);
-                let Job::Command { command, .. } = *job else {
-                    unreachable!("try_admit round-trips the job it was given")
-                };
-                Ok(Submission::Backpressure(command))
-            }
-            TryAdmit::Disconnected => {
-                self.finish_root(shard, ctx, started, false);
-                Err((codes::INTERNAL, "executor unavailable".into()))
-            }
-        }
-    }
-
-    /// One-shot admission for the pipelined path: a single `try_send` with
-    /// the usual queue-gauge accounting but no bounded wait — a full queue
-    /// hands the job back for the caller to handle without sleeping, and
-    /// does not count as a busy rejection (nothing was refused to a
-    /// client yet).
-    fn try_admit(&self, shard: usize, job: Job) -> TryAdmit {
-        let lane = &self.lanes[shard];
-        self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-        lane.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-        match lane.tx.try_send(job) {
-            Ok(()) => TryAdmit::Admitted,
-            Err(e) => {
-                self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                lane.stats.dec_queue_depth();
-                match e {
-                    TrySendError::Full(job) => TryAdmit::Full(Box::new(job)),
-                    TrySendError::Disconnected(_) => TryAdmit::Disconnected,
-                }
-            }
-        }
-    }
-
-    /// Wait for a pipelined command's reply and close its root span. Every
-    /// [`PendingReply`] must come back through here — dropping one leaks
-    /// its root span as pinned-unfinished in the shard's trace ring.
-    pub(crate) fn finish_pipelined(&self, pending: PendingReply) -> Reply {
-        let reply = pending
-            .rx
-            .recv()
-            .map_err(|_| (codes::INTERNAL, "executor dropped the job".to_string()))
-            .and_then(|r| r);
-        self.finish_root(pending.shard, pending.ctx, pending.started, reply.is_ok());
-        reply
+        ctx: TraceContext,
+        counted: bool,
+        wait: Duration,
+    ) -> Result<Receiver<Reply>, Refused> {
+        let (reply, reply_rx) = mpsc::channel();
+        let job = Job::Command {
+            session,
+            command,
+            reply,
+            ctx: Some(ctx),
+            enqueued: Instant::now(),
+            counted,
+        };
+        self.admit(shard, job, Admission::Client, wait)?;
+        Ok(reply_rx)
     }
 
     /// Open a root span for `query_id` on `shard`'s ring; returns the
@@ -675,20 +650,20 @@ impl ShardRouter {
         );
     }
 
-    /// Run one command under a fresh root span on `shard`. `router` carries
-    /// the resolve duration and placement detail when the SQL router made a
-    /// decision worth a span of its own.
-    fn run_traced(
+    /// Open a fresh root span on the placement's shard and queue one command
+    /// under it. A refused command's root is closed as failed before the
+    /// refusal is returned.
+    fn launch(
         &self,
-        shard: usize,
+        Placement { shard, route }: Placement,
         session: u64,
         command: Command,
         query_id: u64,
         started: Instant,
-        router: Option<(u64, String)>,
-    ) -> Reply {
+        wait: Duration,
+    ) -> Result<InFlight, Refused> {
         let ctx = self.begin_root(shard, query_id, &command);
-        if let Some((us, detail)) = router {
+        if let Some((us, detail)) = route {
             self.lanes[shard].ring.record(SpanRecord::child(
                 ctx,
                 SpanKind::Router,
@@ -699,9 +674,41 @@ impl ShardRouter {
                 true,
             ));
         }
-        let reply = self.run_on_ctx(shard, session, command, Some(ctx), true);
-        self.finish_root(shard, ctx, started, reply.is_ok());
-        reply
+        match self.send_command(shard, session, command, ctx, true, wait) {
+            Ok(rx) => Ok(InFlight {
+                rx,
+                shard,
+                ctx,
+                started,
+            }),
+            Err(refused) => {
+                self.finish_root(shard, ctx, started, false);
+                Err(refused)
+            }
+        }
+    }
+
+    /// Run one command under a fresh root span on `shard` and wait for its
+    /// reply, within the bounded admission wait.
+    fn run_traced(
+        &self,
+        shard: usize,
+        session: u64,
+        command: Command,
+        query_id: u64,
+        started: Instant,
+        route: Option<(u64, String)>,
+    ) -> Reply {
+        let placement = Placement { shard, route };
+        let in_flight = self.launch(
+            placement,
+            session,
+            command,
+            query_id,
+            started,
+            ADMISSION_WAIT,
+        )?;
+        self.finish(in_flight)
     }
 
     /// Resolve the dependency set of a (possibly `;`-separated) SQL text
@@ -1080,11 +1087,11 @@ impl ShardRouter {
                 ctx: Some(ctx),
                 enqueued: Instant::now(),
             };
-            if let Err(e) = self.admit(shard, job, Admission::Client) {
+            if let Err(refused) = self.admit(shard, job, Admission::Client, ADMISSION_WAIT) {
                 // This shard never saw the transaction; everyone who did
                 // gets an explicit abort verdict.
                 self.abort_legs(txn_id, &legs, ctx, root_shard);
-                return Err(e);
+                return Err(refused.into());
             }
             legs.push(TxnLeg {
                 shard,
@@ -1374,44 +1381,33 @@ impl ShardRouter {
         // Scatter: all exports run in parallel on their shard threads.
         let mut waits = Vec::with_capacity(per_shard.len());
         for (shard, names) in per_shard {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            self.admit(
-                shard,
-                Job::ExportTables {
-                    names,
-                    reply: reply_tx,
-                    ctx: Some(ctx),
-                },
-                Admission::Internal,
-            )?;
+            let (reply, reply_rx) = mpsc::channel();
+            let job = Job::ExportTables {
+                names,
+                reply,
+                ctx: Some(ctx),
+            };
+            self.admit(shard, job, Admission::Internal, ADMISSION_WAIT)?;
             waits.push(reply_rx);
         }
         let mut images: Vec<TableImage> = Vec::new();
         for reply_rx in waits {
-            let exported = reply_rx
-                .recv()
-                .map_err(|_| (codes::INTERNAL, "executor dropped the job".to_string()))??;
-            images.extend(exported);
+            images.extend(recv(&reply_rx)?);
         }
         self.scatter_gathers.fetch_add(1, Ordering::Relaxed);
         // Gather: the coordinator installs the images, runs the query, and
         // removes them before answering.
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.admit(
-            coordinator,
-            Job::Gather {
-                session,
-                command,
-                images,
-                reply: reply_tx,
-                ctx: Some(ctx),
-                enqueued: Instant::now(),
-            },
-            Admission::Client,
-        )?;
-        reply_rx
-            .recv()
-            .map_err(|_| (codes::INTERNAL, "executor dropped the job".to_string()))?
+        let (reply, reply_rx) = mpsc::channel();
+        let job = Job::Gather {
+            session,
+            command,
+            images,
+            reply,
+            ctx: Some(ctx),
+            enqueued: Instant::now(),
+        };
+        self.admit(coordinator, job, Admission::Client, ADMISSION_WAIT)?;
+        recv(&reply_rx)
     }
 
     /// Apply DDL ownership changes after the owning shard acknowledged.
@@ -1445,24 +1441,25 @@ impl ShardRouter {
         started: Instant,
     ) -> Reply {
         let ctx = self.begin_root(0, query_id, &command);
-        let mut reply: Reply = Ok(String::new());
-        let mut first: Option<String> = None;
-        for shard in 0..self.lanes.len() {
-            match self.run_on_ctx(shard, session, command.clone(), Some(ctx), shard == 0) {
-                Ok(body) => {
-                    first.get_or_insert(body);
-                }
-                Err(e) => {
-                    reply = Err(e);
-                    break;
-                }
-            }
-        }
-        if reply.is_ok() {
-            reply = Ok(first.unwrap_or_default());
-        }
+        let reply = self.broadcast_set_inner(session, command, ctx);
         self.finish_root(0, ctx, started, reply.is_ok());
         reply
+    }
+
+    fn broadcast_set_inner(&self, session: u64, command: Command, ctx: TraceContext) -> Reply {
+        let mut first: Option<String> = None;
+        for shard in 0..self.lanes.len() {
+            let reply_rx = self.send_command(
+                shard,
+                session,
+                command.clone(),
+                ctx,
+                shard == 0,
+                ADMISSION_WAIT,
+            )?;
+            first.get_or_insert(recv(&reply_rx)?);
+        }
+        Ok(first.unwrap_or_default())
     }
 
     /// `CHECKPOINT` runs on every shard in parallel; the per-shard summary
@@ -1477,30 +1474,21 @@ impl ShardRouter {
     fn broadcast_checkpoint_inner(&self, session: u64, ctx: TraceContext) -> Reply {
         let mut waits = Vec::with_capacity(self.lanes.len());
         for shard in 0..self.lanes.len() {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            self.admit(
+            // One client CHECKPOINT counts once, not once per shard.
+            waits.push(self.send_command(
                 shard,
-                Job::Command {
-                    session,
-                    command: Command::Checkpoint,
-                    reply: reply_tx,
-                    ctx: Some(ctx),
-                    enqueued: Instant::now(),
-                    // One client CHECKPOINT counts once, not once per shard.
-                    counted: shard == 0,
-                },
-                Admission::Client,
-            )?;
-            waits.push(reply_rx);
+                session,
+                Command::Checkpoint,
+                ctx,
+                shard == 0,
+                ADMISSION_WAIT,
+            )?);
         }
-        let mut bodies = Vec::with_capacity(waits.len());
-        for reply_rx in waits {
-            bodies.push(
-                reply_rx
-                    .recv()
-                    .map_err(|_| (codes::INTERNAL, "executor dropped the job".to_string()))??,
-            );
-        }
+        // Every leg is waited for before the first failure is reported: the
+        // root span must not close, nor the client's next command read
+        // STATS, over a leg that is still queued.
+        let replies: Vec<Reply> = waits.iter().map(recv).collect();
+        let mut bodies = replies.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(sum_checkpoints(&bodies).unwrap_or_else(|| bodies.swap_remove(0)))
     }
 
@@ -1711,6 +1699,69 @@ fn sum_checkpoints(bodies: &[String]) -> Option<String> {
         "checkpoint tables={} rows={} snapshot_bytes={} wal_truncated={}",
         totals[0], totals[1], totals[2], totals[3]
     ))
+}
+
+/// Test scaffolding shared by this crate's unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use crate::executor::{self, ExecutorConfig};
+    use std::path::Path;
+    use std::sync::atomic::AtomicBool;
+    use std::thread::JoinHandle;
+
+    /// A router over `shards` executors built the way `start()` builds
+    /// them: durable under `dir` (one `shard-{k}` subdirectory each) or
+    /// volatile without. Returns the router, its server counters and the
+    /// executor threads, which exit once the router is dropped.
+    pub(crate) fn router_on(
+        dir: Option<&Path>,
+        shards: usize,
+    ) -> (ShardRouter, Arc<Metrics>, Vec<JoinHandle<()>>) {
+        let metrics = Arc::new(Metrics::default());
+        let repl = Arc::new(ReplState::standalone());
+        let mut lanes = Vec::new();
+        let mut recovered_per_shard = Vec::new();
+        let mut joins = Vec::new();
+        for shard_id in 0..shards {
+            let stats = Arc::new(ShardStats::default());
+            let ring = Arc::new(SharedSpanRing::new(64));
+            let (tx, join, wal, recovered) = executor::spawn(
+                ExecutorConfig {
+                    in_memory: true,
+                    exec_mode: sqlengine::ExecMode::default(),
+                    files: Vec::new(),
+                    queue_capacity: 4,
+                    data_dir: dir.map(|d| d.join(format!("shard-{shard_id}"))),
+                    fsync: sqlengine::FsyncPolicy::Always,
+                    slow_query_us: None,
+                    statement_timeout_ms: None,
+                    auto_checkpoint_wal_bytes: None,
+                    repl: Arc::clone(&repl),
+                    shard_id,
+                    lane: Arc::clone(&stats),
+                    ring: Arc::clone(&ring),
+                    txn_decisions: HashMap::new(),
+                },
+                Arc::clone(&metrics),
+                Arc::new(AtomicBool::new(false)),
+            )
+            .expect("executor spawns");
+            lanes.push(Lane {
+                tx,
+                stats,
+                ring,
+                wal,
+            });
+            recovered_per_shard.push(recovered);
+            joins.push(join);
+        }
+        let router = ShardRouter::new(lanes, Arc::clone(&metrics), repl, None);
+        for (shard, names) in recovered_per_shard.iter().enumerate() {
+            router.seed(shard, names);
+        }
+        (router, metrics, joins)
+    }
 }
 
 #[cfg(test)]

@@ -798,10 +798,10 @@ pub fn read_wal(path: &Path) -> Result<WalReadOutcome> {
 mod tests {
     use super::*;
 
-    /// The failpoint registry is process-global; tests that arm
-    /// `wal.fsync` serialize on this so one test's `error_once` cannot be
-    /// consumed by another's sync.
-    static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // No test in this binary may arm a failpoint: the registry is
+    // process-global and these tests fsync concurrently, so an armed
+    // `wal.fsync=error_once` would be consumed by whichever sync comes
+    // first. Failpoint tests live in `tests/faults.rs`, which serializes.
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("elwal-test-{}-{name}", std::process::id()));
@@ -955,31 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_fsync_never_advances_watermark() {
-        let _guard = FAULT_LOCK.lock().unwrap();
-        let path = tmp("sharedfail");
-        let mut w = WalWriter::open(&path, FsyncPolicy::Always, 0, 1).unwrap();
-        let shared = w.shared();
-        w.append(&WalRecord::DropTable { name: "x".into() })
-            .unwrap();
-        assert_eq!(shared.committed_lsn(), 1);
-        etypes::fault::configure("wal.fsync=error_once").unwrap();
-        let err = w.append(&WalRecord::DropTable { name: "y".into() });
-        etypes::fault::clear("wal.fsync");
-        assert!(err.is_err());
-        assert_eq!(
-            shared.committed_lsn(),
-            1,
-            "rolled-back frame must not be shippable"
-        );
-        let lsn = w
-            .append(&WalRecord::DropTable { name: "z".into() })
-            .unwrap();
-        assert_eq!(lsn, 2, "LSN reused after rollback");
-        assert_eq!(shared.committed_lsn(), 2);
-    }
-
-    #[test]
     fn frame_codec_round_trips_and_rejects_corruption() {
         for (i, rec) in sample_records().iter().enumerate() {
             let lsn = (i + 1) as u64;
@@ -1047,72 +1022,6 @@ mod tests {
         assert_eq!(w.group_pending(), 0);
         assert_eq!(w.end_group().unwrap(), 0);
         assert_eq!(w.stats().group_commits, 0);
-    }
-
-    #[test]
-    fn failed_group_fsync_rolls_back_whole_batch() {
-        let _guard = FAULT_LOCK.lock().unwrap();
-        let path = tmp("groupfail");
-        let mut w = WalWriter::open(&path, FsyncPolicy::Always, 0, 1).unwrap();
-        let shared = w.shared();
-        w.append(&WalRecord::DropTable { name: "pre".into() })
-            .unwrap();
-        let bytes_before = w.stats().bytes;
-        w.begin_group();
-        w.append(&WalRecord::DropTable { name: "a".into() })
-            .unwrap();
-        w.append(&WalRecord::DropTable { name: "b".into() })
-            .unwrap();
-        etypes::fault::configure("wal.fsync=error_once").unwrap();
-        let err = w.end_group();
-        etypes::fault::clear("wal.fsync");
-        assert!(err.is_err());
-        assert_eq!(
-            shared.committed_lsn(),
-            1,
-            "rolled-back batch never acknowledged"
-        );
-        assert_eq!(w.stats().bytes, bytes_before, "batch frames cut back out");
-        assert_eq!(w.stats().records_appended, 1);
-        // LSNs are reused, the writer keeps working.
-        let lsn = w
-            .append(&WalRecord::DropTable { name: "c".into() })
-            .unwrap();
-        assert_eq!(lsn, 2);
-        drop(w);
-        let out = read_wal(&path).unwrap();
-        assert_eq!(out.records.len(), 2);
-        assert_eq!(out.torn_bytes, 0);
-    }
-
-    #[test]
-    fn truncate_inside_group_reanchors_window() {
-        let _guard = FAULT_LOCK.lock().unwrap();
-        let path = tmp("grouptrunc");
-        let mut w = WalWriter::open(&path, FsyncPolicy::Always, 0, 1).unwrap();
-        let shared = w.shared();
-        w.begin_group();
-        w.append(&WalRecord::DropTable { name: "a".into() })
-            .unwrap();
-        w.truncate().unwrap();
-        assert_eq!(
-            shared.committed_lsn(),
-            1,
-            "snapshot-covered record acknowledged"
-        );
-        assert_eq!(w.group_pending(), 0);
-        w.append(&WalRecord::DropTable { name: "b".into() })
-            .unwrap();
-        etypes::fault::configure("wal.fsync=error_once").unwrap();
-        let err = w.end_group();
-        etypes::fault::clear("wal.fsync");
-        assert!(err.is_err());
-        assert_eq!(
-            shared.committed_lsn(),
-            1,
-            "only the post-truncate record unwound"
-        );
-        assert_eq!(w.stats().bytes, WAL_MAGIC.len() as u64);
     }
 
     fn txn_records() -> Vec<WalRecord> {

@@ -1,13 +1,14 @@
 //! Failpoint-driven fault injection tests for the storage layer.
 //!
 //! These live in their own integration binary (not the crate's unit tests)
-//! because the fault registry is process-global: arming `wal.append` here
-//! must not be visible to the regular WAL round-trip tests running in the
-//! lib test binary. Within this binary, every test serializes on
+//! because the fault registry is process-global: arming `wal.append` or
+//! `wal.fsync` here must not be visible to the regular WAL round-trip tests
+//! running in the lib test binary, which fsync concurrently and would
+//! consume an `error_once`. Within this binary, every test serializes on
 //! `TEST_LOCK`.
 
 use elephant_store::snapshot::{load_snapshot, write_snapshot};
-use elephant_store::wal::{read_wal, WalRecord, WalWriter};
+use elephant_store::wal::{read_wal, WalRecord, WalWriter, WAL_MAGIC};
 use elephant_store::{FsyncPolicy, Store, StoreConfig, StoreError, TableImage};
 use etypes::fault::{self, FaultPolicy};
 use etypes::{DataType, Value};
@@ -265,4 +266,94 @@ fn midfile_corruption_recovers_prefix_and_resumes() {
     let (_s, tables, report) = Store::open(cfg).unwrap();
     assert_eq!(report.wal_records_applied, 2);
     assert_eq!(tables[0].rows, vec![vec![Value::Int(9)]]);
+}
+#[test]
+fn failed_fsync_never_advances_watermark() {
+    let _g = locked();
+    let path = tmp_dir("sharedfail").join("wal.log");
+    let mut w = WalWriter::open(&path, FsyncPolicy::Always, 0, 1).unwrap();
+    let shared = w.shared();
+    w.append(&WalRecord::DropTable { name: "x".into() })
+        .unwrap();
+    assert_eq!(shared.committed_lsn(), 1);
+    fault::configure("wal.fsync=error_once").unwrap();
+    let err = w.append(&WalRecord::DropTable { name: "y".into() });
+    fault::clear("wal.fsync");
+    assert!(err.is_err());
+    assert_eq!(
+        shared.committed_lsn(),
+        1,
+        "rolled-back frame must not be shippable"
+    );
+    let lsn = w
+        .append(&WalRecord::DropTable { name: "z".into() })
+        .unwrap();
+    assert_eq!(lsn, 2, "LSN reused after rollback");
+    assert_eq!(shared.committed_lsn(), 2);
+}
+
+#[test]
+fn failed_group_fsync_rolls_back_whole_batch() {
+    let _g = locked();
+    let path = tmp_dir("groupfail").join("wal.log");
+    let mut w = WalWriter::open(&path, FsyncPolicy::Always, 0, 1).unwrap();
+    let shared = w.shared();
+    w.append(&WalRecord::DropTable { name: "pre".into() })
+        .unwrap();
+    let bytes_before = w.stats().bytes;
+    w.begin_group();
+    w.append(&WalRecord::DropTable { name: "a".into() })
+        .unwrap();
+    w.append(&WalRecord::DropTable { name: "b".into() })
+        .unwrap();
+    fault::configure("wal.fsync=error_once").unwrap();
+    let err = w.end_group();
+    fault::clear("wal.fsync");
+    assert!(err.is_err());
+    assert_eq!(
+        shared.committed_lsn(),
+        1,
+        "rolled-back batch never acknowledged"
+    );
+    assert_eq!(w.stats().bytes, bytes_before, "batch frames cut back out");
+    assert_eq!(w.stats().records_appended, 1);
+    // LSNs are reused, the writer keeps working.
+    let lsn = w
+        .append(&WalRecord::DropTable { name: "c".into() })
+        .unwrap();
+    assert_eq!(lsn, 2);
+    drop(w);
+    let out = read_wal(&path).unwrap();
+    assert_eq!(out.records.len(), 2);
+    assert_eq!(out.torn_bytes, 0);
+}
+
+#[test]
+fn truncate_inside_group_reanchors_window() {
+    let _g = locked();
+    let path = tmp_dir("grouptrunc").join("wal.log");
+    let mut w = WalWriter::open(&path, FsyncPolicy::Always, 0, 1).unwrap();
+    let shared = w.shared();
+    w.begin_group();
+    w.append(&WalRecord::DropTable { name: "a".into() })
+        .unwrap();
+    w.truncate().unwrap();
+    assert_eq!(
+        shared.committed_lsn(),
+        1,
+        "snapshot-covered record acknowledged"
+    );
+    assert_eq!(w.group_pending(), 0);
+    w.append(&WalRecord::DropTable { name: "b".into() })
+        .unwrap();
+    fault::configure("wal.fsync=error_once").unwrap();
+    let err = w.end_group();
+    fault::clear("wal.fsync");
+    assert!(err.is_err());
+    assert_eq!(
+        shared.committed_lsn(),
+        1,
+        "only the post-truncate record unwound"
+    );
+    assert_eq!(w.stats().bytes, WAL_MAGIC.len() as u64);
 }

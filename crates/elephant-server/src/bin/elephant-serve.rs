@@ -10,9 +10,14 @@
 //!                [--max-result-buffer-bytes N]
 //! ```
 //!
-//! `--exec-mode row|columnar|auto` picks the default query execution
-//! engine (row-at-a-time, batch-at-a-time columnar, or plan-driven
-//! choice); clients override it per session with `SET exec_mode <mode>`.
+//! `--exec-mode row|columnar|auto` picks the sessions' query execution
+//! engine; clients override it per session with `SET exec_mode <mode>`.
+//! The default is `auto`: a plan whose every operator is vectorized runs
+//! batch-at-a-time on the columnar engine, any other plan (window
+//! functions, `unnest`, cross joins) runs on the row engine — so an
+//! `INSPECT` runs its window / unnest stages row-at-a-time and its
+//! histogram queries vectorized. `columnar` vectorizes every plan and
+//! bridges the unvectorized subtrees; `row` is the row-at-a-time oracle.
 //!
 //! By default binds 127.0.0.1:5462, uses the in-memory profile, and
 //! pre-registers the standard synthetic pipeline datasets so `INSPECT`
@@ -109,7 +114,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: elephant-serve [--addr HOST:PORT] [--disk] \
-                     [--exec-mode row|columnar|auto] [--rows N] \
+                     [--exec-mode row|columnar|auto (default auto: vectorized when \
+                     the whole plan is, row engine otherwise)] [--rows N] \
                      [--seed N] [--queue N] [--no-data] [--data-dir PATH] \
                      [--fsync always|off|every_n:N] [--slow-query-us N] \
                      [--statement-timeout-ms N] [--repl-addr HOST:PORT] \

@@ -76,8 +76,9 @@ fn stock_pipelines_report_identically_under_columnar_execution() {
         ("@adult complex", &["race", "sex"]),
     ];
 
-    // Row engine first (the server default), then the same session switched
-    // to columnar; the engine is shared, so reports must match run-to-run.
+    // Row engine first, then the same session switched to columnar; the
+    // engine is shared, so reports must match run-to-run.
+    assert_eq!(c.send("SET exec_mode row").unwrap(), "set exec_mode row");
     let mut row_reports = Vec::new();
     for (pipeline, columns) in &pipelines {
         let report = c.inspect(columns, 0.3, pipeline).unwrap();
@@ -142,7 +143,7 @@ fn set_exec_mode_is_session_scoped() {
     a.send("SET exec_mode columnar").unwrap();
     assert!(a.stats().unwrap().contains("exec_mode columnar"));
     // Session b still reports the server default.
-    assert!(b.stats().unwrap().contains("exec_mode row"));
+    assert!(b.stats().unwrap().contains("exec_mode auto"));
     assert_eq!(b.query_raw("SELECT sum(x) AS s FROM t").unwrap(), "s\n6\n");
     assert_eq!(a.query_raw("SELECT sum(x) AS s FROM t").unwrap(), "s\n6\n");
 
@@ -152,14 +153,76 @@ fn set_exec_mode_is_session_scoped() {
     handle.join();
 }
 
-/// Served reports equal the golden fixtures under both execution modes, and
-/// a second INSPECT on the same session equals the first: nothing one run
-/// leaves behind reaches the next.
+/// A default server serves analytics from the vectorized engine: grouping
+/// and an equi-join execute batches without ever bridging, and a plan with
+/// an unvectorized operator runs on the row engine outright.
+#[test]
+fn default_server_runs_vectorized_plans_columnar_and_never_bridges() {
+    let handle = start(ServerConfig::default()).unwrap();
+    let mut c = ElephantClient::connect(handle.local_addr()).unwrap();
+    c.query_raw("CREATE TABLE f (g int, a int)").unwrap();
+    c.query_raw("INSERT INTO f VALUES (0, 1), (1, 2), (0, 3), (NULL, 4)")
+        .unwrap();
+    c.query_raw("CREATE TABLE d (g int, label text)").unwrap();
+    c.query_raw("INSERT INTO d VALUES (0, 'zero'), (1, 'one')")
+        .unwrap();
+    let counters = |c: &mut ElephantClient| {
+        let stats = c.stats().unwrap();
+        (
+            stat(&stats, "batches_executed"),
+            stat(&stats, "colexec_fallbacks"),
+        )
+    };
+
+    let (before, _) = counters(&mut c);
+    assert_eq!(
+        c.query_raw("SELECT g, count(*) AS n, sum(a) AS s FROM f GROUP BY g ORDER BY g")
+            .unwrap(),
+        "g,n,s\n0,2,4\n1,1,2\n,1,4\n"
+    );
+    let (after_group, fallbacks) = counters(&mut c);
+    assert!(after_group > before, "GROUP BY executed no batches");
+    assert_eq!(fallbacks, 0);
+    assert_eq!(
+        c.query_raw(
+            "SELECT d.label, sum(f.a) AS s FROM f INNER JOIN d ON f.g = d.g \
+             GROUP BY d.label ORDER BY d.label"
+        )
+        .unwrap(),
+        "label,s\none,2\nzero,4\n"
+    );
+    let (after_join, fallbacks) = counters(&mut c);
+    assert!(after_join > after_group, "equi-join executed no batches");
+    assert_eq!(fallbacks, 0);
+
+    // Auto never bridges: a window or an unnest anywhere in the plan sends
+    // the whole plan to the row engine.
+    assert_eq!(
+        c.query_raw("SELECT a, row_number() OVER (ORDER BY a) AS rn FROM f ORDER BY a LIMIT 2")
+            .unwrap(),
+        "a,rn\n1,1\n2,2\n"
+    );
+    assert_eq!(
+        c.query_raw("SELECT unnest(ids) AS u FROM (SELECT array_agg(a) AS ids FROM f) AS x")
+            .unwrap(),
+        "u\n1\n2\n3\n4\n"
+    );
+    assert_eq!(counters(&mut c), (after_join, 0));
+
+    c.shutdown().unwrap();
+    drop(c);
+    handle.join();
+}
+
+/// Served reports equal the golden fixtures under every execution mode, the
+/// default included, and a second INSPECT on the same session equals the
+/// first: nothing one run leaves behind reaches the next.
 #[test]
 fn served_reports_match_the_golden_fixtures() {
     let handle = start(golden_config()).unwrap();
     let mut c = ElephantClient::connect(handle.local_addr()).unwrap();
-    for exec_mode in ["row", "columnar"] {
+    assert!(c.stats().unwrap().contains("exec_mode auto"));
+    for exec_mode in ["auto", "row", "columnar"] {
         c.send(&format!("SET exec_mode {exec_mode}")).unwrap();
         for pass in 0..2 {
             for (pipeline, columns, golden) in GOLDEN {

@@ -195,14 +195,15 @@ fn trace_and_explain_analyze_over_the_wire() {
         .unwrap();
 
     // EXPLAIN ANALYZE executes and annotates every operator with its real
-    // cardinality — 2 rows survive the filter, 1 comes out of the agg.
+    // cardinality — 2 rows survive the filter, 1 comes out of the agg — and,
+    // the plan being vectorized on a default server, its batch count.
     let analyzed = c
         .explain_analyze("SELECT count(*) AS n FROM t WHERE b >= 20")
         .unwrap();
     assert!(analyzed.contains("Aggregate"), "{analyzed}");
-    assert!(analyzed.contains("(rows=1 time="), "{analyzed}");
+    assert!(analyzed.contains("(rows=1 batches=1 time="), "{analyzed}");
     assert!(analyzed.contains("Filter"), "{analyzed}");
-    assert!(analyzed.contains("(rows=2 time="), "{analyzed}");
+    assert!(analyzed.contains("(rows=2 batches=1 time="), "{analyzed}");
     assert!(analyzed.contains("Execution: rows=1 time="), "{analyzed}");
     // Plain EXPLAIN still renders the unannotated plan.
     let plain = c
@@ -264,7 +265,7 @@ fn trace_and_explain_analyze_over_the_wire() {
         .query_raw("EXPLAIN ANALYZE SELECT count(*) AS n FROM t WHERE b >= 20")
         .unwrap();
     assert!(via_query.starts_with("QUERY PLAN\n"), "{via_query}");
-    assert!(via_query.contains("(rows=2 time="), "{via_query}");
+    assert!(via_query.contains("(rows=2 batches=1 time="), "{via_query}");
 
     c.shutdown().unwrap();
     drop(c);

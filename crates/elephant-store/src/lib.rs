@@ -164,6 +164,35 @@ pub struct TableImage {
     pub rows: Vec<Vec<Value>>,
 }
 
+/// A borrowed [`TableImage`]: what a checkpoint encodes from, so an engine
+/// can snapshot its live heap without cloning it first. Recovery still
+/// returns owned images; `&TableImage` converts.
+#[derive(Debug, Clone, Copy)]
+pub struct TableView<'a> {
+    /// Table name.
+    pub name: &'a str,
+    /// Column names in order.
+    pub columns: &'a [String],
+    /// Column types in order.
+    pub types: &'a [DataType],
+    /// Next value per serial column `(column index, next value)`.
+    pub serial_next: &'a [(usize, i64)],
+    /// Row-major tuples; position is the ctid.
+    pub rows: &'a [Vec<Value>],
+}
+
+impl<'a> From<&'a TableImage> for TableView<'a> {
+    fn from(image: &'a TableImage) -> TableView<'a> {
+        TableView {
+            name: &image.name,
+            columns: &image.columns,
+            types: &image.types,
+            serial_next: &image.serial_next,
+            rows: &image.rows,
+        }
+    }
+}
+
 impl TableImage {
     /// An empty image with the given schema (serial counters start at 1).
     pub fn empty(
@@ -528,12 +557,16 @@ impl Store {
     /// Write a snapshot of `tables` and truncate the WAL. The snapshot
     /// covers every record logged so far; replay after this checkpoint
     /// starts from the snapshot alone.
-    pub fn checkpoint(&mut self, tables: &[&TableImage]) -> Result<CheckpointStats> {
+    pub fn checkpoint<'a, T>(&mut self, tables: &[T]) -> Result<CheckpointStats>
+    where
+        T: Into<TableView<'a>> + Copy,
+    {
+        let tables: Vec<TableView<'a>> = tables.iter().map(|&t| t.into()).collect();
         // Everything logged so far must be on disk before the snapshot
         // claims to cover it.
         self.wal.sync()?;
         let last_lsn = self.wal.next_lsn() - 1;
-        let snapshot_bytes = snapshot::write_snapshot(&self.snapshot_path, last_lsn, tables)?;
+        let snapshot_bytes = snapshot::write_snapshot(&self.snapshot_path, last_lsn, &tables)?;
         let wal_bytes_truncated = self.wal.truncate()?;
         self.checkpoints += 1;
         Ok(CheckpointStats {

@@ -28,7 +28,7 @@
 
 use crate::crc32::crc32;
 use crate::error::{Result, StoreError};
-use crate::TableImage;
+use crate::{TableImage, TableView};
 use etypes::binary::{put_i64, put_str, put_u32, put_u64};
 use etypes::chunk::Column;
 use etypes::{ByteReader, Value};
@@ -56,22 +56,22 @@ fn decode_column(
     Ok(())
 }
 
-fn encode_table(image: &TableImage) -> Vec<u8> {
+fn encode_table(image: TableView<'_>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256 + image.rows.len() * 16);
-    put_str(&mut buf, &image.name);
+    put_str(&mut buf, image.name);
     put_u32(&mut buf, image.columns.len() as u32);
-    for (c, t) in image.columns.iter().zip(&image.types) {
+    for (c, t) in image.columns.iter().zip(image.types) {
         put_str(&mut buf, c);
         etypes::binary::put_datatype(&mut buf, t);
     }
     put_u32(&mut buf, image.serial_next.len() as u32);
-    for (idx, next) in &image.serial_next {
+    for (idx, next) in image.serial_next {
         put_u32(&mut buf, *idx as u32);
         put_i64(&mut buf, *next);
     }
     put_u64(&mut buf, image.rows.len() as u64);
     for col in 0..image.columns.len() {
-        encode_column(&mut buf, &image.rows, col);
+        encode_column(&mut buf, image.rows, col);
     }
     buf
 }
@@ -133,14 +133,17 @@ fn decode_table(blob: &[u8]) -> Result<TableImage> {
 /// * `snapshot.dir_fsync` — fails persisting the directory entry; the
 ///   rename already happened, so the new snapshot is in place but its
 ///   durability across power loss is unknown — reported as an error.
-pub fn write_snapshot(path: &Path, last_lsn: u64, tables: &[&TableImage]) -> Result<u64> {
+pub fn write_snapshot<'a, T>(path: &Path, last_lsn: u64, tables: &[T]) -> Result<u64>
+where
+    T: Into<TableView<'a>> + Copy,
+{
     let tmp = path.with_extension("tmp");
     let mut buf = Vec::with_capacity(4096);
     buf.extend_from_slice(SNAPSHOT_MAGIC);
     put_u64(&mut buf, last_lsn);
     put_u32(&mut buf, tables.len() as u32);
-    for image in tables {
-        let blob = encode_table(image);
+    for &image in tables {
+        let blob = encode_table(image.into());
         put_u32(&mut buf, blob.len() as u32);
         put_u32(&mut buf, crc32(&blob));
         buf.extend_from_slice(&blob);
@@ -290,6 +293,11 @@ mod tests {
         let refs: Vec<&TableImage> = tables.iter().collect();
         let bytes = write_snapshot(&path, 42, &refs).unwrap();
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
+        // No format change: these are the bytes every earlier writer of
+        // ELSNP001 produced for this catalog, whether it encoded owned
+        // images or, as now, borrowed views.
+        let data = std::fs::read(&path).unwrap();
+        assert_eq!((data.len(), crc32(&data)), (275, 0xad5d_a379));
         let (lsn, loaded) = load_snapshot(&path).unwrap().unwrap();
         assert_eq!(lsn, 42);
         assert_eq!(loaded.len(), 3);

@@ -40,14 +40,7 @@ pub fn bind_select(
         view_memo: HashMap::new(),
     };
     let (body, schema) = b.bind_query(query)?;
-    Ok((
-        PlanRoot {
-            ctes: b.ctes,
-            subplans: b.subplans,
-            body,
-        },
-        schema,
-    ))
+    Ok((PlanRoot::new(b.ctes, b.subplans, body), schema))
 }
 
 /// Convenience: bind the query of a `Statement::Select`.

@@ -405,14 +405,14 @@ mod tests {
 
     fn plan_reading(tables: &[&str]) -> CachedPlan {
         CachedPlan {
-            root: Rc::new(PlanRoot {
-                ctes: Vec::new(),
-                subplans: Vec::new(),
-                body: PlanNode::Values {
+            root: Rc::new(PlanRoot::new(
+                Vec::new(),
+                Vec::new(),
+                PlanNode::Values {
                     rows: Vec::new(),
                     schema: Schema::default(),
                 },
-            }),
+            )),
             schema: Schema::default(),
             tables: tables.iter().map(|s| s.to_string()).collect(),
             params: 0,

@@ -1,32 +1,336 @@
-//! Vectorized aggregation.
+//! Vectorized aggregation over dense group ids.
 //!
 //! Group keys and aggregate arguments are evaluated once per batch as whole
-//! columns, then accumulators ([`Acc`], shared with the row engine so both
-//! produce bit-identical results) are fed per row. Global aggregates skip
-//! the hash table entirely.
+//! columns. One step per batch then maps every row to a `u32` group id —
+//! ids are handed out in first-seen order, so id order is output order —
+//! and each aggregate keeps one `Vec<Acc>` indexed by id. A global
+//! aggregate is the one-group case: group 0 exists up front and no key is
+//! ever hashed.
+//!
+//! [`Acc`] (shared with the row engine) stays the definition of aggregate
+//! semantics. Arguments stored as `Int` / `Float` columns are folded by a
+//! column-typed loop that updates the accumulator's payload in place for
+//! the states `Acc::update` would leave type-unchanged (`count`, `avg`,
+//! same-type `sum` / `min` / `max`) and hands every other state or
+//! aggregate to `Acc::update` itself, so results are bit-identical —
+//! float summation order within a group included.
 
 use super::kernels::{eval_col, Evaluated};
 use super::{exec_node, rows_to_chunks};
-use crate::error::Result;
+use crate::error::{Result, SqlError};
 use crate::exec::{Acc, ExecContext, Row};
 use crate::plan::{AggCall, BExpr, PlanNode};
+use etypes::chunk::{page_tag, ColumnData, NullBitmap};
 use etypes::{ColumnChunk, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// Evaluate each aggregate's argument (if any) as a dense column over the
-/// whole batch.
-fn arg_columns(
-    aggs: &[AggCall],
-    chunk: &ColumnChunk,
-    sel: &[usize],
-    ctx: &ExecContext<'_>,
-) -> Result<Vec<Option<Evaluated>>> {
-    aggs.iter()
-        .map(|call| match &call.arg {
-            Some(e) => Ok(Some(eval_col(e, chunk, sel, ctx)?)),
-            None => Ok(None),
+/// One non-empty input batch with its group keys and aggregate arguments
+/// (`None` for `count(*)`) evaluated.
+struct Batch {
+    rows: usize,
+    keys: Vec<Evaluated>,
+    args: Vec<Option<Evaluated>>,
+}
+
+impl Batch {
+    fn eval(
+        chunk: &ColumnChunk,
+        group_exprs: &[BExpr],
+        aggs: &[AggCall],
+        ctx: &ExecContext<'_>,
+    ) -> Result<Batch> {
+        let sel: Vec<usize> = (0..chunk.len()).collect();
+        let keys = group_exprs
+            .iter()
+            .map(|g| eval_col(g, chunk, &sel, ctx))
+            .collect::<Result<_>>()?;
+        let args = aggs
+            .iter()
+            .map(|call| match &call.arg {
+                Some(e) => eval_col(e, chunk, &sel, ctx).map(Some),
+                None => Ok(None),
+            })
+            .collect::<Result<_>>()?;
+        Ok(Batch {
+            rows: chunk.len(),
+            keys,
+            args,
         })
-        .collect()
+    }
+
+    /// The storage tag of a single dense key column.
+    fn key_tag(&self) -> Option<u8> {
+        match self.keys.as_slice() {
+            [Evaluated::Col(c)] => Some(c.data().tag()),
+            _ => None,
+        }
+    }
+}
+
+/// How keys are looked up: typed on the storage of a single key column, or
+/// by materialized values for every other shape.
+enum KeyIndex {
+    Int(HashMap<i64, u32>),
+    Text(HashMap<String, u32>),
+    /// Indexed by the key itself.
+    Bool([Option<u32>; 2]),
+    Values(HashMap<Vec<Value>, u32>),
+}
+
+/// The group table: distinct keys numbered densely in first-seen order.
+struct GroupTable {
+    index: KeyIndex,
+    /// The NULL key's id under a typed index (NULL is its own group).
+    null_id: Option<u32>,
+    /// Each group's key values, by id.
+    keys: Vec<Row>,
+}
+
+/// Register `key` as the next group.
+fn new_group(keys: &mut Vec<Row>, key: Row) -> u32 {
+    keys.push(key);
+    (keys.len() - 1) as u32
+}
+
+impl GroupTable {
+    /// The table for this operator's input: typed when the single key is a
+    /// dense column with the same `Int` / `Text` / `Bool` storage in every
+    /// batch.
+    fn new(n_keys: usize, batches: &[Batch]) -> GroupTable {
+        let tag = batches.first().and_then(Batch::key_tag);
+        let uniform = batches.iter().all(|b| b.key_tag() == tag);
+        let index = match tag {
+            Some(page_tag::INT) if uniform => KeyIndex::Int(HashMap::new()),
+            Some(page_tag::TEXT) if uniform => KeyIndex::Text(HashMap::new()),
+            Some(page_tag::BOOL) if uniform => KeyIndex::Bool([None; 2]),
+            _ => KeyIndex::Values(HashMap::new()),
+        };
+        GroupTable {
+            index,
+            null_id: None,
+            // Without GROUP BY everything is group 0, present even over
+            // empty input (the row engine's one row of defaults).
+            keys: if n_keys == 0 {
+                vec![Vec::new()]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Fill `ids` with the group id of each of the batch's rows,
+    /// registering unseen keys.
+    fn assign(&mut self, batch: &Batch, ids: &mut Vec<u32>) {
+        ids.clear();
+        if batch.keys.is_empty() {
+            ids.resize(batch.rows, 0);
+            return;
+        }
+        let GroupTable {
+            index,
+            null_id,
+            keys,
+        } = self;
+        let typed = match &batch.keys[0] {
+            Evaluated::Col(c) => Some((c.data(), c.nulls())),
+            Evaluated::Scalar(_) => None,
+        };
+        let mut null_group = |keys: &mut Vec<Row>| {
+            *null_id.get_or_insert_with(|| new_group(keys, vec![Value::Null]))
+        };
+        match (index, typed) {
+            (KeyIndex::Int(map), Some((ColumnData::Int(v), nulls))) => {
+                ids.extend(v.iter().enumerate().map(|(i, &k)| {
+                    if nulls.is_null(i) {
+                        null_group(keys)
+                    } else {
+                        *map.entry(k)
+                            .or_insert_with(|| new_group(keys, vec![Value::Int(k)]))
+                    }
+                }));
+            }
+            (KeyIndex::Text(map), Some((ColumnData::Text(v), nulls))) => {
+                ids.extend(v.iter().enumerate().map(|(i, k)| {
+                    if nulls.is_null(i) {
+                        null_group(keys)
+                    } else if let Some(&id) = map.get(k.as_str()) {
+                        id
+                    } else {
+                        let id = new_group(keys, vec![Value::Text(k.clone())]);
+                        map.insert(k.clone(), id);
+                        id
+                    }
+                }));
+            }
+            (KeyIndex::Bool(slots), Some((ColumnData::Bool(v), nulls))) => {
+                ids.extend(v.iter().enumerate().map(|(i, &k)| {
+                    if nulls.is_null(i) {
+                        null_group(keys)
+                    } else {
+                        *slots[k as usize]
+                            .get_or_insert_with(|| new_group(keys, vec![Value::Bool(k)]))
+                    }
+                }));
+            }
+            (KeyIndex::Values(map), _) => {
+                let mut key: Row = Vec::with_capacity(batch.keys.len());
+                for i in 0..batch.rows {
+                    key.clear();
+                    key.extend(batch.keys.iter().map(|k| k.get(i)));
+                    ids.push(match map.get(key.as_slice()) {
+                        Some(&id) => id,
+                        None => {
+                            let id = new_group(keys, key.clone());
+                            map.insert(key.clone(), id);
+                            id
+                        }
+                    });
+                }
+            }
+            _ => unreachable!("a typed index is chosen only when every batch has its storage"),
+        }
+    }
+}
+
+/// A column element type whose accumulator states have an in-place update.
+trait Num: Copy {
+    fn value(self) -> Value;
+    fn as_f64(self) -> f64;
+    /// The payload of `v` when it holds this element type.
+    fn slot(v: &mut Value) -> Option<&mut Self>;
+    /// `Acc::Sum` on two values of this type.
+    fn add(self, other: Self) -> Self;
+    /// `Value::cmp` on two values of this type.
+    fn value_cmp(self, other: Self) -> Ordering;
+}
+
+impl Num for i64 {
+    fn value(self) -> Value {
+        Value::Int(self)
+    }
+    fn as_f64(self) -> f64 {
+        self as f64
+    }
+    fn slot(v: &mut Value) -> Option<&mut i64> {
+        match v {
+            Value::Int(i) => Some(i),
+            _ => None,
+        }
+    }
+    fn add(self, other: i64) -> i64 {
+        self.wrapping_add(other)
+    }
+    fn value_cmp(self, other: i64) -> Ordering {
+        self.cmp(&other)
+    }
+}
+
+impl Num for f64 {
+    fn value(self) -> Value {
+        Value::Float(self)
+    }
+    fn as_f64(self) -> f64 {
+        self
+    }
+    fn slot(v: &mut Value) -> Option<&mut f64> {
+        match v {
+            Value::Float(f) => Some(f),
+            _ => None,
+        }
+    }
+    fn add(self, other: f64) -> f64 {
+        self + other
+    }
+    fn value_cmp(self, other: f64) -> Ordering {
+        self.total_cmp(&other)
+    }
+}
+
+/// Fold a typed argument column into its rows' accumulators.
+fn accumulate_typed<T: Num>(
+    accs: &mut [Acc],
+    vals: &[T],
+    nulls: &NullBitmap,
+    ids: &[u32],
+) -> Result<()> {
+    let all_valid = nulls.all_valid();
+    for (i, (&x, &g)) in vals.iter().zip(ids).enumerate() {
+        let acc = &mut accs[g as usize];
+        if !all_valid && nulls.is_null(i) {
+            // Ignored by all but `array_agg`; `Acc` knows which.
+            acc.update(Some(Value::Null))?;
+            continue;
+        }
+        // In-place where `Acc::update` would keep the payload's type;
+        // first values, Int→Float promotion and every other aggregate go
+        // through `Acc::update`.
+        let done = match acc {
+            Acc::Count(n) => {
+                *n += 1;
+                true
+            }
+            Acc::Avg { sum, n } => {
+                *sum += x.as_f64();
+                *n += 1;
+                true
+            }
+            Acc::Sum(Some(cur)) => T::slot(cur).map(|a| *a = a.add(x)).is_some(),
+            Acc::Min(Some(cur)) => T::slot(cur)
+                .map(|a| {
+                    if x.value_cmp(*a) == Ordering::Less {
+                        *a = x;
+                    }
+                })
+                .is_some(),
+            Acc::Max(Some(cur)) => T::slot(cur)
+                .map(|a| {
+                    if x.value_cmp(*a) == Ordering::Greater {
+                        *a = x;
+                    }
+                })
+                .is_some(),
+            _ => false,
+        };
+        if !done {
+            acc.update(Some(x.value()))?;
+        }
+    }
+    Ok(())
+}
+
+/// Fold one aggregate's argument for a whole batch into `accs` (indexed by
+/// group id; `ids[i]` is row `i`'s group).
+fn accumulate(accs: &mut [Acc], arg: Option<&Evaluated>, ids: &[u32]) -> Result<()> {
+    match arg {
+        None => {
+            for &g in ids {
+                match &mut accs[g as usize] {
+                    Acc::CountStar(n) => *n += 1,
+                    other => other.update(None)?,
+                }
+            }
+        }
+        Some(Evaluated::Col(c)) => match c.data() {
+            ColumnData::Int(v) => accumulate_typed(accs, v, c.nulls(), ids)?,
+            ColumnData::Float(v) => accumulate_typed(accs, v, c.nulls(), ids)?,
+            _ => {
+                for (i, &g) in ids.iter().enumerate() {
+                    accs[g as usize].update(Some(c.get(i)))?;
+                }
+            }
+        },
+        Some(Evaluated::Scalar(v)) => {
+            for &g in ids {
+                accs[g as usize].update(Some(v.clone()))?;
+            }
+        }
+    }
+    Ok(())
 }
 
 pub(super) fn exec_aggregate(
@@ -36,64 +340,55 @@ pub(super) fn exec_aggregate(
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<ColumnChunk>> {
     let chunks = exec_node(input, ctx)?;
-    let width = group_exprs.len() + aggs.len();
 
-    if group_exprs.is_empty() {
-        // Global aggregate: one accumulator set, no hash table.
-        let mut accs: Vec<Acc> = aggs.iter().map(Acc::new).collect();
-        for chunk in &chunks {
-            if chunk.is_empty() {
-                continue;
-            }
-            let sel: Vec<usize> = (0..chunk.len()).collect();
-            let args = arg_columns(aggs, chunk, &sel, ctx)?;
-            for i in 0..chunk.len() {
-                for (acc, arg) in accs.iter_mut().zip(&args) {
-                    acc.update(arg.as_ref().map(|a| a.get(i)))?;
-                }
-            }
-        }
-        // Over empty input this still yields one row of defaults, like the
-        // row engine.
-        let row: Row = accs.into_iter().map(Acc::finish).collect();
-        return Ok(vec![ColumnChunk::from_rows(&[row], width)]);
-    }
-
-    let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for chunk in &chunks {
-        if chunk.is_empty() {
-            continue;
-        }
-        let sel: Vec<usize> = (0..chunk.len()).collect();
-        let key_cols: Vec<Evaluated> = group_exprs
-            .iter()
-            .map(|g| eval_col(g, chunk, &sel, ctx))
-            .collect::<Result<_>>()?;
-        let args = arg_columns(aggs, chunk, &sel, ctx)?;
-        for i in 0..chunk.len() {
-            let key: Vec<Value> = key_cols.iter().map(|k| k.get(i)).collect();
-            let accs = match groups.get_mut(&key) {
-                Some(a) => a,
-                None => {
-                    order.push(key.clone());
-                    groups
-                        .entry(key)
-                        .or_insert_with(|| aggs.iter().map(Acc::new).collect())
-                }
-            };
-            for (acc, arg) in accs.iter_mut().zip(&args) {
-                acc.update(arg.as_ref().map(|a| a.get(i)))?;
+    // Evaluate every batch first: the key lookup is chosen from the storage
+    // of all of them. An evaluation error waits until the batches before it
+    // are folded, so an earlier accumulator error still wins as it does
+    // when the row engine interleaves the two.
+    let mut batches = Vec::with_capacity(chunks.len());
+    let mut eval_error: Option<SqlError> = None;
+    for chunk in chunks.iter().filter(|c| !c.is_empty()) {
+        match Batch::eval(chunk, group_exprs, aggs, ctx) {
+            Ok(batch) => batches.push(batch),
+            Err(e) => {
+                eval_error = Some(e);
+                break;
             }
         }
     }
 
-    let mut rows = Vec::with_capacity(order.len());
-    for key in order {
-        let accs = groups.remove(&key).expect("group recorded in order");
-        let mut row = key;
-        row.extend(accs.into_iter().map(Acc::finish));
-        rows.push(row);
+    let mut table = GroupTable::new(group_exprs.len(), &batches);
+    let mut accs: Vec<Vec<Acc>> = aggs
+        .iter()
+        .map(|call| (0..table.len()).map(|_| Acc::new(call)).collect())
+        .collect();
+    let mut ids: Vec<u32> = Vec::new();
+    for batch in &batches {
+        table.assign(batch, &mut ids);
+        for ((slots, call), arg) in accs.iter_mut().zip(aggs).zip(&batch.args) {
+            slots.resize_with(table.len(), || Acc::new(call));
+            accumulate(slots, arg.as_ref(), &ids)?;
+        }
     }
-    Ok(rows_to_chunks(&rows, width))
+    if let Some(e) = eval_error {
+        return Err(e);
+    }
+
+    let mut finished: Vec<_> = accs
+        .into_iter()
+        .map(|slots| slots.into_iter().map(Acc::finish))
+        .collect();
+    let rows: Vec<Row> = table
+        .keys
+        .into_iter()
+        .map(|mut row| {
+            row.extend(
+                finished
+                    .iter_mut()
+                    .map(|f| f.next().expect("one slot per group")),
+            );
+            row
+        })
+        .collect();
+    Ok(rows_to_chunks(&rows, group_exprs.len() + aggs.len()))
 }

@@ -23,7 +23,7 @@ mod kernels;
 
 use crate::error::{Result, SqlError};
 use crate::exec::{execute, ExecContext, Row};
-use crate::plan::{JoinKind, PlanNode, PlanRoot, ScanSource, CTID_SENTINEL};
+use crate::plan::{BoundCte, JoinKind, PlanNode, ScanSource, CTID_SENTINEL};
 use etypes::chunk::{Column, ColumnData, NullBitmap};
 use etypes::ColumnChunk;
 use kernels::{eval_col, gather_chunk, truthy_selection};
@@ -36,14 +36,15 @@ pub(crate) const BATCH_ROWS: usize = 1024;
 /// Which execution subsystem runs queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// The row-at-a-time executor ([`crate::exec`]); the default.
-    #[default]
+    /// The row-at-a-time executor ([`crate::exec`]): the differential
+    /// oracle the vectorized engine is tested against.
     Row,
     /// The batch-at-a-time columnar executor, bridging unvectorized
     /// subtrees back to the row engine.
     Columnar,
     /// Columnar when every operator in the plan is vectorized, row
-    /// otherwise (never pays the fallback bridge).
+    /// otherwise (never pays the fallback bridge); the default.
+    #[default]
     Auto,
 }
 
@@ -82,12 +83,14 @@ impl std::str::FromStr for ExecMode {
 
 /// True when every operator in the plan (CTE bodies included) has a
 /// vectorized implementation, i.e. columnar execution would never bridge
-/// back to the row engine. `Auto` mode runs columnar exactly in this case.
-pub(crate) fn fully_vectorized(root: &PlanRoot) -> bool {
+/// back to the row engine. `Auto` mode runs columnar exactly in this case;
+/// the answer is stored on the plan (`PlanRoot::vectorized`) by whoever
+/// last shaped it, so executing a cached plan reads a bool.
+pub(crate) fn fully_vectorized(ctes: &[BoundCte], body: &PlanNode) -> bool {
     fn walk(p: &PlanNode) -> bool {
         node_vectorized(p) && crate::explain::node_children(p).iter().all(|k| walk(k))
     }
-    root.ctes.iter().all(|c| walk(&c.plan)) && walk(&root.body)
+    ctes.iter().all(|c| walk(&c.plan)) && walk(body)
 }
 
 /// True when this node itself (not its inputs) has a vectorized
@@ -384,8 +387,8 @@ pub(crate) fn chunks_to_rows(chunks: &[ColumnChunk]) -> Vec<Row> {
     chunks.iter().flat_map(ColumnChunk::to_rows).collect()
 }
 
-/// Concatenate batches into one chunk (pipeline breakers: Sort, Join
-/// build/probe sides).
+/// Concatenate batches into one chunk (pipeline breakers: Sort, the join's
+/// build side).
 pub(crate) fn concat_chunks(chunks: &[ColumnChunk]) -> ColumnChunk {
     if chunks.len() == 1 {
         return chunks[0].clone();

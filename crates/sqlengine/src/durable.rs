@@ -16,7 +16,7 @@ use crate::error::Result;
 use crate::storage::{Relation, Table};
 use elephant_store::{
     CheckpointStats, FsyncPolicy, RecoveryReport, Store, StoreConfig, StoreStats, TableImage,
-    WalHandle, WalRecord,
+    TableView, WalHandle, WalRecord,
 };
 use std::path::Path;
 
@@ -149,17 +149,23 @@ impl StorageBackend for DurableBackend {
     fn checkpoint(&mut self, catalog: &Catalog) -> Result<Option<CheckpointStats>> {
         // This runs on the executor thread: a typed error degrades one
         // checkpoint, a panic would take the whole server down.
-        let mut images: Vec<TableImage> = Vec::new();
+        // Borrowed views: the snapshot is encoded straight from the heap.
+        let mut views: Vec<TableView<'_>> = Vec::new();
         for name in catalog.table_names() {
             let table = catalog.table(name).ok_or_else(|| {
                 crate::error::SqlError::catalog(format!(
                     "table '{name}' vanished from the catalog mid-checkpoint"
                 ))
             })?;
-            images.push(table_to_image(table));
+            views.push(TableView {
+                name: &table.name,
+                columns: &table.data.columns,
+                types: &table.data.types,
+                serial_next: &table.serial_next,
+                rows: &table.data.rows,
+            });
         }
-        let refs: Vec<&TableImage> = images.iter().collect();
-        Ok(Some(self.store.checkpoint(&refs)?))
+        Ok(Some(self.store.checkpoint(&views)?))
     }
 
     fn recovery_report(&self) -> Option<&RecoveryReport> {

@@ -1109,7 +1109,7 @@ impl Engine {
         let columnar = match self.exec_mode {
             ExecMode::Row => false,
             ExecMode::Columnar => true,
-            ExecMode::Auto => colexec::fully_vectorized(root),
+            ExecMode::Auto => root.vectorized,
         };
         let started = (self.trace.enabled() || self.capture_profiles).then(Instant::now);
         let rows = if columnar {
@@ -1142,9 +1142,8 @@ impl Engine {
     }
 
     /// The plan-cache key for `sql` under the current execution mode. Modes
-    /// share the cache but not entries: `Auto`'s columnar-or-row decision is
-    /// taken per execution, so a plan prepared under one mode must not serve
-    /// another.
+    /// share the cache but not entries: a plan prepared under one mode never
+    /// serves another.
     fn cache_key(&self, sql: &str) -> String {
         format!("{}\u{1f}{sql}", self.exec_mode)
     }
@@ -1333,14 +1332,14 @@ impl Engine {
         values: &[Vec<crate::ast::Expr>],
     ) -> Result<ExecOutcome> {
         // Evaluate the literal expressions with a throwaway context.
-        let empty_root = crate::plan::PlanRoot {
-            ctes: Vec::new(),
-            subplans: Vec::new(),
-            body: crate::plan::PlanNode::Values {
+        let empty_root = crate::plan::PlanRoot::new(
+            Vec::new(),
+            Vec::new(),
+            crate::plan::PlanNode::Values {
                 rows: Vec::new(),
                 schema: crate::plan::Schema::default(),
             },
-        };
+        );
         let mut evaluated: Vec<Vec<Value>> = Vec::with_capacity(values.len());
         {
             let ctx = ExecContext::new(&self.catalog, &self.profile, &empty_root);

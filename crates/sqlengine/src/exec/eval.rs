@@ -276,14 +276,14 @@ mod tests {
         (
             Catalog::new(),
             EngineProfile::in_memory(),
-            PlanRoot {
-                ctes: vec![],
-                subplans: vec![],
-                body: PlanNode::Values {
+            PlanRoot::new(
+                vec![],
+                vec![],
+                PlanNode::Values {
                     rows: vec![],
                     schema: Schema::default(),
                 },
-            },
+            ),
         )
     }
 

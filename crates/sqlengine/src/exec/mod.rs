@@ -650,7 +650,7 @@ impl Acc {
                         *acc = Some(match acc.take() {
                             None => v,
                             Some(Value::Int(a)) => match v {
-                                Value::Int(b) => Value::Int(a + b),
+                                Value::Int(b) => Value::Int(a.wrapping_add(b)),
                                 other => Value::Float(a as f64 + other.as_f64()?),
                             },
                             Some(cur) => Value::Float(cur.as_f64()? + v.as_f64()?),

@@ -122,14 +122,20 @@ fn fallback_subtree_reports_no_batches() {
 }
 
 /// Engine counters: columnar runs count batches, row runs never do, and
-/// Auto only chooses columnar for fully vectorized plans.
+/// Auto — the default — only chooses columnar for fully vectorized plans.
 #[test]
 fn exec_stats_and_auto_dispatch() {
     let mut e = seed(EngineProfile::in_memory());
+    e.set_exec_mode(ExecMode::Row);
     e.query("SELECT sum(a) AS s FROM t").unwrap();
-    assert_eq!(e.stats().batches_executed, 0, "row mode is the default");
+    assert_eq!(
+        e.stats().batches_executed,
+        0,
+        "the row engine has no batches"
+    );
 
-    e.set_exec_mode(ExecMode::Auto);
+    let mut e = seed(EngineProfile::in_memory());
+    assert_eq!(e.exec_mode(), ExecMode::Auto, "a new engine runs auto");
     e.query("SELECT sum(a) AS s FROM t WHERE b = 3").unwrap();
     let after_auto = e.stats().batches_executed;
     assert!(
@@ -173,5 +179,53 @@ fn exec_mode_parses_and_renders() {
     assert_eq!("Auto".parse::<ExecMode>().unwrap(), ExecMode::Auto);
     assert!("vectorized".parse::<ExecMode>().is_err());
     assert_eq!(ExecMode::Columnar.to_string(), "columnar");
-    assert_eq!(ExecMode::default(), ExecMode::Row);
+    assert_eq!(ExecMode::default(), ExecMode::Auto);
+}
+
+/// The hash join streams its probe side: each probe batch emits one output
+/// batch, however many build rows its keys match, and a probe batch without
+/// a match emits none.
+#[test]
+fn join_emits_one_batch_per_probe_batch() {
+    let mut e = seed(EngineProfile::in_memory());
+    e.set_exec_mode(ExecMode::Columnar);
+    // Every b in 0..7 appears twice on the build side.
+    e.execute("CREATE TABLE d (k int, tag int)").unwrap();
+    let dims: Vec<String> = (0..14).map(|i| format!("({}, {i})", i % 7)).collect();
+    e.execute(&format!("INSERT INTO d VALUES {}", dims.join(", ")))
+        .unwrap();
+
+    let (rel, prof) = e
+        .query_profiled("SELECT t.a, d.tag FROM t INNER JOIN d ON t.b = d.k")
+        .unwrap();
+    assert_eq!(rel.rows.len(), 2 * N);
+    let join = prof.find("InnerJoin").unwrap();
+    assert_eq!(join.rows, 2 * N as u64);
+    assert_eq!(
+        join.batches,
+        Some(2),
+        "two probe batches, two output batches of 2048 and 952 rows"
+    );
+    // Probe order, then build order among duplicate keys.
+    let pair = |a, tag| vec![etypes::Value::Int(a), etypes::Value::Int(tag)];
+    assert_eq!(rel.rows[..3], [pair(0, 0), pair(0, 7), pair(1, 1)]);
+
+    // Only a = 1499 (in the second probe batch) has a partner.
+    e.execute("CREATE TABLE one (k int)").unwrap();
+    e.execute("INSERT INTO one VALUES (1499)").unwrap();
+    let (rel, prof) = e
+        .query_profiled("SELECT t.a FROM t INNER JOIN one ON t.a = one.k")
+        .unwrap();
+    assert_eq!(rel.rows, vec![vec![etypes::Value::Int(1499)]]);
+    let join = prof.find("InnerJoin").unwrap();
+    assert_eq!((join.rows, join.batches), (1, Some(1)));
+
+    // Unmatched build rows of a right join follow the probe output.
+    let (rel, prof) = e
+        .query_profiled("SELECT one.k, d.tag FROM one RIGHT JOIN d ON one.k = d.k")
+        .unwrap();
+    assert_eq!(rel.rows.len(), 14);
+    assert!(rel.rows.iter().all(|r| r[0].is_null()));
+    let join = prof.find("RightJoin").unwrap();
+    assert_eq!((join.rows, join.batches), (14, Some(1)));
 }

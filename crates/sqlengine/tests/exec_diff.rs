@@ -84,10 +84,200 @@ fn fallback_bridge_matches_row_engine() {
     for sql in [
         "SELECT a, ROW_NUMBER() OVER (ORDER BY a) AS rn FROM t1 WHERE a IS NOT NULL LIMIT 20",
         "SELECT t1.a, t2.v FROM t1 CROSS JOIN t2 WHERE t1.a = 1 AND t2.v = 2",
-        "SELECT u FROM unnest(array[1, 2, 3]) AS u",
+        "SELECT unnest(ids) AS u FROM (SELECT array_agg(v) AS ids FROM t2 WHERE v < 3) AS x",
     ] {
         let row = run(&mut e, ExecMode::Row, sql);
+        assert!(!row.starts_with("ERR"), "{sql}: {row}");
         let col = run(&mut e, ExecMode::Columnar, sql);
         assert_eq!(row, col, "fallback diverged: {sql}");
     }
+}
+
+/// Seeded cases for the typed aggregation and join paths, on a table that
+/// spans three 1024-row batches. No ORDER BY anywhere: first-seen group
+/// order and probe-then-build join order are part of the answer.
+fn typed_kernel_engine(rng: &mut Prng) -> Engine {
+    const ROWS: i64 = 2600;
+    let mut e = Engine::new(EngineProfile::in_memory());
+    e.execute(
+        "CREATE TABLE big (id int, ki int, kt text, kb bool, kf float, kn int, late int, \
+         vi int, vf float, vbig int)",
+    )
+    .unwrap();
+    fn null_or(rng: &mut Prng, p: f64, v: impl FnOnce(&mut Prng) -> String) -> String {
+        if rng.chance(p) {
+            "NULL".to_string()
+        } else {
+            v(rng)
+        }
+    }
+    fn pick(options: &'static [&'static str]) -> impl FnOnce(&mut Prng) -> String {
+        move |rng| options[rng.below(options.len())].to_string()
+    }
+    let mut insert = String::from("INSERT INTO big VALUES ");
+    for id in 0..ROWS {
+        if id > 0 {
+            insert.push_str(", ");
+        }
+        let ki = null_or(rng, 0.15, |r| r.range_i64(-3, 9).to_string());
+        let kt = null_or(rng, 0.15, pick(&["''", "'a'", "'b'", "'ab'"]));
+        let kb = null_or(rng, 0.1, pick(&["TRUE", "FALSE"]));
+        let kf = null_or(
+            rng,
+            0.1,
+            pick(&["0.0", "-0.0", "CAST('NaN' AS float)", "1.5", "-2.25"]),
+        );
+        // Int-stored in batches 1 and 3, all-NULL (generic storage) in batch 2.
+        let kn = if (1024..2048).contains(&id) {
+            "NULL".to_string()
+        } else {
+            rng.range_i64(0, 4).to_string()
+        };
+        // New groups keep appearing in later batches.
+        let late = id / 600 + rng.range_i64(0, 2);
+        let vi = null_or(rng, 0.2, |r| r.range_i64(-50, 50).to_string());
+        let vf = null_or(rng, 0.2, |r| format!("{:.3}", r.range_f64(-9.0, 9.0)));
+        let vbig = i64::MAX / 3 - rng.range_i64(0, 1000);
+        insert.push_str(&format!(
+            "({id}, {ki}, {kt}, {kb}, {kf}, {kn}, {late}, {vi}, {vf}, {vbig})"
+        ));
+    }
+    e.execute(&insert).unwrap();
+
+    // Duplicate and NULL keys on the build side; `k` matches `big.ki` as
+    // Int = Int, `kf` as Int = Float, `kt` as Text = Text.
+    e.execute("CREATE TABLE dim (k int, kf float, kt text, v int)")
+        .unwrap();
+    let mut insert = String::from("INSERT INTO dim VALUES ");
+    for j in 0..40 {
+        if j > 0 {
+            insert.push_str(", ");
+        }
+        let k = null_or(rng, 0.2, |r| r.range_i64(-3, 12).to_string());
+        let kf = null_or(rng, 0.2, |r| format!("{}.0", r.range_i64(-3, 12)));
+        let kt = null_or(rng, 0.2, pick(&["''", "'a'", "'ab'", "'zz'"]));
+        insert.push_str(&format!("({k}, {kf}, {kt}, {})", rng.range_i64(-20, 20)));
+    }
+    e.execute(&insert).unwrap();
+    e
+}
+
+#[test]
+fn typed_kernels_match_row_engine() {
+    let mut rng = Prng::new(0xE1E9_0003);
+    let mut e = typed_kernel_engine(&mut rng);
+    let mixed = "CASE WHEN id < 1024 THEN vi ELSE vf END";
+    let mut cases: Vec<String> = [
+        // Group keys: Int, Text, Bool with NULLs (typed step); Float with
+        // -0.0 and NaN, a column whose storage changes between batches,
+        // and composite keys (value-keyed step).
+        "SELECT ki, count(*), count(vi), sum(vi), min(vi), max(vi), avg(vi) FROM big GROUP BY ki",
+        "SELECT kt, count(*), count(vf), sum(vf), min(vf), max(vf), avg(vf) FROM big GROUP BY kt",
+        "SELECT kb, count(*), sum(vi), max(vf) FROM big GROUP BY kb",
+        "SELECT kf, count(*), min(vf), sum(vi) FROM big GROUP BY kf",
+        "SELECT kn, count(*), sum(vi) FROM big GROUP BY kn",
+        "SELECT late, count(*), min(id) FROM big GROUP BY late",
+        "SELECT ki, kt, count(*), sum(vf) FROM big GROUP BY ki, kt",
+        "SELECT ki + 1, count(*) FROM big GROUP BY ki + 1",
+        "SELECT 7, count(*), sum(vi) FROM big GROUP BY 7",
+        // Aggregates without an in-place state, over typed columns.
+        "SELECT kb, stddev_pop(vi), median(vf), count(DISTINCT vi) FROM big GROUP BY kb",
+        "SELECT ki, array_agg(vi) FROM big WHERE id < 40 GROUP BY ki",
+        "SELECT ki, min(kt), max(kt), count(kt), min(kb) FROM big GROUP BY ki",
+        "SELECT kt, sum(2), count(1), max(NULL) FROM big GROUP BY kt",
+        // Global aggregates, filtered and not.
+        "SELECT count(*), sum(vi), min(vf), max(vf), avg(vf) FROM big",
+        "SELECT count(*), sum(vf), avg(vi) FROM big WHERE vf > 3.0",
+        // Empty input, with and without GROUP BY.
+        "SELECT ki, count(*), sum(vi) FROM big WHERE id < 0 GROUP BY ki",
+        "SELECT count(*), count(vi), sum(vi), min(vf), avg(vi) FROM big WHERE id < 0",
+        // Int sum overflow wraps; mixed Int/Float promotes.
+        "SELECT sum(vbig), avg(vbig), max(vbig) FROM big",
+        "SELECT ki, sum(vbig) FROM big GROUP BY ki",
+        // Errors: an accumulator error, and an evaluation error that only
+        // fires in the second batch.
+        "SELECT kb, sum(kt) FROM big GROUP BY kb",
+        "SELECT ki, sum(10 / (id - 1500)) FROM big GROUP BY ki",
+        "SELECT ki / (id - 1500), count(*) FROM big GROUP BY ki / (id - 1500)",
+    ]
+    .map(String::from)
+    .to_vec();
+    cases.push(format!(
+        "SELECT kb, sum({mixed}), avg({mixed}), min({mixed}), max({mixed}) FROM big GROUP BY kb"
+    ));
+
+    // Joins: every kind, over Int = Int (typed table), Int = Float and
+    // Text = Text (value table), a composite key, and the null-safe form
+    // the binder recognises (it has no IS NOT DISTINCT FROM). Residuals are
+    // inner-only: the binder refuses them on outer joins.
+    let null_safe = "(big.ki = d.k OR (big.ki IS NULL AND d.k IS NULL))";
+    let residual = "big.ki = d.k AND big.vi > d.v";
+    for kind in ["INNER", "LEFT", "RIGHT", "FULL"] {
+        for on in [
+            "big.ki = d.k",
+            "big.ki = d.kf",
+            "big.kt = d.kt",
+            "big.ki = d.k AND big.kt = d.kt",
+            null_safe,
+            residual,
+            "big.ki + 1 = d.k + 1",
+        ] {
+            if on == residual && kind != "INNER" {
+                continue;
+            }
+            cases.push(format!(
+                "SELECT big.id, big.ki, big.kt, d.k, d.kf, d.kt, d.v FROM big {kind} JOIN dim d ON {on} \
+                 WHERE big.id IS NULL OR big.id < 1100"
+            ));
+        }
+        // Empty build side, empty probe side.
+        cases.push(format!(
+            "SELECT big.id, d.k FROM big {kind} JOIN (SELECT k FROM dim WHERE k > 100) d ON big.ki = d.k"
+        ));
+        cases.push(format!(
+            "SELECT b.id, d.k, d.v FROM (SELECT id, ki FROM big WHERE id < 0) b {kind} JOIN dim d ON b.ki = d.k"
+        ));
+        // The whole probe side, aggregated above the join.
+        cases.push(format!(
+            "SELECT d.kt, count(*), sum(big.vi) FROM big {kind} JOIN dim d ON big.ki = d.k GROUP BY d.kt"
+        ));
+    }
+    // A probe-key error in the second batch, and a residual error.
+    cases.push("SELECT big.id FROM big INNER JOIN dim d ON 10 / (big.id - 1500) = d.k".into());
+    cases.push(
+        "SELECT big.id FROM big INNER JOIN dim d ON big.ki = d.k AND 1 / (big.id - 1500) > d.v"
+            .into(),
+    );
+    // Two errors in one query: the one the row engine reaches first — a
+    // first-batch accumulator or residual error, not the second batch's
+    // division by zero — must be the one reported.
+    let first_error = [
+        "SELECT kb, sum(kt), sum(10 / (id - 1500)) FROM big GROUP BY kb",
+        "SELECT big.id FROM big INNER JOIN dim d \
+         ON big.ki + 0 * (10 / (big.id - 1500)) = d.k AND CAST(big.kt AS int) > d.v",
+    ];
+    for sql in first_error {
+        let out = run(&mut e, ExecMode::Row, sql);
+        assert!(out.starts_with("ERR value error: type mismatch"), "{out}");
+        cases.push(sql.into());
+    }
+
+    for (q, sql) in cases.iter().enumerate() {
+        let row = run(&mut e, ExecMode::Row, sql);
+        let col = run(&mut e, ExecMode::Columnar, sql);
+        assert_eq!(row, col, "case {q} diverged (columnar): {sql}");
+        let auto = run(&mut e, ExecMode::Auto, sql);
+        assert_eq!(row, auto, "case {q} diverged (auto): {sql}");
+    }
+    // The cases must exercise what they name, not fail to bind.
+    let errors: Vec<String> = cases
+        .iter()
+        .map(|sql| run(&mut e, ExecMode::Row, sql))
+        .filter(|out| out.starts_with("ERR"))
+        .collect();
+    assert_eq!(
+        errors.len(),
+        7,
+        "exactly the seven error cases fail: {errors:#?}"
+    );
 }

@@ -161,30 +161,37 @@ fn leader_restart_mid_stream_loses_no_acked_write() {
     let f_handle = start(follower_config(&repl_addr)).unwrap();
     let mut f = ElephantClient::connect(f_handle.local_addr()).unwrap();
 
-    // A writer hammers the leader while the main thread pulls the plug at
-    // a seed-chosen moment; only acknowledged inserts count.
+    // A writer hammers the leader while the main thread pulls the plug
+    // after a seed-chosen number of acknowledged inserts — a condition, not
+    // a head start on the clock; only acknowledged inserts count.
     let writer_addr = leader_handle.local_addr();
+    let acks_before_shutdown = 1 + rng.below(50);
+    let (acked_tx, acked_rx) = std::sync::mpsc::channel();
     let writer = std::thread::spawn(move || {
         let mut acked = Vec::new();
-        let mut c = match ElephantClient::connect(writer_addr) {
-            Ok(c) => c,
-            Err(_) => return acked,
-        };
+        let mut c = ElephantClient::connect(writer_addr).expect("writer connects");
         for v in 0..500i64 {
             match c.query_raw(&format!("INSERT INTO acked VALUES ({v})")) {
                 Ok(_) => acked.push(v),
                 // Draining or hung up: nothing after this was acked.
                 Err(_) => break,
             }
+            if acked.len() == acks_before_shutdown {
+                let _ = acked_tx.send(());
+            }
         }
         acked
     });
-    std::thread::sleep(Duration::from_millis(20 + rng.below(80) as u64));
+    acked_rx
+        .recv_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|e| {
+            panic!("writer never reached {acks_before_shutdown} acked inserts: {e}")
+        });
     leader.shutdown().unwrap();
     drop(leader);
     leader_handle.join();
     let acked = writer.join().unwrap();
-    assert!(!acked.is_empty(), "shutdown beat the first write; reseed");
+    assert!(acked.len() >= acks_before_shutdown);
 
     // Reborn leader on the same ports; the follower's retry loop finds it.
     let leader_handle = start(leader_config(&dir, &repl_addr)).unwrap();

@@ -56,7 +56,7 @@ pub use tailer::{TailFrame, TailPoll, WalTailer};
 pub use txnlog::{TxnDecisionLog, TXN_LOG_FILE};
 pub use wal::{decode_frame, encode_frame, WalRecord, WalShared, WalStats};
 
-use etypes::{DataType, Value};
+use etypes::{ColumnChunk, DataType, Value};
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -164,9 +164,10 @@ pub struct TableImage {
     pub rows: Vec<Vec<Value>>,
 }
 
-/// A borrowed [`TableImage`]: what a checkpoint encodes from, so an engine
-/// can snapshot its live heap without cloning it first. Recovery still
-/// returns owned images; `&TableImage` converts.
+/// A borrowed table: what a checkpoint encodes from, so an engine can
+/// snapshot its live heap — sealed column chunks followed by a row-major
+/// tail — without transposing or cloning it first. Recovery still returns
+/// owned, row-shaped images; `&TableImage` converts (all tail, no chunks).
 #[derive(Debug, Clone, Copy)]
 pub struct TableView<'a> {
     /// Table name.
@@ -177,8 +178,18 @@ pub struct TableView<'a> {
     pub types: &'a [DataType],
     /// Next value per serial column `(column index, next value)`.
     pub serial_next: &'a [(usize, i64)],
-    /// Row-major tuples; position is the ctid.
-    pub rows: &'a [Vec<Value>],
+    /// Sealed chunks, in ctid order.
+    pub chunks: &'a [ColumnChunk],
+    /// Row-major rows after the chunks; position (after every chunk row)
+    /// is the ctid.
+    pub tail: &'a [Vec<Value>],
+}
+
+impl TableView<'_> {
+    /// Rows across chunks and tail.
+    pub fn row_count(&self) -> usize {
+        self.chunks.iter().map(ColumnChunk::len).sum::<usize>() + self.tail.len()
+    }
 }
 
 impl<'a> From<&'a TableImage> for TableView<'a> {
@@ -188,7 +199,8 @@ impl<'a> From<&'a TableImage> for TableView<'a> {
             columns: &image.columns,
             types: &image.types,
             serial_next: &image.serial_next,
-            rows: &image.rows,
+            chunks: &[],
+            tail: &image.rows,
         }
     }
 }
@@ -571,7 +583,7 @@ impl Store {
         self.checkpoints += 1;
         Ok(CheckpointStats {
             tables: tables.len(),
-            rows: tables.iter().map(|t| t.rows.len() as u64).sum(),
+            rows: tables.iter().map(|t| t.row_count() as u64).sum(),
             snapshot_bytes,
             wal_bytes_truncated,
         })

@@ -19,6 +19,11 @@
 //! once in the bitmap (bit i of byte i/8, LSB first) and contribute no page
 //! bytes.
 //!
+//! The writer encodes each page straight from a [`TableView`] — the
+//! engine's sealed column chunks plus its row-major tail — and picks the
+//! tag over all of the column's rows, so the bytes do not depend on where
+//! the heap happens to be sealed.
+//!
 //! Rows are written in table order, so the implicit ctid — row position,
 //! which the paper's inspection joins rely on — survives restart exactly.
 //!
@@ -30,7 +35,7 @@ use crate::crc32::crc32;
 use crate::error::{Result, StoreError};
 use crate::{TableImage, TableView};
 use etypes::binary::{put_i64, put_str, put_u32, put_u64};
-use etypes::chunk::Column;
+use etypes::chunk::{encode_page, Column};
 use etypes::{ByteReader, Value};
 use std::fs::{self, File};
 use std::io::{Read, Write};
@@ -38,10 +43,6 @@ use std::path::Path;
 
 /// File magic for snapshot files (8 bytes, versioned).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"ELSNP001";
-
-fn encode_column(buf: &mut Vec<u8>, rows: &[Vec<Value>], col: usize) {
-    Column::from_rows(rows, col).encode_page(buf);
-}
 
 fn decode_column(
     r: &mut ByteReader<'_>,
@@ -56,24 +57,32 @@ fn decode_column(
     Ok(())
 }
 
-fn encode_table(image: TableView<'_>) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(256 + image.rows.len() * 16);
-    put_str(&mut buf, image.name);
-    put_u32(&mut buf, image.columns.len() as u32);
+/// Append one table's blob to `buf`.
+fn encode_table(buf: &mut Vec<u8>, image: TableView<'_>) {
+    let nrows = image.row_count();
+    buf.reserve(256 + nrows * 16);
+    put_str(buf, image.name);
+    put_u32(buf, image.columns.len() as u32);
     for (c, t) in image.columns.iter().zip(image.types) {
-        put_str(&mut buf, c);
-        etypes::binary::put_datatype(&mut buf, t);
+        put_str(buf, c);
+        etypes::binary::put_datatype(buf, t);
     }
-    put_u32(&mut buf, image.serial_next.len() as u32);
+    put_u32(buf, image.serial_next.len() as u32);
     for (idx, next) in image.serial_next {
-        put_u32(&mut buf, *idx as u32);
-        put_i64(&mut buf, *next);
+        put_u32(buf, *idx as u32);
+        put_i64(buf, *next);
     }
-    put_u64(&mut buf, image.rows.len() as u64);
+    put_u64(buf, nrows as u64);
+    // One page per column, encoded straight from the sealed chunks' columns
+    // and the tail rows.
     for col in 0..image.columns.len() {
-        encode_column(&mut buf, image.rows, col);
+        let sealed: Vec<&Column> = image
+            .chunks
+            .iter()
+            .map(|c| c.column(col).as_ref())
+            .collect();
+        encode_page(buf, &sealed, image.tail, col);
     }
-    buf
 }
 
 fn decode_table(blob: &[u8]) -> Result<TableImage> {
@@ -143,10 +152,15 @@ where
     put_u64(&mut buf, last_lsn);
     put_u32(&mut buf, tables.len() as u32);
     for &image in tables {
-        let blob = encode_table(image.into());
-        put_u32(&mut buf, blob.len() as u32);
-        put_u32(&mut buf, crc32(&blob));
-        buf.extend_from_slice(&blob);
+        // The blob is encoded in place behind its length and CRC, which are
+        // patched in afterwards: no second copy of the table is ever live.
+        let at = buf.len();
+        buf.extend_from_slice(&[0; 8]);
+        encode_table(&mut buf, image.into());
+        let len = (buf.len() - at - 8) as u32;
+        let crc = crc32(&buf[at + 8..]);
+        buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        buf[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
     }
     let bytes = buf.len() as u64;
     if let Err(fault) = etypes::fault::fire("snapshot.write") {

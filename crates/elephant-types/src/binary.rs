@@ -161,9 +161,14 @@ impl<'a> ByteReader<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// Read a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str_ref(&mut self) -> Result<&'a str> {
         let n = self.u32()? as usize;
         let b = self.take(n, "string payload")?;
-        String::from_utf8(b.to_vec()).map_err(|_| Error::Codec("string is not UTF-8".into()))
+        std::str::from_utf8(b).map_err(|_| Error::Codec("string is not UTF-8".into()))
     }
 
     /// Read a raw byte slice of length `n`.

@@ -722,10 +722,9 @@ impl<'a> Binder<'a> {
         // 3. Base table (with virtual ctid).
         if let Some(table) = self.catalog.table(name) {
             let mut cols: Vec<ColumnMeta> = table
-                .data
                 .columns
                 .iter()
-                .zip(&table.data.types)
+                .zip(&table.types)
                 .map(|(n, t)| ColumnMeta {
                     qualifier: Some(qualifier.clone()),
                     name: n.clone(),

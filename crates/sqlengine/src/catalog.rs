@@ -2,9 +2,8 @@
 
 use crate::ast::Query;
 use crate::error::{Result, SqlError};
-use crate::storage::{Relation, Table};
+use crate::storage::{StoredView, Table};
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// A view definition.
 #[derive(Debug, Clone)]
@@ -14,8 +13,8 @@ pub struct ViewDef {
     /// Defining query AST (re-bound and inlined at every reference for plain
     /// views).
     pub query: Query,
-    /// Stored data for materialized views (refreshed at creation).
-    pub materialized: Option<Rc<Relation>>,
+    /// Stored data for materialized views (computed at creation).
+    pub materialized: Option<StoredView>,
 }
 
 /// Name → object maps. Names are compared case-sensitively after the lexer

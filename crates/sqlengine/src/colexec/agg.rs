@@ -20,10 +20,11 @@ use super::{exec_node, rows_to_chunks};
 use crate::error::{Result, SqlError};
 use crate::exec::{Acc, ExecContext, Row};
 use crate::plan::{AggCall, BExpr, PlanNode};
-use etypes::chunk::{page_tag, ColumnData, NullBitmap};
+use etypes::chunk::{page_tag, ColumnData, NullBitmap, TextDict};
 use etypes::{ColumnChunk, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// One non-empty input batch with its group keys and aggregate arguments
 /// (`None` for `count(*)`) evaluated.
@@ -72,7 +73,13 @@ impl Batch {
 /// by materialized values for every other shape.
 enum KeyIndex {
     Int(HashMap<i64, u32>),
-    Text(HashMap<String, u32>),
+    /// Keyed by string; `memo` maps the codes of the dictionary the last
+    /// batch used to group ids, so each distinct string is hashed once per
+    /// dictionary rather than once per row.
+    Text {
+        map: HashMap<String, u32>,
+        memo: Option<(Rc<TextDict>, Vec<u32>)>,
+    },
     /// Indexed by the key itself.
     Bool([Option<u32>; 2]),
     Values(HashMap<Vec<Value>, u32>),
@@ -86,6 +93,9 @@ struct GroupTable {
     /// Each group's key values, by id.
     keys: Vec<Row>,
 }
+
+/// A dictionary code not yet mapped to a group.
+const UNRESOLVED: u32 = u32::MAX;
 
 /// Register `key` as the next group.
 fn new_group(keys: &mut Vec<Row>, key: Row) -> u32 {
@@ -102,7 +112,10 @@ impl GroupTable {
         let uniform = batches.iter().all(|b| b.key_tag() == tag);
         let index = match tag {
             Some(page_tag::INT) if uniform => KeyIndex::Int(HashMap::new()),
-            Some(page_tag::TEXT) if uniform => KeyIndex::Text(HashMap::new()),
+            Some(page_tag::TEXT) if uniform => KeyIndex::Text {
+                map: HashMap::new(),
+                memo: None,
+            },
             Some(page_tag::BOOL) if uniform => KeyIndex::Bool([None; 2]),
             _ => KeyIndex::Values(HashMap::new()),
         };
@@ -154,17 +167,28 @@ impl GroupTable {
                     }
                 }));
             }
-            (KeyIndex::Text(map), Some((ColumnData::Text(v), nulls))) => {
-                ids.extend(v.iter().enumerate().map(|(i, k)| {
+            (KeyIndex::Text { map, memo }, Some((ColumnData::Text { dict, codes }, nulls))) => {
+                if !memo.as_ref().is_some_and(|(d, _)| Rc::ptr_eq(d, dict)) {
+                    *memo = Some((Rc::clone(dict), vec![UNRESOLVED; dict.len()]));
+                }
+                let resolved = &mut memo.as_mut().expect("memo just set").1;
+                ids.extend(codes.iter().enumerate().map(|(i, &code)| {
                     if nulls.is_null(i) {
-                        null_group(keys)
-                    } else if let Some(&id) = map.get(k.as_str()) {
-                        id
-                    } else {
-                        let id = new_group(keys, vec![Value::Text(k.clone())]);
-                        map.insert(k.clone(), id);
-                        id
+                        return null_group(keys);
                     }
+                    let slot = &mut resolved[code as usize];
+                    if *slot == UNRESOLVED {
+                        let k = dict.get(code);
+                        *slot = match map.get(k) {
+                            Some(&id) => id,
+                            None => {
+                                let id = new_group(keys, vec![Value::text(k)]);
+                                map.insert(k.to_string(), id);
+                                id
+                            }
+                        };
+                    }
+                    *slot
                 }));
             }
             (KeyIndex::Bool(slots), Some((ColumnData::Bool(v), nulls))) => {

@@ -7,7 +7,7 @@
 //! order, then build order among duplicate keys). Unmatched build rows of a
 //! right / full join follow as NULL-padded chunks at the end.
 
-use super::kernels::{eval_col, gather, gather_opt};
+use super::kernels::eval_col;
 use super::{concat_chunks, exec_node, BATCH_ROWS};
 use crate::error::{Result, SqlError};
 use crate::exec::eval::{eval, truthy};
@@ -223,11 +223,11 @@ pub(super) fn exec_join(
             cols.push(if identity {
                 Rc::clone(c)
             } else {
-                Rc::new(gather(c, &lidx))
+                Rc::new(c.gather(&lidx))
             });
         }
         for c in rchunk.columns() {
-            cols.push(Rc::new(gather_opt(c, &ridx)));
+            cols.push(Rc::new(c.gather_opt(&ridx)));
         }
         out.push(ColumnChunk::new(cols, lidx.len()));
     }
@@ -241,7 +241,7 @@ pub(super) fn exec_join(
             let pad = Rc::new(Column::from_values(&vec![Value::Null; window.len()]));
             let mut cols = vec![pad; lwidth];
             for c in rchunk.columns() {
-                cols.push(Rc::new(gather(c, window)));
+                cols.push(Rc::new(c.gather(window)));
             }
             out.push(ColumnChunk::new(cols, window.len()));
         }

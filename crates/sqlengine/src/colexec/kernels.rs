@@ -93,134 +93,14 @@ impl BoolBuilder {
     }
 }
 
-/// Copy the selected rows of `col` into a new dense column.
-pub(crate) fn gather(col: &Column, sel: &[usize]) -> Column {
-    let mut nulls = NullBitmap::new_valid(sel.len());
-    for (i, &r) in sel.iter().enumerate() {
-        if col.is_null(r) {
-            nulls.set_null(i);
-        }
-    }
-    let data = match col.data() {
-        ColumnData::Int(v) => ColumnData::Int(sel.iter().map(|&r| v[r]).collect()),
-        ColumnData::Float(v) => ColumnData::Float(sel.iter().map(|&r| v[r]).collect()),
-        ColumnData::Bool(v) => ColumnData::Bool(sel.iter().map(|&r| v[r]).collect()),
-        ColumnData::Text(v) => ColumnData::Text(sel.iter().map(|&r| v[r].clone()).collect()),
-        ColumnData::Generic(v) => ColumnData::Generic(sel.iter().map(|&r| v[r].clone()).collect()),
-    };
-    Column::new(data, nulls)
-}
-
-/// [`gather`] with optional indices: `None` slots become NULL (outer-join
-/// padding).
-pub(crate) fn gather_opt(col: &Column, sel: &[Option<usize>]) -> Column {
-    let mut nulls = NullBitmap::new_valid(sel.len());
-    for (i, r) in sel.iter().enumerate() {
-        match r {
-            Some(r) if !col.is_null(*r) => {}
-            _ => nulls.set_null(i),
-        }
-    }
-    let data = match col.data() {
-        ColumnData::Int(v) => ColumnData::Int(sel.iter().map(|r| r.map_or(0, |r| v[r])).collect()),
-        ColumnData::Float(v) => {
-            ColumnData::Float(sel.iter().map(|r| r.map_or(0.0, |r| v[r])).collect())
-        }
-        ColumnData::Bool(v) => {
-            ColumnData::Bool(sel.iter().map(|r| r.is_some_and(|r| v[r])).collect())
-        }
-        ColumnData::Text(v) => ColumnData::Text(
-            sel.iter()
-                .map(|r| r.map_or_else(String::new, |r| v[r].clone()))
-                .collect(),
-        ),
-        ColumnData::Generic(v) => ColumnData::Generic(
-            sel.iter()
-                .map(|r| r.map_or(Value::Null, |r| v[r].clone()))
-                .collect(),
-        ),
-    };
-    Column::new(data, nulls)
-}
-
 /// Keep only the selected rows of every column in `chunk`.
 pub(crate) fn gather_chunk(chunk: &ColumnChunk, sel: &[usize]) -> ColumnChunk {
     let cols = chunk
         .columns()
         .iter()
-        .map(|c| Rc::new(gather(c, sel)))
+        .map(|c| Rc::new(c.gather(sel)))
         .collect();
     ColumnChunk::new(cols, sel.len())
-}
-
-/// Concatenate columns end-to-end (same logical column across batches).
-pub(crate) fn concat_columns(cols: &[&Column]) -> Column {
-    let total: usize = cols.iter().map(|c| c.len()).sum();
-    let same_tag = cols
-        .windows(2)
-        .all(|w| w[0].data().tag() == w[1].data().tag());
-    if !same_tag {
-        let mut cells = Vec::with_capacity(total);
-        for c in cols {
-            for i in 0..c.len() {
-                cells.push(c.get(i));
-            }
-        }
-        return Column::from_values(&cells);
-    }
-    let mut nulls = NullBitmap::new_valid(total);
-    let mut off = 0;
-    for c in cols {
-        for i in 0..c.len() {
-            if c.is_null(i) {
-                nulls.set_null(off + i);
-            }
-        }
-        off += c.len();
-    }
-    let data = match cols[0].data() {
-        ColumnData::Int(_) => ColumnData::Int(
-            cols.iter()
-                .flat_map(|c| match c.data() {
-                    ColumnData::Int(v) => v.iter().copied(),
-                    _ => unreachable!("tag checked"),
-                })
-                .collect(),
-        ),
-        ColumnData::Float(_) => ColumnData::Float(
-            cols.iter()
-                .flat_map(|c| match c.data() {
-                    ColumnData::Float(v) => v.iter().copied(),
-                    _ => unreachable!("tag checked"),
-                })
-                .collect(),
-        ),
-        ColumnData::Bool(_) => ColumnData::Bool(
-            cols.iter()
-                .flat_map(|c| match c.data() {
-                    ColumnData::Bool(v) => v.iter().copied(),
-                    _ => unreachable!("tag checked"),
-                })
-                .collect(),
-        ),
-        ColumnData::Text(_) => ColumnData::Text(
-            cols.iter()
-                .flat_map(|c| match c.data() {
-                    ColumnData::Text(v) => v.iter().cloned(),
-                    _ => unreachable!("tag checked"),
-                })
-                .collect(),
-        ),
-        ColumnData::Generic(_) => ColumnData::Generic(
-            cols.iter()
-                .flat_map(|c| match c.data() {
-                    ColumnData::Generic(v) => v.iter().cloned(),
-                    _ => unreachable!("tag checked"),
-                })
-                .collect(),
-        ),
-    };
-    Column::new(data, nulls)
 }
 
 /// Dense indices (into the selection) whose value is exactly `TRUE` — the
@@ -269,7 +149,7 @@ pub(crate) fn eval_col(
                 // a full-length selection is the identity.
                 Evaluated::Col(Rc::clone(chunk.column(*i)))
             } else {
-                Evaluated::Col(Rc::new(gather(chunk.column(*i), sel)))
+                Evaluated::Col(Rc::new(chunk.column(*i).gather(sel)))
             }
         }
         BExpr::Lit(v) => Evaluated::Scalar(v.clone()),

@@ -21,16 +21,18 @@ mod agg;
 mod join;
 mod kernels;
 
-use crate::error::{Result, SqlError};
+use crate::error::Result;
 use crate::exec::{execute, ExecContext, Row};
 use crate::plan::{BoundCte, JoinKind, PlanNode, ScanSource, CTID_SENTINEL};
+use crate::storage::Heap;
 use etypes::chunk::{Column, ColumnData, NullBitmap};
 use etypes::ColumnChunk;
 use kernels::{eval_col, gather_chunk, truthy_selection};
 use std::rc::Rc;
 
 /// Target rows per [`ColumnChunk`]; matches the cancellation tick quantum so
-/// a batch is also the unit of cooperative scheduling.
+/// a batch is also the unit of cooperative scheduling, and is the size at
+/// which a table heap seals its tail ([`crate::storage::Heap`]).
 pub(crate) const BATCH_ROWS: usize = 1024;
 
 /// Which execution subsystem runs queries.
@@ -106,26 +108,14 @@ fn node_vectorized(plan: &PlanNode) -> bool {
 }
 
 /// Execute a fully bound query with the columnar engine: materialize CTEs in
-/// order (batch-at-a-time, then spilled to rows exactly like the row
-/// engine's temp pages), then run the body and flatten the final batches.
-pub fn execute_root(ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
+/// order — their batches stored as they are, the same spill accounting as
+/// the row engine's temp pages — then run the body to batches.
+pub fn execute_root(ctx: &ExecContext<'_>) -> Result<Vec<ColumnChunk>> {
     for (i, cte) in ctx.root.ctes.iter().enumerate() {
         let chunks = exec_node(&cte.plan, ctx)?;
-        let rows = chunks_to_rows(&chunks);
-        {
-            let mut stats = ctx.stats.borrow_mut();
-            if cte.shared {
-                stats.shared_scans += 1;
-            } else {
-                stats.ctes_materialized += 1;
-            }
-            stats.pages_written += ctx.profile.pages_for(rows.len());
-        }
-        ctx.profile.charge_io(rows.len());
-        ctx.store_cte_rows(i, rows);
+        ctx.store_cte(i, Heap::from_chunks(cte.plan.schema().len(), chunks));
     }
-    let chunks = exec_node(&ctx.root.body, ctx)?;
-    Ok(chunks_to_rows(&chunks))
+    exec_node(&ctx.root.body, ctx)
 }
 
 /// Execute one plan node to batches.
@@ -291,68 +281,36 @@ fn exec_fallback(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<ColumnChu
     Ok(rows_to_chunks(&rows, plan.schema().len()))
 }
 
+/// Scan a stored heap: each sealed chunk's projected columns are shared
+/// (`Rc`), not copied; only the ctid column and the tail are built.
 fn exec_scan(
     source: &ScanSource,
     projection: &[usize],
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<ColumnChunk>> {
-    // One closure per source keeps the borrow of the catalog (or the CTE
-    // Rc) alive only while batching.
-    let batch = |rows: &[Row]| -> Vec<ColumnChunk> {
-        let mut out = Vec::with_capacity(rows.len().div_ceil(BATCH_ROWS));
+    ctx.scan_heap(source, |heap| {
+        let mut out = Vec::with_capacity(heap.sealed().len() + 1);
+        let tail =
+            (!heap.tail().is_empty()).then(|| ColumnChunk::from_rows(heap.tail(), heap.width()));
         let mut start = 0;
-        while start < rows.len() {
-            let end = (start + BATCH_ROWS).min(rows.len());
-            let window = &rows[start..end];
-            let cols: Vec<Rc<Column>> = projection
+        for chunk in heap.sealed().iter().chain(&tail) {
+            let end = start + chunk.len();
+            let cols = projection
                 .iter()
-                .map(|&c| {
-                    Rc::new(if c == CTID_SENTINEL {
-                        // Row ids are global, not per-batch.
-                        Column::new(
-                            ColumnData::Int((start..end).map(|r| r as i64).collect()),
-                            NullBitmap::new_valid(window.len()),
-                        )
-                    } else {
-                        Column::from_rows(window, c)
-                    })
+                .map(|&c| match c {
+                    // Row ids are global, not per-batch.
+                    CTID_SENTINEL => Rc::new(Column::new(
+                        ColumnData::Int((start..end).map(|r| r as i64).collect()),
+                        NullBitmap::new_valid(chunk.len()),
+                    )),
+                    c => Rc::clone(chunk.column(c)),
                 })
                 .collect();
-            out.push(ColumnChunk::new(cols, window.len()));
+            out.push(ColumnChunk::new(cols, chunk.len()));
             start = end;
         }
         out
-    };
-    match source {
-        ScanSource::Table(name) => {
-            let table = ctx
-                .catalog
-                .table(name)
-                .ok_or_else(|| SqlError::exec(format!("table '{name}' disappeared")))?;
-            ctx.stats.borrow_mut().pages_read += ctx.profile.pages_for(table.data.rows.len());
-            ctx.profile.charge_io(table.data.rows.len());
-            Ok(batch(&table.data.rows))
-        }
-        ScanSource::MaterializedView(name) => {
-            let view = ctx
-                .catalog
-                .view(name)
-                .ok_or_else(|| SqlError::exec(format!("view '{name}' disappeared")))?;
-            let data = view
-                .materialized
-                .as_ref()
-                .ok_or_else(|| SqlError::exec(format!("view '{name}' is not materialized")))?;
-            ctx.stats.borrow_mut().pages_read += ctx.profile.pages_for(data.rows.len());
-            ctx.profile.charge_io(data.rows.len());
-            Ok(batch(&data.rows))
-        }
-        ScanSource::Cte(i) => {
-            let rows = ctx.cte_rows(*i)?;
-            ctx.stats.borrow_mut().pages_read += ctx.profile.pages_for(rows.len());
-            ctx.profile.charge_io(rows.len());
-            Ok(batch(&rows))
-        }
-    }
+    })
 }
 
 /// A zero-row chunk of the given width (the canonical empty result).
@@ -398,7 +356,7 @@ pub(crate) fn concat_chunks(chunks: &[ColumnChunk]) -> ColumnChunk {
     let cols = (0..width)
         .map(|c| {
             let parts: Vec<&Column> = chunks.iter().map(|ch| ch.column(c).as_ref()).collect();
-            Rc::new(kernels::concat_columns(&parts))
+            Rc::new(Column::concat(&parts))
         })
         .collect();
     ColumnChunk::new(cols, len)

@@ -6,14 +6,15 @@
 //! `elephant-store` write-ahead log before the statement is acknowledged
 //! and can fold the whole catalog into a columnar snapshot on `CHECKPOINT`.
 //!
-//! The backend deals in [`TableImage`]s — schema, serial counters, and rows
-//! in ctid order — which round-trip losslessly to and from the engine's
-//! [`Table`] representation, so a recovered engine reproduces ctid
+//! Checkpoints encode straight from each table's heap through a borrowed
+//! [`TableView`]; recovery hands back row-shaped [`TableImage`]s — schema,
+//! serial counters, and rows in ctid order — which are sealed into the
+//! engine's [`Table`] heap on load, so a recovered engine reproduces ctid
 //! assignment exactly (the paper's inspection joins are keyed on ctid).
 
 use crate::catalog::Catalog;
 use crate::error::Result;
-use crate::storage::{Relation, Table};
+use crate::storage::Table;
 use elephant_store::{
     CheckpointStats, FsyncPolicy, RecoveryReport, Store, StoreConfig, StoreStats, TableImage,
     TableView, WalHandle, WalRecord,
@@ -149,7 +150,8 @@ impl StorageBackend for DurableBackend {
     fn checkpoint(&mut self, catalog: &Catalog) -> Result<Option<CheckpointStats>> {
         // This runs on the executor thread: a typed error degrades one
         // checkpoint, a panic would take the whole server down.
-        // Borrowed views: the snapshot is encoded straight from the heap.
+        // Borrowed views: the snapshot is encoded straight from the heap's
+        // sealed chunks and tail.
         let mut views: Vec<TableView<'_>> = Vec::new();
         for name in catalog.table_names() {
             let table = catalog.table(name).ok_or_else(|| {
@@ -159,10 +161,11 @@ impl StorageBackend for DurableBackend {
             })?;
             views.push(TableView {
                 name: &table.name,
-                columns: &table.data.columns,
-                types: &table.data.types,
+                columns: &table.columns,
+                types: &table.types,
                 serial_next: &table.serial_next,
-                rows: &table.data.rows,
+                chunks: table.heap.sealed(),
+                tail: table.heap.tail(),
             });
         }
         Ok(Some(self.store.checkpoint(&views)?))
@@ -208,27 +211,24 @@ impl StorageBackend for DurableBackend {
     }
 }
 
-/// Convert a recovered image into a live table (ctid order preserved).
+/// Convert a recovered image into a live table (ctid order preserved): its
+/// rows are appended in order, so full chunks are sealed on load and the
+/// rest stays in the tail.
 pub(crate) fn image_to_table(img: TableImage) -> Table {
-    Table {
-        name: img.name,
-        data: Relation {
-            columns: img.columns,
-            types: img.types,
-            rows: img.rows,
-        },
-        serial_next: img.serial_next,
-    }
+    let mut table = Table::empty(img.name, img.columns, img.types);
+    table.serial_next = img.serial_next;
+    table.heap.extend(img.rows);
+    table
 }
 
-/// Clone a live table into a snapshot image.
+/// Copy a live table into a snapshot image.
 pub(crate) fn table_to_image(table: &Table) -> TableImage {
     TableImage {
         name: table.name.clone(),
-        columns: table.data.columns.clone(),
-        types: table.data.types.clone(),
+        columns: table.columns.clone(),
+        types: table.types.clone(),
         serial_next: table.serial_next.clone(),
-        rows: table.data.rows.clone(),
+        rows: table.heap.to_rows(),
     }
 }
 

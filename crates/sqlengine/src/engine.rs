@@ -9,8 +9,9 @@ use crate::durable::{DurableBackend, MemoryBackend, StorageBackend};
 use crate::error::{Result, SqlError};
 use crate::exec::{execute_root, ExecContext, ExecStats};
 use crate::optimizer::optimize;
+use crate::plan::{PlanRoot, Schema};
 use crate::profile::EngineProfile;
-use crate::storage::{Relation, Table};
+use crate::storage::{Heap, Relation, Row, StoredView, Table};
 use crate::trace::{EngineTrace, Phase, QueryProfile};
 use elephant_store::{
     CheckpointStats, FsyncPolicy, RecoveryReport, StoreStats, TableImage, WalHandle, WalRecord,
@@ -667,7 +668,7 @@ impl Engine {
                     .catalog
                     .table_mut(&table)
                     .ok_or_else(|| SqlError::catalog(format!("unknown table '{table}'")))?;
-                let width = t.data.columns.len();
+                let width = t.columns.len();
                 for row in &rows {
                     if row.len() != width {
                         return Err(SqlError::exec(format!(
@@ -683,19 +684,23 @@ impl Engine {
                         }
                     }
                 }
-                t.data.rows.extend(rows);
+                t.heap.extend(rows);
             }
+            // Rare paths: rewrite the whole heap rather than patch sealed
+            // chunks in place.
             WalRecord::Update { table, rows } => {
                 let t = self
                     .catalog
                     .table_mut(&table)
                     .ok_or_else(|| SqlError::catalog(format!("unknown table '{table}'")))?;
+                let mut all = t.heap.to_rows();
                 for (ctid, row) in rows {
-                    let slot = t.data.rows.get_mut(ctid as usize).ok_or_else(|| {
+                    let slot = all.get_mut(ctid as usize).ok_or_else(|| {
                         SqlError::exec(format!("update of missing ctid {ctid} in '{table}'"))
                     })?;
                     *slot = row;
                 }
+                t.heap.replace_rows(all);
             }
             WalRecord::Delete { table, ctids } => {
                 let t = self
@@ -705,14 +710,21 @@ impl Engine {
                 let mut ids: Vec<usize> = ctids.iter().map(|c| *c as usize).collect();
                 ids.sort_unstable();
                 ids.dedup();
-                for id in ids.into_iter().rev() {
-                    if id >= t.data.rows.len() {
-                        return Err(SqlError::exec(format!(
-                            "delete of missing ctid {id} in '{table}'"
-                        )));
-                    }
-                    t.data.rows.remove(id);
+                if let Some(&id) = ids.last().filter(|&&id| id >= t.heap.len()) {
+                    return Err(SqlError::exec(format!(
+                        "delete of missing ctid {id} in '{table}'"
+                    )));
                 }
+                let mut doomed = ids.into_iter().peekable();
+                let kept = t
+                    .heap
+                    .to_rows()
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(rid, _)| doomed.next_if_eq(rid).is_none())
+                    .map(|(_, row)| row)
+                    .collect();
+                t.heap.replace_rows(kept);
             }
             WalRecord::TxnPrepare { txn_id, .. }
             | WalRecord::TxnCommit { txn_id }
@@ -993,7 +1005,7 @@ impl Engine {
                 materialized,
             } => {
                 let data = if materialized {
-                    Some(Rc::new(self.run_query(&query)?))
+                    Some(self.store_query(&query)?)
                 } else {
                     // Validate eagerly so errors surface at CREATE time.
                     bind_select(&self.catalog, &self.profile, &query)?;
@@ -1062,8 +1074,8 @@ impl Engine {
         self.run_cached(&cached, &values)
     }
 
-    /// Bind, optimize and execute a query to a [`Relation`].
-    pub fn run_query(&mut self, query: &crate::ast::Query) -> Result<Relation> {
+    /// Bind and optimize a query, each phase traced.
+    fn bind_traced(&mut self, query: &crate::ast::Query) -> Result<(PlanRoot, Schema)> {
         let t = self.trace.timer();
         let (mut root, schema) = bind_select(&self.catalog, &self.profile, query)?;
         self.trace.record(Phase::Bind, t);
@@ -1072,7 +1084,28 @@ impl Engine {
             optimize(&mut root);
             self.trace.record(Phase::Optimize, t);
         }
+        Ok((root, schema))
+    }
+
+    /// Bind, optimize and execute a query to a [`Relation`].
+    pub fn run_query(&mut self, query: &crate::ast::Query) -> Result<Relation> {
+        let (root, schema) = self.bind_traced(query)?;
         self.run_bound(&root, &schema)
+    }
+
+    /// Bind, optimize and execute a query into a sealed heap (a
+    /// materialized view): columnar batches are stored as they are.
+    fn store_query(&mut self, query: &crate::ast::Query) -> Result<StoredView> {
+        let (root, schema) = self.bind_traced(query)?;
+        let heap = match self.execute_bound(&root)? {
+            Output::Rows(rows) => Heap::from_rows(schema.len(), &rows),
+            Output::Chunks(chunks) => Heap::from_chunks(schema.len(), chunks),
+        };
+        Ok(StoredView {
+            columns: schema.names(),
+            types: schema.types(),
+            heap,
+        })
     }
 
     /// Run a query with operator profiling forced on, returning both the
@@ -1093,12 +1126,18 @@ impl Engine {
         Ok((relation, profile))
     }
 
-    /// Execute an already bound + optimized plan.
-    fn run_bound(
-        &mut self,
-        root: &crate::plan::PlanRoot,
-        schema: &crate::plan::Schema,
-    ) -> Result<Relation> {
+    /// Execute an already bound + optimized plan to a result.
+    fn run_bound(&mut self, root: &PlanRoot, schema: &Schema) -> Result<Relation> {
+        let rows = match self.execute_bound(root)? {
+            Output::Rows(rows) => rows,
+            Output::Chunks(chunks) => colexec::chunks_to_rows(&chunks),
+        };
+        Relation::new(schema.names(), schema.types(), rows)
+    }
+
+    /// Execute a bound plan on the engine the mode picks, in the shape that
+    /// engine produces.
+    fn execute_bound(&mut self, root: &PlanRoot) -> Result<Output> {
         let mut ctx = ExecContext::new(&self.catalog, &self.profile, root);
         if self.capture_profiles {
             ctx.enable_profiling();
@@ -1112,10 +1151,10 @@ impl Engine {
             ExecMode::Auto => root.vectorized,
         };
         let started = (self.trace.enabled() || self.capture_profiles).then(Instant::now);
-        let rows = if columnar {
-            colexec::execute_root(&ctx)?
+        let output = if columnar {
+            Output::Chunks(colexec::execute_root(&ctx)?)
         } else {
-            execute_root(&ctx)?
+            Output::Rows(execute_root(&ctx)?)
         };
         let elapsed_us = started.map(|t| t.elapsed().as_micros() as u64);
         if let Some(us) = elapsed_us {
@@ -1135,10 +1174,10 @@ impl Engine {
                 root,
                 &profiles,
                 elapsed_us.unwrap_or(0),
-                rows.len() as u64,
+                output.len() as u64,
             ));
         }
-        Relation::new(schema.names(), schema.types(), rows)
+        Ok(output)
     }
 
     /// The plan-cache key for `sql` under the current execution mode. Modes
@@ -1218,14 +1257,7 @@ impl Engine {
 
     /// Bind + optimize an already parsed SELECT into a cacheable plan.
     fn plan_query(&mut self, query: &crate::ast::Query) -> Result<CachedPlan> {
-        let t = self.trace.timer();
-        let (mut root, schema) = bind_select(&self.catalog, &self.profile, query)?;
-        self.trace.record(Phase::Bind, t);
-        if self.profile.enable_optimizer {
-            let t = self.trace.timer();
-            optimize(&mut root);
-            self.trace.record(Phase::Optimize, t);
-        }
+        let (root, schema) = self.bind_traced(query)?;
         let tables = collect_table_deps(query, &root);
         let params = root.max_param();
         Ok(CachedPlan {
@@ -1364,8 +1396,8 @@ impl Engine {
             .catalog
             .table_mut(table)
             .ok_or_else(|| SqlError::catalog(format!("unknown table '{table}'")))?;
-        let width = table_ref.data.columns.len();
-        let first_new_row = table_ref.data.rows.len();
+        let width = table_ref.columns.len();
+        let first_new_row = table_ref.heap.len();
         let saved_serials = table_ref.serial_next.clone();
         let mut count = 0usize;
         for row in evaluated {
@@ -1382,7 +1414,7 @@ impl Engine {
                 Some(cols) => {
                     let mut full = vec![Value::Null; width];
                     for (c, v) in cols.iter().zip(row) {
-                        let idx = table_ref.data.column_index(c).ok_or_else(|| {
+                        let idx = table_ref.column_index(c).ok_or_else(|| {
                             SqlError::bind(format!("unknown column '{c}' in INSERT"))
                         })?;
                         full[idx] = v;
@@ -1396,7 +1428,7 @@ impl Engine {
         // Log the rows as stored (post serial-fill/coercion) so replay
         // reproduces the exact in-memory state, ctids included.
         if count > 0 && (self.backend.is_durable() || self.txn_capture.is_some()) {
-            let rows = table_ref.data.rows[first_new_row..].to_vec();
+            let rows = table_ref.heap.rows_from(first_new_row);
             if let Err(e) = self.log_durable(&WalRecord::Insert {
                 table: table.to_string(),
                 rows,
@@ -1416,8 +1448,9 @@ impl Engine {
     }
 
     /// Undo an in-memory append whose WAL record failed to land: cut the
-    /// rows back out and restore the serial counters, so the visible state
-    /// matches what replay will reconstruct.
+    /// rows back out (unsealing a chunk the append sealed) and restore the
+    /// serial counters, so the visible state matches what replay will
+    /// reconstruct.
     fn rollback_append(
         &mut self,
         table: &str,
@@ -1425,7 +1458,7 @@ impl Engine {
         saved_serials: Vec<(usize, i64)>,
     ) {
         if let Some(t) = self.catalog.table_mut(table) {
-            t.data.rows.truncate(first_new_row);
+            t.heap.truncate(first_new_row);
             t.serial_next = saved_serials;
         }
     }
@@ -1446,20 +1479,19 @@ impl Engine {
             .catalog
             .table_mut(table)
             .ok_or_else(|| SqlError::catalog(format!("unknown table '{table}'")))?;
-        let width = table_ref.data.columns.len();
+        let width = table_ref.columns.len();
         let target_indices: Vec<usize> = match columns {
             Some(cols) => cols
                 .iter()
                 .map(|c| {
                     table_ref
-                        .data
                         .column_index(c)
                         .ok_or_else(|| SqlError::bind(format!("unknown column '{c}' in COPY")))
                 })
                 .collect::<Result<Vec<_>>>()?,
             None => (0..width).collect(),
         };
-        let first_new_row = table_ref.data.rows.len();
+        let first_new_row = table_ref.heap.len();
         let saved_serials = table_ref.serial_next.clone();
         let mut count = 0usize;
         for row in csv.rows {
@@ -1478,7 +1510,7 @@ impl Engine {
             count += 1;
         }
         if count > 0 && builds_record {
-            let rows = table_ref.data.rows[first_new_row..].to_vec();
+            let rows = table_ref.heap.rows_from(first_new_row);
             if let Err(e) = self.log_durable(&WalRecord::Insert {
                 table: table.to_string(),
                 rows,
@@ -1548,6 +1580,22 @@ impl<'a> BindShim<'a> {
                 .next()
                 .ok_or_else(|| SqlError::bind("empty INSERT expression"))?),
             _ => Err(SqlError::bind("INSERT values must be constant expressions")),
+        }
+    }
+}
+
+/// What an executor produced: the row engine's rows or the columnar
+/// engine's batches.
+enum Output {
+    Rows(Vec<Row>),
+    Chunks(Vec<etypes::ColumnChunk>),
+}
+
+impl Output {
+    fn len(&self) -> usize {
+        match self {
+            Output::Rows(rows) => rows.len(),
+            Output::Chunks(chunks) => chunks.iter().map(etypes::ColumnChunk::len).sum(),
         }
     }
 }

@@ -13,7 +13,7 @@ use crate::plan::{
     AggCall, AggFunc, BExpr, JoinKind, PlanNode, PlanRoot, ScanSource, CTID_SENTINEL,
 };
 use crate::profile::EngineProfile;
-use crate::storage::Relation;
+use crate::storage::Heap;
 use etypes::Value;
 use eval::{eval, truthy};
 use std::cell::{Cell, RefCell};
@@ -25,8 +25,7 @@ use std::rc::Rc;
 /// runaway join is cancelled promptly.
 const TICK_ROWS: u64 = 1024;
 
-/// One tuple.
-pub type Row = Vec<Value>;
+pub use crate::storage::Row;
 
 /// Runtime counters for one plan node under operator profiling.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +108,7 @@ pub struct ExecContext<'a> {
     /// The bound query (CTE and subplan tables).
     pub root: &'a PlanRoot,
     /// Materialized CTE results, filled in order before the body runs.
-    cte_results: RefCell<Vec<Option<Rc<Vec<Row>>>>>,
+    cte_results: RefCell<Vec<Option<Rc<Heap>>>>,
     /// Lazily evaluated scalar subquery values.
     subplan_cache: RefCell<Vec<Option<Value>>>,
     /// Counters.
@@ -202,16 +201,64 @@ impl<'a> ExecContext<'a> {
         Ok(value)
     }
 
-    pub(crate) fn cte_rows(&self, i: usize) -> Result<Rc<Vec<Row>>> {
+    pub(crate) fn cte_heap(&self, i: usize) -> Result<Rc<Heap>> {
         self.cte_results.borrow()[i]
             .clone()
             .ok_or_else(|| SqlError::exec("CTE referenced before materialization"))
     }
 
-    /// Install CTE `i`'s materialized rows (the columnar driver fills these
-    /// the same way [`execute_root`] does).
-    pub(crate) fn store_cte_rows(&self, i: usize, rows: Vec<Row>) {
-        self.cte_results.borrow_mut()[i] = Some(Rc::new(rows));
+    /// Install CTE `i`'s materialized result, counting it like a temp-page
+    /// spill (both executors fill CTEs in order through here).
+    pub(crate) fn store_cte(&self, i: usize, heap: Heap) {
+        let rows = heap.len();
+        {
+            let mut stats = self.stats.borrow_mut();
+            if self.root.ctes[i].shared {
+                stats.shared_scans += 1;
+            } else {
+                stats.ctes_materialized += 1;
+            }
+            stats.pages_written += self.profile.pages_for(rows);
+        }
+        // Materialization writes temp pages (PostgreSQL spills CTE results).
+        self.profile.charge_io(rows);
+        self.cte_results.borrow_mut()[i] = Some(Rc::new(heap));
+    }
+
+    /// The stored heap a scan reads, with the scan's page charges applied.
+    pub(crate) fn scan_heap<R>(
+        &self,
+        source: &ScanSource,
+        read: impl FnOnce(&Heap) -> R,
+    ) -> Result<R> {
+        let cte;
+        let heap = match source {
+            ScanSource::Table(name) => {
+                &self
+                    .catalog
+                    .table(name)
+                    .ok_or_else(|| SqlError::exec(format!("table '{name}' disappeared")))?
+                    .heap
+            }
+            ScanSource::MaterializedView(name) => {
+                let view = self
+                    .catalog
+                    .view(name)
+                    .ok_or_else(|| SqlError::exec(format!("view '{name}' disappeared")))?;
+                &view
+                    .materialized
+                    .as_ref()
+                    .ok_or_else(|| SqlError::exec(format!("view '{name}' is not materialized")))?
+                    .heap
+            }
+            ScanSource::Cte(i) => {
+                cte = self.cte_heap(*i)?;
+                &*cte
+            }
+        };
+        self.stats.borrow_mut().pages_read += self.profile.pages_for(heap.len());
+        self.profile.charge_io(heap.len());
+        Ok(read(heap))
     }
 
     /// True when per-node profiling is armed for this execution.
@@ -242,30 +289,9 @@ impl<'a> ExecContext<'a> {
 pub fn execute_root(ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
     for (i, cte) in ctx.root.ctes.iter().enumerate() {
         let rows = execute(&cte.plan, ctx)?;
-        {
-            let mut stats = ctx.stats.borrow_mut();
-            if cte.shared {
-                stats.shared_scans += 1;
-            } else {
-                stats.ctes_materialized += 1;
-            }
-            stats.pages_written += ctx.profile.pages_for(rows.len());
-        }
-        // Materialization writes temp pages (PostgreSQL spills CTE results).
-        ctx.profile.charge_io(rows.len());
-        ctx.cte_results.borrow_mut()[i] = Some(Rc::new(rows));
+        ctx.store_cte(i, Heap::from_rows(cte.plan.schema().len(), &rows));
     }
     execute(&ctx.root.body, ctx)
-}
-
-/// Convenience wrapper producing a [`Relation`] with the given schema.
-pub fn execute_to_relation(
-    ctx: &ExecContext<'_>,
-    columns: Vec<String>,
-    types: Vec<etypes::DataType>,
-) -> Result<Relation> {
-    let rows = execute_root(ctx)?;
-    Relation::new(columns, types, rows)
 }
 
 /// Execute one plan node to rows.
@@ -422,54 +448,37 @@ pub fn execute(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
     Ok(rows)
 }
 
+/// The row cursor over a stored heap: builds only the projected cells of
+/// each row, sealed chunks first, then the tail.
 fn exec_scan(source: &ScanSource, projection: &[usize], ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
-    let project = |rows: &[Row]| -> Vec<Row> {
-        rows.iter()
-            .enumerate()
-            .map(|(rid, row)| {
+    ctx.scan_heap(source, |heap| {
+        let mut out = Vec::with_capacity(heap.len());
+        for chunk in heap.sealed() {
+            let rid = out.len();
+            out.extend((0..chunk.len()).map(|i| {
                 projection
                     .iter()
-                    .map(|&c| {
-                        if c == CTID_SENTINEL {
-                            Value::Int(rid as i64)
-                        } else {
-                            row[c].clone()
-                        }
+                    .map(|&c| match c {
+                        CTID_SENTINEL => Value::Int((rid + i) as i64),
+                        c => chunk.column(c).get(i),
                     })
                     .collect()
-            })
-            .collect()
-    };
-    match source {
-        ScanSource::Table(name) => {
-            let table = ctx
-                .catalog
-                .table(name)
-                .ok_or_else(|| SqlError::exec(format!("table '{name}' disappeared")))?;
-            ctx.stats.borrow_mut().pages_read += ctx.profile.pages_for(table.data.rows.len());
-            ctx.profile.charge_io(table.data.rows.len());
-            Ok(project(&table.data.rows))
+            }));
         }
-        ScanSource::MaterializedView(name) => {
-            let view = ctx
-                .catalog
-                .view(name)
-                .ok_or_else(|| SqlError::exec(format!("view '{name}' disappeared")))?;
-            let data = view
-                .materialized
-                .as_ref()
-                .ok_or_else(|| SqlError::exec(format!("view '{name}' is not materialized")))?;
-            ctx.stats.borrow_mut().pages_read += ctx.profile.pages_for(data.rows.len());
-            ctx.profile.charge_io(data.rows.len());
-            Ok(project(&data.rows))
+        for row in heap.tail() {
+            let rid = out.len();
+            out.push(
+                projection
+                    .iter()
+                    .map(|&c| match c {
+                        CTID_SENTINEL => Value::Int(rid as i64),
+                        c => row[c].clone(),
+                    })
+                    .collect(),
+            );
         }
-        ScanSource::Cte(i) => {
-            let rows = ctx.cte_rows(*i)?;
-            ctx.stats.borrow_mut().pages_read += ctx.profile.pages_for(rows.len());
-            ctx.profile.charge_io(rows.len());
-            Ok(project(&rows))
-        }
-    }
+        out
+    })
 }
 
 /// PostgreSQL default ordering: NULLs sort as the largest value.

@@ -1,11 +1,15 @@
-//! In-memory relations and base tables.
+//! Query results and the one columnar heap behind tables, materialized
+//! views and materialized CTEs.
 
+use crate::colexec::BATCH_ROWS;
 use crate::error::{Result, SqlError};
-use etypes::{DataType, Value};
+use etypes::{ColumnChunk, DataType, Value};
 
-/// A materialized relation: schema plus row-major tuples. This is both the
-/// engine's result type and the storage format of base tables and
-/// materialized views.
+/// One tuple.
+pub type Row = Vec<Value>;
+
+/// A query result: schema plus row-major tuples. Stored data lives in a
+/// [`Heap`]; this is only what statements hand back to callers.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Relation {
     /// Column names in order.
@@ -105,7 +109,149 @@ impl Relation {
     }
 }
 
-/// A base table: a named relation whose row positions also serve as `ctid`
+/// Stored rows: sealed [`ColumnChunk`]s followed by a row-major tail of
+/// fewer than [`BATCH_ROWS`] rows. A row's position across chunks then
+/// tail is its ctid.
+///
+/// Appends go to the tail, which is sealed into a chunk once it holds
+/// `BATCH_ROWS` rows, so a base table's chunks are all full. Materialized
+/// views and CTEs are sealed whole when created and keep the chunks the
+/// executor produced as they are. Scans share the sealed chunks' columns
+/// (`Rc`) and build only the tail; the row engine reads the same chunks
+/// through its scan's row cursor.
+#[derive(Debug, Clone, Default)]
+pub struct Heap {
+    width: usize,
+    sealed: Vec<ColumnChunk>,
+    sealed_rows: usize,
+    tail: Vec<Row>,
+}
+
+impl Heap {
+    /// An empty heap of `width` columns.
+    pub fn new(width: usize) -> Heap {
+        Heap {
+            width,
+            ..Heap::default()
+        }
+    }
+
+    /// A sealed heap holding executor output as it is (empty chunks are
+    /// dropped).
+    pub fn from_chunks(width: usize, chunks: Vec<ColumnChunk>) -> Heap {
+        let sealed: Vec<ColumnChunk> = chunks.into_iter().filter(|c| !c.is_empty()).collect();
+        Heap {
+            width,
+            sealed_rows: sealed.iter().map(ColumnChunk::len).sum(),
+            sealed,
+            tail: Vec::new(),
+        }
+    }
+
+    /// A sealed heap of row-engine output, one chunk per `BATCH_ROWS` rows.
+    pub fn from_rows(width: usize, rows: &[Row]) -> Heap {
+        let chunks = rows
+            .chunks(BATCH_ROWS)
+            .map(|window| ColumnChunk::from_rows(window, width))
+            .collect();
+        Heap::from_chunks(width, chunks)
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.sealed_rows + self.tail.len()
+    }
+
+    /// True when the heap holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of columns.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The sealed chunks, in row order.
+    pub fn sealed(&self) -> &[ColumnChunk] {
+        &self.sealed
+    }
+
+    /// The row-major rows after the sealed chunks.
+    pub fn tail(&self) -> &[Row] {
+        &self.tail
+    }
+
+    /// Append one row (arity already checked), sealing the tail when full.
+    pub fn push(&mut self, row: Row) {
+        debug_assert_eq!(row.len(), self.width);
+        self.tail.push(row);
+        if self.tail.len() == BATCH_ROWS {
+            self.sealed
+                .push(ColumnChunk::from_rows(&self.tail, self.width));
+            self.sealed_rows += BATCH_ROWS;
+            self.tail.clear();
+        }
+    }
+
+    /// Append rows in order.
+    pub fn extend(&mut self, rows: impl IntoIterator<Item = Row>) {
+        for row in rows {
+            self.push(row);
+        }
+    }
+
+    /// Rows `start..`, materialized (an append's WAL record).
+    pub fn rows_from(&self, start: usize) -> Vec<Row> {
+        let mut out = Vec::with_capacity(self.len().saturating_sub(start));
+        let mut first = 0;
+        for chunk in &self.sealed {
+            let end = first + chunk.len();
+            if end > start {
+                out.extend((start.max(first) - first..chunk.len()).map(|i| chunk.get_row(i)));
+            }
+            first = end;
+        }
+        let skip = start.saturating_sub(self.sealed_rows);
+        out.extend(self.tail.iter().skip(skip).cloned());
+        out
+    }
+
+    /// Every row, materialized.
+    pub fn to_rows(&self) -> Vec<Row> {
+        self.rows_from(0)
+    }
+
+    /// Cut back to the first `len` rows (an append's undo). A cut inside a
+    /// sealed chunk — the undone statement crossed a seal — unseals that
+    /// chunk's surviving rows back into the tail, so the heap is exactly
+    /// what it was before the append.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.sealed_rows {
+            self.tail.truncate(len - self.sealed_rows);
+            return;
+        }
+        self.tail.clear();
+        while let Some(chunk) = self.sealed.pop() {
+            self.sealed_rows -= chunk.len();
+            if self.sealed_rows <= len {
+                self.tail = (0..len - self.sealed_rows)
+                    .map(|i| chunk.get_row(i))
+                    .collect();
+                break;
+            }
+        }
+    }
+
+    /// Replace every row (rare paths: replicated updates and deletes by
+    /// ctid rewrite the table).
+    pub fn replace_rows(&mut self, rows: Vec<Row>) {
+        *self = Heap::new(self.width);
+        self.extend(rows);
+    }
+}
+
+/// A base table: a named heap whose row positions also serve as `ctid`
 /// tuple identifiers (paper §3.1). The engine never garbage-collects or
 /// reorders rows, so — unlike PostgreSQL's physical ctid — these identifiers
 /// are stable for the lifetime of the table.
@@ -113,8 +259,12 @@ impl Relation {
 pub struct Table {
     /// Table name.
     pub name: String,
-    /// Data.
-    pub data: Relation,
+    /// Column names in order.
+    pub columns: Vec<String>,
+    /// Column types in order.
+    pub types: Vec<DataType>,
+    /// The rows.
+    pub heap: Heap,
     /// Next value per serial column (by column index).
     pub serial_next: Vec<(usize, i64)>,
 }
@@ -130,23 +280,26 @@ impl Table {
             .collect();
         Table {
             name: name.into(),
-            data: Relation {
-                columns,
-                types,
-                rows: Vec::new(),
-            },
+            heap: Heap::new(columns.len()),
+            columns,
+            types,
             serial_next,
         }
     }
 
+    /// Index of a column by name.
+    pub fn column_index(&self, name: &str) -> Option<usize> {
+        self.columns.iter().position(|c| c == name)
+    }
+
     /// Append a row, filling serial columns whose value is NULL.
     pub fn append(&mut self, mut row: Vec<Value>) -> Result<()> {
-        if row.len() != self.data.columns.len() {
+        if row.len() != self.columns.len() {
             return Err(SqlError::exec(format!(
                 "insert arity {} does not match table {} arity {}",
                 row.len(),
                 self.name,
-                self.data.columns.len()
+                self.columns.len()
             )));
         }
         for (idx, next) in &mut self.serial_next {
@@ -156,16 +309,27 @@ impl Table {
             }
         }
         // Coerce cell types to declared column types where cheap.
-        for (cell, ty) in row.iter_mut().zip(&self.data.types) {
+        for (cell, ty) in row.iter_mut().zip(&self.types) {
             if !cell.is_null() {
                 if let Ok(coerced) = cell.cast(ty) {
                     *cell = coerced;
                 }
             }
         }
-        self.data.rows.push(row);
+        self.heap.push(row);
         Ok(())
     }
+}
+
+/// A materialized view's stored result: its schema plus a sealed heap.
+#[derive(Debug, Clone)]
+pub struct StoredView {
+    /// Column names in order.
+    pub columns: Vec<String>,
+    /// Column types in order.
+    pub types: Vec<DataType>,
+    /// The rows, sealed at creation.
+    pub heap: Heap,
 }
 
 #[cfg(test)]
@@ -197,14 +361,70 @@ mod tests {
         );
         t.append(vec![Value::Null, "a".into()]).unwrap();
         t.append(vec![Value::Null, "b".into()]).unwrap();
-        assert_eq!(t.data.rows[1][0], Value::Int(2));
+        assert_eq!(t.heap.to_rows()[1][0], Value::Int(2));
     }
 
     #[test]
     fn append_coerces_declared_types() {
         let mut t = Table::empty("t", vec!["v".into()], vec![DataType::Float]);
         t.append(vec![Value::Int(3)]).unwrap();
-        assert_eq!(t.data.rows[0][0], Value::Float(3.0));
+        assert_eq!(t.heap.to_rows()[0][0], Value::Float(3.0));
+    }
+
+    fn rows(range: std::ops::Range<i64>) -> Vec<Row> {
+        range
+            .map(|i| vec![Value::Int(i), Value::text(format!("r{}", i % 3))])
+            .collect()
+    }
+
+    #[test]
+    fn heap_seals_full_tails_and_reads_back_in_order() {
+        let n = 2 * BATCH_ROWS as i64 + 5;
+        let mut heap = Heap::new(2);
+        heap.extend(rows(0..n));
+        assert_eq!(heap.sealed().len(), 2);
+        assert!(heap.sealed().iter().all(|c| c.len() == BATCH_ROWS));
+        assert_eq!(heap.tail().len(), 5);
+        assert_eq!(heap.len(), n as usize);
+        assert_eq!(heap.to_rows(), rows(0..n));
+        assert_eq!(
+            heap.rows_from(BATCH_ROWS - 2),
+            rows(BATCH_ROWS as i64 - 2..n)
+        );
+        assert_eq!(heap.rows_from(n as usize), Vec::<Row>::new());
+    }
+
+    #[test]
+    fn truncate_across_a_seal_restores_the_tail() {
+        let before = BATCH_ROWS as i64 - 3;
+        let mut heap = Heap::new(2);
+        heap.extend(rows(0..before));
+        let (sealed, tail) = (heap.sealed().len(), heap.tail().to_vec());
+        heap.extend(rows(before..before + 10));
+        assert_eq!(heap.sealed().len(), 1, "the append crossed a seal");
+        heap.truncate(before as usize);
+        assert_eq!((heap.sealed().len(), heap.tail()), (sealed, &tail[..]));
+        assert_eq!(heap.to_rows(), rows(0..before));
+        // Cutting exactly at a chunk boundary drops the whole chunk.
+        heap.extend(rows(before..2 * BATCH_ROWS as i64));
+        heap.truncate(BATCH_ROWS);
+        assert_eq!((heap.sealed().len(), heap.tail().len()), (1, 0));
+        assert_eq!(heap.to_rows(), rows(0..BATCH_ROWS as i64));
+    }
+
+    #[test]
+    fn sealed_heaps_keep_chunks_as_given() {
+        let chunks = vec![
+            ColumnChunk::from_rows(&rows(0..3), 2),
+            ColumnChunk::from_rows(&[], 2),
+            ColumnChunk::from_rows(&rows(3..4), 2),
+        ];
+        let heap = Heap::from_chunks(2, chunks);
+        assert_eq!(heap.sealed().len(), 2, "empty chunks dropped");
+        assert!(heap.tail().is_empty());
+        assert_eq!(heap.to_rows(), rows(0..4));
+        let heap = Heap::from_rows(2, &rows(0..BATCH_ROWS as i64 + 1));
+        assert_eq!((heap.sealed().len(), heap.tail().len()), (2, 0));
     }
 
     #[test]

@@ -61,6 +61,112 @@ fn row_and_columnar_agree_in_memory_profile() {
     diff_profile(EngineProfile::in_memory(), 0xE1E9_0002, 150);
 }
 
+/// The corpus tables again, but straddling the heap's 1024-row seal: `t1`
+/// and `t2` hold 1023 to 2049 rows, loaded by one multi-row INSERT or row
+/// by row, and their text columns mix NULL, `''` and a few repeated values.
+fn straddle_engine(profile: EngineProfile, rng: &mut Prng) -> Engine {
+    let mut e = Engine::new(profile);
+    e.execute("CREATE TABLE t1 (a int, b int, c float, d text)")
+        .unwrap();
+    e.execute("CREATE TABLE t2 (k int, v int, w text)").unwrap();
+    fn int(rng: &mut Prng, lo: i64, hi: i64) -> String {
+        if rng.chance(0.2) {
+            "NULL".into()
+        } else {
+            rng.range_i64(lo, hi).to_string()
+        }
+    }
+    fn text(rng: &mut Prng, prefix: &str) -> String {
+        match rng.below(6) {
+            0 => "NULL".into(),
+            1 => "''".into(),
+            k => format!("'{prefix}{}'", k % 3),
+        }
+    }
+    for table in ["t1", "t2"] {
+        let rows = [1023, 1024, 1025, 2049][rng.below(4)];
+        let tuples: Vec<String> = (0..rows)
+            .map(|_| match table {
+                "t1" => {
+                    let c = if rng.chance(0.2) {
+                        "NULL".into()
+                    } else {
+                        format!("{:.3}", rng.range_f64(-4.0, 9.0))
+                    };
+                    let (a, b) = (int(rng, -8, 20), int(rng, 0, 6));
+                    format!("({a}, {b}, {c}, {})", text(rng, "s"))
+                }
+                _ => {
+                    let (k, v) = (int(rng, -8, 20), int(rng, -5, 5));
+                    format!("({k}, {v}, {})", text(rng, "w"))
+                }
+            })
+            .collect();
+        if rng.chance(0.5) {
+            e.execute(&format!("INSERT INTO {table} VALUES {}", tuples.join(", ")))
+                .unwrap();
+        } else {
+            for t in &tuples {
+                e.execute(&format!("INSERT INTO {table} VALUES {t}"))
+                    .unwrap();
+            }
+        }
+    }
+    e
+}
+
+#[test]
+fn row_and_columnar_agree_across_seal_boundaries() {
+    let text_cases = [
+        "SELECT d, count(*), min(c), max(a) FROM t1 GROUP BY d",
+        "SELECT DISTINCT d FROM t1 ORDER BY d",
+        "SELECT ctid, d FROM t1 WHERE d = '' OR d IS NULL",
+        "SELECT t1.d, t2.w, count(*) FROM t1 INNER JOIN t2 ON t1.d = t2.w GROUP BY t1.d, t2.w",
+        "SELECT t2.w, count(*), sum(t1.a) FROM t1 LEFT JOIN t2 ON t1.a = t2.k GROUP BY t2.w",
+        "SELECT t2.w, t1.d, t1.ctid FROM t1 FULL JOIN t2 ON t1.a = t2.k WHERE t1.b = 1",
+        "SELECT d || w AS dw, count(*) FROM t1 INNER JOIN t2 ON t1.a = t2.k GROUP BY d || w",
+        "SELECT d, a FROM t1 ORDER BY d, a, c LIMIT 30",
+        "WITH x AS (SELECT d, a FROM t1 WHERE a > 0) \
+         SELECT p.d, count(*) FROM x p INNER JOIN x q ON p.a = q.a GROUP BY p.d",
+        "SELECT d, count(*) FROM mv_row GROUP BY d",
+        "SELECT id, d FROM mv_col WHERE id > 1000 AND id < 1030",
+        "SELECT r.d, count(*) FROM mv_row r INNER JOIN mv_col c ON r.id = c.id \
+         WHERE r.d = c.d GROUP BY r.d",
+    ];
+    for seed in [0xE1E9_0101u64, 0xE1E9_0102, 0xE1E9_0103, 0xE1E9_0104] {
+        let profile = if seed % 2 == 0 {
+            EngineProfile::in_memory()
+        } else {
+            EngineProfile::disk_based_no_latency()
+        };
+        let mut rng = Prng::new(seed);
+        let mut e = straddle_engine(profile, &mut rng);
+        // Views stored by each engine, then read by all three.
+        let view = "AS SELECT ctid AS id, d, a FROM t1 WHERE a IS NOT NULL";
+        e.set_exec_mode(ExecMode::Row);
+        e.execute(&format!("CREATE MATERIALIZED VIEW mv_row {view}"))
+            .unwrap();
+        e.set_exec_mode(ExecMode::Columnar);
+        e.execute(&format!("CREATE MATERIALIZED VIEW mv_col {view}"))
+            .unwrap();
+        let mut cases: Vec<String> = (0..40).map(|_| gen_query(&mut rng)).collect();
+        cases.extend(text_cases.map(String::from));
+        for (q, sql) in cases.iter().enumerate() {
+            let row = run(&mut e, ExecMode::Row, sql);
+            if q >= 40 {
+                assert!(!row.starts_with("ERR"), "{sql}: {row}");
+            }
+            let col = run(&mut e, ExecMode::Columnar, sql);
+            assert_eq!(
+                row, col,
+                "seed {seed:#x} case {q} diverged (columnar): {sql}"
+            );
+            let auto = run(&mut e, ExecMode::Auto, sql);
+            assert_eq!(row, auto, "seed {seed:#x} case {q} diverged (auto): {sql}");
+        }
+    }
+}
+
 /// Lazy AND must not evaluate the right side for short-circuited rows: a
 /// division that would blow up on b = 0 is guarded by `b <> 0`.
 #[test]

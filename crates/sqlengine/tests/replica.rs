@@ -132,6 +132,84 @@ fn apply_wal_record_mirrors_recovery_replay() {
 }
 
 #[test]
+fn replica_update_and_delete_reach_sealed_rows() {
+    let mut follower = volatile();
+    follower.pin_read_only("replica");
+    follower
+        .apply_wal_record(WalRecord::CreateTable {
+            name: "t".into(),
+            columns: vec!["id".into(), "v".into()],
+            types: vec![DataType::Serial, DataType::Text],
+        })
+        .unwrap();
+    let row = |i: i64, v: &str| vec![Value::Int(i), Value::text(v)];
+    let mut model: Vec<Vec<Value>> = (0..2100)
+        .map(|i| row(i + 1, &format!("v{}", i % 4)))
+        .collect();
+    follower
+        .apply_wal_record(WalRecord::Insert {
+            table: "t".into(),
+            rows: model.clone(),
+        })
+        .unwrap();
+    let heap = &follower.catalog().table("t").unwrap().heap;
+    assert_eq!((heap.sealed().len(), heap.tail().len()), (2, 52));
+
+    // Updates in both sealed chunks and the tail, then deletes across them.
+    let updates = vec![
+        (5, row(6, "five")),
+        (1500, row(1501, "")),
+        (2090, row(2091, "tail")),
+    ];
+    for (ctid, r) in &updates {
+        model[*ctid as usize] = r.clone();
+    }
+    follower
+        .apply_wal_record(WalRecord::Update {
+            table: "t".into(),
+            rows: updates,
+        })
+        .unwrap();
+    let ctids = vec![2050, 10, 1023, 1024, 10];
+    for &ctid in [2050, 1024, 1023, 10].iter() {
+        model.remove(ctid);
+    }
+    follower
+        .apply_wal_record(WalRecord::Delete {
+            table: "t".into(),
+            ctids,
+        })
+        .unwrap();
+
+    let want: Vec<Vec<Value>> = model
+        .iter()
+        .enumerate()
+        .map(|(ctid, r)| {
+            let mut out = vec![Value::Int(ctid as i64)];
+            out.extend(r.iter().cloned());
+            out
+        })
+        .collect();
+    assert_eq!(
+        follower.query("SELECT ctid, id, v FROM t").unwrap().rows,
+        want
+    );
+    let heap = &follower.catalog().table("t").unwrap().heap;
+    assert_eq!((heap.sealed().len(), heap.tail().len()), (2, 48));
+    // A ctid past the end is an error, and nothing is deleted.
+    assert!(follower
+        .apply_wal_record(WalRecord::Delete {
+            table: "t".into(),
+            ctids: vec![0, 2096],
+        })
+        .is_err());
+    assert_eq!(
+        follower.query("SELECT ctid, id, v FROM t").unwrap().rows,
+        want
+    );
+}
+
+#[test]
 fn apply_wal_record_invalidates_dependent_plans() {
     let mut e = volatile();
     e.execute("CREATE TABLE t (a int)").unwrap();

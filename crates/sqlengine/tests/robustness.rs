@@ -64,6 +64,56 @@ fn failed_insert_is_invisible_now_and_after_restart() {
     assert_eq!(*e.health(), Health::Healthy, "fresh engine starts healthy");
 }
 
+/// The heap as stored: sealed chunk rows, tail rows, serial counters.
+type HeapState = (Vec<Vec<Vec<Value>>>, Vec<Vec<Value>>, Vec<(usize, i64)>);
+
+fn heap_state(e: &Engine, table: &str) -> HeapState {
+    let t = e.catalog().table(table).unwrap();
+    let sealed = t.heap.sealed().iter().map(|c| c.to_rows()).collect();
+    (sealed, t.heap.tail().to_vec(), t.serial_next.clone())
+}
+
+#[test]
+fn insert_across_a_seal_rolls_back_to_the_exact_heap() {
+    let _g = locked();
+    let dir = tmp_dir("seal-rollback");
+    let mut e = durable(&dir);
+    e.execute("CREATE TABLE t (id serial, s text)").unwrap();
+    let values = |range: std::ops::Range<usize>| {
+        let tuples: Vec<String> = range.map(|i| format!("(NULL, 'v{}')", i % 3)).collect();
+        format!("INSERT INTO t VALUES {}", tuples.join(", "))
+    };
+    // 1020 rows: one short of a seal, plus a full chunk before them.
+    e.execute(&values(0..2044)).unwrap();
+    let before = heap_state(&e, "t");
+    assert_eq!((before.0.len(), before.1.len()), (1, 1020));
+    let rows_before = e.query("SELECT ctid, * FROM t").unwrap().rows;
+
+    // Ten more rows seal the tail, then the WAL refuses the statement.
+    fault::set("wal.append", FaultPolicy::ErrorOnce);
+    e.execute(&values(0..10)).unwrap_err();
+    assert_eq!(
+        heap_state(&e, "t"),
+        before,
+        "sealed chunk unsealed, serials restored"
+    );
+    assert_eq!(e.query("SELECT ctid, * FROM t").unwrap().rows, rows_before);
+
+    // After re-arming, the same insert seals and continues the serials.
+    e.checkpoint().unwrap();
+    e.execute(&values(0..10)).unwrap();
+    let after = heap_state(&e, "t");
+    assert_eq!((after.0.len(), after.1.len()), (2, 6));
+    let last = e
+        .query("SELECT ctid, id FROM t WHERE id > 2053")
+        .unwrap()
+        .rows;
+    assert_eq!(last, vec![vec![Value::Int(2053), Value::Int(2054)]]);
+    drop(e);
+    let e = durable(&dir);
+    assert_eq!(heap_state(&e, "t"), after, "recovery seals the same heap");
+}
+
 #[test]
 fn read_only_engine_serves_reads_and_checkpoint_rearms() {
     let _g = locked();

@@ -1,8 +1,8 @@
 //! `elephant-serve` — stand-alone server binary.
 //!
 //! ```text
-//! elephant-serve [--addr HOST:PORT] [--disk] [--exec-mode MODE] [--rows N]
-//!                [--seed N] [--queue N] [--no-data] [--data-dir PATH]
+//! elephant-serve [--addr HOST:PORT] [--disk] [--rows N] [--seed N]
+//!                [--queue N] [--no-data] [--data-dir PATH]
 //!                [--fsync POLICY] [--slow-query-us N]
 //!                [--statement-timeout-ms N] [--repl-addr HOST:PORT]
 //!                [--replicate-from HOST:PORT] [--auto-checkpoint-wal-bytes N]
@@ -10,14 +10,9 @@
 //!                [--max-result-buffer-bytes N]
 //! ```
 //!
-//! `--exec-mode row|columnar|auto` picks the sessions' query execution
-//! engine; clients override it per session with `SET exec_mode <mode>`.
-//! The default is `auto`: a plan whose every operator is vectorized runs
-//! batch-at-a-time on the columnar engine, any other plan (window
-//! functions, `unnest`, cross joins) runs on the row engine — so an
-//! `INSPECT` runs its window / unnest stages row-at-a-time and its
-//! histogram queries vectorized. `columnar` vectorizes every plan and
-//! bridges the unvectorized subtrees; `row` is the row-at-a-time oracle.
+//! Every statement — `INSPECT`'s window, `unnest` and histogram queries
+//! included — runs batch-at-a-time on the engine's one vectorized
+//! executor.
 //!
 //! By default binds 127.0.0.1:5462, uses the in-memory profile, and
 //! pre-registers the standard synthetic pipeline datasets so `INSPECT`
@@ -45,14 +40,13 @@
 //! `TRACE q<id>`. See `docs/OBSERVABILITY.md`.
 
 use elephant_server::{start, ServerConfig};
-use sqlengine::{ExecMode, FsyncPolicy};
+use sqlengine::FsyncPolicy;
 use std::path::PathBuf;
 use std::process::exit;
 
 fn main() {
     let mut addr = "127.0.0.1:5462".to_string();
     let mut in_memory = true;
-    let mut exec_mode = ExecMode::default();
     let mut rows: usize = 200;
     let mut seed: u64 = 7;
     let mut queue: usize = 64;
@@ -79,7 +73,6 @@ fn main() {
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
             "--disk" => in_memory = false,
-            "--exec-mode" => exec_mode = parse(&value("--exec-mode"), "--exec-mode"),
             "--rows" => rows = parse(&value("--rows"), "--rows"),
             "--seed" => seed = parse(&value("--seed"), "--seed"),
             "--queue" => queue = parse(&value("--queue"), "--queue"),
@@ -113,9 +106,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: elephant-serve [--addr HOST:PORT] [--disk] \
-                     [--exec-mode row|columnar|auto (default auto: vectorized when \
-                     the whole plan is, row engine otherwise)] [--rows N] \
+                    "usage: elephant-serve [--addr HOST:PORT] [--disk] [--rows N] \
                      [--seed N] [--queue N] [--no-data] [--data-dir PATH] \
                      [--fsync always|off|every_n:N] [--slow-query-us N] \
                      [--statement-timeout-ms N] [--repl-addr HOST:PORT] \
@@ -148,7 +139,6 @@ fn main() {
         addr,
         queue_capacity: queue,
         in_memory,
-        exec_mode,
         files: Vec::new(),
         data_dir,
         fsync,
@@ -178,7 +168,7 @@ fn main() {
         (None, None) => "standalone".to_string(),
     };
     println!(
-        "elephant-serve listening on {} ({} profile, {exec_mode} execution, {} storage, \
+        "elephant-serve listening on {} ({} profile, {} storage, \
          {shards} shard{}, {role}); send SHUTDOWN to stop",
         handle.local_addr(),
         if in_memory { "in-memory" } else { "disk-based" },

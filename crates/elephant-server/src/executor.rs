@@ -43,9 +43,7 @@ use crate::shard::ShardStats;
 use elephant_repl::ReplOp;
 use etypes::{next_span_id, SharedSpanRing, SpanKind, SpanRecord, TraceContext};
 use mlinspect::SqlMode;
-use sqlengine::{
-    Engine, EngineProfile, ExecMode, FsyncPolicy, Phase, SqlError, TableImage, WalHandle,
-};
+use sqlengine::{Engine, EngineProfile, FsyncPolicy, Phase, SqlError, TableImage, WalHandle};
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
@@ -73,7 +71,7 @@ pub(crate) enum Job {
         /// When the router admitted the job (measures queue wait).
         enqueued: Instant,
         /// Whether this job counts into the per-verb counters and latency
-        /// histograms. Broadcast verbs (`SET`, `CHECKPOINT`) fan one client
+        /// histograms. The broadcast verb (`CHECKPOINT`) fans one client
         /// command out to every shard; only the shard-0 leg carries `true`,
         /// so one command counts once no matter the shard count.
         counted: bool,
@@ -87,8 +85,6 @@ pub(crate) enum Job {
     /// next job — no other job can observe a prepared-but-undecided
     /// engine.
     Txn {
-        /// Originating session id (selects the session's exec mode).
-        session: u64,
         /// Coordinator-issued transaction id (unique across restarts).
         txn_id: u64,
         /// This shard's statements of the transaction, `;`-joined.
@@ -136,7 +132,7 @@ pub(crate) enum Job {
     /// Gather leg of a cross-shard read: install foreign images, run the
     /// whole command locally, remove the images, answer.
     Gather {
-        /// Originating session id (selects the session's exec mode).
+        /// Originating session id (scopes prepared-statement names).
         session: u64,
         /// The read-only command to run over local + foreign tables.
         command: Command,
@@ -153,9 +149,6 @@ pub(crate) enum Job {
     /// collector. Deliberately uncounted: neither `STATS` nor a `/metrics`
     /// scrape may perturb the counters it reports, or their parity breaks.
     MetricsSnapshot {
-        /// The session asking (`STATS`), whose `exec_mode` is reported;
-        /// `None` for a `/metrics` scrape, which sees the server default.
-        session: Option<u64>,
         /// Where the collector waits for the samples.
         reply: mpsc::Sender<Vec<Metric>>,
     },
@@ -165,9 +158,6 @@ pub(crate) enum Job {
 pub(crate) struct ExecutorConfig {
     /// Use the in-memory (Umbra-like) profile instead of disk-based.
     pub in_memory: bool,
-    /// Default execution mode for every session; sessions override it with
-    /// `SET exec_mode <row|columnar|auto>` for their own commands only.
-    pub exec_mode: ExecMode,
     /// Virtual files visible to `INSPECT` pipelines (`read_csv` targets).
     pub files: Vec<(String, String)>,
     /// Bound of the job queue (backpressure threshold).
@@ -307,8 +297,6 @@ pub(crate) fn spawn(
             let mut state = ExecutorState {
                 engine,
                 files: cfg.files,
-                default_exec_mode: cfg.exec_mode,
-                session_modes: HashMap::new(),
                 prepared: HashMap::new(),
                 metrics,
                 shutdown,
@@ -468,8 +456,8 @@ pub(crate) fn spawn(
                                 counted: true,
                             });
                         }
-                        Job::MetricsSnapshot { session, reply } => {
-                            let _ = reply.send(state.engine_samples(session));
+                        Job::MetricsSnapshot { reply } => {
+                            let _ = reply.send(state.engine_samples());
                         }
                     }
                 }
@@ -529,11 +517,6 @@ pub(crate) fn spawn(
 struct ExecutorState {
     engine: Engine,
     files: Vec<(String, String)>,
-    /// Server-wide execution mode (`--exec-mode`), used by sessions
-    /// without an override.
-    default_exec_mode: ExecMode,
-    /// Per-session `SET exec_mode` overrides, dropped with the session.
-    session_modes: HashMap<u64, ExecMode>,
     /// Prepared-statement names per live session (engine-scoped form).
     prepared: HashMap<u64, Vec<String>>,
     metrics: Arc<Metrics>,
@@ -743,10 +726,7 @@ impl ExecutorState {
     /// This shard's engine-scoped samples, labeled `shard=<id>`: the plan
     /// cache block, per-phase histograms, and execution, trace, health,
     /// storage and recovery state.
-    fn engine_samples(&self, session: Option<u64>) -> Vec<Metric> {
-        let exec_mode = session
-            .and_then(|s| self.session_modes.get(&s))
-            .unwrap_or(&self.default_exec_mode);
+    fn engine_samples(&self) -> Vec<Metric> {
         let plan = self.engine.plan_cache_stats();
         let prepared: usize = self.prepared.values().map(Vec::len).sum();
         let mut v = vec![
@@ -767,9 +747,10 @@ impl ExecutorState {
         }
         let engine_stats = self.engine.stats();
         v.extend([
-            sample("exec_mode", exec_mode.to_string()),
             sample("batches_executed", engine_stats.batches_executed),
-            sample("colexec_fallbacks", engine_stats.colexec_fallbacks),
+            // Every plan node executes batches, so nothing ever falls back;
+            // the key stays because the benchmark reads it.
+            sample("colexec_fallbacks", 0u64),
             sample("trace_spans_recorded", self.ring.pushed()),
             sample("trace_spans_retained", self.ring.len() as u64),
             sample("trace_spans_open", self.ring.open_len() as u64),
@@ -812,15 +793,6 @@ impl ExecutorState {
     }
 
     fn dispatch(&mut self, session: u64, command: Command) -> Reply {
-        // One engine serves every session, so the issuing session's
-        // execution mode (its `SET exec_mode` override, else the server
-        // default) is applied before each command runs.
-        let mode = self
-            .session_modes
-            .get(&session)
-            .copied()
-            .unwrap_or(self.default_exec_mode);
-        self.engine.set_exec_mode(mode);
         match command {
             Command::Query(sql) => {
                 let out = self.engine.execute(&sql).map_err(|e| self.classify(e))?;
@@ -968,19 +940,6 @@ impl ExecutorState {
                     .collect();
                 Ok(report.render())
             }
-            Command::Set { name, value } => match name.as_str() {
-                "exec_mode" => {
-                    let mode: ExecMode = value
-                        .parse()
-                        .map_err(|e: String| (codes::PARSE, format!("set exec_mode: {e}")))?;
-                    self.session_modes.insert(session, mode);
-                    Ok(format!("set exec_mode {mode}"))
-                }
-                other => Err((
-                    codes::PARSE,
-                    format!("unknown session variable '{other}' (known: exec_mode)"),
-                )),
-            },
             Command::Checkpoint => match self.engine.checkpoint() {
                 Ok(Some(stats)) => Ok(format!(
                     "checkpoint tables={} rows={} snapshot_bytes={} wal_truncated={}",
@@ -1007,7 +966,6 @@ impl ExecutorState {
     }
 
     fn close_session(&mut self, session: u64) {
-        self.session_modes.remove(&session);
         if let Some(names) = self.prepared.remove(&session) {
             for name in names {
                 let _ = self.engine.deallocate(&name);
@@ -1062,7 +1020,6 @@ impl ExecutorState {
     /// (one client command, N participant jobs).
     fn handle_txn(&mut self, job: Job) {
         let Job::Txn {
-            session,
             txn_id,
             sql,
             prepared,
@@ -1078,12 +1035,6 @@ impl ExecutorState {
         self.lane.dec_queue_depth();
         self.lane.commands.fetch_add(1, Ordering::Relaxed);
         let wait_us = enqueued.elapsed().as_micros() as u64;
-        let mode = self
-            .session_modes
-            .get(&session)
-            .copied()
-            .unwrap_or(self.default_exec_mode);
-        self.engine.set_exec_mode(mode);
         let trace = self.install_context(ctx, SpanKind::TxnPrepare, wait_us);
         let started = Instant::now();
         let result = self
@@ -1196,11 +1147,8 @@ mod tests {
     /// This shard's engine samples, rendered as `STATS` lines.
     fn engine_stats(tx: &SyncSender<Job>) -> String {
         let (rtx, rrx) = mpsc::channel();
-        tx.send(Job::MetricsSnapshot {
-            session: None,
-            reply: rtx,
-        })
-        .expect("executor alive");
+        tx.send(Job::MetricsSnapshot { reply: rtx })
+            .expect("executor alive");
         crate::metrics::render_stats_text(&rrx.recv().expect("samples"))
     }
 
@@ -1211,7 +1159,6 @@ mod tests {
         let (tx, join, wal, recovered) = spawn(
             ExecutorConfig {
                 in_memory: true,
-                exec_mode: ExecMode::default(),
                 files: Vec::new(),
                 queue_capacity: 4,
                 data_dir: None,
@@ -1367,7 +1314,6 @@ mod tests {
         let (tx, join, _, _) = spawn(
             ExecutorConfig {
                 in_memory: true,
-                exec_mode: ExecMode::default(),
                 files: Vec::new(),
                 queue_capacity: 4,
                 data_dir: None,
@@ -1434,7 +1380,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let durable_cfg = || ExecutorConfig {
             in_memory: true,
-            exec_mode: ExecMode::default(),
             files: Vec::new(),
             queue_capacity: 4,
             data_dir: Some(dir.clone()),

@@ -13,7 +13,6 @@
 //! | `PREPARE` / `EXECUTE` | plan once via the engine's LRU plan cache, run many times; `$n` placeholders bind at `EXECUTE name (args)` |
 //! | `EXPLAIN` | render the optimized plan |
 //! | `INSPECT` | run an ML pipeline through the SQL backend with bias checks |
-//! | `SET` | per-session options, e.g. `SET exec_mode row\|columnar\|auto` |
 //! | `STATS` | counters, queue depth, latency percentiles, plan-cache hit rate, storage/recovery/replication stats |
 //! | `TRACE` | distributed tracing: `TRACE [n]` lists recent root spans, `TRACE q<id>` renders one query's span tree (see `docs/OBSERVABILITY.md`) |
 //! | `CHECKPOINT` | snapshot all tables to the data directory and truncate the WAL |

@@ -252,7 +252,6 @@ pub static DECLS: &[Decl] = &[
     server("executes", Counter),
     server("explains", Counter),
     server("inspects", Counter),
-    server("set_calls", Counter),
     server("stats_calls", Counter),
     server("checkpoints_served", Counter),
     server("traces", Counter),
@@ -315,7 +314,6 @@ pub static DECLS: &[Decl] = &[
         .named("plan_cache_table_invalidations"),
     // Execution.
     engine("phase_{phase}", PHASE, Sum),
-    engine("exec_mode", Text, AllEqual),
     engine("batches_executed", Counter, Sum),
     engine("colexec_fallbacks", Counter, Sum),
     engine("trace_spans_recorded", Counter, Sum),
@@ -682,14 +680,13 @@ pub fn render_prometheus(metrics: &[Metric]) -> String {
 /// The verbs with their own served-counter and latency histogram, as
 /// `(verb, STATS key of the counter)`; `OTHER` collects everything else
 /// (SHUTDOWN, DEALLOCATE) so `commands_served` reconciles.
-pub const VERBS: [(&str, &str); 13] = [
+pub const VERBS: [(&str, &str); 12] = [
     ("QUERY", "queries"),
     ("BATCH", "batches"),
     ("PREPARE", "prepares"),
     ("EXECUTE", "executes"),
     ("EXPLAIN", "explains"),
     ("INSPECT", "inspects"),
-    ("SET", "set_calls"),
     ("STATS", "stats_calls"),
     ("CHECKPOINT", "checkpoints_served"),
     ("TRACE", "traces"),
@@ -1062,7 +1059,7 @@ mod tests {
         };
         router.submit(1, prepare).unwrap();
         query(&router, "DROP TABLE t");
-        let mut samples = router.collect(None).unwrap();
+        let mut samples = router.collect().unwrap();
         drop(router);
         joins.into_iter().for_each(|j| j.join().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1118,7 +1115,6 @@ mod tests {
             on_shard("plan_cache_misses", 0, 1u64),
             on_shard("plan_cache_hit_rate", 0, 0.9),
             phase(0, &fast),
-            on_shard("exec_mode", 0, "row"),
             on_shard("health", 0, HEALTHY),
             on_shard("storage_durable", 0, 1u64),
             on_shard("shard_commands", 1, 7u64),
@@ -1126,9 +1122,8 @@ mod tests {
             on_shard("plan_cache_misses", 1, 10u64),
             on_shard("plan_cache_hit_rate", 1, 0.0),
             phase(1, &slow),
-            on_shard("exec_mode", 1, "columnar"),
             on_shard("health", 1, "read_only (disk full)"),
-            on_shard("storage_durable", 1, 1u64),
+            on_shard("storage_durable", 1, 0u64),
             sample("shards", 2u64),
         ]));
         let lines: Vec<&str> = body.lines().collect();
@@ -1143,14 +1138,13 @@ mod tests {
             "phase_lex_count 3",
             "phase_lex_total_us 3003",
             "phase_lex_p50_us 1024",
-            "exec_mode mixed",
+            "storage_durable mixed",
             "health read_only (disk full)",
-            "storage_durable 1",
             // Every shard keeps its own line.
             "shard0.plan_cache_hit_rate 0.9000",
             "shard1.plan_cache_misses 10",
             "shard0.phase_lex_count 1",
-            "shard1.exec_mode columnar",
+            "shard1.storage_durable 0",
             "shard0.health healthy",
             "shard0.commands 5",
             "shard1.commands 7",

@@ -149,14 +149,6 @@ pub enum Command {
         /// The Python pipeline source.
         source: String,
     },
-    /// Set a session variable (`SET <name> [=] <value>`); currently only
-    /// `exec_mode` (row | columnar | auto) is defined.
-    Set {
-        /// Variable name (case-insensitive).
-        name: String,
-        /// Unparsed value text; validated by the executor.
-        value: String,
-    },
     /// Server + engine counters.
     Stats,
     /// Snapshot all tables to durable storage and truncate the WAL.
@@ -182,7 +174,6 @@ impl Command {
             Command::Explain { .. } => "EXPLAIN",
             Command::Trace(_) => "TRACE",
             Command::Inspect { .. } => "INSPECT",
-            Command::Set { .. } => "SET",
             Command::Stats => "STATS",
             Command::Checkpoint => "CHECKPOINT",
             Command::Replica => "REPLICA",
@@ -216,7 +207,6 @@ impl Command {
             Command::Inspect {
                 columns, threshold, ..
             } => format!("columns={} threshold={threshold}", columns.join(",")),
-            Command::Set { name, value } => format!("{name}={value}"),
             Command::Stats
             | Command::Checkpoint
             | Command::Replica
@@ -675,29 +665,6 @@ pub fn parse_command(frame: &str) -> Result<Command, (&'static str, String)> {
                 source: rest.to_string(),
             })
         }
-        "SET" => {
-            // Accept `SET name value`, `SET name = value`, `SET name=value`.
-            let (name, value) = match args.split_once('=') {
-                Some((n, v)) => (n.trim(), v.trim()),
-                None => {
-                    let mut it = args.split_whitespace();
-                    (it.next().unwrap_or(""), it.next().unwrap_or(""))
-                }
-            };
-            let one_token = |s: &str| s.split_whitespace().count() == 1;
-            // Each side must be exactly one bare token: no missing value,
-            // no trailing junk, no second `=`.
-            if !one_token(name) || !one_token(value) || value.contains('=') {
-                return Err((codes::PARSE, "usage: SET <name> [=] <value>".into()));
-            }
-            if args.split_once('=').is_none() && args.split_whitespace().count() != 2 {
-                return Err((codes::PARSE, "usage: SET <name> [=] <value>".into()));
-            }
-            Ok(Command::Set {
-                name: name.to_ascii_lowercase(),
-                value: value.to_string(),
-            })
-        }
         "STATS" => Ok(Command::Stats),
         "CHECKPOINT" => Ok(Command::Checkpoint),
         "REPLICA" => Ok(Command::Replica),
@@ -1031,27 +998,6 @@ mod tests {
             parse_command("EXPLAIN ANALYZE").unwrap_err().0,
             codes::PARSE
         );
-        assert_eq!(
-            parse_command("SET exec_mode columnar").unwrap(),
-            Command::Set {
-                name: "exec_mode".into(),
-                value: "columnar".into()
-            }
-        );
-        assert_eq!(
-            parse_command("set EXEC_mode = auto").unwrap(),
-            Command::Set {
-                name: "exec_mode".into(),
-                value: "auto".into()
-            }
-        );
-        assert_eq!(
-            parse_command("SET exec_mode=row").unwrap(),
-            Command::Set {
-                name: "exec_mode".into(),
-                value: "row".into()
-            }
-        );
         assert_eq!(parse_command("STATS").unwrap(), Command::Stats);
         assert_eq!(parse_command("CHECKPOINT").unwrap(), Command::Checkpoint);
         assert_eq!(parse_command("REPLICA").unwrap(), Command::Replica);
@@ -1093,12 +1039,6 @@ mod tests {
         );
         assert_eq!(
             parse_command("EXECUTE q1 (1, 2").unwrap_err().0,
-            codes::PARSE
-        );
-        assert_eq!(parse_command("SET").unwrap_err().0, codes::PARSE);
-        assert_eq!(parse_command("SET exec_mode").unwrap_err().0, codes::PARSE);
-        assert_eq!(
-            parse_command("SET exec_mode row extra").unwrap_err().0,
             codes::PARSE
         );
     }

@@ -8,7 +8,7 @@ use crate::session::run_session;
 use crate::shard::{Lane, ShardRouter, ShardStats};
 use elephant_repl::{follower, leader, FollowerConfig, FollowerStatus};
 use etypes::SharedSpanRing;
-use sqlengine::{ExecMode, FsyncPolicy, TxnDecisionLog, TXN_LOG_FILE};
+use sqlengine::{FsyncPolicy, TxnDecisionLog, TXN_LOG_FILE};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -36,9 +36,6 @@ pub struct ServerConfig {
     /// In-memory (Umbra-like) engine profile when true, disk-based
     /// (PostgreSQL-like) when false.
     pub in_memory: bool,
-    /// Default execution mode (`row`, `columnar`, or `auto`) for every
-    /// session; clients override per session with `SET exec_mode`.
-    pub exec_mode: ExecMode,
     /// Virtual files served to `INSPECT` pipelines' `read_csv` calls.
     pub files: Vec<(String, String)>,
     /// Directory for the write-ahead log and snapshots. `None` (the
@@ -88,7 +85,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             queue_capacity: 64,
             in_memory: true,
-            exec_mode: ExecMode::default(),
             files: Vec::new(),
             data_dir: None,
             fsync: FsyncPolicy::Always,
@@ -292,7 +288,6 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         let (tx, join, wal, recovered) = executor::spawn(
             ExecutorConfig {
                 in_memory: config.in_memory,
-                exec_mode: config.exec_mode,
                 files: config.files.clone(),
                 queue_capacity: config.queue_capacity,
                 data_dir,

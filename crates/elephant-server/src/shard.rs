@@ -497,7 +497,7 @@ impl ShardRouter {
             // answering them here keeps them out of the rings and the lane
             // counters (neither traces nor counts itself).
             Command::Trace(req) => return self.serve_trace(req),
-            Command::Stats => return self.serve_stats(session),
+            Command::Stats => return self.serve_stats(),
             _ => {}
         }
         let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
@@ -524,7 +524,6 @@ impl ShardRouter {
                 }
                 reply
             }
-            Command::Set { .. } => self.broadcast_set(session, command, query_id, started),
             Command::Checkpoint => self.broadcast_checkpoint(session, query_id, started),
             // Single-shard surfaces: inspection scratch tables, replication
             // topology, and the shared drain flag all live on (or are
@@ -536,8 +535,7 @@ impl ShardRouter {
         }
     }
 
-    /// A session disconnected: drop its prepared statements and exec-mode
-    /// override on every shard.
+    /// A session disconnected: drop its prepared statements on every shard.
     pub fn close_session(&self, session: u64) {
         for lane in &self.lanes {
             let _ = lane.tx.send(Job::CloseSession { session });
@@ -1038,7 +1036,7 @@ impl ShardRouter {
             resolve_us,
             true,
         ));
-        let reply = self.two_phase_commit_inner(session, txn_id, &plan, ctx, root_shard);
+        let reply = self.two_phase_commit_inner(txn_id, &plan, ctx, root_shard);
         drop(gate);
         if reply.is_ok() {
             self.txn_commits.fetch_add(1, Ordering::Relaxed);
@@ -1061,7 +1059,6 @@ impl ShardRouter {
     /// can close the root span and release the gate on every exit path.
     fn two_phase_commit_inner(
         &self,
-        session: u64,
         txn_id: u64,
         plan: &TxnPlan,
         ctx: TraceContext,
@@ -1078,7 +1075,6 @@ impl ShardRouter {
             let (decision_tx, decision_rx) = mpsc::channel();
             let (done_tx, done_rx) = mpsc::channel();
             let job = Job::Txn {
-                session,
                 txn_id,
                 sql: stmts.join("; "),
                 prepared: prepared_tx,
@@ -1428,40 +1424,6 @@ impl ShardRouter {
         }
     }
 
-    /// `SET` affects per-session state held by every executor, so it is
-    /// broadcast; the first error (or the first body) answers. Only shard
-    /// 0's leg ticks the per-verb counters, so one client `SET` counts once
-    /// no matter the shard count. The root span lives on shard 0's ring;
-    /// every shard's exec span is a child of it.
-    fn broadcast_set(
-        &self,
-        session: u64,
-        command: Command,
-        query_id: u64,
-        started: Instant,
-    ) -> Reply {
-        let ctx = self.begin_root(0, query_id, &command);
-        let reply = self.broadcast_set_inner(session, command, ctx);
-        self.finish_root(0, ctx, started, reply.is_ok());
-        reply
-    }
-
-    fn broadcast_set_inner(&self, session: u64, command: Command, ctx: TraceContext) -> Reply {
-        let mut first: Option<String> = None;
-        for shard in 0..self.lanes.len() {
-            let reply_rx = self.send_command(
-                shard,
-                session,
-                command.clone(),
-                ctx,
-                shard == 0,
-                ADMISSION_WAIT,
-            )?;
-            first.get_or_insert(recv(&reply_rx)?);
-        }
-        Ok(first.unwrap_or_default())
-    }
-
     /// `CHECKPOINT` runs on every shard in parallel; the per-shard summary
     /// lines are summed into one. The root span lives on shard 0's ring.
     fn broadcast_checkpoint(&self, session: u64, query_id: u64, started: Instant) -> Reply {
@@ -1524,9 +1486,9 @@ impl ShardRouter {
     /// command anywhere. Like `TRACE`, the verb counts itself only after
     /// rendering, so the body matches a `/metrics` scrape taken a moment
     /// earlier on a quiet server.
-    fn serve_stats(&self, session: u64) -> Reply {
+    fn serve_stats(&self) -> Reply {
         let started = Instant::now();
-        let body = render_stats_text(&fold_shards(self.collect(Some(session))?));
+        let body = render_stats_text(&fold_shards(self.collect()?));
         self.metrics.record_latency("STATS", started.elapsed());
         self.metrics.count_verb("STATS");
         Ok(body)
@@ -1537,14 +1499,13 @@ impl ShardRouter {
     /// scrape.
     pub fn prometheus_body(&self) -> Result<String, (&'static str, String)> {
         self.metrics.metrics_scrapes.fetch_add(1, Ordering::Relaxed);
-        Ok(render_prometheus(&self.collect(None)?))
+        Ok(render_prometheus(&self.collect()?))
     }
 
     /// Collect every sample both observability surfaces render: the
     /// server's, then per shard the lane gauges and the engine's own
-    /// samples (labelled `shard="k"`), then the router's counters. `session`
-    /// is the session asking, whose `exec_mode` the engines report.
-    pub fn collect(&self, session: Option<u64>) -> Result<Vec<Metric>, (&'static str, String)> {
+    /// samples (labelled `shard="k"`), then the router's counters.
+    pub fn collect(&self) -> Result<Vec<Metric>, (&'static str, String)> {
         // Engine samples ride the job queue (the engine is not Send); the
         // snapshot job is uncounted so collecting does not perturb what it
         // reports. Every shard is asked before any is waited for.
@@ -1552,7 +1513,7 @@ impl ShardRouter {
         for lane in &self.lanes {
             let (reply, reply_rx) = mpsc::channel();
             lane.tx
-                .send(Job::MetricsSnapshot { session, reply })
+                .send(Job::MetricsSnapshot { reply })
                 .map_err(|_| (codes::INTERNAL, "executor unavailable".to_string()))?;
             waits.push(reply_rx);
         }
@@ -1729,7 +1690,6 @@ pub(crate) mod testing {
             let (tx, join, wal, recovered) = executor::spawn(
                 ExecutorConfig {
                     in_memory: true,
-                    exec_mode: sqlengine::ExecMode::default(),
                     files: Vec::new(),
                     queue_capacity: 4,
                     data_dir: dir.map(|d| d.join(format!("shard-{shard_id}"))),

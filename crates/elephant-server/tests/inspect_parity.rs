@@ -1,7 +1,8 @@
-//! `INSPECT` parity across execution engines: every stock pipeline must
-//! produce a byte-identical inspection report whether the session runs on
-//! the row engine or the vectorized columnar engine — same verdicts, same
-//! per-operator bias numbers, same row cardinalities. Only the `time_us=`
+//! `INSPECT` parity: every stock pipeline must produce a byte-identical
+//! inspection report run after run, served or embedded, in every SQL mode
+//! and against the golden fixtures — same verdicts, same per-operator bias
+//! numbers, same row cardinalities — while every statement it runs
+//! executes batches on the one vectorized executor. Only the `time_us=`
 //! values may differ, so they are normalized before comparison.
 
 use elephant_server::{start, ElephantClient, ServerConfig};
@@ -76,86 +77,39 @@ fn stock_pipelines_report_identically_under_columnar_execution() {
         ("@adult complex", &["race", "sex"]),
     ];
 
-    // Row engine first, then the same session switched to columnar; the
-    // engine is shared, so reports must match run-to-run.
-    assert_eq!(c.send("SET exec_mode row").unwrap(), "set exec_mode row");
-    let mut row_reports = Vec::new();
+    // Two passes on one session over one engine: reports must match run to
+    // run, and every statement runs on the executor — batches grow and
+    // nothing falls back.
+    let batches_before = stat(&c.stats().unwrap(), "batches_executed");
+    let mut first_reports = Vec::new();
     for (pipeline, columns) in &pipelines {
         let report = c.inspect(columns, 0.3, pipeline).unwrap();
         assert!(report.contains("inspection verdict="), "{report}");
-        row_reports.push(report);
+        first_reports.push(report);
     }
-    let batches_before = stat(&c.stats().unwrap(), "batches_executed");
-
-    assert_eq!(
-        c.send("SET exec_mode columnar").unwrap(),
-        "set exec_mode columnar"
-    );
-    for ((pipeline, columns), row_report) in pipelines.iter().zip(&row_reports) {
-        let col_report = c.inspect(columns, 0.3, pipeline).unwrap();
-        assert_eq!(
-            strip_times(&col_report),
-            strip_times(row_report),
-            "inspection diverged under columnar execution: {pipeline}"
-        );
-    }
-
-    // The columnar pass really was vectorized: the engine counted batches.
     let stats = c.stats().unwrap();
-    assert!(stats.contains("exec_mode columnar"), "{stats}");
     assert!(
         stat(&stats, "batches_executed") > batches_before,
-        "columnar INSPECT executed no batches:\n{stats}"
+        "INSPECT executed no batches:\n{stats}"
     );
-
-    // Auto mode must agree too (it picks per plan, bridging nothing).
-    assert_eq!(c.send("SET exec_mode auto").unwrap(), "set exec_mode auto");
-    let (pipeline, columns) = &pipelines[0];
-    let auto_report = c.inspect(columns, 0.3, pipeline).unwrap();
-    assert_eq!(strip_times(&auto_report), strip_times(&row_reports[0]));
-
-    // Unknown variables and bad values are structured parse errors and do
-    // not disturb the session's current mode.
-    let err = c.send("SET exec_mode sideways").unwrap_err();
-    assert!(err.to_string().contains("exec_mode"), "{err}");
-    let err = c.send("SET jit on").unwrap_err();
-    assert!(
-        err.to_string().contains("unknown session variable"),
-        "{err}"
-    );
-    assert!(c.stats().unwrap().contains("exec_mode auto"));
+    assert_eq!(stat(&stats, "colexec_fallbacks"), 0, "{stats}");
+    for ((pipeline, columns), first) in pipelines.iter().zip(&first_reports) {
+        let again = c.inspect(columns, 0.3, pipeline).unwrap();
+        assert_eq!(
+            strip_times(&again),
+            strip_times(first),
+            "inspection diverged run to run: {pipeline}"
+        );
+    }
 
     c.shutdown().unwrap();
     drop(c);
     handle.join();
 }
 
-/// A fresh session starts from the server default, not from another
-/// session's `SET`.
-#[test]
-fn set_exec_mode_is_session_scoped() {
-    let handle = start(ServerConfig::default()).unwrap();
-    let mut a = ElephantClient::connect(handle.local_addr()).unwrap();
-    let mut b = ElephantClient::connect(handle.local_addr()).unwrap();
-
-    a.query_raw("CREATE TABLE t (x int)").unwrap();
-    a.query_raw("INSERT INTO t VALUES (1), (2), (3)").unwrap();
-    a.send("SET exec_mode columnar").unwrap();
-    assert!(a.stats().unwrap().contains("exec_mode columnar"));
-    // Session b still reports the server default.
-    assert!(b.stats().unwrap().contains("exec_mode auto"));
-    assert_eq!(b.query_raw("SELECT sum(x) AS s FROM t").unwrap(), "s\n6\n");
-    assert_eq!(a.query_raw("SELECT sum(x) AS s FROM t").unwrap(), "s\n6\n");
-
-    a.shutdown().unwrap();
-    drop(a);
-    drop(b);
-    handle.join();
-}
-
-/// A default server serves analytics from the vectorized engine: grouping
-/// and an equi-join execute batches without ever bridging, and a plan with
-/// an unvectorized operator runs on the row engine outright.
+/// A default server serves every plan from the vectorized engine: grouping,
+/// an equi-join, a window and an unnest all execute batches, and nothing
+/// ever bridges to the row engine.
 #[test]
 fn default_server_runs_vectorized_plans_columnar_and_never_bridges() {
     let handle = start(ServerConfig::default()).unwrap();
@@ -195,44 +149,40 @@ fn default_server_runs_vectorized_plans_columnar_and_never_bridges() {
     assert!(after_join > after_group, "equi-join executed no batches");
     assert_eq!(fallbacks, 0);
 
-    // Auto never bridges: a window or an unnest anywhere in the plan sends
-    // the whole plan to the row engine.
+    // Window and unnest execute batches.
     assert_eq!(
         c.query_raw("SELECT a, row_number() OVER (ORDER BY a) AS rn FROM f ORDER BY a LIMIT 2")
             .unwrap(),
         "a,rn\n1,1\n2,2\n"
     );
+    let (after_window, fallbacks) = counters(&mut c);
+    assert!(after_window > after_join, "window executed no batches");
+    assert_eq!(fallbacks, 0);
     assert_eq!(
         c.query_raw("SELECT unnest(ids) AS u FROM (SELECT array_agg(a) AS ids FROM f) AS x")
             .unwrap(),
         "u\n1\n2\n3\n4\n"
     );
-    assert_eq!(counters(&mut c), (after_join, 0));
+    let (after_unnest, fallbacks) = counters(&mut c);
+    assert!(after_unnest > after_window, "unnest executed no batches");
+    assert_eq!(fallbacks, 0);
 
     c.shutdown().unwrap();
     drop(c);
     handle.join();
 }
 
-/// Served reports equal the golden fixtures under every execution mode, the
-/// default included, and a second INSPECT on the same session equals the
-/// first: nothing one run leaves behind reaches the next.
+/// Served reports equal the golden fixtures, and a second INSPECT on the
+/// same session equals the first: nothing one run leaves behind reaches
+/// the next.
 #[test]
 fn served_reports_match_the_golden_fixtures() {
     let handle = start(golden_config()).unwrap();
     let mut c = ElephantClient::connect(handle.local_addr()).unwrap();
-    assert!(c.stats().unwrap().contains("exec_mode auto"));
-    for exec_mode in ["auto", "row", "columnar"] {
-        c.send(&format!("SET exec_mode {exec_mode}")).unwrap();
-        for pass in 0..2 {
-            for (pipeline, columns, golden) in GOLDEN {
-                let report = c.inspect(columns, 0.3, &format!("@{pipeline}")).unwrap();
-                assert_eq!(
-                    strip_times(&report),
-                    *golden,
-                    "{pipeline} under {exec_mode}, pass {pass}"
-                );
-            }
+    for pass in 0..2 {
+        for (pipeline, columns, golden) in GOLDEN {
+            let report = c.inspect(columns, 0.3, &format!("@{pipeline}")).unwrap();
+            assert_eq!(strip_times(&report), *golden, "{pipeline}, pass {pass}");
         }
     }
     c.shutdown().unwrap();

@@ -180,10 +180,6 @@ fn every_stats_key_is_on_the_metrics_endpoint_with_the_same_value() {
     c.prepare("stale", &format!("SELECT count(*) AS n FROM {scratch}"))
         .unwrap();
     c.query_raw(&format!("DROP TABLE {scratch}")).unwrap();
-    assert_eq!(
-        c.send("SET exec_mode columnar").unwrap(),
-        "set exec_mode columnar"
-    );
     c.query_raw(&format!("SELECT x FROM {a} ORDER BY x"))
         .unwrap();
     let _ = c.query_raw("SELECT nope FROM missing_table").unwrap_err();
@@ -207,20 +203,22 @@ fn every_stats_key_is_on_the_metrics_endpoint_with_the_same_value() {
         .unwrap();
     p.send("EXECUTE byx (2)").unwrap();
     drop(p);
+    // The pipelined session closes asynchronously: wait for the session
+    // gauge to settle so the two snapshots below read the same value.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !c.stats().unwrap().lines().any(|l| l == "sessions_open 1") {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a session never closed"
+        );
+    }
 
-    // STATS reports the asking session's `exec_mode` and a scrape has no
-    // session, so ask from one that never SET anything. Its first reply
-    // proves the accept loop counted it before the scrape reads the
-    // session gauges.
-    let mut observer = ElephantClient::connect(handle.local_addr()).unwrap();
-    observer.query_raw("SELECT 1 AS one").unwrap();
     // Scrape FIRST (the scrape counter increments before collection, the
     // STATS render counts itself after rendering: both snapshots agree).
     let (status, content_type, prom) = http_get(metrics_addr, "/metrics");
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert!(content_type.contains("version=0.0.4"), "{content_type}");
-    let stats = observer.stats().unwrap();
-    drop(observer);
+    let stats = c.stats().unwrap();
 
     let samples = parse_exposition(&prom);
     let mut lines: BTreeMap<&str, &str> = BTreeMap::new();

@@ -195,8 +195,8 @@ fn trace_and_explain_analyze_over_the_wire() {
         .unwrap();
 
     // EXPLAIN ANALYZE executes and annotates every operator with its real
-    // cardinality — 2 rows survive the filter, 1 comes out of the agg — and,
-    // the plan being vectorized on a default server, its batch count.
+    // cardinality — 2 rows survive the filter, 1 comes out of the agg —
+    // and its batch count.
     let analyzed = c
         .explain_analyze("SELECT count(*) AS n FROM t WHERE b >= 20")
         .unwrap();

@@ -23,7 +23,6 @@ fn counter_key(cmd: &Command) -> &'static str {
         Command::Explain { .. } => "explains",
         Command::Trace(_) => "traces",
         Command::Inspect { .. } => "inspects",
-        Command::Set { .. } => "set_calls",
         Command::Stats => "stats_calls",
         Command::Checkpoint => "checkpoints_served",
         Command::Replica => "replica_calls",
@@ -66,10 +65,6 @@ fn commands_served_reconciles_with_every_per_verb_counter() {
     // after the last STATS render, so it is exercised but not asserted).
     c.query_raw("CREATE TABLE t (a int)").unwrap();
     c.query_raw("INSERT INTO t VALUES (1), (2)").unwrap();
-    assert_eq!(
-        c.send("SET exec_mode columnar").unwrap(),
-        "set exec_mode columnar"
-    );
     c.query_raw("SELECT a FROM t ORDER BY a").unwrap();
     c.prepare("q", "SELECT sum(a) AS s FROM t").unwrap();
     c.execute("q").unwrap();
@@ -115,13 +110,12 @@ fn commands_served_reconciles_with_every_per_verb_counter() {
         ("checkpoints_served", 1),
         ("replica_calls", 1),
         ("lag_calls", 1),
-        ("set_calls", 1),
         ("stats_calls", 1),    // the first STATS; the rendering one is in flight
         ("other_commands", 1), // DEALLOCATE
     ] {
         assert_eq!(stat(&body, key), want, "counter '{key}' off:\n{body}");
     }
-    assert_eq!(served, 17);
+    assert_eq!(served, 16);
 
     // Protocol-v2 satellite counters. This session is a v1 text client, so
     // nothing was pipelined or streamed; the BATCH frame carried two
@@ -133,12 +127,10 @@ fn commands_served_reconciles_with_every_per_verb_counter() {
     assert_eq!(stat(&body, "result_buffer_bytes"), 0, "{body}");
     let _ = stat(&body, "result_buffer_peak_bytes");
 
-    // The session switched itself to columnar above, so STATS reports the
-    // session's mode and the engine counted vectorized batches. The
-    // fallback counter must render too (INSPECT pipelines may bridge).
-    assert!(body.contains("exec_mode columnar"), "{body}");
+    // Every statement, INSPECT's included, executed batches; the fallback
+    // counter still renders, pinned at zero.
     assert!(stat(&body, "batches_executed") > 0, "{body}");
-    let _ = stat(&body, "colexec_fallbacks");
+    assert_eq!(stat(&body, "colexec_fallbacks"), 0, "{body}");
 
     // Sharding counters render even on a default single-shard server, so
     // dashboards need no conditional parsing. This server is durable, so
@@ -204,13 +196,6 @@ fn commands_served_reconciles_with_every_per_verb_counter() {
             },
             "inspects",
         ),
-        (
-            Command::Set {
-                name: "exec_mode".into(),
-                value: "auto".into(),
-            },
-            "set_calls",
-        ),
         (Command::Stats, "stats_calls"),
         (Command::Checkpoint, "checkpoints_served"),
         (Command::Replica, "replica_calls"),
@@ -231,9 +216,9 @@ fn commands_served_reconciles_with_every_per_verb_counter() {
 /// router counters; a cross-shard write script commits via two-phase
 /// commit (counting one QUERY and one `txn_commits`); a single statement
 /// spanning shards is still refused with the typed `ERR_CROSS_SHARD`; and
-/// broadcast verbs (`SET`, `CHECKPOINT`) count **once**, not once per
-/// shard, so `commands_served` reconciles on a 4-shard server exactly as
-/// it does on one shard.
+/// the broadcast verb (`CHECKPOINT`) counts **once**, not once per shard,
+/// so `commands_served` reconciles on a 4-shard server exactly as it does
+/// on one shard.
 #[test]
 fn sharded_stats_reconcile_count_txns_and_rejects() {
     const SHARDS: usize = 4;
@@ -339,11 +324,7 @@ fn sharded_stats_reconcile_count_txns_and_rejects() {
         "ok 1\u{1e}ok 1"
     );
 
-    // Broadcast verbs fan out to every shard but count once.
-    assert_eq!(
-        c.send("SET exec_mode columnar").unwrap(),
-        "set exec_mode columnar"
-    );
+    // The broadcast verb fans out to every shard but counts once.
     c.checkpoint().unwrap();
 
     let stats = c.stats().unwrap();
@@ -362,19 +343,18 @@ fn sharded_stats_reconcile_count_txns_and_rejects() {
 
     // The satellite accounting identity, on four shards: 9 queries (the
     // 2PC transaction is ONE query; the reject counts nothing) plus the 2
-    // legs of the cross-shard batch, one single-shard BATCH, one SET, one
-    // CHECKPOINT — broadcasts count once despite running on every shard.
+    // legs of the cross-shard batch, one single-shard BATCH, one
+    // CHECKPOINT — the broadcast counts once despite running on every shard.
     // The rendering STATS counts itself only after rendering.
     assert_eq!(stat(&stats, "queries"), 11, "{stats}");
     assert_eq!(stat(&stats, "batches"), 1, "{stats}");
     assert_eq!(stat(&stats, "batch_statements"), 4, "{stats}");
-    assert_eq!(stat(&stats, "set_calls"), 1, "{stats}");
     assert_eq!(stat(&stats, "checkpoints_served"), 1, "{stats}");
     assert_eq!(stat(&stats, "stats_calls"), 0, "{stats}");
     let served = stat(&stats, "commands_served");
     let sum: u64 = per_verb_keys().map(|k| stat(&stats, k)).sum();
     assert_eq!(served, sum, "4-shard reconciliation broke:\n{stats}");
-    assert_eq!(served, 14, "{stats}");
+    assert_eq!(served, 13, "{stats}");
 
     c.shutdown().unwrap();
     drop(c);

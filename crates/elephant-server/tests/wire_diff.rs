@@ -145,9 +145,8 @@ fn script(rng: &mut Prng) -> Vec<String> {
         "QUERY SELECT count(*) AS n FROM wd INNER JOIN big ON wd.a = big.a".into(),
         "QUERY INSERT INTO wd VALUES (10003, 'txn'); INSERT INTO big VALUES (10003)".into(),
         "EXPLAIN SELECT b FROM wd WHERE a = 1".into(),
-        "SET exec_mode columnar".into(),
+        "SET exec_mode row".into(),
         "QUERY SELECT count(*) AS n, sum(a) AS s FROM big".into(),
-        "SET exec_mode sideways".into(),
         "CHECKPOINT".into(),
         "DEALLOCATE byid".into(),
         "EXECUTE byid (1)".into(),
@@ -250,7 +249,7 @@ fn one_script_three_wires_same_replies_and_counters() {
             ("BATCH", "ERR_EXEC batch statement 2/3:"),
             ("FROBNICATE", "ERR_UNKNOWN_VERB"),
             ("QUERY SELECT 1\n", "ERR_OVERSIZED"),
-            ("SET exec_mode sideways", "ERR_PARSE"),
+            ("SET exec_mode row", "ERR_UNKNOWN_VERB unknown verb 'SET'"),
         ] {
             let error = reply_to(needle).as_ref().unwrap_err();
             assert!(error.starts_with(code), "shards={shards} {needle}: {error}");

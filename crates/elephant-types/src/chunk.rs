@@ -773,7 +773,7 @@ impl ColumnChunk {
         self.columns.iter().map(|c| c.get(i)).collect()
     }
 
-    /// Materialize the whole batch row-major (the fallback bridge).
+    /// Materialize the whole batch row-major (a query's result rows).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         (0..self.len).map(|i| self.get_row(i)).collect()
     }

@@ -1,14 +1,18 @@
-//! Vectorized hash equi-join, probe side streamed.
+//! Vectorized joins: a hash equi-join with the probe side streamed, and a
+//! blocked nested loop for everything without an equi key.
 //!
-//! The build (right) side is concatenated into one chunk — a hash join is a
-//! pipeline breaker there anyway — and hashed once. The probe (left) side
-//! stays in its input batches: each batch is probed on its own and emits at
-//! most one output chunk, in exactly the row engine's output order (probe
-//! order, then build order among duplicate keys). Unmatched build rows of a
-//! right / full join follow as NULL-padded chunks at the end.
+//! Both concatenate the build (right) side into one chunk — a pipeline
+//! breaker there anyway — and keep the probe (left) side in its input
+//! batches, emitting pairs in exactly the row engine's order: probe order,
+//! then build order. The hash join hashes the build side once and emits at
+//! most one output chunk per probe batch; unmatched build rows of a right /
+//! full join follow as NULL-padded chunks at the end. The nested loop
+//! (cross joins, inner joins whose condition has no equi key) walks each
+//! probe batch × the build side in blocks of at most [`BATCH_ROWS`] pairs
+//! and filters each block by the residual like a WHERE.
 
 use super::kernels::eval_col;
-use super::{concat_chunks, exec_node, BATCH_ROWS};
+use super::{concat_chunks, exec_node, filter_chunk, BATCH_ROWS};
 use crate::error::{Result, SqlError};
 use crate::exec::eval::{eval, truthy};
 use crate::exec::ExecContext;
@@ -150,9 +154,16 @@ pub(super) fn exec_join(
     residual: Option<&BExpr>,
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<ColumnChunk>> {
-    debug_assert!(kind != JoinKind::Cross && !equi.is_empty());
     let lchunks = exec_node(left, ctx)?;
     let rchunk = concat_chunks(&exec_node(right, ctx)?);
+    if equi.is_empty() {
+        return match kind {
+            JoinKind::Cross | JoinKind::Inner => nested_loop(&lchunks, &rchunk, residual, ctx),
+            _ => Err(SqlError::exec(
+                "outer join without equi-join condition is unsupported",
+            )),
+        };
+    }
     let lwidth = lchunks[0].width();
 
     // Build on right, probe with left (same as the row engine). Probe keys
@@ -244,6 +255,47 @@ pub(super) fn exec_join(
                 cols.push(Rc::new(c.gather(window)));
             }
             out.push(ColumnChunk::new(cols, window.len()));
+        }
+    }
+    Ok(out)
+}
+
+/// The blocked nested loop: every (probe, build) pair in probe-major order,
+/// gathered a block of at most [`BATCH_ROWS`] pairs at a time. The budget
+/// is charged before each block is built, so a runaway product is cancelled
+/// without ever being materialized.
+fn nested_loop(
+    lchunks: &[ColumnChunk],
+    rchunk: &ColumnChunk,
+    residual: Option<&BExpr>,
+    ctx: &ExecContext<'_>,
+) -> Result<Vec<ColumnChunk>> {
+    let nr = rchunk.len();
+    let mut out = Vec::new();
+    let mut lidx: Vec<usize> = Vec::with_capacity(BATCH_ROWS);
+    let mut ridx: Vec<usize> = Vec::with_capacity(BATCH_ROWS);
+    for chunk in lchunks {
+        let pairs = chunk.len() * nr;
+        for start in (0..pairs).step_by(BATCH_ROWS) {
+            let end = (start + BATCH_ROWS).min(pairs);
+            ctx.tick(end - start)?;
+            lidx.clear();
+            ridx.clear();
+            for p in start..end {
+                lidx.push(p / nr);
+                ridx.push(p % nr);
+            }
+            let cols = chunk
+                .columns()
+                .iter()
+                .map(|c| Rc::new(c.gather(&lidx)))
+                .chain(rchunk.columns().iter().map(|c| Rc::new(c.gather(&ridx))))
+                .collect();
+            let block = ColumnChunk::new(cols, end - start);
+            match residual {
+                None => out.push(block),
+                Some(res) => out.extend(filter_chunk(&block, res, ctx)?),
+            }
         }
     }
     Ok(out)

@@ -1,32 +1,34 @@
-//! Vectorized columnar execution.
+//! Vectorized columnar execution: the engine's one executor.
 //!
-//! A second execution subsystem beside [`crate::exec`]: plans run
+//! Every plan — a query, a stored view, a CTE, a scalar subquery — runs
 //! batch-at-a-time over [`ColumnChunk`]s (typed vectors plus null bitmaps,
-//! the same `ELSNP001` page layout snapshots use on disk) instead of
-//! row-at-a-time over `Vec<Value>`. Scan, Filter, Project, hash Join,
-//! Aggregate, Sort, Limit, Distinct, and Values are vectorized; any other
-//! operator at the top of a subtree bridges that whole subtree back through
-//! the row engine (`colexec_fallbacks` counts the bridges), so every query
-//! the row engine answers is answered here too — identically.
+//! the same `ELSNP001` page layout snapshots use on disk). Every plan node
+//! has an operator here: Scan, Filter, Project, hash Join and the blocked
+//! nested loop (cross and non-equi inner joins), Aggregate, Sort, Limit,
+//! Distinct, `ROW_NUMBER()` windows, `unnest`, and Values. The row
+//! interpreter in [`crate::exec`] is not on this path; it is the reference
+//! the differential tests compare against (`Engine::query_reference`), and
+//! its `Acc` / `eval` stay the single definition of aggregate and scalar
+//! semantics that the kernels here defer to.
 //!
 //! Filters produce *selection vectors* (strictly increasing row indices into
 //! a chunk) instead of copying survivors eagerly; a chunk is only gathered
-//! when the selection is not the identity. Both engines share the same
-//! bookkeeping contract: per-node `rows_processed` / cost-model charges /
+//! when the selection is not the identity. Each operator does the same
+//! bookkeeping: `rows_processed` / `batches_executed`, cost-model charges,
 //! cancellation ticks, and per-node profiles keyed by plan-node address so
 //! `EXPLAIN ANALYZE` renders honest per-operator rows, batches, and
-//! inclusive times in either mode.
+//! inclusive times.
 
 mod agg;
 mod join;
 mod kernels;
 
 use crate::error::Result;
-use crate::exec::{execute, ExecContext, Row};
-use crate::plan::{BoundCte, JoinKind, PlanNode, ScanSource, CTID_SENTINEL};
+use crate::exec::{null_last_cmp, ExecContext, Row};
+use crate::plan::{BExpr, PlanNode, ScanSource, CTID_SENTINEL};
 use crate::storage::Heap;
 use etypes::chunk::{Column, ColumnData, NullBitmap};
-use etypes::ColumnChunk;
+use etypes::{ColumnChunk, Value};
 use kernels::{eval_col, gather_chunk, truthy_selection};
 use std::rc::Rc;
 
@@ -35,81 +37,9 @@ use std::rc::Rc;
 /// which a table heap seals its tail ([`crate::storage::Heap`]).
 pub(crate) const BATCH_ROWS: usize = 1024;
 
-/// Which execution subsystem runs queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecMode {
-    /// The row-at-a-time executor ([`crate::exec`]): the differential
-    /// oracle the vectorized engine is tested against.
-    Row,
-    /// The batch-at-a-time columnar executor, bridging unvectorized
-    /// subtrees back to the row engine.
-    Columnar,
-    /// Columnar when every operator in the plan is vectorized, row
-    /// otherwise (never pays the fallback bridge); the default.
-    #[default]
-    Auto,
-}
-
-impl ExecMode {
-    /// Stable lowercase name (used in `STATS`, `SET exec_mode`, and
-    /// plan-cache keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Row => "row",
-            ExecMode::Columnar => "columnar",
-            ExecMode::Auto => "auto",
-        }
-    }
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<ExecMode, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "row" => Ok(ExecMode::Row),
-            "columnar" => Ok(ExecMode::Columnar),
-            "auto" => Ok(ExecMode::Auto),
-            other => Err(format!(
-                "unknown exec mode '{other}' (expected row, columnar, or auto)"
-            )),
-        }
-    }
-}
-
-/// True when every operator in the plan (CTE bodies included) has a
-/// vectorized implementation, i.e. columnar execution would never bridge
-/// back to the row engine. `Auto` mode runs columnar exactly in this case;
-/// the answer is stored on the plan (`PlanRoot::vectorized`) by whoever
-/// last shaped it, so executing a cached plan reads a bool.
-pub(crate) fn fully_vectorized(ctes: &[BoundCte], body: &PlanNode) -> bool {
-    fn walk(p: &PlanNode) -> bool {
-        node_vectorized(p) && crate::explain::node_children(p).iter().all(|k| walk(k))
-    }
-    ctes.iter().all(|c| walk(&c.plan)) && walk(body)
-}
-
-/// True when this node itself (not its inputs) has a vectorized
-/// implementation.
-fn node_vectorized(plan: &PlanNode) -> bool {
-    match plan {
-        PlanNode::Unnest { .. } | PlanNode::WindowRowNumber { .. } => false,
-        // Cross products and outer joins without equi keys take the row
-        // engine's nested-loop path.
-        PlanNode::Join { kind, equi, .. } => *kind != JoinKind::Cross && !equi.is_empty(),
-        _ => true,
-    }
-}
-
-/// Execute a fully bound query with the columnar engine: materialize CTEs in
-/// order — their batches stored as they are, the same spill accounting as
-/// the row engine's temp pages — then run the body to batches.
+/// Execute a fully bound query: materialize CTEs in order — their batches
+/// stored as they are, with temp-page spill accounting — then run the body
+/// to batches.
 pub fn execute_root(ctx: &ExecContext<'_>) -> Result<Vec<ColumnChunk>> {
     for (i, cte) in ctx.root.ctes.iter().enumerate() {
         let chunks = exec_node(&cte.plan, ctx)?;
@@ -122,13 +52,9 @@ pub fn execute_root(ctx: &ExecContext<'_>) -> Result<Vec<ColumnChunk>> {
 ///
 /// Output invariant: the returned vector is non-empty; an empty result is
 /// one zero-row chunk of the node's output width, so downstream operators
-/// always see the arity and `EXPLAIN ANALYZE` always sees `batches>=1` for
-/// vectorized nodes.
+/// always see the arity and `EXPLAIN ANALYZE` always sees `batches>=1`.
 pub(crate) fn exec_node(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<ColumnChunk>> {
-    if !node_vectorized(plan) {
-        return exec_fallback(plan, ctx);
-    }
-    // Inclusive timing, like the row engine: started before children run.
+    // Inclusive timing: started before children run.
     let timer = ctx.profiling().then(std::time::Instant::now);
     let chunks = match plan {
         PlanNode::Scan {
@@ -138,20 +64,8 @@ pub(crate) fn exec_node(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Co
             let chunks = exec_node(input, ctx)?;
             let mut out = Vec::with_capacity(chunks.len());
             for chunk in &chunks {
-                if chunk.is_empty() {
-                    continue;
-                }
-                let sel: Vec<usize> = (0..chunk.len()).collect();
-                let pred = eval_col(predicate, chunk, &sel, ctx)?;
-                let keep = truthy_selection(&pred, chunk.len());
-                if keep.is_empty() {
-                    continue;
-                }
-                if keep.len() == chunk.len() {
-                    // Everything survived: reuse the input columns (Rc).
-                    out.push(chunk.clone());
-                } else {
-                    out.push(gather_chunk(chunk, &keep));
+                if let Some(kept) = filter_chunk(chunk, predicate, ctx)? {
+                    out.push(kept);
                 }
             }
             out
@@ -184,28 +98,9 @@ pub(crate) fn exec_node(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Co
             ..
         } => agg::exec_aggregate(input, group_exprs, aggs, ctx)?,
         PlanNode::Sort { input, keys } => {
-            let chunks = exec_node(input, ctx)?;
-            let big = concat_chunks(&chunks);
-            let n = big.len();
-            let sel: Vec<usize> = (0..n).collect();
-            let key_cols: Vec<Rc<Column>> = keys
-                .iter()
-                .map(|(e, _)| Ok(eval_col(e, &big, &sel, ctx)?.materialize(n)))
-                .collect::<Result<Vec<_>>>()?;
-            let mut idx: Vec<usize> = (0..n).collect();
-            // Stable sort over original order = the row engine's tie
-            // behaviour.
-            idx.sort_by(|&a, &b| {
-                for (i, (_, desc)) in keys.iter().enumerate() {
-                    let ord = crate::exec::null_last_cmp(&key_cols[i].get(a), &key_cols[i].get(b));
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            idx.chunks(BATCH_ROWS)
+            let big = concat_chunks(&exec_node(input, ctx)?);
+            sorted_indices(&big, keys, ctx)?
+                .chunks(BATCH_ROWS)
                 .map(|window| gather_chunk(&big, window))
                 .collect()
         }
@@ -247,10 +142,34 @@ pub(crate) fn exec_node(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Co
             }
             out
         }
-        PlanNode::Values { rows, schema } => rows_to_chunks(rows, schema.len()),
-        PlanNode::Unnest { .. } | PlanNode::WindowRowNumber { .. } => {
-            unreachable!("unvectorized nodes take the fallback bridge")
+        PlanNode::WindowRowNumber { input, keys, .. } => {
+            let chunks = exec_node(input, ctx)?;
+            let big = concat_chunks(&chunks);
+            let mut ranks = vec![0i64; big.len()];
+            for (rank, i) in sorted_indices(&big, keys, ctx)?.into_iter().enumerate() {
+                ranks[i] = rank as i64 + 1;
+            }
+            // Rows keep their input batches; each gains its slice of ranks.
+            let mut start = 0;
+            let mut out = Vec::with_capacity(chunks.len());
+            for chunk in chunks.iter().filter(|c| !c.is_empty()) {
+                let end = start + chunk.len();
+                let mut cols = chunk.columns().to_vec();
+                cols.push(Rc::new(Column::new(
+                    ColumnData::Int(ranks[start..end].to_vec()),
+                    NullBitmap::new_valid(chunk.len()),
+                )));
+                out.push(ColumnChunk::new(cols, chunk.len()));
+                start = end;
+            }
+            out
         }
+        PlanNode::Unnest { input, column, .. } => exec_node(input, ctx)?
+            .iter()
+            .map(|c| unnest_chunk(c, *column))
+            .filter(|c| !c.is_empty())
+            .collect(),
+        PlanNode::Values { rows, schema } => rows_to_chunks(rows, schema.len()),
     };
     let chunks = ensure_nonempty(chunks, plan.schema().len());
     let rows: usize = chunks.iter().map(ColumnChunk::len).sum();
@@ -272,13 +191,101 @@ pub(crate) fn exec_node(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Co
     Ok(chunks)
 }
 
-/// Bridge an unvectorized subtree through the row engine and re-batch its
-/// rows. The row engine does its own stats/profile bookkeeping for every
-/// node in the subtree, so this records only the bridge itself.
-fn exec_fallback(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<ColumnChunk>> {
-    ctx.stats.borrow_mut().colexec_fallbacks += 1;
-    let rows = execute(plan, ctx)?;
-    Ok(rows_to_chunks(&rows, plan.schema().len()))
+/// The rows of `chunk` whose `predicate` is exactly `TRUE` (a WHERE, or a
+/// join residual over a block of pairs); `None` when none survive.
+fn filter_chunk(
+    chunk: &ColumnChunk,
+    predicate: &BExpr,
+    ctx: &ExecContext<'_>,
+) -> Result<Option<ColumnChunk>> {
+    if chunk.is_empty() {
+        return Ok(None);
+    }
+    let sel: Vec<usize> = (0..chunk.len()).collect();
+    let keep = truthy_selection(&eval_col(predicate, chunk, &sel, ctx)?, chunk.len());
+    Ok(if keep.is_empty() {
+        None
+    } else if keep.len() == chunk.len() {
+        // Everything survived: reuse the input columns (Rc).
+        Some(chunk.clone())
+    } else {
+        Some(gather_chunk(chunk, &keep))
+    })
+}
+
+/// Row indices of `chunk` in `keys` order (the `Sort` operator and the
+/// `ROW_NUMBER()` window): each key is evaluated once as a column, then a
+/// stable sort with NULLs last and DESC flips, so ties keep input order —
+/// the row engine's tie behaviour.
+fn sorted_indices(
+    chunk: &ColumnChunk,
+    keys: &[(BExpr, bool)],
+    ctx: &ExecContext<'_>,
+) -> Result<Vec<usize>> {
+    let n = chunk.len();
+    let sel: Vec<usize> = (0..n).collect();
+    let key_cols: Vec<Rc<Column>> = keys
+        .iter()
+        .map(|(e, _)| Ok(eval_col(e, chunk, &sel, ctx)?.materialize(n)))
+        .collect::<Result<Vec<_>>>()?;
+    let mut idx = sel;
+    idx.sort_by(|&a, &b| {
+        for (col, (_, desc)) in key_cols.iter().zip(keys) {
+            let ord = null_last_cmp(&col.get(a), &col.get(b));
+            let ord = if *desc { ord.reverse() } else { ord };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    Ok(idx)
+}
+
+/// Expand the array cells of `column` into one row per element, in parent
+/// order and then element order; the other columns are gathered from each
+/// element's parent row. A NULL cell or an empty array yields no rows and a
+/// non-array value passes through unchanged. Linear in the elements: each
+/// array is read once.
+fn unnest_chunk(chunk: &ColumnChunk, column: usize) -> ColumnChunk {
+    let col = chunk.column(column);
+    let ColumnData::Generic(cells) = col.data() else {
+        // Typed storage holds no arrays: only the NULLs drop out.
+        let keep: Vec<usize> = (0..chunk.len()).filter(|&i| !col.is_null(i)).collect();
+        return if keep.len() == chunk.len() {
+            chunk.clone()
+        } else {
+            gather_chunk(chunk, &keep)
+        };
+    };
+    let mut parents: Vec<usize> = Vec::with_capacity(cells.len());
+    let mut items: Vec<Value> = Vec::with_capacity(cells.len());
+    for (i, cell) in cells.iter().enumerate() {
+        match cell {
+            Value::Array(elems) => {
+                parents.extend(std::iter::repeat_n(i, elems.len()));
+                items.extend(elems.iter().cloned());
+            }
+            Value::Null => {}
+            scalar => {
+                parents.push(i);
+                items.push(scalar.clone());
+            }
+        }
+    }
+    let cols = chunk
+        .columns()
+        .iter()
+        .enumerate()
+        .map(|(c, col)| {
+            Rc::new(if c == column {
+                Column::from_values(&items)
+            } else {
+                col.gather(&parents)
+            })
+        })
+        .collect();
+    ColumnChunk::new(cols, parents.len())
 }
 
 /// Scan a stored heap: each sealed chunk's projected columns are shared
@@ -345,8 +352,8 @@ pub(crate) fn chunks_to_rows(chunks: &[ColumnChunk]) -> Vec<Row> {
     chunks.iter().flat_map(ColumnChunk::to_rows).collect()
 }
 
-/// Concatenate batches into one chunk (pipeline breakers: Sort, the join's
-/// build side).
+/// Concatenate batches into one chunk (pipeline breakers: Sort, the
+/// window, the join's build side).
 pub(crate) fn concat_chunks(chunks: &[ColumnChunk]) -> ColumnChunk {
     if chunks.len() == 1 {
         return chunks[0].clone();

@@ -4,19 +4,19 @@ use crate::ast::Statement;
 use crate::binder::bind_select;
 use crate::cache::{collect_table_deps, CachedPlan, PlanCache, PlanCacheStats};
 use crate::catalog::{Catalog, ViewDef};
-use crate::colexec::{self, ExecMode};
+use crate::colexec;
 use crate::durable::{DurableBackend, MemoryBackend, StorageBackend};
 use crate::error::{Result, SqlError};
-use crate::exec::{execute_root, ExecContext, ExecStats};
+use crate::exec::{ExecContext, ExecStats};
 use crate::optimizer::optimize;
 use crate::plan::{PlanRoot, Schema};
 use crate::profile::EngineProfile;
-use crate::storage::{Heap, Relation, Row, StoredView, Table};
+use crate::storage::{Heap, Relation, StoredView, Table};
 use crate::trace::{EngineTrace, Phase, QueryProfile};
 use elephant_store::{
     CheckpointStats, FsyncPolicy, RecoveryReport, StoreStats, TableImage, WalHandle, WalRecord,
 };
-use etypes::{CsvOptions, DataType, Value};
+use etypes::{ColumnChunk, CsvOptions, DataType, Value};
 use std::collections::HashMap;
 use std::path::Path;
 use std::rc::Rc;
@@ -100,8 +100,6 @@ pub struct Engine {
     auto_checkpoint_wal_bytes: Option<u64>,
     /// Auto-checkpoints taken so far (surfaced in `STATS`).
     auto_checkpoints: u64,
-    /// Which execution subsystem runs queries (row, columnar, or auto).
-    exec_mode: ExecMode,
     /// True between [`Engine::begin_commit_group`] and
     /// [`Engine::end_commit_group`]: logged mutations record an undo entry
     /// so a failed group fsync can unwind them all.
@@ -210,7 +208,6 @@ impl Engine {
             pinned_read_only: false,
             auto_checkpoint_wal_bytes: None,
             auto_checkpoints: 0,
-            exec_mode: ExecMode::default(),
             in_commit_group: false,
             group_undo: Vec::new(),
             group_epoch: 0,
@@ -440,18 +437,6 @@ impl Engine {
         if self.txn_capture.is_some() || (self.in_commit_group && self.backend.is_durable()) {
             self.group_undo.push(undo);
         }
-    }
-
-    /// The active execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Select which execution subsystem runs queries. Cached plans are
-    /// keyed by `(mode, sql)`, so switching modes never re-executes a plan
-    /// whose Auto decision was made under the other mode.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
     }
 
     /// The engine's durability health. Volatile engines are always
@@ -1062,7 +1047,7 @@ impl Engine {
         };
         // Keyed on the normalized AST (Debug form), prefixed so the keys can
         // never collide with raw-SQL keys from PREPARE/query_cached.
-        let key = format!("{}\u{1f}ast\u{1f}{:?}", self.exec_mode, normalized);
+        let key = format!("\u{1f}ast\u{1f}{normalized:?}");
         let cached = match self.plan_cache.get(&key) {
             Some(hit) => hit,
             None => {
@@ -1097,14 +1082,11 @@ impl Engine {
     /// materialized view): columnar batches are stored as they are.
     fn store_query(&mut self, query: &crate::ast::Query) -> Result<StoredView> {
         let (root, schema) = self.bind_traced(query)?;
-        let heap = match self.execute_bound(&root)? {
-            Output::Rows(rows) => Heap::from_rows(schema.len(), &rows),
-            Output::Chunks(chunks) => Heap::from_chunks(schema.len(), chunks),
-        };
+        let chunks = self.execute_bound(&root)?;
         Ok(StoredView {
             columns: schema.names(),
             types: schema.types(),
-            heap,
+            heap: Heap::from_chunks(schema.len(), chunks),
         })
     }
 
@@ -1128,16 +1110,13 @@ impl Engine {
 
     /// Execute an already bound + optimized plan to a result.
     fn run_bound(&mut self, root: &PlanRoot, schema: &Schema) -> Result<Relation> {
-        let rows = match self.execute_bound(root)? {
-            Output::Rows(rows) => rows,
-            Output::Chunks(chunks) => colexec::chunks_to_rows(&chunks),
-        };
+        let rows = colexec::chunks_to_rows(&self.execute_bound(root)?);
         Relation::new(schema.names(), schema.types(), rows)
     }
 
-    /// Execute a bound plan on the engine the mode picks, in the shape that
-    /// engine produces.
-    fn execute_bound(&mut self, root: &PlanRoot) -> Result<Output> {
+    /// Execute a bound plan to batches, folding its counters, trace phase
+    /// and operator profile into the engine's.
+    fn execute_bound(&mut self, root: &PlanRoot) -> Result<Vec<ColumnChunk>> {
         let mut ctx = ExecContext::new(&self.catalog, &self.profile, root);
         if self.capture_profiles {
             ctx.enable_profiling();
@@ -1145,17 +1124,8 @@ impl Engine {
         if let Some(timeout) = self.statement_timeout {
             ctx.set_deadline(Instant::now() + timeout, timeout.as_millis() as u64);
         }
-        let columnar = match self.exec_mode {
-            ExecMode::Row => false,
-            ExecMode::Columnar => true,
-            ExecMode::Auto => root.vectorized,
-        };
         let started = (self.trace.enabled() || self.capture_profiles).then(Instant::now);
-        let output = if columnar {
-            Output::Chunks(colexec::execute_root(&ctx)?)
-        } else {
-            Output::Rows(execute_root(&ctx)?)
-        };
+        let output = colexec::execute_root(&ctx)?;
         let elapsed_us = started.map(|t| t.elapsed().as_micros() as u64);
         if let Some(us) = elapsed_us {
             self.trace.record_us(Phase::Execute, us);
@@ -1167,36 +1137,27 @@ impl Engine {
         self.stats.shared_scans += run_stats.shared_scans;
         self.stats.rows_processed += run_stats.rows_processed;
         self.stats.batches_executed += run_stats.batches_executed;
-        self.stats.colexec_fallbacks += run_stats.colexec_fallbacks;
         self.queries_run += 1;
         if let Some(profiles) = ctx.take_profiles() {
             self.last_profile = Some(crate::explain::build_query_profile(
                 root,
                 &profiles,
                 elapsed_us.unwrap_or(0),
-                output.len() as u64,
+                output.iter().map(ColumnChunk::len).sum::<usize>() as u64,
             ));
         }
         Ok(output)
-    }
-
-    /// The plan-cache key for `sql` under the current execution mode. Modes
-    /// share the cache but not entries: a plan prepared under one mode never
-    /// serves another.
-    fn cache_key(&self, sql: &str) -> String {
-        format!("{}\u{1f}{sql}", self.exec_mode)
     }
 
     /// Plan `sql` (which must be a single SELECT) into the plan cache
     /// without executing it, unless already cached. Returns true when
     /// planning happened, false on a cache hit.
     pub fn prepare_cached(&mut self, sql: &str) -> Result<bool> {
-        let key = self.cache_key(sql);
-        if self.plan_cache.contains(&key) {
+        if self.plan_cache.contains(sql) {
             return Ok(false);
         }
         let plan = self.plan_select(sql)?;
-        self.plan_cache.insert(key, plan);
+        self.plan_cache.insert(sql.to_string(), plan);
         Ok(true)
     }
 
@@ -1210,12 +1171,11 @@ impl Engine {
     /// to `params` (1-based: `$1` takes `params[0]`). The parameter count
     /// must match the highest placeholder in the statement exactly.
     pub fn query_cached_with(&mut self, sql: &str, params: &[Value]) -> Result<Relation> {
-        let key = self.cache_key(sql);
-        let cached = match self.plan_cache.get(&key) {
+        let cached = match self.plan_cache.get(sql) {
             Some(hit) => hit,
             None => {
                 let plan = self.plan_select(sql)?;
-                self.plan_cache.insert(key, plan.clone());
+                self.plan_cache.insert(sql.to_string(), plan.clone());
                 plan
             }
         };
@@ -1355,6 +1315,26 @@ impl Engine {
         outcome
             .relation
             .ok_or_else(|| SqlError::exec("statement did not produce rows"))
+    }
+
+    /// Run one SELECT on the row-at-a-time reference interpreter
+    /// ([`crate::exec`]) instead of the executor: the oracle the
+    /// differential tests compare [`Engine::query`] against. No plan cache,
+    /// no profiling, no counters; nothing on the serving path calls it.
+    #[doc(hidden)]
+    pub fn query_reference(&self, sql: &str) -> Result<Relation> {
+        let Statement::Select(query) = crate::parser::parse_statement(sql)? else {
+            return Err(SqlError::bind(
+                "the reference interpreter runs SELECT statements only",
+            ));
+        };
+        let (mut root, schema) = bind_select(&self.catalog, &self.profile, &query)?;
+        if self.profile.enable_optimizer {
+            optimize(&mut root);
+        }
+        let ctx = ExecContext::new(&self.catalog, &self.profile, &root);
+        let rows = crate::exec::execute_root(&ctx)?;
+        Relation::new(schema.names(), schema.types(), rows)
     }
 
     fn insert(
@@ -1580,22 +1560,6 @@ impl<'a> BindShim<'a> {
                 .next()
                 .ok_or_else(|| SqlError::bind("empty INSERT expression"))?),
             _ => Err(SqlError::bind("INSERT values must be constant expressions")),
-        }
-    }
-}
-
-/// What an executor produced: the row engine's rows or the columnar
-/// engine's batches.
-enum Output {
-    Rows(Vec<Row>),
-    Chunks(Vec<etypes::ColumnChunk>),
-}
-
-impl Output {
-    fn len(&self) -> usize {
-        match self {
-            Output::Rows(rows) => rows.len(),
-            Output::Chunks(chunks) => chunks.iter().map(etypes::ColumnChunk::len).sum(),
         }
     }
 }

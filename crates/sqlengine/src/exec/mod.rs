@@ -1,9 +1,17 @@
-//! Plan execution.
+//! Shared execution state, aggregate semantics, and the row-at-a-time
+//! reference interpreter.
 //!
-//! The executor materializes each operator's output (the paper's PostgreSQL
-//! runs do the same for CTEs; intra-query pipelining differences between the
-//! two modelled systems are captured by the profile's per-row overhead knob
-//! rather than by a separate compiled engine).
+//! [`ExecContext`] carries one query's catalog, cost profile, CTE results,
+//! scalar-subquery values, counters, profiles and cancellation budget for
+//! the engine's one executor ([`crate::colexec`]). [`Acc`] and
+//! [`eval::eval`] are the single definition of aggregate and scalar
+//! semantics; the vectorized kernels defer to them.
+//!
+//! [`execute_root`] / [`execute`] interpret a plan one row at a time. They
+//! are not on the serving path: `Engine::query_reference` runs them as the
+//! oracle the differential tests compare the vectorized executor against,
+//! so they stay deliberately plain — no profiling, counters or cost
+//! charges.
 
 pub mod eval;
 
@@ -32,8 +40,7 @@ pub use crate::storage::Row;
 pub struct NodeProfile {
     /// Rows produced across all executions of this node.
     pub rows_out: u64,
-    /// Columnar batches produced across all executions; stays 0 for nodes
-    /// run by the row engine (including fallback-bridge subtrees).
+    /// Columnar batches produced across all executions.
     pub batches_out: u64,
     /// Inclusive wall-clock time (children included), microseconds.
     pub elapsed_us: u64,
@@ -55,19 +62,8 @@ impl NodeProfiles {
         self.map.get(&(node as *const PlanNode as usize)).copied()
     }
 
-    fn record(&mut self, key: usize, rows: u64, elapsed: std::time::Duration) {
-        self.record_batched(key, rows, 0, elapsed);
-    }
-
-    /// Record one execution of a node, with the number of columnar batches
-    /// it produced (0 for row-engine executions).
-    pub(crate) fn record_batched(
-        &mut self,
-        key: usize,
-        rows: u64,
-        batches: u64,
-        elapsed: std::time::Duration,
-    ) {
+    /// Record one execution of a node and the batches it produced.
+    fn record(&mut self, key: usize, rows: u64, batches: u64, elapsed: std::time::Duration) {
         let p = self.map.entry(key).or_default();
         p.rows_out += rows;
         p.batches_out += batches;
@@ -91,12 +87,8 @@ pub struct ExecStats {
     pub shared_scans: u64,
     /// Total rows produced by plan operators.
     pub rows_processed: u64,
-    /// Columnar batches produced by vectorized operators (stays 0 under the
-    /// row engine).
+    /// Columnar batches produced by plan operators.
     pub batches_executed: u64,
-    /// Times the columnar executor bridged a subtree back to the row engine
-    /// because its top operator is not vectorized.
-    pub colexec_fallbacks: u64,
 }
 
 /// Shared execution state for one query.
@@ -184,17 +176,16 @@ impl<'a> ExecContext<'a> {
         if let Some(v) = &self.subplan_cache.borrow()[i] {
             return Ok(v.clone());
         }
-        let plan = &self.root.subplans[i];
-        let rows = execute(plan, self)?;
-        let value = match rows.len() {
+        let chunks = crate::colexec::exec_node(&self.root.subplans[i], self)?;
+        let value = match chunks.iter().map(etypes::ColumnChunk::len).sum::<usize>() {
             0 => Value::Null,
-            1 => rows
-                .into_iter()
-                .next()
-                .expect("len checked")
-                .into_iter()
-                .next()
-                .ok_or_else(|| SqlError::exec("scalar subquery returned zero columns"))?,
+            1 => {
+                let chunk = chunks.iter().find(|c| !c.is_empty()).expect("one row");
+                if chunk.width() == 0 {
+                    return Err(SqlError::exec("scalar subquery returned zero columns"));
+                }
+                chunk.column(0).get(0)
+            }
             n => return Err(SqlError::exec(format!("scalar subquery returned {n} rows"))),
         };
         self.subplan_cache.borrow_mut()[i] = Some(value.clone());
@@ -208,7 +199,8 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Install CTE `i`'s materialized result, counting it like a temp-page
-    /// spill (both executors fill CTEs in order through here).
+    /// spill (the executor and the reference interpreter both fill CTEs in
+    /// order through here).
     pub(crate) fn store_cte(&self, i: usize, heap: Heap) {
         let rows = heap.len();
         {
@@ -277,15 +269,13 @@ impl<'a> ExecContext<'a> {
         elapsed: std::time::Duration,
     ) {
         if let Some(profiles) = &self.profiles {
-            profiles
-                .borrow_mut()
-                .record_batched(key, rows, batches, elapsed);
+            profiles.borrow_mut().record(key, rows, batches, elapsed);
         }
     }
 }
 
-/// Execute a fully bound query: materialize its CTEs in order, then run the
-/// body. Returns rows; the caller attaches schema names.
+/// Interpret a fully bound query one row at a time: materialize its CTEs in
+/// order, then run the body. Returns rows; the caller attaches schema names.
 pub fn execute_root(ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
     for (i, cte) in ctx.root.ctes.iter().enumerate() {
         let rows = execute(&cte.plan, ctx)?;
@@ -294,10 +284,9 @@ pub fn execute_root(ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
     execute(&ctx.root.body, ctx)
 }
 
-/// Execute one plan node to rows.
+/// Interpret one plan node to rows.
 pub fn execute(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
-    let profile_timer = ctx.profiles.as_ref().map(|_| std::time::Instant::now());
-    let rows = match plan {
+    Ok(match plan {
         PlanNode::Scan {
             source, projection, ..
         } => exec_scan(source, projection, ctx)?,
@@ -434,18 +423,7 @@ pub fn execute(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
             out
         }
         PlanNode::Values { rows, .. } => rows.clone(),
-    };
-    ctx.stats.borrow_mut().rows_processed += rows.len() as u64;
-    ctx.profile.charge_rows(rows.len());
-    ctx.tick(rows.len())?;
-    if let (Some(profiles), Some(t)) = (ctx.profiles.as_ref(), profile_timer) {
-        profiles.borrow_mut().record(
-            plan as *const PlanNode as usize,
-            rows.len() as u64,
-            t.elapsed(),
-        );
-    }
-    Ok(rows)
+    })
 }
 
 /// The row cursor over a stored heap: builds only the projected cells of
@@ -524,9 +502,6 @@ fn exec_join(
     if kind == JoinKind::Cross || (equi.is_empty() && kind == JoinKind::Inner) {
         let mut out = Vec::new();
         for l in &lrows {
-            // The cross product can dwarf its inputs; charge the budget per
-            // produced pair, not per operator output.
-            ctx.tick(rrows.len())?;
             for r in &rrows {
                 let mut row = l.clone();
                 row.extend(r.iter().cloned());
@@ -563,7 +538,6 @@ fn exec_join(
     let mut out = Vec::new();
     let mut right_matched = vec![false; rrows.len()];
     for l in &lrows {
-        ctx.tick(1)?;
         let key = join_key(&lexprs, l, ctx)?;
         let matches = key.as_ref().and_then(|k| table.get(k));
         let mut any = false;
@@ -601,8 +575,9 @@ fn exec_join(
 
 // ---- aggregation --------------------------------------------------------------
 
-/// One aggregate accumulator; shared with the columnar executor so both
-/// engines produce identical aggregate results.
+/// One aggregate accumulator: the single definition of aggregate
+/// semantics, folded by the vectorized aggregate and the reference
+/// interpreter alike.
 pub(crate) enum Acc {
     CountStar(i64),
     Count(i64),

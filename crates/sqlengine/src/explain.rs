@@ -40,7 +40,7 @@ pub(crate) fn build_query_profile(
             label: format!("CTE {} [{}] (materialized)", i, cte.name),
             rows_in: head.map_or(0, |p| p.rows_out),
             rows: head.map_or(0, |p| p.rows_out),
-            batches: head.and_then(|p| (p.batches_out > 0).then_some(p.batches_out)),
+            batches: head.map_or(0, |p| p.batches_out),
             time_us: head.map_or(0, |p| p.elapsed_us),
             executed: head.is_some(),
         });
@@ -53,7 +53,7 @@ pub(crate) fn build_query_profile(
             label: format!("InitPlan ${i}"),
             rows_in: head.map_or(0, |p| p.rows_out),
             rows: head.map_or(0, |p| p.rows_out),
-            batches: head.and_then(|p| (p.batches_out > 0).then_some(p.batches_out)),
+            batches: head.map_or(0, |p| p.batches_out),
             time_us: head.map_or(0, |p| p.elapsed_us),
             executed: head.is_some(),
         });
@@ -80,7 +80,7 @@ fn profile_node(node: &PlanNode, depth: usize, profiles: &NodeProfiles, ops: &mu
         label: node_label(node),
         rows_in,
         rows: p.map_or(0, |p| p.rows_out),
-        batches: p.and_then(|p| (p.batches_out > 0).then_some(p.batches_out)),
+        batches: p.map_or(0, |p| p.batches_out),
         time_us: p.map_or(0, |p| p.elapsed_us),
         executed: p.is_some(),
     });

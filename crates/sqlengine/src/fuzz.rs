@@ -1,13 +1,15 @@
 //! Seeded SQL workload generation for differential tests.
 //!
-//! The row-vs-columnar differential fuzz (`tests/exec_diff.rs`) and the
-//! sharded-routing differential test in `elephant-server` must run the
+//! The executor-vs-reference differential fuzz (`tests/exec_diff.rs`) and
+//! the sharded-routing differential test in `elephant-server` must run the
 //! *same* seeded corpus, so the generator lives here: NULL-heavy seed data
 //! for two tables (`t1(a int, b int, c float, d text)` and
 //! `t2(k int, v int, w text)`) plus random SELECTs over filters,
-//! projections, joins, aggregates, DISTINCT, ORDER BY, and LIMIT. All
-//! output is plain SQL text, so it can be executed embedded or shipped over
-//! the wire unchanged.
+//! projections, joins, aggregates, DISTINCT, ORDER BY, and LIMIT — and the
+//! operators the paper's inspection itself runs: `array_agg` → `unnest`
+//! round trips, `ROW_NUMBER()` ids, cross and non-equi joins, and scalar
+//! subqueries. All output is plain SQL text, so it can be executed embedded
+//! or shipped over the wire unchanged.
 
 use etypes::Prng;
 
@@ -121,11 +123,12 @@ pub fn gen_pred(rng: &mut Prng, depth: usize) -> String {
     }
 }
 
-/// One random query over the corpus tables (six shapes: filter+project,
-/// four-way joins, grouped and global aggregates, DISTINCT+ORDER+LIMIT,
-/// and an aggregated CTE join).
+/// One random query over the corpus tables (ten shapes: filter+project,
+/// four-way joins, grouped and global aggregates, DISTINCT+ORDER+LIMIT, an
+/// aggregated CTE join, `array_agg` → `unnest` round trips, `ROW_NUMBER()`
+/// windows, nested-loop joins, and scalar subqueries).
 pub fn gen_query(rng: &mut Prng) -> String {
-    match rng.below(6) {
+    match rng.below(10) {
         // Filter + project over t1.
         0 => format!(
             "SELECT {} AS x, {} AS y, d FROM t1 WHERE {}",
@@ -160,9 +163,88 @@ pub fn gen_query(rng: &mut Prng) -> String {
             rng.below(8) + 1,
         ),
         // CTE over a join, aggregated.
-        _ => "WITH j AS (SELECT t1.b AS b, t2.v AS v FROM t1 INNER JOIN t2 ON t1.a = t2.k) \
+        5 => "WITH j AS (SELECT t1.b AS b, t2.v AS v FROM t1 INNER JOIN t2 ON t1.a = t2.k) \
               SELECT b, count(*) AS n, sum(v) AS s FROM j GROUP BY b ORDER BY b LIMIT 10"
             .to_string(),
+        6 => gen_unnest(rng),
+        7 => gen_row_number(rng),
+        // Nested-loop joins: a cross product, and an inner join whose
+        // condition has no equi key (a residual that may divide by zero).
+        8 => {
+            let b = rng.below(6);
+            if rng.chance(0.5) {
+                format!(
+                    "SELECT t1.a, t1.d, t2.v, t2.w FROM t1 CROSS JOIN t2 WHERE t1.b = {b} AND {}",
+                    ["t2.v > 0", "t2.w IS NULL", "t1.a < t2.k"][rng.below(3)],
+                )
+            } else {
+                let residual = ["t1.a < t2.k", "t1.c > t2.v", "t1.a / t2.v > 1"][rng.below(3)];
+                format!(
+                    "SELECT t1.a, t1.c, t2.k, t2.v FROM t1 INNER JOIN t2 ON {residual} \
+                     AND t1.d <> t2.w WHERE t1.b = {b}"
+                )
+            }
+        }
+        // Scalar subqueries: a NULL-able average, a global count, and a
+        // LIMIT that makes the subquery return two rows (an error) half the
+        // time — unless the WHERE leaves no row to evaluate it for.
+        _ => match rng.below(3) {
+            0 => format!(
+                "SELECT a, b FROM t1 WHERE a > (SELECT avg(v) FROM t2 WHERE v > {})",
+                rng.range_i64(-6, 6),
+            ),
+            1 => "SELECT b, count(*) AS n, (SELECT count(*) FROM t2 WHERE w IS NULL) AS m \
+                  FROM t1 GROUP BY b"
+                .to_string(),
+            _ => format!(
+                "SELECT a, (SELECT k FROM t2 WHERE k IS NOT NULL ORDER BY k LIMIT {}) AS k0 \
+                 FROM t1 WHERE {}",
+                rng.below(2) + 1,
+                gen_pred(rng, 1),
+            ),
+        },
+    }
+}
+
+/// An `array_agg` → `unnest` round trip, the way inspection keeps tuple
+/// identifiers through an aggregation (grouped, global, or joined back on
+/// `ctid`). The lists are NULL-heavy: the `b = 3` group's list can be all
+/// NULL, and the WHERE can empty the input.
+fn gen_unnest(rng: &mut Prng) -> String {
+    let list = ["ctid", "a", "CASE WHEN b = 3 THEN NULL ELSE a END"][rng.below(3)];
+    let pred = gen_pred(rng, 1);
+    match rng.below(3) {
+        0 => format!(
+            "SELECT g.b, unnest(g.ids) AS id FROM \
+             (SELECT b, array_agg({list}) AS ids FROM t1 WHERE {pred} GROUP BY b) AS g"
+        ),
+        1 => format!(
+            "SELECT unnest(ids) AS id FROM (SELECT array_agg({list}) AS ids FROM t1 WHERE {pred}) AS g"
+        ),
+        _ => format!(
+            "WITH g AS (SELECT b, array_agg(ctid) AS ids FROM t1 WHERE {pred} GROUP BY b), \
+             u AS (SELECT b, unnest(ids) AS id FROM g) \
+             SELECT u.b, u.id, t1.a, t1.d FROM u INNER JOIN t1 ON u.id = t1.ctid"
+        ),
+    }
+}
+
+/// A `ROW_NUMBER()` window over NULL-heavy keys with ties (input order
+/// breaks them), ascending and DESC, or the `- 1 AS pos` ranking of
+/// distinct values that the transpiler emits for one-hot encoding.
+fn gen_row_number(rng: &mut Prng) -> String {
+    if rng.chance(0.5) {
+        let keys = ["b", "b DESC", "d, a DESC", "c DESC", "b, d DESC, a"][rng.below(5)];
+        format!(
+            "SELECT a, b, d, ROW_NUMBER() OVER (ORDER BY {keys}) AS rn FROM t1 WHERE {}",
+            gen_pred(rng, 1),
+        )
+    } else {
+        let v = ["d", "b", "a % 4"][rng.below(3)];
+        format!(
+            "SELECT v, ROW_NUMBER() OVER (ORDER BY v) - 1 AS pos \
+             FROM (SELECT DISTINCT {v} AS v FROM t1 WHERE ({v}) IS NOT NULL) d"
+        )
     }
 }
 

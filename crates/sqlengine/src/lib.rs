@@ -46,7 +46,6 @@ pub mod token;
 pub mod trace;
 
 pub use cache::{PlanCache, PlanCacheStats};
-pub use colexec::ExecMode;
 pub use deps::{parse_sql, statement_deps, StatementDeps};
 pub use durable::{DurableBackend, MemoryBackend, StorageBackend};
 pub use engine::{Engine, EngineStats, ExecOutcome, Health};

@@ -27,7 +27,6 @@ pub fn optimize(root: &mut PlanRoot) {
         *sub = optimize_node(std::mem::replace(sub, empty()), true);
     }
     root.body = optimize_node(std::mem::replace(&mut root.body, empty()), true);
-    root.vectorized = crate::colexec::fully_vectorized(&root.ctes, &root.body);
 }
 
 fn empty() -> PlanNode {

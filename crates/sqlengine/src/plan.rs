@@ -537,22 +537,15 @@ pub struct PlanRoot {
     pub subplans: Vec<PlanNode>,
     /// The main plan.
     pub body: PlanNode,
-    /// True when every operator of `ctes` and `body` has a vectorized
-    /// implementation: what `ExecMode::Auto` reads on each execution.
-    /// Computed by [`PlanRoot::new`] and again by the optimizer, which can
-    /// prune an unvectorized operator away.
-    pub vectorized: bool,
 }
 
 impl PlanRoot {
     /// Assemble a bound query.
     pub fn new(ctes: Vec<BoundCte>, subplans: Vec<PlanNode>, body: PlanNode) -> PlanRoot {
-        let vectorized = crate::colexec::fully_vectorized(&ctes, &body);
         PlanRoot {
             ctes,
             subplans,
             body,
-            vectorized,
         }
     }
 

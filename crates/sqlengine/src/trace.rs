@@ -217,9 +217,8 @@ pub struct OpProfile {
     pub rows_in: u64,
     /// Rows produced (the executed cardinality).
     pub rows: u64,
-    /// Columnar batches produced, when the operator ran vectorized;
-    /// `None` for row-engine operators (including fallback subtrees).
-    pub batches: Option<u64>,
+    /// Columnar batches produced (at least one per execution).
+    pub batches: u64,
     /// Inclusive wall-clock time (children included), microseconds.
     pub time_us: u64,
     /// False when the operator never ran (e.g. an unused init-plan).
@@ -245,24 +244,19 @@ impl QueryProfile {
     }
 
     /// Render as the `EXPLAIN ANALYZE` body: the plan tree with
-    /// `(rows=N time=Nus)` per operator and a trailing execution summary.
+    /// `(rows=N batches=N time=Nus)` per operator and a trailing execution
+    /// summary.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for op in &self.ops {
             let pad = "  ".repeat(op.depth);
             if !op.executed {
                 let _ = writeln!(out, "{pad}{} (never executed)", op.label);
-            } else if let Some(batches) = op.batches {
-                let _ = writeln!(
-                    out,
-                    "{pad}{} (rows={} batches={} time={}us)",
-                    op.label, op.rows, batches, op.time_us
-                );
             } else {
                 let _ = writeln!(
                     out,
-                    "{pad}{} (rows={} time={}us)",
-                    op.label, op.rows, op.time_us
+                    "{pad}{} (rows={} batches={} time={}us)",
+                    op.label, op.rows, op.batches, op.time_us
                 );
             }
         }
@@ -317,7 +311,7 @@ mod tests {
                     label: "Aggregate groups=1 aggs=[count(*)]".into(),
                     rows_in: 4,
                     rows: 2,
-                    batches: None,
+                    batches: 1,
                     time_us: 120,
                     executed: true,
                 },
@@ -326,7 +320,7 @@ mod tests {
                     label: "Scan Table t cols=1".into(),
                     rows_in: 0,
                     rows: 4,
-                    batches: Some(1),
+                    batches: 1,
                     time_us: 80,
                     executed: true,
                 },
@@ -335,7 +329,7 @@ mod tests {
                     label: "InitPlan $0".into(),
                     rows_in: 0,
                     rows: 0,
-                    batches: None,
+                    batches: 0,
                     time_us: 0,
                     executed: false,
                 },
@@ -344,7 +338,7 @@ mod tests {
             result_rows: 2,
         };
         let text = p.render();
-        assert!(text.contains("Aggregate groups=1 aggs=[count(*)] (rows=2 time=120us)"));
+        assert!(text.contains("Aggregate groups=1 aggs=[count(*)] (rows=2 batches=1 time=120us)"));
         assert!(text.contains("  Scan Table t cols=1 (rows=4 batches=1 time=80us)"));
         assert!(text.contains("InitPlan $0 (never executed)"));
         assert!(text.ends_with("Execution: rows=2 time=150us"));

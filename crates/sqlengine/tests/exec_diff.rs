@@ -1,18 +1,20 @@
-//! Differential fuzzing: the row and columnar engines must answer every
-//! query identically — same rows, same order, same errors.
+//! Differential fuzzing: the vectorized executor (`Engine::query`) must
+//! answer every query exactly like the row-at-a-time reference interpreter
+//! (`Engine::query_reference`) — same rows, same order, same errors.
 //!
 //! The seeded corpus generator lives in [`sqlengine::fuzz`] (it is shared
 //! with the sharded-routing differential test in `elephant-server`): a
 //! [`Prng`] builds NULL-heavy tables and random SELECTs over filters,
-//! projections, joins, aggregates, DISTINCT, ORDER BY, and LIMIT; each
-//! query runs once per execution mode on the same engine and the results
-//! are compared byte-for-byte (`Debug` of the relation rows). Both engine
-//! personalities run, so the fenced-CTE and inlined-CTE planners are each
-//! covered.
+//! projections, joins, aggregates, DISTINCT, ORDER BY, LIMIT, `unnest`,
+//! `ROW_NUMBER()`, nested-loop joins and scalar subqueries; each query runs
+//! on both paths of the same engine and the results are compared
+//! byte-for-byte (`Debug` of the relation rows, or the error text). Both
+//! engine personalities run, so the fenced-CTE and inlined-CTE planners are
+//! each covered.
 
 use etypes::Prng;
 use sqlengine::fuzz::{gen_query, seed_statements};
-use sqlengine::{Engine, EngineProfile, ExecMode};
+use sqlengine::{Engine, EngineProfile, Relation, Result};
 
 fn seed_engine(profile: EngineProfile, rng: &mut Prng) -> Engine {
     let mut e = Engine::new(profile);
@@ -22,14 +24,22 @@ fn seed_engine(profile: EngineProfile, rng: &mut Prng) -> Engine {
     e
 }
 
-/// Run one SQL text under a mode; errors collapse to their display text so
-/// both engines must fail identically too.
-fn run(e: &mut Engine, mode: ExecMode, sql: &str) -> String {
-    e.set_exec_mode(mode);
-    match e.query(sql) {
+/// One result as comparable text; errors collapse to their display text so
+/// both paths must fail identically too.
+fn render(result: Result<Relation>) -> String {
+    match result {
         Ok(rel) => format!("{:?}|{:?}", rel.columns, rel.rows),
         Err(err) => format!("ERR {err}"),
     }
+}
+
+/// Run `sql` on the executor and on the reference interpreter, require
+/// byte-identical answers, and return the answer.
+fn same(e: &mut Engine, sql: &str, case: &str) -> String {
+    let reference = render(e.query_reference(sql));
+    let executed = render(e.query(sql));
+    assert_eq!(executed, reference, "{case} diverged: {sql}");
+    executed
 }
 
 fn diff_profile(profile: EngineProfile, seed: u64, queries: usize) {
@@ -37,17 +47,11 @@ fn diff_profile(profile: EngineProfile, seed: u64, queries: usize) {
     let mut e = seed_engine(profile, &mut rng);
     for q in 0..queries {
         let sql = gen_query(&mut rng);
-        let row = run(&mut e, ExecMode::Row, &sql);
-        let col = run(&mut e, ExecMode::Columnar, &sql);
-        assert_eq!(row, col, "query {q} diverged (columnar): {sql}");
-        let auto = run(&mut e, ExecMode::Auto, &sql);
-        assert_eq!(row, auto, "query {q} diverged (auto): {sql}");
+        same(&mut e, &sql, &format!("query {q}"));
     }
-    // The comparison is only meaningful if the columnar engine actually ran
-    // vectorized operators rather than falling back wholesale.
     assert!(
         e.stats().batches_executed > 0,
-        "columnar runs produced no batches"
+        "the executor ran no batches"
     );
 }
 
@@ -128,9 +132,9 @@ fn row_and_columnar_agree_across_seal_boundaries() {
         "SELECT d, a FROM t1 ORDER BY d, a, c LIMIT 30",
         "WITH x AS (SELECT d, a FROM t1 WHERE a > 0) \
          SELECT p.d, count(*) FROM x p INNER JOIN x q ON p.a = q.a GROUP BY p.d",
-        "SELECT d, count(*) FROM mv_row GROUP BY d",
-        "SELECT id, d FROM mv_col WHERE id > 1000 AND id < 1030",
-        "SELECT r.d, count(*) FROM mv_row r INNER JOIN mv_col c ON r.id = c.id \
+        "SELECT d, count(*) FROM mv GROUP BY d",
+        "SELECT id, d FROM mv WHERE id > 1000 AND id < 1030",
+        "SELECT r.d, count(*) FROM mv r INNER JOIN mv c ON r.id = c.id \
          WHERE r.d = c.d GROUP BY r.d",
     ];
     for seed in [0xE1E9_0101u64, 0xE1E9_0102, 0xE1E9_0103, 0xE1E9_0104] {
@@ -141,28 +145,18 @@ fn row_and_columnar_agree_across_seal_boundaries() {
         };
         let mut rng = Prng::new(seed);
         let mut e = straddle_engine(profile, &mut rng);
-        // Views stored by each engine, then read by all three.
-        let view = "AS SELECT ctid AS id, d, a FROM t1 WHERE a IS NOT NULL";
-        e.set_exec_mode(ExecMode::Row);
-        e.execute(&format!("CREATE MATERIALIZED VIEW mv_row {view}"))
-            .unwrap();
-        e.set_exec_mode(ExecMode::Columnar);
-        e.execute(&format!("CREATE MATERIALIZED VIEW mv_col {view}"))
-            .unwrap();
+        // A view stored from the executor's batches, read back by both.
+        e.execute(
+            "CREATE MATERIALIZED VIEW mv AS SELECT ctid AS id, d, a FROM t1 WHERE a IS NOT NULL",
+        )
+        .unwrap();
         let mut cases: Vec<String> = (0..40).map(|_| gen_query(&mut rng)).collect();
         cases.extend(text_cases.map(String::from));
         for (q, sql) in cases.iter().enumerate() {
-            let row = run(&mut e, ExecMode::Row, sql);
+            let out = same(&mut e, sql, &format!("seed {seed:#x} case {q}"));
             if q >= 40 {
-                assert!(!row.starts_with("ERR"), "{sql}: {row}");
+                assert!(!out.starts_with("ERR"), "{sql}: {out}");
             }
-            let col = run(&mut e, ExecMode::Columnar, sql);
-            assert_eq!(
-                row, col,
-                "seed {seed:#x} case {q} diverged (columnar): {sql}"
-            );
-            let auto = run(&mut e, ExecMode::Auto, sql);
-            assert_eq!(row, auto, "seed {seed:#x} case {q} diverged (auto): {sql}");
         }
     }
 }
@@ -175,27 +169,53 @@ fn columnar_preserves_lazy_and_semantics() {
     let mut e = seed_engine(EngineProfile::in_memory(), &mut rng);
     e.execute("INSERT INTO t1 VALUES (3, 0, 1.0, 'z')").unwrap();
     let sql = "SELECT a, b FROM t1 WHERE b <> 0 AND a / b > 1";
-    let row = run(&mut e, ExecMode::Row, sql);
-    let col = run(&mut e, ExecMode::Columnar, sql);
-    assert!(!row.starts_with("ERR"), "guarded division ran: {row}");
-    assert_eq!(row, col);
+    let out = same(&mut e, sql, "guarded division");
+    assert!(!out.starts_with("ERR"), "guarded division ran: {out}");
 }
 
-/// Unvectorized operators (window functions, unnest, cross joins) bridge
-/// back to the row engine and still answer identically.
+/// The operators the executor once handed to the row engine through a
+/// fallback bridge — windows, `unnest`, cross joins, scalar subqueries —
+/// answer like the reference, across batch boundaries and at the edges:
+/// NULL and empty lists, a non-array pass-through, an empty build side,
+/// and the subquery error texts.
 #[test]
 fn fallback_bridge_matches_row_engine() {
     let mut rng = Prng::new(11);
     let mut e = seed_engine(EngineProfile::in_memory(), &mut rng);
-    for sql in [
+    e.execute("CREATE TABLE big (id int, g int)").unwrap();
+    let rows: Vec<String> = (0..2500).map(|i| format!("({i}, {})", i % 3)).collect();
+    e.execute(&format!("INSERT INTO big VALUES {}", rows.join(", ")))
+        .unwrap();
+    let ok = [
         "SELECT a, ROW_NUMBER() OVER (ORDER BY a) AS rn FROM t1 WHERE a IS NOT NULL LIMIT 20",
+        "SELECT id, ROW_NUMBER() OVER (ORDER BY g DESC) AS rn FROM big",
         "SELECT t1.a, t2.v FROM t1 CROSS JOIN t2 WHERE t1.a = 1 AND t2.v = 2",
+        "SELECT x.id, t2.k FROM big x INNER JOIN t2 ON x.id < t2.k * 100 AND t2.v > 3",
+        "SELECT t1.a FROM t1 CROSS JOIN (SELECT k FROM t2 WHERE k > 100) AS none",
         "SELECT unnest(ids) AS u FROM (SELECT array_agg(v) AS ids FROM t2 WHERE v < 3) AS x",
+        "SELECT g, unnest(ids) AS u FROM (SELECT g, array_agg(ctid) AS ids FROM big GROUP BY g) AS x",
+        "SELECT g, unnest(ids) AS u FROM \
+         (SELECT g, array_agg(CASE WHEN g = 1 THEN NULL ELSE id END) AS ids FROM big GROUP BY g) AS x",
+        "SELECT unnest(ids) AS u FROM (SELECT array_agg(v) AS ids FROM t2 WHERE v > 100) AS x",
+        "SELECT b, unnest(a) AS u FROM t1",
+        "SELECT a, (SELECT max(k) FROM t2) AS m FROM t1 WHERE b = 1",
+        "SELECT a FROM t1 WHERE a = (SELECT k FROM t2 WHERE k > 100)",
+    ];
+    for sql in ok {
+        let out = same(&mut e, sql, "operator case");
+        assert!(!out.starts_with("ERR"), "{sql}: {out}");
+    }
+    for (sql, err) in [
+        (
+            "SELECT a, (SELECT k FROM t2 ORDER BY k LIMIT 2) AS k FROM t1",
+            "ERR execution error: scalar subquery returned 2 rows",
+        ),
+        (
+            "SELECT a FROM t1 LEFT JOIN t2 ON t1.a < t2.k",
+            "ERR bind error: outer joins support only equi-join conditions",
+        ),
     ] {
-        let row = run(&mut e, ExecMode::Row, sql);
-        assert!(!row.starts_with("ERR"), "{sql}: {row}");
-        let col = run(&mut e, ExecMode::Columnar, sql);
-        assert_eq!(row, col, "fallback diverged: {sql}");
+        assert_eq!(same(&mut e, sql, "error case"), err);
     }
 }
 
@@ -363,22 +383,16 @@ fn typed_kernels_match_row_engine() {
          ON big.ki + 0 * (10 / (big.id - 1500)) = d.k AND CAST(big.kt AS int) > d.v",
     ];
     for sql in first_error {
-        let out = run(&mut e, ExecMode::Row, sql);
+        let out = render(e.query_reference(sql));
         assert!(out.starts_with("ERR value error: type mismatch"), "{out}");
         cases.push(sql.into());
     }
 
-    for (q, sql) in cases.iter().enumerate() {
-        let row = run(&mut e, ExecMode::Row, sql);
-        let col = run(&mut e, ExecMode::Columnar, sql);
-        assert_eq!(row, col, "case {q} diverged (columnar): {sql}");
-        let auto = run(&mut e, ExecMode::Auto, sql);
-        assert_eq!(row, auto, "case {q} diverged (auto): {sql}");
-    }
     // The cases must exercise what they name, not fail to bind.
     let errors: Vec<String> = cases
         .iter()
-        .map(|sql| run(&mut e, ExecMode::Row, sql))
+        .enumerate()
+        .map(|(q, sql)| same(&mut e, sql, &format!("case {q}")))
         .filter(|out| out.starts_with("ERR"))
         .collect();
     assert_eq!(

@@ -5,7 +5,7 @@ use elephant_store::snapshot::write_snapshot;
 use elephant_store::SNAPSHOT_FILE;
 use etypes::chunk::page_tag;
 use etypes::{DataType, Value};
-use sqlengine::{Engine, EngineProfile, ExecMode, FsyncPolicy, TableImage};
+use sqlengine::{Engine, EngineProfile, FsyncPolicy, TableImage};
 use std::path::PathBuf;
 
 /// Rows per sealed chunk (the executor's batch size).
@@ -173,20 +173,19 @@ fn ctids_run_across_the_seal_for_single_and_multi_row_inserts() {
                     row
                 })
                 .collect();
-            for mode in [ExecMode::Row, ExecMode::Columnar, ExecMode::Auto] {
-                e.set_exec_mode(mode);
-                let got = e.query("SELECT ctid, * FROM t").unwrap();
-                assert_eq!(got.rows, want, "n={n} single={single} mode={mode}");
+            let ctid_queries = [
+                "SELECT ctid, * FROM t",
                 // A filter that straddles the boundary keeps global ctids.
-                let near = e
-                    .query("SELECT ctid FROM t WHERE a >= 10210 AND a <= 10240")
-                    .unwrap()
-                    .rows;
-                let want_near: Vec<Vec<Value>> = (1021..=1024)
-                    .filter(|&i| i < n)
-                    .map(|i| vec![Value::Int(i as i64)])
-                    .collect();
-                assert_eq!(near, want_near, "n={n} single={single} mode={mode}");
+                "SELECT ctid FROM t WHERE a >= 10210 AND a <= 10240",
+            ];
+            let want_near: Vec<Vec<Value>> = (1021..=1024)
+                .filter(|&i| i < n)
+                .map(|i| vec![Value::Int(i as i64)])
+                .collect();
+            for (sql, want) in ctid_queries.into_iter().zip([want, want_near]) {
+                assert_eq!(e.query(sql).unwrap().rows, want, "n={n} single={single}");
+                let reference = e.query_reference(sql).unwrap().rows;
+                assert_eq!(reference, want, "n={n} single={single} (reference)");
             }
         }
     }

@@ -43,7 +43,9 @@ use crate::shard::ShardStats;
 use elephant_repl::ReplOp;
 use etypes::{next_span_id, SharedSpanRing, SpanKind, SpanRecord, TraceContext};
 use mlinspect::SqlMode;
-use sqlengine::{Engine, EngineProfile, FsyncPolicy, Phase, SqlError, TableImage, WalHandle};
+use sqlengine::{
+    Engine, EngineProfile, FsyncPolicy, Phase, ResultSet, SqlError, TableImage, WalHandle,
+};
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
@@ -796,10 +798,7 @@ impl ExecutorState {
         match command {
             Command::Query(sql) => {
                 let out = self.engine.execute(&sql).map_err(|e| self.classify(e))?;
-                Ok(match out.relation {
-                    Some(rel) => etypes::csv::write_csv(&rel.columns, &rel.rows, ','),
-                    None => format!("ok {}", out.rows_affected),
-                })
+                Ok(self.render(out.result, out.rows_affected))
             }
             Command::Prepare { name, sql } => {
                 let scoped = scoped_name(session, &name);
@@ -821,11 +820,11 @@ impl ExecutorState {
                 self.metrics
                     .params_bound
                     .fetch_add(values.len() as u64, Ordering::Relaxed);
-                let rel = self
+                let result = self
                     .engine
                     .execute_prepared_with(&scoped_name(session, &name), &values)
                     .map_err(|e| self.classify(e))?;
-                Ok(etypes::csv::write_csv(&rel.columns, &rel.rows, ','))
+                Ok(self.render(Some(result), 0))
             }
             Command::Batch(stmts) => {
                 // One frame, many statements: every statement in the batch
@@ -839,10 +838,7 @@ impl ExecutorState {
                 let mut bodies = Vec::with_capacity(total);
                 for (i, sql) in stmts.iter().enumerate() {
                     let body = match self.engine.execute(sql) {
-                        Ok(out) => match out.relation {
-                            Some(rel) => etypes::csv::write_csv(&rel.columns, &rel.rows, ','),
-                            None => format!("ok {}", out.rows_affected),
-                        },
+                        Ok(out) => self.render(out.result, out.rows_affected),
                         Err(e) => {
                             let (code, msg) = self.classify(e);
                             return Err((
@@ -958,6 +954,19 @@ impl ExecutorState {
                 Ok("draining".into())
             }
         }
+    }
+
+    /// One statement's reply body: a result encoded to CSV straight from
+    /// its column chunks, timed as the engine's `encode` phase, or
+    /// `ok <rows affected>` for a statement without one.
+    fn render(&mut self, result: Option<ResultSet>, rows_affected: usize) -> String {
+        let Some(result) = result else {
+            return format!("ok {rows_affected}");
+        };
+        let timer = self.engine.trace().timer();
+        let body = etypes::write_chunks(&result.columns, &result.chunks);
+        self.engine.record_phase(Phase::Encode, timer);
+        body
     }
 
     /// The WAL writer's committed-LSN watermark (durable engines only).

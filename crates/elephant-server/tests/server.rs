@@ -31,23 +31,57 @@ data = data[['smoker', 'last_name', 'county', 'num_children', 'race', 'income', 
 data = data[data['county'].isin(['county2', 'county3'])]
 "#;
 
-const SETUP: &[&str] = &[
-    "CREATE TABLE nums (a int, b int)",
-    "INSERT INTO nums VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)",
-];
+/// Rows of `big`: more than two 1024-row chunks, each sealed with its own
+/// text dictionary.
+const BIG_ROWS: usize = 2_500;
+
+/// The tables every query reads: small integers, one row per cell shape
+/// the CSV encoder distinguishes (int, float, bool, text that needs
+/// quoting, `''` beside NULL), and `big`.
+fn setup() -> Vec<String> {
+    let big: Vec<String> = (0..BIG_ROWS)
+        .map(|id| match id % 7 {
+            6 => format!("({id}, NULL)"),
+            _ => format!("({id}, 'g{},{}')", id % 5, id % 3),
+        })
+        .collect();
+    vec![
+        "CREATE TABLE nums (a int, b int)".into(),
+        "INSERT INTO nums VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)".into(),
+        "CREATE TABLE shapes (i int, f float, b bool, s text)".into(),
+        "INSERT INTO shapes VALUES (1, -1.5, true, 'a,b'), (2, 0.125, false, 'say \"hi\"'), \
+         (3, 1e300, NULL, 'two\nlines'), (-4, -98765432109876543210.0, true, ''), \
+         (NULL, NULL, false, NULL), (6, 0.001, NULL, 'cr\rhere')"
+            .into(),
+        "CREATE TABLE big (id int, tag text)".into(),
+        format!("INSERT INTO big VALUES {}", big.join(", ")),
+    ]
+}
 
 const QUERIES: &[&str] = &[
     "SELECT a, b FROM nums ORDER BY a",
     "SELECT count(*) AS n, sum(b) AS s FROM nums",
     "SELECT a, b FROM nums WHERE b >= 30 ORDER BY a DESC",
     "SELECT avg(b) AS m FROM nums WHERE a <> 3",
+    // Every typed column kind, NULLs, and text that must be quoted.
+    "SELECT i, f, b, s FROM shapes ORDER BY i",
+    // Generic columns: arrays, and mixed float/text cells.
+    "SELECT b, array_agg(i) AS ids FROM shapes GROUP BY b ORDER BY b",
+    "SELECT CASE WHEN i > 2 THEN s ELSE f END AS m FROM shapes",
+    // Zero rows under a header that needs quoting.
+    "SELECT i AS \"a,b\" FROM shapes WHERE i > 100",
+    // Three chunks, three dictionaries, more than 2048 rows.
+    "SELECT id, tag FROM big",
+    "SELECT tag, count(*) AS n FROM big GROUP BY tag ORDER BY tag",
+    // The plan text as a one-column result.
+    "EXPLAIN SELECT i FROM shapes WHERE i > 1",
 ];
 
 /// What the embedded engine says each query should return, as CSV.
 fn embedded_expectations() -> Vec<String> {
     let mut engine = Engine::new(EngineProfile::in_memory());
-    for ddl in SETUP {
-        engine.execute(ddl).unwrap();
+    for ddl in setup() {
+        engine.execute(&ddl).unwrap();
     }
     QUERIES
         .iter()
@@ -110,7 +144,8 @@ fn concurrent_clients_match_embedded_engine() {
     let addr = handle.local_addr();
 
     let mut admin = ElephantClient::connect(addr).unwrap();
-    for ddl in SETUP {
+    let setup = setup();
+    for ddl in &setup {
         admin.query_raw(ddl).unwrap();
     }
 
@@ -170,7 +205,7 @@ fn concurrent_clients_match_embedded_engine() {
     }
 
     let stats = admin.stats().unwrap();
-    assert!(stat(&stats, "queries") >= (SETUP.len() + 25) as f64);
+    assert!(stat(&stats, "queries") >= (setup.len() + 25) as f64);
     assert!(stat(&stats, "executes") >= 20.0);
     assert!(stat(&stats, "inspects") >= 1.0);
     assert!(stat(&stats, "latency_count") > 0.0);

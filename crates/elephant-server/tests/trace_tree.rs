@@ -256,6 +256,54 @@ fn trace_listing_is_cross_shard_and_newest_first() {
     handle.join();
 }
 
+/// A query's CSV encoding is an engine phase of its own: an
+/// `engine-phase name=encode` child of the `shard-exec` span, after
+/// `execute`, and a `phase_encode_*` family in `STATS`.
+#[test]
+fn result_encoding_hangs_under_shard_exec() {
+    let handle = start(ServerConfig::default()).unwrap();
+    let mut c = ElephantClient::connect(handle.local_addr()).unwrap();
+    c.query_raw("CREATE TABLE t (a int, s text)").unwrap();
+    let rows: Vec<String> = (0..3000).map(|i| format!("({i}, 'r{i}')")).collect();
+    c.query_raw(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+        .unwrap();
+    let body = c.query_raw("SELECT a, s FROM t WHERE a >= 0").unwrap();
+    assert_eq!(body.lines().count(), 3001);
+
+    let listing = c.trace(Some(4)).unwrap();
+    let tree = c
+        .trace_tree(find_query_id(&listing, "SELECT a, s FROM t"))
+        .unwrap();
+    let spans: Vec<&str> = tree.lines().filter(|l| l.contains("span seq=")).collect();
+    let exec = spans
+        .iter()
+        .find(|l| field(l, "kind") == "shard-exec")
+        .unwrap_or_else(|| panic!("no shard-exec span:\n{tree}"));
+    let phases: Vec<&str> = spans
+        .iter()
+        .filter(|l| field(l, "kind") == "engine-phase")
+        .inspect(|l| assert_eq!(field(l, "parent"), field(exec, "id"), "{l}"))
+        .map(|l| field(l, "name"))
+        .collect();
+    assert_eq!(
+        phases,
+        ["lex", "parse", "bind", "optimize", "execute", "encode"],
+        "{tree}"
+    );
+
+    let stats = c.stats().unwrap();
+    for key in ["phase_encode_count", "phase_encode_total_us"] {
+        assert!(
+            stats.lines().any(|l| l.starts_with(&format!("{key} "))),
+            "missing {key}:\n{stats}"
+        );
+    }
+
+    c.shutdown().unwrap();
+    drop(c);
+    handle.join();
+}
+
 /// An `INSPECT`'s own stages — capturing the pipeline, one span per
 /// pipeline line, dropping the scratch relations — hang under the command's
 /// `shard-exec` span, so the time between the engine phases is attributed

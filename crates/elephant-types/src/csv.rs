@@ -1,12 +1,14 @@
 //! Minimal CSV reader/writer with pandas-compatible type inference.
 //!
-//! Used by both the dataframe's `read_csv` and the SQL engine's
-//! `COPY ... FROM ... WITH (FORMAT CSV)`. Supports RFC-4180 quoting, custom
-//! delimiters, `na_values` (the paper's pipelines use `na_values='?'`), and
-//! the "headerless first column is the pandas row number" convention that the
-//! compas/adult datasets rely on (paper §6).
+//! The reader serves both the dataframe's `read_csv` and the SQL engine's
+//! `COPY ... FROM ... WITH (FORMAT CSV)`; the column writer
+//! ([`write_chunks`]) encodes served query results. Supports RFC-4180
+//! quoting, custom delimiters, `na_values` (the paper's pipelines use
+//! `na_values='?'`), and the "headerless first column is the pandas row
+//! number" convention that the compas/adult datasets rely on (paper §6).
 
-use crate::{DataType, Error, Result, Value};
+use crate::{ColumnChunk, ColumnData, DataType, Error, Result, Value};
+use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
@@ -111,36 +113,103 @@ pub fn read_csv_str(text: &str, opts: &CsvOptions) -> Result<CsvTable> {
     })
 }
 
-/// Serialize rows back to CSV text (used by datagen and test fixtures).
+/// Serialize rows to CSV text: a header line, then one line per row, NULL
+/// as an empty field. The row-major reference that tests compare
+/// [`write_chunks`] against.
 pub fn write_csv(columns: &[String], rows: &[Vec<Value>], delimiter: char) -> String {
     let mut out = String::new();
-    let escape = |s: &str| -> String {
-        if s.contains(delimiter) || s.contains('"') || s.contains('\n') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
-        }
-    };
-    for (i, c) in columns.iter().enumerate() {
-        if i > 0 {
-            out.push(delimiter);
-        }
-        out.push_str(&escape(c));
-    }
-    out.push('\n');
+    push_header(&mut out, columns, delimiter);
     for row in rows {
         for (i, v) in row.iter().enumerate() {
             if i > 0 {
                 out.push(delimiter);
             }
-            match v {
-                Value::Null => {}
-                other => out.push_str(&escape(&other.to_string())),
+            if !v.is_null() {
+                push_field(&mut out, &v.to_string(), delimiter);
             }
         }
         out.push('\n');
     }
     out
+}
+
+/// Serialize a result held as column chunks to comma-separated CSV, byte
+/// for byte what [`write_csv`] writes for the same rows with `,`, without
+/// materializing a row. Int, Float and Bool cells are formatted straight
+/// into the output (their `Display` never writes a character that needs
+/// quoting), Text cells are copied from their dictionary, and Generic
+/// cells render through one reused scratch buffer.
+pub fn write_chunks(columns: &[String], chunks: &[ColumnChunk]) -> String {
+    let mut out = String::new();
+    let mut scratch = String::new();
+    push_header(&mut out, columns, ',');
+    for chunk in chunks {
+        let cols = chunk.columns();
+        for row in 0..chunk.len() {
+            for (i, col) in cols.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if col.is_null(row) {
+                    continue;
+                }
+                // Writing into a `String` cannot fail.
+                let _ = match col.data() {
+                    ColumnData::Int(v) => write!(out, "{}", v[row]),
+                    ColumnData::Float(v) => write!(out, "{}", v[row]),
+                    ColumnData::Bool(v) => write!(out, "{}", v[row]),
+                    ColumnData::Text { dict, codes } => {
+                        push_field(&mut out, dict.get(codes[row]), ',');
+                        Ok(())
+                    }
+                    ColumnData::Generic(v) => {
+                        scratch.clear();
+                        let written = write!(scratch, "{}", v[row]);
+                        push_field(&mut out, &scratch, ',');
+                        written
+                    }
+                };
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+fn push_header(out: &mut String, columns: &[String], delimiter: char) {
+    for (i, c) in columns.iter().enumerate() {
+        if i > 0 {
+            out.push(delimiter);
+        }
+        push_field(out, c, delimiter);
+    }
+    out.push('\n');
+}
+
+/// Append one field, quoted when it holds the delimiter, a quote or a line
+/// break (`\n` or `\r` — [`read_csv_str`] drops an unquoted `\r`), with
+/// inner quotes doubled (RFC 4180).
+fn push_field(out: &mut String, s: &str, delimiter: char) {
+    let special = |c: char| c == delimiter || matches!(c, '"' | '\n' | '\r');
+    // An ASCII delimiter never matches inside a multi-byte character, so
+    // the common case scans bytes.
+    let quote = if delimiter.is_ascii() {
+        s.bytes().any(|b| special(b as char))
+    } else {
+        s.contains(special)
+    };
+    if !quote {
+        out.push_str(s);
+        return;
+    }
+    out.push('"');
+    for (i, part) in s.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
 }
 
 fn raw_value(field: &str, opts: &CsvOptions) -> Value {
@@ -243,6 +312,7 @@ fn parse_records(text: &str, delim: char) -> Result<Vec<Vec<String>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::page_tag;
 
     #[test]
     fn infers_int_float_text() {
@@ -305,6 +375,133 @@ mod tests {
         let t = read_csv_str(&text, &CsvOptions::default()).unwrap();
         assert_eq!(t.rows[0][1], "x,y".into());
         assert_eq!(t.rows[1][0], Value::Null);
+    }
+
+    #[test]
+    fn carriage_returns_round_trip() {
+        let cols = vec!["s".to_string()];
+        let rows = vec![vec![Value::text("a\rb")], vec![Value::text("c\r\nd")]];
+        let text = write_csv(&cols, &rows, ',');
+        assert_eq!(text, "s\n\"a\rb\"\n\"c\r\nd\"\n");
+        assert_eq!(
+            read_csv_str(&text, &CsvOptions::default()).unwrap().rows,
+            rows
+        );
+    }
+
+    /// Encode `rows` from chunks of at most `per_chunk` rows (each with its
+    /// own text dictionary) and row by row: the bytes must agree.
+    fn same_bytes(columns: &[&str], rows: &[Vec<Value>], per_chunk: usize) -> String {
+        let columns: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
+        let chunks: Vec<ColumnChunk> = if rows.is_empty() {
+            vec![ColumnChunk::from_rows(&[], columns.len())]
+        } else {
+            rows.chunks(per_chunk)
+                .map(|w| ColumnChunk::from_rows(w, columns.len()))
+                .collect()
+        };
+        let text = write_chunks(&columns, &chunks);
+        assert_eq!(text, write_csv(&columns, rows, ','));
+        text
+    }
+
+    fn column(cells: &[Value]) -> Vec<Vec<Value>> {
+        cells.iter().map(|c| vec![c.clone()]).collect()
+    }
+
+    #[test]
+    fn chunk_encoder_matches_row_encoder_per_storage() {
+        let ints = column(&[
+            Value::Int(1),
+            Value::Int(-7),
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+        ]);
+        let floats = column(&[
+            Value::Float(-0.5),
+            Value::Float(1.25),
+            Value::Float(0.1 + 0.2),
+            Value::Float(1e300),
+            Value::Float(-2.0),
+            Value::Float(-0.0),
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+        ]);
+        let bools = column(&[Value::Bool(true), Value::Null, Value::Bool(false)]);
+        let texts = column(&[
+            Value::text("a,b"),
+            Value::text("say \"hi\""),
+            Value::text("two\nlines"),
+            Value::text("cr\rhere"),
+            Value::text(""),
+            Value::Null,
+            Value::text("plain"),
+            Value::text("héllo"),
+        ]);
+        let arrays = column(&[
+            Value::Array(vec![Value::Int(1), Value::Int(2)]),
+            Value::Null,
+            Value::Array(vec![Value::text("x"), Value::Null]),
+            Value::Array(Vec::new()),
+        ]);
+        let mixed = column(&[
+            Value::Int(3),
+            Value::text("t,u"),
+            Value::Float(2.5),
+            Value::Bool(true),
+            Value::Null,
+        ]);
+        let all_null = column(&[Value::Null, Value::Null]);
+        for (rows, tag) in [
+            (&ints, page_tag::INT),
+            (&floats, page_tag::FLOAT),
+            (&bools, page_tag::BOOL),
+            (&texts, page_tag::TEXT),
+            (&arrays, page_tag::GENERIC),
+            (&mixed, page_tag::GENERIC),
+            (&all_null, page_tag::GENERIC),
+        ] {
+            assert_eq!(ColumnChunk::from_rows(rows, 1).column(0).data().tag(), tag);
+            same_bytes(&["c"], rows, 1024);
+        }
+        // `''` and NULL both render as an empty field.
+        assert_eq!(
+            same_bytes(&["s"], &column(&[Value::text(""), Value::Null]), 1024),
+            "s\n\n\n"
+        );
+    }
+
+    #[test]
+    fn chunk_encoder_matches_across_chunks_and_edge_shapes() {
+        let rows: Vec<Vec<Value>> = (0..9)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    if i % 4 == 3 {
+                        Value::Null
+                    } else {
+                        Value::text(format!("n{},{}", i % 3, i))
+                    },
+                    Value::Float(i as f64 / 4.0),
+                    Value::Bool(i % 2 == 0),
+                ]
+            })
+            .collect();
+        // Chunks of 2 rows: five chunks, five different text dictionaries.
+        let text = same_bytes(&["id", "name", "x", "flag"], &rows, 2);
+        assert!(
+            text.starts_with("id,name,x,flag\n0,\"n0,0\",0,true\n"),
+            "{text}"
+        );
+        // Zero rows: the header only.
+        assert_eq!(same_bytes(&["a", "b"], &[], 1024), "a,b\n");
+        // A header that needs quoting.
+        assert_eq!(
+            same_bytes(&["a,b", "say \"x\"", "c"], &[], 1024),
+            "\"a,b\",\"say \"\"x\"\"\",c\n"
+        );
     }
 
     #[test]

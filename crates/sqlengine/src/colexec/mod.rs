@@ -347,7 +347,7 @@ pub(crate) fn rows_to_chunks(rows: &[Row], width: usize) -> Vec<ColumnChunk> {
         .collect()
 }
 
-/// Flatten batches back to rows (the engine's result representation).
+/// Flatten batches back to rows (the embedded API's [`crate::Relation`]).
 pub(crate) fn chunks_to_rows(chunks: &[ColumnChunk]) -> Vec<Row> {
     chunks.iter().flat_map(ColumnChunk::to_rows).collect()
 }

@@ -11,12 +11,12 @@ use crate::exec::{ExecContext, ExecStats};
 use crate::optimizer::optimize;
 use crate::plan::{PlanRoot, Schema};
 use crate::profile::EngineProfile;
-use crate::storage::{Heap, Relation, StoredView, Table};
+use crate::storage::{Heap, Relation, ResultSet, StoredView, Table};
 use crate::trace::{EngineTrace, Phase, QueryProfile};
 use elephant_store::{
     CheckpointStats, FsyncPolicy, RecoveryReport, StoreStats, TableImage, WalHandle, WalRecord,
 };
-use etypes::{ColumnChunk, CsvOptions, DataType, Value};
+use etypes::{Column, ColumnChunk, CsvOptions, DataType, Value};
 use std::collections::HashMap;
 use std::path::Path;
 use std::rc::Rc;
@@ -56,10 +56,11 @@ impl Health {
 }
 
 /// The result of executing one statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ExecOutcome {
-    /// Result rows for SELECTs, `None` for DDL/DML.
-    pub relation: Option<Relation>,
+    /// The result of a SELECT or EXPLAIN, as column chunks; `None` for
+    /// DDL/DML.
+    pub result: Option<ResultSet>,
     /// Rows inserted/copied for DML.
     pub rows_affected: usize,
 }
@@ -71,7 +72,8 @@ pub struct ExecOutcome {
 /// let mut e = Engine::new(EngineProfile::in_memory());
 /// e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2);").unwrap();
 /// let out = e.execute("SELECT count(*) AS n FROM t").unwrap();
-/// assert_eq!(out.relation.unwrap().rows[0][0], etypes::Value::Int(2));
+/// assert_eq!(out.result.unwrap().len(), 1);
+/// assert_eq!(e.query("SELECT count(*) AS n FROM t").unwrap().rows[0][0], etypes::Value::Int(2));
 /// ```
 pub struct Engine {
     catalog: Catalog,
@@ -504,10 +506,18 @@ impl Engine {
         self.statement_timeout
     }
 
-    /// Per-phase latency histograms (lex/parse/bind/optimize/execute and,
-    /// when durable, WAL-append/fsync). Tracing is on by default.
+    /// Per-phase latency histograms (lex/parse/bind/optimize/execute,
+    /// WAL-append/fsync when durable, and the server's result encoding).
+    /// Tracing is on by default.
     pub fn trace(&self) -> &EngineTrace {
         &self.trace
+    }
+
+    /// Record a phase timed outside the engine (the server's result
+    /// encoding) from a timer started with `trace().timer()`, into the same
+    /// histograms and per-statement capture as the engine's own phases.
+    pub fn record_phase(&mut self, phase: Phase, timer: Option<Instant>) {
+        self.trace.record(phase, timer);
     }
 
     /// Turn phase-span recording on or off (the overhead bench's baseline).
@@ -1005,9 +1015,9 @@ impl Engine {
                 Ok(no_rows(0))
             }
             Statement::Select(query) => {
-                let relation = self.run_select_cached(&query)?;
+                let result = self.run_select_cached(&query)?;
                 Ok(ExecOutcome {
-                    relation: Some(relation),
+                    result: Some(result),
                     rows_affected: 0,
                 })
             }
@@ -1022,12 +1032,15 @@ impl Engine {
                     }
                     crate::explain::render_plan(&root)
                 };
-                let rows: Vec<Vec<Value>> = text.lines().map(|l| vec![Value::text(l)]).collect();
+                // The plan text as a one-column result, one row per line.
+                let lines: Vec<Value> = text.lines().map(Value::text).collect();
+                let plan =
+                    ColumnChunk::new(vec![Rc::new(Column::from_values(&lines))], lines.len());
                 Ok(ExecOutcome {
-                    relation: Some(Relation::new(
+                    result: Some(ResultSet::new(
                         vec!["QUERY PLAN".to_string()],
                         vec![DataType::Text],
-                        rows,
+                        vec![plan],
                     )?),
                     rows_affected: 0,
                 })
@@ -1041,7 +1054,7 @@ impl Engine {
     /// point lookups differing only in their constants share one cached
     /// parameterized plan. Queries that don't normalize run unbound as
     /// before.
-    fn run_select_cached(&mut self, query: &crate::ast::Query) -> Result<Relation> {
+    fn run_select_cached(&mut self, query: &crate::ast::Query) -> Result<ResultSet> {
         let Some((normalized, values)) = crate::cache::normalize_select_literals(query) else {
             return self.run_query(query);
         };
@@ -1072,8 +1085,8 @@ impl Engine {
         Ok((root, schema))
     }
 
-    /// Bind, optimize and execute a query to a [`Relation`].
-    pub fn run_query(&mut self, query: &crate::ast::Query) -> Result<Relation> {
+    /// Bind, optimize and execute a query to a [`ResultSet`].
+    pub fn run_query(&mut self, query: &crate::ast::Query) -> Result<ResultSet> {
         let (root, schema) = self.bind_traced(query)?;
         self.run_bound(&root, &schema)
     }
@@ -1095,23 +1108,24 @@ impl Engine {
     fn run_query_profiled(
         &mut self,
         query: &crate::ast::Query,
-    ) -> Result<(Relation, QueryProfile)> {
+    ) -> Result<(ResultSet, QueryProfile)> {
         let prev = self.capture_profiles;
         self.capture_profiles = true;
         let result = self.run_query(query);
         self.capture_profiles = prev;
-        let relation = result?;
+        let result = result?;
         let profile = self
             .last_profile
             .clone()
             .ok_or_else(|| SqlError::exec("operator profiling captured nothing"))?;
-        Ok((relation, profile))
+        Ok((result, profile))
     }
 
-    /// Execute an already bound + optimized plan to a result.
-    fn run_bound(&mut self, root: &PlanRoot, schema: &Schema) -> Result<Relation> {
-        let rows = colexec::chunks_to_rows(&self.execute_bound(root)?);
-        Relation::new(schema.names(), schema.types(), rows)
+    /// Execute an already bound + optimized plan to a result, kept as the
+    /// executor's chunks.
+    fn run_bound(&mut self, root: &PlanRoot, schema: &Schema) -> Result<ResultSet> {
+        let chunks = self.execute_bound(root)?;
+        ResultSet::new(schema.names(), schema.types(), chunks)
     }
 
     /// Execute a bound plan to batches, folding its counters, trace phase
@@ -1163,14 +1177,14 @@ impl Engine {
 
     /// Run a single SELECT through the LRU plan cache: parse + bind +
     /// optimize only on a miss, re-execute the cached plan on a hit.
-    pub fn query_cached(&mut self, sql: &str) -> Result<Relation> {
+    pub fn query_cached(&mut self, sql: &str) -> Result<ResultSet> {
         self.query_cached_with(sql, &[])
     }
 
     /// Run a single SELECT through the plan cache, binding `$n` placeholders
     /// to `params` (1-based: `$1` takes `params[0]`). The parameter count
     /// must match the highest placeholder in the statement exactly.
-    pub fn query_cached_with(&mut self, sql: &str, params: &[Value]) -> Result<Relation> {
+    pub fn query_cached_with(&mut self, sql: &str, params: &[Value]) -> Result<ResultSet> {
         let cached = match self.plan_cache.get(sql) {
             Some(hit) => hit,
             None => {
@@ -1186,7 +1200,7 @@ impl Engine {
     /// directly; parameterized plans are cloned with every `$n` substituted
     /// by its value before execution, so no runtime path ever sees an
     /// unbound parameter.
-    fn run_cached(&mut self, cached: &CachedPlan, params: &[Value]) -> Result<Relation> {
+    fn run_cached(&mut self, cached: &CachedPlan, params: &[Value]) -> Result<ResultSet> {
         if cached.params != params.len() {
             return Err(SqlError::bind(format!(
                 "statement needs {} parameter{}, got {}",
@@ -1238,13 +1252,13 @@ impl Engine {
     }
 
     /// Execute a named prepared statement through the plan cache.
-    pub fn execute_prepared(&mut self, name: &str) -> Result<Relation> {
+    pub fn execute_prepared(&mut self, name: &str) -> Result<ResultSet> {
         self.execute_prepared_with(name, &[])
     }
 
     /// Execute a named prepared statement, binding `$n` placeholders to
     /// `params` (the `EXECUTE name (v1, v2, ...)` form).
-    pub fn execute_prepared_with(&mut self, name: &str, params: &[Value]) -> Result<Relation> {
+    pub fn execute_prepared_with(&mut self, name: &str, params: &[Value]) -> Result<ResultSet> {
         let sql = self
             .prepared
             .get(name)
@@ -1306,14 +1320,16 @@ impl Engine {
                 "EXPLAIN ANALYZE supports SELECT statements only",
             ));
         };
-        self.run_query_profiled(&query)
+        let (result, profile) = self.run_query_profiled(&query)?;
+        Ok((result.into_relation(), profile))
     }
 
-    /// Parse and run a single SELECT, returning its relation.
+    /// Parse and run a single SELECT, returning its rows.
     pub fn query(&mut self, sql: &str) -> Result<Relation> {
         let outcome = self.execute(sql)?;
         outcome
-            .relation
+            .result
+            .map(ResultSet::into_relation)
             .ok_or_else(|| SqlError::exec("statement did not produce rows"))
     }
 
@@ -1566,7 +1582,7 @@ impl<'a> BindShim<'a> {
 
 fn no_rows(n: usize) -> ExecOutcome {
     ExecOutcome {
-        relation: None,
+        result: None,
         rows_affected: n,
     }
 }
@@ -2029,7 +2045,7 @@ mod tests {
         let sql = "SELECT a FROM t WHERE a > 1";
         let first = e.query_cached(sql).unwrap();
         let second = e.query_cached(sql).unwrap();
-        assert_eq!(first, second);
+        assert_eq!(first.into_relation(), second.into_relation());
         let stats = e.plan_cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -2065,9 +2081,15 @@ mod tests {
         e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1);")
             .unwrap();
         let sql = "SELECT count(*) AS n FROM t";
-        assert_eq!(e.query_cached(sql).unwrap().rows[0][0], Value::Int(1));
+        assert_eq!(
+            e.query_cached(sql).unwrap().into_relation().rows[0][0],
+            Value::Int(1)
+        );
         e.execute("INSERT INTO t VALUES (2), (3)").unwrap();
-        assert_eq!(e.query_cached(sql).unwrap().rows[0][0], Value::Int(3));
+        assert_eq!(
+            e.query_cached(sql).unwrap().into_relation().rows[0][0],
+            Value::Int(3)
+        );
         assert_eq!(e.plan_cache_stats().hits, 1);
     }
 
@@ -2090,8 +2112,14 @@ mod tests {
         e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (5), (7);")
             .unwrap();
         e.prepare("q", "SELECT max(a) AS m FROM t").unwrap();
-        assert_eq!(e.execute_prepared("q").unwrap().rows[0][0], Value::Int(7));
-        assert_eq!(e.execute_prepared("q").unwrap().rows[0][0], Value::Int(7));
+        assert_eq!(
+            e.execute_prepared("q").unwrap().into_relation().rows[0][0],
+            Value::Int(7)
+        );
+        assert_eq!(
+            e.execute_prepared("q").unwrap().into_relation().rows[0][0],
+            Value::Int(7)
+        );
         assert!(e.plan_cache_stats().hits >= 1);
         e.deallocate("q").unwrap();
         assert!(e.execute_prepared("q").is_err());

@@ -52,7 +52,7 @@ pub use engine::{Engine, EngineStats, ExecOutcome, Health};
 pub use error::{Result, SqlError};
 pub use parser::parse_param_values;
 pub use profile::EngineProfile;
-pub use storage::Relation;
+pub use storage::{Relation, ResultSet};
 pub use trace::{EngineTrace, OpProfile, Phase, QueryProfile};
 
 // Storage types surface through the engine API (recovery reports, fsync

@@ -1,5 +1,6 @@
-//! Query results and the one columnar heap behind tables, materialized
-//! views and materialized CTEs.
+//! Query results (columnar as executed, row-major for the embedded API)
+//! and the one columnar heap behind tables, materialized views and
+//! materialized CTEs.
 
 use crate::colexec::BATCH_ROWS;
 use crate::error::{Result, SqlError};
@@ -8,8 +9,9 @@ use etypes::{ColumnChunk, DataType, Value};
 /// One tuple.
 pub type Row = Vec<Value>;
 
-/// A query result: schema plus row-major tuples. Stored data lives in a
-/// [`Heap`]; this is only what statements hand back to callers.
+/// A query result as row-major tuples: what the embedded API
+/// ([`crate::Engine::query`]) hands back. Stored data lives in a [`Heap`];
+/// served results stay columnar ([`ResultSet`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Relation {
     /// Column names in order.
@@ -106,6 +108,65 @@ impl Relation {
             out.push('\n');
         }
         out
+    }
+}
+
+/// A statement's result as it leaves the executor: schema plus the column
+/// chunks the plan produced. The server encodes it to CSV straight from
+/// the columns (`etypes::write_chunks`); embedded callers that want rows
+/// take [`ResultSet::into_relation`].
+#[derive(Debug, Clone)]
+pub struct ResultSet {
+    /// Column names in order.
+    pub columns: Vec<String>,
+    /// Column types in order.
+    pub types: Vec<DataType>,
+    /// The rows, batch by batch; every chunk is as wide as the schema.
+    pub chunks: Vec<ColumnChunk>,
+}
+
+impl ResultSet {
+    /// Construct, checking arity.
+    pub fn new(
+        columns: Vec<String>,
+        types: Vec<DataType>,
+        chunks: Vec<ColumnChunk>,
+    ) -> Result<Self> {
+        if columns.len() != types.len() {
+            return Err(SqlError::exec("schema arity mismatch"));
+        }
+        if let Some(chunk) = chunks.iter().find(|c| c.width() != columns.len()) {
+            return Err(SqlError::exec(format!(
+                "row arity {} does not match schema arity {}",
+                chunk.width(),
+                columns.len()
+            )));
+        }
+        Ok(ResultSet {
+            columns,
+            types,
+            chunks,
+        })
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(ColumnChunk::len).sum()
+    }
+
+    /// True when no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Flatten to row-major tuples: the embedded [`crate::Engine::query`]
+    /// result.
+    pub fn into_relation(self) -> Relation {
+        Relation {
+            rows: crate::colexec::chunks_to_rows(&self.chunks),
+            columns: self.columns,
+            types: self.types,
+        }
     }
 }
 

@@ -29,11 +29,14 @@ pub enum Phase {
     WalAppend,
     /// Time inside `fsync` while appending (durable engines only).
     Fsync,
+    /// Encoding a result set for the client (recorded by the server through
+    /// [`crate::Engine::record_phase`]).
+    Encode,
 }
 
 impl Phase {
-    /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 7] = [
+    /// Every phase, in pipeline order (the write path, then encoding).
+    pub const ALL: [Phase; 8] = [
         Phase::Lex,
         Phase::Parse,
         Phase::Bind,
@@ -41,6 +44,7 @@ impl Phase {
         Phase::Execute,
         Phase::WalAppend,
         Phase::Fsync,
+        Phase::Encode,
     ];
 
     /// Stable lowercase name (used in `STATS` keys).
@@ -53,6 +57,7 @@ impl Phase {
             Phase::Execute => "execute",
             Phase::WalAppend => "wal_append",
             Phase::Fsync => "fsync",
+            Phase::Encode => "encode",
         }
     }
 
@@ -65,6 +70,7 @@ impl Phase {
             Phase::Execute => 4,
             Phase::WalAppend => 5,
             Phase::Fsync => 6,
+            Phase::Encode => 7,
         }
     }
 }

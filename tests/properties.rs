@@ -76,14 +76,18 @@ fn csv_round_trip() {
         let columns = vec!["n".to_string(), "w".to_string(), "t".to_string()];
         let data: Vec<Vec<Value>> = (0..nrows)
             .map(|_| {
-                // Optional third field from a wider alphabet (incl. ',' and
-                // spaces) exercising quoting; empty ⇒ NULL.
+                // Optional third field from a wider alphabet (incl. ',',
+                // quotes, line breaks and spaces) exercising quoting;
+                // empty ⇒ NULL.
                 let t = if rng.chance(0.5) {
                     let len = rng.below(9);
                     let s: String = (0..len)
-                        .map(|_| match rng.below(28) {
+                        .map(|_| match rng.below(31) {
                             26 => ',',
                             27 => ' ',
+                            28 => '"',
+                            29 => '\n',
+                            30 => '\r',
                             k => (b'a' + k as u8) as char,
                         })
                         .collect();

@@ -1,29 +1,19 @@
-//! Sharded write path: throughput scaling and group-commit amortization.
+//! The price of the router's cross-shard machinery for writes that never
+//! cross shards.
 //!
-//! **Part 1 — scaling.** Eight writers hammer eight disjoint tables
-//! (spread evenly over the shards by [`elephant_server::shard_of`]) on
-//! servers with 1, 2, and 4 shards. WAL-append latency is injected through
-//! the fault registry (`wal.append` → `DelayUs`): CI machines write to
-//! tmpfs, which hides the storage latency that dominates a real durable
-//! write path, and the injected sleep restores it *and* parallelizes
-//! across executor threads exactly like real blocking I/O does. The gate:
-//! four shards must push at least [`MIN_SCALING`]× the single-shard
-//! statement throughput.
+//! The distributed-transaction subsystem (the planner, the coordinator, the
+//! decision log, the consistent-cut gate) must be free for single-shard
+//! writes: eight writers storming eight tables all owned by ONE shard of a
+//! four-shard server may run at most [`MAX_2PC_OVERHEAD`]× slower than the
+//! same storm against a single-shard server, where the router plans
+//! nothing. WAL-append latency is injected through the fault registry
+//! (`wal.append` → `DelayUs`) so both servers pay a real storage cost per
+//! write and the ratio measures routing, not tmpfs.
 //!
-//! **Part 2 — group commit.** A two-shard `--fsync always` server under
-//! the same eight writers, with the *fsync* slowed instead of the append:
-//! while one fsync is in flight the executor's queue fills, the next batch
-//! commits as a group, and `STATS wal_commits_per_fsync` must exceed 1 —
-//! i.e. one fsync acknowledges several writes.
+//! Write scaling across shards and group-commit amortization are measured
+//! end to end by the benchmark's `ingest` workload (`crates/benchmark`).
 //!
-//! **Part 3 — 2PC overhead.** The distributed-transaction subsystem (the
-//! coordinator, the decision log, the consistent-cut gate) must be free
-//! for writes that never cross shards: the same storm against tables all
-//! owned by ONE shard of a four-shard server may run at most
-//! [`MAX_2PC_OVERHEAD`]× slower than against a single-shard server, where
-//! the router short-circuits before any of that machinery.
-//!
-//! Writes `BENCH_shard.json` at the workspace root; exits non-zero when a
+//! Writes `BENCH_shard.json` at the workspace root; exits non-zero when the
 //! gate fails.
 
 use elephant_server::{shard_of, start, ElephantClient, ServerConfig};
@@ -33,10 +23,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-/// Four shards must beat one shard by at least this factor on the
-/// latency-bound write storm.
-const MIN_SCALING: f64 = 2.0;
-
 /// Single-shard writes on a multi-shard server (2PC machinery present but
 /// bypassed) may cost at most this factor over a one-shard server.
 const MAX_2PC_OVERHEAD: f64 = 1.05;
@@ -44,8 +30,6 @@ const MAX_2PC_OVERHEAD: f64 = 1.05;
 const WRITERS: usize = 8;
 const STMTS_PER_WRITER: usize = 40;
 const APPEND_DELAY_US: u64 = 2_000;
-const FSYNC_DELAY_US: u64 = 2_000;
-const GC_STMTS_PER_WRITER: usize = 30;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -54,24 +38,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Eight table names spread evenly over four shards (and, because
-/// `h % 2 == (h % 4) % 2`, evenly over two as well).
-fn tables() -> Vec<String> {
-    let mut out = Vec::new();
-    for want in [0usize, 1, 2, 3, 0, 1, 2, 3] {
-        let name = (0..10_000)
-            .map(|i| format!("bt{i}"))
-            .find(|n| shard_of(n, 4) == want && !out.contains(n))
-            .expect("candidate space exhausted");
-        out.push(name);
-    }
-    out
-}
-
 /// Run the 8-writer storm against a `shards`-shard durable server with
 /// `fsync=off` and the injected append delay; returns statements/second.
 fn storm_throughput(shards: usize, tables: &[String]) -> f64 {
-    let dir = tmp_dir(&format!("scale{shards}"));
+    let dir = tmp_dir(&format!("storm{shards}"));
     let handle = start(ServerConfig {
         data_dir: Some(dir.clone()),
         fsync: FsyncPolicy::Off,
@@ -120,72 +90,8 @@ fn storm_throughput(shards: usize, tables: &[String]) -> f64 {
     (WRITERS * STMTS_PER_WRITER) as f64 / elapsed.as_secs_f64()
 }
 
-fn stat_f64(stats: &str, key: &str) -> f64 {
-    stats
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{key} ")))
-        .unwrap_or_else(|| panic!("missing '{key}' in stats:\n{stats}"))
-        .parse()
-        .unwrap()
-}
-
-/// Part 2: fsync=always, two shards, slow fsyncs. Returns
-/// (wal_group_commits, wal_commits_per_fsync, fsyncs_per_statement).
-fn group_commit_storm(tables: &[String]) -> (u64, f64, f64) {
-    let dir = tmp_dir("group");
-    let handle = start(ServerConfig {
-        data_dir: Some(dir.clone()),
-        fsync: FsyncPolicy::Always,
-        shards: 2,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = handle.local_addr();
-    let mut admin = ElephantClient::connect(addr).unwrap();
-    for t in tables {
-        admin
-            .query_raw(&format!("CREATE TABLE {t} (x int)"))
-            .unwrap();
-    }
-
-    fault::set("wal.fsync", FaultPolicy::DelayUs(FSYNC_DELAY_US));
-    let barrier = Arc::new(Barrier::new(WRITERS + 1));
-    let workers: Vec<_> = tables
-        .iter()
-        .map(|t| {
-            let table = t.clone();
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut c = ElephantClient::connect(addr).unwrap();
-                barrier.wait();
-                for seq in 0..GC_STMTS_PER_WRITER {
-                    c.query_raw(&format!("INSERT INTO {table} VALUES ({seq})"))
-                        .unwrap();
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    for w in workers {
-        w.join().unwrap();
-    }
-    fault::clear_all();
-
-    let stats = admin.stats().unwrap();
-    let group_commits = stat_f64(&stats, "wal_group_commits") as u64;
-    let per_fsync = stat_f64(&stats, "wal_commits_per_fsync");
-    let statements = (WRITERS * GC_STMTS_PER_WRITER) as f64;
-    let fsyncs_per_stmt = group_commits as f64 / statements;
-
-    admin.shutdown().unwrap();
-    drop(admin);
-    handle.join();
-    let _ = std::fs::remove_dir_all(&dir);
-    (group_commits, per_fsync, fsyncs_per_stmt)
-}
-
 /// Eight table names that all hash to shard 0 of four: on the four-shard
-/// server every write is single-shard, exercising resolve + routing with
+/// server every write is single-shard, exercising planning + routing with
 /// the transaction subsystem compiled in but never entered.
 fn colocated_tables() -> Vec<String> {
     let mut out = Vec::new();
@@ -202,53 +108,14 @@ fn colocated_tables() -> Vec<String> {
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let tables = tables();
-    let mut gate_failed = false;
-
     println!(
-        "== shard: write scaling ({WRITERS} writers x {STMTS_PER_WRITER} stmts, \
-         {APPEND_DELAY_US} us injected append latency) =="
-    );
-    let mut throughput = Vec::new();
-    for shards in [1usize, 2, 4] {
-        // Best of two rounds: sleeps dominate, so variance is tiny, but the
-        // first round also pays connection warm-up.
-        let a = storm_throughput(shards, &tables);
-        let b = storm_throughput(shards, &tables);
-        let stmts_per_sec = a.max(b);
-        println!("shards={shards}  {stmts_per_sec:>9.0} stmts/s");
-        throughput.push((shards, stmts_per_sec));
-    }
-    let s1 = throughput[0].1;
-    let s4 = throughput[2].1;
-    let scaling = s4 / s1;
-    println!("scaling 4/1: {scaling:.2}x (gate >= {MIN_SCALING}x)");
-    if scaling < MIN_SCALING {
-        gate_failed = true;
-    }
-    // On >= 4 real cores the CPU-bound path must scale too; single-core CI
-    // can only parallelize the blocking I/O, which the gate above covers.
-    let cpu_gate_enforced = cores >= 4;
-
-    println!(
-        "== shard: group commit (fsync=always, 2 shards, {FSYNC_DELAY_US} us \
-         injected fsync latency) =="
-    );
-    let (group_commits, per_fsync, fsyncs_per_stmt) = group_commit_storm(&tables);
-    println!(
-        "wal_group_commits {group_commits}  wal_commits_per_fsync {per_fsync:.2} \
-         (gate > 1.0)  fsyncs/stmt {fsyncs_per_stmt:.3}"
-    );
-    if per_fsync <= 1.0 || group_commits == 0 {
-        gate_failed = true;
-    }
-
-    println!(
-        "== shard: 2PC overhead on single-shard writes (co-located tables, \
-         {APPEND_DELAY_US} us injected append latency) =="
+        "== shard: 2PC overhead on single-shard writes ({WRITERS} writers x \
+         {STMTS_PER_WRITER} stmts, co-located tables, {APPEND_DELAY_US} us injected \
+         append latency) =="
     );
     let colocated = colocated_tables();
-    // Best of two per configuration, same as the scaling storm.
+    // Best of two per configuration: sleeps dominate, so variance is tiny,
+    // but the first round also pays connection warm-up.
     let base = storm_throughput(1, &colocated).max(storm_throughput(1, &colocated));
     let routed = storm_throughput(4, &colocated).max(storm_throughput(4, &colocated));
     let overhead = base / routed;
@@ -256,32 +123,15 @@ fn main() {
         "1-shard {base:>9.0} stmts/s  4-shard(one hot) {routed:>9.0} stmts/s  \
          overhead {overhead:.3}x (gate <= {MAX_2PC_OVERHEAD}x)"
     );
-    if overhead > MAX_2PC_OVERHEAD {
-        gate_failed = true;
-    }
 
-    let thr_json: Vec<String> = throughput
-        .iter()
-        .map(|(s, t)| format!("    {{ \"shards\": {s}, \"stmts_per_sec\": {t:.1} }}"))
-        .collect();
     let json = format!(
         "{{\n  \"bench\": \"shard\",\n  \"cores\": {cores},\n  \"writers\": {WRITERS},\n  \
          \"statements_per_writer\": {STMTS_PER_WRITER},\n  \
-         \"append_delay_us\": {APPEND_DELAY_US},\n  \"throughput\": [\n{}\n  ],\n  \
-         \"scaling_4_over_1\": {scaling:.3},\n  \"min_scaling_gate\": {MIN_SCALING},\n  \
-         \"cpu_gate_enforced\": {cpu_gate_enforced},\n  \"group_commit\": {{\n    \
-         \"shards\": 2,\n    \"fsync_delay_us\": {FSYNC_DELAY_US},\n    \
-         \"statements\": {},\n    \"wal_group_commits\": {group_commits},\n    \
-         \"wal_commits_per_fsync\": {per_fsync:.3},\n    \
-         \"fsyncs_per_statement\": {fsyncs_per_stmt:.4},\n    \
-         \"gate\": \"wal_commits_per_fsync > 1.0\"\n  }},\n  \
-         \"txn_overhead\": {{\n    \
+         \"append_delay_us\": {APPEND_DELAY_US},\n  \"txn_overhead\": {{\n    \
          \"single_shard_stmts_per_sec\": {base:.1},\n    \
          \"four_shard_pinned_stmts_per_sec\": {routed:.1},\n    \
          \"overhead_ratio\": {overhead:.4},\n    \
-         \"gate\": \"overhead_ratio <= {MAX_2PC_OVERHEAD}\"\n  }}\n}}\n",
-        thr_json.join(",\n"),
-        WRITERS * GC_STMTS_PER_WRITER,
+         \"gate\": \"overhead_ratio <= {MAX_2PC_OVERHEAD}\"\n  }}\n}}\n"
     );
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
@@ -291,12 +141,8 @@ fn main() {
     std::fs::write(&path, json).expect("write BENCH_shard.json");
     println!("wrote {}", path.display());
 
-    if gate_failed {
-        eprintln!(
-            "FAIL: sharded write path missed a gate \
-             (scaling {scaling:.2}x, commits/fsync {per_fsync:.2}, \
-             2pc overhead {overhead:.3}x)"
-        );
+    if overhead > MAX_2PC_OVERHEAD {
+        eprintln!("FAIL: 2PC bypass overhead {overhead:.3}x exceeds {MAX_2PC_OVERHEAD}x");
         std::process::exit(1);
     }
 }

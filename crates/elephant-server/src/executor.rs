@@ -21,12 +21,14 @@
 //! fails, the engine unwinds the batch's in-memory effects and every reply
 //! that depended on the failed window is rewritten to the storage error.
 //!
-//! **Tracing**: when a job carries a [`TraceContext`] (the router opens a
-//! root span per client command), the executor records child spans into
-//! the shard's shared ring — queue wait, the dispatch itself
-//! (`shard-exec` / `sg-gather`), the engine phases under it, foreign-image
-//! installs, and the command's share of the group-fsync window. All child
-//! spans are recorded when the batch's replies are released.
+//! **Tracing**: every routed job carries the [`TraceContext`] of the root
+//! span the router opened for its client command, and the executor records
+//! child spans into the shard's shared ring — queue wait, the dispatch
+//! itself (`shard-exec`, `sg-gather` for a command run over installed
+//! foreign images, `txn-prepare`), the engine phases under it,
+//! foreign-image installs, and the command's share of the group-fsync
+//! window. A command's spans are recorded when the batch's replies are
+//! released.
 //!
 //! Shutdown is cooperative and loses nothing: `SHUTDOWN` travels through
 //! the queue like any command; the executor flips the shared flag (stopping
@@ -66,10 +68,14 @@ pub(crate) enum Job {
         session: u64,
         /// The parsed command.
         command: Command,
+        /// The gather leg of a cross-shard read: tables exported by the
+        /// other involved shards, installed for the command and removed
+        /// again before it answers.
+        images: Option<Vec<TableImage>>,
         /// Where the session blocks waiting for the answer.
         reply: mpsc::Sender<Reply>,
-        /// Correlation ids of the router's root span, when tracing.
-        ctx: Option<TraceContext>,
+        /// Correlation ids of the router's root span.
+        ctx: TraceContext,
         /// When the router admitted the job (measures queue wait).
         enqueued: Instant,
         /// Whether this job counts into the per-verb counters and latency
@@ -91,9 +97,10 @@ pub(crate) enum Job {
         txn_id: u64,
         /// This shard's statements of the transaction, `;`-joined.
         sql: String,
-        /// Prepare outcome: rows affected, or the classified error (the
-        /// engine has already unwound its memory on `Err`).
-        prepared: mpsc::Sender<Result<usize, (&'static str, String)>>,
+        /// Prepare outcome: the reply body of the slice's last statement,
+        /// or the classified error (the engine has already unwound its
+        /// memory on `Err`).
+        prepared: mpsc::Sender<Reply>,
         /// The coordinator's verdict: `true` commits, `false` aborts. A
         /// dropped sender reads as abort — the coordinator sends the
         /// verdict on the same call stack that durably logs it, so a
@@ -101,8 +108,8 @@ pub(crate) enum Job {
         decision: mpsc::Receiver<bool>,
         /// Outcome of applying the verdict (commit/abort marker append).
         done: mpsc::Sender<Result<(), (&'static str, String)>>,
-        /// Correlation ids of the router's root span, when tracing.
-        ctx: Option<TraceContext>,
+        /// Correlation ids of the router's root span.
+        ctx: TraceContext,
         /// When the router admitted the job (measures queue wait).
         enqueued: Instant,
     },
@@ -128,24 +135,8 @@ pub(crate) enum Job {
         names: Vec<String>,
         /// Where the router waits for the images.
         reply: mpsc::Sender<Result<Vec<TableImage>, (&'static str, String)>>,
-        /// Correlation ids of the scatter-gather root span, when tracing.
-        ctx: Option<TraceContext>,
-    },
-    /// Gather leg of a cross-shard read: install foreign images, run the
-    /// whole command locally, remove the images, answer.
-    Gather {
-        /// Originating session id (scopes prepared-statement names).
-        session: u64,
-        /// The read-only command to run over local + foreign tables.
-        command: Command,
-        /// Exported tables from the other involved shards.
-        images: Vec<TableImage>,
-        /// Where the router waits for the answer.
-        reply: mpsc::Sender<Reply>,
-        /// Correlation ids of the scatter-gather root span, when tracing.
-        ctx: Option<TraceContext>,
-        /// When the router admitted the job (measures queue wait).
-        enqueued: Instant,
+        /// Correlation ids of the scatter-gather root span.
+        ctx: TraceContext,
     },
     /// Collect this shard's engine-scoped samples for the router's metric
     /// collector. Deliberately uncounted: neither `STATS` nor a `/metrics`
@@ -206,7 +197,8 @@ struct DeferredTrace {
     exec_id: u64,
     /// Time the job sat in the shard queue before dequeue, µs.
     wait_us: u64,
-    /// `ShardExec` for routed commands, `SgGather` for gather legs.
+    /// `ShardExec` for routed commands, `SgGather` for gather legs,
+    /// `TxnPrepare` for a transaction slice.
     kind: SpanKind,
     /// Per-statement engine phase samples captured during dispatch.
     phases: Vec<(Phase, u64)>,
@@ -231,8 +223,8 @@ struct DeferredReply {
     /// already made durable (e.g. by a mid-batch checkpoint) and survive a
     /// failed closing fsync.
     epoch: u64,
-    /// Span bookkeeping; `None` for untraced jobs (legacy single-span path).
-    trace: Option<DeferredTrace>,
+    /// Span bookkeeping.
+    trace: DeferredTrace,
     /// Whether this job counts into per-verb counters and latency
     /// histograms (false for the non-primary legs of a broadcast).
     counted: bool,
@@ -359,6 +351,7 @@ pub(crate) fn spawn(
                         Job::Command {
                             session,
                             command,
+                            images,
                             reply,
                             ctx,
                             enqueued,
@@ -370,15 +363,29 @@ pub(crate) fn spawn(
                             state.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
                             state.lane.dec_queue_depth();
                             state.lane.commands.fetch_add(1, Ordering::Relaxed);
-                            let wait_us = enqueued.elapsed().as_micros() as u64;
                             let started = Instant::now();
                             let verb = command.verb();
                             let detail = command.summary();
                             let pending_before = state.engine.group_pending();
                             let epoch = state.engine.group_epoch();
-                            let trace = state.install_context(ctx, SpanKind::ShardExec, wait_us);
-                            let result = state.dispatch(session, command);
-                            let trace = state.collect_phases(trace);
+                            let kind = match images {
+                                Some(_) => SpanKind::SgGather,
+                                None => SpanKind::ShardExec,
+                            };
+                            let mut trace = state.install_context(ctx, kind, enqueued);
+                            let result = match images {
+                                Some(images) => {
+                                    let (result, install_us) =
+                                        state.gather(session, command, images);
+                                    trace.install_us = Some(install_us);
+                                    result
+                                }
+                                None => state.dispatch(session, command),
+                            };
+                            state.collect_phases(&mut trace);
+                            // A gather is read-only, so it never grows the
+                            // group; deferring its reply too keeps span
+                            // order consistent — the root closes last.
                             deferred.push(DeferredReply {
                                 reply,
                                 verb,
@@ -402,61 +409,20 @@ pub(crate) fn spawn(
                             state.lane.dec_queue_depth();
                             state.lane.commands.fetch_add(1, Ordering::Relaxed);
                             let started = Instant::now();
-                            let detail = names.join(",");
                             let images = state
                                 .engine
                                 .export_table_images(&names)
                                 .map_err(|e| state.classify(e));
-                            if let Some(ctx) = ctx {
-                                state.ring.record(SpanRecord::child(
-                                    ctx,
-                                    SpanKind::SgExport,
-                                    state.shard_id,
-                                    "EXPORT",
-                                    &detail,
-                                    started.elapsed().as_micros() as u64,
-                                    images.is_ok(),
-                                ));
-                            }
+                            state.ring.record(SpanRecord::child(
+                                ctx,
+                                SpanKind::SgExport,
+                                state.shard_id,
+                                "EXPORT",
+                                &names.join(","),
+                                started.elapsed().as_micros() as u64,
+                                images.is_ok(),
+                            ));
                             let _ = reply.send(images);
-                        }
-                        Job::Gather {
-                            session,
-                            command,
-                            images,
-                            reply,
-                            ctx,
-                            enqueued,
-                        } => {
-                            state.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                            state.lane.dec_queue_depth();
-                            state.lane.commands.fetch_add(1, Ordering::Relaxed);
-                            let wait_us = enqueued.elapsed().as_micros() as u64;
-                            let started = Instant::now();
-                            let verb = command.verb();
-                            let detail = command.summary();
-                            let epoch = state.engine.group_epoch();
-                            let trace = state.install_context(ctx, SpanKind::SgGather, wait_us);
-                            let (result, install_us) = state.gather(session, command, images);
-                            let mut trace = state.collect_phases(trace);
-                            if let Some(t) = trace.as_mut() {
-                                t.install_us = Some(install_us);
-                            }
-                            // Gathers are read-only (`grew: false`): a
-                            // failed closing fsync never invalidates them,
-                            // but deferring the reply keeps span order
-                            // consistent — the root closes last.
-                            deferred.push(DeferredReply {
-                                reply,
-                                verb,
-                                detail,
-                                elapsed: started.elapsed(),
-                                result,
-                                grew: false,
-                                epoch,
-                                trace,
-                                counted: true,
-                            });
                         }
                         Job::MetricsSnapshot { reply } => {
                             let _ = reply.send(state.engine_samples());
@@ -541,126 +507,118 @@ struct ExecutorState {
 }
 
 impl ExecutorState {
-    /// Prepare the trace bookkeeping for one traced job and install the
-    /// engine's capture context (phase samples parent to the pre-allocated
-    /// exec span). Untraced jobs clear the engine context.
+    /// Prepare the trace bookkeeping for one job and install the engine's
+    /// capture context (phase samples parent to the pre-allocated exec
+    /// span).
     fn install_context(
         &mut self,
-        ctx: Option<TraceContext>,
+        ctx: TraceContext,
         kind: SpanKind,
-        wait_us: u64,
-    ) -> Option<DeferredTrace> {
-        let trace = ctx.map(|ctx| DeferredTrace {
+        enqueued: Instant,
+    ) -> DeferredTrace {
+        let exec_id = next_span_id();
+        self.engine.set_trace_context(Some(TraceContext {
+            query_id: ctx.query_id,
+            parent_span: exec_id,
+        }));
+        DeferredTrace {
             ctx,
-            exec_id: next_span_id(),
-            wait_us,
+            exec_id,
+            wait_us: enqueued.elapsed().as_micros() as u64,
             kind,
             phases: Vec::new(),
             stages: Vec::new(),
             install_us: None,
-        });
-        self.engine
-            .set_trace_context(trace.as_ref().map(|t| TraceContext {
-                query_id: t.ctx.query_id,
-                parent_span: t.exec_id,
-            }));
-        trace
+        }
     }
 
     /// Drain the engine's captured phase samples, and the stages of an
     /// `INSPECT`, into the trace record.
-    fn collect_phases(&mut self, mut trace: Option<DeferredTrace>) -> Option<DeferredTrace> {
-        let stages = std::mem::take(&mut self.inspect_stages);
-        if let Some(t) = trace.as_mut() {
-            t.phases = self.engine.take_phase_spans();
-            t.stages = stages;
-        }
-        trace
+    fn collect_phases(&mut self, trace: &mut DeferredTrace) {
+        trace.phases = self.engine.take_phase_spans();
+        trace.stages = std::mem::take(&mut self.inspect_stages);
     }
 
-    /// Record the finished command's spans and its slow-query log line.
-    /// Traced commands get the full child set (queue wait, exec, engine
-    /// phases, install, group fsync); untraced ones keep the legacy single
-    /// root span so direct-queue callers still show up in `TRACE`.
+    /// Record one job's queue wait, its exec span (`name`, `detail`, `us`)
+    /// and the engine phases and `INSPECT` stages under it.
+    fn record_exec(&self, t: &DeferredTrace, name: &str, detail: &str, us: u64, ok: bool) {
+        self.ring.record(SpanRecord::child(
+            t.ctx,
+            SpanKind::QueueWait,
+            self.shard_id,
+            "queue-wait",
+            "",
+            t.wait_us,
+            true,
+        ));
+        self.ring.record(SpanRecord {
+            id: t.exec_id,
+            parent: t.ctx.parent_span,
+            query_id: t.ctx.query_id,
+            kind: t.kind,
+            shard: self.shard_id,
+            name: name.to_string(),
+            detail: detail.to_string(),
+            elapsed_us: us,
+            ok,
+        });
+        let exec_ctx = TraceContext {
+            query_id: t.ctx.query_id,
+            parent_span: t.exec_id,
+        };
+        let phases = t
+            .phases
+            .iter()
+            .map(|(p, us)| (SpanKind::EnginePhase, p.name(), us));
+        let stages = t
+            .stages
+            .iter()
+            .map(|(s, us)| (SpanKind::InspectStage, s.as_str(), us));
+        for (kind, name, us) in phases.chain(stages) {
+            self.ring.record(SpanRecord::child(
+                exec_ctx,
+                kind,
+                self.shard_id,
+                name,
+                "",
+                *us,
+                true,
+            ));
+        }
+    }
+
+    /// Record the finished command's spans (queue wait, exec, engine
+    /// phases, install, group fsync) and its slow-query log line.
     fn finish_command(&mut self, d: &DeferredReply, fsync_us: u64, durable: bool, synced: bool) {
         let us = d.elapsed.as_micros() as u64;
         let ok = d.result.is_ok();
-        match &d.trace {
-            Some(t) => {
-                self.ring.record(SpanRecord::child(
-                    t.ctx,
-                    SpanKind::QueueWait,
-                    self.shard_id,
-                    "queue-wait",
-                    "",
-                    t.wait_us,
-                    true,
-                ));
-                self.ring.record(SpanRecord {
-                    id: t.exec_id,
-                    parent: t.ctx.parent_span,
-                    query_id: t.ctx.query_id,
-                    kind: t.kind,
-                    shard: self.shard_id,
-                    name: d.verb.to_string(),
-                    detail: d.detail.clone(),
-                    elapsed_us: us,
-                    ok,
-                });
-                let exec_ctx = TraceContext {
-                    query_id: t.ctx.query_id,
-                    parent_span: t.exec_id,
-                };
-                for (phase, pus) in &t.phases {
-                    self.ring.record(SpanRecord::child(
-                        exec_ctx,
-                        SpanKind::EnginePhase,
-                        self.shard_id,
-                        phase.name(),
-                        "",
-                        *pus,
-                        true,
-                    ));
-                }
-                for (stage, sus) in &t.stages {
-                    self.ring.record(SpanRecord::child(
-                        exec_ctx,
-                        SpanKind::InspectStage,
-                        self.shard_id,
-                        stage.as_str(),
-                        "",
-                        *sus,
-                        true,
-                    ));
-                }
-                if let Some(install_us) = t.install_us {
-                    self.ring.record(SpanRecord::child(
-                        t.ctx,
-                        SpanKind::SgInstall,
-                        self.shard_id,
-                        "INSTALL",
-                        "foreign table images",
-                        install_us,
-                        ok,
-                    ));
-                }
-                if durable && d.grew {
-                    self.ring.record(SpanRecord::child(
-                        t.ctx,
-                        SpanKind::WalGroupFsync,
-                        self.shard_id,
-                        "group-fsync",
-                        "shared group-commit window",
-                        fsync_us,
-                        synced,
-                    ));
-                }
-            }
-            None => self.ring.push(d.verb, &d.detail, us, ok),
+        let t = &d.trace;
+        self.record_exec(t, d.verb, &d.detail, us, ok);
+        if let Some(install_us) = t.install_us {
+            self.ring.record(SpanRecord::child(
+                t.ctx,
+                SpanKind::SgInstall,
+                self.shard_id,
+                "INSTALL",
+                "foreign table images",
+                install_us,
+                ok,
+            ));
+        }
+        if durable && d.grew {
+            self.ring.record(SpanRecord::child(
+                t.ctx,
+                SpanKind::WalGroupFsync,
+                self.shard_id,
+                "group-fsync",
+                "shared group-commit window",
+                fsync_us,
+                synced,
+            ));
         }
         if let Some(threshold) = self.slow_query_us {
             if us >= threshold {
-                let qid = d.trace.as_ref().map_or(0, |t| t.ctx.query_id);
+                let qid = t.ctx.query_id;
                 eprintln!(
                     "[slow-query] verb={} query_id=q{qid} shard={} us={us} ok={} {}",
                     d.verb,
@@ -1043,53 +1001,18 @@ impl ExecutorState {
         self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         self.lane.dec_queue_depth();
         self.lane.commands.fetch_add(1, Ordering::Relaxed);
-        let wait_us = enqueued.elapsed().as_micros() as u64;
-        let trace = self.install_context(ctx, SpanKind::TxnPrepare, wait_us);
+        let mut trace = self.install_context(ctx, SpanKind::TxnPrepare, enqueued);
         let started = Instant::now();
         let result = self
             .engine
             .prepare_txn(txn_id, &sql)
+            .map(|out| self.render(out.result, out.rows_affected))
             .map_err(|e| self.classify(e));
-        let trace = self.collect_phases(trace);
+        self.collect_phases(&mut trace);
         self.engine.set_trace_context(None);
         let ok = result.is_ok();
-        if let Some(t) = &trace {
-            self.ring.record(SpanRecord::child(
-                t.ctx,
-                SpanKind::QueueWait,
-                self.shard_id,
-                "queue-wait",
-                "",
-                t.wait_us,
-                true,
-            ));
-            self.ring.record(SpanRecord {
-                id: t.exec_id,
-                parent: t.ctx.parent_span,
-                query_id: t.ctx.query_id,
-                kind: SpanKind::TxnPrepare,
-                shard: self.shard_id,
-                name: "PREPARE".to_string(),
-                detail: format!("txn={txn_id} {sql}"),
-                elapsed_us: started.elapsed().as_micros() as u64,
-                ok,
-            });
-            let exec_ctx = TraceContext {
-                query_id: t.ctx.query_id,
-                parent_span: t.exec_id,
-            };
-            for (phase, pus) in &t.phases {
-                self.ring.record(SpanRecord::child(
-                    exec_ctx,
-                    SpanKind::EnginePhase,
-                    self.shard_id,
-                    phase.name(),
-                    "",
-                    *pus,
-                    true,
-                ));
-            }
-        }
+        let us = started.elapsed().as_micros() as u64;
+        self.record_exec(&trace, "PREPARE", &format!("txn={txn_id} {sql}"), us, ok);
         if prepared.send(result).is_err() {
             // The coordinator died before taking the ack. No commit
             // decision can have been logged for this transaction, so the
@@ -1115,17 +1038,15 @@ impl ExecutorState {
             self.engine.abort_prepared(txn_id)
         }
         .map_err(|e| self.classify(e));
-        if let Some(t) = &trace {
-            self.ring.record(SpanRecord::child(
-                t.ctx,
-                SpanKind::TxnCommit,
-                self.shard_id,
-                if verdict { "COMMIT" } else { "ABORT" },
-                &format!("txn={txn_id}"),
-                apply_started.elapsed().as_micros() as u64,
-                outcome.is_ok(),
-            ));
-        }
+        self.ring.record(SpanRecord::child(
+            trace.ctx,
+            SpanKind::TxnCommit,
+            self.shard_id,
+            if verdict { "COMMIT" } else { "ABORT" },
+            &format!("txn={txn_id}"),
+            apply_started.elapsed().as_micros() as u64,
+            outcome.is_ok(),
+        ));
         let _ = done.send(outcome);
     }
 }
@@ -1144,8 +1065,13 @@ mod tests {
         tx.send(Job::Command {
             session,
             command: cmd,
+            images: None,
             reply: rtx,
-            ctx: None,
+            // No root span: the children record as top-level spans.
+            ctx: TraceContext {
+                query_id: 0,
+                parent_span: 0,
+            },
             enqueued: Instant::now(),
             counted: true,
         })
@@ -1351,8 +1277,9 @@ mod tests {
         tx.send(Job::Command {
             session: 1,
             command: Command::Query("CREATE TABLE t (a int)".into()),
+            images: None,
             reply: rtx,
-            ctx: Some(ctx),
+            ctx,
             enqueued: Instant::now(),
             counted: true,
         })

@@ -1044,7 +1044,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("elephant-decls-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let query = |router: &ShardRouter, sql: &str| {
-            router.submit(1, Command::Query(sql.into())).expect(sql);
+            let planned = router.plan(1, Command::Query(sql.into()));
+            router.submit(1, planned).expect(sql);
         };
         let (router, _, joins) = router_on(Some(&dir), 2);
         query(&router, "CREATE TABLE t (a int)");
@@ -1057,7 +1058,7 @@ mod tests {
             name: "p".into(),
             sql: "SELECT a FROM t".into(),
         };
-        router.submit(1, prepare).unwrap();
+        router.submit(1, router.plan(1, prepare)).unwrap();
         query(&router, "DROP TABLE t");
         let mut samples = router.collect().unwrap();
         drop(router);

@@ -9,9 +9,10 @@
 //! and the connection stays open; only transport errors, a desynchronized
 //! v2 stream and a dead executor end the session.
 //!
-//! The loop **overlaps** executor work with its own socket I/O: a command
-//! whose routing has no cross-command effects is queued on its shard
-//! without waiting ([`ShardRouter::begin`]) and the session keeps a FIFO of
+//! The loop **overlaps** executor work with its own socket I/O: every
+//! command is planned once ([`ShardRouter::plan`]), and one whose route has
+//! no cross-command effects is queued on its shard without waiting
+//! ([`ShardRouter::begin`]) while the session keeps a FIFO of
 //! owed replies, answered strictly in request order — so while the executor
 //! runs command *n*, the session is already parsing and submitting *n+1*.
 //! Commands that do have cross-command effects (DDL, PREPARE, broadcasts,
@@ -208,7 +209,7 @@ impl<W: Write> Session<'_, W> {
                 last_seq = seq;
             }
 
-            let mut command = match parse_command(&frame.text) {
+            let command = match parse_command(&frame.text) {
                 Ok(c) => c,
                 Err((code, msg)) => {
                     self.refuse(frame.seq, code, msg);
@@ -232,6 +233,10 @@ impl<W: Write> Session<'_, W> {
             if self.pending.len() >= V2_MAX_INFLIGHT && !self.settle_front() {
                 break;
             }
+            // Planned once: a retry after backpressure, and the synchronous
+            // path, reuse the route. Settling owed replies cannot stale it —
+            // an in-flight command changes no routing state.
+            let mut planned = self.router.plan(self.id, command);
             let slot = loop {
                 // The one backpressure rule: a full shard queue is answered
                 // by settling the oldest owed reply — once it is answered
@@ -239,21 +244,21 @@ impl<W: Write> Session<'_, W> {
                 // nothing left to settle the router waits out its bounded
                 // admission wait and then refuses with ERR_BUSY.
                 let patient = self.pending.is_empty();
-                match self.router.begin(self.id, command, patient) {
+                match self.router.begin(self.id, planned, patient) {
                     Ok(Begun::InFlight(in_flight)) => break Slot::InFlight(in_flight),
-                    Ok(Begun::Backpressure(c)) => {
+                    Ok(Begun::Backpressure(p)) => {
                         if !self.settle_front() {
                             break 'conn;
                         }
-                        command = c;
+                        planned = p;
                     }
-                    Ok(Begun::Sync(c)) => {
+                    Ok(Begun::Sync(p)) => {
                         // Cross-command effects: everything queued so far
                         // must finish (and be answered) before this runs.
                         if !self.drain() {
                             break 'conn;
                         }
-                        break Slot::Ready(self.router.submit(self.id, c));
+                        break Slot::Ready(self.router.submit(self.id, p));
                     }
                     Err(e) => break Slot::Ready(Err(e)),
                 }

@@ -8,28 +8,42 @@
 //! catalog map (needed for views, whose home shard is the shard of the
 //! tables they read, not of their own name).
 //!
-//! Routing rules, in order:
+//! **One plan per command.** [`ShardRouter::plan`] is the only place a
+//! command's placement is decided and the only place SQL is parsed
+//! ([`ShardRouter::place`]): it cuts a text into statements at the `;`
+//! tokens of sqlengine's own lexer, places each statement on the shard
+//! owning what it touches (names created or dropped by earlier statements
+//! of the same script or BATCH included), records each statement's
+//! ownership changes, and yields one [`Route`]. [`ShardRouter::begin`] and
+//! [`ShardRouter::submit`] consume the route and parse nothing. On one
+//! shard the planner returns before parsing. The routes, in order:
 //!
-//! * Statements whose dependencies resolve to **one** shard (the common
-//!   case) are forwarded to that shard's lane unchanged.
-//! * **Read-only** statements spanning several shards run scatter-gather:
+//! * SQL the router cannot parse falls back to shard 0, counted in
+//!   `shard_fallbacks`, where the engine produces the canonical error
+//!   text.
+//! * Texts whose statements all land on **one** shard (the common case)
+//!   are forwarded to that shard's lane unchanged — overlapped with the
+//!   session's other commands when they change no ownership, run
+//!   synchronously with their changes applied after the ack otherwise.
+//! * **Read-only** texts spanning several shards run scatter-gather:
 //!   the foreign shards export the touched tables as images, the
 //!   coordinator shard (the one owning most of the touched names) installs
 //!   them as WAL-bypassing foreign tables, runs the full query locally, and
 //!   drops them again. Results are byte-identical to a single-shard server
 //!   because one engine executes the complete plan over identical tables
 //!   (ctids included).
-//! * **Writes** spanning several shards run as a distributed transaction:
-//!   the router splits the script per statement, becomes the two-phase-
+//! * **Writes** spanning several shards run as a distributed transaction
+//!   over the planned per-shard slices: the router becomes the two-phase-
 //!   commit coordinator (each participant shard durably stages a `PREPARE`
 //!   frame, the router fsyncs the commit verdict into the `txn.log`
-//!   decision log, then every participant applies), and acknowledges only
-//!   after the verdict is durable. A single *statement* whose tables live
-//!   on several shards is still refused with [`codes::CROSS_SHARD`] — the
-//!   transaction splits at statement boundaries. See `docs/TXN.md`.
-//! * SQL the router cannot parse falls back to shard 0 (the coordinator
-//!   shard), counted in `shard_fallbacks`, where the engine produces the
-//!   canonical error text.
+//!   decision log, then every participant applies), acknowledges only
+//!   after the verdict is durable, and replies what the leg running the
+//!   last statement replied — as a one-shard server would. A single
+//!   *statement* whose tables live on several shards is refused with
+//!   [`codes::CROSS_SHARD`] — the transaction splits at statement
+//!   boundaries. See `docs/TXN.md`.
+//! * Broadcast (`CHECKPOINT`), router-answered (`TRACE`, `STATS`), and
+//!   pinned single-shard verbs (`PREPARE`'d statements, shard-0 surfaces).
 //!
 //! **Consistent read cut**: cross-shard writes take the router's
 //! transaction gate exclusively; scatter-gather reads take it shared. A
@@ -38,9 +52,10 @@
 //! The per-shard committed-LSN watermarks at gate acquisition (the cut
 //! vector) are recorded on the query's route span for observability.
 //!
-//! Sessions are shard-agnostic: every session hands its commands to
-//! [`ShardRouter::begin`] and collects replies with [`ShardRouter::finish`]
-//! (or [`ShardRouter::submit`] for commands with cross-command effects).
+//! Sessions are shard-agnostic: every session plans each command with
+//! [`ShardRouter::plan`], hands it to [`ShardRouter::begin`] and collects
+//! the reply with [`ShardRouter::finish`] (or [`ShardRouter::submit`] for
+//! commands with cross-command effects).
 //! The router also owns admission control: one function,
 //! [`ShardRouter::admit`], puts jobs on lane queues. A full queue is
 //! answered by one rule — a session with replies in flight settles its
@@ -71,7 +86,7 @@ use crate::metrics::{fold_shards, render_prometheus, render_stats_text, sample, 
 use crate::protocol::{codes, Command, TraceRequest};
 use crate::repl::ReplState;
 use etypes::{SharedSpanRing, Span, SpanKind, SpanRecord, TraceContext};
-use sqlengine::{parse_sql, statement_deps, TableImage, TxnDecisionLog, WalHandle};
+use sqlengine::{parse_fragments, statement_deps, TableImage, TxnDecisionLog, WalHandle};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
@@ -158,23 +173,125 @@ enum Admission {
     Internal,
 }
 
-/// How a statement's dependencies resolved against the ownership map.
-enum Resolution {
-    /// The router could not parse the SQL; shard 0's engine will produce
-    /// the canonical error text.
-    Unparsed,
-    /// All dependencies live on one shard (or the statement touches
-    /// nothing known — constants, unknown names).
+/// Names the statements planned so far in one command created (`Some`) or
+/// dropped (`None`); read before the ownership map, so a later statement
+/// of the same script or BATCH resolves them as they will be by then.
+type Overlay = HashMap<String, Option<Owner>>;
+
+/// A routing-state update, applied once the shard that ran its statement
+/// acknowledged it.
+#[derive(Debug)]
+enum Change {
+    Create {
+        name: String,
+        is_view: bool,
+    },
+    Drop(String),
+    /// A session's prepared statement now lives on the shard.
+    Prepare {
+        session: u64,
+        name: String,
+    },
+    Deallocate {
+        session: u64,
+        name: String,
+    },
+}
+
+/// One statement — a `;`-delimited piece of a script — as the planner
+/// placed it.
+struct Placed<'a> {
+    /// Its source text; a two-phase-commit slice is built from these.
+    sql: &'a str,
+    /// The shard owning what it touches (the first, when it touches
+    /// several); `None` when it touches no known name.
+    shard: Option<usize>,
+    changes: Vec<Change>,
+}
+
+/// What placing one SQL text found.
+struct SqlPlan<'a> {
+    stmts: Vec<Placed<'a>>,
+    /// Every known name the text touches, with its owner.
+    names: BTreeMap<String, Owner>,
+    any_write: bool,
+    /// The first statement that alone touches several shards, rendered
+    /// with its placement for the refusal.
+    unsplittable: Option<String>,
+}
+
+impl SqlPlan<'_> {
+    /// The one shard the whole text runs on (0 when it touches nothing
+    /// known), or `None` when it spans shards.
+    fn home(&self) -> Option<usize> {
+        let shards: BTreeSet<usize> = self.names.values().map(|o| o.shard).collect();
+        (shards.len() <= 1).then(|| shards.first().copied().unwrap_or(0))
+    }
+}
+
+/// Where one command runs on a single shard, and — when the planner made a
+/// decision worth a span of its own — the planning time in microseconds
+/// and the placement detail.
+struct Placement {
+    shard: usize,
+    route: Option<(u64, String)>,
+}
+
+impl Placement {
+    fn on(shard: usize) -> Placement {
+        Placement { shard, route: None }
+    }
+}
+
+/// A cross-shard read: the coordinator runs the whole command over its own
+/// tables plus the ones the other shards export to it.
+struct GatherPlan {
+    coordinator: usize,
+    exports: BTreeMap<usize, Vec<String>>,
+    plan_us: u64,
+}
+
+/// A cross-shard write script split per statement: each participant's
+/// slice (script order kept within a shard), the changes to apply per shard
+/// if the transaction commits, and the shard running the last statement,
+/// whose reply is the transaction's.
+struct TxnPlan {
+    slices: BTreeMap<usize, Vec<String>>,
+    changes: Vec<(usize, Change)>,
+    last: usize,
+    plan_us: u64,
+}
+
+/// How one command runs: decided once, by [`ShardRouter::plan`].
+enum Route {
+    /// Answered by the router itself (`TRACE`, `STATS`).
+    Router,
+    /// One shard, and overlappable: running the command changes nothing
+    /// the next command's routing depends on.
+    Lane(Placement),
+    /// One shard, run synchronously. Each group of changes belongs to one
+    /// BATCH statement (a QUERY script is one group) and applies once
+    /// that statement is acknowledged.
     Single {
-        shard: usize,
-        changes: Vec<OwnershipChange>,
+        at: Placement,
+        changes: Vec<Vec<Change>>,
     },
-    /// Dependencies span shards; `resolved` maps each known touched name
-    /// to its owner.
-    Multi {
-        resolved: BTreeMap<String, Owner>,
-        any_write: bool,
-    },
+    /// `CHECKPOINT`, on every shard.
+    Broadcast,
+    Gather(GatherPlan),
+    Txn(TxnPlan),
+    /// Refused with [`codes::CROSS_SHARD`] before anything runs.
+    Refused(String),
+    /// A BATCH whose statements do not share one shard: one route per
+    /// statement, run in frame order.
+    Split(Vec<Route>),
+}
+
+/// A command and the route [`ShardRouter::plan`] chose for it. Whatever
+/// runs it consumes the route and parses nothing.
+pub(crate) struct Planned {
+    command: Command,
+    route: Route,
 }
 
 /// A command queued on its shard by [`ShardRouter::begin`] whose reply has
@@ -187,33 +304,20 @@ pub(crate) struct InFlight {
     started: Instant,
 }
 
-/// What [`ShardRouter::begin`] did with a command.
+/// What [`ShardRouter::begin`] did with a planned command.
 pub(crate) enum Begun {
     /// Queued on its shard; the reply is in flight.
     InFlight(InFlight),
     /// The command has cross-command effects (or is answered by the router
-    /// itself): it is handed back so the session can settle every reply it
-    /// still owes and then run it with [`ShardRouter::submit`].
-    Sync(Command),
+    /// itself): it is handed back with its route so the session can settle
+    /// every reply it still owes and then run it with
+    /// [`ShardRouter::submit`].
+    Sync(Planned),
     /// The shard's queue is full right now and the caller said it has
     /// replies in flight. The command was NOT queued and is handed back:
     /// settle the oldest in-flight reply (proof the executor has freed a
     /// slot) and begin again.
-    Backpressure(Command),
-}
-
-/// Where one command runs: the lane, and — when the SQL router made a
-/// decision worth a span of its own — the resolve duration in microseconds
-/// and the placement detail.
-struct Placement {
-    shard: usize,
-    route: Option<(u64, String)>,
-}
-
-impl Placement {
-    fn on(shard: usize) -> Placement {
-        Placement { shard, route: None }
-    }
+    Backpressure(Planned),
 }
 
 /// Why [`ShardRouter::admit`] did not queue a job.
@@ -240,69 +344,47 @@ impl From<Refused> for (&'static str, String) {
     }
 }
 
+/// A client command's job under the open root span `ctx`, and the channel
+/// its reply arrives on. `images` make it the gather leg of a cross-shard
+/// read; `counted` says whether it ticks the per-verb counters — broadcasts
+/// fan one client command out to every shard and must count it exactly once
+/// (shard 0's leg).
+fn command_job(
+    session: u64,
+    command: Command,
+    images: Option<Vec<TableImage>>,
+    ctx: TraceContext,
+    counted: bool,
+) -> (Job, Receiver<Reply>) {
+    let (reply, reply_rx) = mpsc::channel();
+    let job = Job::Command {
+        session,
+        command,
+        images,
+        reply,
+        ctx,
+        enqueued: Instant::now(),
+        counted,
+    };
+    (job, reply_rx)
+}
+
 /// Wait for an executor's answer to one queued job.
 fn recv<T>(rx: &Receiver<Result<T, (&'static str, String)>>) -> Result<T, (&'static str, String)> {
     rx.recv()
         .map_err(|_| (codes::INTERNAL, "executor dropped the job".to_string()))?
 }
 
-/// Ownership-map updates applied after the owning shard acknowledged the
-/// statement.
-enum OwnershipChange {
-    Create { name: String, is_view: bool },
-    Drop { name: String },
-}
-
-/// A cross-shard write script split per statement: each participant shard's
-/// slice (original statement order preserved within a shard) plus the
-/// ownership changes to apply if the transaction commits.
-struct TxnPlan {
-    per_shard: BTreeMap<usize, Vec<String>>,
-    changes: Vec<(usize, OwnershipChange)>,
-}
-
 /// The coordinator's channels to one admitted transaction participant.
 struct TxnLeg {
     shard: usize,
-    /// Prepare ack: rows affected, or the participant's error.
-    prepared_rx: Receiver<Result<usize, (&'static str, String)>>,
+    /// Prepare ack: the slice's last reply body, or the participant's
+    /// error.
+    prepared_rx: Receiver<Reply>,
     /// The verdict channel; dropping it without sending reads as abort.
     decision_tx: Sender<bool>,
     /// Apply/unwind ack.
     done_rx: Receiver<Result<(), (&'static str, String)>>,
-}
-
-/// Split a script at top-level `;` boundaries, respecting single- and
-/// double-quoted runs (a `''` escape inside a string toggles twice, which
-/// lands in the same state). Empty fragments (trailing `;`) are dropped.
-fn split_statements(sql: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut current = String::new();
-    let (mut in_single, mut in_double) = (false, false);
-    for ch in sql.chars() {
-        match ch {
-            '\'' if !in_double => {
-                in_single = !in_single;
-                current.push(ch);
-            }
-            '"' if !in_single => {
-                in_double = !in_double;
-                current.push(ch);
-            }
-            ';' if !in_single && !in_double => {
-                if !current.trim().is_empty() {
-                    out.push(std::mem::take(&mut current));
-                } else {
-                    current.clear();
-                }
-            }
-            _ => current.push(ch),
-        }
-    }
-    if !current.trim().is_empty() {
-        out.push(current);
-    }
-    out
 }
 
 /// Routes commands from shard-agnostic sessions to shard-affine executors.
@@ -390,18 +472,61 @@ impl ShardRouter {
         }
     }
 
-    /// Take one client command from a session. A command whose completion
-    /// changes nothing the *next* command's routing depends on is queued on
+    /// Plan one client command: the one place the router decides where a
+    /// command runs and the one place it parses SQL (through
+    /// [`ShardRouter::place`]). On one shard there is nothing to place and
+    /// no routing state to change, so nothing is parsed: every command but
+    /// the router-answered `TRACE`/`STATS` and `SHUTDOWN` (kept synchronous
+    /// so a draining pipeline has observed every earlier reply) is a lane
+    /// command. On several shards only `QUERY`/`EXPLAIN` landing on one
+    /// shard with no ownership changes, and `EXECUTE` (pinned at PREPARE
+    /// time), are; DDL, scatter-gather, 2PC, broadcasts and prepare
+    /// bookkeeping are not.
+    pub(crate) fn plan(&self, session: u64, command: Command) -> Planned {
+        let route = match &command {
+            Command::Trace(_) | Command::Stats => Route::Router,
+            Command::Shutdown => Route::Single {
+                at: Placement::on(0),
+                changes: Vec::new(),
+            },
+            _ if self.lanes.len() == 1 => Route::Lane(Placement::on(0)),
+            Command::Query(sql) => self.route_sql(sql, false, &mut Overlay::new()),
+            Command::Explain { sql, .. } => self.route_sql(sql, true, &mut Overlay::new()),
+            Command::Prepare { name, sql } => self.route_prepare(session, name, sql),
+            Command::Execute { name, .. } => {
+                Route::Lane(Placement::on(self.prepared_shard(session, name)))
+            }
+            Command::Deallocate(name) => Route::Single {
+                at: Placement::on(self.prepared_shard(session, name)),
+                changes: vec![vec![Change::Deallocate {
+                    session,
+                    name: name.clone(),
+                }]],
+            },
+            Command::Batch(stmts) => self.route_batch(stmts),
+            Command::Checkpoint => Route::Broadcast,
+            // Single-shard surfaces: inspection scratch tables, replication
+            // topology, and the shared drain flag all live on (or are
+            // reachable from) shard 0.
+            Command::Inspect { .. } | Command::Replica | Command::Lag => Route::Single {
+                at: Placement::on(0),
+                changes: Vec::new(),
+            },
+        };
+        Planned { command, route }
+    }
+
+    /// Take one planned command from a session. A lane command is queued on
     /// its shard and comes back [`Begun::InFlight`] — the session collects
     /// the reply later, in order, with [`ShardRouter::finish`], and
     /// meanwhile overlaps executor work with its own socket I/O. Every
-    /// other command comes back [`Begun::Sync`] for [`ShardRouter::submit`].
+    /// other route comes back [`Begun::Sync`] for [`ShardRouter::submit`].
     ///
     /// Ordering: each shard's queue is FIFO, so two commands begun on the
     /// same shard execute in submission order. Commands on *different*
     /// shards may execute concurrently — their replies still return in
-    /// order, and any command whose dependency set spans shards comes back
-    /// `Sync`, which makes the session settle everything first.
+    /// order, and any command whose plan spans shards comes back `Sync`,
+    /// which makes the session settle everything first.
     ///
     /// Backpressure: with `patient` (the session has nothing in flight to
     /// settle) a full shard queue is waited on for up to
@@ -411,63 +536,31 @@ impl ShardRouter {
     pub(crate) fn begin(
         &self,
         session: u64,
-        command: Command,
+        planned: Planned,
         patient: bool,
     ) -> Result<Begun, (&'static str, String)> {
-        let started = Instant::now();
-        let Some(placement) = self.overlap_lane(session, &command) else {
-            return Ok(Begun::Sync(command));
+        let Planned { command, route } = planned;
+        let at = match route {
+            Route::Lane(at) => at,
+            route => return Ok(Begun::Sync(Planned { command, route })),
         };
+        let started = Instant::now();
         let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         let wait = if patient {
             ADMISSION_WAIT
         } else {
             Duration::ZERO
         };
-        match self.launch(placement, session, command, query_id, started, wait) {
+        match self.launch(&at, session, command, query_id, started, wait) {
             Ok(in_flight) => Ok(Begun::InFlight(in_flight)),
             Err(Refused::Full { job, .. }) if !patient => {
                 let Job::Command { command, .. } = *job else {
                     unreachable!("admit hands back the job it was given")
                 };
-                Ok(Begun::Backpressure(command))
+                let route = Route::Lane(at);
+                Ok(Begun::Backpressure(Planned { command, route }))
             }
             Err(refused) => Err(refused.into()),
-        }
-    }
-
-    /// Where `command` may be queued behind the session's back, or `None`
-    /// when the command has cross-command effects. On one shard there is no
-    /// placement to decide and no routing state to change: only the
-    /// router-answered verbs (`TRACE`, `STATS`) and `SHUTDOWN` (kept
-    /// synchronous so a draining pipeline has observed every earlier reply)
-    /// are excluded, and no SQL is parsed here. On several shards the
-    /// overlappable commands are `QUERY`/`EXPLAIN` resolving to one shard
-    /// with no ownership changes, plus `EXECUTE` (pinned at PREPARE time);
-    /// DDL, scatter-gather, 2PC, broadcasts and prepare bookkeeping are not.
-    fn overlap_lane(&self, session: u64, command: &Command) -> Option<Placement> {
-        if self.lanes.len() == 1 {
-            return match command {
-                Command::Trace(_) | Command::Stats | Command::Shutdown => None,
-                _ => Some(Placement::on(0)),
-            };
-        }
-        match command {
-            Command::Query(sql) | Command::Explain { sql, .. } => {
-                let resolve_started = Instant::now();
-                match self.resolve(sql) {
-                    Resolution::Single { shard, changes } if changes.is_empty() => {
-                        let resolve_us = resolve_started.elapsed().as_micros() as u64;
-                        let route = Some((resolve_us, format!("single shard={shard}")));
-                        Some(Placement { shard, route })
-                    }
-                    _ => None,
-                }
-            }
-            Command::Execute { name, .. } => {
-                Some(Placement::on(self.prepared_shard(session, name)))
-            }
-            _ => None,
         }
     }
 
@@ -490,48 +583,80 @@ impl ShardRouter {
     /// every reply it owed first, so whatever this command changes —
     /// ownership, prepared-statement placement, every shard's session
     /// state — is in place before the next command is routed.
-    pub fn submit(&self, session: u64, command: Command) -> Reply {
-        match command {
-            // TRACE and STATS are answered by the router itself: they are
-            // the verbs that need every shard's ring or samples, and
-            // answering them here keeps them out of the rings and the lane
-            // counters (neither traces nor counts itself).
-            Command::Trace(req) => return self.serve_trace(req),
-            Command::Stats => return self.serve_stats(),
-            _ => {}
+    pub fn submit(&self, session: u64, Planned { command, route }: Planned) -> Reply {
+        // TRACE and STATS are answered by the router itself: they are the
+        // verbs that need every shard's ring or samples, and answering them
+        // here keeps them out of the rings and the lane counters (neither
+        // traces nor counts itself).
+        if let Route::Router = route {
+            return match command {
+                Command::Trace(req) => self.serve_trace(req),
+                _ => self.serve_stats(),
+            };
         }
         let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        match command {
-            Command::Query(_) | Command::Explain { .. } => {
-                self.route_sql(session, command, query_id, started)
-            }
-            Command::Batch(_) => self.route_batch(session, command, query_id, started),
-            Command::Prepare { .. } => self.route_prepare(session, command, query_id, started),
-            Command::Execute { ref name, .. } => {
-                let shard = self.prepared_shard(session, name);
-                self.run_traced(shard, session, command, query_id, started, None)
-            }
-            Command::Deallocate(ref name) => {
-                let shard = self.prepared_shard(session, name);
-                let key = (session, name.clone());
-                let reply = self.run_traced(shard, session, command, query_id, started, None);
-                if reply.is_ok() {
-                    self.prepare_shards
-                        .lock()
-                        .expect("prepare lock")
-                        .remove(&key);
-                }
+        self.run(session, command, route, query_id, Instant::now())
+    }
+
+    /// Run one command along its route and wait for the reply.
+    fn run(
+        &self,
+        session: u64,
+        command: Command,
+        route: Route,
+        query_id: u64,
+        started: Instant,
+    ) -> Reply {
+        match route {
+            Route::Router => unreachable!("router-answered commands never run"),
+            Route::Lane(at) => self.run_traced(&at, session, command, query_id, started),
+            Route::Single { at, changes } => {
+                let is_batch = matches!(command, Command::Batch(_));
+                let reply = self.run_traced(&at, session, command, query_id, started);
+                // A mid-batch failure leaves the earlier statements applied
+                // (they are individually acknowledged); their changes must
+                // land even though the frame as a whole errored.
+                let applied = match &reply {
+                    Ok(_) => changes.len(),
+                    Err((_, msg)) if is_batch => {
+                        batch_error_index(msg).map_or(0, |i| i.saturating_sub(1))
+                    }
+                    Err(_) => 0,
+                };
+                let applied = changes.into_iter().take(applied).flatten();
+                self.apply_changes(applied.map(|change| (at.shard, change)));
                 reply
             }
-            Command::Checkpoint => self.broadcast_checkpoint(session, query_id, started),
-            // Single-shard surfaces: inspection scratch tables, replication
-            // topology, and the shared drain flag all live on (or are
-            // reachable from) shard 0.
-            Command::Inspect { .. } | Command::Replica | Command::Lag | Command::Shutdown => {
-                self.run_traced(0, session, command, query_id, started, None)
+            Route::Broadcast => self.broadcast_checkpoint(session, query_id, started),
+            Route::Gather(plan) => self.scatter_gather(session, command, plan, query_id, started),
+            Route::Txn(plan) => self.two_phase_commit(command, plan, query_id, started),
+            Route::Refused(msg) => {
+                self.cross_shard_rejects.fetch_add(1, Ordering::Relaxed);
+                Err((codes::CROSS_SHARD, msg))
             }
-            Command::Trace(_) | Command::Stats => unreachable!("handled above"),
+            Route::Split(routes) => {
+                // Each statement runs as if the client had sent it as a
+                // QUERY frame (each counts into `queries`); the first
+                // failing statement stops the batch, earlier ones stand.
+                let Command::Batch(stmts) = command else {
+                    unreachable!("only a BATCH splits")
+                };
+                let total = stmts.len();
+                let mut bodies = Vec::with_capacity(total);
+                for (i, (sql, route)) in stmts.into_iter().zip(routes).enumerate() {
+                    let stmt_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
+                    let body = self
+                        .run(session, Command::Query(sql), route, stmt_id, Instant::now())
+                        .map_err(|(code, msg)| {
+                            (code, format!("batch statement {}/{total}: {msg}", i + 1))
+                        })?;
+                    self.metrics
+                        .batch_statements
+                        .fetch_add(1, Ordering::Relaxed);
+                    bodies.push(body);
+                }
+                Ok(bodies.join(&crate::protocol::BATCH_SEP.to_string()))
+            }
         }
     }
 
@@ -554,6 +679,254 @@ impl ShardRouter {
             .get(&(session, name.to_string()))
             .copied()
             .unwrap_or(0)
+    }
+
+    /// Cut a SQL text at the lexer's `;` tokens and place each statement on
+    /// the shard owning what it touches — names `overlay` says earlier
+    /// statements of the same command created or dropped included — with
+    /// what it changes in the ownership map. `None` (counted in
+    /// `shard_fallbacks`) when the text does not parse: shard 0's engine
+    /// then produces the canonical error text.
+    fn place<'a>(&self, sql: &'a str, overlay: &mut Overlay) -> Option<SqlPlan<'a>> {
+        let Ok(pieces) = parse_fragments(sql) else {
+            self.fallbacks.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let n = self.lanes.len();
+        let own = self.ownership.lock().expect("ownership lock");
+        let mut plan = SqlPlan {
+            stmts: Vec::with_capacity(pieces.len()),
+            names: BTreeMap::new(),
+            any_write: false,
+            unsplittable: None,
+        };
+        for (text, stmts) in pieces {
+            let mut names: BTreeMap<String, Owner> = BTreeMap::new();
+            let mut changes = Vec::new();
+            for deps in stmts.iter().map(statement_deps) {
+                plan.any_write |= deps.is_write();
+                let owner = |name: &String| match overlay.get(name) {
+                    Some(known) => *known,
+                    None => own.get(name).copied(),
+                };
+                for w in &deps.writes {
+                    // A new view has no shard of its own: it lives with the
+                    // tables it reads, so the owning shard can plan it.
+                    let new_view = deps.creates.as_ref().is_some_and(|(c, v)| *v && c == w);
+                    let hashed = Owner {
+                        shard: shard_of(w, n),
+                        is_view: false,
+                    };
+                    if let Some(o) = owner(w).or((!new_view).then_some(hashed)) {
+                        names.insert(w.clone(), o);
+                    }
+                }
+                // Unknown pure reads are ignored on purpose: the routed
+                // shard's binder produces the canonical "unknown table"
+                // error text, identical to a single-shard server's.
+                for r in &deps.reads {
+                    if let Some(o) = owner(r) {
+                        names.insert(r.clone(), o);
+                    }
+                }
+                changes.extend(
+                    deps.creates
+                        .map(|(name, is_view)| Change::Create { name, is_view }),
+                );
+                changes.extend(deps.drops.map(|(name, _)| Change::Drop(name)));
+            }
+            let shards: BTreeSet<usize> = names.values().map(|o| o.shard).collect();
+            if shards.len() > 1 && plan.unsplittable.is_none() {
+                let placement = render_placement(&names);
+                plan.unsplittable = Some(format!("'{text}' alone touches {placement}"));
+            }
+            let shard = shards.first().copied();
+            for change in &changes {
+                match change {
+                    Change::Create { name, is_view } => {
+                        let is_view = *is_view;
+                        overlay.insert(name.clone(), shard.map(|shard| Owner { shard, is_view }))
+                    }
+                    Change::Drop(name) => overlay.insert(name.clone(), None),
+                    _ => None,
+                };
+            }
+            plan.names.extend(names);
+            plan.stmts.push(Placed {
+                sql: text,
+                shard,
+                changes,
+            });
+        }
+        Some(plan)
+    }
+
+    /// Route a `QUERY` or `EXPLAIN` text (or one BATCH statement): one
+    /// shard, a scatter-gather read, a two-phase commit, or a refusal. The
+    /// planning time lands on the route span.
+    fn route_sql(&self, sql: &str, explain: bool, overlay: &mut Overlay) -> Route {
+        let started = Instant::now();
+        let plan = self.place(sql, overlay);
+        let us = started.elapsed().as_micros() as u64;
+        let Some(plan) = plan else {
+            let route = Some((us, "fallback shard=0".to_string()));
+            return Route::Lane(Placement { shard: 0, route });
+        };
+        if let Some(shard) = plan.home() {
+            let route = Some((us, format!("single shard={shard}")));
+            let at = Placement { shard, route };
+            let changes: Vec<Change> = plan.stmts.into_iter().flat_map(|p| p.changes).collect();
+            if changes.is_empty() {
+                return Route::Lane(at);
+            }
+            let changes = vec![changes];
+            return Route::Single { at, changes };
+        }
+        if !plan.any_write {
+            return self.route_gather(&plan.names, us);
+        }
+        if explain {
+            // EXPLAIN plans on one engine; a cross-shard write script has
+            // no single planning site.
+            return Route::Refused(format!(
+                "EXPLAIN of a cross-shard write is unsupported: the statement touches {}; \
+                 EXPLAIN each statement on its owning shard instead",
+                render_placement(&plan.names)
+            ));
+        }
+        if let Some(why) = plan.unsplittable {
+            return Route::Refused(format!(
+                "a cross-shard transaction splits per statement, but {why}; rewrite it to \
+                 touch one shard per statement"
+            ));
+        }
+        // A statement touching no known name runs on shard 0.
+        let last = plan.stmts.last().and_then(|p| p.shard).unwrap_or(0);
+        let mut slices: BTreeMap<usize, Vec<String>> = BTreeMap::new();
+        let mut changes = Vec::new();
+        for Placed {
+            sql,
+            shard,
+            changes: c,
+        } in plan.stmts
+        {
+            let shard = shard.unwrap_or(0);
+            slices.entry(shard).or_default().push(sql.to_string());
+            changes.extend(c.into_iter().map(|change| (shard, change)));
+        }
+        Route::Txn(TxnPlan {
+            slices,
+            changes,
+            last,
+            plan_us: us,
+        })
+    }
+
+    /// Route a `PREPARE`: prepared statements are pinned to one shard,
+    /// recorded for the session once the shard prepared it.
+    fn route_prepare(&self, session: u64, name: &str, sql: &str) -> Route {
+        let shard = match self.place(sql, &mut Overlay::new()) {
+            None => 0,
+            Some(plan) => match plan.home() {
+                Some(shard) => shard,
+                None => {
+                    return Route::Refused(format!(
+                        "prepared statements are pinned to one shard, but this one touches {}; \
+                         prepare it per shard against the tables each owns, or run it \
+                         directly as QUERY (cross-shard reads scatter-gather, cross-shard \
+                         writes run two-phase commit)",
+                        render_placement(&plan.names)
+                    ))
+                }
+            },
+        };
+        let name = name.to_string();
+        Route::Single {
+            at: Placement::on(shard),
+            changes: vec![vec![Change::Prepare { session, name }]],
+        }
+    }
+
+    /// Route a cross-shard read: the coordinator is the shard owning most
+    /// of the touched names (fewest exports; ties break toward the lowest
+    /// shard id), every other shard exports its tables to it.
+    fn route_gather(&self, names: &BTreeMap<String, Owner>, plan_us: u64) -> Route {
+        let mut counts = vec![0usize; self.lanes.len()];
+        for owner in names.values() {
+            counts[owner.shard] += 1;
+        }
+        let coordinator = counts
+            .iter()
+            .enumerate()
+            .max_by_key(|(shard, count)| (**count, std::cmp::Reverse(*shard)))
+            .map_or(0, |(shard, _)| shard);
+        let mut exports: BTreeMap<usize, Vec<String>> = BTreeMap::new();
+        for (name, owner) in names.iter().filter(|(_, o)| o.shard != coordinator) {
+            if owner.is_view {
+                // Views have no rows to export; planning them needs the
+                // owning shard's catalog. Cross-shard view reads are a
+                // documented limitation (docs/SHARDING.md).
+                return Route::Refused(format!(
+                    "view '{name}' lives on shard{} with the tables it reads, but this query \
+                     would gather on shard{coordinator} ({}); views cannot be exported — \
+                     query the view alone, or join it only with tables on shard{}",
+                    owner.shard,
+                    render_placement(names),
+                    owner.shard
+                ));
+            }
+            exports.entry(owner.shard).or_default().push(name.clone());
+        }
+        Route::Gather(GatherPlan {
+            coordinator,
+            exports,
+            plan_us,
+        })
+    }
+
+    /// Route a `BATCH` frame. When every statement lands on the same shard
+    /// the whole frame travels as **one** job: the executor runs the N
+    /// statements inside a single drained batch, so under `fsync=always`
+    /// the entire frame shares one group-commit window — that amortization
+    /// is the point of BATCH. Otherwise every statement keeps its own
+    /// route, run in frame order. Statements are planned in order against
+    /// one overlay, so a name an earlier statement creates or drops
+    /// resolves for the later ones as it will when they run.
+    fn route_batch(&self, stmts: &[String]) -> Route {
+        let started = Instant::now();
+        let mut overlay = Overlay::new();
+        let routes: Vec<Route> = stmts
+            .iter()
+            .map(|sql| self.route_sql(sql, false, &mut overlay))
+            .collect();
+        // The one shard every statement runs on, if there is one (an empty
+        // frame runs on shard 0).
+        let home = routes
+            .iter()
+            .map(|route| match route {
+                Route::Lane(at) | Route::Single { at, .. } => Some(at.shard),
+                _ => None,
+            })
+            .reduce(|a, b| a.filter(|shard| Some(*shard) == b))
+            .unwrap_or(Some(0));
+        let Some(shard) = home else {
+            return Route::Split(routes);
+        };
+        let changes = routes
+            .into_iter()
+            .map(|route| match route {
+                Route::Single { changes, .. } => changes.into_iter().flatten().collect(),
+                _ => Vec::new(),
+            })
+            .collect();
+        let route = Some((
+            started.elapsed().as_micros() as u64,
+            format!("batch single shard={shard}"),
+        ));
+        Route::Single {
+            at: Placement { shard, route },
+            changes,
+        }
     }
 
     /// The one way onto a shard's queue: admit `job` within `wait`, keeping
@@ -600,32 +973,6 @@ impl ShardRouter {
         Err(refused)
     }
 
-    /// Queue one command job on `shard` under the open root span `ctx`; the
-    /// reply arrives on the returned channel. `counted` says whether this
-    /// leg ticks the per-verb counters — broadcasts fan one client command
-    /// out to every shard and must count it exactly once (shard 0's leg).
-    fn send_command(
-        &self,
-        shard: usize,
-        session: u64,
-        command: Command,
-        ctx: TraceContext,
-        counted: bool,
-        wait: Duration,
-    ) -> Result<Receiver<Reply>, Refused> {
-        let (reply, reply_rx) = mpsc::channel();
-        let job = Job::Command {
-            session,
-            command,
-            reply,
-            ctx: Some(ctx),
-            enqueued: Instant::now(),
-            counted,
-        };
-        self.admit(shard, job, Admission::Client, wait)?;
-        Ok(reply_rx)
-    }
-
     /// Open a root span for `query_id` on `shard`'s ring; returns the
     /// context children hang under. The root is pinned (excluded from ring
     /// eviction) until [`ShardRouter::finish_root`] closes it.
@@ -637,6 +984,19 @@ impl ShardRouter {
         };
         self.lanes[shard].ring.begin_root(rec);
         ctx
+    }
+
+    /// Record the planner's decision as the root's `route` child.
+    fn record_route(&self, shard: usize, ctx: TraceContext, plan_us: u64, detail: &str) {
+        self.lanes[shard].ring.record(SpanRecord::child(
+            ctx,
+            SpanKind::Router,
+            shard as u16,
+            "route",
+            detail,
+            plan_us,
+            true,
+        ));
     }
 
     /// Close the root span opened by [`ShardRouter::begin_root`].
@@ -653,27 +1013,21 @@ impl ShardRouter {
     /// refusal is returned.
     fn launch(
         &self,
-        Placement { shard, route }: Placement,
+        at: &Placement,
         session: u64,
         command: Command,
         query_id: u64,
         started: Instant,
         wait: Duration,
     ) -> Result<InFlight, Refused> {
+        let shard = at.shard;
         let ctx = self.begin_root(shard, query_id, &command);
-        if let Some((us, detail)) = route {
-            self.lanes[shard].ring.record(SpanRecord::child(
-                ctx,
-                SpanKind::Router,
-                shard as u16,
-                "route",
-                &detail,
-                us,
-                true,
-            ));
+        if let Some((us, detail)) = &at.route {
+            self.record_route(shard, ctx, *us, detail);
         }
-        match self.send_command(shard, session, command, ctx, true, wait) {
-            Ok(rx) => Ok(InFlight {
+        let (job, rx) = command_job(session, command, None, ctx, true);
+        match self.admit(shard, job, Admission::Client, wait) {
+            Ok(()) => Ok(InFlight {
                 rx,
                 shard,
                 ctx,
@@ -686,361 +1040,53 @@ impl ShardRouter {
         }
     }
 
-    /// Run one command under a fresh root span on `shard` and wait for its
-    /// reply, within the bounded admission wait.
+    /// Run one command under a fresh root span on its shard and wait for
+    /// its reply, within the bounded admission wait.
     fn run_traced(
         &self,
-        shard: usize,
+        at: &Placement,
         session: u64,
         command: Command,
         query_id: u64,
         started: Instant,
-        route: Option<(u64, String)>,
     ) -> Reply {
-        let placement = Placement { shard, route };
-        let in_flight = self.launch(
-            placement,
-            session,
-            command,
-            query_id,
-            started,
-            ADMISSION_WAIT,
-        )?;
+        let in_flight = self.launch(at, session, command, query_id, started, ADMISSION_WAIT)?;
         self.finish(in_flight)
     }
 
-    /// Resolve the dependency set of a (possibly `;`-separated) SQL text
-    /// against the ownership map.
-    fn resolve(&self, sql: &str) -> Resolution {
-        let stmts = match parse_sql(sql) {
-            Ok(stmts) => stmts,
-            Err(_) => return Resolution::Unparsed,
-        };
-        let n = self.lanes.len();
-        let mut resolved: BTreeMap<String, Owner> = BTreeMap::new();
-        let mut targets: BTreeSet<usize> = BTreeSet::new();
-        let mut changes: Vec<OwnershipChange> = Vec::new();
-        let mut any_write = false;
-        let own = self.ownership.lock().expect("ownership lock");
-        for stmt in &stmts {
-            let deps = statement_deps(stmt);
-            any_write |= deps.is_write();
-            for w in &deps.writes {
-                let created_view = deps
-                    .creates
-                    .as_ref()
-                    .is_some_and(|(name, is_view)| *is_view && name == w);
-                let owner = match own.get(w) {
-                    Some(o) => Some(*o),
-                    // A new view has no shard of its own: it lives with
-                    // the tables it reads (resolved below), so the owning
-                    // shard can plan it locally.
-                    None if created_view => None,
-                    None => Some(Owner {
-                        shard: shard_of(w, n),
-                        is_view: false,
-                    }),
-                };
-                if let Some(o) = owner {
-                    resolved.insert(w.clone(), o);
-                    targets.insert(o.shard);
-                }
-            }
-            for r in &deps.reads {
-                // Unknown pure reads are ignored on purpose: the routed
-                // shard's binder produces the canonical "unknown table"
-                // error text, identical to a single-shard server's.
-                if let Some(o) = own.get(r) {
-                    resolved.insert(r.clone(), *o);
-                    targets.insert(o.shard);
-                }
-            }
-            if let Some((name, is_view)) = &deps.creates {
-                changes.push(OwnershipChange::Create {
-                    name: name.clone(),
-                    is_view: *is_view,
-                });
-            }
-            if let Some((name, _)) = &deps.drops {
-                changes.push(OwnershipChange::Drop { name: name.clone() });
-            }
-        }
-        drop(own);
-        match targets.len() {
-            0 => Resolution::Single { shard: 0, changes },
-            1 => Resolution::Single {
-                shard: *targets.iter().next().expect("one target"),
-                changes,
-            },
-            _ => Resolution::Multi {
-                resolved,
-                any_write,
-            },
-        }
-    }
-
-    /// Route a `QUERY` or `EXPLAIN` by its dependency set.
-    fn route_sql(&self, session: u64, command: Command, query_id: u64, started: Instant) -> Reply {
-        let sql = match &command {
-            Command::Query(sql) | Command::Explain { sql, .. } => sql.clone(),
-            _ => unreachable!("route_sql only sees QUERY/EXPLAIN"),
-        };
-        let resolve_started = Instant::now();
-        let resolution = self.resolve(&sql);
-        let resolve_us = resolve_started.elapsed().as_micros() as u64;
-        match resolution {
-            Resolution::Unparsed => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.run_traced(
-                    0,
-                    session,
-                    command,
-                    query_id,
-                    started,
-                    Some((resolve_us, "fallback shard=0".into())),
-                )
-            }
-            Resolution::Single { shard, changes } => {
-                let reply = self.run_traced(
-                    shard,
-                    session,
-                    command,
-                    query_id,
-                    started,
-                    Some((resolve_us, format!("single shard={shard}"))),
-                );
-                if reply.is_ok() {
-                    self.apply_changes(shard, changes);
-                }
-                reply
-            }
-            Resolution::Multi {
-                resolved,
-                any_write,
-            } => {
-                if any_write {
-                    return match command {
-                        Command::Query(_) => self.two_phase_commit(
-                            session, &sql, &resolved, query_id, started, resolve_us,
-                        ),
-                        // EXPLAIN plans on one engine; a cross-shard write
-                        // script has no single planning site.
-                        _ => {
-                            self.cross_shard_rejects.fetch_add(1, Ordering::Relaxed);
-                            Err((
-                                codes::CROSS_SHARD,
-                                format!(
-                                    "EXPLAIN of a cross-shard write is unsupported: the \
-                                     statement touches {}; EXPLAIN each statement on its \
-                                     owning shard instead",
-                                    render_placement(&resolved)
-                                ),
-                            ))
-                        }
-                    };
-                }
-                self.scatter_gather(session, command, &resolved, query_id, started, resolve_us)
-            }
-        }
-    }
-
-    /// Route a `PREPARE`: prepared statements are pinned to one shard.
-    fn route_prepare(
-        &self,
-        session: u64,
-        command: Command,
-        query_id: u64,
-        started: Instant,
-    ) -> Reply {
-        let (name, sql) = match &command {
-            Command::Prepare { name, sql } => (name.clone(), sql.clone()),
-            _ => unreachable!("route_prepare only sees PREPARE"),
-        };
-        let shard = match self.resolve(&sql) {
-            Resolution::Unparsed => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                0
-            }
-            Resolution::Single { shard, .. } => shard,
-            Resolution::Multi { resolved, .. } => {
-                self.cross_shard_rejects.fetch_add(1, Ordering::Relaxed);
-                return Err((
-                    codes::CROSS_SHARD,
-                    format!(
-                        "prepared statements are pinned to one shard, but this one \
-                         touches {}; prepare it per shard against the tables each \
-                         owns, or run it directly as QUERY (cross-shard reads \
-                         scatter-gather, cross-shard writes run two-phase commit)",
-                        render_placement(&resolved)
-                    ),
-                ));
-            }
-        };
-        let reply = self.run_traced(shard, session, command, query_id, started, None);
-        if reply.is_ok() {
-            self.prepare_shards
-                .lock()
-                .expect("prepare lock")
-                .insert((session, name), shard);
-        }
-        reply
-    }
-
-    /// Route a `BATCH` frame. When every statement resolves to the same
-    /// shard the whole frame travels as **one** job: the executor runs the
-    /// N statements inside a single drained batch, so under `fsync=always`
-    /// the entire frame shares one group-commit window — that amortization
-    /// is the point of BATCH. A batch whose statements span shards falls
-    /// back to per-statement routing in frame order (each leg counts into
-    /// the `queries` counter, exactly as if the client had sent N QUERY
-    /// frames); the first failing statement stops the batch, earlier
-    /// statements stand, and the error names the 1-based statement index.
-    fn route_batch(
-        &self,
-        session: u64,
-        command: Command,
-        query_id: u64,
-        started: Instant,
-    ) -> Reply {
-        let stmts = match &command {
-            Command::Batch(stmts) => stmts.clone(),
-            _ => unreachable!("route_batch only sees BATCH"),
-        };
-        let resolve_started = Instant::now();
-        let mut per_stmt_changes: Vec<Vec<OwnershipChange>> = Vec::with_capacity(stmts.len());
-        let mut target: Option<usize> = None;
-        let mut splits = false;
-        for sql in &stmts {
-            match self.resolve(sql) {
-                Resolution::Unparsed => {
-                    // Shard 0's engine produces the canonical error text.
-                    per_stmt_changes.push(Vec::new());
-                    splits |= *target.get_or_insert(0) != 0;
-                }
-                Resolution::Single { shard, changes } => {
-                    per_stmt_changes.push(changes);
-                    splits |= *target.get_or_insert(shard) != shard;
-                }
-                Resolution::Multi { .. } => {
-                    per_stmt_changes.push(Vec::new());
-                    splits = true;
-                }
-            }
-        }
-        let resolve_us = resolve_started.elapsed().as_micros() as u64;
-        if !splits {
-            let shard = target.unwrap_or(0);
-            let reply = self.run_traced(
-                shard,
-                session,
-                command,
-                query_id,
-                started,
-                Some((resolve_us, format!("batch single shard={shard}"))),
-            );
-            // A mid-batch failure leaves the earlier statements applied
-            // (they are individually acknowledged); their ownership changes
-            // must land even though the frame as a whole errored.
-            let applied = match &reply {
-                Ok(_) => per_stmt_changes.len(),
-                Err((_, msg)) => batch_error_index(msg).map_or(0, |i| i.saturating_sub(1)),
-            };
-            for changes in per_stmt_changes.into_iter().take(applied) {
-                self.apply_changes(shard, changes);
-            }
-            return reply;
-        }
-        let total = stmts.len();
-        let mut bodies = Vec::with_capacity(total);
-        for (i, sql) in stmts.into_iter().enumerate() {
-            let stmt_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-            match self.route_sql(session, Command::Query(sql), stmt_id, Instant::now()) {
-                Ok(body) => {
-                    self.metrics
-                        .batch_statements
-                        .fetch_add(1, Ordering::Relaxed);
-                    bodies.push(body);
-                }
-                Err((code, msg)) => {
-                    return Err((code, format!("batch statement {}/{total}: {msg}", i + 1)))
-                }
-            }
-        }
-        Ok(bodies.join(&crate::protocol::BATCH_SEP.to_string()))
-    }
-
-    /// Split a cross-shard write script per statement and run it as a
-    /// distributed transaction: every participant shard durably stages its
-    /// slice (`PREPARE`), the router fsyncs the commit verdict into the
-    /// decision log, then every participant applies. The client is
-    /// acknowledged only after the verdict is durable, so an acked
-    /// transaction survives any single crash — recovery completes it from
-    /// the prepare frames plus the decision log. A missing verdict reads as
-    /// abort (presumed abort), so an unacked transaction vanishes.
+    /// Run a cross-shard write script as a distributed transaction: every
+    /// participant shard durably stages its slice (`PREPARE`), the router
+    /// fsyncs the commit verdict into the decision log, then every
+    /// participant applies. The client is acknowledged only after the
+    /// verdict is durable, so an acked transaction survives any single
+    /// crash — recovery completes it from the prepare frames plus the
+    /// decision log. A missing verdict reads as abort (presumed abort), so
+    /// an unacked transaction vanishes.
     fn two_phase_commit(
         &self,
-        session: u64,
-        sql: &str,
-        resolved: &BTreeMap<String, Owner>,
+        command: Command,
+        plan: TxnPlan,
         query_id: u64,
         started: Instant,
-        resolve_us: u64,
     ) -> Reply {
-        // `resolved` drove the multi-shard classification; the plan redoes
-        // resolution per statement so its errors can name the exact
-        // statement that cannot be split.
-        let _ = resolved;
-        let plan = match self.plan_txn(sql) {
-            Ok(plan) => plan,
-            Err(e) => {
-                self.cross_shard_rejects.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
-        };
-        if plan.per_shard.len() <= 1 {
-            // The per-statement split landed everything on one shard after
-            // all (the multi-ness came from names a statement never pinned);
-            // run it as an ordinary single-shard script.
-            let shard = plan.per_shard.keys().next().copied().unwrap_or(0);
-            let reply = self.run_traced(
-                shard,
-                session,
-                Command::Query(sql.to_string()),
-                query_id,
-                started,
-                Some((resolve_us, format!("single shard={shard}"))),
-            );
-            if reply.is_ok() {
-                self.apply_txn_changes(plan.changes);
-            }
-            return reply;
-        }
         let txn_id = self.next_txn_id.fetch_add(1, Ordering::Relaxed);
         // Hold the gate exclusively for the whole prepare→decide→apply
         // window: scatter-gather readers hold it shared, so a cross-shard
         // read can never observe this transaction half-applied.
         let gate = self.txn_gate.write().unwrap_or_else(|e| e.into_inner());
-        let command = Command::Query(sql.to_string());
-        let participants: Vec<usize> = plan.per_shard.keys().copied().collect();
+        let participants: Vec<usize> = plan.slices.keys().copied().collect();
         let root_shard = participants[0];
         let ctx = self.begin_root(root_shard, query_id, &command);
-        self.lanes[root_shard].ring.record(SpanRecord::child(
-            ctx,
-            SpanKind::Router,
-            root_shard as u16,
-            "route",
-            &format!(
-                "2pc txn={txn_id} participants={participants:?} cut=[{}]",
-                self.cut_vector()
-            ),
-            resolve_us,
-            true,
-        ));
+        let detail = format!(
+            "2pc txn={txn_id} participants={participants:?} cut=[{}]",
+            self.cut_vector()
+        );
+        self.record_route(root_shard, ctx, plan.plan_us, &detail);
         let reply = self.two_phase_commit_inner(txn_id, &plan, ctx, root_shard);
         drop(gate);
         if reply.is_ok() {
             self.txn_commits.fetch_add(1, Ordering::Relaxed);
-            self.apply_txn_changes(plan.changes);
+            self.apply_changes(plan.changes);
         } else {
             self.txn_aborts.fetch_add(1, Ordering::Relaxed);
             self.metrics.exec_errors.fetch_add(1, Ordering::Relaxed);
@@ -1057,6 +1103,8 @@ impl ShardRouter {
 
     /// The fallible phases of a two-phase commit, split out so the caller
     /// can close the root span and release the gate on every exit path.
+    /// The reply is the body of the leg running the script's last
+    /// statement — what a single-shard server answers for the script.
     fn two_phase_commit_inner(
         &self,
         txn_id: u64,
@@ -1070,17 +1118,19 @@ impl ShardRouter {
         // keeps prepared-but-undecided state invisible to every other job
         // on that shard.
         let mut legs: Vec<TxnLeg> = Vec::new();
-        for (&shard, stmts) in &plan.per_shard {
+        for (&shard, stmts) in &plan.slices {
             let (prepared_tx, prepared_rx) = mpsc::channel();
             let (decision_tx, decision_rx) = mpsc::channel();
             let (done_tx, done_rx) = mpsc::channel();
             let job = Job::Txn {
                 txn_id,
-                sql: stmts.join("; "),
+                // A newline closes a trailing `--` comment; TRACE renders
+                // it as a space.
+                sql: stmts.join(";\n"),
                 prepared: prepared_tx,
                 decision: decision_rx,
                 done: done_tx,
-                ctx: Some(ctx),
+                ctx,
                 enqueued: Instant::now(),
             };
             if let Err(refused) = self.admit(shard, job, Admission::Client, ADMISSION_WAIT) {
@@ -1096,11 +1146,12 @@ impl ShardRouter {
                 done_rx,
             });
         }
-        let mut rows = 0usize;
+        let mut body = String::new();
         let mut failure: Option<(&'static str, String)> = None;
         for leg in &legs {
             match leg.prepared_rx.recv() {
-                Ok(Ok(n)) => rows += n,
+                Ok(Ok(last)) if leg.shard == plan.last => body = last,
+                Ok(Ok(_)) => {}
                 Ok(Err(e)) => {
                     failure.get_or_insert(e);
                 }
@@ -1149,7 +1200,7 @@ impl ShardRouter {
             // decision log. The client ack stands either way.
             let _ = leg.done_rx.recv();
         }
-        Ok(format!("ok {rows}"))
+        Ok(body)
     }
 
     /// Deliver an abort verdict to every already-admitted participant and
@@ -1176,105 +1227,6 @@ impl ShardRouter {
         }
     }
 
-    /// Split a write script per statement and pin each statement to the one
-    /// shard owning its tables. Names created earlier in the script resolve
-    /// for later statements. A single statement whose dependencies span
-    /// shards cannot be split and refuses the whole transaction.
-    fn plan_txn(&self, sql: &str) -> Result<TxnPlan, (&'static str, String)> {
-        let n = self.lanes.len();
-        let mut per_shard: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-        let mut changes: Vec<(usize, OwnershipChange)> = Vec::new();
-        let mut created: HashMap<String, Owner> = HashMap::new();
-        let own = self.ownership.lock().expect("ownership lock");
-        for fragment in split_statements(sql) {
-            let stmts = match parse_sql(&fragment) {
-                Ok(stmts) => stmts,
-                Err(_) => {
-                    return Err((
-                        codes::CROSS_SHARD,
-                        format!(
-                            "cross-shard write script could not be split at statement \
-                             boundaries: '{fragment}' did not parse as one statement"
-                        ),
-                    ));
-                }
-            };
-            for stmt in &stmts {
-                let deps = statement_deps(stmt);
-                let mut placement: BTreeMap<String, Owner> = BTreeMap::new();
-                let mut targets: BTreeSet<usize> = BTreeSet::new();
-                for w in &deps.writes {
-                    let created_view = deps
-                        .creates
-                        .as_ref()
-                        .is_some_and(|(name, is_view)| *is_view && name == w);
-                    let owner = match own.get(w).or_else(|| created.get(w)) {
-                        Some(o) => Some(*o),
-                        None if created_view => None,
-                        None => Some(Owner {
-                            shard: shard_of(w, n),
-                            is_view: false,
-                        }),
-                    };
-                    if let Some(o) = owner {
-                        placement.insert(w.clone(), o);
-                        targets.insert(o.shard);
-                    }
-                }
-                for r in &deps.reads {
-                    if let Some(o) = own.get(r).or_else(|| created.get(r)) {
-                        placement.insert(r.clone(), *o);
-                        targets.insert(o.shard);
-                    }
-                }
-                if targets.len() > 1 {
-                    return Err((
-                        codes::CROSS_SHARD,
-                        format!(
-                            "a cross-shard transaction splits per statement, but \
-                             '{fragment}' alone touches {}; rewrite it to touch one \
-                             shard per statement",
-                            render_placement(&placement)
-                        ),
-                    ));
-                }
-                let shard = targets.iter().next().copied().unwrap_or(0);
-                if let Some((name, is_view)) = &deps.creates {
-                    created.insert(
-                        name.clone(),
-                        Owner {
-                            shard,
-                            is_view: *is_view,
-                        },
-                    );
-                    changes.push((
-                        shard,
-                        OwnershipChange::Create {
-                            name: name.clone(),
-                            is_view: *is_view,
-                        },
-                    ));
-                }
-                if let Some((name, _)) = &deps.drops {
-                    changes.push((shard, OwnershipChange::Drop { name: name.clone() }));
-                }
-                per_shard
-                    .entry(shard)
-                    .or_default()
-                    .push(fragment.trim().to_string());
-            }
-        }
-        drop(own);
-        Ok(TxnPlan { per_shard, changes })
-    }
-
-    /// Apply per-shard ownership changes after a transaction committed.
-    fn apply_txn_changes(&self, changes: Vec<(usize, OwnershipChange)>) {
-        for (shard, change) in changes {
-            self.apply_changes(shard, vec![change]);
-        }
-    }
-
     /// The per-shard committed-LSN watermarks, rendered `lsn0,lsn1,...`
     /// (`-` for volatile shards). Read under the transaction gate, this is
     /// the consistent cut a scatter-gather observes.
@@ -1298,67 +1250,23 @@ impl ShardRouter {
         &self,
         session: u64,
         command: Command,
-        resolved: &BTreeMap<String, Owner>,
+        plan: GatherPlan,
         query_id: u64,
         started: Instant,
-        resolve_us: u64,
     ) -> Reply {
-        // Coordinator: the shard owning most of the touched names (fewest
-        // exports); ties break toward the lowest shard id.
-        let mut counts = vec![0usize; self.lanes.len()];
-        for owner in resolved.values() {
-            counts[owner.shard] += 1;
-        }
-        let coordinator = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(shard, count)| (**count, std::cmp::Reverse(*shard)))
-            .map(|(shard, _)| shard)
-            .unwrap_or(0);
-        let mut per_shard: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-        for (name, owner) in resolved {
-            if owner.shard == coordinator {
-                continue;
-            }
-            if owner.is_view {
-                // Views have no rows to export; planning them needs the
-                // owning shard's catalog. Cross-shard view reads are a
-                // documented limitation (docs/SHARDING.md).
-                self.cross_shard_rejects.fetch_add(1, Ordering::Relaxed);
-                return Err((
-                    codes::CROSS_SHARD,
-                    format!(
-                        "view '{name}' lives on shard{} with the tables it reads, but \
-                         this query would gather on shard{coordinator} ({}); views \
-                         cannot be exported — query the view alone, or join it only \
-                         with tables on shard{}",
-                        owner.shard,
-                        render_placement(resolved),
-                        owner.shard
-                    ),
-                ));
-            }
-            per_shard.entry(owner.shard).or_default().push(name.clone());
-        }
+        let coordinator = plan.coordinator;
         // Shared side of the consistent-cut gate: no two-phase commit can
         // be mid-flight anywhere while we hold this, so the exported images
         // reflect every distributed transaction entirely or not at all.
         let gate = self.txn_gate.read().unwrap_or_else(|e| e.into_inner());
         let ctx = self.begin_root(coordinator, query_id, &command);
-        self.lanes[coordinator].ring.record(SpanRecord::child(
-            ctx,
-            SpanKind::Router,
-            coordinator as u16,
-            "route",
-            &format!(
-                "scatter-gather coordinator={coordinator} exports={} cut=[{}]",
-                per_shard.len(),
-                self.cut_vector()
-            ),
-            resolve_us,
-            true,
-        ));
-        let reply = self.scatter_gather_inner(session, command, per_shard, ctx, coordinator);
+        let detail = format!(
+            "scatter-gather coordinator={coordinator} exports={} cut=[{}]",
+            plan.exports.len(),
+            self.cut_vector()
+        );
+        self.record_route(coordinator, ctx, plan.plan_us, &detail);
+        let reply = self.scatter_gather_inner(session, command, plan, ctx);
         drop(gate);
         self.finish_root(coordinator, ctx, started, reply.is_ok());
         reply
@@ -1370,19 +1278,14 @@ impl ShardRouter {
         &self,
         session: u64,
         command: Command,
-        per_shard: BTreeMap<usize, Vec<String>>,
+        plan: GatherPlan,
         ctx: TraceContext,
-        coordinator: usize,
     ) -> Reply {
         // Scatter: all exports run in parallel on their shard threads.
-        let mut waits = Vec::with_capacity(per_shard.len());
-        for (shard, names) in per_shard {
+        let mut waits = Vec::with_capacity(plan.exports.len());
+        for (shard, names) in plan.exports {
             let (reply, reply_rx) = mpsc::channel();
-            let job = Job::ExportTables {
-                names,
-                reply,
-                ctx: Some(ctx),
-            };
+            let job = Job::ExportTables { names, reply, ctx };
             self.admit(shard, job, Admission::Internal, ADMISSION_WAIT)?;
             waits.push(reply_rx);
         }
@@ -1393,32 +1296,29 @@ impl ShardRouter {
         self.scatter_gathers.fetch_add(1, Ordering::Relaxed);
         // Gather: the coordinator installs the images, runs the query, and
         // removes them before answering.
-        let (reply, reply_rx) = mpsc::channel();
-        let job = Job::Gather {
-            session,
-            command,
-            images,
-            reply,
-            ctx: Some(ctx),
-            enqueued: Instant::now(),
-        };
-        self.admit(coordinator, job, Admission::Client, ADMISSION_WAIT)?;
-        recv(&reply_rx)
+        let (job, rx) = command_job(session, command, Some(images), ctx, true);
+        self.admit(plan.coordinator, job, Admission::Client, ADMISSION_WAIT)?;
+        recv(&rx)
     }
 
-    /// Apply DDL ownership changes after the owning shard acknowledged.
-    fn apply_changes(&self, shard: usize, changes: Vec<OwnershipChange>) {
-        if changes.is_empty() {
-            return;
-        }
-        let mut own = self.ownership.lock().expect("ownership lock");
-        for change in changes {
+    /// Apply routing-state changes, each once the shard it names
+    /// acknowledged the statement it came from.
+    fn apply_changes(&self, changes: impl IntoIterator<Item = (usize, Change)>) {
+        for (shard, change) in changes {
+            let own = || self.ownership.lock().expect("ownership lock");
+            let prepared = || self.prepare_shards.lock().expect("prepare lock");
             match change {
-                OwnershipChange::Create { name, is_view } => {
-                    own.insert(name, Owner { shard, is_view });
+                Change::Create { name, is_view } => {
+                    own().insert(name, Owner { shard, is_view });
                 }
-                OwnershipChange::Drop { name } => {
-                    own.remove(&name);
+                Change::Drop(name) => {
+                    own().remove(&name);
+                }
+                Change::Prepare { session, name } => {
+                    prepared().insert((session, name), shard);
+                }
+                Change::Deallocate { session, name } => {
+                    prepared().remove(&(session, name));
                 }
             }
         }
@@ -1437,14 +1337,9 @@ impl ShardRouter {
         let mut waits = Vec::with_capacity(self.lanes.len());
         for shard in 0..self.lanes.len() {
             // One client CHECKPOINT counts once, not once per shard.
-            waits.push(self.send_command(
-                shard,
-                session,
-                Command::Checkpoint,
-                ctx,
-                shard == 0,
-                ADMISSION_WAIT,
-            )?);
+            let (job, rx) = command_job(session, Command::Checkpoint, None, ctx, shard == 0);
+            self.admit(shard, job, Admission::Client, ADMISSION_WAIT)?;
+            waits.push(rx);
         }
         // Every leg is waited for before the first failure is reported: the
         // root span must not close, nor the client's next command read
@@ -1762,6 +1657,161 @@ mod tests {
             "checkpoint tables=3 rows=15 snapshot_bytes=150 wal_truncated=10"
         );
         assert!(sum_checkpoints(&["nonsense".to_string()]).is_none());
+    }
+
+    /// A route as comparable text: its kind and where it runs.
+    fn describe(route: &Route) -> String {
+        match route {
+            Route::Router => "router".into(),
+            Route::Lane(at) => {
+                let detail = at.route.as_ref().map_or("", |(_, d)| d.as_str());
+                format!("lane shard={} route={detail}", at.shard)
+            }
+            Route::Single { at, changes } => format!("single shard={} {changes:?}", at.shard),
+            Route::Broadcast => "broadcast".into(),
+            Route::Gather(g) => format!("gather coordinator={} {:?}", g.coordinator, g.exports),
+            Route::Txn(t) => format!("txn last={} {:?} {:?}", t.last, t.slices, t.changes),
+            Route::Refused(msg) => format!("refused {msg}"),
+            Route::Split(routes) => routes.iter().map(describe).collect::<Vec<_>>().join(" | "),
+        }
+    }
+
+    /// One statement's expected placement: its shard and changes.
+    type Statement = (Option<usize>, Vec<Change>);
+
+    /// The planner over every route a SQL text can take: the route, and
+    /// each statement's shard and ownership changes as `place` saw them.
+    #[test]
+    fn planner_places_each_statement_once() {
+        let (router, _, joins) = testing::router_on(None, 2);
+        let on = |shard: usize, skip: usize| {
+            (0..64)
+                .map(|i| format!("p{i}"))
+                .filter(|n| shard_of(n, 2) == shard)
+                .nth(skip)
+                .expect("64 names cover both shards")
+        };
+        let (ta, tb, tv, tn, tw) = (on(0, 0), on(1, 0), on(0, 1), on(1, 1), on(1, 2));
+        for t in [&ta, &tb] {
+            let create = Command::Query(format!("CREATE TABLE {t} (a int)"));
+            router.submit(1, router.plan(1, create)).unwrap();
+        }
+        let create = |name: &str, is_view| Change::Create {
+            name: name.to_string(),
+            is_view,
+        };
+        let join = format!("SELECT {ta}.a FROM {ta} INNER JOIN {tb} ON {ta}.a = {tb}.a");
+        let view_join = format!("CREATE VIEW vx AS {join}");
+        let mut placement = [format!("{ta}=shard0"), format!("{tb}=shard1")];
+        placement.sort();
+        let placement = placement.join(", ");
+        let cases: Vec<(String, String, Vec<Statement>)> = vec![
+            // A constant query touches nothing and runs on shard 0.
+            (
+                "SELECT 1".into(),
+                "lane shard=0 route=single shard=0".into(),
+                vec![(None, vec![])],
+            ),
+            (
+                format!("SELECT a FROM {tb}"),
+                "lane shard=1 route=single shard=1".into(),
+                vec![(Some(1), vec![])],
+            ),
+            // A view lives with the table it reads, not where its name
+            // hashes to.
+            (
+                format!("CREATE VIEW {tv} AS SELECT a FROM {tb}"),
+                format!("single shard=1 [[Create {{ name: \"{tv}\", is_view: true }}]]"),
+                vec![(Some(1), vec![create(&tv, true)])],
+            ),
+            // A name created earlier in the script resolves for later ones.
+            (
+                format!(
+                    "CREATE TABLE {tn} (a int); INSERT INTO {tn} VALUES (1); SELECT a FROM {tn}"
+                ),
+                format!("single shard=1 [[Create {{ name: \"{tn}\", is_view: false }}]]"),
+                vec![
+                    (Some(1), vec![create(&tn, false)]),
+                    (Some(1), vec![]),
+                    (Some(1), vec![]),
+                ],
+            ),
+            (
+                join.clone(),
+                format!("gather coordinator=0 {{1: [\"{tb}\"]}}"),
+                vec![(Some(0), vec![])],
+            ),
+            (
+                format!("INSERT INTO {ta} VALUES (1); INSERT INTO {tb} VALUES (2)"),
+                format!(
+                    "txn last=1 {{0: [\"INSERT INTO {ta} VALUES (1)\"], \
+                     1: [\"INSERT INTO {tb} VALUES (2)\"]}} []"
+                ),
+                vec![(Some(0), vec![]), (Some(1), vec![])],
+            ),
+            // ... and one created earlier in a transaction, too.
+            (
+                format!(
+                    "CREATE VIEW {tw} AS SELECT a FROM {tb}; INSERT INTO {ta} VALUES (5); \
+                     SELECT a FROM {tw}"
+                ),
+                format!(
+                    "txn last=1 {{0: [\"INSERT INTO {ta} VALUES (5)\"], \
+                     1: [\"CREATE VIEW {tw} AS SELECT a FROM {tb}\", \"SELECT a FROM {tw}\"]}} \
+                     [(1, Create {{ name: \"{tw}\", is_view: true }})]"
+                ),
+                vec![
+                    (Some(1), vec![create(&tw, true)]),
+                    (Some(0), vec![]),
+                    (Some(1), vec![]),
+                ],
+            ),
+            // One statement spanning shards cannot be split.
+            (
+                view_join.clone(),
+                format!(
+                    "refused a cross-shard transaction splits per statement, but '{view_join}' \
+                     alone touches {placement}; rewrite it to touch one shard \
+                     per statement"
+                ),
+                vec![(Some(0), vec![create("vx", true)])],
+            ),
+            // An apostrophe in a comment is not a quote: three statements,
+            // each on its own table's shard.
+            (
+                format!(
+                    "INSERT INTO {ta} VALUES (1); -- {ta}'s row\nINSERT INTO {tb} VALUES (2); \
+                     INSERT INTO {ta} VALUES (3)"
+                ),
+                format!(
+                    "txn last=0 {{0: [\"INSERT INTO {ta} VALUES (1)\", \"INSERT INTO {ta} \
+                     VALUES (3)\"], 1: [\"-- {ta}'s row\\nINSERT INTO {tb} VALUES (2)\"]}} []"
+                ),
+                vec![(Some(0), vec![]), (Some(1), vec![]), (Some(0), vec![])],
+            ),
+        ];
+        for (sql, route, stmts) in cases {
+            let planned = router.plan(1, Command::Query(sql.clone()));
+            assert_eq!(describe(&planned.route), route, "{sql}");
+            let plan = router.place(&sql, &mut Overlay::new()).expect("parses");
+            let placed: Vec<String> = plan
+                .stmts
+                .iter()
+                .map(|p| format!("{:?} {:?}", p.shard, p.changes))
+                .collect();
+            let want: Vec<String> = stmts.iter().map(|(s, c)| format!("{s:?} {c:?}")).collect();
+            assert_eq!(placed, want, "{sql}");
+        }
+        // Unparsable SQL falls back to shard 0, where the engine words the
+        // error.
+        let planned = router.plan(1, Command::Query("SELEC 1".into()));
+        assert_eq!(
+            describe(&planned.route),
+            "lane shard=0 route=fallback shard=0"
+        );
+        assert!(router.place("SELEC 1", &mut Overlay::new()).is_none());
+        drop(router);
+        joins.into_iter().for_each(|j| j.join().unwrap());
     }
 
     #[test]

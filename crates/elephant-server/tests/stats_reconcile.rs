@@ -258,13 +258,13 @@ fn sharded_stats_reconcile_count_txns_and_rejects() {
     assert_eq!(body, "n\n1\n");
 
     // Cross-shard write script: splits per statement and commits via 2PC.
-    // The ack reports total rows affected across the script.
+    // The ack is the last statement's, as on a one-shard server.
     assert_eq!(
         c.query_raw(&format!(
             "INSERT INTO {a} VALUES (7); INSERT INTO {b} VALUES (7)"
         ))
         .unwrap(),
-        "ok 2"
+        "ok 1"
     );
     assert_eq!(
         c.query_raw(&format!("SELECT count(*) AS n FROM {a}"))

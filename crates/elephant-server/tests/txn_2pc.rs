@@ -63,7 +63,8 @@ fn cross_shard_txn_commits_atomically_traced_and_durable() {
             "INSERT INTO {a} VALUES (1); INSERT INTO {b} VALUES (1)"
         ))
         .unwrap(),
-        "ok 2"
+        "ok 1",
+        "a transaction acks like a one-shard script: the last statement's count"
     );
     assert_eq!(count(&mut c, &a), 1);
     assert_eq!(count(&mut c, &b), 1);
@@ -137,7 +138,7 @@ fn cross_shard_txn_commits_atomically_traced_and_durable() {
             "INSERT INTO {a} VALUES (2); INSERT INTO {b} VALUES (2)"
         ))
         .unwrap(),
-        "ok 2"
+        "ok 1"
     );
     assert_eq!(count(&mut c, &a), 2);
     assert_eq!(count(&mut c, &b), 2);
@@ -233,7 +234,7 @@ fn scatter_gather_reads_observe_transactions_all_or_none() {
                         "INSERT INTO {a} VALUES ({k}); INSERT INTO {b} VALUES ({k})"
                     ))
                     .unwrap();
-                assert_eq!(reply, "ok 2");
+                assert_eq!(reply, "ok 1");
             }
         })
     };

@@ -110,7 +110,7 @@ fn run_phase(phase: &str) {
                 let sql = format!("INSERT INTO {a} VALUES ({k}); INSERT INTO {b} VALUES ({k})");
                 match c.query_raw(&sql) {
                     Ok(reply) => {
-                        assert_eq!(reply, "ok 2", "{sql}");
+                        assert_eq!(reply, "ok 1", "{sql}");
                         acked.store(k, Ordering::SeqCst);
                     }
                     Err(_) => return, // the kill landed
@@ -184,7 +184,7 @@ fn run_phase(phase: &str) {
             "INSERT INTO {a} VALUES ({next}); INSERT INTO {b} VALUES ({next})"
         ))
         .unwrap(),
-        "ok 2",
+        "ok 1",
         "phase {phase}: post-recovery transaction failed"
     );
 }

@@ -12,6 +12,8 @@
 use crate::ast::{Query, Statement};
 use crate::cache::{ast_expr_deps, ast_query_deps};
 use crate::error::Result;
+use crate::parser::parse_tokens;
+use crate::token::Tok;
 use std::collections::BTreeSet;
 
 /// What one statement touches, as visible from its AST alone.
@@ -47,8 +49,35 @@ impl StatementDeps {
 /// and parser, so router-side parse failures are impossible when the shard
 /// would have parsed the text — and vice versa).
 pub fn parse_sql(sql: &str) -> Result<Vec<Statement>> {
-    let tokens = crate::lexer::tokenize(sql)?;
-    crate::parser::parse_tokens(tokens)
+    crate::parser::parse_tokens(crate::lexer::tokenize(sql)?.0)
+}
+
+/// Parse a `;`-separated SQL text piece by piece: every top-level
+/// `;`-delimited piece's source text (trimmed) with the statements it
+/// parses to. The cuts are the lexer's own `;` tokens, so a quote or a
+/// comment never moves a boundary. A text without a `;` is one piece;
+/// otherwise pieces without a token (a trailing `;`, a lone comment) are
+/// dropped. Fails when the text does not lex or a piece does not parse.
+pub fn parse_fragments(sql: &str) -> Result<Vec<(&str, Vec<Statement>)>> {
+    let (tokens, cuts) = crate::lexer::tokenize(sql)?;
+    if cuts.is_empty() {
+        // One piece, the common case: parsed without copying anything.
+        return Ok(vec![(sql.trim(), parse_tokens(tokens)?)]);
+    }
+    let (eof, tokens) = tokens.split_last().expect("the lexer ends every stream");
+    // Byte offset of a char offset; the cuts ascend, so this is one pass.
+    let mut offsets = sql.char_indices().map(|(b, _)| b).enumerate();
+    let mut byte = |c| offsets.find(|(i, _)| *i == c).map_or(sql.len(), |(_, b)| b);
+    let ends = cuts.iter().copied().chain([sql.len()]);
+    let (mut out, mut from) = (Vec::new(), 0);
+    for (run, to) in tokens.split(|t| t.kind == Tok::Semicolon).zip(ends) {
+        if !run.is_empty() {
+            let run = run.iter().chain([eof]).cloned().collect();
+            out.push((sql[byte(from)..byte(to)].trim(), parse_tokens(run)?));
+        }
+        from = to + 1;
+    }
+    Ok(out)
 }
 
 /// Collect the names a query reads: every named FROM reference (including
@@ -186,6 +215,27 @@ mod tests {
         assert_eq!(d.creates, Some(("v".to_string(), true)));
         assert_eq!(d.reads, vec!["t1"]);
         assert_eq!(d.writes, vec!["v"]);
+    }
+
+    #[test]
+    fn fragments_cut_at_lexer_semicolons_only() {
+        // An apostrophe inside a line comment and a `;` inside a string or
+        // a comment are not boundaries; multi-byte text keeps offsets true.
+        let sql = "INSERT INTO ta VALUES ('é;'); -- ta's row; still comment\n\
+                   INSERT INTO tb VALUES (1);;INSERT INTO ta VALUES (2); -- tail";
+        let pieces = parse_fragments(sql).unwrap();
+        let texts: Vec<&str> = pieces.iter().map(|(text, _)| *text).collect();
+        assert_eq!(
+            texts,
+            vec![
+                "INSERT INTO ta VALUES ('é;')",
+                "-- ta's row; still comment\nINSERT INTO tb VALUES (1)",
+                "INSERT INTO ta VALUES (2)",
+            ]
+        );
+        assert!(pieces.iter().all(|(_, stmts)| stmts.len() == 1));
+        assert!(parse_fragments("SELECT 1; SELEC 2").is_err());
+        assert!(parse_fragments("-- nothing\n;").unwrap().is_empty());
     }
 
     #[test]

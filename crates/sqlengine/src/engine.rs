@@ -56,7 +56,7 @@ impl Health {
 }
 
 /// The result of executing one statement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecOutcome {
     /// The result of a SELECT or EXPLAIN, as column chunks; `None` for
     /// DDL/DML.
@@ -305,12 +305,13 @@ impl Engine {
     /// returns — once it returns Ok, the coordinator may decide commit.
     /// The in-memory effects stay visible; [`Engine::commit_prepared`]
     /// retires them and [`Engine::abort_prepared`] unwinds them. Returns
-    /// the total rows affected.
+    /// the slice's last statement's outcome, as [`Engine::execute`] does
+    /// for a script, so a transaction acks like a single-shard script.
     ///
     /// At most one transaction can be prepared at a time: the caller (the
     /// shard executor) blocks for the coordinator's decision, so a second
     /// prepare cannot arrive while one is pending.
-    pub fn prepare_txn(&mut self, txn_id: u64, sql: &str) -> Result<usize> {
+    pub fn prepare_txn(&mut self, txn_id: u64, sql: &str) -> Result<ExecOutcome> {
         if self.prepared_txn.is_some() {
             return Err(SqlError::exec(
                 "a transaction is already prepared and undecided",
@@ -330,7 +331,7 @@ impl Engine {
         let captured = self.txn_capture.take().unwrap_or_default();
         let undo = std::mem::replace(&mut self.group_undo, saved_undo);
         match result {
-            Ok(outcomes) => {
+            Ok(mut outcomes) => {
                 if !captured.is_empty() {
                     if let Err(e) = self.backend.log_txn_prepare(txn_id, captured) {
                         // The prepare never became durable: unwind the
@@ -345,9 +346,8 @@ impl Engine {
                         return Err(e);
                     }
                 }
-                let rows = outcomes.iter().map(|o| o.rows_affected).sum();
                 self.prepared_txn = Some(PreparedTxn { txn_id, undo });
-                Ok(rows)
+                Ok(outcomes.pop().unwrap_or_default())
             }
             Err(e) => {
                 // A statement failed mid-slice: earlier statements already
@@ -814,7 +814,7 @@ impl Engine {
     /// Lex and parse with each phase attributed to its own trace histogram.
     fn parse_traced(&mut self, sql: &str) -> Result<Vec<Statement>> {
         let t = self.trace.timer();
-        let tokens = crate::lexer::tokenize(sql)?;
+        let (tokens, _) = crate::lexer::tokenize(sql)?;
         self.trace.record(Phase::Lex, t);
         let t = self.trace.timer();
         let statements = crate::parser::parse_tokens(tokens)?;

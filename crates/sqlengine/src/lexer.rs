@@ -4,12 +4,14 @@ use crate::error::{Result, SqlError};
 use crate::token::{Tok, Token};
 use etypes::Value;
 
-/// Tokenize SQL text.
-pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
+/// Tokenize SQL text. Also returns the char offset of every `;` token: the
+/// statement boundaries of a script exactly as the parser sees them (a `;`
+/// inside a string, quoted identifier or comment is not one).
+pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<usize>)> {
     let chars: Vec<char> = sql.chars().collect();
     let mut pos = 0usize;
     let mut line = 1usize;
-    let mut out = Vec::new();
+    let (mut out, mut cuts) = (Vec::new(), Vec::new());
 
     macro_rules! push {
         ($kind:expr) => {
@@ -143,6 +145,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                 pos += 1;
             }
             ';' => {
+                cuts.push(pos);
                 push!(Tok::Semicolon);
                 pos += 1;
             }
@@ -217,7 +220,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
         kind: Tok::Eof,
         line,
     });
-    Ok(out)
+    Ok((out, cuts))
 }
 
 /// Lex a `'...'` string starting at `chars[0] == '\''`; returns
@@ -258,7 +261,12 @@ mod tests {
     use super::*;
 
     fn kinds(sql: &str) -> Vec<Tok> {
-        tokenize(sql).unwrap().into_iter().map(|t| t.kind).collect()
+        tokenize(sql)
+            .unwrap()
+            .0
+            .into_iter()
+            .map(|t| t.kind)
+            .collect()
     }
 
     #[test]
@@ -310,7 +318,7 @@ mod tests {
 
     #[test]
     fn comments_skipped_and_lines_tracked() {
-        let toks = tokenize("SELECT 1 -- the original data\nFROM t").unwrap();
+        let (toks, _) = tokenize("SELECT 1 -- the original data\nFROM t").unwrap();
         let from = toks
             .iter()
             .find(|t| t.kind == Tok::Word("from".into()))

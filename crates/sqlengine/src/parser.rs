@@ -8,7 +8,7 @@ use etypes::{DataType, Value};
 
 /// Parse a script of one or more `;`-separated statements.
 pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
-    parse_tokens(tokenize(sql)?)
+    parse_tokens(tokenize(sql)?.0)
 }
 
 /// Parse a pre-lexed token stream (the engine lexes separately so the trace
@@ -40,7 +40,7 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
 /// (optionally negated), quoted strings, `true`/`false`, and `null`; an
 /// empty or all-whitespace input yields an empty list.
 pub fn parse_param_values(text: &str) -> Result<Vec<Value>> {
-    let tokens = tokenize(text)?;
+    let (tokens, _) = tokenize(text)?;
     let mut vals = Vec::new();
     let mut i = 0;
     loop {

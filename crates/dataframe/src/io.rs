@@ -3,7 +3,7 @@
 use crate::error::Result;
 use crate::frame::DataFrame;
 use crate::series::Series;
-use etypes::{CsvOptions, Value};
+use etypes::CsvOptions;
 use std::path::Path;
 
 /// pandas `pd.read_csv(path, na_values=...)`.
@@ -19,27 +19,16 @@ pub fn read_csv_str(text: &str, opts: &CsvOptions) -> Result<DataFrame> {
 }
 
 fn from_table(table: etypes::CsvTable) -> Result<DataFrame> {
-    let ncols = table.columns.len();
-    let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(table.rows.len()); ncols];
-    for row in table.rows {
-        for (i, v) in row.into_iter().enumerate() {
-            cols[i].push(v);
-        }
-    }
-    DataFrame::from_columns(
-        table
-            .columns
-            .into_iter()
-            .zip(cols)
-            .map(|(n, vs)| Series::new(n, vs))
-            .collect(),
-    )
+    let series = (0..table.columns.len())
+        .map(|c| Series::new(table.columns[c].clone(), table.column_values(c)))
+        .collect();
+    DataFrame::from_columns(series)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etypes::DataType;
+    use etypes::{DataType, Value};
 
     #[test]
     fn reads_typed_frame() {

@@ -117,7 +117,7 @@ mod tests {
             .unwrap();
         let rich_rate = |min_edu: i64| -> f64 {
             let rows: Vec<bool> = t
-                .rows
+                .to_rows()
                 .iter()
                 .filter(|r| r[edu_i].as_i64().unwrap() >= min_edu)
                 .map(|r| r[inc_i] == ">50K".into())

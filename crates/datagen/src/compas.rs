@@ -83,7 +83,7 @@ mod tests {
         let t = read_csv_str(&compas_csv(20, 1), &CsvOptions::default().with_na("?")).unwrap();
         assert_eq!(t.columns[0], "index_");
         assert_eq!(t.columns[1], "sex");
-        assert_eq!(t.rows.len(), 20);
+        assert_eq!(t.len(), 20);
     }
 
     #[test]
@@ -100,7 +100,7 @@ mod tests {
         let priors_i = t.columns.iter().position(|c| c == "priors_count").unwrap();
         let mean_priors = |label: &str| -> f64 {
             let rows: Vec<i64> = t
-                .rows
+                .to_rows()
                 .iter()
                 .filter(|r| r[score_i] == label.into())
                 .map(|r| r[priors_i].as_i64().unwrap())

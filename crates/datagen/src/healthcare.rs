@@ -114,7 +114,7 @@ mod tests {
                 "ssn"
             ]
         );
-        assert_eq!(t.rows.len(), 50);
+        assert_eq!(t.len(), 50);
     }
 
     #[test]
@@ -123,7 +123,7 @@ mod tests {
         let h = read_csv_str(&histories_csv(30, 7), &CsvOptions::default().with_na("?")).unwrap();
         let ssn_p = p.columns.iter().position(|c| c == "ssn").unwrap();
         let ssn_h = h.columns.iter().position(|c| c == "ssn").unwrap();
-        for (pr, hr) in p.rows.iter().zip(&h.rows) {
+        for (pr, hr) in p.to_rows().iter().zip(&h.to_rows()) {
             assert_eq!(pr[ssn_p], hr[ssn_h]);
         }
     }

@@ -59,11 +59,11 @@ mod tests {
             .position(|c| c == "passenger_count")
             .unwrap();
         let kept = t
-            .rows
+            .to_rows()
             .iter()
             .filter(|r| r[pc].as_i64().unwrap() > 1)
             .count();
-        let fraction = kept as f64 / t.rows.len() as f64;
+        let fraction = kept as f64 / t.len() as f64;
         // Most rides are single-passenger; the filter keeps a minority.
         assert!(fraction > 0.05 && fraction < 0.5, "{fraction}");
     }

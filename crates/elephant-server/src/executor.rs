@@ -44,6 +44,7 @@ use crate::repl::{ReplRole, ReplState};
 use crate::shard::ShardStats;
 use elephant_repl::ReplOp;
 use etypes::{next_span_id, SharedSpanRing, SpanKind, SpanRecord, TraceContext};
+use mlinspect::backends::pandas::FileRegistry;
 use mlinspect::SqlMode;
 use sqlengine::{
     Engine, EngineProfile, FsyncPolicy, Phase, ResultSet, SqlError, TableImage, WalHandle,
@@ -151,7 +152,8 @@ pub(crate) enum Job {
 pub(crate) struct ExecutorConfig {
     /// Use the in-memory (Umbra-like) profile instead of disk-based.
     pub in_memory: bool,
-    /// Virtual files visible to `INSPECT` pipelines (`read_csv` targets).
+    /// Virtual files visible to `INSPECT` pipelines (`read_csv` targets);
+    /// only shard 0, which runs every `INSPECT`, is given any.
     pub files: Vec<(String, String)>,
     /// Bound of the job queue (backpressure threshold).
     pub queue_capacity: usize,
@@ -288,9 +290,13 @@ pub(crate) fn spawn(
                 .map(str::to_string)
                 .collect();
             let _ = init_tx.send(Ok((engine.wal_handle(), recovered)));
+            let mut files = FileRegistry::new();
+            for (path, text) in cfg.files {
+                files.insert(path, text);
+            }
             let mut state = ExecutorState {
                 engine,
-                files: cfg.files,
+                files,
                 prepared: HashMap::new(),
                 metrics,
                 shutdown,
@@ -484,7 +490,9 @@ pub(crate) fn spawn(
 
 struct ExecutorState {
     engine: Engine,
-    files: Vec<(String, String)>,
+    /// The `INSPECT` inputs: each is parsed on its first read and shared by
+    /// every later `INSPECT` that reads it.
+    files: FileRegistry,
     /// Prepared-statement names per live session (engine-scoped form).
     prepared: HashMap<u64, Vec<String>>,
     metrics: Arc<Metrics>,
@@ -872,7 +880,7 @@ impl ExecutorState {
                 // storage has degraded the engine to read-only.
                 let was_unlogged = self.engine.unlogged();
                 self.engine.set_unlogged(true);
-                let report = mlinspect::inspect_pipeline_in_sql(
+                let report = mlinspect::inspect_registered(
                     &source,
                     &self.files,
                     &cols,

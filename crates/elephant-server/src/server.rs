@@ -196,7 +196,7 @@ impl ServerHandle {
 }
 
 /// Bind and start serving; returns immediately with a [`ServerHandle`].
-pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
+pub fn start(mut config: ServerConfig) -> io::Result<ServerHandle> {
     if config.replicate_from.is_some() && config.data_dir.is_some() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -273,6 +273,9 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     let mut executor_joins: Vec<JoinHandle<()>> = Vec::with_capacity(config.shards);
     let mut recovered_per_shard: Vec<Vec<String>> = Vec::with_capacity(config.shards);
     let mut wal_handle = None;
+    // Only shard 0 runs `INSPECT` (the router routes it there), so only it
+    // holds the files.
+    let mut files = std::mem::take(&mut config.files);
     for shard_id in 0..config.shards {
         let data_dir = config.data_dir.as_ref().map(|dir| {
             if config.shards > 1 {
@@ -288,7 +291,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         let (tx, join, wal, recovered) = executor::spawn(
             ExecutorConfig {
                 in_memory: config.in_memory,
-                files: config.files.clone(),
+                files: std::mem::take(&mut files),
                 queue_capacity: config.queue_capacity,
                 data_dir,
                 fsync: config.fsync,

@@ -491,3 +491,38 @@ fn inspect_leaves_no_relation_behind() {
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `INSPECT` reads registered files only: a path that exists on the
+/// server's filesystem but was never registered answers like any other
+/// unknown file, and nothing of it reaches the client.
+#[test]
+fn inspect_reads_no_unregistered_file() {
+    let dir = std::env::temp_dir().join(format!("elephant-inspect-fs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let secret = dir.join("secret.csv");
+    std::fs::write(&secret, "race,age_group\nr1,a\nr2,b\nr1,c\n").unwrap();
+    let path = secret.to_str().unwrap();
+    let handle = start(ServerConfig {
+        files: pipeline_files(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = ElephantClient::connect(handle.local_addr()).unwrap();
+    let source = format!("data = pd.read_csv(\"{path}\")\n");
+    match c.inspect(&["race"], 0.3, &source) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, "ERR_INSPECT");
+            assert_eq!(
+                e.message,
+                format!("inspect pipeline reads unknown file '{path}'")
+            );
+        }
+        other => panic!("expected ERR_INSPECT, got {other:?}"),
+    }
+    // The registered files still answer.
+    c.inspect(&["age_group"], 0.3, HEALTHCARE_PIPELINE).unwrap();
+    c.shutdown().unwrap();
+    drop(c);
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -31,6 +31,10 @@ use crate::{ByteReader, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
 
+/// Rows per [`ColumnChunk`]: the batch the engine executes, the size at
+/// which a table heap seals its tail, and the cut of a parsed CSV file.
+pub const BATCH_ROWS: usize = 1024;
+
 /// Page-encoding tags shared with the ELSNP001 snapshot format.
 pub mod page_tag {
     /// Tagged [`crate::Value`] cells (mixed, array, or all-null columns).
@@ -167,6 +171,20 @@ impl TextDict {
         let k = code as usize;
         let start = if k == 0 { 0 } else { self.ends[k - 1] };
         &self.bytes[start..self.ends[k]]
+    }
+
+    /// Code `cells` into one new dictionary: the dictionary and one code
+    /// per cell (code 0 for a `None`, NULL, cell), so a column cut into
+    /// several chunks can share one dictionary across all of them.
+    pub(crate) fn code_all<'a>(
+        cells: impl IntoIterator<Item = Option<&'a str>>,
+    ) -> (Rc<TextDict>, Vec<u32>) {
+        let mut dict = DictBuilder::default();
+        let codes = cells
+            .into_iter()
+            .map(|c| c.map_or(0, |s| dict.code(s)))
+            .collect();
+        (dict.finish(), codes)
     }
 }
 
@@ -510,6 +528,9 @@ impl Column {
                 );
                 let mut merged = DictBuilder::default();
                 let mut codes = Vec::with_capacity(nulls.len());
+                // Old code → merged code, for the dictionary `remapped`.
+                let mut remap = Vec::new();
+                let mut remapped: Option<&Rc<TextDict>> = None;
                 for c in parts {
                     let ColumnData::Text { dict, codes: part } = &c.data else {
                         unreachable!("tag checked")
@@ -518,8 +539,13 @@ impl Column {
                         codes.extend_from_slice(part);
                         continue;
                     }
-                    // Each of this part's codes is re-coded once.
-                    let mut remap = vec![u32::MAX; dict.len()];
+                    // A run of parts sharing one dictionary (the chunks of a
+                    // loaded column) shares one remap, so each distinct code
+                    // is re-coded once per run, not once per part.
+                    if !remapped.is_some_and(|d| Rc::ptr_eq(d, dict)) {
+                        remap = vec![u32::MAX; dict.len()];
+                        remapped = Some(dict);
+                    }
                     for (i, &code) in part.iter().enumerate() {
                         codes.push(if c.is_null(i) {
                             0
@@ -936,6 +962,23 @@ mod tests {
             texts(&[Some("a"), None, Some("b"), Some("c"), Some("a"), Some("")])
         );
         assert_eq!(dict_of(&both).len(), 4, "merged without duplicates");
+        // A run of parts over one dictionary beside another part.
+        let runs = Column::concat(&[&a, &a.gather(&[2, 0]), &b, &a.gather(&[1])]);
+        assert_eq!(
+            values(&runs),
+            texts(&[
+                Some("a"),
+                None,
+                Some("b"),
+                Some("b"),
+                Some("a"),
+                Some("c"),
+                Some("a"),
+                Some(""),
+                None
+            ])
+        );
+        assert_eq!(dict_of(&runs).len(), 4);
         // Parts that share one dictionary keep it.
         let again = Column::concat(&[&a, &a.gather(&[2])]);
         assert!(Rc::ptr_eq(dict_of(&a), dict_of(&again)));

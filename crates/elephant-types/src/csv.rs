@@ -7,10 +7,16 @@
 //! `na_values='?'`), and the "headerless first column is the pandas row
 //! number" convention that the compas/adult datasets rely on (paper §6).
 
-use crate::{ColumnChunk, ColumnData, DataType, Error, Result, Value};
+use crate::chunk::BATCH_ROWS;
+use crate::{
+    Column, ColumnChunk, ColumnData, DataType, Error, NullBitmap, Result, TextDict, Value,
+};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
+use std::rc::Rc;
+use std::str::FromStr;
 
 /// Options controlling CSV parsing.
 #[derive(Debug, Clone)]
@@ -21,6 +27,10 @@ pub struct CsvOptions {
     pub header: bool,
     /// Strings parsed as NULL in addition to the empty string.
     pub na_values: Vec<String>,
+    /// Skip empty lines outside quotes, as pandas' `skip_blank_lines`
+    /// does (default true). Off, an empty line is a record of one empty
+    /// field, as in PostgreSQL's CSV `COPY`.
+    pub skip_blank_lines: bool,
 }
 
 impl Default for CsvOptions {
@@ -29,6 +39,7 @@ impl Default for CsvOptions {
             delimiter: ',',
             header: true,
             na_values: Vec::new(),
+            skip_blank_lines: true,
         }
     }
 }
@@ -41,16 +52,53 @@ impl CsvOptions {
     }
 }
 
-/// A parsed CSV file: typed columns plus cells.
-#[derive(Debug, Clone)]
+/// A parsed CSV file: typed columns, their cells as column chunks.
+#[derive(Debug, Clone, Default)]
 pub struct CsvTable {
     /// Column names (synthesised as `column_0`.. when `header=false`, except
     /// that a headerless leading row-number column is named `index_`).
     pub columns: Vec<String>,
     /// Inferred column types.
     pub types: Vec<DataType>,
-    /// Row-major cells.
-    pub rows: Vec<Vec<Value>>,
+    /// The data rows in chunks of at most [`BATCH_ROWS`] rows (none for a
+    /// file without data rows). Int and Float columns have typed storage, a
+    /// Text column one dictionary shared by all of its chunks.
+    pub chunks: Vec<ColumnChunk>,
+}
+
+impl CsvTable {
+    /// Number of data rows.
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(ColumnChunk::len).sum()
+    }
+
+    /// True when the file has no data row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of NULL cells in column `c`.
+    pub fn null_count(&self, c: usize) -> usize {
+        self.chunks
+            .iter()
+            .map(|chunk| chunk.column(c).nulls().null_count())
+            .sum()
+    }
+
+    /// Column `c`'s cells in row order.
+    pub fn column_values(&self, c: usize) -> Vec<Value> {
+        let mut out = Vec::with_capacity(self.len());
+        for chunk in &self.chunks {
+            let col = chunk.column(c);
+            out.extend((0..col.len()).map(|i| col.get(i)));
+        }
+        out
+    }
+
+    /// Every data row, materialized.
+    pub fn to_rows(&self) -> Vec<Vec<Value>> {
+        self.chunks.iter().flat_map(ColumnChunk::to_rows).collect()
+    }
 }
 
 /// Read and type-infer a CSV file from disk.
@@ -61,56 +109,239 @@ pub fn read_csv(path: impl AsRef<Path>, opts: &CsvOptions) -> Result<CsvTable> {
 
 /// Read and type-infer CSV content from a string.
 pub fn read_csv_str(text: &str, opts: &CsvOptions) -> Result<CsvTable> {
-    let mut records = parse_records(text, opts.delimiter)?;
-    if records.is_empty() {
-        return Ok(CsvTable {
-            columns: Vec::new(),
-            types: Vec::new(),
-            rows: Vec::new(),
-        });
+    parse(text, opts, usize::MAX)
+}
+
+/// [`read_csv_str`] over the first `rows` data records only: a schema
+/// sample. The text after them is not read, so a quoted field spanning
+/// lines is sampled whole and a malformed tail is not noticed.
+pub fn read_csv_head(text: &str, opts: &CsvOptions, rows: usize) -> Result<CsvTable> {
+    parse(text, opts, rows.saturating_add(usize::from(opts.header)))
+}
+
+/// Parse at most `limit` records (the header included) into a typed table.
+fn parse(text: &str, opts: &CsvOptions, limit: usize) -> Result<CsvTable> {
+    let Records { fields, ends } = split_records(text, opts, limit)?;
+    if ends.is_empty() {
+        return Ok(CsvTable::default());
     }
-    let mut columns: Vec<String>;
-    if opts.header {
-        let header = records.remove(0);
-        columns = header;
-        let width = records.iter().map(Vec::len).max().unwrap_or(columns.len());
+    let bounds = |r: usize| if r == 0 { 0 } else { ends[r - 1] }..ends[r];
+    let width_from = |first: usize| (first..ends.len()).map(|r| bounds(r).len()).max();
+    let (columns, first) = if opts.header {
+        let mut columns: Vec<String> = fields[bounds(0)].iter().map(|f| f.to_string()).collect();
         // The mlinspect compas/adult CSVs carry an unnamed leading column of
         // pandas row numbers: the header has one fewer field than the data.
-        if width == columns.len() + 1 {
+        if width_from(1) == Some(columns.len() + 1) {
             columns.insert(0, "index_".to_string());
         }
+        (columns, 1)
     } else {
-        let width = records.iter().map(Vec::len).max().unwrap_or(0);
-        columns = (0..width).map(|i| format!("column_{i}")).collect();
-    }
-
+        let width = width_from(0).unwrap_or(0);
+        ((0..width).map(|i| format!("column_{i}")).collect(), 0)
+    };
     let ncols = columns.len();
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(records.len());
-    for rec in &records {
-        if rec.len() != ncols {
-            return Err(Error::Csv(format!(
-                "row has {} fields, expected {ncols}",
-                rec.len()
-            )));
-        }
-        let row = rec
-            .iter()
-            .map(|field| raw_value(field, opts))
-            .collect::<Vec<_>>();
-        rows.push(row);
+    if let Some(bad) = (first..ends.len())
+        .map(|r| bounds(r).len())
+        .find(|&n| n != ncols)
+    {
+        return Err(Error::Csv(format!(
+            "row has {bad} fields, expected {ncols}"
+        )));
     }
 
-    let types = infer_types(&rows, ncols);
-    for row in &mut rows {
-        for (cell, ty) in row.iter_mut().zip(&types) {
-            *cell = coerce(cell, ty);
-        }
+    // Every data record has `ncols` fields, so cell (r, c) sits at
+    // `r * ncols + c` past the header.
+    let data = &fields[if opts.header { ends[0] } else { 0 }..];
+    let nrows = ends.len() - first;
+    let is_na = |f: &str| f.is_empty() || opts.na_values.iter().any(|na| na == f);
+    let mut types = Vec::with_capacity(ncols);
+    let mut batches = Vec::with_capacity(ncols);
+    for c in 0..ncols {
+        let cells: Vec<Option<&str>> = (0..nrows)
+            .map(|r| Some(&*data[r * ncols + c]).filter(|f| !is_na(f)))
+            .collect();
+        let (ty, column) = typed_batches(&cells);
+        types.push(ty);
+        batches.push(column.into_iter());
     }
+    let chunks = (0..nrows.div_ceil(BATCH_ROWS))
+        .map(|k| {
+            let len = (nrows - k * BATCH_ROWS).min(BATCH_ROWS);
+            let cols = batches
+                .iter_mut()
+                .map(|column| Rc::new(column.next().expect("one batch per chunk")))
+                .collect();
+            ColumnChunk::new(cols, len)
+        })
+        .collect();
     Ok(CsvTable {
         columns,
         types,
-        rows,
+        chunks,
     })
+}
+
+/// Type one column the way pandas infers it — Int when every non-NULL cell
+/// parses as `i64` once trimmed, else Float when every one parses as
+/// `f64`, else Text (also when every cell is NULL) — and cut it into
+/// columns of at most [`BATCH_ROWS`] rows. Text keeps cells untrimmed and
+/// codes them into one dictionary that every batch shares.
+fn typed_batches(cells: &[Option<&str>]) -> (DataType, Vec<Column>) {
+    if cells.iter().any(Option::is_some) {
+        if let Some(ints) = parse_all(cells) {
+            return (DataType::Int, batches(cells, ints, ColumnData::Int));
+        }
+        if let Some(floats) = parse_all(cells) {
+            return (DataType::Float, batches(cells, floats, ColumnData::Float));
+        }
+    }
+    let (dict, codes) = TextDict::code_all(cells.iter().copied());
+    let text = |codes| ColumnData::Text {
+        dict: Rc::clone(&dict),
+        codes,
+    };
+    (DataType::Text, batches(cells, codes, text))
+}
+
+/// Every non-NULL cell parsed (NULL cells hold the default), or `None`
+/// when one does not parse.
+fn parse_all<T: FromStr + Default>(cells: &[Option<&str>]) -> Option<Vec<T>> {
+    cells
+        .iter()
+        .map(|c| c.map_or(Some(T::default()), |s| s.trim().parse().ok()))
+        .collect()
+}
+
+/// Cut one column's dense `values` into columns of at most [`BATCH_ROWS`]
+/// rows, NULL where `cells` is `None`.
+fn batches<T: Clone>(
+    cells: &[Option<&str>],
+    values: Vec<T>,
+    data: impl Fn(Vec<T>) -> ColumnData,
+) -> Vec<Column> {
+    cells
+        .chunks(BATCH_ROWS)
+        .zip(values.chunks(BATCH_ROWS))
+        .map(|(cells, values)| {
+            let mut nulls = NullBitmap::new_valid(cells.len());
+            for (i, _) in cells.iter().enumerate().filter(|(_, c)| c.is_none()) {
+                nulls.set_null(i);
+            }
+            Column::new(data(values.to_vec()), nulls)
+        })
+        .collect()
+}
+
+/// A CSV text cut into fields: each borrows its span of the text unless it
+/// was quoted or held a `\r`; record `r` is `fields[ends[r - 1]..ends[r]]`.
+struct Records<'a> {
+    fields: Vec<Cow<'a, str>>,
+    ends: Vec<usize>,
+}
+
+/// Cut `text` into at most `limit` records. RFC 4180 quoting: a quote may
+/// open anywhere in a field and `""` inside quotes is one quote; an
+/// unquoted `\r` is dropped. An empty line outside quotes is skipped under
+/// [`CsvOptions::skip_blank_lines`], but a line holding `""` is a record
+/// of one empty field.
+fn split_records<'a>(text: &'a str, opts: &CsvOptions, limit: usize) -> Result<Records<'a>> {
+    let bytes = text.as_bytes();
+    let mut utf8 = [0u8; 4];
+    let delim = opts.delimiter.encode_utf8(&mut utf8).as_bytes();
+    let mut special = [false; 256];
+    for b in [b'"', b'\r', b'\n', delim[0]] {
+        special[usize::from(b)] = true;
+    }
+    let mut out = Records {
+        fields: Vec::new(),
+        ends: Vec::new(),
+    };
+    // The current field starts at `start`; `plain` while it is a verbatim
+    // span, `blank` while the current line has nothing but `\r`.
+    let (mut start, mut plain, mut blank) = (0, true, true);
+    let mut i = 0;
+    while i < bytes.len() && out.ends.len() < limit {
+        let b = bytes[i];
+        if !special[usize::from(b)] {
+            blank = false;
+            i += 1;
+            continue;
+        }
+        match b {
+            b'"' => {
+                (plain, blank) = (false, false);
+                // Skip to the closing quote; `""` stays inside.
+                loop {
+                    let Some(k) = bytes[i + 1..].iter().position(|&c| c == b'"') else {
+                        return Err(Error::Csv("unterminated quoted field".to_string()));
+                    };
+                    i += k + 2;
+                    if bytes.get(i) != Some(&b'"') {
+                        break;
+                    }
+                }
+            }
+            _ if bytes[i..].starts_with(delim) => {
+                out.push_field(text, start..i, plain);
+                i += delim.len();
+                (start, plain, blank) = (i, true, false);
+            }
+            b'\r' => {
+                plain = false;
+                i += 1;
+            }
+            b'\n' => {
+                if !blank || !opts.skip_blank_lines {
+                    out.push_field(text, start..i, plain);
+                    out.ends.push(out.fields.len());
+                }
+                i += 1;
+                (start, plain, blank) = (i, true, true);
+            }
+            // The lead byte of a multi-byte delimiter, not followed by the rest.
+            _ => {
+                blank = false;
+                i += 1;
+            }
+        }
+    }
+    if !blank && out.ends.len() < limit {
+        out.push_field(text, start..bytes.len(), plain);
+        out.ends.push(out.fields.len());
+    }
+    Ok(out)
+}
+
+impl<'a> Records<'a> {
+    /// Add the field spanning `span` of `text`, unquoted unless `plain`.
+    fn push_field(&mut self, text: &'a str, span: std::ops::Range<usize>, plain: bool) {
+        let raw = &text[span];
+        self.fields.push(if plain {
+            Cow::Borrowed(raw)
+        } else {
+            Cow::Owned(unquote(raw))
+        });
+    }
+}
+
+/// The value of a field span holding quotes or `\r`s: quotes open and close,
+/// `""` inside quotes is one quote, an unquoted `\r` is dropped.
+fn unquote(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut in_quotes = false;
+    let mut chars = raw.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if in_quotes && chars.peek() == Some(&'"') => {
+                chars.next();
+                out.push('"');
+            }
+            '"' => in_quotes = !in_quotes,
+            '\r' if !in_quotes => {}
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Serialize rows to CSV text: a header line, then one line per row, NULL
@@ -212,103 +443,6 @@ fn push_field(out: &mut String, s: &str, delimiter: char) {
     out.push('"');
 }
 
-fn raw_value(field: &str, opts: &CsvOptions) -> Value {
-    if field.is_empty() || opts.na_values.iter().any(|na| na == field) {
-        Value::Null
-    } else {
-        Value::Text(field.to_string())
-    }
-}
-
-fn infer_types(rows: &[Vec<Value>], ncols: usize) -> Vec<DataType> {
-    (0..ncols)
-        .map(|c| {
-            let mut saw_any = false;
-            let mut all_int = true;
-            let mut all_float = true;
-            for row in rows {
-                let Value::Text(s) = &row[c] else { continue };
-                saw_any = true;
-                let t = s.trim();
-                if t.parse::<i64>().is_err() {
-                    all_int = false;
-                }
-                if t.parse::<f64>().is_err() {
-                    all_float = false;
-                    break;
-                }
-            }
-            if !saw_any {
-                DataType::Text
-            } else if all_int {
-                DataType::Int
-            } else if all_float {
-                DataType::Float
-            } else {
-                DataType::Text
-            }
-        })
-        .collect()
-}
-
-fn coerce(v: &Value, ty: &DataType) -> Value {
-    match v {
-        Value::Text(s) => match ty {
-            DataType::Int => Value::Int(s.trim().parse().unwrap_or_default()),
-            DataType::Float => Value::Float(s.trim().parse().unwrap_or_default()),
-            _ => v.clone(),
-        },
-        other => other.clone(),
-    }
-}
-
-fn parse_records(text: &str, delim: char) -> Result<Vec<Vec<String>>> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut in_quotes = false;
-    let mut chars = text.chars().peekable();
-    let mut saw_anything = false;
-
-    while let Some(ch) = chars.next() {
-        saw_anything = true;
-        if in_quotes {
-            match ch {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                c => field.push(c),
-            }
-        } else {
-            match ch {
-                '"' => in_quotes = true,
-                c if c == delim => {
-                    record.push(std::mem::take(&mut field));
-                }
-                '\r' => {}
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                c => field.push(c),
-            }
-        }
-    }
-    if in_quotes {
-        return Err(Error::Csv("unterminated quoted field".to_string()));
-    }
-    if saw_anything && (!field.is_empty() || !record.is_empty()) {
-        record.push(field);
-        records.push(record);
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,7 +456,7 @@ mod tests {
             vec![DataType::Int, DataType::Float, DataType::Text]
         );
         assert_eq!(
-            t.rows[0],
+            t.to_rows()[0],
             vec![Value::Int(1), Value::Float(1.5), "x".into()]
         );
     }
@@ -331,8 +465,8 @@ mod tests {
     fn na_values_become_null() {
         let opts = CsvOptions::default().with_na("?");
         let t = read_csv_str("a,b\n?,1\n,2\n", &opts).unwrap();
-        assert_eq!(t.rows[0][0], Value::Null);
-        assert_eq!(t.rows[1][0], Value::Null);
+        assert_eq!(t.to_rows()[0][0], Value::Null);
+        assert_eq!(t.to_rows()[1][0], Value::Null);
         // Column of all-null infers Text.
         assert_eq!(t.types[0], DataType::Text);
     }
@@ -342,7 +476,7 @@ mod tests {
         let opts = CsvOptions::default().with_na("?");
         let t = read_csv_str("a\n1\n?\n3\n", &opts).unwrap();
         assert_eq!(t.types[0], DataType::Int);
-        assert_eq!(t.rows[1][0], Value::Null);
+        assert_eq!(t.to_rows()[1][0], Value::Null);
     }
 
     #[test]
@@ -352,8 +486,8 @@ mod tests {
             &CsvOptions::default(),
         )
         .unwrap();
-        assert_eq!(t.rows[0][0], "Doe, John".into());
-        assert_eq!(t.rows[0][1], "said \"hi\"".into());
+        assert_eq!(t.to_rows()[0][0], "Doe, John".into());
+        assert_eq!(t.to_rows()[0][1], "said \"hi\"".into());
     }
 
     #[test]
@@ -361,7 +495,10 @@ mod tests {
         // compas/adult style: 2-field header, 3-field rows.
         let t = read_csv_str("age,sex\n0,25,m\n1,31,f\n", &CsvOptions::default()).unwrap();
         assert_eq!(t.columns, vec!["index_", "age", "sex"]);
-        assert_eq!(t.rows[1], vec![Value::Int(1), Value::Int(31), "f".into()]);
+        assert_eq!(
+            t.to_rows()[1],
+            vec![Value::Int(1), Value::Int(31), "f".into()]
+        );
     }
 
     #[test]
@@ -373,8 +510,8 @@ mod tests {
         ];
         let text = write_csv(&cols, &rows, ',');
         let t = read_csv_str(&text, &CsvOptions::default()).unwrap();
-        assert_eq!(t.rows[0][1], "x,y".into());
-        assert_eq!(t.rows[1][0], Value::Null);
+        assert_eq!(t.to_rows()[0][1], "x,y".into());
+        assert_eq!(t.to_rows()[1][0], Value::Null);
     }
 
     #[test]
@@ -384,7 +521,9 @@ mod tests {
         let text = write_csv(&cols, &rows, ',');
         assert_eq!(text, "s\n\"a\rb\"\n\"c\r\nd\"\n");
         assert_eq!(
-            read_csv_str(&text, &CsvOptions::default()).unwrap().rows,
+            read_csv_str(&text, &CsvOptions::default())
+                .unwrap()
+                .to_rows(),
             rows
         );
     }
@@ -505,6 +644,17 @@ mod tests {
     }
 
     #[test]
+    fn header_only_and_empty_inputs() {
+        let t = read_csv_str("a,b\n", &CsvOptions::default()).unwrap();
+        assert_eq!((t.columns.len(), t.len(), t.chunks.len()), (2, 0, 0));
+        assert_eq!(t.types, [DataType::Text, DataType::Text]);
+        for text in ["", "\n\n", "\r\n"] {
+            let t = read_csv_str(text, &CsvOptions::default()).unwrap();
+            assert!(t.columns.is_empty() && t.is_empty(), "{text:?}");
+        }
+    }
+
+    #[test]
     fn ragged_row_is_error() {
         assert!(read_csv_str("a,b\n1\n", &CsvOptions::default()).is_err());
     }
@@ -517,6 +667,123 @@ mod tests {
         };
         let t = read_csv_str("1,2\n3,4\n", &opts).unwrap();
         assert_eq!(t.columns, vec!["column_0", "column_1"]);
-        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.len(), 2);
+    }
+
+    fn rows_of(text: &str) -> Result<Vec<Vec<Value>>> {
+        read_csv_str(text, &CsvOptions::default()).map(|t| t.to_rows())
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_like_pandas() {
+        let ints = |cells: &[i64]| -> Vec<Vec<Value>> {
+            cells.iter().map(|&i| vec![Value::Int(i)]).collect()
+        };
+        let pairs = vec![
+            vec![Value::Int(1), Value::Int(2)],
+            vec![Value::Int(3), Value::Int(4)],
+        ];
+        assert_eq!(rows_of("a,b\n1,2\n\n3,4\n").unwrap(), pairs);
+        assert_eq!(rows_of("a,b\n1,2\n3,4\n\n\n").unwrap(), pairs);
+        assert_eq!(rows_of("a\n1\n\n2\n").unwrap(), ints(&[1, 2]));
+        // CRLF blank lines too; a quoted empty field is still a record.
+        assert_eq!(rows_of("a\r\n1\r\n\r\n2\r\n").unwrap(), ints(&[1, 2]));
+        let t = read_csv_str("a\nx\n\"\"\n", &CsvOptions::default()).unwrap();
+        assert_eq!(t.to_rows(), vec![vec![Value::text("x")], vec![Value::Null]]);
+        // A blank line inside quotes is part of the field.
+        assert_eq!(
+            rows_of("a\n\"p\n\nq\"\n").unwrap(),
+            vec![vec![Value::text("p\n\nq")]]
+        );
+        // Not skipped, a blank line is a record of one empty field.
+        let keep = CsvOptions {
+            skip_blank_lines: false,
+            ..Default::default()
+        };
+        let t = read_csv_str("a\n1\n\n2\n", &keep).unwrap();
+        assert_eq!(
+            t.to_rows(),
+            vec![vec![Value::Int(1)], vec![Value::Null], vec![Value::Int(2)]]
+        );
+        assert!(read_csv_str("a,b\n1,2\n\n3,4\n", &keep).is_err());
+        assert_eq!(read_csv_str("a,b\n1,2\n3,4\n", &keep).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn chunks_are_cut_at_batch_rows_and_share_one_dictionary() {
+        let n = 2 * BATCH_ROWS + 5;
+        let mut text = String::from("id,x,s,e\n");
+        for i in 0..n {
+            let s = if i % 7 == 0 {
+                "?".to_string()
+            } else {
+                format!("s{}", i % 3)
+            };
+            text.push_str(&format!("{i}, {}.5,{s},\n", i % 4));
+        }
+        let t = read_csv_str(&text, &CsvOptions::default().with_na("?")).unwrap();
+        assert_eq!(
+            t.types,
+            [
+                DataType::Int,
+                DataType::Float,
+                DataType::Text,
+                DataType::Text
+            ]
+        );
+        let lens: Vec<usize> = t.chunks.iter().map(ColumnChunk::len).collect();
+        assert_eq!(lens, [BATCH_ROWS, BATCH_ROWS, 5]);
+        assert_eq!(t.len(), n);
+        let dict = |chunk: &ColumnChunk| match chunk.column(2).data() {
+            ColumnData::Text { dict, .. } => Rc::clone(dict),
+            other => panic!("expected text storage, got {other:?}"),
+        };
+        assert!(t
+            .chunks
+            .iter()
+            .all(|c| Rc::ptr_eq(&dict(c), &dict(&t.chunks[0]))));
+        assert_eq!(dict(&t.chunks[0]).len(), 3, "one entry per distinct string");
+        assert_eq!(t.null_count(2), n.div_ceil(7));
+        assert_eq!(t.null_count(3), n, "an all-empty column is all NULL");
+        let rows = t.to_rows();
+        assert_eq!(rows[BATCH_ROWS + 1][0], Value::Int(BATCH_ROWS as i64 + 1));
+        assert_eq!(rows[3][1], Value::Float(3.5), "numbers are trimmed");
+        assert_eq!(rows[7][2], Value::Null);
+        assert_eq!(rows[8][2], Value::text("s2"));
+        assert_eq!(t.column_values(0).len(), n);
+    }
+
+    #[test]
+    fn head_samples_whole_records() {
+        let mut text = String::from("id,s,t\n");
+        for i in 0..20 {
+            let t = if i == 9 { "\"two\nlines\"" } else { "one" };
+            text.push_str(&format!("{i},r{},{t}\n", i % 2));
+        }
+        text.push_str("20,\"unterminated\n");
+        assert!(read_csv_str(&text, &CsvOptions::default()).is_err());
+        let head = read_csv_head(&text, &CsvOptions::default(), 10).unwrap();
+        assert_eq!(head.len(), 10);
+        assert_eq!(head.to_rows()[9][2], Value::text("two\nlines"));
+        let opts = CsvOptions {
+            header: false,
+            ..Default::default()
+        };
+        assert_eq!(read_csv_head(&text, &opts, 2).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn multi_byte_delimiters_and_partial_quotes() {
+        let opts = CsvOptions {
+            delimiter: '¦',
+            ..Default::default()
+        };
+        let t = read_csv_str("a¦b\n1¦é¦2¦3\n", &opts);
+        assert!(t.is_err(), "four fields under a two-field header");
+        let t = read_csv_str("a¦b\né¦x\"¦\"y\n", &opts).unwrap();
+        assert_eq!(
+            t.to_rows(),
+            vec![vec![Value::text("é"), Value::text("x¦y")]]
+        );
     }
 }

@@ -19,7 +19,9 @@ pub mod value;
 
 pub use binary::ByteReader;
 pub use chunk::{Column, ColumnChunk, ColumnData, NullBitmap, TextDict};
-pub use csv::{read_csv, read_csv_str, write_chunks, write_csv, CsvOptions, CsvTable};
+pub use csv::{
+    read_csv, read_csv_head, read_csv_str, write_chunks, write_csv, CsvOptions, CsvTable,
+};
 pub use datatype::DataType;
 pub use error::{Error, Result};
 pub use rng::Prng;

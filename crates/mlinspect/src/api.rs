@@ -347,8 +347,7 @@ impl InspectionReport {
 }
 
 /// Run a pipeline end-to-end on the SQL backend and report per-operation
-/// bias verdicts — the single entry the serving layer (`elephant-server`'s
-/// `INSPECT` verb) calls.
+/// bias verdicts.
 ///
 /// `files` registers in-memory CSVs under the paths the pipeline reads;
 /// `columns`/`threshold` parameterize `NoBiasIntroducedFor`.
@@ -361,10 +360,36 @@ pub fn inspect_pipeline_in_sql(
     mode: SqlMode,
     materialize: bool,
 ) -> Result<InspectionReport> {
-    let mut inspector = PipelineInspector::on_pipeline(source);
+    let mut registry = FileRegistry::new();
     for (path, content) in files {
-        inspector = inspector.with_file(path.clone(), content.clone());
+        registry.insert(path.clone(), content.clone());
     }
+    inspect_registered(
+        source,
+        &registry,
+        columns,
+        threshold,
+        engine,
+        mode,
+        materialize,
+    )
+}
+
+/// [`inspect_pipeline_in_sql`] over a registry the caller keeps, so each
+/// input is parsed once however many inspections read it — the entry the
+/// serving layer (`elephant-server`'s `INSPECT` verb) calls.
+pub fn inspect_registered(
+    source: &str,
+    files: &FileRegistry,
+    columns: &[&str],
+    threshold: f64,
+    engine: &mut Engine,
+    mode: SqlMode,
+    materialize: bool,
+) -> Result<InspectionReport> {
+    let mut inspector = PipelineInspector::on_pipeline(source);
+    // A clone shares every table the caller's registry has parsed.
+    inspector.files = files.clone();
     let result = inspector
         .no_bias_introduced_for(columns, threshold)
         .execute_in_sql(engine, mode, materialize)?;

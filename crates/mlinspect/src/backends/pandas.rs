@@ -16,19 +16,36 @@ use crate::dag::{
 use crate::error::{MlError, Result};
 use crate::inspection::{ColumnHistogram, FirstRowsSample, RowLineageSample};
 use dataframe::{AggSpec, DataFrame, ElemOp, JoinType, Series};
-use etypes::{CsvOptions, Value};
+use etypes::{CsvOptions, CsvTable, Value};
 use pyparser::{BinOp, UnaryOp};
 use sklearn::{
     Binarizer, ColumnTransformer, ImputeStrategy, KBinsDiscretizer, LogisticRegression, Matrix,
     MlpClassifier, OneHotEncoder, Pipeline as SkPipeline, SimpleImputer, StandardScaler,
 };
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-/// In-memory file registry: pipeline path → CSV text. Falls back to the
-/// filesystem for unregistered paths.
+/// In-memory file registry: pipeline path → CSV text. A pipeline reads
+/// only registered files (a path matches by its full text or by its
+/// basename); anything else is [`MlError::MissingFile`].
+///
+/// The first read of a file also keeps the table parsed with that read's
+/// `na_values`, and every later read with the same `na_values` — by this
+/// registry or any clone of it — shares it. A read with any other
+/// `na_values` parses the file for that read only, so the registry holds
+/// at most one parsed table per registered file, whatever the pipelines
+/// name.
 #[derive(Debug, Clone, Default)]
 pub struct FileRegistry {
-    files: HashMap<String, String>,
+    files: HashMap<String, Rc<RegisteredFile>>,
+}
+
+#[derive(Debug)]
+struct RegisteredFile {
+    text: String,
+    /// The table parsed on the file's first read, with its `na_values`.
+    parsed: OnceCell<(Option<String>, Rc<CsvTable>)>,
 }
 
 impl FileRegistry {
@@ -37,21 +54,57 @@ impl FileRegistry {
         FileRegistry::default()
     }
 
-    /// Register a file under a path (basename matching is used at lookup).
+    /// Register a file under a path (basename matching is used at lookup),
+    /// replacing any file registered there before.
     pub fn insert(&mut self, path: impl Into<String>, content: impl Into<String>) {
-        self.files.insert(path.into(), content.into());
+        let file = RegisteredFile {
+            text: content.into(),
+            parsed: OnceCell::new(),
+        };
+        self.files.insert(path.into(), Rc::new(file));
     }
 
-    /// Resolve a pipeline-referenced path to CSV text.
-    pub fn resolve(&self, path: &str) -> Result<String> {
-        if let Some(text) = self.files.get(path) {
-            return Ok(text.clone());
-        }
+    fn file(&self, path: &str) -> Result<&RegisteredFile> {
         let base = path.rsplit('/').next().unwrap_or(path);
-        if let Some(text) = self.files.get(base) {
-            return Ok(text.clone());
+        self.files
+            .get(path)
+            .or_else(|| self.files.get(base))
+            .map(|file| &**file)
+            .ok_or_else(|| MlError::MissingFile(path.to_string()))
+    }
+
+    /// The CSV text registered for a pipeline-referenced path.
+    pub fn resolve(&self, path: &str) -> Result<&str> {
+        Ok(&self.file(path)?.text)
+    }
+
+    /// The file at `path` parsed with `na_values`: the kept table when the
+    /// file's first read used the same `na_values`, else a fresh parse,
+    /// kept only when it is the file's first.
+    pub(crate) fn parsed(&self, path: &str, na_values: Option<&str>) -> Result<Rc<CsvTable>> {
+        let file = self.file(path)?;
+        let parse = || etypes::read_csv_str(&file.text, &csv_options(na_values)).map(Rc::new);
+        match file.parsed.get() {
+            Some((na, table)) if na.as_deref() == na_values => Ok(Rc::clone(table)),
+            Some(_) => Ok(parse()?),
+            None => {
+                let table = parse()?;
+                let kept = (na_values.map(str::to_string), Rc::clone(&table));
+                // Nothing can have filled the cell since `get`: parsing
+                // does not call back into the registry.
+                let _ = file.parsed.set(kept);
+                Ok(table)
+            }
         }
-        std::fs::read_to_string(path).map_err(|_| MlError::MissingFile(path.to_string()))
+    }
+}
+
+/// `pd.read_csv`'s options for a pipeline's `na_values`.
+pub(crate) fn csv_options(na_values: Option<&str>) -> CsvOptions {
+    let opts = CsvOptions::default();
+    match na_values {
+        Some(na) => opts.with_na(na),
+        None => opts,
     }
 }
 
@@ -106,11 +159,8 @@ impl<'a> PandasBackend<'a> {
         match kind {
             OpKind::ReadCsv { file, na_values } => {
                 let text = self.files.resolve(file)?;
-                let mut opts = CsvOptions::default();
-                if let Some(na) = na_values {
-                    opts = opts.with_na(na.clone());
-                }
-                let mut df = dataframe::read_csv_str(&text, &opts)?;
+                let opts = csv_options(na_values.as_deref());
+                let mut df = dataframe::read_csv_str(text, &opts)?;
                 let n = df.len();
                 df.insert(Series::new(
                     ctid_column(id),

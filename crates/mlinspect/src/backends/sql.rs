@@ -1,16 +1,17 @@
 //! The SQL backend: translate every operator to a CTE/view and run it on
 //! the database engine (paper §3.3, §4, §5).
 
-use super::pandas::FileRegistry;
+use super::pandas::{csv_options, FileRegistry};
 use super::{labels_to_f64, NodeRelation, RunArtifacts, RunConfig};
 use crate::dag::{Dag, ModelKind, NodeId, OpKind};
 use crate::error::{MlError, Result};
 use crate::inspection::{ColumnHistogram, FirstRowsSample, RowLineageSample};
 use crate::sqlgen::{ReadCsvSql, SqlGen, SqlMode, SqlQueryContainer};
-use etypes::{CsvOptions, Value};
+use etypes::Value;
 use sklearn::{LogisticRegression, Matrix, MlpClassifier};
 use sqlengine::{Engine, Relation};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 use std::time::Instant;
 
 /// The generated SQL of a pipeline, without execution (the paper's
@@ -225,21 +226,18 @@ impl<'a> SqlBackend<'a> {
     fn execute_node(&mut self, id: NodeId, line: usize, kind: &OpKind) -> Result<()> {
         match kind {
             OpKind::ReadCsv { file, na_values } => {
-                let text = self.files.resolve(file)?;
-                let mut opts = CsvOptions::default();
-                if let Some(na) = na_values {
-                    opts = opts.with_na(na.clone());
-                }
-                // Schema deduction: full parse when executing, ten-row sample
-                // when only transpiling.
+                let na_values = na_values.as_deref();
+                // Schema deduction: the whole file when executing (parsed
+                // once per registry and shared by every run), its first ten
+                // records when only transpiling.
                 let csv = if self.dry_run() {
-                    let sample: String = text.lines().take(11).collect::<Vec<_>>().join("\n");
-                    etypes::read_csv_str(&sample, &opts)?
+                    let text = self.files.resolve(file)?;
+                    Rc::new(etypes::read_csv_head(text, &csv_options(na_values), 10)?)
                 } else {
-                    etypes::read_csv_str(&text, &opts)?
+                    self.files.parsed(file, na_values)?
                 };
                 let nullable: Vec<bool> = (0..csv.columns.len())
-                    .map(|i| csv.rows.iter().any(|r| r[i].is_null()))
+                    .map(|c| csv.null_count(c) > 0)
                     .collect();
                 let sql = self.gen.read_csv(
                     id,
@@ -248,14 +246,14 @@ impl<'a> SqlBackend<'a> {
                     &csv.columns,
                     &csv.types,
                     &nullable,
-                    na_values.as_deref(),
+                    na_values,
                 );
                 // Registered before it exists, so a failed load is still
                 // dropped with the rest of the run's scratch relations.
                 self.setup.push(sql);
                 if let (Some(engine), Some(sql)) = (self.engine.as_deref_mut(), self.setup.last()) {
                     engine.execute_script(&sql.create)?;
-                    engine.copy_rows(&sql.table, None, csv)?;
+                    engine.copy_rows(&sql.table, None, &csv)?;
                 }
             }
             OpKind::Join { left, right, on } => {
@@ -661,5 +659,93 @@ mod tests {
             .expect("a post-join lineage sample");
         assert!(sample.ctid_columns[0].contains("_mlinid"));
         assert!(sample.ctid_columns[0].ends_with("_ctid"));
+    }
+
+    #[test]
+    fn transpile_samples_whole_records() {
+        // Data row 10 (the sample's last) holds a quoted line break.
+        let mut csv = String::from("id,race,note\n");
+        for i in 0..20 {
+            let note = if i == 9 { "\"two\nlines\"" } else { "one" };
+            csv.push_str(&format!("{i},r{},{note}\n", i % 2));
+        }
+        let cap = capture("data = pd.read_csv('notes.csv')\ndata = data[data['id'] > 3]").unwrap();
+        let mut files = FileRegistry::new();
+        files.insert("notes.csv", csv);
+        let t = SqlBackend::transpile(&cap.dag, &files, SqlMode::Cte).unwrap();
+        assert!(
+            t.setup[0]
+                .create
+                .contains("\"id\" INT, \"race\" TEXT, \"note\" TEXT"),
+            "{}",
+            t.setup[0].create
+        );
+    }
+
+    #[test]
+    fn runs_share_one_parse_per_file_and_na_values() {
+        let files = files();
+        let cfg = config(&["race"]);
+        let cap = capture(pipelines::HEALTHCARE).unwrap();
+        let mut engine = Engine::new(EngineProfile::in_memory());
+        SqlBackend::run(&cap.dag, &files, &cfg, &mut engine, SqlMode::Cte, false).unwrap();
+        let patients = files.parsed("patients.csv", Some("?")).unwrap();
+        let clone = files.clone();
+        SqlBackend::run(&cap.dag, &clone, &cfg, &mut engine, SqlMode::View, true).unwrap();
+        assert!(Rc::ptr_eq(
+            &patients,
+            &clone.parsed("data/patients.csv", Some("?")).unwrap()
+        ));
+        // Another `na_values` is another parse, not kept.
+        let plain = files.parsed("patients.csv", None).unwrap();
+        assert!(!Rc::ptr_eq(&patients, &plain));
+        assert_eq!(Rc::strong_count(&plain), 1);
+
+        // Writes to a loaded table leave the shared parse as it was.
+        let before = patients.to_rows();
+        let columns: Vec<String> = patients
+            .columns
+            .iter()
+            .zip(&patients.types)
+            .map(|(c, t)| format!("{} {}", crate::sqlgen::quote_ident(c), t.sql_name()))
+            .collect();
+        engine
+            .execute(&format!("CREATE TABLE p ({})", columns.join(", ")))
+            .unwrap();
+        engine.copy_rows("p", None, &patients).unwrap();
+        let cells = vec!["NULL"; patients.columns.len()].join(", ");
+        engine
+            .execute(&format!("INSERT INTO p VALUES ({cells})"))
+            .unwrap();
+        engine
+            .apply_wal_record(sqlengine::WalRecord::Delete {
+                table: "p".into(),
+                ctids: vec![0, 5, 150],
+            })
+            .unwrap();
+        let n = engine.query("SELECT count(*) AS n FROM p").unwrap().rows[0][0].clone();
+        assert_eq!(n, Value::Int(before.len() as i64 - 2));
+        assert_eq!(patients.to_rows(), before);
+        assert!(Rc::ptr_eq(
+            &patients,
+            &files.parsed("patients.csv", Some("?")).unwrap()
+        ));
+    }
+
+    #[test]
+    fn registry_keeps_at_most_one_parse_per_file() {
+        let files = files();
+        let first = files.parsed("patients.csv", Some("?")).unwrap();
+        for i in 0..50 {
+            let na = format!("na{i}");
+            let table = files.parsed("patients.csv", Some(&na)).unwrap();
+            assert_eq!(Rc::strong_count(&table), 1, "{na} was kept");
+        }
+        // Only the first read's parse is held: by the registry and `first`.
+        assert_eq!(Rc::strong_count(&first), 2);
+        assert!(Rc::ptr_eq(
+            &first,
+            &files.clone().parsed("patients.csv", Some("?")).unwrap()
+        ));
     }
 }

@@ -44,8 +44,8 @@ pub mod pipelines;
 pub mod sqlgen;
 
 pub use api::{
-    inspect_pipeline_in_sql, InspectionReport, InspectorResult, OpBiasVerdict, PipelineInspector,
-    SqlMode,
+    inspect_pipeline_in_sql, inspect_registered, InspectionReport, InspectorResult, OpBiasVerdict,
+    PipelineInspector, SqlMode,
 };
 pub use checks::{CheckOutcome, CheckResult};
 pub use dag::{Dag, DagNode, OpKind};

@@ -32,10 +32,11 @@ use etypes::{ColumnChunk, Value};
 use kernels::{eval_col, gather_chunk, truthy_selection};
 use std::rc::Rc;
 
-/// Target rows per [`ColumnChunk`]; matches the cancellation tick quantum so
-/// a batch is also the unit of cooperative scheduling, and is the size at
-/// which a table heap seals its tail ([`crate::storage::Heap`]).
-pub(crate) const BATCH_ROWS: usize = 1024;
+/// Target rows per [`ColumnChunk`] (defined beside the chunk, since the CSV
+/// reader cuts its chunks at the same size); matches the cancellation tick
+/// quantum so a batch is also the unit of cooperative scheduling, and is the
+/// size at which a table heap seals its tail ([`crate::storage::Heap`]).
+pub(crate) use etypes::chunk::BATCH_ROWS;
 
 /// Execute a fully bound query: materialize CTEs in order — their batches
 /// stored as they are, with temp-page spill accounting — then run the body

@@ -983,16 +983,18 @@ impl Engine {
                 null_str,
                 header,
             } => {
+                // PostgreSQL's CSV rules: a blank line is a record.
                 let mut opts = CsvOptions {
                     delimiter,
                     header,
                     na_values: Vec::new(),
+                    skip_blank_lines: false,
                 };
                 if !null_str.is_empty() {
                     opts.na_values.push(null_str);
                 }
                 let csv = etypes::read_csv(&path, &opts)?;
-                self.copy_rows(&table, columns.as_deref(), csv)
+                self.copy_rows(&table, columns.as_deref(), &csv)
             }
             Statement::CreateView {
                 name,
@@ -1460,12 +1462,15 @@ impl Engine {
     }
 
     /// Bulk-load parsed CSV content into an existing table (the COPY path,
-    /// also used directly by benchmarks to skip the filesystem).
+    /// also used directly by benchmarks to skip the filesystem). The parsed
+    /// chunks are sealed into the heap as they are, sharing their columns
+    /// wherever they already have the declared type (`Table::load`), so
+    /// one parsed table can be loaded any number of times.
     pub fn copy_rows(
         &mut self,
         table: &str,
         columns: Option<&[String]>,
-        csv: etypes::CsvTable,
+        csv: &etypes::CsvTable,
     ) -> Result<ExecOutcome> {
         // An unlogged load (INSPECT's base tables) has no record to build:
         // copying every loaded row for `log_durable` to discard would
@@ -1487,24 +1492,17 @@ impl Engine {
                 .collect::<Result<Vec<_>>>()?,
             None => (0..width).collect(),
         };
+        let count = csv.len();
+        if count > 0 && csv.columns.len() != target_indices.len() {
+            return Err(SqlError::exec(format!(
+                "COPY row arity {} vs column list arity {}",
+                csv.columns.len(),
+                target_indices.len()
+            )));
+        }
         let first_new_row = table_ref.heap.len();
         let saved_serials = table_ref.serial_next.clone();
-        let mut count = 0usize;
-        for row in csv.rows {
-            if row.len() != target_indices.len() {
-                return Err(SqlError::exec(format!(
-                    "COPY row arity {} vs column list arity {}",
-                    row.len(),
-                    target_indices.len()
-                )));
-            }
-            let mut full = vec![Value::Null; width];
-            for (&idx, v) in target_indices.iter().zip(row) {
-                full[idx] = v;
-            }
-            table_ref.append(full)?;
-            count += 1;
-        }
+        table_ref.load(&target_indices, &csv.chunks);
         if count > 0 && builds_record {
             let rows = table_ref.heap.rows_from(first_new_row);
             if let Err(e) = self.log_durable(&WalRecord::Insert {
@@ -1534,7 +1532,7 @@ impl Engine {
         opts: &CsvOptions,
     ) -> Result<ExecOutcome> {
         let csv = etypes::read_csv_str(csv_text, opts)?;
-        self.copy_rows(table, columns, csv)
+        self.copy_rows(table, columns, &csv)
     }
 }
 

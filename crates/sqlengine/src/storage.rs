@@ -4,7 +4,8 @@
 
 use crate::colexec::BATCH_ROWS;
 use crate::error::{Result, SqlError};
-use etypes::{ColumnChunk, DataType, Value};
+use etypes::{Column, ColumnChunk, ColumnData, DataType, Value};
+use std::rc::Rc;
 
 /// One tuple.
 pub type Row = Vec<Value>;
@@ -174,8 +175,11 @@ impl ResultSet {
 /// fewer than [`BATCH_ROWS`] rows. A row's position across chunks then
 /// tail is its ctid.
 ///
-/// Appends go to the tail, which is sealed into a chunk once it holds
-/// `BATCH_ROWS` rows, so a base table's chunks are all full. Materialized
+/// Row appends go to the tail, which is sealed into a chunk once it holds
+/// `BATCH_ROWS` rows. A bulk load (`COPY`, `Table::load`) seals the tail
+/// as it is and then seals what it loads, chunk by chunk, so a loaded text
+/// column keeps the one dictionary its parser built; a base table's chunks
+/// are therefore full except where a load began or ended. Materialized
 /// views and CTEs are sealed whole when created and keep the chunks the
 /// executor produced as they are. Scans share the sealed chunks' columns
 /// (`Rc`) and build only the tail; the row engine reads the same chunks
@@ -200,12 +204,26 @@ impl Heap {
     /// A sealed heap holding executor output as it is (empty chunks are
     /// dropped).
     pub fn from_chunks(width: usize, chunks: Vec<ColumnChunk>) -> Heap {
-        let sealed: Vec<ColumnChunk> = chunks.into_iter().filter(|c| !c.is_empty()).collect();
-        Heap {
-            width,
-            sealed_rows: sealed.iter().map(ColumnChunk::len).sum(),
-            sealed,
-            tail: Vec::new(),
+        let mut heap = Heap::new(width);
+        heap.seal(chunks);
+        heap
+    }
+
+    /// Append whole chunks as sealed chunks (empty ones dropped). A
+    /// non-empty tail is sealed first, as it is, so every row keeps its
+    /// position, its ctid.
+    pub(crate) fn seal(&mut self, chunks: impl IntoIterator<Item = ColumnChunk>) {
+        let mut chunks = chunks.into_iter().filter(|c| !c.is_empty()).peekable();
+        if chunks.peek().is_some() && !self.tail.is_empty() {
+            self.sealed
+                .push(ColumnChunk::from_rows(&self.tail, self.width));
+            self.sealed_rows += self.tail.len();
+            self.tail.clear();
+        }
+        for chunk in chunks {
+            debug_assert_eq!(chunk.width(), self.width);
+            self.sealed_rows += chunk.len();
+            self.sealed.push(chunk);
         }
     }
 
@@ -285,8 +303,9 @@ impl Heap {
 
     /// Cut back to the first `len` rows (an append's undo). A cut inside a
     /// sealed chunk — the undone statement crossed a seal — unseals that
-    /// chunk's surviving rows back into the tail, so the heap is exactly
-    /// what it was before the append.
+    /// chunk's surviving rows back into the tail, so the heap holds exactly
+    /// the rows, in the chunks, it held before a row append (a tail that an
+    /// undone bulk load sealed stays sealed).
     pub fn truncate(&mut self, len: usize) {
         if len >= self.sealed_rows {
             self.tail.truncate(len - self.sealed_rows);
@@ -363,22 +382,86 @@ impl Table {
                 self.columns.len()
             )));
         }
-        for (idx, next) in &mut self.serial_next {
-            if row[*idx].is_null() {
-                row[*idx] = Value::Int(*next);
-                *next += 1;
-            }
-        }
-        // Coerce cell types to declared column types where cheap.
-        for (cell, ty) in row.iter_mut().zip(&self.types) {
-            if !cell.is_null() {
-                if let Ok(coerced) = cell.cast(ty) {
-                    *cell = coerced;
-                }
-            }
+        for (c, cell) in row.iter_mut().enumerate() {
+            let serial = serial_of(&mut self.serial_next, c);
+            let value = std::mem::replace(cell, Value::Null);
+            *cell = store_cell(&self.types[c], value, serial);
         }
         self.heap.push(row);
         Ok(())
+    }
+
+    /// Bulk-append column chunks, sealed as they come: column `k` of each
+    /// chunk feeds table column `targets[k]` (the last one wins when a
+    /// column is named twice), every other column is NULL. The rows are
+    /// stored exactly as [`Table::append`] would store them one by one: a
+    /// column whose storage already has the declared type, and that needs
+    /// no serial filled, is shared as it is; any other is rebuilt cell by
+    /// cell through `store_cell`, the rule `append` applies. The caller
+    /// checks `targets` against the chunks' width.
+    pub(crate) fn load(&mut self, targets: &[usize], chunks: &[ColumnChunk]) {
+        let mut sealed = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            let cols = (0..self.columns.len())
+                .map(|c| {
+                    let source = targets.iter().rposition(|&t| t == c);
+                    self.load_column(c, source.map(|k| chunk.column(k)), chunk.len())
+                })
+                .collect();
+            sealed.push(ColumnChunk::new(cols, chunk.len()));
+        }
+        self.heap.seal(sealed);
+    }
+
+    /// Table column `c` of one loaded chunk of `len` rows, from `source`
+    /// (NULL without one).
+    fn load_column(&mut self, c: usize, source: Option<&Rc<Column>>, len: usize) -> Rc<Column> {
+        let ty = &self.types[c];
+        let mut serial = serial_of(&mut self.serial_next, c);
+        if let Some(col) = source {
+            let fills = serial.is_some() && !col.nulls().all_valid();
+            let typed = matches!(
+                (col.data(), ty),
+                (ColumnData::Int(_), DataType::Int | DataType::Serial)
+                    | (ColumnData::Float(_), DataType::Float)
+                    | (ColumnData::Bool(_), DataType::Bool)
+                    | (ColumnData::Text { .. }, DataType::Text)
+            );
+            let all_null = col.nulls().null_count() == col.len();
+            if !fills && (typed || all_null) {
+                return Rc::clone(col);
+            }
+        }
+        let cells: Vec<Value> = (0..len)
+            .map(|i| {
+                let cell = source.map_or(Value::Null, |col| col.get(i));
+                store_cell(ty, cell, serial.as_deref_mut())
+            })
+            .collect();
+        Rc::new(Column::from_values(&cells))
+    }
+}
+
+/// The next-value counter of serial column `c`, if `c` is one.
+fn serial_of(serial_next: &mut [(usize, i64)], c: usize) -> Option<&mut i64> {
+    serial_next
+        .iter_mut()
+        .find(|(idx, _)| *idx == c)
+        .map(|(_, next)| next)
+}
+
+/// A cell as a column of type `ty` stores it, the one rule for row appends
+/// and bulk loads: a NULL takes the next value of `serial` (when the
+/// column is a serial), any other cell is cast to `ty` where the cast
+/// succeeds and kept as it is where it fails.
+fn store_cell(ty: &DataType, cell: Value, serial: Option<&mut i64>) -> Value {
+    match (cell, serial) {
+        (Value::Null, Some(next)) => {
+            *next += 1;
+            Value::Int(*next - 1)
+        }
+        (Value::Null, None) => Value::Null,
+        (cell, _) => cell.cast(ty).unwrap_or(cell),
     }
 }
 

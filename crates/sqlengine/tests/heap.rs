@@ -2,9 +2,9 @@
 //! snapshot bytes encoded straight from sealed chunks.
 
 use elephant_store::snapshot::write_snapshot;
-use elephant_store::SNAPSHOT_FILE;
+use elephant_store::{SNAPSHOT_FILE, WAL_FILE};
 use etypes::chunk::page_tag;
-use etypes::{DataType, Value};
+use etypes::{read_csv_str, CsvOptions, DataType, Value};
 use sqlengine::{Engine, EngineProfile, FsyncPolicy, TableImage};
 use std::path::PathBuf;
 
@@ -20,8 +20,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 fn sql_value(v: &Value) -> String {
     match v {
         Value::Null => "NULL".into(),
-        Value::Text(s) => format!("'{s}'"),
-        other => other.to_string(),
+        other => other.sql_literal(),
     }
 }
 
@@ -189,4 +188,182 @@ fn ctids_run_across_the_seal_for_single_and_multi_row_inserts() {
             }
         }
     }
+}
+
+/// `n` CSV rows with `?` as the NA marker: `id` int, `x` int with NAs,
+/// `f` float, `s` repeated text with NAs and quoted empty fields (NULL to
+/// the reader, like pandas), `t` text whose cells are partly integers.
+fn load_csv(n: usize) -> String {
+    let mut text = String::from("id,x,f,s,t\n");
+    for i in 0..n {
+        let x = if i % 5 == 2 {
+            "?".to_string()
+        } else {
+            (i % 9).to_string()
+        };
+        let s = match i % 6 {
+            0 => "?".to_string(),
+            1 => "\"\"".to_string(),
+            k => format!("\"s{},{k}\"", i % 4),
+        };
+        let t = match i % 3 {
+            0 => format!(" {} ", i * 7),
+            1 => "abc".to_string(),
+            _ => "?".to_string(),
+        };
+        text.push_str(&format!("{i},{x},{}.25,{s},{t}\n", i % 11));
+    }
+    text
+}
+
+/// One durable engine loading a table either way: `by_copy` runs the
+/// columnar `COPY` path, otherwise the same parsed rows go through one
+/// `INSERT` (row by row through `Table::append`). `ddl` creates `t`,
+/// `before` rows are inserted first (so the load appends after a tail),
+/// and `list` is the COPY/INSERT column list.
+struct Load {
+    ddl: &'static str,
+    list: Option<&'static [&'static str]>,
+    before: &'static [&'static str],
+}
+
+fn load(dir: &std::path::Path, case: &Load, text: &str, by_copy: bool) -> Engine {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut e = Engine::open_durable(EngineProfile::in_memory(), dir, FsyncPolicy::Off).unwrap();
+    e.execute(case.ddl).unwrap();
+    for sql in case.before {
+        e.execute(sql).unwrap();
+    }
+    let opts = CsvOptions::default().with_na("?");
+    let list: Option<Vec<String>> = case
+        .list
+        .map(|cols| cols.iter().map(|c| c.to_string()).collect());
+    if by_copy {
+        e.copy_from_str("t", list.as_deref(), text, &opts).unwrap();
+    } else {
+        let rows = read_csv_str(text, &opts).unwrap().to_rows();
+        if !rows.is_empty() {
+            let cols = list.map_or(String::new(), |l| format!(" ({})", l.join(", ")));
+            let insert = insert_sql(&format!("t{cols}"), &rows);
+            e.execute(&insert).unwrap();
+        }
+    }
+    e
+}
+
+fn ctid_star(e: &mut Engine) -> Vec<Vec<Value>> {
+    let rows = e.query("SELECT ctid, * FROM t").unwrap().rows;
+    assert_eq!(
+        e.query_reference("SELECT ctid, * FROM t").unwrap().rows,
+        rows
+    );
+    rows
+}
+
+#[test]
+fn column_load_stores_what_row_appends_store() {
+    const PLAIN: &[&str] = &[];
+    const TAIL: &[&str] = &[
+        "INSERT INTO t (id, s) VALUES (-1, ''), (-2, NULL), (-3, 's1,3')",
+        "INSERT INTO t (id, x) VALUES (-4, 4)",
+    ];
+    let cases = [
+        // Every column already has its declared type: shared as parsed.
+        Load {
+            ddl: "CREATE TABLE t (id int, x int, f float, s text, t text)",
+            list: None,
+            before: PLAIN,
+        },
+        // int -> float, int -> text, float -> int (non-integral: kept),
+        // text -> int (' 7 ' parses, 'abc' is kept).
+        Load {
+            ddl: "CREATE TABLE t (id float, x text, f int, s text, t int)",
+            list: None,
+            before: PLAIN,
+        },
+        // A column list in another order; serials filled where NULL (`x`)
+        // and where not listed (`k`); `extra` NULL.
+        Load {
+            ddl: "CREATE TABLE t (k serial, t text, id int, x serial, f float, s text, extra int)",
+            list: Some(&["id", "x", "f", "s", "t"]),
+            before: PLAIN,
+        },
+        // Loads that append after an existing tail.
+        Load {
+            ddl: "CREATE TABLE t (id int, x int, f float, s text, t text)",
+            list: None,
+            before: TAIL,
+        },
+        Load {
+            ddl: "CREATE TABLE t (k serial, t text, id int, x serial, f float, s text, extra int)",
+            list: Some(&["id", "x", "f", "s", "t"]),
+            before: TAIL,
+        },
+    ];
+    let (dir_col, dir_row) = (tmp_dir("load-col"), tmp_dir("load-row"));
+    for (c, case) in cases.iter().enumerate() {
+        for n in [0, 1, BATCH - 1, BATCH, BATCH + 1, 2500] {
+            let what = format!("case {c} n={n}");
+            let text = load_csv(n);
+            let mut col = load(&dir_col, case, &text, true);
+            let mut row = load(&dir_row, case, &text, false);
+            let rows = ctid_star(&mut row);
+            assert_eq!(ctid_star(&mut col), rows, "{what}");
+            assert_eq!(rows.len(), n + case.before.len().min(1) * 4, "{what}");
+            // One WAL record per statement, byte for byte.
+            assert_eq!(
+                std::fs::read(dir_col.join(WAL_FILE)).unwrap(),
+                std::fs::read(dir_row.join(WAL_FILE)).unwrap(),
+                "{what}: WAL"
+            );
+            col.checkpoint().unwrap();
+            row.checkpoint().unwrap();
+            assert_eq!(
+                std::fs::read(dir_col.join(SNAPSHOT_FILE)).unwrap(),
+                std::fs::read(dir_row.join(SNAPSHOT_FILE)).unwrap(),
+                "{what}: snapshot"
+            );
+            // Serial counters moved alike: the next row gets the same ids.
+            for e in [&mut col, &mut row] {
+                e.execute("INSERT INTO t (s) VALUES ('next')").unwrap();
+            }
+            let after = ctid_star(&mut row);
+            assert_eq!(ctid_star(&mut col), after, "{what}: append after the load");
+            drop((col, row));
+            let mut recovered =
+                Engine::open_durable(EngineProfile::in_memory(), &dir_col, FsyncPolicy::Off)
+                    .unwrap();
+            assert_eq!(ctid_star(&mut recovered), after, "{what}: recovered");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir_col);
+    let _ = std::fs::remove_dir_all(&dir_row);
+}
+
+#[test]
+fn a_load_seals_the_tail_and_shares_parsed_columns() {
+    let mut e = Engine::new(EngineProfile::in_memory());
+    e.execute("CREATE TABLE t (id int, x int, f float, s text, t text)")
+        .unwrap();
+    e.execute("INSERT INTO t (id) VALUES (-1), (-2)").unwrap();
+    let csv = read_csv_str(&load_csv(2500), &CsvOptions::default().with_na("?")).unwrap();
+    e.copy_rows("t", None, &csv).unwrap();
+    let heap = &e.catalog().table("t").unwrap().heap;
+    let lens: Vec<usize> = heap.sealed().iter().map(|c| c.len()).collect();
+    assert_eq!(lens, [2, BATCH, BATCH, 2500 - 2 * BATCH]);
+    assert!(heap.tail().is_empty());
+    for (loaded, parsed) in heap.sealed()[1..].iter().zip(&csv.chunks) {
+        for c in 0..5 {
+            assert!(
+                std::rc::Rc::ptr_eq(loaded.column(c), parsed.column(c)),
+                "column {c} was copied"
+            );
+        }
+    }
+    // Row appends start a new tail after the loaded chunks.
+    e.execute("INSERT INTO t (id) VALUES (-3)").unwrap();
+    let heap = &e.catalog().table("t").unwrap().heap;
+    assert_eq!((heap.sealed().len(), heap.tail().len()), (4, 1));
+    let ctid = e.query("SELECT ctid FROM t WHERE id = -3").unwrap().rows;
+    assert_eq!(ctid, vec![vec![Value::Int(2502)]]);
 }

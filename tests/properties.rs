@@ -108,7 +108,7 @@ fn csv_round_trip() {
             .collect();
         let text = write_csv(&columns, &data, ',');
         let parsed = read_csv_str(&text, &CsvOptions::default()).unwrap();
-        assert_eq!(parsed.rows, data, "csv:\n{text}");
+        assert_eq!(parsed.to_rows(), data, "csv:\n{text}");
     }
 }
 

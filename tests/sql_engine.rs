@@ -31,6 +31,41 @@ fn copy_from_a_real_file() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `COPY` keeps PostgreSQL's CSV rule for a blank line — a record of one
+/// empty field — where `read_csv` skips it as pandas does.
+#[test]
+fn copy_reads_a_blank_line_as_a_record() {
+    let dir = std::env::temp_dir().join("be_engine_copy_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let one = dir.join("blank_one_column.csv");
+    let two = dir.join("blank_two_columns.csv");
+    std::fs::write(&one, "a\n1\n\n2\n").unwrap();
+    std::fs::write(&two, "a,b\n1,x\n\n2,y\n").unwrap();
+    let copy = |table: &str, path: &std::path::Path| {
+        format!(
+            "COPY {table} FROM '{}' WITH (DELIMITER ',', FORMAT CSV, HEADER TRUE)",
+            path.display()
+        )
+    };
+
+    let mut e = engine();
+    e.execute("CREATE TABLE one (a int)").unwrap();
+    assert_eq!(e.execute(&copy("one", &one)).unwrap().rows_affected, 3);
+    let r = e.query("SELECT a FROM one").unwrap();
+    assert_eq!(
+        r.rows,
+        vec![vec![Value::Int(1)], vec![Value::Null], vec![Value::Int(2)]]
+    );
+    e.execute("CREATE TABLE two (a int, b text)").unwrap();
+    let err = e.execute(&copy("two", &two)).unwrap_err().to_string();
+    assert!(err.contains("row has 1 fields, expected 2"), "{err}");
+
+    let pandas = etypes::read_csv(&one, &etypes::CsvOptions::default()).unwrap();
+    assert_eq!(pandas.len(), 2);
+    std::fs::remove_file(&one).ok();
+    std::fs::remove_file(&two).ok();
+}
+
 #[test]
 fn full_outer_join() {
     let mut e = engine();

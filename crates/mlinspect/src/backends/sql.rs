@@ -7,9 +7,9 @@ use crate::dag::{Dag, ModelKind, NodeId, OpKind};
 use crate::error::{MlError, Result};
 use crate::inspection::{ColumnHistogram, FirstRowsSample, RowLineageSample};
 use crate::sqlgen::{ReadCsvSql, SqlGen, SqlMode, SqlQueryContainer};
-use etypes::Value;
+use etypes::{Column, ColumnData, Value};
 use sklearn::{LogisticRegression, Matrix, MlpClassifier};
-use sqlengine::{Engine, Relation};
+use sqlengine::{Engine, Relation, ResultSet};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::time::Instant;
@@ -482,59 +482,103 @@ impl<'a> SqlBackend<'a> {
             lab.sql_name
         );
         let sql = self.assemble(&select);
-        let rel = self.run_sql(&sql)?;
-        matrix_from_relation(&rel)
+        let engine = self
+            .engine
+            .as_deref_mut()
+            .ok_or_else(|| MlError::Internal("query in transpile-only mode".into()))?;
+        let result = engine
+            .execute(&sql)?
+            .result
+            .ok_or_else(|| MlError::Internal("extraction produced no rows".into()))?;
+        design_matrix(&result)
     }
 }
 
-/// Flatten a relation whose last column is the label and whose feature
-/// columns may contain one-hot arrays.
-fn matrix_from_relation(rel: &Relation) -> Result<(Matrix, Vec<f64>)> {
-    let n_cols = rel.columns.len();
+/// Copy an extraction result — feature columns, then the label — into the
+/// dense row-major matrix training consumes, straight from its chunks:
+/// `Float` and `Int` cells are copied and one-hot lists flattened by their
+/// offsets, with no `Value` per cell. An array column is as wide as its
+/// first row; a row of another width, a scalar in an array column, or a
+/// non-numeric cell is an error.
+pub fn design_matrix(result: &ResultSet) -> Result<(Matrix, Vec<f64>)> {
+    let n_cols = result.columns.len();
     if n_cols < 1 {
         return Err(MlError::Internal("empty extraction result".into()));
     }
     let feat_cols = n_cols - 1;
-    let mut widths = vec![1usize; feat_cols];
-    for (c, width) in widths.iter_mut().enumerate() {
-        if let Some(row) = rel.rows.first() {
-            if let Value::Array(items) = &row[c] {
-                *width = items.len();
-            }
-        }
-    }
+    let first = result.chunks.iter().find(|c| !c.is_empty());
+    let widths: Vec<usize> = (0..feat_cols)
+        .map(|c| match first.map(|chunk| chunk.column(c).get(0)) {
+            Some(Value::Array(items)) => items.len(),
+            _ => 1,
+        })
+        .collect();
     let total: usize = widths.iter().sum();
-    let mut data = Vec::with_capacity(rel.rows.len() * total);
-    let mut labels = Vec::with_capacity(rel.rows.len());
-    for row in &rel.rows {
-        for (c, width) in widths.iter().enumerate() {
-            match &row[c] {
-                Value::Array(items) => {
-                    if items.len() != *width {
-                        return Err(MlError::Internal(format!(
-                            "ragged one-hot width in column {}",
-                            rel.columns[c]
-                        )));
-                    }
-                    for item in items {
-                        data.push(item.as_f64().map_err(MlError::Value)?);
-                    }
-                }
-                v => {
-                    if *width != 1 {
-                        return Err(MlError::Internal(format!(
-                            "scalar in array feature column {}",
-                            rel.columns[c]
-                        )));
-                    }
-                    data.push(v.as_f64().map_err(MlError::Value)?);
-                }
+    let rows = result.len();
+    let mut data = Vec::with_capacity(rows * total);
+    let mut labels = Vec::with_capacity(rows);
+    for chunk in &result.chunks {
+        for i in 0..chunk.len() {
+            for (c, &width) in widths.iter().enumerate() {
+                push_features(&mut data, chunk.column(c), i, width, &result.columns[c])?;
+            }
+            labels.push(labels_to_f64(&[chunk.column(feat_cols).get(i)])?[0]);
+        }
+    }
+    let matrix = Matrix::new(rows, total, data)?;
+    Ok((matrix, labels))
+}
+
+/// Append row `i` of one feature column, `width` numbers wide.
+fn push_features(
+    data: &mut Vec<f64>,
+    column: &Column,
+    i: usize,
+    width: usize,
+    name: &str,
+) -> Result<()> {
+    let numeric = |c: &Column, j: usize| match c.data() {
+        _ if c.is_null(j) => None,
+        ColumnData::Float(v) => Some(v[j]),
+        ColumnData::Int(v) => Some(v[j] as f64),
+        _ => None,
+    };
+    match column.data() {
+        ColumnData::List { offsets, values } if !column.is_null(i) => {
+            let range = Column::list_range(offsets, i);
+            if range.len() != width {
+                return Err(MlError::Internal(format!(
+                    "ragged one-hot width in column {name}"
+                )));
+            }
+            for j in range {
+                data.push(match numeric(values, j) {
+                    Some(x) => x,
+                    None => values.get(j).as_f64().map_err(MlError::Value)?,
+                });
             }
         }
-        labels.push(labels_to_f64(&row[feat_cols..=feat_cols])?[0]);
+        _ => match (numeric(column, i), column.get(i)) {
+            (Some(x), _) if width == 1 => data.push(x),
+            (_, Value::Array(items)) if items.len() != width => {
+                return Err(MlError::Internal(format!(
+                    "ragged one-hot width in column {name}"
+                )))
+            }
+            (_, Value::Array(items)) => {
+                for item in &items {
+                    data.push(item.as_f64().map_err(MlError::Value)?);
+                }
+            }
+            _ if width != 1 => {
+                return Err(MlError::Internal(format!(
+                    "scalar in array feature column {name}"
+                )))
+            }
+            (_, v) => data.push(v.as_f64().map_err(MlError::Value)?),
+        },
     }
-    let matrix = Matrix::new(rel.rows.len(), total, data)?;
-    Ok((matrix, labels))
+    Ok(())
 }
 
 #[cfg(test)]

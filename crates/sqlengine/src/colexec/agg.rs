@@ -14,13 +14,17 @@
 //! same-type `sum` / `min` / `max`) and hands every other state or
 //! aggregate to `Acc::update` itself, so results are bit-identical —
 //! float summation order within a group included.
+//!
+//! `array_agg` keeps each batch's argument column whole and records, per
+//! group, the positions of its rows; the finished aggregate is one gather
+//! into a list column, with no `Value` per element.
 
-use super::kernels::{eval_col, Evaluated};
-use super::{exec_node, rows_to_chunks};
+use super::kernels::{eval_col, gather_chunk, Evaluated};
+use super::{exec_node, BATCH_ROWS};
 use crate::error::{Result, SqlError};
 use crate::exec::{Acc, ExecContext, Row};
-use crate::plan::{AggCall, BExpr, PlanNode};
-use etypes::chunk::{page_tag, ColumnData, NullBitmap, TextDict};
+use crate::plan::{AggCall, AggFunc, BExpr, PlanNode};
+use etypes::chunk::{page_tag, Column, ColumnData, NullBitmap, TextDict};
 use etypes::{ColumnChunk, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -357,6 +361,56 @@ fn accumulate(accs: &mut [Acc], arg: Option<&Evaluated>, ids: &[u32]) -> Result<
     Ok(())
 }
 
+/// `array_agg` per dense group id: the argument columns of every batch,
+/// and per group the positions of its rows across them (NULL arguments
+/// included, as `Acc::ArrayAgg` keeps them).
+#[derive(Default)]
+struct ListAgg {
+    parts: Vec<Rc<Column>>,
+    rows: usize,
+    members: Vec<Vec<u32>>,
+}
+
+impl ListAgg {
+    fn add(&mut self, arg: Option<&Evaluated>, ids: &[u32], groups: usize) {
+        self.members.resize_with(groups, Vec::new);
+        let Some(arg) = arg else { return };
+        for (i, &g) in ids.iter().enumerate() {
+            self.members[g as usize].push((self.rows + i) as u32);
+        }
+        self.rows += ids.len();
+        self.parts.push(match arg {
+            Evaluated::Col(c) => Rc::clone(c),
+            Evaluated::Scalar(v) => Rc::new(Column::repeat(v, ids.len())),
+        });
+    }
+
+    /// One list per group, NULL for a group that collected nothing.
+    fn finish(mut self, groups: usize) -> Column {
+        self.members.resize_with(groups, Vec::new);
+        let parts: Vec<&Column> = self.parts.iter().map(Rc::as_ref).collect();
+        let all = Column::concat(&parts);
+        let mut offsets = Vec::with_capacity(groups + 1);
+        offsets.push(0u32);
+        let mut nulls = NullBitmap::new_valid(groups);
+        let mut idx: Vec<usize> = Vec::with_capacity(self.rows);
+        for (g, members) in self.members.iter().enumerate() {
+            if members.is_empty() {
+                nulls.set_null(g);
+            }
+            idx.extend(members.iter().map(|&m| m as usize));
+            offsets.push(idx.len() as u32);
+        }
+        Column::list(offsets, nulls, Rc::new(all.gather(&idx)))
+    }
+}
+
+/// One aggregate's per-group state.
+enum Slots {
+    Accs(Vec<Acc>),
+    List(ListAgg),
+}
+
 pub(super) fn exec_aggregate(
     input: &PlanNode,
     group_exprs: &[BExpr],
@@ -382,37 +436,53 @@ pub(super) fn exec_aggregate(
     }
 
     let mut table = GroupTable::new(group_exprs.len(), &batches);
-    let mut accs: Vec<Vec<Acc>> = aggs
+    let mut states: Vec<Slots> = aggs
         .iter()
-        .map(|call| (0..table.len()).map(|_| Acc::new(call)).collect())
+        .map(|call| match call.func {
+            AggFunc::ArrayAgg => Slots::List(ListAgg::default()),
+            _ => Slots::Accs((0..table.len()).map(|_| Acc::new(call)).collect()),
+        })
         .collect();
     let mut ids: Vec<u32> = Vec::new();
     for batch in &batches {
         table.assign(batch, &mut ids);
-        for ((slots, call), arg) in accs.iter_mut().zip(aggs).zip(&batch.args) {
-            slots.resize_with(table.len(), || Acc::new(call));
-            accumulate(slots, arg.as_ref(), &ids)?;
+        for ((state, call), arg) in states.iter_mut().zip(aggs).zip(&batch.args) {
+            match state {
+                Slots::Accs(slots) => {
+                    slots.resize_with(table.len(), || Acc::new(call));
+                    accumulate(slots, arg.as_ref(), &ids)?;
+                }
+                Slots::List(list) => list.add(arg.as_ref(), &ids, table.len()),
+            }
         }
     }
     if let Some(e) = eval_error {
         return Err(e);
     }
 
-    let mut finished: Vec<_> = accs
-        .into_iter()
-        .map(|slots| slots.into_iter().map(Acc::finish))
+    // One column per group key, then one per aggregate, cut into batches.
+    let groups = table.len();
+    let mut columns: Vec<Rc<Column>> = (0..group_exprs.len())
+        .map(|k| Rc::new(Column::from_rows(&table.keys, k)))
         .collect();
-    let rows: Vec<Row> = table
-        .keys
-        .into_iter()
-        .map(|mut row| {
-            row.extend(
-                finished
-                    .iter_mut()
-                    .map(|f| f.next().expect("one slot per group")),
-            );
-            row
+    columns.extend(states.into_iter().map(|state| {
+        Rc::new(match state {
+            Slots::Accs(slots) => {
+                let values: Vec<Value> = slots.into_iter().map(Acc::finish).collect();
+                Column::from_values(&values)
+            }
+            Slots::List(list) => list.finish(groups),
         })
-        .collect();
-    Ok(rows_to_chunks(&rows, group_exprs.len() + aggs.len()))
+    }));
+    let all = ColumnChunk::new(columns, groups);
+    if groups <= BATCH_ROWS {
+        return Ok(vec![all]);
+    }
+    Ok((0..groups)
+        .step_by(BATCH_ROWS)
+        .map(|start| {
+            let window: Vec<usize> = (start..(start + BATCH_ROWS).min(groups)).collect();
+            gather_chunk(&all, &window)
+        })
+        .collect())
 }

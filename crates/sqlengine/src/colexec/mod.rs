@@ -246,44 +246,65 @@ fn sorted_indices(
 /// Expand the array cells of `column` into one row per element, in parent
 /// order and then element order; the other columns are gathered from each
 /// element's parent row. A NULL cell or an empty array yields no rows and a
-/// non-array value passes through unchanged. Linear in the elements: each
-/// array is read once.
+/// non-array value passes through unchanged. A list column is offset
+/// arithmetic plus one gather of its child; a generic one reads each array
+/// once.
 fn unnest_chunk(chunk: &ColumnChunk, column: usize) -> ColumnChunk {
     let col = chunk.column(column);
-    let ColumnData::Generic(cells) = col.data() else {
-        // Typed storage holds no arrays: only the NULLs drop out.
-        let keep: Vec<usize> = (0..chunk.len()).filter(|&i| !col.is_null(i)).collect();
-        return if keep.len() == chunk.len() {
-            chunk.clone()
-        } else {
-            gather_chunk(chunk, &keep)
-        };
-    };
-    let mut parents: Vec<usize> = Vec::with_capacity(cells.len());
-    let mut items: Vec<Value> = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
-        match cell {
-            Value::Array(elems) => {
-                parents.extend(std::iter::repeat_n(i, elems.len()));
-                items.extend(elems.iter().cloned());
+    let (parents, items) = match col.data() {
+        ColumnData::List { offsets, values } => {
+            let mut parents: Vec<usize> = Vec::with_capacity(values.len());
+            let mut elems: Vec<usize> = Vec::with_capacity(values.len());
+            for i in 0..chunk.len() {
+                let range = Column::list_range(offsets, i);
+                parents.extend(std::iter::repeat_n(i, range.len()));
+                elems.extend(range);
             }
-            Value::Null => {}
-            scalar => {
-                parents.push(i);
-                items.push(scalar.clone());
-            }
+            let items = if elems.iter().copied().eq(0..values.len()) {
+                Rc::clone(values)
+            } else {
+                Rc::new(values.gather(&elems))
+            };
+            (parents, items)
         }
-    }
+        ColumnData::Generic(cells) => {
+            let mut parents: Vec<usize> = Vec::with_capacity(cells.len());
+            let mut items: Vec<Value> = Vec::with_capacity(cells.len());
+            for (i, cell) in cells.iter().enumerate() {
+                match cell {
+                    Value::Array(elems) => {
+                        parents.extend(std::iter::repeat_n(i, elems.len()));
+                        items.extend(elems.iter().cloned());
+                    }
+                    Value::Null => {}
+                    scalar => {
+                        parents.push(i);
+                        items.push(scalar.clone());
+                    }
+                }
+            }
+            (parents, Rc::new(Column::from_values(&items)))
+        }
+        _ => {
+            // Other typed storage holds no arrays: only the NULLs drop out.
+            let keep: Vec<usize> = (0..chunk.len()).filter(|&i| !col.is_null(i)).collect();
+            return if keep.len() == chunk.len() {
+                chunk.clone()
+            } else {
+                gather_chunk(chunk, &keep)
+            };
+        }
+    };
     let cols = chunk
         .columns()
         .iter()
         .enumerate()
         .map(|(c, col)| {
-            Rc::new(if c == column {
-                Column::from_values(&items)
+            if c == column {
+                Rc::clone(&items)
             } else {
-                col.gather(&parents)
-            })
+                Rc::new(col.gather(&parents))
+            }
         })
         .collect();
     ColumnChunk::new(cols, parents.len())

@@ -45,21 +45,7 @@ pub fn eval(expr: &BExpr, row: &[Value], ctx: &ExecContext<'_>) -> Result<Value>
             let r = eval(right, row, ctx)?;
             binary(*op, &l, &r)?
         }
-        BExpr::Unary { op, operand } => {
-            let v = eval(operand, row, ctx)?;
-            match op {
-                UnaryOp::Neg => match v {
-                    Value::Null => Value::Null,
-                    Value::Int(i) => Value::Int(-i),
-                    other => Value::Float(-other.as_f64()?),
-                },
-                UnaryOp::Not => match v {
-                    Value::Null => Value::Null,
-                    Value::Bool(b) => Value::Bool(!b),
-                    other => return Err(SqlError::exec(format!("NOT of non-boolean {other}"))),
-                },
-            }
-        }
+        BExpr::Unary { op, operand } => unary(*op, &eval(operand, row, ctx)?)?,
         BExpr::Func { func, args } => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
@@ -112,6 +98,26 @@ pub fn eval(expr: &BExpr, row: &[Value], ctx: &ExecContext<'_>) -> Result<Value>
             Value::Bool(v.is_null() != *negated)
         }
         BExpr::Subplan(i) => ctx.subplan_value(*i)?,
+    })
+}
+
+/// A unary operator on one value. Negating `i64::MIN` has no `Int` answer,
+/// so it widens to `Float`, as [`binary`]'s arithmetic does for results
+/// out of range.
+pub(crate) fn unary(op: UnaryOp, v: &Value) -> Result<Value> {
+    Ok(match op {
+        UnaryOp::Neg => match v {
+            Value::Null => Value::Null,
+            Value::Int(i) => i
+                .checked_neg()
+                .map_or(Value::Float(-(*i as f64)), Value::Int),
+            other => Value::Float(-other.as_f64()?),
+        },
+        UnaryOp::Not => match v {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(!b),
+            other => return Err(SqlError::exec(format!("NOT of non-boolean {other}"))),
+        },
     })
 }
 

@@ -16,12 +16,15 @@
 //!   column, and `CASE` scatters its arms' columns by position;
 //! - text: `REGEXP_REPLACE`, `COALESCE` with a scalar, comparisons and IN
 //!   against literals run once per dictionary code the rows reference, and
-//!   share the input column when nothing changes.
+//!   share the input column when nothing changes;
+//! - booleans: `AND` / `OR` over `Bool` columns and `Bool` / NULL scalars
+//!   read the bools and the null bitmap, `NOT` of a `Bool` column flips
+//!   the data, and Int `%` by a non-zero Int scalar is a typed loop.
 //!
 //! Every other shape funnels through the row engine's [`binary`] / [`eval`]
 //! / `ScalarFunc::eval` so the two engines cannot disagree.
 
-use crate::ast::BinaryOp;
+use crate::ast::{BinaryOp, UnaryOp};
 use crate::error::{Result, SqlError};
 use crate::exec::eval::{binary, eval, three_valued_and, three_valued_or, truthy, unary};
 use crate::exec::ExecContext;
@@ -95,17 +98,64 @@ impl BoolBuilder {
         self.nulls.set_null(i);
     }
 
-    /// Set row `i` to a three-valued answer (`None` is NULL).
+    /// Set row `i` to a three-valued answer (`None` is NULL, over the
+    /// type default `false`).
     #[inline]
     fn set_opt(&mut self, i: usize, v: Option<bool>) {
         match v {
             Some(b) => self.set(i, b),
-            None => self.set_null(i),
+            None => {
+                self.set(i, false);
+                self.set_null(i);
+            }
         }
     }
 
     fn finish(self) -> Evaluated {
         col(ColumnData::Bool(self.data), self.nulls)
+    }
+}
+
+/// An operand of a boolean connective read as three-valued bools: a
+/// `Bool` column, or a `Bool` / NULL scalar. `None` for any other operand,
+/// which takes the per-row path.
+enum Truth<'a> {
+    Col(&'a [bool], &'a NullBitmap),
+    Const(Option<bool>),
+}
+
+impl Truth<'_> {
+    fn of(e: &Evaluated) -> Option<Truth<'_>> {
+        match e {
+            Evaluated::Col(c) => match c.data() {
+                ColumnData::Bool(v) => Some(Truth::Col(v, c.nulls())),
+                _ => None,
+            },
+            Evaluated::Scalar(Value::Bool(b)) => Some(Truth::Const(Some(*b))),
+            Evaluated::Scalar(Value::Null) => Some(Truth::Const(None)),
+            Evaluated::Scalar(_) => None,
+        }
+    }
+
+    #[inline]
+    fn at(&self, i: usize) -> Option<bool> {
+        match self {
+            Truth::Col(v, nulls) => (!nulls.is_null(i)).then(|| v[i]),
+            Truth::Const(b) => *b,
+        }
+    }
+}
+
+/// Three-valued OR (`decisive` TRUE) or AND (`decisive` FALSE): the
+/// decisive value on either side wins, then NULL, then the other value.
+#[inline]
+fn connect(decisive: bool, a: Option<bool>, b: Option<bool>) -> Option<bool> {
+    if a == Some(decisive) || b == Some(decisive) {
+        Some(decisive)
+    } else if a.is_some() && b.is_some() {
+        Some(!decisive)
+    } else {
+        None
     }
 }
 
@@ -177,43 +227,48 @@ pub(crate) fn eval_col(
             )))
         }
         BExpr::Binary { op, left, right } => match op {
-            BinaryOp::And => {
+            BinaryOp::And | BinaryOp::Or => {
+                // The value that decides the answer on its own: FALSE for
+                // AND, TRUE for OR.
+                let decisive = *op == BinaryOp::Or;
                 let l = eval_col(left, chunk, sel, ctx)?;
-                if let Evaluated::Scalar(Value::Bool(false)) = &l {
-                    return Ok(Evaluated::Scalar(Value::Bool(false)));
-                }
-                // Rows where the left side is FALSE short-circuit; only the
-                // rest see the right side.
-                let need: Vec<usize> = (0..n).filter(|&i| l.get(i) != Value::Bool(false)).collect();
-                let sub_sel: Vec<usize> = need.iter().map(|&i| sel[i]).collect();
-                let r = eval_col(right, chunk, &sub_sel, ctx)?;
-                let mut out = BoolBuilder::new(n);
-                for (k, &i) in need.iter().enumerate() {
-                    match three_valued_and(&l.get(i), &r.get(k)) {
-                        Value::Bool(b) => out.set(i, b),
-                        _ => out.set_null(i),
+                if let Evaluated::Scalar(Value::Bool(b)) = &l {
+                    if *b == decisive {
+                        return Ok(l);
                     }
                 }
-                out.finish()
-            }
-            BinaryOp::Or => {
-                let l = eval_col(left, chunk, sel, ctx)?;
-                if let Evaluated::Scalar(Value::Bool(true)) = &l {
-                    return Ok(Evaluated::Scalar(Value::Bool(true)));
-                }
-                let need: Vec<usize> = (0..n).filter(|&i| l.get(i) != Value::Bool(true)).collect();
+                // Rows where the left side decides short-circuit; only the
+                // rest see the right side.
+                let lt = Truth::of(&l);
+                let need: Vec<usize> = match &lt {
+                    Some(t) => (0..n).filter(|&i| t.at(i) != Some(decisive)).collect(),
+                    None => (0..n)
+                        .filter(|&i| l.get(i) != Value::Bool(decisive))
+                        .collect(),
+                };
                 let sub_sel: Vec<usize> = need.iter().map(|&i| sel[i]).collect();
                 let r = eval_col(right, chunk, &sub_sel, ctx)?;
                 let mut out = BoolBuilder::new(n);
-                for i in 0..n {
-                    out.set(i, true);
+                if decisive {
+                    out.data.fill(true);
                 }
-                for (k, &i) in need.iter().enumerate() {
-                    match three_valued_or(&l.get(i), &r.get(k)) {
-                        Value::Bool(b) => out.set(i, b),
-                        _ => {
-                            out.set(i, false);
-                            out.set_null(i);
+                match (lt, Truth::of(&r)) {
+                    (Some(a), Some(b)) => {
+                        for (k, &i) in need.iter().enumerate() {
+                            out.set_opt(i, connect(decisive, a.at(i), b.at(k)));
+                        }
+                    }
+                    _ => {
+                        let connective = if decisive {
+                            three_valued_or
+                        } else {
+                            three_valued_and
+                        };
+                        for (k, &i) in need.iter().enumerate() {
+                            match connective(&l.get(i), &r.get(k)) {
+                                Value::Bool(b) => out.set(i, b),
+                                _ => out.set_opt(i, None),
+                            }
                         }
                     }
                 }
@@ -227,6 +282,21 @@ pub(crate) fn eval_col(
         },
         BExpr::Unary { op, operand } => match eval_col(operand, chunk, sel, ctx)? {
             Evaluated::Scalar(s) => Evaluated::Scalar(unary(*op, &s)?),
+            // NOT of a Bool column: the data flipped, the nulls kept.
+            Evaluated::Col(c) if *op == UnaryOp::Not && matches!(c.data(), ColumnData::Bool(_)) => {
+                let ColumnData::Bool(v) = c.data() else {
+                    unreachable!("matched above")
+                };
+                col(
+                    ColumnData::Bool(
+                        v.iter()
+                            .enumerate()
+                            .map(|(i, &b)| !b && !c.is_null(i))
+                            .collect(),
+                    ),
+                    c.nulls().clone(),
+                )
+            }
             Evaluated::Col(c) => values_col(
                 &(0..n)
                     .map(|i| unary(*op, &c.get(i)))
@@ -600,6 +670,14 @@ fn binary_vec(op: BinaryOp, l: &Evaluated, r: &Evaluated, n: usize) -> Result<Ev
     if op == Concat {
         if let Some(out) = concat_lists(l, r, n) {
             return Ok(out);
+        }
+    }
+    // Int `%` by a non-zero Int scalar; `wrapping_rem` answers 0 for
+    // `i64::MIN % -1`, as the row engine does.
+    if let (Mod, Evaluated::Col(c), Evaluated::Scalar(Value::Int(d))) = (op, l, r) {
+        if let (ColumnData::Int(v), true) = (c.data(), *d != 0) {
+            let out = v.iter().map(|x| x.wrapping_rem(*d)).collect();
+            return Ok(col(ColumnData::Int(out), c.nulls().clone()));
         }
     }
     // Typed fast paths over int/float columns.

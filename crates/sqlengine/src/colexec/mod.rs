@@ -27,7 +27,7 @@ use crate::error::Result;
 use crate::exec::{null_last_cmp, ExecContext, Row};
 use crate::plan::{BExpr, PlanNode, ScanSource, CTID_SENTINEL};
 use crate::storage::Heap;
-use etypes::chunk::{Column, ColumnData, NullBitmap};
+use etypes::chunk::{Column, ColumnData, NullBitmap, TextDict};
 use etypes::{ColumnChunk, Value};
 use kernels::{eval_col, gather_chunk, truthy_selection};
 use std::rc::Rc;
@@ -389,4 +389,24 @@ pub(crate) fn concat_chunks(chunks: &[ColumnChunk]) -> ColumnChunk {
         })
         .collect();
     ColumnChunk::new(cols, len)
+}
+
+/// A dictionary code not yet resolved by a [`CodeMemo`].
+const UNRESOLVED: u32 = u32::MAX;
+
+/// One answer per code of the last text dictionary a kernel saw: each code
+/// is resolved once, and the memo starts over when a batch brings another
+/// dictionary.
+#[derive(Default)]
+struct CodeMemo(Option<(Rc<TextDict>, Vec<u32>)>);
+
+impl CodeMemo {
+    /// The per-code slots for `dict`, [`UNRESOLVED`] until a caller fills
+    /// them.
+    fn slots(&mut self, dict: &Rc<TextDict>) -> &mut [u32] {
+        if !self.0.as_ref().is_some_and(|(d, _)| Rc::ptr_eq(d, dict)) {
+            self.0 = Some((Rc::clone(dict), vec![UNRESOLVED; dict.len()]));
+        }
+        &mut self.0.as_mut().expect("memo just set").1
+    }
 }

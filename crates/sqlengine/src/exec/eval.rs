@@ -177,12 +177,15 @@ pub(crate) fn binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
         Div => {
             // PostgreSQL integer division truncates; the paper's generated
             // SQL always multiplies by 1.0 first when it needs real division.
+            // `i64::MIN / -1` has no `Int` answer and widens to `Float`, as
+            // negation does.
             match (l, r) {
                 (Value::Int(a), Value::Int(b)) => {
                     if *b == 0 {
                         return Err(SqlError::exec("division by zero"));
                     }
-                    Value::Int(a / b)
+                    a.checked_div(*b)
+                        .map_or(Value::Float(*a as f64 / *b as f64), Value::Int)
                 }
                 _ => {
                     let d = r.as_f64()?;
@@ -190,12 +193,13 @@ pub(crate) fn binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
                 }
             }
         }
+        // `i64::MIN % -1` is 0, as PostgreSQL's `int8mod` answers.
         Mod => match (l, r) {
             (Value::Int(a), Value::Int(b)) => {
                 if *b == 0 {
                     return Err(SqlError::exec("division by zero"));
                 }
-                Value::Int(a % b)
+                Value::Int(a.wrapping_rem(*b))
             }
             _ => Value::Float(l.as_f64()? % r.as_f64()?),
         },

@@ -395,6 +395,42 @@ fn negating_i64_min_widens_in_both_engines() {
     );
 }
 
+/// `i64::MIN / -1` has no `Int` answer and widens to `Float`, as negation
+/// does; `i64::MIN % -1` is 0, as PostgreSQL's `int8mod` answers. Neither
+/// panics, in either engine, through the typed `%` kernel or per row.
+#[test]
+fn dividing_i64_min_by_minus_one_answers_in_both_engines() {
+    let mut e = Engine::new(EngineProfile::in_memory());
+    e.execute("CREATE TABLE m (a int, b int)").unwrap();
+    let csv = "a,b\n-9223372036854775808,-1\n9223372036854775807,-1\n-7,2\n";
+    let parsed = etypes::read_csv_str(csv, &etypes::CsvOptions::default()).unwrap();
+    e.copy_rows("m", None, &parsed).unwrap();
+    let out = same(
+        &mut e,
+        "SELECT a / -1, a % -1, a / b, a % b FROM m",
+        "i64::MIN / -1",
+    );
+    assert_eq!(
+        out,
+        "[\"?column?\", \"?column?\", \"?column?\", \"?column?\"]|[\
+         [Float(9.223372036854776e18), Int(0), Float(9.223372036854776e18), Int(0)], \
+         [Int(-9223372036854775807), Int(0), Int(-9223372036854775807), Int(0)], \
+         [Int(7), Int(0), Int(-3), Int(-1)]]"
+    );
+    let out = same(
+        &mut e,
+        "SELECT a % 2, a % -2, a / 2 FROM m",
+        "i64::MIN by 2",
+    );
+    assert_eq!(
+        out,
+        "[\"?column?\", \"?column?\", \"?column?\"]|[\
+         [Int(0), Int(0), Int(-4611686018427387904)], \
+         [Int(1), Int(1), Int(4611686018427387903)], \
+         [Int(-1), Int(-1), Int(-3)]]"
+    );
+}
+
 /// Seeded cases for the typed aggregation and join paths, on a table that
 /// spans three 1024-row batches. No ORDER BY anywhere: first-seen group
 /// order and probe-then-build join order are part of the answer.
@@ -576,4 +612,299 @@ fn typed_kernels_match_row_engine() {
         7,
         "exactly the seven error cases fail: {errors:#?}"
     );
+}
+
+/// Load `csv` into a new table by COPY, so each text column codes one
+/// dictionary shared by all of its chunks.
+fn copy_table(e: &mut Engine, create: &str, table: &str, csv: &str) {
+    e.execute(create).unwrap();
+    let parsed = etypes::read_csv_str(csv, &etypes::CsvOptions::default()).unwrap();
+    e.copy_rows(table, None, &parsed).unwrap();
+}
+
+/// Tables for the typed group keys, join lookups and connectives: `g` is
+/// loaded by COPY (one dictionary per text column across its three
+/// chunks) and `gi` holds the same rows inserted (one dictionary per
+/// sealed chunk). The `d*` build tables hold dense, sparse, negative,
+/// duplicate, NULL and extreme `Int` keys.
+fn keyed_engine(rng: &mut Prng) -> Engine {
+    const ROWS: usize = 2600;
+    let mut e = Engine::new(EngineProfile::in_memory());
+    let cols = "id int, ki int, kt text, kt2 text, ku text, kb bool, kb2 bool, kf float";
+    let mut csv = String::from("id,ki,kt,kt2,ku,kb,kb2,kf\n");
+    let mut tuples = Vec::with_capacity(ROWS);
+    fn pick<'s>(rng: &mut Prng, null: f64, options: &[&'s str]) -> Option<&'s str> {
+        (!rng.chance(null)).then(|| options[rng.below(options.len())])
+    }
+    for id in 0..ROWS {
+        let ki = (!rng.chance(0.15)).then(|| rng.range_i64(-3, 9));
+        let kt = pick(rng, 0.15, &["a", "b", "ab", "a b"]);
+        let kt2 = pick(rng, 0.1, &["x", "y"]);
+        let ku = format!("u{}", rng.below(700));
+        let kb = pick(rng, 0.1, &["true", "false"]);
+        let kb2 = pick(rng, 0.3, &["true", "false"]);
+        let kf = pick(rng, 0.1, &["0.5", "-1.25", "2.0"]);
+        let cell = |v: Option<&str>| v.unwrap_or("").to_string();
+        let ki_s = ki.map_or(String::new(), |k| k.to_string());
+        csv.push_str(&format!(
+            "{id},{ki_s},{},{},{ku},{},{},{}\n",
+            cell(kt),
+            cell(kt2),
+            cell(kb),
+            cell(kb2),
+            cell(kf)
+        ));
+        let sql = |v: Option<&str>, quote: bool| match v {
+            None => "NULL".to_string(),
+            Some(s) if quote => format!("'{s}'"),
+            Some(s) => s.to_string(),
+        };
+        let ki_sql = ki.map_or("NULL".to_string(), |k| k.to_string());
+        tuples.push(format!(
+            "({id}, {ki_sql}, {}, {}, '{ku}', {}, {}, {})",
+            sql(kt, true),
+            sql(kt2, true),
+            sql(kb, false),
+            sql(kb2, false),
+            sql(kf, false)
+        ));
+    }
+    copy_table(&mut e, &format!("CREATE TABLE g ({cols})"), "g", &csv);
+    e.execute(&format!("CREATE TABLE gi ({cols})")).unwrap();
+    e.execute(&format!("INSERT INTO gi VALUES {}", tuples.join(", ")))
+        .unwrap();
+    assert_eq!(
+        render(e.query("SELECT kt, kb, count(*) FROM g GROUP BY kt, kb ORDER BY kt, kb")),
+        render(e.query("SELECT kt, kb, count(*) FROM gi GROUP BY kt, kb ORDER BY kt, kb")),
+        "COPY and INSERT load the same rows"
+    );
+
+    let mut build = |name: &str, keys: Vec<Option<i64>>| {
+        let rows: Vec<String> = keys
+            .iter()
+            .enumerate()
+            .map(|(j, k)| format!("{},{j}", k.map_or(String::new(), |k| k.to_string())))
+            .collect();
+        let create = format!("CREATE TABLE {name} (k int, v int)");
+        copy_table(
+            &mut e,
+            &create,
+            name,
+            &format!("k,v\n{}\n", rows.join("\n")),
+        );
+    };
+    let null_or = |rng: &mut Prng, k: i64| (!rng.chance(0.15)).then_some(k);
+    // Dense with duplicates and NULLs: 0..6, so most probe keys miss.
+    let dense = (0..40).map(|_| rng.range_i64(0, 6)).collect::<Vec<_>>();
+    build("dd", dense.into_iter().map(|k| null_or(rng, k)).collect());
+    // Sparse: hashed, not addressed.
+    let sparse = (0..30)
+        .map(|_| rng.range_i64(-2, 3) * 1000 + rng.range_i64(-3, 9))
+        .collect::<Vec<_>>();
+    build("ds", sparse.into_iter().map(|k| null_or(rng, k)).collect());
+    // Negative and dense.
+    build("dn", (0..30).map(|_| Some(-rng.range_i64(0, 4))).collect());
+    // The whole `i64` range: its span must not overflow.
+    build(
+        "dx",
+        vec![
+            Some(i64::MIN),
+            Some(i64::MAX),
+            Some(0),
+            None,
+            Some(-1),
+            Some(1),
+            Some(i64::MIN),
+        ],
+    );
+    // One key, repeated.
+    build("d1", vec![Some(2), Some(2), Some(2)]);
+    // Probe keys at the extremes too.
+    build(
+        "px",
+        vec![
+            Some(i64::MIN),
+            Some(i64::MAX),
+            Some(-1),
+            None,
+            Some(5),
+            Some(2),
+        ],
+    );
+    e
+}
+
+/// Composite `GROUP BY` keys on typed storage answer like the reference:
+/// 2 to 4 keys mixing `Int` / `Text` / `Bool` with NULL keys, over one
+/// dictionary shared across chunks (`g`) and one per chunk (`gi`), more
+/// than 1 024 groups, expression keys, and the `Float` and scalar keys
+/// that group by value.
+#[test]
+fn composite_group_keys_match_row_engine() {
+    let mut rng = Prng::new(0xE1E9_0006);
+    let mut e = keyed_engine(&mut rng);
+    let mut cases = Vec::new();
+    for t in ["g", "gi"] {
+        for keys in [
+            "ki, kt",
+            "kt, kt2",
+            "kt, kb",
+            "kb, kt",
+            "kt, kb, kt2",
+            "kb, ki, kt, kt2",
+            "kb, kb2",
+            "ki, kb",
+            "kt2, ku",
+            "ku, kt, kb",
+            "kt, kf",
+            "kf, kb",
+            "7, kt",
+            "kt, NULL",
+            "ki + 1, kt = 'a'",
+            "REGEXP_REPLACE(kt, '^a$', 'b'), kb",
+            "COALESCE(kt, 'a'), kt2",
+            "id % 1500, kt",
+            "ku, id % 3",
+            "kt IS NULL, ki IS NULL, kb",
+        ] {
+            cases.push(format!(
+                "SELECT {keys}, count(*), sum(ki), min(id) FROM {t} GROUP BY {keys}"
+            ));
+            cases.push(format!(
+                "SELECT {keys}, count(*) FROM {t} WHERE id % 5 <> 1 GROUP BY {keys}"
+            ));
+        }
+        cases.push(format!(
+            "SELECT kt, kt2, array_agg(id) FROM {t} WHERE id < 60 GROUP BY kt, kt2"
+        ));
+        cases.push(format!(
+            "SELECT kt, kb, count(*) FROM {t} WHERE id < 0 GROUP BY kt, kb"
+        ));
+        cases.push(format!(
+            "SELECT kt, kb, count(*) FROM (SELECT kt, kb FROM {t} WHERE kb) s GROUP BY kt, kb"
+        ));
+    }
+    // A join-back histogram over a stored view, as INSPECT runs it.
+    e.execute("CREATE MATERIALIZED VIEW gv AS SELECT ctid AS g_ctid, id, kt FROM g WHERE ki > 0")
+        .unwrap();
+    cases.push(
+        "SELECT tb_orig.kt AS value0, tb_orig.kb AS value1, count(*) AS cnt \
+         FROM gv tb_curr JOIN g tb_orig ON tb_curr.g_ctid = tb_orig.ctid \
+         GROUP BY tb_orig.kt, tb_orig.kb"
+            .into(),
+    );
+    for (q, sql) in cases.iter().enumerate() {
+        let out = same(&mut e, sql, &format!("group key case {q}"));
+        assert!(!out.starts_with("ERR"), "{sql}: {out}");
+    }
+    // More than one output batch of groups.
+    let out = same(
+        &mut e,
+        "SELECT count(*) FROM (SELECT ku, kt2, count(*) FROM g GROUP BY ku, kt2) s",
+        "group count",
+    );
+    let groups: i64 = out
+        .rsplit("Int(")
+        .next()
+        .and_then(|s| s.split(')').next())
+        .and_then(|s| s.parse().ok())
+        .unwrap();
+    assert!(groups > 1024, "{out}");
+}
+
+/// `Int` join keys through the direct and hashed lookups answer like the
+/// reference: dense, sparse, negative, duplicate and NULL build keys,
+/// probe keys outside the build range, and keys spanning all of `i64`,
+/// under every join kind and the null-safe form.
+#[test]
+fn int_join_lookups_match_row_engine() {
+    let mut rng = Prng::new(0xE1E9_0007);
+    let mut e = keyed_engine(&mut rng);
+    let mut cases = Vec::new();
+    for kind in ["INNER", "LEFT", "RIGHT", "FULL"] {
+        for d in ["dd", "ds", "dn", "dx", "d1"] {
+            for (probe, on) in [
+                ("g", "p.ki = d.k"),
+                ("g", "p.id - 1300 = d.k"),
+                ("g", "p.ki * 1000 = d.k"),
+                ("g", "(p.ki = d.k OR (p.ki IS NULL AND d.k IS NULL))"),
+                ("px", "p.k = d.k"),
+                ("px", "(p.k = d.k OR (p.k IS NULL AND d.k IS NULL))"),
+            ] {
+                let (cols, row) = match probe {
+                    "g" => ("p.id, p.ki", "p.id"),
+                    _ => ("p.k, p.v", "p.v"),
+                };
+                cases.push(format!(
+                    "SELECT {cols}, d.k, d.v FROM {probe} p {kind} JOIN {d} d ON {on} \
+                     WHERE {row} IS NULL OR {row} < 900"
+                ));
+            }
+        }
+    }
+    // The build side's ctids, as the join-back probes them.
+    cases.push(
+        "SELECT a.id, b.kt FROM g a INNER JOIN g b ON a.id = b.ctid WHERE a.id % 97 = 0".into(),
+    );
+    cases.push("SELECT d.v, p.id FROM dd d INNER JOIN g p ON d.k = p.ki WHERE p.id < 50".into());
+    for (q, sql) in cases.iter().enumerate() {
+        let out = same(&mut e, sql, &format!("join case {q}"));
+        assert!(!out.starts_with("ERR"), "{sql}: {out}");
+    }
+}
+
+/// `AND` / `OR` / `NOT` over `Bool` columns and `Bool` / NULL scalars
+/// answer like the reference, three-valued and lazy, and every other
+/// operand keeps the per-row path with its exact error text; so does Int
+/// `%` by a scalar, including 0, -1 and negative divisors.
+#[test]
+fn typed_connectives_and_modulo_match_row_engine() {
+    let mut rng = Prng::new(0xE1E9_0008);
+    let mut e = keyed_engine(&mut rng);
+    let ok = [
+        "SELECT id, kb AND kb2, kb OR kb2, NOT kb, NOT (kb AND kb2), NOT NOT kb FROM g",
+        "SELECT id, kb AND NULL, NULL AND kb, kb OR NULL, NULL OR kb FROM g",
+        "SELECT id, kb AND TRUE, FALSE OR kb, TRUE AND kb, kb OR FALSE FROM g",
+        "SELECT id FROM g WHERE NOT (kt IS NULL) AND NOT (ki IS NULL) AND NOT (kb IS NULL) \
+         AND NOT (kt2 IS NULL)",
+        "SELECT id FROM g WHERE kb OR kb2 AND ki > 2",
+        "SELECT id FROM g WHERE (kb OR kt = 'a') AND (kb2 OR ki < 0)",
+        "SELECT id, kb AND ki, ki AND kb, kt OR kb, kb OR kf FROM g",
+        "SELECT id, kb AND 1, 1 OR kb, kb AND 'x' FROM g",
+        "SELECT id FROM g WHERE kb AND 10 / (ki + 4) > 1",
+        "SELECT id FROM g WHERE NOT kb OR 10 / (ki + 4) > 1",
+        "SELECT kb AND kb2, count(*) FROM g GROUP BY kb AND kb2",
+        "SELECT id, ki % 3, ki % -3, ki % -1, id % 7, ki % 1 FROM g",
+        "SELECT id, ki % NULL, -7 % 3, 7 % -3, kf % 2, ki % kf FROM g",
+        "SELECT id FROM g WHERE id % 100 = 0",
+    ];
+    for (q, sql) in ok.iter().enumerate() {
+        let out = same(&mut e, sql, &format!("connective case {q}"));
+        assert!(!out.starts_with("ERR"), "{sql}: {out}");
+    }
+    for (sql, err) in [
+        (
+            "SELECT id, NOT 1 FROM g",
+            "ERR execution error: NOT of non-boolean 1",
+        ),
+        (
+            "SELECT id, NOT ki FROM g WHERE ki IS NOT NULL",
+            "ERR execution error: NOT of non-boolean ",
+        ),
+        (
+            "SELECT id, ki % 0 FROM g",
+            "ERR execution error: division by zero",
+        ),
+        (
+            "SELECT id, ki % (ki - ki) FROM g",
+            "ERR execution error: division by zero",
+        ),
+        (
+            "SELECT id FROM g WHERE kb OR 10 / ki > 1",
+            "ERR execution error: division by zero",
+        ),
+    ] {
+        let out = same(&mut e, sql, "error case");
+        assert!(out.starts_with(err), "{sql}: {out}");
+    }
 }

@@ -4,8 +4,7 @@
 //! elephant-serve [--addr HOST:PORT] [--disk] [--rows N] [--seed N]
 //!                [--queue N] [--no-data] [--data-dir PATH]
 //!                [--fsync POLICY] [--slow-query-us N]
-//!                [--statement-timeout-ms N] [--repl-addr HOST:PORT]
-//!                [--replicate-from HOST:PORT] [--auto-checkpoint-wal-bytes N]
+//!                [--statement-timeout-ms N] [--auto-checkpoint-wal-bytes N]
 //!                [--shards N] [--metrics-addr HOST:PORT]
 //!                [--max-result-buffer-bytes N]
 //! ```
@@ -19,19 +18,13 @@
 //! works immediately. With `--data-dir` the server recovers whatever the
 //! directory holds on startup and write-ahead-logs every acknowledged
 //! DDL/DML; `--fsync` picks the WAL durability policy (`always`, `off`,
-//! or `every_n:N`).
-//!
-//! Replication: `--repl-addr` (with `--data-dir`) makes this server a
-//! leader streaming committed WAL frames to followers; `--replicate-from`
-//! makes it a read-only follower of the leader replicating at that
-//! address. `--auto-checkpoint-wal-bytes` checkpoints automatically once
-//! the WAL outgrows the budget.
+//! or `every_n:N`). `--auto-checkpoint-wal-bytes` checkpoints
+//! automatically once the WAL outgrows the budget.
 //!
 //! Sharding: `--shards N` runs N engine shards (defaults to the machine's
 //! available parallelism), each with its own executor thread and — when
 //! durable — its own WAL/snapshot subdirectory; tables are routed to
-//! shards by name hash. Incompatible with replication. See
-//! `docs/SHARDING.md`.
+//! shards by name hash. See `docs/SHARDING.md`.
 //!
 //! Observability: `--metrics-addr HOST:PORT` starts a plain-HTTP metrics
 //! listener serving the Prometheus text format on `GET /metrics` — the
@@ -55,8 +48,6 @@ fn main() {
     let mut fsync = FsyncPolicy::Always;
     let mut slow_query_us: Option<u64> = None;
     let mut statement_timeout_ms: Option<u64> = None;
-    let mut repl_addr: Option<String> = None;
-    let mut replicate_from: Option<String> = None;
     let mut auto_checkpoint_wal_bytes: Option<u64> = None;
     let mut shards: Option<usize> = None;
     let mut metrics_addr: Option<String> = None;
@@ -88,8 +79,6 @@ fn main() {
                     "--statement-timeout-ms",
                 ));
             }
-            "--repl-addr" => repl_addr = Some(value("--repl-addr")),
-            "--replicate-from" => replicate_from = Some(value("--replicate-from")),
             "--auto-checkpoint-wal-bytes" => {
                 auto_checkpoint_wal_bytes = Some(parse(
                     &value("--auto-checkpoint-wal-bytes"),
@@ -109,9 +98,8 @@ fn main() {
                     "usage: elephant-serve [--addr HOST:PORT] [--disk] [--rows N] \
                      [--seed N] [--queue N] [--no-data] [--data-dir PATH] \
                      [--fsync always|off|every_n:N] [--slow-query-us N] \
-                     [--statement-timeout-ms N] [--repl-addr HOST:PORT] \
-                     [--replicate-from HOST:PORT] [--auto-checkpoint-wal-bytes N] \
-                     [--shards N (default: available parallelism; 1 with replication)] \
+                     [--statement-timeout-ms N] [--auto-checkpoint-wal-bytes N] \
+                     [--shards N (default: available parallelism)] \
                      [--metrics-addr HOST:PORT (Prometheus text format on GET /metrics)] \
                      [--max-result-buffer-bytes N (v2 per-response cap, default 64 MiB)]"
                 );
@@ -125,16 +113,9 @@ fn main() {
     }
 
     let durable = data_dir.is_some();
-    let config_role_follower = replicate_from.clone();
-    // Default to one shard per core; replication replays exactly one WAL,
-    // so replicated servers default to a single shard instead.
-    let shards = shards.unwrap_or_else(|| {
-        if repl_addr.is_some() || replicate_from.is_some() {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    });
+    // Default to one shard per core.
+    let shards =
+        shards.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let mut config = ServerConfig {
         addr,
         queue_capacity: queue,
@@ -144,8 +125,6 @@ fn main() {
         fsync,
         slow_query_us,
         statement_timeout_ms,
-        repl_addr,
-        replicate_from,
         auto_checkpoint_wal_bytes,
         shards,
         metrics_addr,
@@ -162,14 +141,9 @@ fn main() {
             exit(1);
         }
     };
-    let role = match (handle.repl_addr(), config_role_follower) {
-        (Some(repl), _) => format!("leader, replicating on {repl}"),
-        (None, Some(upstream)) => format!("follower of {upstream}"),
-        (None, None) => "standalone".to_string(),
-    };
     println!(
         "elephant-serve listening on {} ({} profile, {} storage, \
-         {shards} shard{}, {role}); send SHUTDOWN to stop",
+         {shards} shard{}); send SHUTDOWN to stop",
         handle.local_addr(),
         if in_memory { "in-memory" } else { "disk-based" },
         if durable { "durable" } else { "volatile" },

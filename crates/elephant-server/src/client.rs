@@ -323,28 +323,9 @@ impl ElephantClient {
         self.send("CHECKPOINT")
     }
 
-    /// Replication topology: role, followers, shipped bytes, watermarks.
-    pub fn replica(&mut self) -> ClientResult<String> {
-        self.send("REPLICA")
-    }
-
-    /// Replication watermarks (`committed_lsn` on leaders, `applied_lsn` /
-    /// `leader_lsn` on followers) as `key value` lines.
-    pub fn lag(&mut self) -> ClientResult<String> {
-        self.send("LAG")
-    }
-
     /// Ask the server to drain; returns `draining`.
     pub fn shutdown(&mut self) -> ClientResult<String> {
         self.send("SHUTDOWN")
-    }
-
-    /// Parse one `key value` line out of a `LAG`/`REPLICA`/`STATS` body.
-    pub fn parse_watermark(body: &str, key: &str) -> Option<u64> {
-        body.lines().find_map(|line| {
-            let (k, v) = line.split_once(' ')?;
-            (k == key).then(|| v.trim().parse().ok())?
-        })
     }
 
     fn read_response(&mut self) -> ClientResult<String> {
@@ -436,141 +417,6 @@ fn read_response(
                 return Ok((seq, Err(error)));
             }
         }
-    }
-}
-
-/// A topology-aware client: writes go to the leader, reads round-robin
-/// across follower replicas, and a follower that refuses a statement with
-/// `ERR_READ_ONLY` (or is simply unreachable) gets transparently redirected
-/// to the leader — the caller never sees replica plumbing.
-///
-/// Replication is asynchronous, so a follower read may trail the leader.
-/// [`read_at_lsn`](ReplicatedClient::read_at_lsn) bounds that staleness:
-/// it polls the follower's `LAG` watermark until the follower has applied
-/// at least a target LSN (usually the leader's `committed_lsn` right after
-/// a write), falling back to the leader if the follower cannot catch up in
-/// time.
-pub struct ReplicatedClient {
-    leader: ElephantClient,
-    followers: Vec<ElephantClient>,
-    next_follower: usize,
-}
-
-impl ReplicatedClient {
-    /// Connect to the leader and every follower, each within
-    /// `connect_timeout`. A follower that cannot be reached at connect time
-    /// is an error — topology should be explicit, not silently thinner.
-    pub fn connect(
-        leader_addr: &str,
-        follower_addrs: &[String],
-        connect_timeout: Duration,
-    ) -> io::Result<ReplicatedClient> {
-        let leader = ElephantClient::connect_with_timeout(leader_addr, connect_timeout)?;
-        let followers = follower_addrs
-            .iter()
-            .map(|a| ElephantClient::connect_with_timeout(a.as_str(), connect_timeout))
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(ReplicatedClient {
-            leader,
-            followers,
-            next_follower: 0,
-        })
-    }
-
-    /// Number of follower connections reads are spread over.
-    pub fn follower_count(&self) -> usize {
-        self.followers.len()
-    }
-
-    /// The leader connection, for commands that must not be routed
-    /// (CHECKPOINT, SHUTDOWN, leader STATS).
-    pub fn leader(&mut self) -> &mut ElephantClient {
-        &mut self.leader
-    }
-
-    /// Run a write statement on the leader; returns `ok <n>`.
-    pub fn write(&mut self, sql: &str) -> ClientResult<String> {
-        self.leader.query_raw(sql)
-    }
-
-    /// Run a read statement on the next follower (round-robin), falling
-    /// back through the remaining followers and finally the leader when a
-    /// follower is unreachable or refuses with `ERR_READ_ONLY` (a write
-    /// routed here by mistake).
-    pub fn read(&mut self, sql: &str) -> ClientResult<String> {
-        self.route_read(&format!("QUERY {sql}"))
-    }
-
-    /// `EXPLAIN` on a follower — plans are part of the replicated surface.
-    pub fn explain(&mut self, sql: &str) -> ClientResult<String> {
-        self.route_read(&format!("EXPLAIN {sql}"))
-    }
-
-    /// The leader's committed-LSN watermark: the replication target a
-    /// bounded-staleness read should wait for.
-    pub fn leader_committed_lsn(&mut self) -> ClientResult<u64> {
-        let body = self.leader.lag()?;
-        ElephantClient::parse_watermark(&body, "committed_lsn").ok_or_else(|| {
-            ClientError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("no committed_lsn in LAG body: {body}"),
-            ))
-        })
-    }
-
-    /// Bounded-staleness read: wait (up to `wait`) for a follower to apply
-    /// at least `target_lsn`, then read from it. If no follower catches up
-    /// in time the read runs on the leader, which is never stale.
-    pub fn read_at_lsn(
-        &mut self,
-        sql: &str,
-        target_lsn: u64,
-        wait: Duration,
-    ) -> ClientResult<String> {
-        let deadline = std::time::Instant::now() + wait;
-        if !self.followers.is_empty() {
-            let idx = self.next_follower % self.followers.len();
-            self.next_follower = self.next_follower.wrapping_add(1);
-            loop {
-                let applied = self.followers[idx]
-                    .lag()
-                    .ok()
-                    .and_then(|body| ElephantClient::parse_watermark(&body, "applied_lsn"));
-                match applied {
-                    Some(applied) if applied >= target_lsn => {
-                        return match self.followers[idx].query_raw(sql) {
-                            Err(ClientError::Server(e)) if e.code == codes::READ_ONLY => {
-                                self.leader.query_raw(sql)
-                            }
-                            other => other,
-                        };
-                    }
-                    // Unreachable follower: stop polling a dead socket.
-                    None => break,
-                    Some(_) if std::time::Instant::now() >= deadline => break,
-                    Some(_) => thread::sleep(Duration::from_millis(2)),
-                }
-            }
-        }
-        self.leader.query_raw(sql)
-    }
-
-    fn route_read(&mut self, command: &str) -> ClientResult<String> {
-        for _ in 0..self.followers.len() {
-            let idx = self.next_follower % self.followers.len();
-            self.next_follower = self.next_follower.wrapping_add(1);
-            match self.followers[idx].send(command) {
-                Ok(body) => return Ok(body),
-                // A write mis-routed to a replica: the leader owns it.
-                Err(ClientError::Server(e)) if e.code == codes::READ_ONLY => {
-                    return self.leader.send(command)
-                }
-                Err(ClientError::Server(e)) => return Err(ClientError::Server(e)),
-                // Transport trouble: try the next follower.
-                Err(ClientError::Io(_)) => continue,
-            }
-        }
-        self.leader.send(command)
     }
 }
 

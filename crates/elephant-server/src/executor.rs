@@ -40,9 +40,7 @@
 
 use crate::metrics::{ratio, sample, Metric, Metrics};
 use crate::protocol::{codes, Command};
-use crate::repl::{ReplRole, ReplState};
 use crate::shard::ShardStats;
-use elephant_repl::ReplOp;
 use etypes::{next_span_id, SharedSpanRing, SpanKind, SpanRecord, TraceContext};
 use mlinspect::backends::pandas::FileRegistry;
 use mlinspect::SqlMode;
@@ -119,16 +117,6 @@ pub(crate) enum Job {
         /// The closed session's id.
         session: u64,
     },
-    /// A replication op from the follower apply loop. The engine is not
-    /// `Send`, so shipped state changes ride the same queue as client
-    /// commands and apply between them on the executor thread.
-    Repl {
-        /// The decoded snapshot or WAL frames to apply.
-        op: ReplOp,
-        /// Where the follower loop blocks for the outcome; an `Err` makes
-        /// it re-bootstrap from a fresh snapshot.
-        reply: mpsc::Sender<Result<(), String>>,
-    },
     /// Scatter leg of a cross-shard read: export the named tables as
     /// images for a coordinator shard to install.
     ExportTables {
@@ -169,9 +157,6 @@ pub(crate) struct ExecutorConfig {
     pub statement_timeout_ms: Option<u64>,
     /// Checkpoint automatically once the WAL grows past this many bytes.
     pub auto_checkpoint_wal_bytes: Option<u64>,
-    /// Replication topology shared with `REPLICA`/`LAG`. Follower role
-    /// pins the engine read-only for the server's whole life.
-    pub repl: Arc<ReplState>,
     /// This executor's shard id (names the thread, labels diagnostics).
     pub shard_id: usize,
     /// Gauges shared with the shard router.
@@ -233,12 +218,12 @@ struct DeferredReply {
 }
 
 /// Spawn one shard's executor thread; returns the job sender, the join
-/// handle, the store's [`WalHandle`] (durable engines only, so `start()`
-/// can wire the replication listener), and the recovered base-table names
-/// (so the router can seed shard ownership). The thread exits when every
-/// clone of the returned sender is dropped. Fails when the durable store
-/// cannot be opened or recovered — the thread reports engine construction
-/// over a handshake channel before serving.
+/// handle, the store's [`WalHandle`] (durable engines only, so the router
+/// can record committed LSNs in 2PC cut vectors), and the recovered
+/// base-table names (so the router can seed shard ownership). The thread
+/// exits when every clone of the returned sender is dropped. Fails when the
+/// durable store cannot be opened or recovered — the thread reports engine
+/// construction over a handshake channel before serving.
 #[allow(clippy::type_complexity)]
 pub(crate) fn spawn(
     cfg: ExecutorConfig,
@@ -277,11 +262,6 @@ pub(crate) fn spawn(
                     return;
                 }
             };
-            if cfg.repl.role() == ReplRole::Follower {
-                // A follower's only writer is the leader's WAL; every
-                // client write is refused for the process's whole life.
-                engine.pin_read_only("replica: writes must go to the leader");
-            }
             engine.set_auto_checkpoint_wal_bytes(cfg.auto_checkpoint_wal_bytes);
             let recovered: Vec<String> = engine
                 .catalog()
@@ -302,7 +282,6 @@ pub(crate) fn spawn(
                 shutdown,
                 ring: cfg.ring,
                 slow_query_us: cfg.slow_query_us,
-                repl: cfg.repl,
                 lane: cfg.lane,
                 auto_checkpoint_wal_bytes: cfg.auto_checkpoint_wal_bytes,
                 shard_id: cfg.shard_id as u16,
@@ -364,7 +343,7 @@ pub(crate) fn spawn(
                             counted,
                         } => {
                             // Only client-facing jobs were counted into the
-                            // gauges; decrementing for CloseSession/Repl
+                            // gauges; decrementing for CloseSession
                             // would underflow them.
                             state.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
                             state.lane.dec_queue_depth();
@@ -408,9 +387,6 @@ pub(crate) fn spawn(
                             unreachable!("Txn jobs close the batch before joining it")
                         }
                         Job::CloseSession { session } => state.close_session(session),
-                        Job::Repl { op, reply } => {
-                            let _ = reply.send(state.apply_repl(op));
-                        }
                         Job::ExportTables { names, reply, ctx } => {
                             state.lane.dec_queue_depth();
                             state.lane.commands.fetch_add(1, Ordering::Relaxed);
@@ -501,7 +477,6 @@ struct ExecutorState {
     /// shard's ring to reassemble distributed trees).
     ring: Arc<SharedSpanRing>,
     slow_query_us: Option<u64>,
-    repl: Arc<ReplState>,
     /// Gauges shared with the shard router.
     lane: Arc<ShardStats>,
     /// The configured auto-checkpoint threshold, restored after gathers
@@ -643,36 +618,6 @@ impl ExecutorState {
                 }
             }
         }
-    }
-
-    /// Apply one replication op from the follower loop. Keeps a span so
-    /// `TRACE` shows shipped writes interleaved with client commands.
-    fn apply_repl(&mut self, op: ReplOp) -> Result<(), String> {
-        let started = Instant::now();
-        let (label, detail, result) = match op {
-            ReplOp::Reset {
-                snapshot_lsn,
-                tables,
-            } => (
-                "REPL_RESET",
-                format!("snapshot_lsn={snapshot_lsn} tables={}", tables.len()),
-                self.engine.reset_from_images(tables),
-            ),
-            ReplOp::Apply { frames } => {
-                let detail = match (frames.first(), frames.last()) {
-                    (Some((lo, _)), Some((hi, _))) => format!("lsn={lo}..={hi}"),
-                    _ => String::new(),
-                };
-                let result = frames
-                    .into_iter()
-                    .try_for_each(|(_, record)| self.engine.apply_wal_record(record));
-                ("REPL_APPLY", detail, result)
-            }
-        };
-        let ok = result.is_ok();
-        self.ring
-            .push(label, &detail, started.elapsed().as_micros() as u64, ok);
-        result.map_err(|e| e.to_string())
     }
 
     /// Map an engine error to its wire code. Timeouts and read-only
@@ -913,8 +858,6 @@ impl ExecutorState {
                 )),
                 Err(e) => Err(self.classify(e)),
             },
-            Command::Replica => Ok(self.repl.render_replica(self.committed_lsn())),
-            Command::Lag => Ok(self.repl.render_lag(self.committed_lsn())),
             Command::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 Ok("draining".into())
@@ -933,11 +876,6 @@ impl ExecutorState {
         let body = etypes::write_chunks(&result.columns, &result.chunks);
         self.engine.record_phase(Phase::Encode, timer);
         body
-    }
-
-    /// The WAL writer's committed-LSN watermark (durable engines only).
-    fn committed_lsn(&self) -> Option<u64> {
-        self.engine.wal_handle().map(|h| h.committed_lsn())
     }
 
     fn close_session(&mut self, session: u64) {
@@ -1109,7 +1047,6 @@ mod tests {
                 slow_query_us: None,
                 statement_timeout_ms: None,
                 auto_checkpoint_wal_bytes: None,
-                repl: Arc::new(ReplState::standalone()),
                 shard_id: 0,
                 lane: Arc::new(ShardStats::default()),
                 ring: Arc::new(SharedSpanRing::new(64)),
@@ -1264,7 +1201,6 @@ mod tests {
                 slow_query_us: None,
                 statement_timeout_ms: None,
                 auto_checkpoint_wal_bytes: None,
-                repl: Arc::new(ReplState::standalone()),
                 shard_id: 3,
                 lane: Arc::new(ShardStats::default()),
                 ring: Arc::clone(&ring),
@@ -1331,7 +1267,6 @@ mod tests {
             slow_query_us: None,
             statement_timeout_ms: None,
             auto_checkpoint_wal_bytes: None,
-            repl: Arc::new(ReplState::standalone()),
             shard_id: 0,
             lane: Arc::new(ShardStats::default()),
             ring: Arc::new(SharedSpanRing::new(64)),

@@ -13,11 +13,9 @@
 //! | `PREPARE` / `EXECUTE` | plan once via the engine's LRU plan cache, run many times; `$n` placeholders bind at `EXECUTE name (args)` |
 //! | `EXPLAIN` | render the optimized plan |
 //! | `INSPECT` | run an ML pipeline through the SQL backend with bias checks |
-//! | `STATS` | counters, queue depth, latency percentiles, plan-cache hit rate, storage/recovery/replication stats |
+//! | `STATS` | counters, queue depth, latency percentiles, plan-cache hit rate, storage/recovery stats |
 //! | `TRACE` | distributed tracing: `TRACE [n]` lists recent root spans, `TRACE q<id>` renders one query's span tree (see `docs/OBSERVABILITY.md`) |
 //! | `CHECKPOINT` | snapshot all tables to the data directory and truncate the WAL |
-//! | `REPLICA` | replication topology: role, followers, shipped bytes, watermarks |
-//! | `LAG` | replication watermarks (committed vs. applied LSN) for read routing |
 //! | `SHUTDOWN` | graceful drain |
 //!
 //! Sending `HELLO v2` as the first command flips the connection to the v2
@@ -31,14 +29,6 @@
 //! write-ahead-logs every acknowledged DDL/DML through `elephant-store` and
 //! recovers snapshot + WAL on startup — a `kill -9` loses nothing that was
 //! acknowledged under `--fsync always`. See `docs/STORAGE.md`.
-//!
-//! Adding `--repl-addr` makes a durable server a replication **leader**:
-//! it streams committed WAL frames to every follower that connects.
-//! `--replicate-from` starts a **follower**: a volatile, permanently
-//! read-only server that bootstraps from the leader's snapshot, applies
-//! its WAL in LSN order, and serves byte-identical reads. [`client::ReplicatedClient`]
-//! routes reads across followers and writes to the leader. See
-//! `docs/REPLICATION.md`.
 //!
 //! # Architecture
 //!
@@ -92,18 +82,14 @@ pub mod client;
 mod executor;
 pub mod metrics;
 pub mod protocol;
-mod repl;
 mod scrape;
 pub mod server;
 mod session;
 mod shard;
 
 pub use client::wire::PipelineClient;
-pub use client::{
-    ClientError, ClientResult, ElephantClient, ReplicatedClient, RetryPolicy, ServerError,
-};
+pub use client::{ClientError, ClientResult, ElephantClient, RetryPolicy, ServerError};
 pub use metrics::{LatencyHistogram, Metrics};
 pub use protocol::{Command, TraceRequest, MAX_FRAME};
-pub use repl::ReplRole;
 pub use server::{start, ServerConfig, ServerHandle};
 pub use shard::shard_of;

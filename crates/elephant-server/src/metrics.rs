@@ -78,8 +78,8 @@ impl LatencyHistogram {
 /// Who owns a metric's value, and so how `STATS` totals it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scope {
-    /// One value per process: the [`Metrics`] atomics, the failpoint
-    /// registry, the replication topology.
+    /// One value per process: the [`Metrics`] atomics and the failpoint
+    /// registry.
     Server,
     /// One value per process, counted by the shard router.
     Router,
@@ -255,8 +255,6 @@ pub static DECLS: &[Decl] = &[
     server("stats_calls", Counter),
     server("checkpoints_served", Counter),
     server("traces", Counter),
-    server("replica_calls", Counter),
-    server("lag_calls", Counter),
     server("other_commands", Counter),
     server("errors", Counter),
     server("protocol_errors", Counter),
@@ -277,20 +275,6 @@ pub static DECLS: &[Decl] = &[
     server("latency_{verb}", ONE_VERB),
     // The failpoint registry is process-global.
     server("faults_injected", Counter),
-    // Replication topology: one per server (replication forces one shard).
-    server("repl_role", Text),
-    server("repl_committed_lsn", Gauge),
-    server("repl_followers_connected", Gauge),
-    server("repl_bytes_shipped", Gauge),
-    server("repl_snapshots_sent", Gauge),
-    server("repl_min_acked_lsn", Gauge),
-    server("repl_lag_lsns", Gauge),
-    server("repl_applied_lsn", Gauge),
-    server("repl_leader_lsn", Gauge),
-    server("repl_bytes_received", Gauge),
-    server("repl_snapshots_loaded", Gauge),
-    server("repl_reconnects", Gauge),
-    server("repl_connected", Gauge),
     // Lane gauges: the server-scoped `queue_depth` and `commands_served`
     // are the process-wide views, so these have no total.
     engine("queue_depth", Gauge, PerShard).named("shard_queue_depth"),
@@ -680,7 +664,7 @@ pub fn render_prometheus(metrics: &[Metric]) -> String {
 /// The verbs with their own served-counter and latency histogram, as
 /// `(verb, STATS key of the counter)`; `OTHER` collects everything else
 /// (SHUTDOWN, DEALLOCATE) so `commands_served` reconciles.
-pub const VERBS: [(&str, &str); 12] = [
+pub const VERBS: [(&str, &str); 10] = [
     ("QUERY", "queries"),
     ("BATCH", "batches"),
     ("PREPARE", "prepares"),
@@ -690,8 +674,6 @@ pub const VERBS: [(&str, &str); 12] = [
     ("STATS", "stats_calls"),
     ("CHECKPOINT", "checkpoints_served"),
     ("TRACE", "traces"),
-    ("REPLICA", "replica_calls"),
-    ("LAG", "lag_calls"),
     ("OTHER", "other_commands"),
 ];
 
@@ -879,10 +861,8 @@ impl Metrics {
 mod tests {
     use super::*;
     use crate::protocol::Command;
-    use crate::repl::ReplState;
     use crate::shard::testing::router_on;
     use crate::shard::ShardRouter;
-    use std::sync::Arc;
 
     #[test]
     fn histogram_percentiles_are_ordered() {
@@ -1035,10 +1015,10 @@ mod tests {
         }
     }
 
-    /// The collector's output over a server that recovered, invalidated a
-    /// prepared plan per table and played every replication role is the
-    /// declaration table, exactly: nothing undeclared (`sample` would have
-    /// panicked), nothing of the wrong type, nothing declared but dead.
+    /// The collector's output over a server that recovered and invalidated
+    /// a prepared plan per table is the declaration table, exactly: nothing
+    /// undeclared (`sample` would have panicked), nothing of the wrong
+    /// type, nothing declared but dead.
     #[test]
     fn every_declaration_is_sampled_with_its_declared_type() {
         let dir = std::env::temp_dir().join(format!("elephant-decls-{}", std::process::id()));
@@ -1060,18 +1040,10 @@ mod tests {
         };
         router.submit(1, router.plan(1, prepare)).unwrap();
         query(&router, "DROP TABLE t");
-        let mut samples = router.collect().unwrap();
+        let samples = router.collect().unwrap();
         drop(router);
         joins.into_iter().for_each(|j| j.join().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
-
-        let leader = ReplState::leader();
-        let registry = Arc::new(elephant_repl::LeaderRegistry::default());
-        registry.register("10.0.0.2:9999");
-        leader.set_registry(registry);
-        samples.extend(leader.samples(Some(9)));
-        let status = Arc::new(elephant_repl::FollowerStatus::default());
-        samples.extend(ReplState::follower("127.0.0.1:1".into(), status).samples(None));
 
         for m in &samples {
             let typed = matches!(

@@ -76,10 +76,9 @@ pub mod codes {
     /// Executor queue full past the admission wait; **retryable** — back
     /// off and resend the same command.
     pub const BUSY: &str = "ERR_BUSY";
-    /// Writes are refused: either durable storage failed and the engine
-    /// degraded to read-only (a `CHECKPOINT` re-arms it), or the server is
-    /// a replication follower (permanent — send the write to the leader).
-    /// **Not** retryable on the same server.
+    /// Writes are refused: durable storage failed and the engine degraded
+    /// to read-only (a successful `CHECKPOINT` re-arms it). **Not**
+    /// retryable: resending the write fails the same way until then.
     pub const READ_ONLY: &str = "ERR_READ_ONLY";
     /// Statement exceeded the server's statement timeout and was cancelled
     /// cooperatively; **retryable** (though likely to time out again
@@ -153,11 +152,6 @@ pub enum Command {
     Stats,
     /// Snapshot all tables to durable storage and truncate the WAL.
     Checkpoint,
-    /// Replication topology: role, followers, shipped bytes, watermarks.
-    Replica,
-    /// Replication lag watermarks (committed vs. applied LSNs), the
-    /// smallest surface a read-routing client needs to poll.
-    Lag,
     /// Begin graceful drain: stop accepting, finish in-flight work.
     Shutdown,
 }
@@ -176,8 +170,6 @@ impl Command {
             Command::Inspect { .. } => "INSPECT",
             Command::Stats => "STATS",
             Command::Checkpoint => "CHECKPOINT",
-            Command::Replica => "REPLICA",
-            Command::Lag => "LAG",
             Command::Shutdown => "SHUTDOWN",
         }
     }
@@ -207,11 +199,7 @@ impl Command {
             Command::Inspect {
                 columns, threshold, ..
             } => format!("columns={} threshold={threshold}", columns.join(",")),
-            Command::Stats
-            | Command::Checkpoint
-            | Command::Replica
-            | Command::Lag
-            | Command::Shutdown => String::new(),
+            Command::Stats | Command::Checkpoint | Command::Shutdown => String::new(),
         }
     }
 }
@@ -667,8 +655,6 @@ pub fn parse_command(frame: &str) -> Result<Command, (&'static str, String)> {
         }
         "STATS" => Ok(Command::Stats),
         "CHECKPOINT" => Ok(Command::Checkpoint),
-        "REPLICA" => Ok(Command::Replica),
-        "LAG" => Ok(Command::Lag),
         "SHUTDOWN" => Ok(Command::Shutdown),
         other => Err((codes::UNKNOWN, format!("unknown verb '{other}'"))),
     }
@@ -801,13 +787,13 @@ mod tests {
         let mut r = Cursor::new(wire.into_bytes());
         assert_eq!(fr.read_frame(&mut r).unwrap(), frame(None, body));
 
-        let mut r = Cursor::new(b"@7 14\nQUERY SELECT 1\n@9 3\nLAG\n".to_vec());
+        let mut r = Cursor::new(b"@7 14\nQUERY SELECT 1\n@9 5\nSTATS\n".to_vec());
         let mut fr = reader(Envelope::V2);
         assert_eq!(
             fr.read_frame(&mut r).unwrap(),
             frame(Some(7), "QUERY SELECT 1")
         );
-        assert_eq!(fr.read_frame(&mut r).unwrap(), frame(Some(9), "LAG"));
+        assert_eq!(fr.read_frame(&mut r).unwrap(), frame(Some(9), "STATS"));
         assert_eq!(fr.read_frame(&mut r).unwrap(), None);
     }
 
@@ -816,7 +802,7 @@ mod tests {
         for envelope in ENVELOPES {
             let n = MAX_FRAME + 3;
             let (mut wire, seq) = payload_frame(envelope, 5, &vec![b'x'; n]);
-            let (next, next_seq) = payload_frame(envelope, 6, b"LAG");
+            let (next, next_seq) = payload_frame(envelope, 6, b"STATS");
             wire.extend(next);
             let mut r = Cursor::new(wire);
             let mut fr = reader(envelope);
@@ -827,7 +813,7 @@ mod tests {
                 other => panic!("{envelope:?}: expected Oversized, got {other:?}"),
             }
             // The connection is still usable: the next frame parses.
-            assert_eq!(fr.read_frame(&mut r).unwrap(), frame(next_seq, "LAG"));
+            assert_eq!(fr.read_frame(&mut r).unwrap(), frame(next_seq, "STATS"));
         }
     }
 
@@ -835,7 +821,7 @@ mod tests {
     fn bad_payload_utf8_keeps_sync() {
         for envelope in ENVELOPES {
             let (mut wire, seq) = payload_frame(envelope, 3, &[0xff, 0xfe, 0xfd, 0xfc]);
-            let (next, next_seq) = payload_frame(envelope, 4, b"LAG");
+            let (next, next_seq) = payload_frame(envelope, 4, b"STATS");
             wire.extend(next);
             let mut r = Cursor::new(wire);
             let mut fr = reader(envelope);
@@ -843,7 +829,7 @@ mod tests {
                 Err(FrameError::BadPayload { seq: s }) => assert_eq!(s, seq),
                 other => panic!("{envelope:?}: expected BadPayload, got {other:?}"),
             }
-            assert_eq!(fr.read_frame(&mut r).unwrap(), frame(next_seq, "LAG"));
+            assert_eq!(fr.read_frame(&mut r).unwrap(), frame(next_seq, "STATS"));
         }
     }
 
@@ -884,7 +870,7 @@ mod tests {
         // Handshake and the first v2 frames in one segment: the bytes
         // behind `HELLO v2` are already in the BufRead when the flip
         // happens.
-        let mut r = Cursor::new(b"HELLO v9\nhello v2\n@1 3\nLAG\n".to_vec());
+        let mut r = Cursor::new(b"HELLO v9\nhello v2\n@1 5\nSTATS\n".to_vec());
         let mut fr = FrameReader::new();
         let hello = fr.read_frame(&mut r).unwrap().unwrap();
         assert_eq!(
@@ -895,7 +881,7 @@ mod tests {
         let hello = fr.read_frame(&mut r).unwrap().unwrap();
         assert_eq!(fr.negotiate(&hello), Some(Ok("v2")));
         let first = fr.read_frame(&mut r).unwrap().unwrap();
-        assert_eq!(Some(first.clone()), frame(Some(1), "LAG"));
+        assert_eq!(Some(first.clone()), frame(Some(1), "STATS"));
         // Not a handshake: commands, and everything once on v2.
         assert_eq!(fr.negotiate(&first), None);
         assert_eq!(fr.negotiate(&hello), None);
@@ -1000,8 +986,6 @@ mod tests {
         );
         assert_eq!(parse_command("STATS").unwrap(), Command::Stats);
         assert_eq!(parse_command("CHECKPOINT").unwrap(), Command::Checkpoint);
-        assert_eq!(parse_command("REPLICA").unwrap(), Command::Replica);
-        assert_eq!(parse_command("lag").unwrap(), Command::Lag);
         assert_eq!(parse_command("SHUTDOWN").unwrap(), Command::Shutdown);
         match parse_command("INSPECT race,sex 0.25\ndf = pd.read_csv(\"x.csv\")").unwrap() {
             Command::Inspect {
@@ -1019,7 +1003,9 @@ mod tests {
 
     #[test]
     fn parse_errors_carry_codes() {
-        assert_eq!(parse_command("FROBNICATE").unwrap_err().0, codes::UNKNOWN);
+        for verb in ["FROBNICATE", "REPLICA", "LAG"] {
+            assert_eq!(parse_command(verb).unwrap_err().0, codes::UNKNOWN);
+        }
         assert_eq!(parse_command("QUERY").unwrap_err().0, codes::PARSE);
         assert_eq!(parse_command("PREPARE q1").unwrap_err().0, codes::PARSE);
         assert_eq!(

@@ -1,12 +1,10 @@
 //! The TCP server: listener, accept loop, and lifecycle handle.
 
-use crate::executor::{self, ExecutorConfig, Job};
+use crate::executor::{self, ExecutorConfig};
 use crate::metrics::Metrics;
-use crate::repl::ReplState;
 use crate::scrape;
 use crate::session::run_session;
 use crate::shard::{Lane, ShardRouter, ShardStats};
-use elephant_repl::{follower, leader, FollowerConfig, FollowerStatus};
 use etypes::SharedSpanRing;
 use sqlengine::{FsyncPolicy, TxnDecisionLog, TXN_LOG_FILE};
 use std::collections::HashMap;
@@ -14,7 +12,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -51,21 +49,13 @@ pub struct ServerConfig {
     /// retryable `ERR_TIMEOUT`. `None` (the default) lets statements run
     /// unbounded.
     pub statement_timeout_ms: Option<u64>,
-    /// Bind a replication listener here (leader mode) and stream committed
-    /// WAL frames to every follower that connects. Requires `data_dir`.
-    /// Use port 0 to let the OS pick (tests do).
-    pub repl_addr: Option<String>,
-    /// Follow the leader replicating at this address (follower mode): the
-    /// engine stays volatile, pins itself read-only, and applies the
-    /// leader's WAL. Mutually exclusive with `data_dir` and `repl_addr`.
-    pub replicate_from: Option<String>,
     /// Checkpoint automatically once the WAL grows past this many bytes
     /// (counted after each acknowledged write). `None` disables.
     pub auto_checkpoint_wal_bytes: Option<u64>,
     /// Engine shards. Each shard is an independent engine on its own
     /// executor thread (durable servers give each its own WAL/snapshot
     /// subdirectory); tables are routed to shards by name hash. Must be at
-    /// least 1; values above 1 are mutually exclusive with replication.
+    /// least 1.
     pub shards: usize,
     /// Bind a plain-HTTP metrics listener here and serve the Prometheus
     /// text exposition on `GET /metrics`. `None` (the default) disables
@@ -90,8 +80,6 @@ impl Default for ServerConfig {
             fsync: FsyncPolicy::Always,
             slow_query_us: None,
             statement_timeout_ms: None,
-            repl_addr: None,
-            replicate_from: None,
             auto_checkpoint_wal_bytes: None,
             shards: 1,
             metrics_addr: None,
@@ -138,8 +126,6 @@ pub struct ServerHandle {
     accept_join: Option<JoinHandle<()>>,
     scrape_join: Option<JoinHandle<()>>,
     executor_joins: Vec<JoinHandle<()>>,
-    repl_leader: Option<leader::LeaderHandle>,
-    follower_join: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -151,11 +137,6 @@ impl ServerHandle {
     /// The metrics listener's bound address, when one was configured.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.metrics_addr
-    }
-
-    /// The replication listener's bound address (leader mode only).
-    pub fn repl_addr(&self) -> Option<SocketAddr> {
-        self.repl_leader.as_ref().map(|l| l.local_addr())
     }
 
     /// Shared server counters (live view).
@@ -181,70 +162,23 @@ impl ServerHandle {
         if let Some(h) = self.scrape_join.take() {
             let _ = h.join();
         }
-        // The follower loop must drop its queue sender before the executor
-        // can observe disconnection and exit.
-        if let Some(h) = self.follower_join.take() {
-            let _ = h.join();
-        }
         for h in self.executor_joins.drain(..) {
             let _ = h.join();
-        }
-        if let Some(l) = self.repl_leader.take() {
-            l.join();
         }
     }
 }
 
 /// Bind and start serving; returns immediately with a [`ServerHandle`].
 pub fn start(mut config: ServerConfig) -> io::Result<ServerHandle> {
-    if config.replicate_from.is_some() && config.data_dir.is_some() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "follower mode is volatile — it bootstraps from the leader; drop --data-dir",
-        ));
-    }
-    if config.replicate_from.is_some() && config.repl_addr.is_some() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "a server is a leader or a follower, not both",
-        ));
-    }
-    if config.repl_addr.is_some() && config.data_dir.is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "replication streams the WAL; a leader needs --data-dir",
-        ));
-    }
     if config.shards == 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "a server needs at least one shard (--shards 1)",
         ));
     }
-    if config.shards > 1 && (config.repl_addr.is_some() || config.replicate_from.is_some()) {
-        // WAL shipping replicates exactly one log; a sharded server has
-        // one per shard. Combining them is follow-up work.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "replication and --shards > 1 are mutually exclusive",
-        ));
-    }
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-
-    let follower_status = config
-        .replicate_from
-        .as_ref()
-        .map(|_| Arc::new(FollowerStatus::default()));
-    let repl = Arc::new(match (&config.replicate_from, &config.repl_addr) {
-        (Some(upstream), _) => ReplState::follower(
-            upstream.clone(),
-            Arc::clone(follower_status.as_ref().expect("status built above")),
-        ),
-        (None, Some(_)) => ReplState::leader(),
-        (None, None) => ReplState::standalone(),
-    });
 
     let metrics = Arc::new(Metrics::default());
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -272,7 +206,6 @@ pub fn start(mut config: ServerConfig) -> io::Result<ServerHandle> {
     let mut lanes: Vec<Lane> = Vec::with_capacity(config.shards);
     let mut executor_joins: Vec<JoinHandle<()>> = Vec::with_capacity(config.shards);
     let mut recovered_per_shard: Vec<Vec<String>> = Vec::with_capacity(config.shards);
-    let mut wal_handle = None;
     // Only shard 0 runs `INSPECT` (the router routes it there), so only it
     // holds the files.
     let mut files = std::mem::take(&mut config.files);
@@ -298,7 +231,6 @@ pub fn start(mut config: ServerConfig) -> io::Result<ServerHandle> {
                 slow_query_us: config.slow_query_us,
                 statement_timeout_ms: config.statement_timeout_ms,
                 auto_checkpoint_wal_bytes: config.auto_checkpoint_wal_bytes,
-                repl: Arc::clone(&repl),
                 shard_id,
                 lane: Arc::clone(&lane_stats),
                 ring: Arc::clone(&ring),
@@ -307,10 +239,6 @@ pub fn start(mut config: ServerConfig) -> io::Result<ServerHandle> {
             Arc::clone(&metrics),
             Arc::clone(&shutdown),
         )?;
-        if shard_id == 0 {
-            // Replication (shards == 1 only) ships shard 0's WAL.
-            wal_handle = wal.clone();
-        }
         lanes.push(Lane {
             tx,
             stats: lane_stats,
@@ -320,13 +248,7 @@ pub fn start(mut config: ServerConfig) -> io::Result<ServerHandle> {
         executor_joins.push(join);
         recovered_per_shard.push(recovered);
     }
-    let tx = lanes[0].tx.clone();
-    let router = Arc::new(ShardRouter::new(
-        lanes,
-        Arc::clone(&metrics),
-        Arc::clone(&repl),
-        txn_log,
-    ));
+    let router = Arc::new(ShardRouter::new(lanes, Arc::clone(&metrics), txn_log));
     for (shard_id, names) in recovered_per_shard.into_iter().enumerate() {
         router.seed(shard_id, &names);
     }
@@ -346,44 +268,6 @@ pub fn start(mut config: ServerConfig) -> io::Result<ServerHandle> {
             (Some(bound), Some(join))
         }
         None => (None, None),
-    };
-
-    let repl_leader = match &config.repl_addr {
-        Some(bind) => {
-            let wal = wal_handle.expect("leader mode requires a durable engine");
-            let repl_listener = TcpListener::bind(bind)?;
-            let handle = leader::spawn(repl_listener, wal, Arc::clone(&shutdown))?;
-            repl.set_registry(handle.registry());
-            Some(handle)
-        }
-        None => None,
-    };
-
-    let follower_join = match (&config.replicate_from, follower_status) {
-        (Some(upstream), Some(status)) => {
-            // Shipped ops ride the executor queue like client commands; the
-            // closure's sender clone keeps the executor alive until the
-            // follower loop observes shutdown and exits.
-            let repl_tx = tx.clone();
-            Some(follower::spawn(
-                FollowerConfig::new(upstream.clone()),
-                status,
-                Arc::clone(&shutdown),
-                move |op| {
-                    let (reply_tx, reply_rx) = mpsc::channel();
-                    repl_tx
-                        .send(Job::Repl {
-                            op,
-                            reply: reply_tx,
-                        })
-                        .map_err(|_| "executor is gone".to_string())?;
-                    reply_rx
-                        .recv()
-                        .map_err(|_| "executor dropped the repl op".to_string())?
-                },
-            ))
-        }
-        _ => None,
     };
 
     let accept_metrics = Arc::clone(&metrics);
@@ -449,7 +333,5 @@ pub fn start(mut config: ServerConfig) -> io::Result<ServerHandle> {
         accept_join: Some(accept_join),
         scrape_join,
         executor_joins,
-        repl_leader,
-        follower_join,
     })
 }

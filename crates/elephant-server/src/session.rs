@@ -441,7 +441,7 @@ mod tests {
         let mut input =
             b"QUERY SELECT 1 AS x\nHELLO v2\n@1 19\nQUERY SELECT 2 AS y\n@2 2\n".to_vec();
         input.extend_from_slice(&[0xff, 0xfe, b'\n']);
-        input.extend_from_slice(b"@1 3\nLAG\n@3 8\nHELLO v2\n");
+        input.extend_from_slice(b"@1 5\nSTATS\n@3 8\nHELLO v2\n");
         let want = [
             reply("+", "x\n1\n"),
             reply("+", "v2"),
@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn a_bad_v2_header_is_answered_on_sequence_zero_and_closes() {
-        let input = b"HELLO v2\n@1 19\nQUERY SELECT 2 AS y\nQUERY SELECT 3\n@2 3\nLAG\n";
+        let input = b"HELLO v2\n@1 19\nQUERY SELECT 2 AS y\nQUERY SELECT 3\n@2 5\nSTATS\n";
         let (out, _) = serve_bytes(1, input);
         let want = [
             reply("+", "v2"),

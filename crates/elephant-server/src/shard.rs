@@ -84,7 +84,6 @@
 use crate::executor::{Job, Reply};
 use crate::metrics::{fold_shards, render_prometheus, render_stats_text, sample, Metric, Metrics};
 use crate::protocol::{codes, Command, TraceRequest};
-use crate::repl::ReplState;
 use etypes::{SharedSpanRing, Span, SpanKind, SpanRecord, TraceContext};
 use sqlengine::{parse_fragments, statement_deps, TableImage, TxnDecisionLog, WalHandle};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -422,8 +421,6 @@ pub(crate) struct ShardRouter {
     /// Per-command query-id allocator (`q<N>` on the wire, 1-based).
     next_query_id: AtomicU64,
     metrics: Arc<Metrics>,
-    /// Replication topology, sampled with the server-scoped metrics.
-    repl: Arc<ReplState>,
 }
 
 impl ShardRouter {
@@ -433,7 +430,6 @@ impl ShardRouter {
     pub fn new(
         lanes: Vec<Lane>,
         metrics: Arc<Metrics>,
-        repl: Arc<ReplState>,
         txn_log: Option<TxnDecisionLog>,
     ) -> ShardRouter {
         assert!(!lanes.is_empty(), "a server needs at least one shard");
@@ -452,7 +448,6 @@ impl ShardRouter {
             txn_gate: RwLock::new(()),
             next_query_id: AtomicU64::new(1),
             metrics,
-            repl,
         }
     }
 
@@ -505,10 +500,8 @@ impl ShardRouter {
             },
             Command::Batch(stmts) => self.route_batch(stmts),
             Command::Checkpoint => Route::Broadcast,
-            // Single-shard surfaces: inspection scratch tables, replication
-            // topology, and the shared drain flag all live on (or are
-            // reachable from) shard 0.
-            Command::Inspect { .. } | Command::Replica | Command::Lag => Route::Single {
+            // Inspection scratch tables live on shard 0.
+            Command::Inspect { .. } => Route::Single {
                 at: Placement::on(0),
                 changes: Vec::new(),
             },
@@ -1413,8 +1406,6 @@ impl ShardRouter {
             waits.push(reply_rx);
         }
         let mut samples = self.metrics.server_samples();
-        let committed_lsn = self.lanes[0].wal.as_ref().map(WalHandle::committed_lsn);
-        samples.extend(self.repl.samples(committed_lsn));
         for (k, (lane, reply_rx)) in self.lanes.iter().zip(waits).enumerate() {
             let queued = lane.stats.queue_depth.load(Ordering::Relaxed);
             let commands = lane.stats.commands.load(Ordering::Relaxed);
@@ -1575,7 +1566,6 @@ pub(crate) mod testing {
         shards: usize,
     ) -> (ShardRouter, Arc<Metrics>, Vec<JoinHandle<()>>) {
         let metrics = Arc::new(Metrics::default());
-        let repl = Arc::new(ReplState::standalone());
         let mut lanes = Vec::new();
         let mut recovered_per_shard = Vec::new();
         let mut joins = Vec::new();
@@ -1592,7 +1582,6 @@ pub(crate) mod testing {
                     slow_query_us: None,
                     statement_timeout_ms: None,
                     auto_checkpoint_wal_bytes: None,
-                    repl: Arc::clone(&repl),
                     shard_id,
                     lane: Arc::clone(&stats),
                     ring: Arc::clone(&ring),
@@ -1611,7 +1600,7 @@ pub(crate) mod testing {
             recovered_per_shard.push(recovered);
             joins.push(join);
         }
-        let router = ShardRouter::new(lanes, Arc::clone(&metrics), repl, None);
+        let router = ShardRouter::new(lanes, Arc::clone(&metrics), None);
         for (shard, names) in recovered_per_shard.iter().enumerate() {
             router.seed(shard, names);
         }

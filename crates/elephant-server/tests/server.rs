@@ -7,7 +7,7 @@ use sqlengine::{Engine, EngineProfile};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The pipeline rows/seed every test (and its embedded reference) uses.
 const ROWS: usize = 120;
@@ -525,4 +525,25 @@ fn inspect_reads_no_unregistered_file() {
     drop(c);
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn connect_with_timeout_connects_and_fails_fast() {
+    let handle = start(ServerConfig::default()).unwrap();
+    let mut c =
+        ElephantClient::connect_with_timeout(handle.local_addr(), Duration::from_secs(3)).unwrap();
+    assert_eq!(c.query_raw("SELECT 1 AS one").unwrap(), "one\n1\n");
+
+    // A dead port errors instead of hanging; bound the whole attempt.
+    let started = Instant::now();
+    let dead = ElephantClient::connect_with_timeout("127.0.0.1:9", Duration::from_millis(500));
+    assert!(dead.is_err(), "nothing listens on the discard port");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "connect_with_timeout did not bound the attempt"
+    );
+
+    c.shutdown().unwrap();
+    drop(c);
+    handle.join();
 }

@@ -25,8 +25,6 @@ fn counter_key(cmd: &Command) -> &'static str {
         Command::Inspect { .. } => "inspects",
         Command::Stats => "stats_calls",
         Command::Checkpoint => "checkpoints_served",
-        Command::Replica => "replica_calls",
-        Command::Lag => "lag_calls",
         Command::Shutdown => "other_commands",
     }
 }
@@ -83,8 +81,6 @@ fn commands_served_reconciles_with_every_per_verb_counter() {
     c.send("TRACE 5").unwrap();
     c.inspect(&["age_group"], 0.3, "@healthcare").unwrap();
     c.checkpoint().unwrap();
-    c.replica().unwrap();
-    c.lag().unwrap();
     c.stats().unwrap();
 
     let body = c.stats().unwrap();
@@ -108,14 +104,12 @@ fn commands_served_reconciles_with_every_per_verb_counter() {
         ("traces", 1),
         ("inspects", 1),
         ("checkpoints_served", 1),
-        ("replica_calls", 1),
-        ("lag_calls", 1),
         ("stats_calls", 1),    // the first STATS; the rendering one is in flight
         ("other_commands", 1), // DEALLOCATE
     ] {
         assert_eq!(stat(&body, key), want, "counter '{key}' off:\n{body}");
     }
-    assert_eq!(served, 16);
+    assert_eq!(served, 14);
 
     // Protocol-v2 satellite counters. This session is a v1 text client, so
     // nothing was pipelined or streamed; the BATCH frame carried two
@@ -198,8 +192,6 @@ fn commands_served_reconciles_with_every_per_verb_counter() {
         ),
         (Command::Stats, "stats_calls"),
         (Command::Checkpoint, "checkpoints_served"),
-        (Command::Replica, "replica_calls"),
-        (Command::Lag, "lag_calls"),
         (Command::Shutdown, "other_commands"),
     ];
     for (cmd, want) in &samples {

@@ -146,6 +146,8 @@ fn script(rng: &mut Prng) -> Vec<String> {
         "QUERY INSERT INTO wd VALUES (10003, 'txn'); INSERT INTO big VALUES (10003)".into(),
         "EXPLAIN SELECT b FROM wd WHERE a = 1".into(),
         "SET exec_mode row".into(),
+        "REPLICA".into(),
+        "LAG".into(),
         "QUERY SELECT count(*) AS n, sum(a) AS s FROM big".into(),
         "CHECKPOINT".into(),
         "DEALLOCATE byid".into(),
@@ -250,6 +252,8 @@ fn one_script_three_wires_same_replies_and_counters() {
             ("FROBNICATE", "ERR_UNKNOWN_VERB"),
             ("QUERY SELECT 1\n", "ERR_OVERSIZED"),
             ("SET exec_mode row", "ERR_UNKNOWN_VERB unknown verb 'SET'"),
+            ("REPLICA", "ERR_UNKNOWN_VERB unknown verb 'REPLICA'"),
+            ("LAG", "ERR_UNKNOWN_VERB unknown verb 'LAG'"),
         ] {
             let error = reply_to(needle).as_ref().unwrap_err();
             assert!(error.starts_with(code), "shards={shards} {needle}: {error}");

@@ -47,12 +47,10 @@
 pub mod crc32;
 pub mod error;
 pub mod snapshot;
-pub mod tailer;
 pub mod txnlog;
 pub mod wal;
 
 pub use error::{Result, StoreError};
-pub use tailer::{TailFrame, TailPoll, WalTailer};
 pub use txnlog::{TxnDecisionLog, TXN_LOG_FILE};
 pub use wal::{decode_frame, encode_frame, WalRecord, WalShared, WalStats};
 
@@ -602,20 +600,11 @@ impl Store {
         &self.snapshot_path
     }
 
-    /// The WAL path (tests, tooling).
-    pub fn wal_path(&self) -> &Path {
-        self.wal.path()
-    }
-
-    /// A cheap, cloneable, thread-safe handle onto this store's
-    /// replication surface: where the WAL and snapshot live on disk plus
-    /// the writer's shared progress watermark. The replication feeder runs
-    /// off this handle alone, so it never touches (and never blocks) the
-    /// engine thread that owns the `Store`.
+    /// A cheap, cloneable, thread-safe handle onto the writer's shared
+    /// progress watermark, readable from any thread without touching (or
+    /// blocking) the engine thread that owns the `Store`.
     pub fn wal_handle(&self) -> WalHandle {
         WalHandle {
-            wal_path: self.wal.path().to_path_buf(),
-            snapshot_path: self.snapshot_path.clone(),
             shared: self.wal.shared(),
         }
     }
@@ -624,36 +613,14 @@ impl Store {
 /// See [`Store::wal_handle`].
 #[derive(Debug, Clone)]
 pub struct WalHandle {
-    wal_path: PathBuf,
-    snapshot_path: PathBuf,
     shared: Arc<WalShared>,
 }
 
 impl WalHandle {
-    /// The live WAL file.
-    pub fn wal_path(&self) -> &Path {
-        &self.wal_path
-    }
-
-    /// The latest snapshot location (may not exist yet).
-    pub fn snapshot_path(&self) -> &Path {
-        &self.snapshot_path
-    }
-
-    /// Highest acknowledged LSN — frames at or below this are shippable.
+    /// Highest acknowledged LSN: every frame at or below it is durable
+    /// under the configured fsync policy.
     pub fn committed_lsn(&self) -> u64 {
         self.shared.committed_lsn()
-    }
-
-    /// Checkpoint truncations since the store opened; a moving counter
-    /// means tail offsets are stale.
-    pub fn truncations(&self) -> u64 {
-        self.shared.truncations()
-    }
-
-    /// A fresh tailer over this store's WAL.
-    pub fn tailer(&self) -> WalTailer {
-        WalTailer::open(&self.wal_path)
     }
 }
 

@@ -206,10 +206,8 @@ pub fn load_snapshot(path: &Path) -> Result<Option<(u64, Vec<TableImage>)>> {
     decode_snapshot(&data).map(Some)
 }
 
-/// Decode an in-memory snapshot image (magic included). Replication
-/// followers bootstrap from snapshot bytes shipped over a socket, so the
-/// decoder is split from the file read.
-pub fn decode_snapshot(data: &[u8]) -> Result<(u64, Vec<TableImage>)> {
+/// Decode an in-memory snapshot image (magic included).
+fn decode_snapshot(data: &[u8]) -> Result<(u64, Vec<TableImage>)> {
     if data.len() < SNAPSHOT_MAGIC.len() || &data[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
         return Err(StoreError::corrupt("not a snapshot (bad magic)"));
     }

@@ -26,7 +26,7 @@ use etypes::binary::{put_str, put_u32, put_u64, put_value};
 use etypes::{ByteReader, DataType, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -198,8 +198,7 @@ impl WalRecord {
         buf
     }
 
-    /// Decode one payload into `(lsn, record)`. Public so replication
-    /// followers can decode shipped frames with the exact replay codec.
+    /// Decode one payload into `(lsn, record)`: the replay codec.
     pub fn decode(payload: &[u8]) -> Result<(u64, WalRecord)> {
         let mut r = ByteReader::new(payload);
         let lsn = r.u64()?;
@@ -348,18 +347,14 @@ pub fn decode_frame(frame: &[u8]) -> Result<(u64, WalRecord)> {
     WalRecord::decode(payload)
 }
 
-/// Writer progress shared across threads: the replication feeder polls this
-/// (through a [`crate::WalHandle`]) to learn which WAL frames are safe to
-/// ship. `committed_lsn` advances only *after* an append fully succeeded
-/// under the configured fsync policy — a frame rolled back by a failed
-/// fsync never moves the watermark, so the tailer can never ship a record
-/// the engine did not acknowledge. `truncations` counts checkpoint
-/// truncations so tailers detect that their byte offset went stale even if
-/// the file has already regrown past it.
+/// Writer progress shared across threads: the shard router reads this
+/// (through a [`crate::WalHandle`]) to record each shard's committed LSN in
+/// a 2PC cut vector. `committed_lsn` advances only *after* an append fully
+/// succeeded under the configured fsync policy — a frame rolled back by a
+/// failed fsync never moves the watermark.
 #[derive(Debug, Default)]
 pub struct WalShared {
     committed_lsn: AtomicU64,
-    truncations: AtomicU64,
 }
 
 impl WalShared {
@@ -368,17 +363,8 @@ impl WalShared {
         self.committed_lsn.load(Ordering::Acquire)
     }
 
-    /// Checkpoint truncations since the writer opened.
-    pub fn truncations(&self) -> u64 {
-        self.truncations.load(Ordering::Acquire)
-    }
-
     fn set_committed(&self, lsn: u64) {
         self.committed_lsn.store(lsn, Ordering::Release);
-    }
-
-    fn bump_truncations(&self) {
-        self.truncations.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -431,7 +417,6 @@ struct GroupState {
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
-    path: PathBuf,
     fsync: FsyncPolicy,
     unsynced: u64,
     next_lsn: u64,
@@ -472,7 +457,6 @@ impl WalWriter {
         shared.set_committed(next_lsn.saturating_sub(1));
         Ok(WalWriter {
             file,
-            path: path.to_path_buf(),
             fsync,
             unsynced: 0,
             next_lsn,
@@ -566,11 +550,6 @@ impl WalWriter {
     /// The cross-thread progress view ([`WalShared`]) for this writer.
     pub fn shared(&self) -> Arc<WalShared> {
         Arc::clone(&self.shared)
-    }
-
-    /// The WAL file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The LSN the next append will use.
@@ -709,7 +688,6 @@ impl WalWriter {
             g.start_unsynced = 0;
             g.deferred = 0;
         }
-        self.shared.bump_truncations();
         Ok(dropped)
     }
 }
@@ -797,6 +775,7 @@ pub fn read_wal(path: &Path) -> Result<WalReadOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     // No test in this binary may arm a failpoint: the registry is
     // process-global and these tests fsync concurrently, so an armed
@@ -945,12 +924,10 @@ mod tests {
         let mut w = WalWriter::open(&path, FsyncPolicy::Off, 0, 5).unwrap();
         let shared = w.shared();
         assert_eq!(shared.committed_lsn(), 4, "open resumes at next_lsn - 1");
-        assert_eq!(shared.truncations(), 0);
         w.append(&WalRecord::DropTable { name: "x".into() })
             .unwrap();
         assert_eq!(shared.committed_lsn(), 5);
         w.truncate().unwrap();
-        assert_eq!(shared.truncations(), 1);
         assert_eq!(shared.committed_lsn(), 5, "LSNs survive truncation");
     }
 

@@ -159,8 +159,6 @@ pub enum SpanKind {
     /// pipeline, one pipeline line's operator and inspection queries, or
     /// dropping the run's scratch relations.
     InspectStage,
-    /// Replication apply work on a follower.
-    ReplApply,
     /// One participant shard executing + durably preparing its slice of a
     /// cross-shard transaction (2PC phase one).
     TxnPrepare,
@@ -185,7 +183,6 @@ impl SpanKind {
             SpanKind::WalGroupFsync => "wal-group-fsync",
             SpanKind::EnginePhase => "engine-phase",
             SpanKind::InspectStage => "inspect-stage",
-            SpanKind::ReplApply => "repl-apply",
             SpanKind::TxnPrepare => "txn-prepare",
             SpanKind::TxnDecision => "txn-decision",
             SpanKind::TxnCommit => "txn-commit",

@@ -95,11 +95,6 @@ impl Catalog {
         names.sort_unstable();
         names
     }
-
-    /// Remove every view (used between pipeline runs in VIEW mode).
-    pub fn clear_views(&mut self) {
-        self.views.clear();
-    }
 }
 
 #[cfg(test)]

@@ -44,8 +44,8 @@ pub trait StorageBackend {
     /// True when mutations survive a process kill.
     fn is_durable(&self) -> bool;
 
-    /// The backend's replication surface (WAL + snapshot paths and the
-    /// committed-LSN watermark); `None` when there is nothing to ship.
+    /// The backend's committed-LSN watermark; `None` on volatile
+    /// backends.
     fn wal_handle(&self) -> Option<WalHandle> {
         None
     }

@@ -93,11 +93,6 @@ pub struct Engine {
     /// down with the first durability failure.
     unlogged: bool,
     statement_timeout: Option<Duration>,
-    /// Set by [`Engine::pin_read_only`]: the read-only state is a *role*
-    /// (replica serving shipped WAL), not a recoverable failure, so writes
-    /// are refused up front — even on volatile engines, which never reach
-    /// the WAL-side health gate — and `CHECKPOINT` does not re-arm.
-    pinned_read_only: bool,
     /// Checkpoint automatically once the WAL grows past this many bytes.
     auto_checkpoint_wal_bytes: Option<u64>,
     /// Auto-checkpoints taken so far (surfaced in `STATS`).
@@ -207,7 +202,6 @@ impl Engine {
             health: Health::Healthy,
             unlogged: false,
             statement_timeout: None,
-            pinned_read_only: false,
             auto_checkpoint_wal_bytes: None,
             auto_checkpoints: 0,
             in_commit_group: false,
@@ -251,11 +245,9 @@ impl Engine {
                 let undo = std::mem::take(&mut self.group_undo);
                 self.unwind_undo(undo);
                 self.group_epoch += 1;
-                if !self.pinned_read_only {
-                    self.health = Health::ReadOnly {
-                        reason: e.to_string(),
-                    };
-                }
+                self.health = Health::ReadOnly {
+                    reason: e.to_string(),
+                };
                 Err(e)
             }
         }
@@ -338,11 +330,9 @@ impl Engine {
                         // in-memory effects and degrade, the same contract
                         // as a failed per-statement append.
                         self.unwind_undo(undo);
-                        if !self.pinned_read_only {
-                            self.health = Health::ReadOnly {
-                                reason: e.to_string(),
-                            };
-                        }
+                        self.health = Health::ReadOnly {
+                            reason: e.to_string(),
+                        };
                         return Err(e);
                     }
                 }
@@ -379,11 +369,9 @@ impl Engine {
         }
         self.group_epoch += 1;
         if let Err(e) = self.backend.log_txn_commit(txn_id) {
-            if !self.pinned_read_only {
-                self.health = Health::ReadOnly {
-                    reason: e.to_string(),
-                };
-            }
+            self.health = Health::ReadOnly {
+                reason: e.to_string(),
+            };
             return Err(e);
         }
         Ok(())
@@ -409,11 +397,9 @@ impl Engine {
         self.unwind_undo(txn.undo);
         self.group_epoch += 1;
         if let Err(e) = self.backend.log_txn_abort(txn_id) {
-            if !self.pinned_read_only {
-                self.health = Health::ReadOnly {
-                    reason: e.to_string(),
-                };
-            }
+            self.health = Health::ReadOnly {
+                reason: e.to_string(),
+            };
             return Err(e);
         }
         Ok(())
@@ -447,26 +433,9 @@ impl Engine {
         &self.health
     }
 
-    /// Pin the engine into [`Health::ReadOnly`] permanently: replicas serve
-    /// reads and apply shipped WAL records, but refuse every client write —
-    /// including on volatile backends, where the WAL-side health gate never
-    /// fires — and no `CHECKPOINT` re-arms them. There is deliberately no
-    /// unpin: promotion means restarting in leader mode.
-    pub fn pin_read_only(&mut self, reason: impl Into<String>) {
-        self.health = Health::ReadOnly {
-            reason: reason.into(),
-        };
-        self.pinned_read_only = true;
-    }
-
-    /// True when [`Engine::pin_read_only`] was called.
-    pub fn is_pinned_read_only(&self) -> bool {
-        self.pinned_read_only
-    }
-
     /// Checkpoint automatically once the WAL file grows past `bytes`
-    /// (checked after each logged mutation). Bounds both recovery time and
-    /// replication-bootstrap size. `None` disables the policy.
+    /// (checked after each logged mutation). Bounds recovery time. `None`
+    /// disables the policy.
     pub fn set_auto_checkpoint_wal_bytes(&mut self, bytes: Option<u64>) {
         self.auto_checkpoint_wal_bytes = bytes.filter(|b| *b > 0);
     }
@@ -476,8 +445,8 @@ impl Engine {
         self.auto_checkpoints
     }
 
-    /// The durable backend's replication surface (WAL + snapshot paths and
-    /// the committed-LSN watermark); `None` on volatile engines.
+    /// The durable backend's committed-LSN watermark (read by the shard
+    /// router's 2PC cut vectors); `None` on volatile engines.
     pub fn wal_handle(&self) -> Option<WalHandle> {
         self.backend.wal_handle()
     }
@@ -622,7 +591,7 @@ impl Engine {
             ));
         }
         let stats = self.backend.checkpoint(&self.catalog)?;
-        if stats.is_some() && self.health != Health::Healthy && !self.pinned_read_only {
+        if stats.is_some() && self.health != Health::Healthy {
             self.health = Health::Healthy;
         }
         if stats.is_some() && !self.group_undo.is_empty() {
@@ -634,128 +603,6 @@ impl Engine {
             self.group_epoch += 1;
         }
         Ok(stats)
-    }
-
-    /// Apply one shipped WAL record to the catalog (the replication
-    /// follower's write path). Bypasses the WAL and the read-only gate —
-    /// the record *is* the leader's log — and mirrors the recovery replay
-    /// in `elephant-store` exactly: inserts land verbatim (rows were logged
-    /// post-serial-fill, so ctids and serial counters reproduce), updates
-    /// and deletes address rows by ctid. DDL invalidates dependent cached
-    /// plans, exactly as the leader's own DDL did.
-    pub fn apply_wal_record(&mut self, record: WalRecord) -> Result<()> {
-        match record {
-            WalRecord::CreateTable {
-                name,
-                columns,
-                types,
-            } => {
-                self.catalog
-                    .create_table(Table::empty(name.clone(), columns, types))?;
-                self.plan_cache.invalidate_table(&name);
-            }
-            WalRecord::DropTable { name } => {
-                self.catalog.drop(&name, false, false)?;
-                self.plan_cache.invalidate_table(&name);
-            }
-            WalRecord::Insert { table, rows } => {
-                let t = self
-                    .catalog
-                    .table_mut(&table)
-                    .ok_or_else(|| SqlError::catalog(format!("unknown table '{table}'")))?;
-                let width = t.columns.len();
-                for row in &rows {
-                    if row.len() != width {
-                        return Err(SqlError::exec(format!(
-                            "replicated row arity {} vs table '{table}' arity {width}",
-                            row.len()
-                        )));
-                    }
-                }
-                for row in &rows {
-                    for (idx, next) in &mut t.serial_next {
-                        if let Some(Value::Int(v)) = row.get(*idx) {
-                            *next = (*next).max(v + 1);
-                        }
-                    }
-                }
-                t.heap.extend(rows);
-            }
-            // Rare paths: rewrite the whole heap rather than patch sealed
-            // chunks in place.
-            WalRecord::Update { table, rows } => {
-                let t = self
-                    .catalog
-                    .table_mut(&table)
-                    .ok_or_else(|| SqlError::catalog(format!("unknown table '{table}'")))?;
-                let mut all = t.heap.to_rows();
-                for (ctid, row) in rows {
-                    let slot = all.get_mut(ctid as usize).ok_or_else(|| {
-                        SqlError::exec(format!("update of missing ctid {ctid} in '{table}'"))
-                    })?;
-                    *slot = row;
-                }
-                t.heap.replace_rows(all);
-            }
-            WalRecord::Delete { table, ctids } => {
-                let t = self
-                    .catalog
-                    .table_mut(&table)
-                    .ok_or_else(|| SqlError::catalog(format!("unknown table '{table}'")))?;
-                let mut ids: Vec<usize> = ctids.iter().map(|c| *c as usize).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                if let Some(&id) = ids.last().filter(|&&id| id >= t.heap.len()) {
-                    return Err(SqlError::exec(format!(
-                        "delete of missing ctid {id} in '{table}'"
-                    )));
-                }
-                let mut doomed = ids.into_iter().peekable();
-                let kept = t
-                    .heap
-                    .to_rows()
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(rid, _)| doomed.next_if_eq(rid).is_none())
-                    .map(|(_, row)| row)
-                    .collect();
-                t.heap.replace_rows(kept);
-            }
-            WalRecord::TxnPrepare { txn_id, .. }
-            | WalRecord::TxnCommit { txn_id }
-            | WalRecord::TxnAbort { txn_id }
-            | WalRecord::TxnDecision { txn_id, .. } => {
-                // Replication is single-shard only and 2PC is multi-shard
-                // only, so a shipped transaction marker is a protocol
-                // violation, not something to apply.
-                return Err(SqlError::exec(format!(
-                    "transaction marker for txn {txn_id} cannot be replicated"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Replace the whole catalog with the given table images (replication
-    /// snapshot bootstrap). Views and every cached plan are dropped: the
-    /// follower's state is now whatever the leader's snapshot says it is.
-    pub fn reset_from_images(&mut self, images: Vec<TableImage>) -> Result<()> {
-        let names: Vec<String> = self
-            .catalog
-            .table_names()
-            .into_iter()
-            .map(String::from)
-            .collect();
-        for name in names {
-            self.catalog.drop(&name, false, false)?;
-        }
-        self.catalog.clear_views();
-        for image in images {
-            self.catalog
-                .create_table(crate::durable::image_to_table(image))?;
-        }
-        self.plan_cache.invalidate();
-        Ok(())
     }
 
     /// Export the named base tables as [`TableImage`]s (schema, serial
@@ -891,11 +738,6 @@ impl Engine {
     /// Execute one parsed statement.
     pub fn execute_statement(&mut self, stmt: Statement) -> Result<ExecOutcome> {
         let is_table_write = statement_writes_tables(&stmt);
-        if is_table_write && self.pinned_read_only && !self.unlogged {
-            if let Health::ReadOnly { reason } = &self.health {
-                return Err(SqlError::ReadOnly(reason.clone()));
-            }
-        }
         let outcome = self.execute_statement_inner(stmt)?;
         if is_table_write && !self.unlogged {
             self.maybe_auto_checkpoint();
@@ -1586,8 +1428,7 @@ fn no_rows(n: usize) -> ExecOutcome {
 }
 
 /// True for statements that mutate base tables (what the WAL would log).
-/// View DDL stays out: views are volatile, engine-local, and never shipped
-/// to replicas, so a pinned read-only engine may still manage them.
+/// View DDL stays out: views are volatile and engine-local.
 fn statement_writes_tables(stmt: &Statement) -> bool {
     match stmt {
         Statement::CreateTable { .. } | Statement::Insert { .. } | Statement::Copy { .. } => true,

@@ -322,13 +322,6 @@ impl Heap {
             }
         }
     }
-
-    /// Replace every row (rare paths: replicated updates and deletes by
-    /// ctid rewrite the table).
-    pub fn replace_rows(&mut self, rows: Vec<Row>) {
-        *self = Heap::new(self.width);
-        self.extend(rows);
-    }
 }
 
 /// A base table: a named heap whose row positions also serve as `ctid`

@@ -133,6 +133,7 @@ fn script(rng: &mut Prng) -> Vec<String> {
         "QUERY SELECT a FROM big ORDER BY a".to_string(),
         "QUERY SELECT a FROM nowhere".into(),
         "EXECUTE byid (1, 2)".into(),
+        "QUERY SELECT b FROM wd WHERE a = $1".into(),
         [
             "BATCH INSERT INTO wd VALUES (10001, 'batched')",
             "SELECT a FROM nowhere",
@@ -248,6 +249,10 @@ fn one_script_three_wires_same_replies_and_counters() {
         for (needle, code) in [
             ("QUERY SELECT a FROM nowhere", "ERR_EXEC"),
             ("EXECUTE byid (1, 2)", "ERR_EXEC"),
+            (
+                "QUERY SELECT b FROM wd WHERE a = $1",
+                "ERR_EXEC bind error: statement needs 1 parameter, got 0",
+            ),
             ("BATCH", "ERR_EXEC batch statement 2/3:"),
             ("FROBNICATE", "ERR_UNKNOWN_VERB"),
             ("QUERY SELECT 1\n", "ERR_OVERSIZED"),

@@ -21,7 +21,7 @@ use crate::plan::{
 };
 use crate::profile::EngineProfile;
 use etypes::{DataType, Value};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Bind a SELECT statement into an executable plan.
 pub fn bind_select(
@@ -38,9 +38,14 @@ pub fn bind_select(
         view_depth: 0,
         views_seen: std::collections::HashSet::new(),
         view_memo: HashMap::new(),
+        params: 0,
+        reads: BTreeSet::new(),
     };
     let (body, schema) = b.bind_query(query)?;
-    Ok((PlanRoot::new(b.ctes, b.subplans, body), schema))
+    let mut root = PlanRoot::new(b.ctes, b.subplans, body);
+    root.params = b.params;
+    root.reads = b.reads.into_iter().collect();
+    Ok((root, schema))
 }
 
 /// Convenience: bind the query of a `Statement::Select`.
@@ -78,6 +83,10 @@ struct Binder<'a> {
     views_seen: std::collections::HashSet<String>,
     /// Catalog views promoted to shared scans: name → (cte index, schema).
     view_memo: HashMap<String, (usize, Schema)>,
+    /// Highest `$n` bound so far (see [`PlanRoot::params`]).
+    params: usize,
+    /// Catalog objects resolved so far (see [`PlanRoot::reads`]).
+    reads: BTreeSet<String>,
 }
 
 const MAX_VIEW_DEPTH: usize = 128;
@@ -648,6 +657,7 @@ impl<'a> Binder<'a> {
         }
         // 2. View.
         if let Some(view) = self.catalog.view(name) {
+            self.reads.insert(name.to_string());
             if let Some(data) = &view.materialized {
                 let schema = Schema {
                     cols: data
@@ -721,6 +731,7 @@ impl<'a> Binder<'a> {
         }
         // 3. Base table (with virtual ctid).
         if let Some(table) = self.catalog.table(name) {
+            self.reads.insert(name.to_string());
             let mut cols: Vec<ColumnMeta> = table
                 .columns
                 .iter()
@@ -832,7 +843,10 @@ impl<'a> Binder<'a> {
                 }
             }
             Expr::Literal(v) => BExpr::Lit(v.clone()),
-            Expr::Parameter(n) => BExpr::Param(*n),
+            Expr::Parameter(n) => {
+                self.params = self.params.max(*n);
+                BExpr::Param(*n)
+            }
             Expr::Binary { op, left, right } => BExpr::Binary {
                 op: *op,
                 left: Box::new(self.bind_expr(left, schema)?),
@@ -1068,7 +1082,10 @@ fn rewrite_post_agg(
             }
         }
         Expr::Literal(v) => BExpr::Lit(v.clone()),
-        Expr::Parameter(n) => BExpr::Param(*n),
+        Expr::Parameter(n) => {
+            binder.params = binder.params.max(*n);
+            BExpr::Param(*n)
+        }
         Expr::Binary { op, left, right } => BExpr::Binary {
             op: *op,
             left: Box::new(rewrite_post_agg(

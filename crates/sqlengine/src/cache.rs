@@ -1,38 +1,35 @@
 //! An LRU plan cache: parse + bind + optimize once, re-execute many times.
 //!
-//! The serving layer's `PREPARE`/`EXECUTE` verbs (and any embedded caller
-//! using [`crate::Engine::query_cached`]) skip the whole query frontend on
-//! repeated statements. Entries are keyed by the exact SQL text and hold the
-//! fully bound and optimized [`PlanRoot`] plus its output schema; plans
-//! reference base tables by name, so data changes (INSERT/COPY) never
-//! invalidate them. DDL invalidates per dependency: every entry records
-//! which catalog objects it reads ([`CachedPlan::tables`] — base tables,
-//! views, and materialized views, collected from both the query text and
-//! the bound plan so tables hidden under inlined views are included), and
-//! `CREATE`/`DROP` of an object evicts only the entries that depend on it.
-//! Per-table eviction counts are kept for observability
+//! Every SELECT text the engine runs on its own — `Engine::execute` /
+//! `Engine::query` (the server's `QUERY` and each `BATCH` statement) and
+//! `PREPARE`/`EXECUTE` — is looked up here by its exact text before it is
+//! lexed, so a repeated text skips the whole query frontend. A SELECT inside
+//! a multi-statement script is not cached. Entries hold the fully bound and
+//! optimized [`PlanRoot`] plus its output schema; plans reference base
+//! tables by name, so data changes (INSERT/COPY) never invalidate them. Any
+//! catalog change invalidates per dependency: every entry records which
+//! catalog objects it reads ([`CachedPlan::tables`] — base tables, views,
+//! and materialized views, collected from both the query text and the
+//! binder, so views and tables hidden under inlined views are included),
+//! and creating or dropping an object evicts only the entries that depend
+//! on it. Per-table eviction counts are kept for observability
 //! ([`PlanCache::table_invalidations`]).
 
 use crate::ast;
-use crate::plan::{PlanNode, PlanRoot, ScanSource, Schema};
-use etypes::Value;
+use crate::plan::{PlanRoot, Schema};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 
 /// A cached, ready-to-execute query plan.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CachedPlan {
-    /// The bound + optimized plan (shared so execution can proceed while
-    /// the cache keeps its copy).
-    pub root: Rc<PlanRoot>,
+    /// The bound + optimized plan.
+    pub root: PlanRoot,
     /// Output schema of the plan body.
     pub schema: Schema,
     /// Names of catalog objects (tables, views) this plan reads; DDL on any
     /// of them invalidates the entry. Sorted and deduplicated.
     pub tables: Vec<String>,
-    /// Highest `$n` placeholder in the plan (0 when the plan takes no
-    /// parameters and can be executed directly from the shared `root`).
-    pub params: usize,
 }
 
 impl CachedPlan {
@@ -47,14 +44,13 @@ impl CachedPlan {
 /// Hit/miss counters (monotonic; survive invalidation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups answered from the cache.
+    /// SELECT texts answered from the cache.
     pub hits: u64,
-    /// Lookups that had to plan from scratch.
+    /// SELECT texts planned from scratch and inserted.
     pub misses: u64,
     /// Entries evicted by capacity pressure.
     pub evictions: u64,
-    /// Entries dropped by DDL invalidation (full flushes count every entry
-    /// they drop; targeted invalidation counts only the dependents).
+    /// Entries dropped by catalog invalidation.
     pub invalidations: u64,
 }
 
@@ -75,7 +71,7 @@ impl PlanCacheStats {
 pub struct PlanCache {
     capacity: usize,
     /// LRU order: least-recently used at the front.
-    entries: VecDeque<(String, CachedPlan)>,
+    entries: VecDeque<(String, Rc<CachedPlan>)>,
     stats: PlanCacheStats,
     /// Entries dropped per table name by targeted invalidation.
     table_invalidations: HashMap<String, u64>,
@@ -102,47 +98,34 @@ impl PlanCache {
     }
 
     /// Look up `sql`, bumping the entry to most-recently-used and counting a
-    /// hit; counts a miss when absent.
-    pub fn get(&mut self, sql: &str) -> Option<CachedPlan> {
-        match self.entries.iter().position(|(k, _)| k == sql) {
-            Some(i) => {
-                let entry = self.entries.remove(i).expect("position was valid");
-                let plan = entry.1.clone();
-                self.entries.push_back(entry);
-                self.stats.hits += 1;
-                Some(plan)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+    /// hit. An absent text counts nothing: only the caller knows whether it
+    /// is a SELECT, and [`PlanCache::insert`] counts the miss.
+    pub fn get(&mut self, sql: &str) -> Option<Rc<CachedPlan>> {
+        let i = self.entries.iter().position(|(k, _)| k == sql)?;
+        let entry = self.entries.remove(i).expect("position was valid");
+        let plan = Rc::clone(&entry.1);
+        self.entries.push_back(entry);
+        self.stats.hits += 1;
+        Some(plan)
     }
 
-    /// Peek without touching LRU order or counters (used by PREPARE to test
-    /// whether planning is needed).
+    /// Peek without touching LRU order or counters.
     pub fn contains(&self, sql: &str) -> bool {
         self.entries.iter().any(|(k, _)| k == sql)
     }
 
-    /// Insert a freshly planned query, evicting the least-recently-used
-    /// entry when full.
-    pub fn insert(&mut self, sql: impl Into<String>, plan: CachedPlan) {
-        let sql = sql.into();
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == sql) {
+    /// Insert a freshly planned SELECT, counting the miss that planned it
+    /// and evicting the least-recently-used entry when full.
+    pub fn insert(&mut self, sql: &str, plan: Rc<CachedPlan>) {
+        self.stats.misses += 1;
+        if let Some(i) = self.entries.iter().position(|(k, _)| k == sql) {
             self.entries.remove(i);
         }
         while self.entries.len() >= self.capacity {
             self.entries.pop_front();
             self.stats.evictions += 1;
         }
-        self.entries.push_back((sql, plan));
-    }
-
-    /// Drop every entry (wholesale invalidation); counters survive.
-    pub fn invalidate(&mut self) {
-        self.stats.invalidations += self.entries.len() as u64;
-        self.entries.clear();
+        self.entries.push_back((sql.to_string(), plan));
     }
 
     /// Drop only the entries that depend on the named catalog object
@@ -189,101 +172,15 @@ impl PlanCache {
     }
 }
 
-/// Rewrite the top-level WHERE clause of `query` so that literal constants
-/// compared against non-literal expressions become `$n` placeholders,
-/// returning the rewritten query and the extracted values in placeholder
-/// order. Point lookups that differ only in their constants then normalize
-/// to the same shape and share one cached parameterized plan.
-///
-/// Deliberately conservative: only binary comparisons (`=`, `<>`, `<`, `>`,
-/// `<=`, `>=`) directly under the WHERE's AND/OR chain are rewritten, and
-/// only when exactly one side is a literal (literal-vs-literal comparisons
-/// stay foldable by the optimizer). Returns `None` — meaning "execute
-/// unnormalized" — when there is no WHERE clause, nothing was extracted, or
-/// the WHERE already contains explicit `$n` parameters or a scalar subquery
-/// (whose inner placeholders would collide with our numbering).
-pub fn normalize_select_literals(query: &ast::Query) -> Option<(ast::Query, Vec<Value>)> {
-    let selection = query.body.selection.as_ref()?;
-    if expr_blocks_normalization(selection) {
-        return None;
-    }
-    let mut normalized = query.clone();
-    let mut values = Vec::new();
-    if let Some(sel) = normalized.body.selection.as_mut() {
-        extract_comparison_literals(sel, &mut values);
-    }
-    if values.is_empty() {
-        return None;
-    }
-    Some((normalized, values))
-}
-
-/// True when the WHERE expression contains an explicit parameter or a
-/// scalar subquery anywhere — both make literal extraction unsafe.
-fn expr_blocks_normalization(e: &ast::Expr) -> bool {
-    match e {
-        ast::Expr::Parameter(_) | ast::Expr::ScalarSubquery(_) => true,
-        ast::Expr::Column { .. } | ast::Expr::Literal(_) => false,
-        ast::Expr::Binary { left, right, .. } => {
-            expr_blocks_normalization(left) || expr_blocks_normalization(right)
-        }
-        ast::Expr::Unary { operand, .. } => expr_blocks_normalization(operand),
-        ast::Expr::Function { args, .. } => args.iter().any(expr_blocks_normalization),
-        ast::Expr::Case { whens, else_expr } => {
-            whens
-                .iter()
-                .any(|(w, t)| expr_blocks_normalization(w) || expr_blocks_normalization(t))
-                || else_expr.as_deref().is_some_and(expr_blocks_normalization)
-        }
-        ast::Expr::Cast { expr, .. } => expr_blocks_normalization(expr),
-        ast::Expr::InList { expr, list, .. } => {
-            expr_blocks_normalization(expr) || list.iter().any(expr_blocks_normalization)
-        }
-        ast::Expr::IsNull { expr, .. } => expr_blocks_normalization(expr),
-        ast::Expr::ArrayLiteral(items) => items.iter().any(expr_blocks_normalization),
-    }
-}
-
-fn extract_comparison_literals(e: &mut ast::Expr, out: &mut Vec<Value>) {
-    use ast::BinaryOp::*;
-    if let ast::Expr::Binary { op, left, right } = e {
-        match op {
-            Eq | NotEq | Lt | Gt | Le | Ge => {
-                let l_lit = matches!(**left, ast::Expr::Literal(_));
-                let r_lit = matches!(**right, ast::Expr::Literal(_));
-                if l_lit != r_lit {
-                    let target = if l_lit { left } else { right };
-                    if let ast::Expr::Literal(v) = &**target {
-                        out.push(v.clone());
-                        **target = ast::Expr::Parameter(out.len());
-                    }
-                }
-            }
-            And | Or => {
-                extract_comparison_literals(left, out);
-                extract_comparison_literals(right, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Collect the catalog objects a query reads: the union of every named FROM
-/// reference in the AST (which still sees view names before the binder
-/// inlines them) and every base-table / materialized-view scan in the bound
-/// plan (which sees the tables hidden *under* inlined views). CTE names can
-/// leak in from the AST side; a spurious dependency only risks one extra
-/// eviction, never a stale plan. Returns a sorted, deduplicated list.
+/// Collect the catalog objects a query reads: every table, view and
+/// materialized view the binder resolved ([`PlanRoot::reads`], which sees
+/// the views nested under an inlined view and the tables under them), plus
+/// every named FROM reference in the AST. CTE names leak in from the AST
+/// side; a spurious dependency only risks one extra eviction, never a stale
+/// plan. Returns a sorted, deduplicated list.
 pub fn collect_table_deps(query: &ast::Query, root: &PlanRoot) -> Vec<String> {
-    let mut deps = BTreeSet::new();
+    let mut deps: BTreeSet<String> = root.reads.iter().cloned().collect();
     ast_query_deps(query, &mut deps);
-    plan_deps(&root.body, &mut deps);
-    for cte in &root.ctes {
-        plan_deps(&cte.plan, &mut deps);
-    }
-    for sub in &root.subplans {
-        plan_deps(sub, &mut deps);
-    }
     deps.into_iter().collect()
 }
 
@@ -370,52 +267,27 @@ pub(crate) fn ast_expr_deps(expr: &ast::Expr, deps: &mut BTreeSet<String>) {
     }
 }
 
-fn plan_deps(node: &PlanNode, deps: &mut BTreeSet<String>) {
-    match node {
-        PlanNode::Scan { source, .. } => match source {
-            ScanSource::Table(name) | ScanSource::MaterializedView(name) => {
-                deps.insert(name.clone());
-            }
-            ScanSource::Cte(_) => {}
-        },
-        PlanNode::Filter { input, .. }
-        | PlanNode::Project { input, .. }
-        | PlanNode::Aggregate { input, .. }
-        | PlanNode::Sort { input, .. }
-        | PlanNode::Limit { input, .. }
-        | PlanNode::Distinct { input }
-        | PlanNode::WindowRowNumber { input, .. }
-        | PlanNode::Unnest { input, .. } => plan_deps(input, deps),
-        PlanNode::Join { left, right, .. } => {
-            plan_deps(left, deps);
-            plan_deps(right, deps);
-        }
-        PlanNode::Values { .. } => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::PlanNode;
 
-    fn dummy_plan() -> CachedPlan {
-        plan_reading(&[])
+    fn dummy_plan() -> Rc<CachedPlan> {
+        Rc::new(plan_reading(&[]))
     }
 
     fn plan_reading(tables: &[&str]) -> CachedPlan {
         CachedPlan {
-            root: Rc::new(PlanRoot::new(
+            root: PlanRoot::new(
                 Vec::new(),
                 Vec::new(),
                 PlanNode::Values {
                     rows: Vec::new(),
                     schema: Schema::default(),
                 },
-            )),
+            ),
             schema: Schema::default(),
             tables: tables.iter().map(|s| s.to_string()).collect(),
-            params: 0,
         }
     }
 
@@ -444,17 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_clears_but_keeps_counters() {
-        let mut c = PlanCache::new(4);
-        c.insert("a", dummy_plan());
-        let _ = c.get("a");
-        c.invalidate();
-        assert!(c.is_empty());
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
     fn reinsert_replaces_existing_entry() {
         let mut c = PlanCache::new(2);
         c.insert("a", dummy_plan());
@@ -465,9 +326,9 @@ mod tests {
     #[test]
     fn targeted_invalidation_drops_only_dependents() {
         let mut c = PlanCache::new(8);
-        c.insert("q1", plan_reading(&["orders", "users"]));
-        c.insert("q2", plan_reading(&["users"]));
-        c.insert("q3", plan_reading(&["products"]));
+        c.insert("q1", Rc::new(plan_reading(&["orders", "users"])));
+        c.insert("q2", Rc::new(plan_reading(&["users"])));
+        c.insert("q3", Rc::new(plan_reading(&["products"])));
         assert_eq!(c.invalidate_table("users"), 2);
         assert_eq!(c.len(), 1);
         assert!(c.contains("q3"));

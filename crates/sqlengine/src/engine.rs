@@ -79,9 +79,9 @@ pub struct Engine {
     catalog: Catalog,
     profile: EngineProfile,
     stats: EngineStats,
-    queries_run: u64,
     plan_cache: PlanCache,
-    prepared: HashMap<String, String>,
+    /// Prepared statement name → its SELECT text, the plan-cache key.
+    prepared: HashMap<String, Rc<str>>,
     backend: Box<dyn StorageBackend>,
     trace: EngineTrace,
     capture_profiles: bool,
@@ -192,7 +192,6 @@ impl Engine {
             catalog: Catalog::new(),
             profile,
             stats: EngineStats::default(),
-            queries_run: 0,
             plan_cache: PlanCache::default(),
             prepared: HashMap::new(),
             backend,
@@ -470,11 +469,6 @@ impl Engine {
         self.statement_timeout = timeout;
     }
 
-    /// The configured per-statement timeout.
-    pub fn statement_timeout(&self) -> Option<Duration> {
-        self.statement_timeout
-    }
-
     /// Per-phase latency histograms (lex/parse/bind/optimize/execute,
     /// WAL-append/fsync when durable, and the server's result encoding).
     /// Tracing is on by default.
@@ -533,27 +527,9 @@ impl Engine {
         &self.stats
     }
 
-    /// Number of SELECT queries executed.
-    pub fn queries_run(&self) -> u64 {
-        self.queries_run
-    }
-
-    /// Reset statistics (between benchmark phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = EngineStats::default();
-        self.queries_run = 0;
-    }
-
     /// Direct catalog access (tests, tooling).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// Mutable catalog access (bulk-loading helpers). Changes made through
-    /// this handle bypass the WAL: on a durable engine they are volatile
-    /// until the next [`Engine::checkpoint`].
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
     }
 
     /// True when this engine logs mutations to durable storage.
@@ -574,8 +550,7 @@ impl Engine {
     }
 
     /// Snapshot every base table and truncate the WAL. Returns `None` on a
-    /// volatile engine (nothing to checkpoint). Materialized state created
-    /// through [`Engine::catalog_mut`] becomes durable here too.
+    /// volatile engine (nothing to checkpoint).
     ///
     /// A successful checkpoint re-arms a [`Health::ReadOnly`] engine: the
     /// snapshot was written from memory (which rollback kept consistent)
@@ -640,22 +615,70 @@ impl Engine {
         self.plan_cache.invalidate_table(name);
     }
 
-    /// Execute one statement.
+    /// Execute one statement text. A text that is exactly one SELECT runs
+    /// through the plan cache ([`Engine::lookup`]); any other text runs
+    /// statement by statement and returns the last outcome.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
-        let mut outcomes = self.execute_script(sql)?;
-        outcomes
+        let statements = match self.lookup(sql)? {
+            Lookup::Select(plan) => {
+                return Ok(ExecOutcome {
+                    result: Some(self.run_bound(&plan.root, &plan.schema, &[])?),
+                    rows_affected: 0,
+                })
+            }
+            Lookup::Statements(statements) => statements,
+        };
+        self.run_statements(statements)?
             .pop()
             .ok_or_else(|| SqlError::exec("empty statement"))
     }
 
     /// Execute a `;`-separated script, returning one outcome per statement.
+    /// Its SELECTs are bound afresh, never cached.
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<ExecOutcome>> {
         let statements = self.parse_traced(sql)?;
-        let mut outcomes = Vec::with_capacity(statements.len());
-        for stmt in statements {
-            outcomes.push(self.execute_statement(stmt)?);
+        self.run_statements(statements)
+    }
+
+    fn run_statements(&mut self, statements: Vec<Statement>) -> Result<Vec<ExecOutcome>> {
+        statements
+            .into_iter()
+            .map(|stmt| self.execute_statement(stmt))
+            .collect()
+    }
+
+    /// The plan cache's one lookup, keyed by the exact text: a cached SELECT
+    /// comes back without lexing. Otherwise `sql` is lexed and parsed, and
+    /// when it is exactly one SELECT it is planned and cached under its
+    /// text; any other text comes back as its parsed statements.
+    fn lookup(&mut self, sql: &str) -> Result<Lookup> {
+        if let Some(plan) = self.plan_cache.get(sql) {
+            return Ok(Lookup::Select(plan));
         }
-        Ok(outcomes)
+        let statements = self.parse_traced(sql)?;
+        match <[Statement; 1]>::try_from(statements) {
+            Ok([Statement::Select(query)]) => {
+                let plan = Rc::new(self.plan_query(&query)?);
+                self.plan_cache.insert(sql, Rc::clone(&plan));
+                Ok(Lookup::Select(plan))
+            }
+            Ok(one) => Ok(Lookup::Statements(one.into())),
+            Err(statements) => Ok(Lookup::Statements(statements)),
+        }
+    }
+
+    /// [`Engine::lookup`] of a text that must be exactly one SELECT.
+    fn lookup_select(&mut self, sql: &str) -> Result<Rc<CachedPlan>> {
+        match self.lookup(sql)? {
+            Lookup::Select(plan) => Ok(plan),
+            Lookup::Statements(s) if s.len() == 1 => Err(SqlError::bind(
+                "only SELECT statements can be prepared/cached",
+            )),
+            Lookup::Statements(s) => Err(SqlError::parse(
+                1,
+                format!("expected 1 statement, got {}", s.len()),
+            )),
+        }
     }
 
     /// Lex and parse with each phase attributed to its own trace histogram.
@@ -736,7 +759,7 @@ impl Engine {
     }
 
     /// Execute one parsed statement.
-    pub fn execute_statement(&mut self, stmt: Statement) -> Result<ExecOutcome> {
+    fn execute_statement(&mut self, stmt: Statement) -> Result<ExecOutcome> {
         let is_table_write = statement_writes_tables(&stmt);
         let outcome = self.execute_statement_inner(stmt)?;
         if is_table_write && !self.unlogged {
@@ -858,24 +881,12 @@ impl Engine {
                 self.plan_cache.invalidate_table(&name);
                 Ok(no_rows(0))
             }
-            Statement::Select(query) => {
-                let result = self.run_select_cached(&query)?;
-                Ok(ExecOutcome {
-                    result: Some(result),
-                    rows_affected: 0,
-                })
-            }
+            Statement::Select(query) => Ok(ExecOutcome {
+                result: Some(self.run_query(&query)?),
+                rows_affected: 0,
+            }),
             Statement::Explain { analyze, query } => {
-                let text = if analyze {
-                    let (_, profile) = self.run_query_profiled(&query)?;
-                    profile.render()
-                } else {
-                    let (mut root, _) = bind_select(&self.catalog, &self.profile, &query)?;
-                    if self.profile.enable_optimizer {
-                        optimize(&mut root);
-                    }
-                    crate::explain::render_plan(&root)
-                };
+                let text = self.explain_query(&query, analyze)?;
                 // The plan text as a one-column result, one row per line.
                 let lines: Vec<Value> = text.lines().map(Value::text).collect();
                 let plan =
@@ -892,30 +903,6 @@ impl Engine {
         }
     }
 
-    /// Execute a plain SELECT through the plan cache when it normalizes:
-    /// literal constants in top-level WHERE comparisons are lifted into `$n`
-    /// placeholders (see [`crate::cache::normalize_select_literals`]) so
-    /// point lookups differing only in their constants share one cached
-    /// parameterized plan. Queries that don't normalize run unbound as
-    /// before.
-    fn run_select_cached(&mut self, query: &crate::ast::Query) -> Result<ResultSet> {
-        let Some((normalized, values)) = crate::cache::normalize_select_literals(query) else {
-            return self.run_query(query);
-        };
-        // Keyed on the normalized AST (Debug form), prefixed so the keys can
-        // never collide with raw-SQL keys from PREPARE/query_cached.
-        let key = format!("\u{1f}ast\u{1f}{normalized:?}");
-        let cached = match self.plan_cache.get(&key) {
-            Some(hit) => hit,
-            None => {
-                let plan = self.plan_query(&normalized)?;
-                self.plan_cache.insert(key, plan.clone());
-                plan
-            }
-        };
-        self.run_cached(&cached, &values)
-    }
-
     /// Bind and optimize a query, each phase traced.
     fn bind_traced(&mut self, query: &crate::ast::Query) -> Result<(PlanRoot, Schema)> {
         let t = self.trace.timer();
@@ -929,17 +916,17 @@ impl Engine {
         Ok((root, schema))
     }
 
-    /// Bind, optimize and execute a query to a [`ResultSet`].
-    pub fn run_query(&mut self, query: &crate::ast::Query) -> Result<ResultSet> {
+    /// Bind, optimize and execute a query to a [`ResultSet`], uncached.
+    fn run_query(&mut self, query: &crate::ast::Query) -> Result<ResultSet> {
         let (root, schema) = self.bind_traced(query)?;
-        self.run_bound(&root, &schema)
+        self.run_bound(&root, &schema, &[])
     }
 
     /// Bind, optimize and execute a query into a sealed heap (a
     /// materialized view): columnar batches are stored as they are.
     fn store_query(&mut self, query: &crate::ast::Query) -> Result<StoredView> {
         let (root, schema) = self.bind_traced(query)?;
-        let chunks = self.execute_bound(&root)?;
+        let chunks = self.execute_bound(&root, &[])?;
         Ok(StoredView {
             columns: schema.names(),
             types: schema.types(),
@@ -967,14 +954,37 @@ impl Engine {
 
     /// Execute an already bound + optimized plan to a result, kept as the
     /// executor's chunks.
-    fn run_bound(&mut self, root: &PlanRoot, schema: &Schema) -> Result<ResultSet> {
-        let chunks = self.execute_bound(root)?;
+    fn run_bound(
+        &mut self,
+        root: &PlanRoot,
+        schema: &Schema,
+        params: &[Value],
+    ) -> Result<ResultSet> {
+        let chunks = self.execute_bound(root, params)?;
         ResultSet::new(schema.names(), schema.types(), chunks)
     }
 
-    /// Execute a bound plan to batches, folding its counters, trace phase
-    /// and operator profile into the engine's.
-    fn execute_bound(&mut self, root: &PlanRoot) -> Result<Vec<ColumnChunk>> {
+    /// Execute a bound plan to batches with its `$n` placeholders bound to
+    /// `params` (1-based: `$1` takes `params[0]`), folding its counters,
+    /// trace phase and operator profile into the engine's. Every SELECT
+    /// passes here, so this is where a parameter count that does not match
+    /// the statement is refused: no executor ever sees a `$n`.
+    fn execute_bound(&mut self, root: &PlanRoot, params: &[Value]) -> Result<Vec<ColumnChunk>> {
+        if root.params != params.len() {
+            return Err(SqlError::bind(format!(
+                "statement needs {} parameter{}, got {}",
+                root.params,
+                if root.params == 1 { "" } else { "s" },
+                params.len()
+            )));
+        }
+        let bound;
+        let root = if params.is_empty() {
+            root
+        } else {
+            bound = root.bind_params(params);
+            &bound
+        };
         let mut ctx = ExecContext::new(&self.catalog, &self.profile, root);
         if self.capture_profiles {
             ctx.enable_profiling();
@@ -995,7 +1005,6 @@ impl Engine {
         self.stats.shared_scans += run_stats.shared_scans;
         self.stats.rows_processed += run_stats.rows_processed;
         self.stats.batches_executed += run_stats.batches_executed;
-        self.queries_run += 1;
         if let Some(profiles) = ctx.take_profiles() {
             self.last_profile = Some(crate::explain::build_query_profile(
                 root,
@@ -1007,108 +1016,38 @@ impl Engine {
         Ok(output)
     }
 
-    /// Plan `sql` (which must be a single SELECT) into the plan cache
-    /// without executing it, unless already cached. Returns true when
-    /// planning happened, false on a cache hit.
-    pub fn prepare_cached(&mut self, sql: &str) -> Result<bool> {
-        if self.plan_cache.contains(sql) {
-            return Ok(false);
-        }
-        let plan = self.plan_select(sql)?;
-        self.plan_cache.insert(sql.to_string(), plan);
-        Ok(true)
-    }
-
-    /// Run a single SELECT through the LRU plan cache: parse + bind +
-    /// optimize only on a miss, re-execute the cached plan on a hit.
-    pub fn query_cached(&mut self, sql: &str) -> Result<ResultSet> {
-        self.query_cached_with(sql, &[])
-    }
-
-    /// Run a single SELECT through the plan cache, binding `$n` placeholders
-    /// to `params` (1-based: `$1` takes `params[0]`). The parameter count
-    /// must match the highest placeholder in the statement exactly.
-    pub fn query_cached_with(&mut self, sql: &str, params: &[Value]) -> Result<ResultSet> {
-        let cached = match self.plan_cache.get(sql) {
-            Some(hit) => hit,
-            None => {
-                let plan = self.plan_select(sql)?;
-                self.plan_cache.insert(sql.to_string(), plan.clone());
-                plan
-            }
-        };
-        self.run_cached(&cached, params)
-    }
-
-    /// Execute a cached plan: parameter-free plans run the shared `Rc`
-    /// directly; parameterized plans are cloned with every `$n` substituted
-    /// by its value before execution, so no runtime path ever sees an
-    /// unbound parameter.
-    fn run_cached(&mut self, cached: &CachedPlan, params: &[Value]) -> Result<ResultSet> {
-        if cached.params != params.len() {
-            return Err(SqlError::bind(format!(
-                "statement needs {} parameter{}, got {}",
-                cached.params,
-                if cached.params == 1 { "" } else { "s" },
-                params.len()
-            )));
-        }
-        if cached.params == 0 {
-            // Clone the Rc so execution does not borrow the cache.
-            let root = Rc::clone(&cached.root);
-            self.run_bound(&root, &cached.schema)
-        } else {
-            let bound = cached.root.bind_params(params);
-            self.run_bound(&bound, &cached.schema)
-        }
-    }
-
-    fn plan_select(&mut self, sql: &str) -> Result<CachedPlan> {
-        let stmt = self.parse_one_traced(sql)?;
-        let Statement::Select(query) = stmt else {
-            return Err(SqlError::bind(
-                "only SELECT statements can be prepared/cached",
-            ));
-        };
-        self.plan_query(&query)
-    }
-
     /// Bind + optimize an already parsed SELECT into a cacheable plan.
     fn plan_query(&mut self, query: &crate::ast::Query) -> Result<CachedPlan> {
         let (root, schema) = self.bind_traced(query)?;
         let tables = collect_table_deps(query, &root);
-        let params = root.max_param();
         Ok(CachedPlan {
-            root: Rc::new(root),
+            root,
             schema,
             tables,
-            params,
         })
     }
 
     /// Register a named prepared statement (PostgreSQL `PREPARE name AS
-    /// SELECT ...`): validated and planned eagerly into the plan cache.
+    /// SELECT ...`): planned eagerly into the plan cache under its text,
+    /// the same entry a plain run of that text uses.
     pub fn prepare(&mut self, name: impl Into<String>, sql: impl Into<String>) -> Result<()> {
         let (name, sql) = (name.into(), sql.into());
-        self.prepare_cached(&sql)?;
-        self.prepared.insert(name, sql);
+        self.lookup_select(&sql)?;
+        self.prepared.insert(name, sql.into());
         Ok(())
     }
 
-    /// Execute a named prepared statement through the plan cache.
-    pub fn execute_prepared(&mut self, name: &str) -> Result<ResultSet> {
-        self.execute_prepared_with(name, &[])
-    }
-
     /// Execute a named prepared statement, binding `$n` placeholders to
-    /// `params` (the `EXECUTE name (v1, v2, ...)` form).
+    /// `params` (the `EXECUTE name (v1, v2, ...)` form). A plan evicted
+    /// since `PREPARE` is re-planned from the stored text.
     pub fn execute_prepared_with(&mut self, name: &str, params: &[Value]) -> Result<ResultSet> {
         let sql = self
             .prepared
             .get(name)
             .cloned()
             .ok_or_else(|| SqlError::bind(format!("unknown prepared statement '{name}'")))?;
-        self.query_cached_with(&sql, params)
+        let plan = self.lookup_select(&sql)?;
+        self.run_bound(&plan.root, &plan.schema, params)
     }
 
     /// Drop a named prepared statement (PostgreSQL `DEALLOCATE`). The plan
@@ -1137,35 +1076,47 @@ impl Engine {
 
     /// Render the optimized plan of a SELECT (EXPLAIN).
     pub fn explain(&mut self, sql: &str) -> Result<String> {
-        let stmt = crate::parser::parse_statement(sql)?;
-        let Statement::Select(query) = stmt else {
-            return Err(SqlError::bind("EXPLAIN supports SELECT statements only"));
-        };
-        let (mut root, _) = bind_select(&self.catalog, &self.profile, &query)?;
-        if self.profile.enable_optimizer {
-            optimize(&mut root);
-        }
-        Ok(crate::explain::render_plan(&root))
+        let query = self.parse_select(sql, false)?;
+        self.explain_query(&query, false)
     }
 
     /// Execute a SELECT and render its plan annotated with per-operator
     /// runtime statistics (`EXPLAIN ANALYZE`).
     pub fn explain_analyze(&mut self, sql: &str) -> Result<String> {
-        let (_, profile) = self.query_profiled(sql)?;
-        Ok(profile.render())
+        let query = self.parse_select(sql, true)?;
+        self.explain_query(&query, true)
+    }
+
+    /// The one EXPLAIN implementation, behind the `EXPLAIN [ANALYZE]`
+    /// statement and both methods: render the optimized plan, or run it
+    /// with operator profiling and render the annotated plan.
+    fn explain_query(&mut self, query: &crate::ast::Query, analyze: bool) -> Result<String> {
+        if analyze {
+            let (_, profile) = self.run_query_profiled(query)?;
+            return Ok(profile.render());
+        }
+        let (root, _) = self.bind_traced(query)?;
+        Ok(crate::explain::render_plan(&root))
     }
 
     /// Run a single SELECT with operator profiling, returning the result
     /// and its [`QueryProfile`].
     pub fn query_profiled(&mut self, sql: &str) -> Result<(Relation, QueryProfile)> {
-        let stmt = self.parse_one_traced(sql)?;
-        let Statement::Select(query) = stmt else {
-            return Err(SqlError::bind(
-                "EXPLAIN ANALYZE supports SELECT statements only",
-            ));
-        };
+        let query = self.parse_select(sql, true)?;
         let (result, profile) = self.run_query_profiled(&query)?;
         Ok((result.into_relation(), profile))
+    }
+
+    /// Parse a text that must be exactly one SELECT, for `EXPLAIN
+    /// [ANALYZE]` (named in the error).
+    fn parse_select(&mut self, sql: &str, analyze: bool) -> Result<crate::ast::Query> {
+        match self.parse_one_traced(sql)? {
+            Statement::Select(query) => Ok(query),
+            _ if analyze => Err(SqlError::bind(
+                "EXPLAIN ANALYZE supports SELECT statements only",
+            )),
+            _ => Err(SqlError::bind("EXPLAIN supports SELECT statements only")),
+        }
     }
 
     /// Parse and run a single SELECT, returning its rows.
@@ -1376,6 +1327,14 @@ impl Engine {
         let csv = etypes::read_csv_str(csv_text, opts)?;
         self.copy_rows(table, columns, &csv)
     }
+}
+
+/// What [`Engine::lookup`] made of a statement text.
+enum Lookup {
+    /// Exactly one SELECT, planned now or earlier under its text.
+    Select(Rc<CachedPlan>),
+    /// Anything else, parsed.
+    Statements(Vec<Statement>),
 }
 
 /// Minimal binder for constant INSERT expressions (no FROM scope).
@@ -1878,39 +1837,79 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_on_repeated_query() {
+        // The exact text is the key: the same text hits, and a different
+        // constant is a different text with its own entry.
         let mut e = engine();
         e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2);")
             .unwrap();
         let sql = "SELECT a FROM t WHERE a > 1";
-        let first = e.query_cached(sql).unwrap();
-        let second = e.query_cached(sql).unwrap();
-        assert_eq!(first.into_relation(), second.into_relation());
+        let first = e.query(sql).unwrap();
+        let second = e.query(sql).unwrap();
+        assert_eq!(first, second);
         let stats = e.plan_cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(
+            e.query("SELECT a FROM t WHERE a > 0").unwrap().rows.len(),
+            2
+        );
+        let stats = e.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+        assert_eq!(e.plan_cache_len(), 2);
     }
 
     #[test]
-    fn point_lookups_differing_only_in_literals_share_one_plan() {
-        // The regression this guards: before literal normalization, every
-        // distinct constant planned from scratch — 100 lookups, 100
-        // misses, a cold cache forever. Normalized, the first lookup
-        // plans `a = $1` and the other 99 bind it.
+    fn repeated_select_text_skips_the_frontend() {
+        // Once a text is cached, `query`, `execute`, `PREPARE` and
+        // `EXECUTE` of it run the plan with no lex, parse, bind or
+        // optimize sample.
+        let mut e = analyze_fixture(engine());
+        let frontend = |e: &Engine| {
+            [Phase::Lex, Phase::Parse, Phase::Bind, Phase::Optimize]
+                .map(|p| e.trace().phase(p).count())
+        };
+        e.query(ANALYZE_SQL).unwrap();
+        let planned = frontend(&e);
+        let executes = e.trace().phase(Phase::Execute).count();
+        e.query(ANALYZE_SQL).unwrap();
+        e.execute(ANALYZE_SQL).unwrap();
+        e.prepare("p", ANALYZE_SQL).unwrap();
+        e.execute_prepared_with("p", &[]).unwrap();
+        assert_eq!(frontend(&e), planned);
+        assert_eq!(e.trace().phase(Phase::Execute).count(), executes + 3);
+        assert_eq!(e.plan_cache_stats().hits, 4);
+    }
+
+    #[test]
+    fn a_parameter_without_a_value_is_a_bind_error_on_every_path() {
         let mut e = engine();
-        e.execute("CREATE TABLE t (a int, b text)").unwrap();
-        let values: Vec<String> = (0..100).map(|i| format!("({i}, 'v{i}')")).collect();
-        e.execute(&format!("INSERT INTO t VALUES {}", values.join(",")))
+        e.execute_script("CREATE TABLE t (a int, b text); INSERT INTO t VALUES (1, 'x');")
             .unwrap();
-        for i in 0..100 {
-            let r = e.query(&format!("SELECT b FROM t WHERE a = {i}")).unwrap();
-            assert_eq!(r.rows, vec![vec![Value::text(format!("v{i}"))]]);
+        let want = "bind error: statement needs 1 parameter, got 0";
+        for sql in ["SELECT b FROM t WHERE a = $1", "SELECT $1 AS p FROM t"] {
+            let paths = [
+                e.query(sql).map(drop),
+                e.query(sql).map(drop),
+                e.execute_script(&format!("SELECT a FROM t; {sql}"))
+                    .map(drop),
+                e.execute(&format!("CREATE MATERIALIZED VIEW mv AS {sql}"))
+                    .map(drop),
+                e.query(&format!("EXPLAIN ANALYZE {sql}")).map(drop),
+                e.explain_analyze(sql).map(drop),
+            ];
+            for (i, result) in paths.into_iter().enumerate() {
+                assert_eq!(result.unwrap_err().to_string(), want, "path {i}: {sql}");
+            }
         }
-        let stats = e.plan_cache_stats();
-        assert!(
-            stats.hits >= 99,
-            "point lookups did not share a parameterized plan: {stats:?}"
+        // PREPARE shares the entry; only EXECUTE with a value runs it.
+        let sql = "SELECT b FROM t WHERE a = $1";
+        e.prepare("p", sql).unwrap();
+        assert_eq!(e.query(sql).unwrap_err().to_string(), want);
+        assert_eq!(
+            e.execute_prepared_with("p", &[]).unwrap_err().to_string(),
+            want
         );
-        assert_eq!(stats.misses, 1, "{stats:?}");
+        let rows = e.execute_prepared_with("p", &[Value::Int(1)]).unwrap();
+        assert_eq!(rows.into_relation().rows, vec![vec![Value::text("x")]]);
     }
 
     #[test]
@@ -1920,29 +1919,113 @@ mod tests {
         e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1);")
             .unwrap();
         let sql = "SELECT count(*) AS n FROM t";
-        assert_eq!(
-            e.query_cached(sql).unwrap().into_relation().rows[0][0],
-            Value::Int(1)
-        );
+        assert_eq!(e.query(sql).unwrap().rows[0][0], Value::Int(1));
         e.execute("INSERT INTO t VALUES (2), (3)").unwrap();
-        assert_eq!(
-            e.query_cached(sql).unwrap().into_relation().rows[0][0],
-            Value::Int(3)
-        );
+        assert_eq!(e.query(sql).unwrap().rows[0][0], Value::Int(3));
         assert_eq!(e.plan_cache_stats().hits, 1);
     }
 
     #[test]
     fn ddl_invalidates_plan_cache() {
+        // Every catalog change evicts the cached SELECTs reading the name it
+        // changes. A name read as a CTE counts too: the eviction is
+        // spurious but harmless. (A failed group commit's undo is covered
+        // in `tests/robustness.rs`, which may arm failpoints.)
+        type Step = fn(&mut Engine);
+        let shadowed = "WITH n AS (SELECT a FROM t) SELECT a FROM n";
+        let install_n: Step = |e| {
+            let mut image = e.export_table_images(&["t".to_string()]).unwrap();
+            image[0].name = "n".to_string();
+            e.install_foreign_table(image.remove(0)).unwrap();
+        };
+        let cases: [(&str, Step, &str, Step); 9] = [
+            (
+                "CREATE TABLE",
+                |_| {},
+                shadowed,
+                |e| {
+                    e.execute("CREATE TABLE n (b int)").unwrap();
+                },
+            ),
+            (
+                "DROP TABLE",
+                |_| {},
+                "SELECT a FROM t",
+                |e| {
+                    e.execute("DROP TABLE t").unwrap();
+                },
+            ),
+            (
+                "CREATE VIEW",
+                |_| {},
+                shadowed,
+                |e| {
+                    e.execute("CREATE VIEW n AS SELECT a FROM t").unwrap();
+                },
+            ),
+            (
+                "CREATE MATERIALIZED VIEW",
+                |_| {},
+                shadowed,
+                |e| {
+                    e.execute("CREATE MATERIALIZED VIEW n AS SELECT a FROM t")
+                        .unwrap();
+                },
+            ),
+            (
+                "DROP VIEW",
+                |e| {
+                    e.execute("CREATE VIEW n AS SELECT a FROM t").unwrap();
+                },
+                "SELECT a FROM n",
+                |e| {
+                    e.execute("DROP VIEW n").unwrap();
+                },
+            ),
+            (
+                "DROP VIEW under a view",
+                |e| {
+                    e.execute_script(
+                        "CREATE VIEW n AS SELECT a FROM t; CREATE VIEW top AS SELECT a FROM n;",
+                    )
+                    .unwrap();
+                },
+                "SELECT a FROM top",
+                |e| {
+                    e.execute("DROP VIEW n").unwrap();
+                },
+            ),
+            ("install_foreign_table", |_| {}, shadowed, install_n),
+            ("remove_foreign_table", install_n, "SELECT a FROM n", |e| {
+                e.remove_foreign_table("n")
+            }),
+            (
+                "abort_prepared of a CREATE",
+                |e| {
+                    e.prepare_txn(1, "CREATE TABLE n (a int)").unwrap();
+                },
+                "SELECT a FROM n",
+                |e| e.abort_prepared(1).unwrap(),
+            ),
+        ];
+        for (what, setup, sql, change) in cases {
+            let mut e = engine();
+            e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1);")
+                .unwrap();
+            setup(&mut e);
+            e.query(sql).unwrap();
+            assert_eq!(e.plan_cache_len(), 1, "{what}: cached");
+            change(&mut e);
+            assert_eq!(e.plan_cache_len(), 0, "{what}: evicted");
+            assert_eq!(e.plan_cache_stats().invalidations, 1, "{what}");
+        }
+        // Re-planning after a drop reports the missing table.
         let mut e = engine();
         e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1);")
             .unwrap();
-        e.query_cached("SELECT a FROM t").unwrap();
-        assert_eq!(e.plan_cache_len(), 1);
+        e.query("SELECT a FROM t").unwrap();
         e.execute("DROP TABLE t").unwrap();
-        assert_eq!(e.plan_cache_len(), 0);
-        // Re-planning after the drop reports the missing table.
-        assert!(e.query_cached("SELECT a FROM t").is_err());
+        assert!(e.query("SELECT a FROM t").is_err());
     }
 
     #[test]
@@ -1951,17 +2034,13 @@ mod tests {
         e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (5), (7);")
             .unwrap();
         e.prepare("q", "SELECT max(a) AS m FROM t").unwrap();
-        assert_eq!(
-            e.execute_prepared("q").unwrap().into_relation().rows[0][0],
-            Value::Int(7)
-        );
-        assert_eq!(
-            e.execute_prepared("q").unwrap().into_relation().rows[0][0],
-            Value::Int(7)
-        );
+        for _ in 0..2 {
+            let r = e.execute_prepared_with("q", &[]).unwrap();
+            assert_eq!(r.into_relation().rows[0][0], Value::Int(7));
+        }
         assert!(e.plan_cache_stats().hits >= 1);
         e.deallocate("q").unwrap();
-        assert!(e.execute_prepared("q").is_err());
+        assert!(e.execute_prepared_with("q", &[]).is_err());
         assert!(e.deallocate("q").is_err());
     }
 
@@ -1969,7 +2048,10 @@ mod tests {
     fn only_select_is_cacheable() {
         let mut e = engine();
         assert!(e.prepare("p", "CREATE TABLE t (a int)").is_err());
-        assert!(e.query_cached("CREATE TABLE t (a int)").is_err());
+        e.execute("CREATE TABLE t (a int)").unwrap();
+        e.execute("INSERT INTO t VALUES (1)").unwrap();
+        assert_eq!(e.plan_cache_len(), 0);
+        assert_eq!(e.plan_cache_stats().misses, 0);
     }
 
     #[test]
@@ -1980,13 +2062,13 @@ mod tests {
              CREATE TABLE u (b int); INSERT INTO u VALUES (2);",
         )
         .unwrap();
-        e.query_cached("SELECT a FROM t").unwrap();
-        e.query_cached("SELECT b FROM u").unwrap();
+        e.query("SELECT a FROM t").unwrap();
+        e.query("SELECT b FROM u").unwrap();
         assert_eq!(e.plan_cache_len(), 2);
         e.execute("DROP TABLE t").unwrap();
         // Only the plan reading t is evicted.
         assert_eq!(e.plan_cache_len(), 1);
-        e.query_cached("SELECT b FROM u").unwrap();
+        e.query("SELECT b FROM u").unwrap();
         assert_eq!(e.plan_cache_stats().hits, 1);
         assert_eq!(
             e.plan_cache_table_invalidations(),
@@ -2004,11 +2086,11 @@ mod tests {
              CREATE VIEW v AS SELECT a * 2 AS d FROM t;",
         )
         .unwrap();
-        e.query_cached("SELECT d FROM v").unwrap();
+        e.query("SELECT d FROM v").unwrap();
         assert_eq!(e.plan_cache_len(), 1);
         e.execute("DROP VIEW v").unwrap();
         assert_eq!(e.plan_cache_len(), 0);
-        assert!(e.query_cached("SELECT d FROM v").is_err());
+        assert!(e.query("SELECT d FROM v").is_err());
     }
 
     #[test]
@@ -2020,7 +2102,7 @@ mod tests {
              CREATE VIEW v AS SELECT a FROM t;",
         )
         .unwrap();
-        e.query_cached("SELECT a FROM v").unwrap();
+        e.query("SELECT a FROM v").unwrap();
         e.execute("DROP TABLE t").unwrap();
         assert_eq!(e.plan_cache_len(), 0);
     }
@@ -2033,7 +2115,7 @@ mod tests {
              CREATE TABLE s (b int); INSERT INTO s VALUES (5);",
         )
         .unwrap();
-        e.query_cached("SELECT a FROM t WHERE a < (SELECT max(b) FROM s)")
+        e.query("SELECT a FROM t WHERE a < (SELECT max(b) FROM s)")
             .unwrap();
         e.execute("DROP TABLE s").unwrap();
         assert_eq!(e.plan_cache_len(), 0, "scalar-subquery dep evicted");

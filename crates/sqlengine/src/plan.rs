@@ -537,6 +537,12 @@ pub struct PlanRoot {
     pub subplans: Vec<PlanNode>,
     /// The main plan.
     pub body: PlanNode,
+    /// Highest `$n` placeholder the bound statement references (0 when it
+    /// takes no parameters); counted by the binder.
+    pub params: usize,
+    /// Every catalog table, view and materialized view the binder resolved,
+    /// sorted: views it inlined and the relations under them included.
+    pub reads: Vec<String>,
 }
 
 impl PlanRoot {
@@ -546,6 +552,8 @@ impl PlanRoot {
             ctes,
             subplans,
             body,
+            params: 0,
+            reads: Vec::new(),
         }
     }
 
@@ -558,20 +566,6 @@ impl PlanRoot {
             sp.for_each_expr_mut(f);
         }
         self.body.for_each_expr_mut(f);
-    }
-
-    /// Highest `$n` referenced anywhere in the plan (0 when parameter-free).
-    pub fn max_param(&self) -> usize {
-        // The walker is mutable-only; a clone at plan time is cheap and keeps
-        // one traversal implementation.
-        let mut probe = self.clone();
-        let mut max = 0usize;
-        probe.for_each_expr_mut(&mut |e| {
-            if let BExpr::Param(n) = e {
-                max = max.max(*n);
-            }
-        });
-        max
     }
 
     /// A copy of this plan with every `Param(n)` replaced by the literal

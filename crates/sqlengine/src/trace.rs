@@ -7,6 +7,10 @@
 //! single-threaded). Operator profiling is heavier (one timestamp per plan
 //! node) and therefore opt-in: it only runs under `EXPLAIN ANALYZE`,
 //! [`crate::Engine::query_profiled`], or when slow-query capture is enabled.
+//!
+//! The lex, parse, bind and optimize histograms record real frontend work
+//! only: a SELECT text found in the plan cache ([`crate::cache`]) runs its
+//! cached plan and adds an execute sample, nothing else.
 
 use etypes::{Histogram, TraceContext};
 use std::fmt::Write as _;

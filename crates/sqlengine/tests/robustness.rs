@@ -166,6 +166,23 @@ fn ddl_rolls_back_when_the_wal_refuses_it() {
 }
 
 #[test]
+fn failed_group_commit_evicts_plans_reading_unwound_ddl() {
+    let _g = locked();
+    let dir = tmp_dir("group-undo");
+    let mut e = durable(&dir);
+    e.begin_commit_group();
+    e.execute("CREATE TABLE g (a int)").unwrap();
+    e.query("SELECT a FROM g").unwrap();
+    assert_eq!(e.plan_cache_len(), 1);
+    fault::set("wal.fsync", FaultPolicy::ErrorOnce);
+    e.end_commit_group().unwrap_err();
+    fault::clear_all();
+    assert!(e.catalog().table("g").is_none(), "the CREATE was unwound");
+    assert_eq!(e.plan_cache_len(), 0, "and the plan reading it evicted");
+    assert!(e.query("SELECT a FROM g").is_err());
+}
+
+#[test]
 fn snapshot_rename_failure_degrades_checkpoint_not_process() {
     let _g = locked();
     let dir = tmp_dir("ckpt");

@@ -355,7 +355,7 @@ impl<'a> PandasBackend<'a> {
                 let y = self.labels(labels)?;
                 let fitted = match model {
                     ModelKind::LogisticRegression => {
-                        let mut m = LogisticRegression::new().with_seed(*seed);
+                        let mut m = LogisticRegression::new();
                         m.fit(x, &y)?;
                         FittedModel::LogReg(m)
                     }

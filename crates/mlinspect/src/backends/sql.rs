@@ -333,7 +333,7 @@ impl<'a> SqlBackend<'a> {
                 let (x, y) = self.extract_features_and_labels(*features, labels)?;
                 let fitted = match model {
                     ModelKind::LogisticRegression => {
-                        let mut m = LogisticRegression::new().with_seed(*seed);
+                        let mut m = LogisticRegression::new();
                         m.fit(&x, &y)?;
                         FittedModel::LogReg(m)
                     }

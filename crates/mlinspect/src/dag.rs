@@ -261,7 +261,8 @@ pub enum OpKind {
         labels: (NodeId, String),
         /// Estimator.
         model: ModelKind,
-        /// Training seed.
+        /// Training seed (the MLP's init and shuffle; logistic regression
+        /// is seed-free).
         seed: u64,
     },
     /// Model scoring; produces a scalar accuracy.

@@ -11,7 +11,7 @@ use crate::matrix::Matrix;
 use etypes::Prng;
 
 /// Substream id for weight init + epoch shuffling (distinct from the
-/// split/logreg streams so a shared user seed stays decorrelated).
+/// split stream so a shared user seed stays decorrelated).
 const STREAM_MLP: u64 = 3;
 
 /// One-hidden-layer binary classifier: `sigmoid(W2 · relu(W1 x + b1) + b2)`.
@@ -25,7 +25,9 @@ pub struct MlpClassifier {
     pub learning_rate: f64,
     /// Seed for weight init and shuffling.
     pub seed: u64,
-    w1: Vec<Vec<f64>>,
+    /// Hidden-layer weights, row-major `hidden × features`.
+    w1: Vec<f64>,
+    features: usize,
     b1: Vec<f64>,
     w2: Vec<f64>,
     b2: f64,
@@ -41,6 +43,7 @@ impl MlpClassifier {
             learning_rate: 0.05,
             seed: 0,
             w1: Vec::new(),
+            features: 0,
             b1: Vec::new(),
             w2: Vec::new(),
             b2: 0.0,
@@ -69,9 +72,10 @@ impl MlpClassifier {
         let d = x.ncols();
         let mut rng = Prng::from_stream(self.seed, STREAM_MLP);
         let scale = (2.0 / d.max(1) as f64).sqrt();
-        self.w1 = (0..self.hidden)
-            .map(|_| (0..d).map(|_| rng.range_f64(-scale, scale)).collect())
+        self.w1 = (0..self.hidden * d)
+            .map(|_| rng.range_f64(-scale, scale))
             .collect();
+        self.features = d;
         self.b1 = vec![0.0; self.hidden];
         let scale2 = (2.0 / self.hidden as f64).sqrt();
         self.w2 = (0..self.hidden)
@@ -80,14 +84,15 @@ impl MlpClassifier {
         self.b2 = 0.0;
 
         let mut order: Vec<usize> = (0..x.nrows()).collect();
+        let mut h = vec![0.0; self.hidden];
+        let mut hp = vec![0.0; self.hidden]; // relu'(pre-activation)
         for _ in 0..self.epochs {
             rng.shuffle(&mut order);
             for &i in &order {
                 let row = x.row(i);
                 // Forward.
-                let mut h = vec![0.0; self.hidden];
-                let mut hp = vec![0.0; self.hidden]; // relu'(pre-activation)
-                for (j, (wj, bj)) in self.w1.iter().zip(&self.b1).enumerate() {
+                for (j, bj) in self.b1.iter().enumerate() {
+                    let wj = &self.w1[j * d..(j + 1) * d];
                     let z: f64 = wj.iter().zip(row).map(|(w, x)| w * x).sum::<f64>() + bj;
                     h[j] = z.max(0.0);
                     hp[j] = (z > 0.0) as i64 as f64;
@@ -100,7 +105,7 @@ impl MlpClassifier {
                     let dh = *w2j * dz2 * hpj;
                     *w2j -= self.learning_rate * dz2 * hj;
                     if dh != 0.0 {
-                        for (w, &xi) in self.w1[j].iter_mut().zip(row) {
+                        for (w, &xi) in self.w1[j * d..(j + 1) * d].iter_mut().zip(row) {
                             *w -= self.learning_rate * dh * xi;
                         }
                         self.b1[j] -= self.learning_rate * dh;
@@ -118,10 +123,10 @@ impl MlpClassifier {
         if !self.fitted {
             return Err(SkError::NotFitted("MlpClassifier"));
         }
-        if x.ncols() != self.w1.first().map_or(0, Vec::len) {
+        let d = self.features;
+        if x.ncols() != d {
             return Err(SkError::Shape(format!(
-                "model expects {} features, input has {}",
-                self.w1.first().map_or(0, Vec::len),
+                "model expects {d} features, input has {}",
                 x.ncols()
             )));
         }
@@ -129,11 +134,12 @@ impl MlpClassifier {
             .map(|i| {
                 let row = x.row(i);
                 let z2: f64 = self
-                    .w1
+                    .b1
                     .iter()
-                    .zip(&self.b1)
                     .zip(&self.w2)
-                    .map(|((wj, bj), w2j)| {
+                    .enumerate()
+                    .map(|(j, (bj, w2j))| {
+                        let wj = &self.w1[j * d..(j + 1) * d];
                         let z: f64 = wj.iter().zip(row).map(|(w, x)| w * x).sum::<f64>() + bj;
                         w2j * z.max(0.0)
                     })

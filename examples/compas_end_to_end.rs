@@ -50,8 +50,8 @@ fn main() {
         on_umbra.accuracy().unwrap()
     );
 
-    // The preprocessing is equivalent, so accuracies agree closely (the
-    // remaining wiggle is SGD row-order sensitivity).
+    // The preprocessing is equivalent and the model does not depend on row
+    // order, so accuracies agree closely.
     let a = baseline.accuracy().unwrap();
     let b = on_pg.accuracy().unwrap();
     let c = on_umbra.accuracy().unwrap();

@@ -136,8 +136,8 @@ fn histograms_match_between_backends() {
 
 #[test]
 fn accuracies_agree_across_backends() {
-    // Preprocessing is identical and the split is shared, so accuracy
-    // differences can only come from SGD row-order sensitivity.
+    // Preprocessing is identical, the split is shared and the model does
+    // not depend on row order, so the accuracies agree.
     let baseline = inspector(pipelines::ADULT_SIMPLE).execute().unwrap();
     let mut engine = Engine::new(EngineProfile::in_memory());
     let sql = inspector(pipelines::ADULT_SIMPLE)

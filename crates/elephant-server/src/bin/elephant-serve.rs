@@ -1,12 +1,10 @@
 //! `elephant-serve` — stand-alone server binary.
 //!
 //! ```text
-//! elephant-serve [--addr HOST:PORT] [--disk] [--rows N] [--seed N]
-//!                [--queue N] [--no-data] [--data-dir PATH]
-//!                [--fsync POLICY] [--slow-query-us N]
-//!                [--statement-timeout-ms N] [--auto-checkpoint-wal-bytes N]
-//!                [--shards N] [--metrics-addr HOST:PORT]
-//!                [--max-result-buffer-bytes N]
+//! elephant-serve [--addr HOST:PORT] [--rows N] [--seed N] [--queue N]
+//!                [--no-data] [--data-dir PATH] [--fsync always|off]
+//!                [--statement-timeout-ms N] [--shards N]
+//!                [--metrics-addr HOST:PORT] [--max-result-buffer-bytes N]
 //! ```
 //!
 //! Every statement — `INSPECT`'s window, `unnest` and histogram queries
@@ -17,9 +15,8 @@
 //! pre-registers the standard synthetic pipeline datasets so `INSPECT`
 //! works immediately. With `--data-dir` the server recovers whatever the
 //! directory holds on startup and write-ahead-logs every acknowledged
-//! DDL/DML; `--fsync` picks the WAL durability policy (`always`, `off`,
-//! or `every_n:N`). `--auto-checkpoint-wal-bytes` checkpoints
-//! automatically once the WAL outgrows the budget.
+//! DDL/DML; `--fsync` picks the WAL durability policy (`always` or
+//! `off`), and the `CHECKPOINT` verb compacts the log into a snapshot.
 //!
 //! Sharding: `--shards N` runs N engine shards (defaults to the machine's
 //! available parallelism), each with its own executor thread and — when
@@ -39,16 +36,13 @@ use std::process::exit;
 
 fn main() {
     let mut addr = "127.0.0.1:5462".to_string();
-    let mut in_memory = true;
     let mut rows: usize = 200;
     let mut seed: u64 = 7;
     let mut queue: usize = 64;
     let mut with_data = true;
     let mut data_dir: Option<PathBuf> = None;
     let mut fsync = FsyncPolicy::Always;
-    let mut slow_query_us: Option<u64> = None;
     let mut statement_timeout_ms: Option<u64> = None;
-    let mut auto_checkpoint_wal_bytes: Option<u64> = None;
     let mut shards: Option<usize> = None;
     let mut metrics_addr: Option<String> = None;
     let mut max_result_buffer_bytes: usize = 64 << 20;
@@ -63,26 +57,16 @@ fn main() {
         };
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
-            "--disk" => in_memory = false,
             "--rows" => rows = parse(&value("--rows"), "--rows"),
             "--seed" => seed = parse(&value("--seed"), "--seed"),
             "--queue" => queue = parse(&value("--queue"), "--queue"),
             "--no-data" => with_data = false,
             "--data-dir" => data_dir = Some(PathBuf::from(value("--data-dir"))),
             "--fsync" => fsync = parse(&value("--fsync"), "--fsync"),
-            "--slow-query-us" => {
-                slow_query_us = Some(parse(&value("--slow-query-us"), "--slow-query-us"));
-            }
             "--statement-timeout-ms" => {
                 statement_timeout_ms = Some(parse(
                     &value("--statement-timeout-ms"),
                     "--statement-timeout-ms",
-                ));
-            }
-            "--auto-checkpoint-wal-bytes" => {
-                auto_checkpoint_wal_bytes = Some(parse(
-                    &value("--auto-checkpoint-wal-bytes"),
-                    "--auto-checkpoint-wal-bytes",
                 ));
             }
             "--shards" => shards = Some(parse(&value("--shards"), "--shards")),
@@ -95,10 +79,9 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: elephant-serve [--addr HOST:PORT] [--disk] [--rows N] \
+                    "usage: elephant-serve [--addr HOST:PORT] [--rows N] \
                      [--seed N] [--queue N] [--no-data] [--data-dir PATH] \
-                     [--fsync always|off|every_n:N] [--slow-query-us N] \
-                     [--statement-timeout-ms N] [--auto-checkpoint-wal-bytes N] \
+                     [--fsync always|off] [--statement-timeout-ms N] \
                      [--shards N (default: available parallelism)] \
                      [--metrics-addr HOST:PORT (Prometheus text format on GET /metrics)] \
                      [--max-result-buffer-bytes N (v2 per-response cap, default 64 MiB)]"
@@ -119,13 +102,10 @@ fn main() {
     let mut config = ServerConfig {
         addr,
         queue_capacity: queue,
-        in_memory,
         files: Vec::new(),
         data_dir,
         fsync,
-        slow_query_us,
         statement_timeout_ms,
-        auto_checkpoint_wal_bytes,
         shards,
         metrics_addr,
         max_result_buffer_bytes,
@@ -142,10 +122,9 @@ fn main() {
         }
     };
     println!(
-        "elephant-serve listening on {} ({} profile, {} storage, \
+        "elephant-serve listening on {} (in-memory profile, {} storage, \
          {shards} shard{}); send SHUTDOWN to stop",
         handle.local_addr(),
-        if in_memory { "in-memory" } else { "disk-based" },
         if durable { "durable" } else { "volatile" },
         if shards == 1 { "" } else { "s" },
     );

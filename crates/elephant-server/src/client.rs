@@ -293,7 +293,7 @@ impl ElephantClient {
     }
 
     /// The full correlated span tree for one query id (as printed in the
-    /// `TRACE` listing and in slow-query log lines), rendered
+    /// `TRACE` listing), rendered
     /// hierarchically with per-shard time attribution.
     pub fn trace_tree(&mut self, query_id: u64) -> ClientResult<String> {
         self.send(&format!("TRACE q{query_id}"))

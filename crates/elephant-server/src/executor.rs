@@ -138,8 +138,6 @@ pub(crate) enum Job {
 
 /// Executor construction parameters.
 pub(crate) struct ExecutorConfig {
-    /// Use the in-memory (Umbra-like) profile instead of disk-based.
-    pub in_memory: bool,
     /// Virtual files visible to `INSPECT` pipelines (`read_csv` targets);
     /// only shard 0, which runs every `INSPECT`, is given any.
     pub files: Vec<(String, String)>,
@@ -149,14 +147,9 @@ pub(crate) struct ExecutorConfig {
     pub data_dir: Option<PathBuf>,
     /// Fsync policy for the durable store (ignored without `data_dir`).
     pub fsync: FsyncPolicy,
-    /// Log commands slower than this many microseconds, with their
-    /// operator profile when one is available. `None` disables the log.
-    pub slow_query_us: Option<u64>,
     /// Cancel statements cooperatively after this many milliseconds;
     /// `None` lets statements run unbounded.
     pub statement_timeout_ms: Option<u64>,
-    /// Checkpoint automatically once the WAL grows past this many bytes.
-    pub auto_checkpoint_wal_bytes: Option<u64>,
     /// This executor's shard id (names the thread, labels diagnostics).
     pub shard_id: usize,
     /// Gauges shared with the shard router.
@@ -241,11 +234,7 @@ pub(crate) fn spawn(
         .name(format!("elephant-executor-{}", cfg.shard_id))
         .spawn(move || {
             // The engine must be created here: it is not Send.
-            let profile = if cfg.in_memory {
-                EngineProfile::in_memory()
-            } else {
-                EngineProfile::disk_based()
-            };
+            let profile = EngineProfile::in_memory();
             let engine = match &cfg.data_dir {
                 Some(dir) => Engine::open_durable_with_decisions(
                     profile,
@@ -262,7 +251,7 @@ pub(crate) fn spawn(
                     return;
                 }
             };
-            engine.set_auto_checkpoint_wal_bytes(cfg.auto_checkpoint_wal_bytes);
+            engine.set_statement_timeout(cfg.statement_timeout_ms.map(Duration::from_millis));
             let recovered: Vec<String> = engine
                 .catalog()
                 .table_names()
@@ -281,22 +270,10 @@ pub(crate) fn spawn(
                 metrics,
                 shutdown,
                 ring: cfg.ring,
-                slow_query_us: cfg.slow_query_us,
                 lane: cfg.lane,
-                auto_checkpoint_wal_bytes: cfg.auto_checkpoint_wal_bytes,
                 shard_id: cfg.shard_id as u16,
                 inspect_stages: Vec::new(),
             };
-            if state.slow_query_us.is_some() {
-                // The slow-query log wants operator profiles for QUERY too,
-                // not just EXPLAIN ANALYZE.
-                state.engine.set_capture_profiles(true);
-            }
-            if let Some(ms) = cfg.statement_timeout_ms {
-                state
-                    .engine
-                    .set_statement_timeout(Some(Duration::from_millis(ms)));
-            }
             // Batch-at-a-time service loop: block for one job, drain up to
             // GROUP_MAX more without blocking, run the batch inside one
             // commit group, then release the buffered replies. 2PC jobs
@@ -476,12 +453,8 @@ struct ExecutorState {
     /// This shard's span ring, shared with the router (`TRACE` walks every
     /// shard's ring to reassemble distributed trees).
     ring: Arc<SharedSpanRing>,
-    slow_query_us: Option<u64>,
     /// Gauges shared with the shard router.
     lane: Arc<ShardStats>,
-    /// The configured auto-checkpoint threshold, restored after gathers
-    /// (which hold auto-checkpoint off while foreign tables are installed).
-    auto_checkpoint_wal_bytes: Option<u64>,
     /// This executor's shard id, stamped on every span it records.
     shard_id: u16,
     /// Stage timings of the `INSPECT` being dispatched, handed to its trace
@@ -571,7 +544,7 @@ impl ExecutorState {
     }
 
     /// Record the finished command's spans (queue wait, exec, engine
-    /// phases, install, group fsync) and its slow-query log line.
+    /// phases, install, group fsync).
     fn finish_command(&mut self, d: &DeferredReply, fsync_us: u64, durable: bool, synced: bool) {
         let us = d.elapsed.as_micros() as u64;
         let ok = d.result.is_ok();
@@ -598,25 +571,6 @@ impl ExecutorState {
                 fsync_us,
                 synced,
             ));
-        }
-        if let Some(threshold) = self.slow_query_us {
-            if us >= threshold {
-                let qid = t.ctx.query_id;
-                eprintln!(
-                    "[slow-query] verb={} query_id=q{qid} shard={} us={us} ok={} {}",
-                    d.verb,
-                    self.shard_id,
-                    u8::from(ok),
-                    d.detail
-                );
-                if d.verb == "QUERY" || d.verb == "EXECUTE" {
-                    if let Some(profile) = self.engine.last_profile() {
-                        for line in profile.render().lines() {
-                            eprintln!("[slow-query]   {line}");
-                        }
-                    }
-                }
-            }
         }
     }
 
@@ -698,7 +652,6 @@ impl ExecutorState {
                 sample("recovered_wal_torn_bytes", rec.wal_torn_bytes),
             ]);
         }
-        v.push(sample("auto_checkpoints", self.engine.auto_checkpoints()));
         let shard = self.shard_id.to_string();
         v.into_iter()
             .map(|m| m.label("shard", shard.clone()))
@@ -893,9 +846,6 @@ impl ExecutorState {
     /// always, even on error, so they never outlive the query. Returns the
     /// reply and the install time (µs) for the `sg-install` span.
     fn gather(&mut self, session: u64, command: Command, images: Vec<TableImage>) -> (Reply, u64) {
-        // Foreign images must never leak into this shard's snapshots: hold
-        // auto-checkpoint off while they are installed.
-        self.engine.set_auto_checkpoint_wal_bytes(None);
         let install_started = Instant::now();
         let mut installed: Vec<String> = Vec::with_capacity(images.len());
         let mut result: Reply = Ok(String::new());
@@ -919,8 +869,6 @@ impl ExecutorState {
         for name in &installed {
             self.engine.remove_foreign_table(name);
         }
-        self.engine
-            .set_auto_checkpoint_wal_bytes(self.auto_checkpoint_wal_bytes);
         (result, install_us)
     }
 
@@ -1039,14 +987,11 @@ mod tests {
     ) -> (SyncSender<Job>, JoinHandle<()>) {
         let (tx, join, wal, recovered) = spawn(
             ExecutorConfig {
-                in_memory: true,
                 files: Vec::new(),
                 queue_capacity: 4,
                 data_dir: None,
                 fsync: FsyncPolicy::Always,
-                slow_query_us: None,
                 statement_timeout_ms: None,
-                auto_checkpoint_wal_bytes: None,
                 shard_id: 0,
                 lane: Arc::new(ShardStats::default()),
                 ring: Arc::new(SharedSpanRing::new(64)),
@@ -1193,14 +1138,11 @@ mod tests {
         let ring = Arc::new(SharedSpanRing::new(64));
         let (tx, join, _, _) = spawn(
             ExecutorConfig {
-                in_memory: true,
                 files: Vec::new(),
                 queue_capacity: 4,
                 data_dir: None,
                 fsync: FsyncPolicy::Always,
-                slow_query_us: None,
                 statement_timeout_ms: None,
-                auto_checkpoint_wal_bytes: None,
                 shard_id: 3,
                 lane: Arc::new(ShardStats::default()),
                 ring: Arc::clone(&ring),
@@ -1259,14 +1201,11 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let durable_cfg = || ExecutorConfig {
-            in_memory: true,
             files: Vec::new(),
             queue_capacity: 4,
             data_dir: Some(dir.clone()),
             fsync: FsyncPolicy::Always,
-            slow_query_us: None,
             statement_timeout_ms: None,
-            auto_checkpoint_wal_bytes: None,
             shard_id: 0,
             lane: Arc::new(ShardStats::default()),
             ring: Arc::new(SharedSpanRing::new(64)),

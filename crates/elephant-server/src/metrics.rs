@@ -324,7 +324,6 @@ pub static DECLS: &[Decl] = &[
     engine("recovered_snapshot_rows", Gauge, Sum),
     engine("recovered_wal_records", Gauge, Sum),
     engine("recovered_wal_torn_bytes", Gauge, Sum),
-    engine("auto_checkpoints", Counter, Sum),
     // Sharding.
     router("shards", Gauge),
     router("shard_fallbacks", Counter),

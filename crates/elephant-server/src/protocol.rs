@@ -174,8 +174,8 @@ impl Command {
         }
     }
 
-    /// One-line human summary used as span detail and in the slow-query
-    /// log. Never includes pipeline source (it can be large and multiline).
+    /// One-line human summary used as span detail. Never includes
+    /// pipeline source (it can be large and multiline).
     pub fn summary(&self) -> String {
         match self {
             Command::Query(sql) => sql.clone(),

@@ -31,9 +31,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Bound on the executor job queue — the backpressure threshold.
     pub queue_capacity: usize,
-    /// In-memory (Umbra-like) engine profile when true, disk-based
-    /// (PostgreSQL-like) when false.
-    pub in_memory: bool,
     /// Virtual files served to `INSPECT` pipelines' `read_csv` calls.
     pub files: Vec<(String, String)>,
     /// Directory for the write-ahead log and snapshots. `None` (the
@@ -42,16 +39,10 @@ pub struct ServerConfig {
     pub data_dir: Option<PathBuf>,
     /// Fsync policy for the durable store (ignored without `data_dir`).
     pub fsync: FsyncPolicy,
-    /// Log commands slower than this many microseconds to stderr, with
-    /// their operator profile. `None` (the default) disables the log.
-    pub slow_query_us: Option<u64>,
     /// Cancel statements cooperatively after this many milliseconds with a
     /// retryable `ERR_TIMEOUT`. `None` (the default) lets statements run
     /// unbounded.
     pub statement_timeout_ms: Option<u64>,
-    /// Checkpoint automatically once the WAL grows past this many bytes
-    /// (counted after each acknowledged write). `None` disables.
-    pub auto_checkpoint_wal_bytes: Option<u64>,
     /// Engine shards. Each shard is an independent engine on its own
     /// executor thread (durable servers give each its own WAL/snapshot
     /// subdirectory); tables are routed to shards by name hash. Must be at
@@ -74,13 +65,10 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             queue_capacity: 64,
-            in_memory: true,
             files: Vec::new(),
             data_dir: None,
             fsync: FsyncPolicy::Always,
-            slow_query_us: None,
             statement_timeout_ms: None,
-            auto_checkpoint_wal_bytes: None,
             shards: 1,
             metrics_addr: None,
             max_result_buffer_bytes: 64 << 20,
@@ -223,14 +211,11 @@ pub fn start(mut config: ServerConfig) -> io::Result<ServerHandle> {
         let ring = Arc::new(SharedSpanRing::new(SPAN_RING_CAPACITY));
         let (tx, join, wal, recovered) = executor::spawn(
             ExecutorConfig {
-                in_memory: config.in_memory,
                 files: std::mem::take(&mut files),
                 queue_capacity: config.queue_capacity,
                 data_dir,
                 fsync: config.fsync,
-                slow_query_us: config.slow_query_us,
                 statement_timeout_ms: config.statement_timeout_ms,
-                auto_checkpoint_wal_bytes: config.auto_checkpoint_wal_bytes,
                 shard_id,
                 lane: Arc::clone(&lane_stats),
                 ring: Arc::clone(&ring),

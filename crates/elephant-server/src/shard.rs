@@ -1574,14 +1574,11 @@ pub(crate) mod testing {
             let ring = Arc::new(SharedSpanRing::new(64));
             let (tx, join, wal, recovered) = executor::spawn(
                 ExecutorConfig {
-                    in_memory: true,
                     files: Vec::new(),
                     queue_capacity: 4,
                     data_dir: dir.map(|d| d.join(format!("shard-{shard_id}"))),
                     fsync: sqlengine::FsyncPolicy::Always,
-                    slow_query_us: None,
                     statement_timeout_ms: None,
-                    auto_checkpoint_wal_bytes: None,
                     shard_id,
                     lane: Arc::clone(&stats),
                     ring: Arc::clone(&ring),

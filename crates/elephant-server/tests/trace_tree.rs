@@ -197,10 +197,9 @@ fn scatter_gather_query_yields_one_correlated_span_tree() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The slow-query log carries the query id so an operator can jump from a
-/// log line straight to `TRACE q<id>`. With the threshold at zero every
-/// statement logs; we only assert the plumbing (stderr is captured by the
-/// test harness), i.e. the trace listing and STATS agree on ids/counters.
+/// `TRACE <n>` lists root spans from every shard's ring as one listing,
+/// newest first, with query ids unique across shards (the router allocates
+/// them) and `TRACE 2` clipped to the newest two.
 #[test]
 fn trace_listing_is_cross_shard_and_newest_first() {
     const SHARDS: usize = 4;

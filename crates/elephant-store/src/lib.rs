@@ -68,8 +68,6 @@ pub enum FsyncPolicy {
     /// `fsync` after every appended record: an acknowledged write survives
     /// even an OS crash (the PostgreSQL `synchronous_commit = on` shape).
     Always,
-    /// `fsync` after every N records: bounded loss window, amortized cost.
-    EveryN(u64),
     /// Never `fsync` explicitly (clean close still flushes): survives
     /// process kills but not machine crashes.
     Off,
@@ -78,24 +76,13 @@ pub enum FsyncPolicy {
 impl FromStr for FsyncPolicy {
     type Err = String;
 
-    /// Parse `always`, `off`, or `every_n:N` (also accepts a bare integer
-    /// as shorthand for `every_n:N`).
+    /// Parse `always` or `off` (`never` is an alias for `off`).
     fn from_str(s: &str) -> std::result::Result<FsyncPolicy, String> {
         let s = s.trim();
         match s.to_ascii_lowercase().as_str() {
-            "always" => return Ok(FsyncPolicy::Always),
-            "off" | "never" => return Ok(FsyncPolicy::Off),
-            _ => {}
-        }
-        let n_text = s
-            .strip_prefix("every_n:")
-            .or_else(|| s.strip_prefix("every_n="))
-            .unwrap_or(s);
-        match n_text.parse::<u64>() {
-            Ok(n) if n > 0 => Ok(FsyncPolicy::EveryN(n)),
-            _ => Err(format!(
-                "bad fsync policy '{s}' (expected always, off, or every_n:N)"
-            )),
+            "always" => Ok(FsyncPolicy::Always),
+            "off" | "never" => Ok(FsyncPolicy::Off),
+            _ => Err(format!("bad fsync policy '{s}' (expected always or off)")),
         }
     }
 }
@@ -104,7 +91,6 @@ impl std::fmt::Display for FsyncPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FsyncPolicy::Always => write!(f, "always"),
-            FsyncPolicy::EveryN(n) => write!(f, "every_n:{n}"),
             FsyncPolicy::Off => write!(f, "off"),
         }
     }
@@ -854,13 +840,9 @@ mod tests {
             FsyncPolicy::Always
         );
         assert_eq!("off".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::Off);
-        assert_eq!(
-            "every_n:16".parse::<FsyncPolicy>().unwrap(),
-            FsyncPolicy::EveryN(16)
-        );
-        assert_eq!("8".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::EveryN(8));
+        assert!("every_n:16".parse::<FsyncPolicy>().is_err());
+        assert!("8".parse::<FsyncPolicy>().is_err());
         assert!("sometimes".parse::<FsyncPolicy>().is_err());
-        assert!("every_n:0".parse::<FsyncPolicy>().is_err());
     }
 
     fn txn_group() -> Vec<WalRecord> {

@@ -397,7 +397,6 @@ pub struct WalStats {
 struct GroupState {
     start_bytes: u64,
     start_lsn: u64,
-    start_unsynced: u64,
     deferred: u64,
 }
 
@@ -418,7 +417,6 @@ struct GroupState {
 pub struct WalWriter {
     file: File,
     fsync: FsyncPolicy,
-    unsynced: u64,
     next_lsn: u64,
     stats: WalStats,
     shared: Arc<WalShared>,
@@ -458,7 +456,6 @@ impl WalWriter {
         Ok(WalWriter {
             file,
             fsync,
-            unsynced: 0,
             next_lsn,
             stats: WalStats {
                 bytes,
@@ -474,14 +471,13 @@ impl WalWriter {
     /// [`FsyncPolicy::Always`], appends skip their per-record fsync *and*
     /// the commit watermark: the record is written but not acknowledged
     /// until [`WalWriter::end_group`] issues one fsync for the whole batch.
-    /// Under `EveryN`/`Off` the window is a no-op — those policies already
-    /// acknowledge without a per-record fsync. Idempotent while open.
+    /// Under `Off` the window is a no-op — that policy already acknowledges
+    /// without a per-record fsync. Idempotent while open.
     pub fn begin_group(&mut self) {
         if self.group.is_none() {
             self.group = Some(GroupState {
                 start_bytes: self.stats.bytes,
                 start_lsn: self.next_lsn,
-                start_unsynced: self.unsynced,
                 deferred: 0,
             });
         }
@@ -519,7 +515,6 @@ impl WalWriter {
                         self.stats.bytes = g.start_bytes;
                         self.stats.records_appended -= g.deferred;
                         self.next_lsn = g.start_lsn;
-                        self.unsynced = g.start_unsynced;
                         // The cut lands on the window-start record boundary,
                         // so any torn tail inside the window went with it.
                         self.poisoned = None;
@@ -593,31 +588,20 @@ impl WalWriter {
             return Err(fault.into());
         }
         let frame_start = self.stats.bytes;
-        let unsynced_before = self.unsynced;
         self.file.write_all(&frame)?;
         self.next_lsn += 1;
-        self.unsynced += 1;
         self.stats.records_appended += 1;
         self.stats.bytes += frame.len() as u64;
         // Inside a group window, `Always` defers both the fsync and the
-        // acknowledgment to `end_group`'s single sync. The lax policies
-        // already acknowledge without a per-record fsync, so the window
-        // changes nothing for them.
-        let deferred = matches!(self.fsync, FsyncPolicy::Always) && self.group.is_some();
-        let synced = if deferred {
-            Ok(())
+        // acknowledgment to `end_group`'s single sync. `Off` already
+        // acknowledges without a per-record fsync, so the window changes
+        // nothing for it.
+        let always = self.fsync == FsyncPolicy::Always;
+        let deferred = always && self.group.is_some();
+        let synced = if always && !deferred {
+            self.sync()
         } else {
-            match self.fsync {
-                FsyncPolicy::Always => self.sync(),
-                FsyncPolicy::EveryN(n) => {
-                    if self.unsynced >= n.max(1) {
-                        self.sync()
-                    } else {
-                        Ok(())
-                    }
-                }
-                FsyncPolicy::Off => Ok(()),
-            }
+            Ok(())
         };
         if let Err(e) = synced {
             // The frame's durability is unknown. Cut it back out so a crash
@@ -632,7 +616,6 @@ impl WalWriter {
                     self.stats.bytes = frame_start;
                     self.stats.records_appended -= 1;
                     self.next_lsn = lsn;
-                    self.unsynced = unsynced_before;
                 }
                 Err(_) => {
                     self.poisoned = Some(format!("failed fsync rollback at lsn {lsn}"));
@@ -656,7 +639,6 @@ impl WalWriter {
         let started = std::time::Instant::now();
         etypes::fault::fire("wal.fsync")?;
         self.file.sync_data()?;
-        self.unsynced = 0;
         self.stats.fsyncs += 1;
         self.stats.fsync_us += started.elapsed().as_micros() as u64;
         Ok(())
@@ -673,7 +655,6 @@ impl WalWriter {
         self.file.sync_data()?;
         self.stats.fsyncs += 1;
         self.stats.fsync_us += started.elapsed().as_micros() as u64;
-        self.unsynced = 0;
         self.stats.bytes = WAL_MAGIC.len() as u64;
         self.poisoned = None;
         // A checkpoint inside a group window covers the deferred records
@@ -685,7 +666,6 @@ impl WalWriter {
             }
             g.start_bytes = self.stats.bytes;
             g.start_lsn = self.next_lsn;
-            g.start_unsynced = 0;
             g.deferred = 0;
         }
         Ok(dropped)
@@ -886,17 +866,6 @@ mod tests {
         assert!(out.crc_mismatch);
         assert!(out.records.len() < 5);
         assert!(out.torn_bytes > 0);
-    }
-
-    #[test]
-    fn every_n_policy_batches_fsyncs() {
-        let path = tmp("everyn");
-        let mut w = WalWriter::open(&path, FsyncPolicy::EveryN(3), 0, 1).unwrap();
-        for _ in 0..7 {
-            w.append(&WalRecord::DropTable { name: "x".into() })
-                .unwrap();
-        }
-        assert_eq!(w.stats().fsyncs, 2, "7 appends at every_n=3 -> 2 syncs");
     }
 
     #[test]

@@ -84,8 +84,6 @@ pub struct Engine {
     prepared: HashMap<String, Rc<str>>,
     backend: Box<dyn StorageBackend>,
     trace: EngineTrace,
-    capture_profiles: bool,
-    last_profile: Option<QueryProfile>,
     health: Health,
     /// When set, mutations bypass the WAL *and* the read-only gate: the
     /// inspection path recreates its tables on every run, so logging them
@@ -93,10 +91,6 @@ pub struct Engine {
     /// down with the first durability failure.
     unlogged: bool,
     statement_timeout: Option<Duration>,
-    /// Checkpoint automatically once the WAL grows past this many bytes.
-    auto_checkpoint_wal_bytes: Option<u64>,
-    /// Auto-checkpoints taken so far (surfaced in `STATS`).
-    auto_checkpoints: u64,
     /// True between [`Engine::begin_commit_group`] and
     /// [`Engine::end_commit_group`]: logged mutations record an undo entry
     /// so a failed group fsync can unwind them all.
@@ -196,13 +190,9 @@ impl Engine {
             prepared: HashMap::new(),
             backend,
             trace: EngineTrace::default(),
-            capture_profiles: false,
-            last_profile: None,
             health: Health::Healthy,
             unlogged: false,
             statement_timeout: None,
-            auto_checkpoint_wal_bytes: None,
-            auto_checkpoints: 0,
             in_commit_group: false,
             group_undo: Vec::new(),
             group_epoch: 0,
@@ -432,18 +422,6 @@ impl Engine {
         &self.health
     }
 
-    /// Checkpoint automatically once the WAL file grows past `bytes`
-    /// (checked after each logged mutation). Bounds recovery time. `None`
-    /// disables the policy.
-    pub fn set_auto_checkpoint_wal_bytes(&mut self, bytes: Option<u64>) {
-        self.auto_checkpoint_wal_bytes = bytes.filter(|b| *b > 0);
-    }
-
-    /// Auto-checkpoints taken since open.
-    pub fn auto_checkpoints(&self) -> u64 {
-        self.auto_checkpoints
-    }
-
     /// The durable backend's committed-LSN watermark (read by the shard
     /// router's 2PC cut vectors); `None` on volatile engines.
     pub fn wal_handle(&self) -> Option<WalHandle> {
@@ -504,17 +482,6 @@ impl Engine {
     /// installed.
     pub fn take_phase_spans(&mut self) -> Vec<(crate::trace::Phase, u64)> {
         self.trace.take_statement_spans()
-    }
-
-    /// Capture a per-operator [`QueryProfile`] for every query from now on
-    /// (slow-query logging); `EXPLAIN ANALYZE` captures one regardless.
-    pub fn set_capture_profiles(&mut self, on: bool) {
-        self.capture_profiles = on;
-    }
-
-    /// The operator profile of the most recent query, when capture was on.
-    pub fn last_profile(&self) -> Option<&QueryProfile> {
-        self.last_profile.as_ref()
     }
 
     /// The active profile.
@@ -760,36 +727,6 @@ impl Engine {
 
     /// Execute one parsed statement.
     fn execute_statement(&mut self, stmt: Statement) -> Result<ExecOutcome> {
-        let is_table_write = statement_writes_tables(&stmt);
-        let outcome = self.execute_statement_inner(stmt)?;
-        if is_table_write && !self.unlogged {
-            self.maybe_auto_checkpoint();
-        }
-        Ok(outcome)
-    }
-
-    /// Checkpoint when the WAL has outgrown the configured budget. The
-    /// triggering statement already succeeded and is durable, so a failed
-    /// auto-checkpoint is not its failure: compaction is retried after the
-    /// next logged write (and `log_durable` degrades health on real WAL
-    /// faults anyway).
-    fn maybe_auto_checkpoint(&mut self) {
-        if self.txn_capture.is_some() {
-            // A checkpoint mid-prepare would snapshot uncommitted state.
-            return;
-        }
-        let Some(budget) = self.auto_checkpoint_wal_bytes else {
-            return;
-        };
-        let Some(stats) = self.backend.store_stats() else {
-            return;
-        };
-        if stats.wal.bytes >= budget && self.checkpoint().map(|s| s.is_some()).unwrap_or(false) {
-            self.auto_checkpoints += 1;
-        }
-    }
-
-    fn execute_statement_inner(&mut self, stmt: Statement) -> Result<ExecOutcome> {
         match stmt {
             Statement::CreateTable { name, columns } => {
                 let (names, types): (Vec<String>, Vec<DataType>) =
@@ -926,7 +863,7 @@ impl Engine {
     /// materialized view): columnar batches are stored as they are.
     fn store_query(&mut self, query: &crate::ast::Query) -> Result<StoredView> {
         let (root, schema) = self.bind_traced(query)?;
-        let chunks = self.execute_bound(&root, &[])?;
+        let (chunks, _) = self.execute_bound(&root, &[], false)?;
         Ok(StoredView {
             columns: schema.names(),
             types: schema.types(),
@@ -934,22 +871,16 @@ impl Engine {
         })
     }
 
-    /// Run a query with operator profiling forced on, returning both the
-    /// result and its [`QueryProfile`] (the `EXPLAIN ANALYZE` path).
+    /// Run a query with operator profiling on, returning both the result
+    /// and its [`QueryProfile`] (the `EXPLAIN ANALYZE` path).
     fn run_query_profiled(
         &mut self,
         query: &crate::ast::Query,
     ) -> Result<(ResultSet, QueryProfile)> {
-        let prev = self.capture_profiles;
-        self.capture_profiles = true;
-        let result = self.run_query(query);
-        self.capture_profiles = prev;
-        let result = result?;
-        let profile = self
-            .last_profile
-            .clone()
-            .ok_or_else(|| SqlError::exec("operator profiling captured nothing"))?;
-        Ok((result, profile))
+        let (root, schema) = self.bind_traced(query)?;
+        let (chunks, profile) = self.execute_bound(&root, &[], true)?;
+        let result = ResultSet::new(schema.names(), schema.types(), chunks)?;
+        Ok((result, profile.expect("profiling was enabled")))
     }
 
     /// Execute an already bound + optimized plan to a result, kept as the
@@ -960,16 +891,22 @@ impl Engine {
         schema: &Schema,
         params: &[Value],
     ) -> Result<ResultSet> {
-        let chunks = self.execute_bound(root, params)?;
+        let (chunks, _) = self.execute_bound(root, params, false)?;
         ResultSet::new(schema.names(), schema.types(), chunks)
     }
 
     /// Execute a bound plan to batches with its `$n` placeholders bound to
-    /// `params` (1-based: `$1` takes `params[0]`), folding its counters,
-    /// trace phase and operator profile into the engine's. Every SELECT
-    /// passes here, so this is where a parameter count that does not match
-    /// the statement is refused: no executor ever sees a `$n`.
-    fn execute_bound(&mut self, root: &PlanRoot, params: &[Value]) -> Result<Vec<ColumnChunk>> {
+    /// `params` (1-based: `$1` takes `params[0]`), folding its counters and
+    /// trace phase into the engine's. With `profiled` the run also returns
+    /// its per-operator [`QueryProfile`]. Every SELECT passes here, so this
+    /// is where a parameter count that does not match the statement is
+    /// refused: no executor ever sees a `$n`.
+    fn execute_bound(
+        &mut self,
+        root: &PlanRoot,
+        params: &[Value],
+        profiled: bool,
+    ) -> Result<(Vec<ColumnChunk>, Option<QueryProfile>)> {
         if root.params != params.len() {
             return Err(SqlError::bind(format!(
                 "statement needs {} parameter{}, got {}",
@@ -986,13 +923,13 @@ impl Engine {
             &bound
         };
         let mut ctx = ExecContext::new(&self.catalog, &self.profile, root);
-        if self.capture_profiles {
+        if profiled {
             ctx.enable_profiling();
         }
         if let Some(timeout) = self.statement_timeout {
             ctx.set_deadline(Instant::now() + timeout, timeout.as_millis() as u64);
         }
-        let started = (self.trace.enabled() || self.capture_profiles).then(Instant::now);
+        let started = (self.trace.enabled() || profiled).then(Instant::now);
         let output = colexec::execute_root(&ctx)?;
         let elapsed_us = started.map(|t| t.elapsed().as_micros() as u64);
         if let Some(us) = elapsed_us {
@@ -1005,15 +942,15 @@ impl Engine {
         self.stats.shared_scans += run_stats.shared_scans;
         self.stats.rows_processed += run_stats.rows_processed;
         self.stats.batches_executed += run_stats.batches_executed;
-        if let Some(profiles) = ctx.take_profiles() {
-            self.last_profile = Some(crate::explain::build_query_profile(
+        let profile = ctx.take_profiles().map(|profiles| {
+            crate::explain::build_query_profile(
                 root,
                 &profiles,
                 elapsed_us.unwrap_or(0),
                 output.iter().map(ColumnChunk::len).sum::<usize>() as u64,
-            ));
-        }
-        Ok(output)
+            )
+        });
+        Ok((output, profile))
     }
 
     /// Bind + optimize an already parsed SELECT into a cacheable plan.
@@ -1383,16 +1320,6 @@ fn no_rows(n: usize) -> ExecOutcome {
     ExecOutcome {
         result: None,
         rows_affected: n,
-    }
-}
-
-/// True for statements that mutate base tables (what the WAL would log).
-/// View DDL stays out: views are volatile and engine-local.
-fn statement_writes_tables(stmt: &Statement) -> bool {
-    match stmt {
-        Statement::CreateTable { .. } | Statement::Insert { .. } | Statement::Copy { .. } => true,
-        Statement::Drop { is_view, .. } => !is_view,
-        Statement::CreateView { .. } | Statement::Select(_) | Statement::Explain { .. } => false,
     }
 }
 

@@ -161,7 +161,7 @@ impl<'a> ExecContext<'a> {
         Ok(())
     }
 
-    /// Turn on per-node profiling (`EXPLAIN ANALYZE`, slow-query capture).
+    /// Turn on per-node profiling (`EXPLAIN ANALYZE`).
     pub fn enable_profiling(&mut self) {
         self.profiles = Some(RefCell::new(NodeProfiles::default()));
     }

@@ -5,8 +5,8 @@
 //! engine call pays a couple of `Instant::now()` reads and histogram bucket
 //! increments per phase — no allocation, no locks (the engine is
 //! single-threaded). Operator profiling is heavier (one timestamp per plan
-//! node) and therefore opt-in: it only runs under `EXPLAIN ANALYZE`,
-//! [`crate::Engine::query_profiled`], or when slow-query capture is enabled.
+//! node) and therefore opt-in: it only runs under `EXPLAIN ANALYZE` and
+//! [`crate::Engine::query_profiled`].
 //!
 //! The lex, parse, bind and optimize histograms record real frontend work
 //! only: a SELECT text found in the plan cache ([`crate::cache`]) runs its

@@ -1,6 +1,5 @@
-//! The columnar table heap: seal boundaries, ctids across them, snapshot
-//! bytes encoded straight from sealed chunks, and the WAL-size
-//! auto-checkpoint policy that writes those snapshots.
+//! The columnar table heap: seal boundaries, ctids across them, and
+//! snapshot bytes encoded straight from sealed chunks.
 
 use elephant_store::snapshot::write_snapshot;
 use elephant_store::{SNAPSHOT_FILE, WAL_FILE};
@@ -16,10 +15,6 @@ fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("elheap-test-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn volatile() -> Engine {
-    Engine::new(EngineProfile::in_memory())
 }
 
 fn sql_value(v: &Value) -> String {
@@ -371,45 +366,4 @@ fn a_load_seals_the_tail_and_shares_parsed_columns() {
     assert_eq!((heap.sealed().len(), heap.tail().len()), (4, 1));
     let ctid = e.query("SELECT ctid FROM t WHERE id = -3").unwrap().rows;
     assert_eq!(ctid, vec![vec![Value::Int(2502)]]);
-}
-
-#[test]
-fn auto_checkpoint_fires_on_wal_growth() {
-    let dir = tmp_dir("autockpt");
-    let mut e = Engine::open_durable(EngineProfile::in_memory(), &dir, FsyncPolicy::Off).unwrap();
-    e.set_auto_checkpoint_wal_bytes(Some(512));
-    e.execute("CREATE TABLE t (id serial, v text)").unwrap();
-    for i in 0..64 {
-        e.execute(&format!("INSERT INTO t (v) VALUES ('row-{i:04}')"))
-            .unwrap();
-    }
-    assert!(e.auto_checkpoints() > 0, "threshold crossed at least once");
-    let wal_bytes = e.storage_stats().unwrap().wal.bytes;
-    assert!(
-        wal_bytes < 512 + 256,
-        "WAL stays near the budget, got {wal_bytes}"
-    );
-    // The compacted state still recovers exactly.
-    drop(e);
-    let mut e2 = Engine::open_durable(EngineProfile::in_memory(), &dir, FsyncPolicy::Off).unwrap();
-    let rel = e2.query("SELECT count(*) AS n FROM t").unwrap();
-    assert_eq!(rel.rows[0][0], Value::Int(64));
-}
-
-#[test]
-fn auto_checkpoint_disabled_by_default_and_on_volatile() {
-    let dir = tmp_dir("autockpt-off");
-    let mut e = Engine::open_durable(EngineProfile::in_memory(), &dir, FsyncPolicy::Off).unwrap();
-    e.execute("CREATE TABLE t (a int)").unwrap();
-    for _ in 0..32 {
-        e.execute("INSERT INTO t VALUES (1)").unwrap();
-    }
-    assert_eq!(e.auto_checkpoints(), 0);
-    assert_eq!(e.storage_stats().unwrap().checkpoints, 0);
-
-    let mut v = volatile();
-    v.set_auto_checkpoint_wal_bytes(Some(1));
-    v.execute("CREATE TABLE t (a int)").unwrap();
-    v.execute("INSERT INTO t VALUES (1)").unwrap();
-    assert_eq!(v.auto_checkpoints(), 0, "nothing to checkpoint");
 }

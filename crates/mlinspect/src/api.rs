@@ -463,6 +463,7 @@ pub fn inspect_registered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MlError;
     use crate::pipelines;
     use sqlengine::EngineProfile;
 
@@ -502,6 +503,44 @@ mod tests {
             baseline.check_results[0].passed(),
             sql.check_results[0].passed()
         );
+    }
+
+    #[test]
+    fn kbins_with_fewer_than_two_bins_is_refused_by_both_backends() {
+        for bins in [0, 1] {
+            let src = pipelines::COMPAS.replace(
+                "KBinsDiscretizer(n_bins=4",
+                &format!("KBinsDiscretizer(n_bins={bins}"),
+            );
+            // Capture errors carry the line of the statement, here the
+            // `Pipeline([...])` that holds the discretizer.
+            let line = 1 + src
+                .lines()
+                .position(|l| l.starts_with("impute2_and_bin = Pipeline(["))
+                .unwrap();
+            let inspector = || {
+                PipelineInspector::on_pipeline(src.as_str())
+                    .with_file("compas_train.csv", datagen::compas_csv(200, 2))
+                    .with_file("compas_test.csv", datagen::compas_csv(80, 3))
+            };
+            let pandas = inspector().execute().unwrap_err();
+            let mut engine = Engine::new(EngineProfile::in_memory());
+            let sql = inspector()
+                .execute_in_sql(&mut engine, SqlMode::Cte, false)
+                .unwrap_err();
+            for err in [pandas, sql] {
+                assert!(
+                    matches!(err, MlError::Capture { line: l, .. } if l == line),
+                    "n_bins={bins}: {err:?}"
+                );
+                assert_eq!(
+                    err.to_string(),
+                    format!(
+                        "line {line}: KBinsDiscretizer(n_bins={bins}): n_bins must be at least 2"
+                    )
+                );
+            }
+        }
     }
 
     #[test]

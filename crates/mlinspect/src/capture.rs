@@ -486,9 +486,17 @@ impl Capture {
             "OneHotEncoder" => Ok(PyObj::Transformer(vec![TransformerKind::OneHotEncoder])),
             "StandardScaler" => Ok(PyObj::Transformer(vec![TransformerKind::StandardScaler])),
             "KBinsDiscretizer" => {
-                let k = self.kwarg_int(line, args, "n_bins")?.unwrap_or(5) as usize;
+                // sklearn raises ValueError for fewer than two bins; refusing
+                // here gives both backends the same answer.
+                let k = self.kwarg_int(line, args, "n_bins")?.unwrap_or(5);
+                if k < 2 {
+                    return Err(MlError::capture(
+                        line,
+                        format!("KBinsDiscretizer(n_bins={k}): n_bins must be at least 2"),
+                    ));
+                }
                 Ok(PyObj::Transformer(vec![TransformerKind::KBinsDiscretizer(
-                    k,
+                    k as usize,
                 )]))
             }
             "Binarizer" => {

@@ -182,6 +182,8 @@ struct DeferredTrace {
     kind: SpanKind,
     /// Per-statement engine phase samples captured during dispatch.
     phases: Vec<(Phase, u64)>,
+    /// Phase samples the engine dropped past its per-command cap.
+    dropped_phases: u64,
     /// An `INSPECT`'s own stages (`capture`, one per pipeline line,
     /// `scratch-drop`) with their times in µs; empty for other verbs.
     stages: Vec<(String, u64)>,
@@ -483,6 +485,7 @@ impl ExecutorState {
             wait_us: enqueued.elapsed().as_micros() as u64,
             kind,
             phases: Vec::new(),
+            dropped_phases: 0,
             stages: Vec::new(),
             install_us: None,
         }
@@ -491,7 +494,7 @@ impl ExecutorState {
     /// Drain the engine's captured phase samples, and the stages of an
     /// `INSPECT`, into the trace record.
     fn collect_phases(&mut self, trace: &mut DeferredTrace) {
-        trace.phases = self.engine.take_phase_spans();
+        (trace.phases, trace.dropped_phases) = self.engine.take_phase_spans();
         trace.stages = std::mem::take(&mut self.inspect_stages);
     }
 
@@ -538,6 +541,18 @@ impl ExecutorState {
                 name,
                 "",
                 *us,
+                true,
+            ));
+        }
+        // Marks the cut when the engine capped its phase samples.
+        if t.dropped_phases > 0 {
+            self.ring.record(SpanRecord::child(
+                exec_ctx,
+                SpanKind::EnginePhase,
+                self.shard_id,
+                "truncated",
+                &format!("dropped={}", t.dropped_phases),
+                0,
                 true,
             ));
         }

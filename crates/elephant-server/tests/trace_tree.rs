@@ -363,3 +363,59 @@ fn inspect_stages_hang_under_shard_exec() {
     drop(c);
     handle.join();
 }
+
+/// The engine keeps at most 64 phase samples per command; an `INSPECT`
+/// records more, and the cut is marked by exactly one `engine-phase`
+/// span named `truncated` (`us=0`, `detail=dropped=<n>`). A one-statement
+/// `QUERY` stays under the cap and has none.
+#[test]
+fn a_capped_phase_capture_is_marked_truncated() {
+    let handle = start(ServerConfig::default().with_standard_pipeline_data(60, 3)).unwrap();
+    let mut c = ElephantClient::connect(handle.local_addr()).unwrap();
+    c.inspect(&["race", "sex"], 0.3, "@compas").unwrap();
+    c.query_raw("SELECT 1 AS one").unwrap();
+
+    let listing = c.trace(Some(4)).unwrap();
+    let spans_of = |c: &mut ElephantClient, needle: &str| -> Vec<String> {
+        let tree = c.trace_tree(find_query_id(&listing, needle)).unwrap();
+        tree.lines()
+            .filter(|l| l.contains("span seq="))
+            .map(str::to_string)
+            .collect()
+    };
+    let inspect = spans_of(&mut c, "columns=race,sex");
+    let exec = inspect
+        .iter()
+        .find(|l| field(l, "kind") == "shard-exec")
+        .unwrap_or_else(|| panic!("no shard-exec span:\n{inspect:#?}"));
+    let phases = inspect
+        .iter()
+        .filter(|l| field(l, "kind") == "engine-phase" && field(l, "name") != "truncated")
+        .count();
+    let truncated: Vec<&String> = inspect
+        .iter()
+        .filter(|l| field(l, "name") == "truncated")
+        .collect();
+    assert_eq!(truncated.len(), 1, "{inspect:#?}");
+    let mark = truncated[0];
+    assert_eq!(field(mark, "kind"), "engine-phase", "{mark}");
+    assert_eq!(field(mark, "parent"), field(exec, "id"), "{mark}");
+    assert_eq!(field(mark, "us"), "0", "{mark}");
+    let dropped: u64 = field(mark, "detail")
+        .strip_prefix("dropped=")
+        .unwrap_or_else(|| panic!("detail is not dropped=<n>: {mark}"))
+        .parse()
+        .unwrap();
+    assert!(dropped > 0, "{mark}");
+    assert_eq!(phases, 64, "the kept samples fill the cap:\n{inspect:#?}");
+
+    let query = spans_of(&mut c, "SELECT 1 AS one");
+    assert!(
+        query.iter().all(|l| field(l, "name") != "truncated"),
+        "{query:#?}"
+    );
+
+    c.shutdown().unwrap();
+    drop(c);
+    handle.join();
+}

@@ -298,6 +298,21 @@ mod tests {
         ]
     }
 
+    /// The rows with every float as its bit pattern, so a lost `-0.0` sign
+    /// fails a comparison.
+    fn bits(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+        rows.iter()
+            .map(|row| {
+                row.iter()
+                    .map(|v| match v {
+                        Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+                        other => format!("{other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn snapshot_round_trip_preserves_rows_and_order() {
         let path = tmp("roundtrip");
@@ -318,7 +333,8 @@ mod tests {
             assert_eq!(a.columns, b.columns);
             assert_eq!(a.types, b.types);
             assert_eq!(a.serial_next, b.serial_next);
-            assert_eq!(a.rows, b.rows, "table {}", a.name);
+            // Bit for bit: `Value`'s `==` equates `-0.0` with `0.0`.
+            assert_eq!(bits(&a.rows), bits(&b.rows), "table {}", a.name);
         }
     }
 

@@ -240,9 +240,28 @@ mod tests {
             Value::Float(f64::INFINITY),
             Value::text(""),
             Value::text("o'brien — naïve"),
-            Value::Array(vec![Value::Int(1), Value::Null, Value::text("x")]),
+            Value::Array(vec![
+                Value::Int(1),
+                Value::Null,
+                Value::text("x"),
+                Value::Float(-0.0),
+            ]),
         ] {
-            assert_eq!(round_trip(&v), v);
+            // `Value`'s `==` equates `-0.0` with `0.0`; the bits must survive.
+            assert_eq!(bits(&round_trip(&v)), bits(&v), "{v:?}");
+        }
+    }
+
+    /// `v` with every float replaced by its bit pattern, so a comparison
+    /// sees a lost sign or a changed variant.
+    fn bits(v: &Value) -> String {
+        match v {
+            Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+            Value::Array(items) => {
+                let items: Vec<String> = items.iter().map(bits).collect();
+                format!("Array[{}]", items.join(", "))
+            }
+            other => format!("{other:?}"),
         }
     }
 

@@ -8,9 +8,11 @@ use std::hash::{Hash, Hasher};
 /// A single cell of a relation or dataframe.
 ///
 /// `Value` implements *total* equality, ordering and hashing so it can serve
-/// directly as a group-by / join / sort key: `Null == Null` and NaN floats
-/// compare equal to themselves. SQL's three-valued comparison semantics are
-/// implemented on top of this in the expression evaluators, not here.
+/// directly as a group-by / join / sort key: `Null == Null`, and floats
+/// follow [`float_cmp`] (`-0.0 == 0.0`; NaN equals itself and sorts above
+/// every other float), as PostgreSQL's `float8` does. SQL's three-valued
+/// comparison semantics are implemented on top of this in the expression
+/// evaluators, not here.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL / pandas NaN-as-missing.
@@ -216,17 +218,18 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order: NULL first, then bools, numerics (int/float unified),
-    /// text, arrays. NaN sorts after all other floats and equals itself.
+    /// Total order: NULL first, then bools, numerics (int/float unified,
+    /// compared as `f64` by [`float_cmp`] when either side is a float),
+    /// text, arrays.
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
-            (Int(a), Float(b)) => cmp_f64(*a as f64, *b),
-            (Float(a), Int(b)) => cmp_f64(*a, *b as f64),
-            (Float(a), Float(b)) => cmp_f64(*a, *b),
+            (Int(a), Float(b)) => float_cmp(*a as f64, *b),
+            (Float(a), Int(b)) => float_cmp(*a, *b as f64),
+            (Float(a), Float(b)) => float_cmp(*a, *b),
             (Text(a), Text(b)) => a.cmp(b),
             (Array(a), Array(b)) => a.cmp(b),
             (a, b) => a.rank().cmp(&b.rank()),
@@ -234,8 +237,17 @@ impl Ord for Value {
     }
 }
 
-fn cmp_f64(a: f64, b: f64) -> Ordering {
-    a.total_cmp(&b)
+/// The one float order of the workspace, PostgreSQL's `float8` rule: IEEE
+/// comparison (so `-0.0 == 0.0`), with NaN equal to itself and above every
+/// other float. Every typed kernel that orders floats uses it, so a column
+/// loop and [`Value::cmp`] cannot disagree.
+#[inline]
+pub fn float_cmp(a: f64, b: f64) -> Ordering {
+    match a.partial_cmp(&b) {
+        Some(ord) => ord,
+        // At least one side is NaN: NaN is the largest float.
+        None => a.is_nan().cmp(&b.is_nan()),
+    }
 }
 
 impl Hash for Value {
@@ -348,6 +360,20 @@ mod tests {
         let nan = Value::Float(f64::NAN);
         assert_eq!(nan, nan.clone());
         assert!(Value::Float(f64::INFINITY) < nan);
+        // Any NaN payload or sign is the same NaN.
+        assert_eq!(nan, Value::Float(-f64::NAN));
+        assert!(Value::Int(i64::MAX) < nan);
+    }
+
+    #[test]
+    fn signed_zeros_are_equal_and_hash_alike() {
+        let (neg, pos) = (Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(neg, pos);
+        assert_eq!(neg, Value::Int(0));
+        assert_eq!(hash_of(&neg), hash_of(&pos));
+        assert_eq!(hash_of(&neg), hash_of(&Value::Int(0)));
+        assert!(Value::Float(-1e-300) < neg && neg < Value::Float(1e-300));
+        assert_eq!(float_cmp(-0.0, 0.0), Ordering::Equal);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!
 //! Key columns stored as `Int`, `Text` or `Bool` in every batch are
 //! grouped on their storage. Each maps its rows to column-local dense ids
-//! ([`KeyColumn`]); one key column's ids are the group ids. [`Combine`]
+//! ([`KeyColumn`]); one key column's ids are the group ids. A single `Int`
+//! key whose span over the whole input fits [`SLOTS_PER_ROW`] slots a row
+//! takes its ids from a table indexed by `key - min`; sparser keys hash.
+//! [`Combine`]
 //! folds several columns' ids into group ids through one dense table,
 //! when every column's id count is bounded up front and the table is
 //! small next to the input. Any other key (`Float`, list, generic or
@@ -17,12 +20,14 @@
 //! materialized values.
 //!
 //! [`Acc`] (shared with the row engine) stays the definition of aggregate
-//! semantics. Arguments stored as `Int` / `Float` columns are folded by a
-//! column-typed loop that updates the accumulator's payload in place for
-//! the states `Acc::update` would leave type-unchanged (`count`, `avg`,
-//! same-type `sum` / `min` / `max`) and hands every other state or
-//! aggregate to `Acc::update` itself, so results are bit-identical —
-//! float summation order within a group included.
+//! semantics. `count(*)`, and `count` / `avg` / `sum` / `min` / `max` over
+//! arguments stored as `Int` / `Float` columns, keep typed per-group lanes
+//! ([`Slots`]) that one monomorphized loop over `(ids, values)` folds per
+//! aggregate and batch, by `Acc::update`'s rules for those states. Any
+//! other argument — a promotion from `Int` to `Float`, text, a scalar —
+//! turns the lanes into one `Acc` per group for good, and `Acc::update`
+//! folds the rest, so results are bit-identical: float summation order
+//! within a group included.
 //!
 //! `array_agg` keeps each batch's argument column whole and records, per
 //! group, the positions of its rows across them; the finished aggregate is
@@ -34,6 +39,7 @@ use crate::error::{Result, SqlError};
 use crate::exec::{Acc, ExecContext, Row};
 use crate::plan::{AggCall, AggFunc, BExpr, PlanNode};
 use etypes::chunk::{Column, ColumnData, NullBitmap};
+use etypes::value::float_cmp;
 use etypes::{ColumnChunk, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -99,6 +105,12 @@ struct KeyColumn {
 
 /// How a [`KeyColumn`] finds the id of a value, by the column's storage.
 enum ColumnIndex {
+    /// `Int` keys whose span over the whole input is at most
+    /// [`SLOTS_PER_ROW`] slots a row: the id of `key` is in
+    /// `slots[key - min]` ([`UNRESOLVED`] until the key is seen), with no
+    /// hashing.
+    Direct { min: i64, slots: Vec<u32> },
+    /// Sparser `Int` keys.
     Int(HashMap<i64, u32>),
     /// Keyed by string; the memo maps each code of the batch's dictionary
     /// to its id, so each distinct string is hashed once per dictionary
@@ -164,6 +176,27 @@ impl KeyColumn {
             *null_id.get_or_insert_with(|| push_value(values, Value::Null))
         };
         match (index, col.data()) {
+            (ColumnIndex::Direct { min, slots }, ColumnData::Int(v)) => {
+                let mut id = |k: i64, values: &mut Vec<Value>| {
+                    // `min <= k`, and `k - min` indexes `slots` by construction.
+                    let slot = &mut slots[k.abs_diff(*min) as usize];
+                    if *slot == UNRESOLVED {
+                        *slot = push_value(values, Value::Int(k));
+                    }
+                    *slot
+                };
+                if nulls.all_valid() {
+                    ids.extend(v.iter().map(|&k| id(k, values)));
+                } else {
+                    ids.extend(v.iter().enumerate().map(|(i, &k)| {
+                        if nulls.is_null(i) {
+                            null(values)
+                        } else {
+                            id(k, values)
+                        }
+                    }));
+                }
+            }
             (ColumnIndex::Int(map), ColumnData::Int(v)) => {
                 ids.extend(v.iter().enumerate().map(|(i, &k)| {
                     if nulls.is_null(i) {
@@ -209,12 +242,57 @@ impl KeyColumn {
     }
 }
 
-/// The most slots [`Combine`] allocates per input row, which keeps its
-/// table within 16 bytes a row. Measured on 2 vCPU over a shared
-/// 1 000-string dictionary and a two-value key, the table groups 1.8×
-/// faster than [`GroupIndex::Values`] at this bound and about as fast at
-/// 1 000 slots a row, so the bound is set by memory, not time.
+/// The most slots a dense id table ([`Combine`], or a direct `Int` key
+/// index) allocates per input row, which keeps it within 16 bytes a row.
+/// Measured on 2 vCPU over a shared 1 000-string dictionary and a
+/// two-value key, the [`Combine`] table groups 1.8× faster than
+/// [`GroupIndex::Values`] at this bound and about as fast at 1 000 slots a
+/// row, so the bound is set by memory, not time.
 const SLOTS_PER_ROW: usize = 4;
+
+/// The index for a single `Int` key: direct when the span of its non-NULL
+/// keys over every batch fits [`SLOTS_PER_ROW`] slots per input row (the
+/// observed-span rule of the join's `Lookup::Direct`), hashed otherwise.
+fn int_index(batches: &[Batch]) -> ColumnIndex {
+    let (mut min, mut max) = (i64::MAX, i64::MIN);
+    let mut rows = 0usize;
+    for b in batches {
+        let col = b.key(0).expect("typed keys are columns");
+        let ColumnData::Int(v) = col.data() else {
+            unreachable!("every batch's key is Int storage")
+        };
+        rows += v.len();
+        if col.nulls().all_valid() {
+            for &x in v {
+                min = min.min(x);
+                max = max.max(x);
+            }
+        } else {
+            for (i, &x) in v.iter().enumerate() {
+                if !col.is_null(i) {
+                    min = min.min(x);
+                    max = max.max(x);
+                }
+            }
+        }
+    }
+    if min > max {
+        // Every key is NULL: nothing to address.
+        (min, max) = (0, 0);
+    }
+    // `abs_diff` spans `i64::MIN..=i64::MAX` without overflow; the slot
+    // count is `span + 1`.
+    let cap = rows.saturating_mul(SLOTS_PER_ROW) as u64;
+    let span = max.abs_diff(min);
+    if span < cap {
+        ColumnIndex::Direct {
+            min,
+            slots: vec![UNRESOLVED; span as usize + 1],
+        }
+    } else {
+        ColumnIndex::Int(HashMap::new())
+    }
+}
 
 /// Several key columns' local ids combined into group ids, handed out in
 /// first-seen order of the whole key: a mixed-radix index — column `k`'s
@@ -306,7 +384,13 @@ impl GroupTable {
         let rows = batches.iter().map(|b| b.rows).sum();
         let index = match typed {
             _ if n_keys == 0 => GroupIndex::Global,
-            Some((mut cols, _)) if n_keys == 1 => GroupIndex::Column(cols.remove(0)),
+            Some((mut cols, _)) if n_keys == 1 => {
+                let mut col = cols.remove(0);
+                if matches!(col.index, ColumnIndex::Int(_)) {
+                    col.index = int_index(batches);
+                }
+                GroupIndex::Column(col)
+            }
             typed => typed
                 .and_then(|(cols, bounds)| {
                     Some(GroupIndex::Columns {
@@ -391,140 +475,137 @@ impl GroupTable {
     }
 }
 
-/// A column element type whose accumulator states have an in-place update.
+/// A column element type with typed `sum` / `min` / `max` / `avg` folds.
 trait Num: Copy {
+    /// The identity of `Acc::Sum`'s addition on this type, which an unseen
+    /// group starts from: `0`, and `-0.0` for floats (`-0.0 + x` is `x`
+    /// bit for bit, where `0.0 + -0.0` is `0.0`).
+    const ZERO: Self;
     fn value(self) -> Value;
     fn as_f64(self) -> f64;
-    /// The payload of `v` when it holds this element type.
-    fn slot(v: &mut Value) -> Option<&mut Self>;
     /// `Acc::Sum` on two values of this type.
     fn add(self, other: Self) -> Self;
-    /// `Value::cmp` on two values of this type.
-    fn value_cmp(self, other: Self) -> Ordering;
+    /// `Value::cmp` on two values of this type is `Less`.
+    fn less(self, other: Self) -> bool;
 }
 
 impl Num for i64 {
+    const ZERO: i64 = 0;
     fn value(self) -> Value {
         Value::Int(self)
     }
     fn as_f64(self) -> f64 {
         self as f64
     }
-    fn slot(v: &mut Value) -> Option<&mut i64> {
-        match v {
-            Value::Int(i) => Some(i),
-            _ => None,
-        }
-    }
     fn add(self, other: i64) -> i64 {
         self.wrapping_add(other)
     }
-    fn value_cmp(self, other: i64) -> Ordering {
-        self.cmp(&other)
+    fn less(self, other: i64) -> bool {
+        self < other
     }
 }
 
 impl Num for f64 {
+    const ZERO: f64 = -0.0;
     fn value(self) -> Value {
         Value::Float(self)
     }
     fn as_f64(self) -> f64 {
         self
     }
-    fn slot(v: &mut Value) -> Option<&mut f64> {
-        match v {
-            Value::Float(f) => Some(f),
-            _ => None,
-        }
-    }
     fn add(self, other: f64) -> f64 {
         self + other
     }
-    fn value_cmp(self, other: f64) -> Ordering {
-        self.total_cmp(&other)
+    fn less(self, other: f64) -> bool {
+        float_cmp(self, other) == Ordering::Less
     }
 }
 
-/// Fold a typed argument column into its rows' accumulators.
-fn accumulate_typed<T: Num>(
-    accs: &mut [Acc],
-    vals: &[T],
-    nulls: &NullBitmap,
-    ids: &[u32],
-) -> Result<()> {
-    let all_valid = nulls.all_valid();
-    for (i, (&x, &g)) in vals.iter().zip(ids).enumerate() {
-        let acc = &mut accs[g as usize];
-        if !all_valid && nulls.is_null(i) {
-            // Ignored by all but `array_agg`; `Acc` knows which.
-            acc.update(Some(Value::Null))?;
-            continue;
+/// `f(group, value)` for every non-NULL row, in row order.
+#[inline]
+fn each_valid<T: Copy>(ids: &[u32], vals: &[T], nulls: &NullBitmap, mut f: impl FnMut(usize, T)) {
+    if nulls.all_valid() {
+        for (&g, &x) in ids.iter().zip(vals) {
+            f(g as usize, x);
         }
-        // In-place where `Acc::update` would keep the payload's type;
-        // first values, Int→Float promotion and every other aggregate go
-        // through `Acc::update`.
-        let done = match acc {
-            Acc::Count(n) => {
-                *n += 1;
-                true
+    } else {
+        for (i, (&g, &x)) in ids.iter().zip(vals).enumerate() {
+            if !nulls.is_null(i) {
+                f(g as usize, x);
             }
-            Acc::Avg { sum, n } => {
-                *sum += x.as_f64();
-                *n += 1;
-                true
-            }
-            Acc::Sum(Some(cur)) => T::slot(cur).map(|a| *a = a.add(x)).is_some(),
-            Acc::Min(Some(cur)) => T::slot(cur)
-                .map(|a| {
-                    if x.value_cmp(*a) == Ordering::Less {
-                        *a = x;
-                    }
-                })
-                .is_some(),
-            Acc::Max(Some(cur)) => T::slot(cur)
-                .map(|a| {
-                    if x.value_cmp(*a) == Ordering::Greater {
-                        *a = x;
-                    }
-                })
-                .is_some(),
-            _ => false,
-        };
-        if !done {
-            acc.update(Some(x.value()))?;
         }
     }
-    Ok(())
 }
 
-/// Fold one aggregate's argument for a whole batch into `accs` (indexed by
-/// group id; `ids[i]` is row `i`'s group).
-fn accumulate(accs: &mut [Acc], arg: Option<&Evaluated>, ids: &[u32]) -> Result<()> {
-    match arg {
-        None => {
-            for &g in ids {
-                match &mut accs[g as usize] {
-                    Acc::CountStar(n) => *n += 1,
-                    other => other.update(None)?,
-                }
-            }
-        }
-        Some(Evaluated::Col(c)) => match c.data() {
-            ColumnData::Int(v) => accumulate_typed(accs, v, c.nulls(), ids)?,
-            ColumnData::Float(v) => accumulate_typed(accs, v, c.nulls(), ids)?,
-            _ => {
-                for (i, &g) in ids.iter().enumerate() {
-                    accs[g as usize].update(Some(c.get(i)))?;
-                }
-            }
-        },
-        Some(Evaluated::Scalar(v)) => {
-            for &g in ids {
-                accs[g as usize].update(Some(v.clone()))?;
-            }
+/// The aggregates a [`Lane`] folds.
+#[derive(Clone, Copy)]
+enum Fold {
+    Sum,
+    Min,
+    Max,
+}
+
+/// `sum` / `min` / `max` while every value folded so far has one type:
+/// each group's value, and whether it has one (an unseen group is NULL).
+struct Lane<T> {
+    fold: Fold,
+    vals: Vec<T>,
+    seen: Vec<bool>,
+}
+
+impl<T: Num> Lane<T> {
+    fn new(fold: Fold, groups: usize) -> Lane<T> {
+        Lane {
+            fold,
+            vals: vec![T::ZERO; groups],
+            seen: vec![false; groups],
         }
     }
-    Ok(())
+
+    /// Fold a batch: one loop per aggregate, the rules of `Acc::update` for
+    /// a value of the state's own type (first value, wrapping `Int` sum,
+    /// float sum in row order, the first of equal extremes kept).
+    fn fold(&mut self, ids: &[u32], vals: &[T], nulls: &NullBitmap) {
+        let Lane {
+            fold,
+            vals: acc,
+            seen,
+        } = self;
+        match fold {
+            Fold::Sum => each_valid(ids, vals, nulls, |g, x| {
+                acc[g] = acc[g].add(x);
+                seen[g] = true;
+            }),
+            Fold::Min => each_valid(ids, vals, nulls, |g, x| {
+                if !seen[g] || x.less(acc[g]) {
+                    acc[g] = x;
+                }
+                seen[g] = true;
+            }),
+            Fold::Max => each_valid(ids, vals, nulls, |g, x| {
+                if !seen[g] || acc[g].less(x) {
+                    acc[g] = x;
+                }
+                seen[g] = true;
+            }),
+        }
+    }
+
+    /// The lane as the accumulators it stands for.
+    fn accs(&self) -> Vec<Acc> {
+        self.vals
+            .iter()
+            .zip(&self.seen)
+            .map(|(&v, &seen)| {
+                let v = seen.then(|| v.value());
+                match self.fold {
+                    Fold::Sum => Acc::Sum(v),
+                    Fold::Min => Acc::Min(v),
+                    Fold::Max => Acc::Max(v),
+                }
+            })
+            .collect()
+    }
 }
 
 /// `array_agg` per dense group id: the argument columns of every batch,
@@ -538,11 +619,14 @@ struct ListAgg {
 }
 
 impl ListAgg {
-    fn add(&mut self, arg: Option<&Evaluated>, ids: &[u32], groups: usize) {
-        self.members.resize_with(groups, Vec::new);
+    fn add(&mut self, arg: Option<&Evaluated>, ids: &[u32]) {
         let Some(arg) = arg else { return };
         for (i, &g) in ids.iter().enumerate() {
-            self.members[g as usize].push((self.rows + i) as u32);
+            let g = g as usize;
+            if g >= self.members.len() {
+                self.members.resize_with(g + 1, Vec::new);
+            }
+            self.members[g].push((self.rows + i) as u32);
         }
         self.rows += ids.len();
         self.parts.push(match arg {
@@ -571,10 +655,210 @@ impl ListAgg {
     }
 }
 
-/// One aggregate's per-group state.
+/// One aggregate's per-group state. `count`, `avg`, `sum`, `min` and
+/// `max` keep typed lanes that one loop per batch folds, for arguments
+/// stored as `Int` / `Float` columns; any other argument turns the state
+/// into one [`Acc`] per group for good, and `Acc::update` folds it from
+/// there — `Int` to `Float` promotion included.
 enum Slots {
+    /// `count(*)` and `count(x)`: each group's count.
+    Count(Vec<i64>),
+    /// `avg(x)`: each group's running sum, in row order, and count.
+    Avg(Vec<f64>, Vec<u64>),
+    /// `sum` / `min` / `max` over `Int` values (the start, before any value).
+    Ints(Lane<i64>),
+    /// `sum` / `min` / `max` over `Float` values.
+    Floats(Lane<f64>),
+    /// Every other aggregate, and any of the above after a batch that does
+    /// not fit its lane.
     Accs(Vec<Acc>),
     List(ListAgg),
+}
+
+impl Slots {
+    fn new(call: &AggCall, groups: usize) -> Slots {
+        let lane = |fold| Slots::Ints(Lane::new(fold, groups));
+        match call.func {
+            AggFunc::CountStar | AggFunc::Count { distinct: false } => {
+                Slots::Count(vec![0; groups])
+            }
+            AggFunc::Avg => Slots::Avg(vec![0.0; groups], vec![0; groups]),
+            AggFunc::Sum => lane(Fold::Sum),
+            AggFunc::Min => lane(Fold::Min),
+            AggFunc::Max => lane(Fold::Max),
+            AggFunc::ArrayAgg => Slots::List(ListAgg::default()),
+            _ => Slots::Accs((0..groups).map(|_| Acc::new(call)).collect()),
+        }
+    }
+
+    /// Grow to `groups` groups (new groups have seen nothing).
+    fn resize(&mut self, call: &AggCall, groups: usize) {
+        match self {
+            Slots::Count(n) => n.resize(groups, 0),
+            Slots::Avg(sum, n) => {
+                sum.resize(groups, 0.0);
+                n.resize(groups, 0);
+            }
+            Slots::Ints(lane) => {
+                lane.vals.resize(groups, i64::ZERO);
+                lane.seen.resize(groups, false);
+            }
+            Slots::Floats(lane) => {
+                lane.vals.resize(groups, f64::ZERO);
+                lane.seen.resize(groups, false);
+            }
+            Slots::Accs(accs) => accs.resize_with(groups, || Acc::new(call)),
+            Slots::List(_) => {}
+        }
+    }
+
+    /// The state as one [`Acc`] per group, from now on.
+    fn accs(&mut self, call: &AggCall) -> &mut Vec<Acc> {
+        let accs = match self {
+            Slots::Accs(accs) => return accs,
+            Slots::Count(n) => n
+                .iter()
+                .map(|&n| match call.func {
+                    AggFunc::CountStar => Acc::CountStar(n),
+                    _ => Acc::Count(n),
+                })
+                .collect(),
+            Slots::Avg(sum, n) => sum
+                .iter()
+                .zip(n.iter())
+                .map(|(&sum, &n)| Acc::Avg { sum, n })
+                .collect(),
+            Slots::Ints(lane) => lane.accs(),
+            Slots::Floats(lane) => lane.accs(),
+            Slots::List(_) => unreachable!("array_agg keeps its rows"),
+        };
+        *self = Slots::Accs(accs);
+        match self {
+            Slots::Accs(accs) => accs,
+            _ => unreachable!("just set"),
+        }
+    }
+
+    /// Fold one batch's argument (`None` for `count(*)`) into the groups
+    /// `ids` name.
+    fn fold(&mut self, call: &AggCall, arg: Option<&Evaluated>, ids: &[u32]) -> Result<()> {
+        let column = match arg {
+            Some(Evaluated::Col(c)) => Some(c.as_ref()),
+            _ => None,
+        };
+        let all_null = match arg {
+            Some(Evaluated::Col(c)) => c.nulls().null_count() == c.len(),
+            Some(Evaluated::Scalar(v)) => v.is_null(),
+            None => false,
+        };
+        match self {
+            Slots::List(list) => {
+                list.add(arg, ids);
+                return Ok(());
+            }
+            Slots::Accs(_) => {}
+            // NULL changes no count, sum, average or extreme.
+            _ if all_null => return Ok(()),
+            Slots::Count(n) => match column.map(|c| (c.data(), c.nulls())) {
+                // `count(*)`, or `count` of a non-NULL scalar.
+                None => {
+                    for &g in ids {
+                        n[g as usize] += 1;
+                    }
+                    return Ok(());
+                }
+                Some((ColumnData::Int(_) | ColumnData::Float(_), nulls)) => {
+                    for (i, &g) in ids.iter().enumerate() {
+                        n[g as usize] += i64::from(!nulls.is_null(i));
+                    }
+                    return Ok(());
+                }
+                Some(_) => {}
+            },
+            Slots::Avg(sum, n) => {
+                let mut add = |g: usize, x: f64| {
+                    sum[g] += x;
+                    n[g] += 1;
+                };
+                match column.map(|c| (c.data(), c.nulls())) {
+                    Some((ColumnData::Int(v), nulls)) => {
+                        each_valid(ids, v, nulls, |g, x| add(g, x.as_f64()));
+                        return Ok(());
+                    }
+                    Some((ColumnData::Float(v), nulls)) => {
+                        each_valid(ids, v, nulls, add);
+                        return Ok(());
+                    }
+                    _ => {}
+                }
+            }
+            Slots::Ints(lane) => match column.map(|c| (c.data(), c.nulls())) {
+                Some((ColumnData::Int(v), nulls)) => {
+                    lane.fold(ids, v, nulls);
+                    return Ok(());
+                }
+                // Nothing seen yet: the lane takes the batch's type.
+                Some((ColumnData::Float(v), nulls)) if !lane.seen.contains(&true) => {
+                    let mut floats = Lane::new(lane.fold, lane.vals.len());
+                    floats.fold(ids, v, nulls);
+                    *self = Slots::Floats(floats);
+                    return Ok(());
+                }
+                _ => {}
+            },
+            Slots::Floats(lane) => match column.map(|c| (c.data(), c.nulls())) {
+                Some((ColumnData::Float(v), nulls)) => {
+                    lane.fold(ids, v, nulls);
+                    return Ok(());
+                }
+                Some((ColumnData::Int(v), nulls)) if !lane.seen.contains(&true) => {
+                    let mut ints = Lane::new(lane.fold, lane.vals.len());
+                    ints.fold(ids, v, nulls);
+                    *self = Slots::Ints(ints);
+                    return Ok(());
+                }
+                _ => {}
+            },
+        }
+        self.fold_rows(call, arg, ids)
+    }
+
+    /// Everything the typed lanes do not fold: row by row through
+    /// `Acc::update`.
+    fn fold_rows(&mut self, call: &AggCall, arg: Option<&Evaluated>, ids: &[u32]) -> Result<()> {
+        let accs = self.accs(call);
+        match arg {
+            None => {
+                for &g in ids {
+                    accs[g as usize].update(None)?;
+                }
+            }
+            Some(Evaluated::Col(c)) => {
+                for (i, &g) in ids.iter().enumerate() {
+                    accs[g as usize].update(Some(c.get(i)))?;
+                }
+            }
+            Some(Evaluated::Scalar(v)) => {
+                for &g in ids {
+                    accs[g as usize].update(Some(v.clone()))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One value per group, through `Acc::finish`.
+    fn finish(mut self, call: &AggCall, groups: usize) -> Column {
+        if let Slots::List(list) = self {
+            return list.finish(groups);
+        }
+        self.resize(call, groups);
+        let values: Vec<Value> = std::mem::take(self.accs(call))
+            .into_iter()
+            .map(Acc::finish)
+            .collect();
+        Column::from_values(&values)
+    }
 }
 
 pub(super) fn exec_aggregate(
@@ -604,22 +888,14 @@ pub(super) fn exec_aggregate(
     let mut table = GroupTable::new(group_exprs.len(), &batches);
     let mut states: Vec<Slots> = aggs
         .iter()
-        .map(|call| match call.func {
-            AggFunc::ArrayAgg => Slots::List(ListAgg::default()),
-            _ => Slots::Accs((0..table.groups).map(|_| Acc::new(call)).collect()),
-        })
+        .map(|call| Slots::new(call, table.groups))
         .collect();
     let mut ids: Vec<u32> = Vec::new();
     for batch in &batches {
         table.assign(batch, &mut ids);
         for ((state, call), arg) in states.iter_mut().zip(aggs).zip(&batch.args) {
-            match state {
-                Slots::Accs(slots) => {
-                    slots.resize_with(table.groups, || Acc::new(call));
-                    accumulate(slots, arg.as_ref(), &ids)?;
-                }
-                Slots::List(list) => list.add(arg.as_ref(), &ids, table.groups),
-            }
+            state.resize(call, table.groups);
+            state.fold(call, arg.as_ref(), &ids)?;
         }
     }
     if let Some(e) = eval_error {
@@ -633,15 +909,12 @@ pub(super) fn exec_aggregate(
         .into_iter()
         .map(Rc::new)
         .collect();
-    columns.extend(states.into_iter().map(|state| {
-        Rc::new(match state {
-            Slots::Accs(slots) => {
-                let values: Vec<Value> = slots.into_iter().map(Acc::finish).collect();
-                Column::from_values(&values)
-            }
-            Slots::List(list) => list.finish(groups),
-        })
-    }));
+    columns.extend(
+        states
+            .into_iter()
+            .zip(aggs)
+            .map(|(state, call)| Rc::new(state.finish(call, groups))),
+    );
     let all = ColumnChunk::new(columns, groups);
     if groups <= BATCH_ROWS {
         return Ok(vec![all]);
@@ -765,6 +1038,54 @@ mod tests {
         assert_eq!(group(&oversized), ("values", vec![vec![0, 1, 0, 2]]));
         // One key column's ids are the group ids.
         assert_eq!(group(&[batch(&[&i])]), ("column", vec![vec![0, 1, 0, 2]]));
+    }
+
+    #[test]
+    fn int_keys_are_addressed_directly_when_their_span_fits() {
+        let ints = |cells: &[Option<i64>]| {
+            column(
+                &cells
+                    .iter()
+                    .map(|c| c.map_or(Value::Null, Value::Int))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let index = |batches: &[Batch]| match &GroupTable::new(1, batches).index {
+            GroupIndex::Column(KeyColumn {
+                index: ColumnIndex::Direct { .. },
+                ..
+            }) => "direct",
+            GroupIndex::Column(KeyColumn {
+                index: ColumnIndex::Int(_),
+                ..
+            }) => "hashed",
+            _ => "other",
+        };
+        // Dense over two batches, with NULL and a key first seen late: the
+        // span of 7 needs 8 slots, within 4 a row for 8 rows.
+        let (a, b) = (
+            ints(&[Some(4), None, Some(-3), Some(4)]),
+            ints(&[Some(0), Some(-3), None, Some(3)]),
+        );
+        let dense = [batch(&[&a]), batch(&[&b])];
+        assert_eq!(index(&dense), "direct");
+        assert_eq!(group(&dense), ("column", by_value(&dense)));
+        assert_eq!(group(&dense).1, vec![vec![0, 1, 2, 0], vec![3, 2, 1, 4]]);
+        // Two rows allow 8 slots: a span of 7 fits, a span of 8 does not.
+        let pair = |x, y| [batch(&[&ints(&[Some(x), Some(y)])])];
+        assert_eq!(index(&pair(-7, 0)), "direct");
+        assert_eq!(index(&pair(0, 8)), "hashed");
+        assert_eq!(index(&pair(i64::MIN, i64::MIN + 1)), "direct");
+        assert_eq!(index(&pair(i64::MAX - 1, i64::MAX)), "direct");
+        let sparse = pair(0, i64::MAX);
+        assert_eq!(index(&sparse), "hashed");
+        assert_eq!(group(&sparse), ("column", vec![vec![0, 1]]));
+        let extremes = pair(i64::MAX, i64::MIN);
+        assert_eq!(index(&extremes), "hashed");
+        assert_eq!(group(&extremes), ("column", vec![vec![0, 1]]));
+        // An all-NULL column is generic storage: it groups by value.
+        let nulls = [batch(&[&ints(&[None, None])])];
+        assert_eq!(group(&nulls), ("values", vec![vec![0, 0]]));
     }
 
     #[test]

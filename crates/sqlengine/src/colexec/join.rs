@@ -5,12 +5,16 @@
 //! breaker there anyway — and keep the probe (left) side in its input
 //! batches, emitting pairs in exactly the row engine's order: probe order,
 //! then build order. The hash join indexes the build side once — each key
-//! to a dense id, each id's rows in one flat array — and emits at most one
-//! output chunk per probe batch; unmatched build rows of a right /
-//! full join follow as NULL-padded chunks at the end. The nested loop
-//! (cross joins, inner joins whose condition has no equi key) walks each
-//! probe batch × the build side in blocks of at most [`BATCH_ROWS`] pairs
-//! and filters each block by the residual like a WHERE.
+//! to a dense id, each id's rows in one flat array — and probes a batch at
+//! a time: the lookup and the key storage are matched once per batch, so a
+//! dense `Int` key without NULLs finds its ids in one loop of subtractions.
+//! It emits at most one output chunk per probe batch, gathered by plain
+//! indices (NULL padding only for an outer join's misses); unmatched build
+//! rows of a right / full join follow as NULL-padded chunks at the end.
+//! The nested loop (cross joins, inner joins whose condition has no equi
+//! key) walks each probe batch × the build side in blocks of at most
+//! [`BATCH_ROWS`] pairs and filters each block by the residual like a
+//! WHERE.
 
 use super::kernels::eval_col;
 use super::{concat_chunks, exec_node, filter_chunk, CodeMemo, BATCH_ROWS, UNRESOLVED};
@@ -18,7 +22,7 @@ use crate::error::{Result, SqlError};
 use crate::exec::eval::{eval, truthy};
 use crate::exec::ExecContext;
 use crate::plan::{BExpr, EquiKey, JoinKind, PlanNode};
-use etypes::chunk::{page_tag, Column, ColumnData};
+use etypes::chunk::{page_tag, Column, ColumnData, NullBitmap, TextDict};
 use etypes::{ColumnChunk, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -54,6 +58,8 @@ fn key_columns<'e>(
 const NONE: u32 = u32::MAX;
 /// A probe code whose string the build side does not hold.
 const MISSING: u32 = u32::MAX - 1;
+/// The build row of an outer-join miss, padded with NULLs.
+const PAD: usize = usize::MAX;
 
 /// The build rows of each key id, CSR style: id `d`'s rows are
 /// `flat[starts[d]..starts[d + 1]]`, in build order.
@@ -233,53 +239,85 @@ impl<'a> KeyTable<'a> {
         }
     }
 
-    /// The build rows matching probe row `i` (`keys` are the probe batch's
-    /// key columns), in build order.
-    #[inline]
-    fn probe(
-        &mut self,
-        keys: &[Rc<Column>],
-        equi: &[EquiKey],
-        i: usize,
-        buf: &mut Vec<Value>,
-    ) -> &[u32] {
-        let id = match &mut self.lookup {
-            Lookup::Direct { min, span } => match keys[0].data() {
-                _ if keys[0].is_null(i) => self.null_id,
-                // Exact for every `i64`: a key below `min` wraps to at
-                // least `2^64 - (min - key)`, never below `span`.
-                ColumnData::Int(v) => {
-                    let d = v[i].wrapping_sub(*min) as u64;
-                    if d < *span {
+    /// Fill `ids` with the key id of every row of a probe batch (`keys`
+    /// are its key columns): [`NONE`] when no build row can match. The
+    /// lookup and the key storage are matched once per batch, so a `Direct`
+    /// lookup over `Int` keys without NULLs is one loop of subtractions.
+    fn probe(&mut self, keys: &[Rc<Column>], equi: &[EquiKey], ids: &mut Vec<u32>) {
+        ids.clear();
+        let key = &keys[0];
+        let null_id = self.null_id;
+        let nulls = key.nulls();
+        // Per row: NULL, or the id `f` finds for the key.
+        fn each<T: Copy>(
+            ids: &mut Vec<u32>,
+            v: &[T],
+            nulls: &NullBitmap,
+            null_id: u32,
+            mut f: impl FnMut(T) -> u32,
+        ) {
+            if nulls.all_valid() {
+                ids.extend(v.iter().map(|&k| f(k)));
+            } else {
+                ids.extend(
+                    v.iter()
+                        .enumerate()
+                        .map(|(i, &k)| if nulls.is_null(i) { null_id } else { f(k) }),
+                );
+            }
+        }
+        match (&mut self.lookup, key.data()) {
+            // Exact for every `i64`: a key below `min` wraps to at least
+            // `2^64 - (min - key)`, never below `span`.
+            (Lookup::Direct { min, span }, ColumnData::Int(v)) => {
+                let (min, span) = (*min, *span);
+                each(ids, v, nulls, null_id, |k| {
+                    let d = k.wrapping_sub(min) as u64;
+                    if d < span {
                         d as u32
                     } else {
                         NONE
                     }
-                }
-                _ => unreachable!("typed lookup chosen only for Int probe keys"),
-            },
-            Lookup::Int(ids) => match keys[0].data() {
-                _ if keys[0].is_null(i) => self.null_id,
-                ColumnData::Int(v) => ids.get(&v[i]).copied().unwrap_or(NONE),
-                _ => unreachable!("typed lookup chosen only for Int probe keys"),
-            },
-            Lookup::Text { index, memo } => probe_text(index, self.null_id, memo, &keys[0], i),
-            Lookup::Single(t) => {
-                let v = keys[0].get(i);
-                if v.is_null() && !equi[0].null_safe {
-                    NONE
-                } else {
-                    t.get(&v).copied().unwrap_or(NONE)
-                }
+                });
             }
-            Lookup::Multi(t) => {
-                if fill_row_key(keys, equi, i, buf) {
-                    t.get(buf.as_slice()).copied().unwrap_or(NONE)
-                } else {
-                    NONE
-                }
+            (Lookup::Int(map), ColumnData::Int(v)) => {
+                each(ids, v, nulls, null_id, |k| {
+                    map.get(&k).copied().unwrap_or(NONE)
+                });
             }
-        };
+            (Lookup::Text { index, memo }, ColumnData::Text { dict, codes }) => {
+                let slots = memo.slots(dict);
+                each(ids, codes, nulls, null_id, |code| {
+                    probe_code(index, slots, dict, code)
+                });
+            }
+            (Lookup::Single(t), _) => {
+                ids.extend((0..key.len()).map(|i| {
+                    let v = key.get(i);
+                    if v.is_null() && !equi[0].null_safe {
+                        NONE
+                    } else {
+                        t.get(&v).copied().unwrap_or(NONE)
+                    }
+                }));
+            }
+            (Lookup::Multi(t), _) => {
+                let mut buf = Vec::with_capacity(equi.len());
+                ids.extend((0..key.len()).map(|i| {
+                    if fill_row_key(keys, equi, i, &mut buf) {
+                        t.get(buf.as_slice()).copied().unwrap_or(NONE)
+                    } else {
+                        NONE
+                    }
+                }));
+            }
+            _ => unreachable!("a typed lookup is chosen only for probe keys of its storage"),
+        }
+    }
+
+    /// The build rows under key id `id`, in build order.
+    #[inline]
+    fn rows(&self, id: u32) -> &[u32] {
         if id == NONE {
             &[]
         } else {
@@ -288,26 +326,14 @@ impl<'a> KeyTable<'a> {
     }
 }
 
-/// The id of probe row `i` under a `Text` lookup: its code is resolved to
-/// a build id once per probe dictionary. Kept out of line so the `Int`
-/// probe loop stays small.
-#[inline(never)]
-fn probe_text(
-    index: &HashMap<&str, u32>,
-    null_id: u32,
-    memo: &mut CodeMemo,
-    key: &Column,
-    i: usize,
-) -> u32 {
-    let ColumnData::Text { dict, codes } = key.data() else {
-        unreachable!("text lookup chosen only for Text probe keys")
-    };
-    if key.is_null(i) {
-        return null_id;
-    }
-    let slot = &mut memo.slots(dict)[codes[i] as usize];
+/// The build id of a probe dictionary code, resolved once per probe
+/// dictionary (`slots` is the memo's, [`MISSING`] for a string the build
+/// side does not hold).
+#[inline]
+fn probe_code(index: &HashMap<&str, u32>, slots: &mut [u32], dict: &TextDict, code: u32) -> u32 {
+    let slot = &mut slots[code as usize];
     if *slot == UNRESOLVED {
-        *slot = index.get(dict.get(codes[i])).copied().unwrap_or(MISSING);
+        *slot = index.get(dict.get(code)).copied().unwrap_or(MISSING);
     }
     if *slot == MISSING {
         NONE
@@ -359,20 +385,23 @@ pub(super) fn exec_join(
     let mut table = KeyTable::build(&rkeys, equi, probe);
 
     let pads_right = matches!(kind, JoinKind::Left | JoinKind::Full);
+    let keeps_right = matches!(kind, JoinKind::Right | JoinKind::Full);
     let mut out = Vec::with_capacity(probes.len() + 1);
     let mut right_matched = vec![false; rchunk.len()];
-    let mut probe_key: Vec<Value> = Vec::with_capacity(equi.len());
+    let mut ids: Vec<u32> = Vec::new();
     // Output row k pairs probe row `lidx[k]` with build row `ridx[k]`
-    // (`None` pads an outer-join miss).
+    // ([`PAD`] pads an outer-join miss).
     let mut lidx: Vec<usize> = Vec::new();
-    let mut ridx: Vec<Option<usize>> = Vec::new();
+    let mut ridx: Vec<usize> = Vec::new();
     for (chunk, keys) in probes.iter().zip(&lkeys) {
         ctx.tick(chunk.len())?;
+        table.probe(keys, equi, &mut ids);
         lidx.clear();
         ridx.clear();
-        for i in 0..chunk.len() {
+        let mut padded = false;
+        for (i, &id) in ids.iter().enumerate() {
             let mut any = false;
-            for &j in table.probe(keys, equi, i, &mut probe_key) {
+            for &j in table.rows(id) {
                 let j = j as usize;
                 if let Some(res) = residual {
                     // Residuals see the combined row; defer to the row
@@ -384,13 +413,16 @@ pub(super) fn exec_join(
                     }
                 }
                 any = true;
-                right_matched[j] = true;
+                if keeps_right {
+                    right_matched[j] = true;
+                }
                 lidx.push(i);
-                ridx.push(Some(j));
+                ridx.push(j);
             }
             if !any && pads_right {
+                padded = true;
                 lidx.push(i);
-                ridx.push(None);
+                ridx.push(PAD);
             }
         }
         if lidx.is_empty() {
@@ -398,7 +430,7 @@ pub(super) fn exec_join(
         }
         // Every probe row emitted exactly once (the key/foreign-key case):
         // the left columns pass through shared, like an all-true filter.
-        let identity = lidx.iter().copied().eq(0..chunk.len());
+        let identity = lidx.len() == chunk.len() && lidx.iter().copied().eq(0..chunk.len());
         let mut cols = Vec::with_capacity(lwidth + rchunk.width());
         for c in chunk.columns() {
             cols.push(if identity {
@@ -407,8 +439,14 @@ pub(super) fn exec_join(
                 Rc::new(c.gather(&lidx))
             });
         }
+        // Only an outer join's misses need NULL padding.
+        let pad: Option<Vec<Option<usize>>> =
+            padded.then(|| ridx.iter().map(|&j| (j != PAD).then_some(j)).collect());
         for c in rchunk.columns() {
-            cols.push(Rc::new(c.gather_opt(&ridx)));
+            cols.push(Rc::new(match &pad {
+                Some(pad) => c.gather_opt(pad),
+                None => c.gather(&ridx),
+            }));
         }
         out.push(ColumnChunk::new(cols, lidx.len()));
     }
@@ -416,7 +454,7 @@ pub(super) fn exec_join(
         return Err(e);
     }
 
-    if matches!(kind, JoinKind::Right | JoinKind::Full) {
+    if keeps_right {
         let unmatched: Vec<usize> = (0..rchunk.len()).filter(|&j| !right_matched[j]).collect();
         for window in unmatched.chunks(BATCH_ROWS) {
             let pad = Rc::new(Column::from_values(&vec![Value::Null; window.len()]));
@@ -498,10 +536,9 @@ mod tests {
         equi: &[EquiKey],
     ) -> Vec<Vec<u32>> {
         let keys = ints(probes);
-        let mut buf = Vec::new();
-        (0..probes.len())
-            .map(|i| table.probe(&keys, equi, i, &mut buf).to_vec())
-            .collect()
+        let mut ids = Vec::new();
+        table.probe(&keys, equi, &mut ids);
+        ids.iter().map(|&id| table.rows(id).to_vec()).collect()
     }
 
     #[test]

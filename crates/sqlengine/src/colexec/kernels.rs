@@ -10,8 +10,14 @@
 //! (division by zero, bad casts) fire for precisely the same rows.
 //!
 //! Kernels dispatch on the storage of their argument columns at run time:
-//! - numbers: comparison, `+ - * /` and `floor` run as typed loops, and a
-//!   cast to a column's own type shares it;
+//! - numbers: a comparison or `+ - * /` of `Int` / `Float` columns and
+//!   scalars matches its operator once, outside the loop, and runs one
+//!   loop per operand shape (column with column, column with scalar), with
+//!   no per-row dispatch; `Int` against `Int` compares exactly, any float
+//!   side as `f64` in the one float order, [`etypes::value::float_cmp`].
+//!   `floor` is a typed loop too, and a cast to a column's own type shares
+//!   it. A WHERE turns a `Bool` column without NULLs into its selection in
+//!   a branch-free loop ([`truthy_selection`]);
 //! - lists: `array_fill` and `||` work on offsets plus one typed child
 //!   column, and `CASE` scatters its arms' columns by position;
 //! - text: `REGEXP_REPLACE`, `COALESCE` with a scalar, comparisons and IN
@@ -31,7 +37,9 @@ use crate::exec::ExecContext;
 use crate::functions::{RegexLiteral, ScalarFunc};
 use crate::plan::BExpr;
 use etypes::chunk::{Column, ColumnData, NullBitmap};
+use etypes::value::float_cmp;
 use etypes::{ColumnChunk, DataType, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::rc::Rc;
 
@@ -184,7 +192,16 @@ pub(crate) fn truthy_selection(pred: &Evaluated, n: usize) -> Vec<usize> {
             ColumnData::Bool(v) => {
                 let nulls = c.nulls();
                 if nulls.all_valid() {
-                    (0..n).filter(|&i| v[i]).collect()
+                    // Branch-free: every index is written, and the cursor
+                    // moves past the ones that are TRUE.
+                    let mut out = vec![0; n];
+                    let mut kept = 0;
+                    for (i, &b) in v[..n].iter().enumerate() {
+                        out[kept] = i;
+                        kept += usize::from(b);
+                    }
+                    out.truncate(kept);
+                    out
                 } else {
                     (0..n).filter(|&i| v[i] && !nulls.is_null(i)).collect()
                 }
@@ -570,56 +587,189 @@ fn func_typed(func: ScalarFunc, args: &[Evaluated], n: usize) -> Result<Option<E
     }))
 }
 
-/// One side of a numeric fast path.
-enum NumSide<'a> {
-    IntCol(&'a [i64], &'a NullBitmap),
-    FloatCol(&'a [f64], &'a NullBitmap),
-    IntConst(i64),
-    FloatConst(f64),
+/// One operand of a typed numeric loop, in the type the loop reads: a
+/// column's values or one scalar.
+enum Side<'a, T: Clone> {
+    Col(Cow<'a, [T]>),
+    Const(T),
 }
 
-impl NumSide<'_> {
-    #[inline]
-    fn is_null(&self, i: usize) -> bool {
-        match self {
-            NumSide::IntCol(_, n) | NumSide::FloatCol(_, n) => n.is_null(i),
-            _ => false,
-        }
-    }
-
-    #[inline]
-    fn int_at(&self, i: usize) -> i64 {
-        match self {
-            NumSide::IntCol(v, _) => v[i],
-            NumSide::IntConst(c) => *c,
-            _ => unreachable!("int access on float side"),
-        }
-    }
-
-    #[inline]
-    fn f64_at(&self, i: usize) -> f64 {
-        match self {
-            NumSide::IntCol(v, _) => v[i] as f64,
-            NumSide::FloatCol(v, _) => v[i],
-            NumSide::IntConst(c) => *c as f64,
-            NumSide::FloatConst(c) => *c,
-        }
-    }
-
-    fn is_int(&self) -> bool {
-        matches!(self, NumSide::IntCol(..) | NumSide::IntConst(_))
-    }
+/// A numeric operand: an `Int` / `Float` column with its nulls, or an
+/// `Int` / `Float` scalar (`nulls` is `None`).
+struct Numeric<'a> {
+    data: NumData<'a>,
+    nulls: Option<&'a NullBitmap>,
 }
 
-fn num_side<'a>(e: &'a Evaluated) -> Option<NumSide<'a>> {
-    match e {
-        Evaluated::Col(c) => match c.data() {
-            ColumnData::Int(v) => Some(NumSide::IntCol(v, c.nulls())),
-            ColumnData::Float(v) => Some(NumSide::FloatCol(v, c.nulls())),
+enum NumData<'a> {
+    IntCol(&'a [i64]),
+    FloatCol(&'a [f64]),
+    Int(i64),
+    Float(f64),
+}
+
+impl<'a> Numeric<'a> {
+    fn of(e: &'a Evaluated) -> Option<Numeric<'a>> {
+        let (data, nulls) = match e {
+            Evaluated::Col(c) => match c.data() {
+                ColumnData::Int(v) => (NumData::IntCol(v), Some(c.nulls())),
+                ColumnData::Float(v) => (NumData::FloatCol(v), Some(c.nulls())),
+                _ => return None,
+            },
+            Evaluated::Scalar(Value::Int(i)) => (NumData::Int(*i), None),
+            Evaluated::Scalar(Value::Float(f)) => (NumData::Float(*f), None),
+            Evaluated::Scalar(_) => return None,
+        };
+        Some(Numeric { data, nulls })
+    }
+
+    /// This operand as `i64`s, when it is an `Int` column or scalar.
+    fn ints(&self) -> Option<Side<'a, i64>> {
+        match self.data {
+            NumData::IntCol(v) => Some(Side::Col(Cow::Borrowed(v))),
+            NumData::Int(c) => Some(Side::Const(c)),
             _ => None,
-        },
-        Evaluated::Scalar(Value::Int(i)) => Some(NumSide::IntConst(*i)),
-        Evaluated::Scalar(Value::Float(f)) => Some(NumSide::FloatConst(*f)),
+        }
+    }
+
+    /// This operand as `f64`s: an `Int` column is widened once, before
+    /// the loop (`Value::as_f64` of each row).
+    fn floats(&self) -> Side<'a, f64> {
+        match self.data {
+            NumData::IntCol(v) => Side::Col(Cow::Owned(v.iter().map(|&x| x as f64).collect())),
+            NumData::FloatCol(v) => Side::Col(Cow::Borrowed(v)),
+            NumData::Int(c) => Side::Const(c as f64),
+            NumData::Float(c) => Side::Const(c),
+        }
+    }
+}
+
+/// `f` over rows `0..n` of two operands. One loop per operand shape, so
+/// neither side is matched per row.
+#[inline]
+fn zip_map<T: Copy, R>(
+    a: &Side<'_, T>,
+    b: &Side<'_, T>,
+    n: usize,
+    f: impl Fn(T, T) -> R,
+) -> Vec<R> {
+    match (a, b) {
+        (Side::Col(x), Side::Col(y)) => {
+            x[..n].iter().zip(&y[..n]).map(|(&x, &y)| f(x, y)).collect()
+        }
+        (Side::Col(x), Side::Const(y)) => x[..n].iter().map(|&x| f(x, *y)).collect(),
+        (Side::Const(x), Side::Col(y)) => y[..n].iter().map(|&y| f(*x, y)).collect(),
+        (Side::Const(x), Side::Const(y)) => (0..n).map(|_| f(*x, *y)).collect(),
+    }
+}
+
+/// Comparison `op` over two operands whose order is `lt` / `eq`, with the
+/// operator matched once, outside the loop.
+fn compare<T: Copy>(
+    op: BinaryOp,
+    a: &Side<'_, T>,
+    b: &Side<'_, T>,
+    n: usize,
+    lt: impl Fn(T, T) -> bool + Copy,
+    eq: impl Fn(T, T) -> bool + Copy,
+) -> Vec<bool> {
+    match op {
+        BinaryOp::Eq => zip_map(a, b, n, eq),
+        BinaryOp::NotEq => zip_map(a, b, n, |x, y| !eq(x, y)),
+        BinaryOp::Lt => zip_map(a, b, n, lt),
+        BinaryOp::Gt => zip_map(a, b, n, |x, y| lt(y, x)),
+        BinaryOp::Le => zip_map(a, b, n, |x, y| !lt(y, x)),
+        BinaryOp::Ge => zip_map(a, b, n, |x, y| !lt(x, y)),
+        _ => unreachable!("comparison op"),
+    }
+}
+
+/// The NULL rows of two operands: a row is NULL when either side is.
+fn either_null(a: &Numeric<'_>, b: &Numeric<'_>, n: usize) -> NullBitmap {
+    match (a.nulls, b.nulls) {
+        (Some(x), Some(y)) if !x.all_valid() && !y.all_valid() => {
+            let mut out = x.clone();
+            for i in (0..n).filter(|&i| y.is_null(i)) {
+                out.set_null(i);
+            }
+            out
+        }
+        (Some(x), _) if !x.all_valid() => x.clone(),
+        (_, Some(y)) if !y.all_valid() => y.clone(),
+        _ => NullBitmap::new_valid(n),
+    }
+}
+
+/// A typed result column: NULL rows hold the type default, as every typed
+/// column does.
+fn typed_col<T: Default>(
+    mut data: Vec<T>,
+    nulls: NullBitmap,
+    wrap: fn(Vec<T>) -> ColumnData,
+) -> Evaluated {
+    if !nulls.all_valid() {
+        for (i, x) in data.iter_mut().enumerate() {
+            if nulls.is_null(i) {
+                *x = T::default();
+            }
+        }
+    }
+    col(wrap(data), nulls)
+}
+
+/// Comparisons and `+ - * /` of two numeric operands as typed loops, with
+/// `Value::cmp` / `eval::arith` semantics: `Int` against `Int` compares
+/// exactly, any float side compares as `f64` by [`float_cmp`]; arithmetic
+/// is `f64`, and `Int` `+ - *` narrows back to `Int` when every row does.
+/// `None` leaves the operator to the per-row path (`Int / Int`, and an
+/// `Int` batch with a row that does not narrow).
+fn numeric(op: BinaryOp, a: &Numeric<'_>, b: &Numeric<'_>, n: usize) -> Option<Evaluated> {
+    use BinaryOp::*;
+    let ints = a.ints().zip(b.ints());
+    match op {
+        Eq | NotEq | Lt | Gt | Le | Ge => {
+            let data = match &ints {
+                Some((x, y)) => compare(op, x, y, n, |x, y| x < y, |x, y| x == y),
+                None => compare(
+                    op,
+                    &a.floats(),
+                    &b.floats(),
+                    n,
+                    |x, y| float_cmp(x, y) == Ordering::Less,
+                    |x, y| float_cmp(x, y) == Ordering::Equal,
+                ),
+            };
+            Some(typed_col(data, either_null(a, b, n), ColumnData::Bool))
+        }
+        Add | Sub | Mul | Div => {
+            let f = match op {
+                Add => |x: f64, y: f64| x + y,
+                Sub => |x: f64, y: f64| x - y,
+                Mul => |x: f64, y: f64| x * y,
+                _ => |x: f64, y: f64| x / y,
+            };
+            let nulls = either_null(a, b, n);
+            let Some((x, y)) = ints else {
+                // Any float side: f64 arithmetic, no error possible.
+                let out = zip_map(&a.floats(), &b.floats(), n, f);
+                return Some(typed_col(out, nulls, ColumnData::Float));
+            };
+            if op == Div {
+                return None;
+            }
+            // Int arithmetic runs in f64 and narrows back when the result
+            // is integral in range (`eval::arith`); a row that does not
+            // narrow widens just that row to float, so only an all-narrow
+            // batch stays typed.
+            let wide = zip_map(&x, &y, n, |x, y| f(x as f64, y as f64));
+            let narrow =
+                |i: usize, x: f64| nulls.is_null(i) || (x.fract() == 0.0 && x.abs() < 9.0e15);
+            if !wide.iter().enumerate().all(|(i, &x)| narrow(i, x)) {
+                return None;
+            }
+            let out = wide.into_iter().map(|x| x as i64).collect();
+            Some(typed_col(out, nulls, ColumnData::Int))
+        }
         _ => None,
     }
 }
@@ -680,68 +830,10 @@ fn binary_vec(op: BinaryOp, l: &Evaluated, r: &Evaluated, n: usize) -> Result<Ev
             return Ok(col(ColumnData::Int(out), c.nulls().clone()));
         }
     }
-    // Typed fast paths over int/float columns.
-    if let (Some(a), Some(b)) = (num_side(l), num_side(r)) {
-        let both_int = a.is_int() && b.is_int();
-        if comparison {
-            let mut out = BoolBuilder::new(n);
-            for i in 0..n {
-                if a.is_null(i) || b.is_null(i) {
-                    out.set_null(i);
-                    continue;
-                }
-                // Value::cmp semantics: int/int compares exactly, any
-                // float side compares by f64 total order.
-                let ord = if both_int {
-                    a.int_at(i).cmp(&b.int_at(i))
-                } else {
-                    a.f64_at(i).total_cmp(&b.f64_at(i))
-                };
-                out.set(i, compares(op, ord));
-            }
-            return Ok(out.finish());
-        }
-        let f = |x: f64, y: f64| match op {
-            Add => x + y,
-            Sub => x - y,
-            Mul => x * y,
-            _ => x / y,
-        };
-        if both_int && matches!(op, Add | Sub | Mul) {
-            // Int arithmetic runs in f64 and narrows back when the result
-            // is integral in range (`eval::arith`); a row that does not
-            // narrows widens just that row to float, so only an all-narrow
-            // batch stays typed.
-            let mut nulls = NullBitmap::new_valid(n);
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                if a.is_null(i) || b.is_null(i) {
-                    nulls.set_null(i);
-                    out.push(0);
-                    continue;
-                }
-                let x = f(a.int_at(i) as f64, b.int_at(i) as f64);
-                if x.fract() != 0.0 || x.abs() >= 9.0e15 {
-                    break;
-                }
-                out.push(x as i64);
-            }
-            if out.len() == n {
-                return Ok(col(ColumnData::Int(out), nulls));
-            }
-        } else if !both_int && matches!(op, Add | Sub | Mul | Div) {
-            // Any float side: f64 arithmetic, no error possible.
-            let mut nulls = NullBitmap::new_valid(n);
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                if a.is_null(i) || b.is_null(i) {
-                    nulls.set_null(i);
-                    out.push(0.0);
-                } else {
-                    out.push(f(a.f64_at(i), b.f64_at(i)));
-                }
-            }
-            return Ok(col(ColumnData::Float(out), nulls));
+    // Typed loops over Int / Float columns and scalars.
+    if let (Some(a), Some(b)) = (Numeric::of(l), Numeric::of(r)) {
+        if let Some(out) = numeric(op, &a, &b, n) {
+            return Ok(out);
         }
     }
     // Generic path: per-row values through the row engine's operator.

@@ -479,8 +479,9 @@ impl Engine {
     }
 
     /// Drain the `(phase, µs)` samples captured since the trace context was
-    /// installed.
-    pub fn take_phase_spans(&mut self) -> Vec<(crate::trace::Phase, u64)> {
+    /// installed, with the number of samples dropped past the per-command
+    /// cap.
+    pub fn take_phase_spans(&mut self) -> (Vec<(crate::trace::Phase, u64)>, u64) {
         self.trace.take_statement_spans()
     }
 

@@ -91,10 +91,13 @@ pub struct EngineTrace {
     phases: [Histogram; Phase::ALL.len()],
     ctx: Option<TraceContext>,
     statement_spans: Vec<(Phase, u64)>,
+    /// Samples past [`MAX_STATEMENT_SPANS`] since the context was installed.
+    dropped_spans: u64,
 }
 
 /// Cap on captured per-statement phase samples (a multi-statement script
-/// records several samples per phase; the tree stays bounded).
+/// records several samples per phase; the tree stays bounded). Samples past
+/// it are counted, and the server marks the cut with one `truncated` span.
 const MAX_STATEMENT_SPANS: usize = 64;
 
 impl Default for EngineTrace {
@@ -104,6 +107,7 @@ impl Default for EngineTrace {
             phases: Default::default(),
             ctx: None,
             statement_spans: Vec::new(),
+            dropped_spans: 0,
         }
     }
 }
@@ -162,8 +166,12 @@ impl EngineTrace {
 
     #[inline]
     fn capture(&mut self, phase: Phase, us: u64) {
-        if self.ctx.is_some() && self.statement_spans.len() < MAX_STATEMENT_SPANS {
-            self.statement_spans.push((phase, us));
+        if self.ctx.is_some() {
+            if self.statement_spans.len() < MAX_STATEMENT_SPANS {
+                self.statement_spans.push((phase, us));
+            } else {
+                self.dropped_spans += 1;
+            }
         }
     }
 
@@ -172,6 +180,7 @@ impl EngineTrace {
     pub fn set_context(&mut self, ctx: Option<TraceContext>) {
         self.ctx = ctx;
         self.statement_spans.clear();
+        self.dropped_spans = 0;
     }
 
     /// The currently installed correlation context.
@@ -179,9 +188,11 @@ impl EngineTrace {
         self.ctx
     }
 
-    /// Drain the phase samples captured since the context was installed.
-    pub fn take_statement_spans(&mut self) -> Vec<(Phase, u64)> {
-        std::mem::take(&mut self.statement_spans)
+    /// Drain the phase samples captured since the context was installed,
+    /// with the number dropped past the cap.
+    pub fn take_statement_spans(&mut self) -> (Vec<(Phase, u64)>, u64) {
+        let dropped = std::mem::take(&mut self.dropped_spans);
+        (std::mem::take(&mut self.statement_spans), dropped)
     }
 
     /// The histogram of one phase.

@@ -908,3 +908,311 @@ fn typed_connectives_and_modulo_match_row_engine() {
         assert!(out.starts_with(err), "{sql}: {out}");
     }
 }
+
+/// One `Int` key column per table, each over three 1024-row batches, for
+/// the direct and hashed group ids: dense, sparse, negative, NULL and
+/// extreme keys, and spans at and just over the direct table's bound of
+/// four slots per input row.
+fn int_key_engine(rng: &mut Prng) -> Engine {
+    const ROWS: i64 = 2600;
+    let mut e = Engine::new(EngineProfile::in_memory());
+    let bound = 4 * ROWS;
+    // Loaded by COPY: `i64::MIN` has no SQL literal.
+    let mut keys = |name: &str, key: &mut dyn FnMut(&mut Prng, i64) -> Option<i64>| {
+        let mut csv = String::from("id,k,v,f\n");
+        for id in 0..ROWS {
+            let k = key(rng, id).map_or(String::new(), |k| k.to_string());
+            let v = if rng.chance(0.2) {
+                String::new()
+            } else {
+                rng.range_i64(-9, 9).to_string()
+            };
+            let f = if rng.chance(0.2) {
+                String::new()
+            } else {
+                format!("{:.2}", rng.range_f64(-5.0, 5.0))
+            };
+            csv.push_str(&format!("{id},{k},{v},{f}\n"));
+        }
+        let create = format!("CREATE TABLE {name} (id int, k int, v int, f float)");
+        copy_table(&mut e, &create, name, &csv);
+    };
+    // Dense, with NULLs and groups first seen in later batches.
+    keys("kd", &mut |r, id| {
+        (!r.chance(0.1)).then(|| id / 500 + r.range_i64(0, 3))
+    });
+    // Negative and dense.
+    keys("kn", &mut |r, _| Some(-r.range_i64(0, 40)));
+    // Sparse: a few keys far apart.
+    keys("ks", &mut |r, _| {
+        (!r.chance(0.1)).then(|| r.range_i64(-3, 3) * 1_000_000_007)
+    });
+    // The extremes of `i64`, and NULL.
+    keys("kx", &mut |r, _| match r.below(5) {
+        0 => Some(i64::MIN),
+        1 => Some(i64::MAX),
+        2 => None,
+        k => Some(k as i64 - 3),
+    });
+    // Span `bound - 1` (exactly `bound` slots, direct) and `bound` (one
+    // slot over, hashed): the extremes once each, the rest in between.
+    for (name, span) in [("kat", bound - 1), ("kover", bound)] {
+        keys(name, &mut |r, id| match id {
+            7 => Some(-5),
+            2500 => Some(span - 5),
+            _ if r.chance(0.05) => None,
+            _ => Some(r.range_i64(-5, span - 5)),
+        });
+    }
+    // Every key NULL.
+    keys("knull", &mut |_, _| None);
+    e
+}
+
+/// `GROUP BY` one `Int` key through the direct and hashed id tables
+/// answers like the reference, first-seen group order included.
+#[test]
+fn int_group_keys_match_row_engine() {
+    let mut rng = Prng::new(0xE1E9_0009);
+    let mut e = int_key_engine(&mut rng);
+    for t in ["kd", "kn", "ks", "kx", "kat", "kover", "knull"] {
+        for sql in [
+            format!(
+                "SELECT k, count(*), count(v), sum(v), min(f), max(f), avg(v) FROM {t} GROUP BY k"
+            ),
+            format!("SELECT k, count(*) FROM {t} WHERE id % 3 = 1 GROUP BY k"),
+            format!("SELECT k, sum(v) FROM {t} WHERE id < 1024 GROUP BY k"),
+            format!("SELECT k, array_agg(v) FROM {t} WHERE id < 50 GROUP BY k"),
+            format!("SELECT count(*) FROM (SELECT k FROM {t} GROUP BY k) s"),
+        ] {
+            let out = same(&mut e, &sql, t);
+            assert!(!out.starts_with("ERR"), "{sql}: {out}");
+        }
+    }
+}
+
+/// A table of `Int` and `Float` columns holding NULL, NaN, both zeros,
+/// infinities and `Int` values above 2^53 (where `Int` against `Float`
+/// compares as `f64`).
+fn compare_engine() -> Engine {
+    let mut e = Engine::new(EngineProfile::in_memory());
+    e.execute("CREATE TABLE n (id int, i int, j int, f float, h float)")
+        .unwrap();
+    let ints = [
+        "NULL",
+        "0",
+        "-1",
+        "1",
+        "2",
+        "9007199254740993",
+        "-9007199254740993",
+        "9223372036854775807",
+        "-9223372036854775807",
+    ];
+    let floats = [
+        "NULL",
+        "0.0",
+        "-0.0",
+        "1.5",
+        "-2.0",
+        "2.0",
+        "9007199254740992.0",
+        "CAST('NaN' AS float)",
+        "CAST('Infinity' AS float)",
+        "CAST('-Infinity' AS float)",
+    ];
+    let mut tuples = Vec::new();
+    let mut rng = Prng::new(0xE1E9_000A);
+    for id in 0..2100 {
+        let pick = |rng: &mut Prng, xs: &[&'static str]| xs[rng.below(xs.len())];
+        let (i, j) = (pick(&mut rng, &ints), pick(&mut rng, &ints));
+        let (f, h) = (pick(&mut rng, &floats), pick(&mut rng, &floats));
+        tuples.push(format!("({id}, {i}, {j}, {f}, {h})"));
+    }
+    e.execute(&format!("INSERT INTO n VALUES {}", tuples.join(", ")))
+        .unwrap();
+    // The same values without NULLs take the loops without null checks.
+    e.execute(
+        "CREATE MATERIALIZED VIEW nn AS SELECT id, i, j, f, h FROM n \
+         WHERE i IS NOT NULL AND j IS NOT NULL AND f IS NOT NULL AND h IS NOT NULL",
+    )
+    .unwrap();
+    e
+}
+
+/// Comparisons and arithmetic of `Int` and `Float` columns against `Int`
+/// and `Float` literals and against each other answer like the reference,
+/// as projections and as filters.
+#[test]
+fn numeric_compares_match_row_engine() {
+    let mut e = compare_engine();
+    let mut cases = Vec::new();
+    for t in ["n", "nn"] {
+        for op in ["=", "<>", "<", ">", "<=", ">="] {
+            let pairs = [
+                ("i", "0"),
+                ("i", "-0.0"),
+                ("i", "2.0"),
+                ("i", "9007199254740992.0"),
+                ("f", "0"),
+                ("f", "-0.0"),
+                ("f", "1.5"),
+                ("f", "CAST('NaN' AS float)"),
+                ("0", "f"),
+                ("1.5", "i"),
+                ("i", "j"),
+                ("i", "f"),
+                ("f", "i"),
+                ("f", "h"),
+            ];
+            let exprs: Vec<String> = pairs.iter().map(|(a, b)| format!("{a} {op} {b}")).collect();
+            cases.push(format!("SELECT id, {} FROM {t}", exprs.join(", ")));
+            for e in &exprs {
+                cases.push(format!("SELECT id FROM {t} WHERE {e}"));
+            }
+        }
+        cases.push(format!(
+            "SELECT id, i + 1, i - j, i * 2, f + 1, f - h, f * i, f / 2, i / 2.0, 1.5 * i, \
+             0 - f FROM {t}"
+        ));
+        cases.push(format!("SELECT id, i * j, i + j FROM {t} WHERE id < 40"));
+        cases.push(format!(
+            "SELECT count(*), sum(f), min(f), max(f), min(i), max(i) FROM {t} WHERE f = 0"
+        ));
+    }
+    for (q, sql) in cases.iter().enumerate() {
+        let out = same(&mut e, sql, &format!("compare case {q}"));
+        assert!(!out.starts_with("ERR"), "{sql}: {out}");
+    }
+}
+
+/// `count` / `sum` / `avg` / `min` / `max` over `Int` and `Float` columns,
+/// with and without NULLs, grouped and global, answer like the reference:
+/// a wrapping `Int` sum, `-0.0` and NaN values, a column that is `Int` in
+/// one batch and `Float` in the next, and constant arguments.
+#[test]
+fn typed_folds_match_row_engine() {
+    let mut e = compare_engine();
+    let mut cases = Vec::new();
+    for t in ["n", "nn"] {
+        for key in ["", "id % 7", "i", "f"] {
+            let (k, group) = if key.is_empty() {
+                (String::new(), String::new())
+            } else {
+                (format!("{key} AS k, "), format!(" GROUP BY {key}"))
+            };
+            cases.push(format!(
+                "SELECT {k}count(*), count(i), count(f), sum(i), sum(f), avg(i), avg(f), \
+                 min(i), max(i), min(f), max(f) FROM {t}{group}"
+            ));
+            cases.push(format!(
+                "SELECT {k}sum(CASE WHEN id < 1024 THEN i ELSE f END), \
+                 min(CASE WHEN id < 1024 THEN f ELSE i END), count(1), sum(2), max(NULL), \
+                 avg(1.5) FROM {t}{group}"
+            ));
+        }
+        // Both zeros, and groups of `-0.0` alone: their sum is `-0.0`.
+        cases.push(format!(
+            "SELECT sum(f), min(f), max(f), avg(f) FROM {t} WHERE f = 0 AND id < 60"
+        ));
+        cases.push(format!(
+            "SELECT i, sum(f), min(f), max(f) FROM {t} WHERE CAST(f AS text) = '-0' GROUP BY i"
+        ));
+    }
+    for (q, sql) in cases.iter().enumerate() {
+        let out = same(&mut e, sql, &format!("fold case {q}"));
+        assert!(!out.starts_with("ERR"), "{sql}: {out}");
+        if sql.contains("'-0'") {
+            assert!(out.contains("Float(-0.0)"), "{sql}: {out}");
+        }
+    }
+    // An `Int` sum over `i64::MAX` and friends wraps in both engines.
+    let out = same(
+        &mut e,
+        "SELECT sum(i) FROM n WHERE i > 1000000",
+        "wrapping sum",
+    );
+    assert!(out.contains("Int("), "{out}");
+}
+
+/// Inner joins over `Int` keys through the batch probe: duplicate build
+/// keys, NULL probe keys, probe keys outside the build span, several probe
+/// batches, and an outer join whose misses pad the same batches.
+#[test]
+fn batch_probe_joins_match_row_engine() {
+    let mut rng = Prng::new(0xE1E9_000B);
+    let mut e = int_key_engine(&mut rng);
+    e.execute("CREATE TABLE b (k int, w int)").unwrap();
+    let build: Vec<String> = (0..30)
+        .map(|j| {
+            let k = match j % 10 {
+                0 => "NULL".to_string(),
+                _ => rng.range_i64(0, 8).to_string(),
+            };
+            format!("({k}, {j})")
+        })
+        .collect();
+    e.execute(&format!("INSERT INTO b VALUES {}", build.join(", ")))
+        .unwrap();
+    let mut cases = Vec::new();
+    for t in ["kd", "kn", "ks", "kx"] {
+        for kind in ["INNER", "LEFT"] {
+            cases.push(format!(
+                "SELECT p.id, p.k, b.k, b.w FROM {t} p {kind} JOIN b ON p.k = b.k"
+            ));
+            cases.push(format!(
+                "SELECT b.w, count(*), sum(p.v) FROM {t} p {kind} JOIN b ON p.k = b.k GROUP BY b.w"
+            ));
+        }
+        cases.push(format!(
+            "SELECT p.id, b.w FROM {t} p INNER JOIN b ON p.k = b.k AND p.v > b.w"
+        ));
+        cases.push(format!(
+            "SELECT b.w, p.id FROM b INNER JOIN {t} p ON b.k = p.k WHERE p.id < 300"
+        ));
+    }
+    for (q, sql) in cases.iter().enumerate() {
+        let out = same(&mut e, sql, &format!("probe case {q}"));
+        assert!(!out.starts_with("ERR"), "{sql}: {out}");
+    }
+}
+
+/// PostgreSQL's `float8` and pandas treat `-0.0` and `0.0` as one value:
+/// equal, one group, one distinct value, and a tie in an ORDER BY. Both
+/// engines answer so.
+#[test]
+fn signed_zeros_compare_as_in_postgresql() {
+    let mut e = Engine::new(EngineProfile::in_memory());
+    e.execute("CREATE TABLE z (k int, x float)").unwrap();
+    e.execute("INSERT INTO z VALUES (1, 0.0), (2, -0.0), (3, 1.0), (4, -0.0), (5, NULL)")
+        .unwrap();
+    for (sql, want) in [
+        ("SELECT -0.0 = 0.0", "[[Bool(true)]]"),
+        (
+            "SELECT k FROM z WHERE x = 0",
+            "[[Int(1)], [Int(2)], [Int(4)]]",
+        ),
+        (
+            "SELECT k FROM z WHERE x = -0.0 AND x >= 0.0 AND x <= 0",
+            "[[Int(1)], [Int(2)], [Int(4)]]",
+        ),
+        ("SELECT k FROM z WHERE x < 0.0 OR x > 0", "[[Int(3)]]"),
+        (
+            "SELECT x, count(*) FROM z GROUP BY x",
+            "[[Float(0.0), Int(3)], [Float(1.0), Int(1)], [Null, Int(1)]]",
+        ),
+        (
+            "SELECT DISTINCT x FROM z",
+            "[[Float(0.0)], [Float(1.0)], [Null]]",
+        ),
+        (
+            "SELECT k FROM z ORDER BY x, k",
+            "[[Int(1)], [Int(2)], [Int(4)], [Int(3)], [Int(5)]]",
+        ),
+        ("SELECT count(DISTINCT x) FROM z", "[[Int(2)]]"),
+    ] {
+        let out = same(&mut e, sql, "signed zero");
+        let rows = out.split_once('|').map_or(out.as_str(), |(_, rows)| rows);
+        assert_eq!(rows, want, "{sql}");
+    }
+}

@@ -56,7 +56,7 @@ fn sample(engine: &mut Engine, round: Option<u64>) -> f64 {
         let rel = engine.query(QUERY).expect("query");
         assert_eq!(rel.rows.len(), 7);
         if round.is_some() {
-            let spans = engine.take_phase_spans();
+            let (spans, _) = engine.take_phase_spans();
             assert!(!spans.is_empty(), "context run must surface phase spans");
         }
     }

@@ -171,6 +171,11 @@ impl TextDict {
         self.ends.is_empty()
     }
 
+    /// Every entry, back to back in code order.
+    pub(crate) fn joined(&self) -> &str {
+        &self.bytes
+    }
+
     /// The string coded `code`.
     #[inline]
     pub fn get(&self, code: u32) -> &str {

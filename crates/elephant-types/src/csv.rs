@@ -366,16 +366,25 @@ pub fn write_csv(columns: &[String], rows: &[Vec<Value>], delimiter: char) -> St
 
 /// Serialize a result held as column chunks to comma-separated CSV, byte
 /// for byte what [`write_csv`] writes for the same rows with `,`, without
-/// materializing a row. Int, Float and Bool cells are formatted straight
-/// into the output (their `Display` never writes a character that needs
-/// quoting), Text cells are copied from their dictionary, and Generic
-/// cells render through one reused scratch buffer.
+/// materializing a row. Int cells go through an allocation-free decimal
+/// writer ([`push_int`]), Float and Bool cells through their `Display`
+/// (none of the three ever writes a character that needs quoting), Text
+/// cells are copied from their dictionary with the quoting of each entry
+/// decided once per dictionary ([`QuoteMemo`]), and Generic cells render
+/// through one reused scratch buffer.
 pub fn write_chunks(columns: &[String], chunks: &[ColumnChunk]) -> String {
     let mut out = String::new();
     let mut scratch = String::new();
+    let mut memos: Vec<QuoteMemo> = Vec::new();
     push_header(&mut out, columns, ',');
     for chunk in chunks {
         let cols = chunk.columns();
+        memos.resize_with(cols.len(), QuoteMemo::default);
+        for (memo, col) in memos.iter_mut().zip(cols) {
+            if let ColumnData::Text { dict, .. } = col.data() {
+                memo.track(dict, chunk.len());
+            }
+        }
         for row in 0..chunk.len() {
             for (i, col) in cols.iter().enumerate() {
                 if i > 0 {
@@ -386,11 +395,14 @@ pub fn write_chunks(columns: &[String], chunks: &[ColumnChunk]) -> String {
                 }
                 // Writing into a `String` cannot fail.
                 let _ = match col.data() {
-                    ColumnData::Int(v) => write!(out, "{}", v[row]),
+                    ColumnData::Int(v) => {
+                        push_int(&mut out, v[row]);
+                        Ok(())
+                    }
                     ColumnData::Float(v) => write!(out, "{}", v[row]),
                     ColumnData::Bool(v) => write!(out, "{}", v[row]),
                     ColumnData::Text { dict, codes } => {
-                        push_field(&mut out, dict.get(codes[row]), ',');
+                        memos[i].push(&mut out, dict, codes[row]);
                         Ok(())
                     }
                     ColumnData::List { offsets, values } => {
@@ -411,6 +423,72 @@ pub fn write_chunks(columns: &[String], chunks: &[ColumnChunk]) -> String {
         }
     }
     out
+}
+
+/// Append `n` in decimal exactly as `i64`'s `Display` writes it, without
+/// the formatting machinery.
+fn push_int(out: &mut String, n: i64) {
+    // `u64::MAX` has 20 digits; `i64::MIN`'s magnitude has 19.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Whether each entry of the text dictionary a column holds needs quoting
+/// in comma-separated output, decided once per entry and kept while the
+/// column's chunks share that dictionary.
+#[derive(Default)]
+struct QuoteMemo {
+    dict: Option<Rc<TextDict>>,
+    /// Each entry's quoting once its first row decided it; empty when no
+    /// entry needs quotes.
+    quoted: Vec<Option<bool>>,
+}
+
+impl QuoteMemo {
+    /// Follow `dict` for a chunk of `rows` rows: start over unless it is
+    /// the dictionary followed.
+    fn track(&mut self, dict: &Rc<TextDict>, rows: usize) {
+        if self.dict.as_ref().is_some_and(|d| Rc::ptr_eq(d, dict)) {
+            return;
+        }
+        self.dict = Some(Rc::clone(dict));
+        self.quoted.clear();
+        // A dictionary no larger than the chunk is checked whole, in one
+        // scan of its bytes, for no more than checking its rows would cost;
+        // most need no quotes at all. A larger one is checked entry by
+        // entry as rows reach them.
+        if dict.len() > rows || needs_quotes(dict.joined(), ',') {
+            self.quoted.resize(dict.len(), None);
+        }
+    }
+
+    /// Append entry `code` of the tracked dictionary as a field, quoted if
+    /// it needs to be.
+    fn push(&mut self, out: &mut String, dict: &TextDict, code: u32) {
+        let s = dict.get(code);
+        let quote = self
+            .quoted
+            .get_mut(code as usize)
+            .is_some_and(|q| *q.get_or_insert_with(|| needs_quotes(s, ',')));
+        if quote {
+            push_quoted(out, s);
+        } else {
+            out.push_str(s);
+        }
+    }
 }
 
 /// Row `row` of a list column as `Value::Array`'s `Display` writes it
@@ -450,18 +528,27 @@ fn push_header(out: &mut String, columns: &[String], delimiter: char) {
 /// break (`\n` or `\r` — [`read_csv_str`] drops an unquoted `\r`), with
 /// inner quotes doubled (RFC 4180).
 fn push_field(out: &mut String, s: &str, delimiter: char) {
+    if needs_quotes(s, delimiter) {
+        push_quoted(out, s);
+    } else {
+        out.push_str(s);
+    }
+}
+
+/// True when `s` holds the delimiter, a quote or a line break.
+fn needs_quotes(s: &str, delimiter: char) -> bool {
     let special = |c: char| c == delimiter || matches!(c, '"' | '\n' | '\r');
     // An ASCII delimiter never matches inside a multi-byte character, so
     // the common case scans bytes.
-    let quote = if delimiter.is_ascii() {
+    if delimiter.is_ascii() {
         s.bytes().any(|b| special(b as char))
     } else {
         s.contains(special)
-    };
-    if !quote {
-        out.push_str(s);
-        return;
     }
+}
+
+/// Append `s` in quotes, its inner quotes doubled.
+fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     for (i, part) in s.split('"').enumerate() {
         if i > 0 {
@@ -585,6 +672,17 @@ mod tests {
             Value::Null,
             Value::Int(i64::MIN),
             Value::Int(i64::MAX),
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(9),
+            Value::Int(10),
+            Value::Int(-10),
+            Value::Int(99),
+            Value::Int(-100),
+            Value::Null,
+            Value::Int(1_234_567_890_123),
+            Value::Int(i64::MIN + 1),
+            Value::Int(i64::MAX - 1),
         ]);
         let floats = column(&[
             Value::Float(-0.5),
@@ -666,6 +764,55 @@ mod tests {
         assert_eq!(
             same_bytes(&["s"], &column(&[Value::text(""), Value::Null]), 1024),
             "s\n\n\n"
+        );
+        // A dictionary whose entries repeat, some needing quotes: each
+        // entry's quoting is decided once and reused, also across a chunk
+        // boundary that brings a new dictionary.
+        let entries = ["plain", "a,b", "say \"x\"", "", "two\nlines", "héllo"];
+        let repeated: Vec<Value> = (0..40)
+            .map(|i| match i % 7 {
+                6 => Value::Null,
+                k => Value::text(entries[k % entries.len()]),
+            })
+            .collect();
+        let repeated = column(&repeated);
+        same_bytes(&["r"], &repeated, 1024);
+        same_bytes(&["r"], &repeated, 9);
+    }
+
+    #[test]
+    fn chunk_encoder_matches_on_a_dictionary_shared_across_chunks() {
+        // Three text columns, each one dictionary over three chunks: four
+        // entries of which three need quotes; over 2 000 distinct entries,
+        // more than a chunk holds, one in seven quoted; three entries, none
+        // quoted.
+        let entries = ["plain", "\"a,b\"", "\"say \"\"x\"\"\"", "\"two\nlines\""];
+        let mut csv = String::from("n,s,u,p\n");
+        for i in 0..2 * BATCH_ROWS + 5 {
+            let cell = if i % 5 == 4 { "" } else { entries[i % 4] };
+            let distinct = if i % 7 == 3 {
+                format!("\"u,{i}\"")
+            } else {
+                format!("u{i}")
+            };
+            let n = i as i64 - 1000;
+            csv.push_str(&format!("{n},{cell},{distinct},p{}\n", i % 3));
+        }
+        let table = read_csv_str(&csv, &CsvOptions::default()).unwrap();
+        assert_eq!(table.chunks.len(), 3);
+        for c in 1..4 {
+            let dict = |chunk: &ColumnChunk| match chunk.column(c).data() {
+                ColumnData::Text { dict, .. } => Rc::clone(dict),
+                other => panic!("{other:?}"),
+            };
+            assert!(Rc::ptr_eq(&dict(&table.chunks[0]), &dict(&table.chunks[2])));
+        }
+        let rows: Vec<Vec<Value>> = table.chunks.iter().flat_map(|c| c.to_rows()).collect();
+        let text = write_chunks(&table.columns, &table.chunks);
+        assert_eq!(text, write_csv(&table.columns, &rows, ','));
+        assert!(
+            text.starts_with("n,s,u,p\n-1000,plain,u0,p0\n-999,\"a,b\",u1,p1\n"),
+            "{text:.60}"
         );
     }
 

@@ -236,13 +236,7 @@ pub(crate) fn eval_col(
             }
         }
         BExpr::Lit(v) => Evaluated::Scalar(v.clone()),
-        // Parameters are substituted for literals before execution
-        // (`PlanRoot::bind_params`); reaching one here is an engine bug.
-        BExpr::Param(n) => {
-            return Err(SqlError::exec(format!(
-                "unbound parameter ${n} reached the columnar executor"
-            )))
-        }
+        BExpr::Param(n) => Evaluated::Scalar(ctx.param(*n)?.clone()),
         BExpr::Binary { op, left, right } => match op {
             BinaryOp::And | BinaryOp::Or => {
                 // The value that decides the answer on its own: FALSE for
@@ -399,7 +393,10 @@ pub(crate) fn eval_col(
             list,
             negated,
         } => {
-            if !list.iter().all(|item| matches!(item, BExpr::Lit(_))) {
+            if !list
+                .iter()
+                .all(|item| matches!(item, BExpr::Lit(_) | BExpr::Param(_)))
+            {
                 // Non-literal candidates: defer to the row engine per row so
                 // lazy evaluation order (and its errors) match exactly.
                 return eval_rowwise(
@@ -416,10 +413,11 @@ pub(crate) fn eval_col(
             let lits: Vec<&Value> = list
                 .iter()
                 .map(|item| match item {
-                    BExpr::Lit(v) => v,
+                    BExpr::Lit(v) => Ok(v),
+                    BExpr::Param(n) => ctx.param(*n),
                     _ => unreachable!("checked above"),
                 })
-                .collect();
+                .collect::<Result<_>>()?;
             let saw_null = lits.iter().any(|c| c.is_null());
             let answer = |found: bool| match (found, saw_null) {
                 (true, _) => Some(!negated),

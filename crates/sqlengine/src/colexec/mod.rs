@@ -310,8 +310,9 @@ fn unnest_chunk(chunk: &ColumnChunk, column: usize) -> ColumnChunk {
     ColumnChunk::new(cols, parents.len())
 }
 
-/// Scan a stored heap: each sealed chunk's projected columns are shared
-/// (`Rc`), not copied; only the ctid column and the tail are built.
+/// Scan a stored heap: the projected columns of each sealed chunk and of
+/// the heap's cached tail chunk are shared (`Rc`), not copied; only the
+/// ctid column is built.
 fn exec_scan(
     source: &ScanSource,
     projection: &[usize],
@@ -319,10 +320,8 @@ fn exec_scan(
 ) -> Result<Vec<ColumnChunk>> {
     ctx.scan_heap(source, |heap| {
         let mut out = Vec::with_capacity(heap.sealed().len() + 1);
-        let tail =
-            (!heap.tail().is_empty()).then(|| ColumnChunk::from_rows(heap.tail(), heap.width()));
         let mut start = 0;
-        for chunk in heap.sealed().iter().chain(&tail) {
+        for chunk in heap.sealed().iter().chain(heap.tail_chunk()) {
             let end = start + chunk.len();
             let cols = projection
                 .iter()

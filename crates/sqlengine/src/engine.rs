@@ -899,9 +899,10 @@ impl Engine {
     /// Execute a bound plan to batches with its `$n` placeholders bound to
     /// `params` (1-based: `$1` takes `params[0]`), folding its counters and
     /// trace phase into the engine's. With `profiled` the run also returns
-    /// its per-operator [`QueryProfile`]. Every SELECT passes here, so this
-    /// is where a parameter count that does not match the statement is
-    /// refused: no executor ever sees a `$n`.
+    /// its per-operator [`QueryProfile`]. The cached plan runs as it is,
+    /// reading each `$n` from the context's `params`. Every SELECT passes
+    /// here, so this is where a parameter count that does not match the
+    /// statement is refused.
     fn execute_bound(
         &mut self,
         root: &PlanRoot,
@@ -916,14 +917,8 @@ impl Engine {
                 params.len()
             )));
         }
-        let bound;
-        let root = if params.is_empty() {
-            root
-        } else {
-            bound = root.bind_params(params);
-            &bound
-        };
         let mut ctx = ExecContext::new(&self.catalog, &self.profile, root);
+        ctx.set_params(params);
         if profiled {
             ctx.enable_profiling();
         }
@@ -1126,20 +1121,16 @@ impl Engine {
             .table_mut(table)
             .ok_or_else(|| SqlError::catalog(format!("unknown table '{table}'")))?;
         let width = table_ref.columns.len();
-        let first_new_row = table_ref.heap.len();
-        let saved_serials = table_ref.serial_next.clone();
-        let mut count = 0usize;
-        for row in evaluated {
-            let full_row = match columns {
-                None => {
-                    if row.len() != width {
-                        return Err(SqlError::exec(format!(
-                            "INSERT arity {} vs table arity {width}",
-                            row.len()
-                        )));
-                    }
-                    row
-                }
+        // Every row is checked before the first is appended, so a statement
+        // that fails leaves the table as it was.
+        let full_rows = evaluated
+            .into_iter()
+            .map(|row| match columns {
+                None if row.len() != width => Err(SqlError::exec(format!(
+                    "INSERT arity {} vs table arity {width}",
+                    row.len()
+                ))),
+                None => Ok(row),
                 Some(cols) => {
                     let mut full = vec![Value::Null; width];
                     for (c, v) in cols.iter().zip(row) {
@@ -1148,11 +1139,15 @@ impl Engine {
                         })?;
                         full[idx] = v;
                     }
-                    full
+                    Ok(full)
                 }
-            };
-            table_ref.append(full_row)?;
-            count += 1;
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let first_new_row = table_ref.heap.len();
+        let saved_serials = table_ref.serial_next.clone();
+        let count = full_rows.len();
+        for row in full_rows {
+            table_ref.append(row)?;
         }
         // Log the rows as stored (post serial-fill/coercion) so replay
         // reproduces the exact in-memory state, ctids included.
@@ -2109,6 +2104,93 @@ mod tests {
         let r = e.query("SELECT count(*) AS n FROM t").unwrap();
         assert_eq!(r.rows[0][0], Value::Int(3));
         assert!(e.storage_stats().is_some());
+    }
+
+    fn count_of(e: &mut Engine, table: &str) -> Value {
+        e.query(&format!("SELECT count(*) FROM {table}"))
+            .unwrap()
+            .rows[0][0]
+            .clone()
+    }
+
+    #[test]
+    fn a_failed_multi_row_insert_appends_nothing() {
+        let mut e = engine();
+        e.execute("CREATE TABLE t (a int, b int)").unwrap();
+        let err = e.execute("INSERT INTO t VALUES (1, 2), (3)").unwrap_err();
+        assert!(
+            err.to_string().contains("INSERT arity 1 vs table arity 2"),
+            "{err}"
+        );
+        let err = e.execute("INSERT INTO t (a, z) VALUES (1, 2)").unwrap_err();
+        assert!(err.to_string().contains("unknown column 'z'"), "{err}");
+        assert_eq!(count_of(&mut e, "t"), Value::Int(0));
+        // A serial column does not advance either.
+        e.execute("CREATE TABLE s (id serial, a int)").unwrap();
+        assert!(e
+            .execute("INSERT INTO s VALUES (NULL, 1), (NULL, 2), (3)")
+            .is_err());
+        e.execute("INSERT INTO s (a) VALUES (5)").unwrap();
+        assert_eq!(
+            e.query("SELECT id FROM s").unwrap().rows,
+            vec![vec![Value::Int(1)]]
+        );
+    }
+
+    #[test]
+    fn a_failed_multi_row_insert_is_not_logged() {
+        let dir = durable_dir("atomic-insert");
+        {
+            let mut e =
+                Engine::open_durable(EngineProfile::in_memory(), &dir, FsyncPolicy::Off).unwrap();
+            e.execute("CREATE TABLE t (a int, b int)").unwrap();
+            assert!(e.execute("INSERT INTO t VALUES (1, 2), (3)").is_err());
+            assert_eq!(count_of(&mut e, "t"), Value::Int(0));
+        }
+        let mut e =
+            Engine::open_durable(EngineProfile::in_memory(), &dir, FsyncPolicy::Off).unwrap();
+        assert_eq!(count_of(&mut e, "t"), Value::Int(0));
+        e.execute("INSERT INTO t VALUES (1, 2)").unwrap();
+        assert_eq!(count_of(&mut e, "t"), Value::Int(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn i64_min_reads_as_a_literal_and_a_parameter() {
+        let mut e = engine();
+        let min = Value::Int(i64::MIN);
+        let r = e
+            .query("SELECT -9223372036854775808, -9223372036854775808::text")
+            .unwrap();
+        assert_eq!(
+            r.rows,
+            vec![vec![min.clone(), Value::text("-9223372036854775808")]]
+        );
+        e.execute("CREATE TABLE m (a int)").unwrap();
+        e.execute("INSERT INTO m VALUES (-9223372036854775808), (9223372036854775807), (-1)")
+            .unwrap();
+        let r = e
+            .query("SELECT a FROM m WHERE a = -9223372036854775808")
+            .unwrap();
+        assert_eq!(r.rows, vec![vec![min.clone()]]);
+        e.prepare("byval", "SELECT a FROM m WHERE a = $1").unwrap();
+        let params = crate::parse_param_values("-9223372036854775808").unwrap();
+        assert_eq!(params, vec![min.clone()]);
+        let r = e.execute_prepared_with("byval", &params).unwrap();
+        assert_eq!(r.into_relation().rows, vec![vec![min]]);
+        // The magnitude alone is out of `int8` range, as before.
+        let bad = "bad numeric literal 9223372036854775808";
+        for sql in [
+            "SELECT 9223372036854775808",
+            "SELECT 1 - 9223372036854775808",
+            "INSERT INTO m VALUES (9223372036854775808)",
+        ] {
+            let err = e.execute(sql).unwrap_err().to_string();
+            assert!(err.contains(bad), "{sql}: {err}");
+        }
+        let err = crate::parse_param_values("9223372036854775808").unwrap_err();
+        assert!(err.to_string().contains(bad), "{err}");
+        assert!(e.execute("SELECT -9223372036854775809").is_err());
     }
 
     #[test]

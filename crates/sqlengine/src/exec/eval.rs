@@ -14,12 +14,7 @@ pub fn eval(expr: &BExpr, row: &[Value], ctx: &ExecContext<'_>) -> Result<Value>
             .cloned()
             .ok_or_else(|| SqlError::exec(format!("column index {i} out of range")))?,
         BExpr::Lit(v) => v.clone(),
-        // Substituted away by `PlanRoot::bind_params` before execution.
-        BExpr::Param(n) => {
-            return Err(SqlError::exec(format!(
-                "unbound parameter ${n} reached the executor"
-            )))
-        }
+        BExpr::Param(n) => ctx.param(*n)?.clone(),
         BExpr::Binary { op, left, right } => {
             // Short-circuitable three-valued AND/OR.
             match op {

@@ -1,8 +1,9 @@
 //! Shared execution state, aggregate semantics, and the row-at-a-time
 //! reference interpreter.
 //!
-//! [`ExecContext`] carries one query's catalog, cost profile, CTE results,
-//! scalar-subquery values, counters, profiles and cancellation budget for
+//! [`ExecContext`] carries one query's catalog, cost profile, `$n`
+//! parameter values, CTE results, scalar-subquery values, counters,
+//! profiles and cancellation budget for
 //! the engine's one executor ([`crate::colexec`]). [`Acc`] and
 //! [`eval::eval`] are the single definition of aggregate and scalar
 //! semantics; the vectorized kernels defer to them.
@@ -99,6 +100,9 @@ pub struct ExecContext<'a> {
     pub profile: &'a EngineProfile,
     /// The bound query (CTE and subplan tables).
     pub root: &'a PlanRoot,
+    /// The values of the plan's `$n` placeholders (`$1` is `params[0]`),
+    /// read wherever a [`BExpr::Param`] is evaluated.
+    params: &'a [Value],
     /// Materialized CTE results, filled in order before the body runs.
     cte_results: RefCell<Vec<Option<Rc<Heap>>>>,
     /// Lazily evaluated scalar subquery values.
@@ -123,6 +127,7 @@ impl<'a> ExecContext<'a> {
             catalog,
             profile,
             root,
+            params: &[],
             cte_results: RefCell::new(vec![None; root.ctes.len()]),
             subplan_cache: RefCell::new(vec![None; root.subplans.len()]),
             stats: RefCell::new(ExecStats::default()),
@@ -130,6 +135,20 @@ impl<'a> ExecContext<'a> {
             deadline: None,
             ticked: Cell::new(0),
         }
+    }
+
+    /// Bind the plan's `$n` placeholders to `params` (`$1` takes
+    /// `params[0]`). The caller checks the count against
+    /// [`PlanRoot::params`].
+    pub(crate) fn set_params(&mut self, params: &'a [Value]) {
+        self.params = params;
+    }
+
+    /// The value of placeholder `$n`.
+    pub(crate) fn param(&self, n: usize) -> Result<&Value> {
+        n.checked_sub(1)
+            .and_then(|i| self.params.get(i))
+            .ok_or_else(|| SqlError::exec(format!("parameter ${n} has no value")))
     }
 
     /// Arm cooperative cancellation: operators abort with

@@ -1,7 +1,7 @@
 //! SQL lexer.
 
 use crate::error::{Result, SqlError};
-use crate::token::{Tok, Token};
+use crate::token::{Tok, Token, MIN_INT_MAGNITUDE};
 use etypes::Value;
 
 /// Tokenize SQL text. Also returns the char offset of every `;` token: the
@@ -84,16 +84,14 @@ pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<usize>)> {
                     }
                 }
                 let text: String = chars[start..pos].iter().collect();
-                let value = if is_float {
-                    Value::Float(text.parse().map_err(|_| {
-                        SqlError::parse(line, format!("bad numeric literal {text}"))
-                    })?)
+                let bad = || SqlError::parse(line, format!("bad numeric literal {text}"));
+                push!(if is_float {
+                    Tok::Literal(Value::Float(text.parse().map_err(|_| bad())?))
+                } else if text == MIN_INT_MAGNITUDE {
+                    Tok::MinIntMagnitude
                 } else {
-                    Value::Int(text.parse().map_err(|_| {
-                        SqlError::parse(line, format!("bad numeric literal {text}"))
-                    })?)
-                };
-                push!(Tok::Literal(value));
+                    Tok::Literal(Value::Int(text.parse().map_err(|_| bad())?))
+                });
             }
             '$' if chars.get(pos + 1).is_some_and(|c| c.is_ascii_digit()) => {
                 pos += 1;

@@ -3,7 +3,7 @@
 use crate::ast::*;
 use crate::error::{Result, SqlError};
 use crate::lexer::tokenize;
-use crate::token::{Tok, Token};
+use crate::token::{Tok, Token, MIN_INT_MAGNITUDE};
 use etypes::{DataType, Value};
 
 /// Parse a script of one or more `;`-separated statements.
@@ -58,31 +58,27 @@ pub fn parse_param_values(text: &str) -> Result<Vec<Value>> {
             i += 1;
         }
         let line = tokens[i].line;
-        let v = match &tokens[i].kind {
-            Tok::Literal(v) => v.clone(),
-            Tok::Word(w) if !negated && w == "null" => Value::Null,
-            Tok::Word(w) if !negated && w == "true" => Value::Bool(true),
-            Tok::Word(w) if !negated && w == "false" => Value::Bool(false),
-            other => {
+        let v = match (&tokens[i].kind, negated) {
+            (Tok::Literal(Value::Int(n)), true) => Value::Int(-n),
+            (Tok::Literal(Value::Float(f)), true) => Value::Float(-f),
+            (Tok::Literal(other), true) => {
+                return Err(SqlError::parse(
+                    line,
+                    format!("cannot negate parameter value {}", other.sql_literal()),
+                ))
+            }
+            (Tok::Literal(v), false) => v.clone(),
+            (Tok::MinIntMagnitude, true) => Value::Int(i64::MIN),
+            (Tok::MinIntMagnitude, false) => return Err(bad_min_int_magnitude(line)),
+            (Tok::Word(w), false) if w == "null" => Value::Null,
+            (Tok::Word(w), false) if w == "true" => Value::Bool(true),
+            (Tok::Word(w), false) if w == "false" => Value::Bool(false),
+            (other, _) => {
                 return Err(SqlError::parse(
                     line,
                     format!("expected a literal parameter value, found '{other}'"),
                 ))
             }
-        };
-        let v = if negated {
-            match v {
-                Value::Int(n) => Value::Int(-n),
-                Value::Float(f) => Value::Float(-f),
-                other => {
-                    return Err(SqlError::parse(
-                        line,
-                        format!("cannot negate parameter value {}", other.sql_literal()),
-                    ))
-                }
-            }
-        } else {
-            v
         };
         vals.push(v);
         i += 1;
@@ -98,6 +94,12 @@ pub fn parse_param_values(text: &str) -> Result<Vec<Value>> {
         }
     }
     Ok(vals)
+}
+
+/// The error for [`Tok::MinIntMagnitude`] without a minus before it: the
+/// one the lexer gives any integer literal out of `i64` range.
+fn bad_min_int_magnitude(line: usize) -> SqlError {
+    SqlError::parse(line, format!("bad numeric literal {MIN_INT_MAGNITUDE}"))
 }
 
 struct Parser {
@@ -806,6 +808,9 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr> {
         if self.eat(&Tok::Minus) {
+            if self.eat(&Tok::MinIntMagnitude) {
+                return self.casts(Expr::Literal(Value::Int(i64::MIN)));
+            }
             let operand = self.unary()?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Neg,
@@ -819,7 +824,12 @@ impl Parser {
     }
 
     fn postfix(&mut self) -> Result<Expr> {
-        let mut expr = self.primary()?;
+        let expr = self.primary()?;
+        self.casts(expr)
+    }
+
+    /// `expr` under the `::type` casts that follow it.
+    fn casts(&mut self, mut expr: Expr) -> Result<Expr> {
         while self.eat(&Tok::DoubleColon) {
             let ty = self.data_type()?;
             expr = Expr::Cast {
@@ -861,6 +871,7 @@ impl Parser {
                 }
                 Ok(Expr::col(name))
             }
+            Tok::MinIntMagnitude => Err(bad_min_int_magnitude(self.line())),
             other => Err(SqlError::parse(
                 self.line(),
                 format!("unexpected token {other} in expression"),

@@ -85,9 +85,10 @@ pub enum BExpr {
     Col(usize),
     /// Literal.
     Lit(Value),
-    /// Positional parameter `$n` (1-based). Substituted for a [`BExpr::Lit`]
-    /// by [`PlanRoot::bind_params`] before execution — the executors never
-    /// see this variant at runtime.
+    /// Positional parameter `$n` (1-based). A cached plan keeps it: each
+    /// run reads its value from the run's parameters (`ExecContext::param`)
+    /// and evaluates it as the scalar a [`BExpr::Lit`] of that value would
+    /// be.
     Param(usize),
     /// Binary operator with SQL three-valued semantics.
     Binary {
@@ -215,41 +216,6 @@ impl BExpr {
                 }
             }
             BExpr::IsNull { expr, .. } => expr.remap_columns(map),
-        }
-    }
-
-    /// Visit every sub-expression (including `self`), depth-first.
-    pub fn for_each_mut(&mut self, f: &mut dyn FnMut(&mut BExpr)) {
-        f(self);
-        match self {
-            BExpr::Col(_) | BExpr::Lit(_) | BExpr::Param(_) | BExpr::Subplan(_) => {}
-            BExpr::Binary { left, right, .. } => {
-                left.for_each_mut(f);
-                right.for_each_mut(f);
-            }
-            BExpr::Unary { operand, .. } => operand.for_each_mut(f),
-            BExpr::Func { args, .. } => {
-                for a in args {
-                    a.for_each_mut(f);
-                }
-            }
-            BExpr::Case { whens, else_expr } => {
-                for (c, v) in whens {
-                    c.for_each_mut(f);
-                    v.for_each_mut(f);
-                }
-                if let Some(e) = else_expr {
-                    e.for_each_mut(f);
-                }
-            }
-            BExpr::Cast { expr, .. } => expr.for_each_mut(f),
-            BExpr::InList { expr, list, .. } => {
-                expr.for_each_mut(f);
-                for e in list {
-                    e.for_each_mut(f);
-                }
-            }
-            BExpr::IsNull { expr, .. } => expr.for_each_mut(f),
         }
     }
 }
@@ -454,67 +420,6 @@ impl PlanNode {
     }
 }
 
-impl PlanNode {
-    /// Visit every expression in this subtree (own exprs, then inputs).
-    pub fn for_each_expr_mut(&mut self, f: &mut dyn FnMut(&mut BExpr)) {
-        match self {
-            PlanNode::Scan { .. } | PlanNode::Values { .. } => {}
-            PlanNode::Filter { input, predicate } => {
-                predicate.for_each_mut(f);
-                input.for_each_expr_mut(f);
-            }
-            PlanNode::Project { input, exprs, .. } => {
-                for e in exprs {
-                    e.for_each_mut(f);
-                }
-                input.for_each_expr_mut(f);
-            }
-            PlanNode::Join {
-                left,
-                right,
-                equi,
-                residual,
-                ..
-            } => {
-                for k in equi {
-                    k.left.for_each_mut(f);
-                    k.right.for_each_mut(f);
-                }
-                if let Some(r) = residual {
-                    r.for_each_mut(f);
-                }
-                left.for_each_expr_mut(f);
-                right.for_each_expr_mut(f);
-            }
-            PlanNode::Aggregate {
-                input,
-                group_exprs,
-                aggs,
-                ..
-            } => {
-                for e in group_exprs {
-                    e.for_each_mut(f);
-                }
-                for a in aggs {
-                    if let Some(arg) = &mut a.arg {
-                        arg.for_each_mut(f);
-                    }
-                }
-                input.for_each_expr_mut(f);
-            }
-            PlanNode::Sort { input, keys } | PlanNode::WindowRowNumber { input, keys, .. } => {
-                for (e, _) in keys {
-                    e.for_each_mut(f);
-                }
-                input.for_each_expr_mut(f);
-            }
-            PlanNode::Limit { input, .. }
-            | PlanNode::Distinct { input }
-            | PlanNode::Unnest { input, .. } => input.for_each_expr_mut(f),
-        }
-    }
-}
-
 /// One materialized CTE: its bound plan plus its public schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundCte {
@@ -555,30 +460,5 @@ impl PlanRoot {
             params: 0,
             reads: Vec::new(),
         }
-    }
-
-    /// Visit every expression in the whole plan (CTEs, subplans, body).
-    pub fn for_each_expr_mut(&mut self, f: &mut dyn FnMut(&mut BExpr)) {
-        for cte in &mut self.ctes {
-            cte.plan.for_each_expr_mut(f);
-        }
-        for sp in &mut self.subplans {
-            sp.for_each_expr_mut(f);
-        }
-        self.body.for_each_expr_mut(f);
-    }
-
-    /// A copy of this plan with every `Param(n)` replaced by the literal
-    /// `params[n-1]`. Callers validate the parameter count first; an
-    /// out-of-range reference degrades to NULL rather than panicking.
-    pub fn bind_params(&self, params: &[Value]) -> PlanRoot {
-        let mut bound = self.clone();
-        bound.for_each_expr_mut(&mut |e| {
-            if let BExpr::Param(n) = e {
-                let v = params.get(*n - 1).cloned().unwrap_or(Value::Null);
-                *e = BExpr::Lit(v);
-            }
-        });
-        bound
     }
 }

@@ -5,6 +5,7 @@
 use crate::colexec::BATCH_ROWS;
 use crate::error::{Result, SqlError};
 use etypes::{Column, ColumnChunk, ColumnData, DataType, Value};
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 /// One tuple.
@@ -181,15 +182,22 @@ impl ResultSet {
 /// column keeps the one dictionary its parser built; a base table's chunks
 /// are therefore full except where a load began or ended. Materialized
 /// views and CTEs are sealed whole when created and keep the chunks the
-/// executor produced as they are. Scans share the sealed chunks' columns
-/// (`Rc`) and build only the tail; the row engine reads the same chunks
-/// through its scan's row cursor.
+/// executor produced as they are.
+///
+/// Scans share the sealed chunks' columns (`Rc`), and the tail's too: the
+/// first scan after the tail changed transposes it once into a cached
+/// chunk (`Heap::tail_chunk`), which every later scan shares until a
+/// `push`, `seal` or `truncate` drops it. The row tail itself stays the
+/// stored form, because the row engine, an append's WAL record
+/// ([`Heap::rows_from`]) and a snapshot read rows.
 #[derive(Debug, Clone, Default)]
 pub struct Heap {
     width: usize,
     sealed: Vec<ColumnChunk>,
     sealed_rows: usize,
     tail: Vec<Row>,
+    /// `tail` transposed, built by the first scan after it last changed.
+    tail_chunk: OnceCell<ColumnChunk>,
 }
 
 impl Heap {
@@ -215,10 +223,7 @@ impl Heap {
     pub(crate) fn seal(&mut self, chunks: impl IntoIterator<Item = ColumnChunk>) {
         let mut chunks = chunks.into_iter().filter(|c| !c.is_empty()).peekable();
         if chunks.peek().is_some() && !self.tail.is_empty() {
-            self.sealed
-                .push(ColumnChunk::from_rows(&self.tail, self.width));
-            self.sealed_rows += self.tail.len();
-            self.tail.clear();
+            self.seal_tail();
         }
         for chunk in chunks {
             debug_assert_eq!(chunk.width(), self.width);
@@ -261,15 +266,38 @@ impl Heap {
         &self.tail
     }
 
+    /// The tail as one chunk (`None` when it is empty): transposed by the
+    /// first call after the tail last changed and shared by every later
+    /// one.
+    pub(crate) fn tail_chunk(&self) -> Option<&ColumnChunk> {
+        if self.tail.is_empty() {
+            return None;
+        }
+        Some(
+            self.tail_chunk
+                .get_or_init(|| ColumnChunk::from_rows(&self.tail, self.width)),
+        )
+    }
+
+    /// Move the whole tail into a sealed chunk, reusing its cached
+    /// transpose when a scan built one.
+    fn seal_tail(&mut self) {
+        let chunk = self
+            .tail_chunk
+            .take()
+            .unwrap_or_else(|| ColumnChunk::from_rows(&self.tail, self.width));
+        self.sealed_rows += self.tail.len();
+        self.sealed.push(chunk);
+        self.tail.clear();
+    }
+
     /// Append one row (arity already checked), sealing the tail when full.
     pub fn push(&mut self, row: Row) {
         debug_assert_eq!(row.len(), self.width);
+        self.tail_chunk.take();
         self.tail.push(row);
         if self.tail.len() == BATCH_ROWS {
-            self.sealed
-                .push(ColumnChunk::from_rows(&self.tail, self.width));
-            self.sealed_rows += BATCH_ROWS;
-            self.tail.clear();
+            self.seal_tail();
         }
     }
 
@@ -307,6 +335,7 @@ impl Heap {
     /// the rows, in the chunks, it held before a row append (a tail that an
     /// undone bulk load sealed stays sealed).
     pub fn truncate(&mut self, len: usize) {
+        self.tail_chunk.take();
         if len >= self.sealed_rows {
             self.tail.truncate(len - self.sealed_rows);
             return;
@@ -547,6 +576,59 @@ mod tests {
         heap.truncate(BATCH_ROWS);
         assert_eq!((heap.sealed().len(), heap.tail().len()), (1, 0));
         assert_eq!(heap.to_rows(), rows(0..BATCH_ROWS as i64));
+    }
+
+    /// The columns of the heap's current tail chunk, for `Rc::ptr_eq`.
+    fn tail_cols(heap: &Heap) -> Option<Vec<Rc<Column>>> {
+        heap.tail_chunk().map(|c| c.columns().to_vec())
+    }
+
+    fn same_cols(a: &[Rc<Column>], b: &[Rc<Column>]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Rc::ptr_eq(x, y))
+    }
+
+    #[test]
+    fn tail_chunk_is_built_once_per_change() {
+        let mut heap = Heap::new(2);
+        assert!(heap.tail_chunk().is_none(), "an empty tail has no chunk");
+        heap.extend(rows(0..5));
+        let first = tail_cols(&heap).unwrap();
+        let again = tail_cols(&heap).unwrap();
+        assert!(same_cols(&first, &again), "an unchanged tail is shared");
+        assert_eq!(heap.tail_chunk().unwrap().to_rows(), rows(0..5));
+
+        heap.push(rows(5..6).remove(0));
+        let pushed = tail_cols(&heap).unwrap();
+        assert!(!same_cols(&first, &pushed), "a push drops the chunk");
+        assert_eq!(heap.tail_chunk().unwrap().to_rows(), rows(0..6));
+
+        heap.truncate(4);
+        let cut = tail_cols(&heap).unwrap();
+        assert!(!same_cols(&pushed, &cut), "a cut drops the chunk");
+        assert_eq!(heap.tail_chunk().unwrap().to_rows(), rows(0..4));
+
+        // A bulk seal takes the tail as it is, reusing its transpose.
+        heap.seal([ColumnChunk::from_rows(&rows(4..7), 2)]);
+        assert!(heap.tail_chunk().is_none());
+        assert!(same_cols(&cut, heap.sealed()[0].columns()));
+        assert_eq!(heap.to_rows(), rows(0..7));
+
+        // Filling the tail seals it; a cut across that seal rebuilds the
+        // tail and its chunk from the unsealed rows.
+        heap.extend(rows(7..BATCH_ROWS as i64 + 14));
+        assert_eq!(heap.tail().len(), 7);
+        let full = tail_cols(&heap).unwrap();
+        heap.push(rows(0..1).remove(0));
+        assert!(heap.tail().len() == 8 && !same_cols(&full, &tail_cols(&heap).unwrap()));
+        heap.truncate(BATCH_ROWS);
+        assert_eq!(heap.tail().len(), BATCH_ROWS - 7);
+        assert_eq!(
+            heap.tail_chunk().unwrap().to_rows(),
+            rows(7..BATCH_ROWS as i64)
+        );
+        heap.truncate(7);
+        assert!(heap.tail_chunk().is_none(), "a cut to a chunk boundary");
+        assert_eq!(heap.to_rows(), rows(0..7));
     }
 
     #[test]

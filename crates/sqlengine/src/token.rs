@@ -3,6 +3,9 @@
 use etypes::Value;
 use std::fmt;
 
+/// The digits of [`Tok::MinIntMagnitude`]: `i64::MIN` without its sign.
+pub(crate) const MIN_INT_MAGNITUDE: &str = "9223372036854775808";
+
 /// A token with its 1-based source line (for error messages in multi-line
 /// generated queries).
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +28,11 @@ pub enum Tok {
     Literal(Value),
     /// Positional parameter placeholder `$1`, `$2`, ... (1-based).
     Param(usize),
+    /// The integer literal `9223372036854775808`, one past `i64::MAX`: a
+    /// value only right after a unary minus, where it reads as `i64::MIN`
+    /// (PostgreSQL's `int8` reads it so); anywhere else it is a bad
+    /// numeric literal.
+    MinIntMagnitude,
     /// Positional star `*`.
     Star,
     /// `(`
@@ -76,6 +84,7 @@ impl fmt::Display for Tok {
             Tok::QuotedIdent(w) => write!(f, "\"{w}\""),
             Tok::Literal(v) => write!(f, "{}", v.sql_literal()),
             Tok::Param(n) => write!(f, "${n}"),
+            Tok::MinIntMagnitude => write!(f, "{MIN_INT_MAGNITUDE}"),
             Tok::Star => write!(f, "*"),
             Tok::LParen => write!(f, "("),
             Tok::RParen => write!(f, ")"),

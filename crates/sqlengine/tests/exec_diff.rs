@@ -1216,3 +1216,79 @@ fn signed_zeros_compare_as_in_postgresql() {
         assert_eq!(rows, want, "{sql}");
     }
 }
+
+/// Tables loaded by INSERT keep up to 1023 rows in the heap's row tail,
+/// which scans read through its cached transpose. Around every size where
+/// the tail empties or fills, each query must answer like the reference
+/// before and after each change to the tail: a one-row INSERT, a
+/// multi-row INSERT that fails and so changes nothing, and a multi-row
+/// INSERT that seals a full tail. A prepared statement with `$1` inside an
+/// IN list and a scalar subquery must answer like the same text with the
+/// value written in.
+#[test]
+fn tail_chunk_scans_match_row_engine() {
+    let queries = [
+        "SELECT ctid, a, b, c FROM t",
+        "SELECT a, b FROM t WHERE a > 5 AND b <> 'v1'",
+        "SELECT b, count(*), sum(a), max(c) FROM t GROUP BY b",
+        "SELECT t.a, d.name, t.c FROM t JOIN d ON t.a = d.k WHERE t.c < 200",
+        "SELECT count(*), sum(a) FROM t",
+    ];
+    let prepared = "SELECT ctid, a, b FROM t \
+                    WHERE a IN ($1, 3) OR c > (SELECT max(c) FROM t WHERE a = $1) - 2";
+    for n in [0usize, 1, 63, 1023, 1024, 1025] {
+        let mut e = Engine::new(EngineProfile::in_memory());
+        e.execute("CREATE TABLE t (a int, b text, c float)")
+            .unwrap();
+        e.execute("CREATE TABLE d (k int, name text)").unwrap();
+        e.execute("INSERT INTO d VALUES (1, 'one'), (3, 'three'), (7, NULL), (7, 'seven')")
+            .unwrap();
+        let row = |i: usize| {
+            let a = if i % 11 == 10 {
+                "NULL".to_string()
+            } else {
+                (i % 13).to_string()
+            };
+            let b = match i % 7 {
+                6 => "NULL".to_string(),
+                k => format!("'v{}'", k % 4),
+            };
+            format!("({a}, {b}, {})", i as f64 / 4.0)
+        };
+        let rows: Vec<String> = (0..n).map(row).collect();
+        for batch in rows.chunks(300) {
+            e.execute(&format!("INSERT INTO t VALUES {}", batch.join(", ")))
+                .unwrap();
+        }
+        e.prepare("p", prepared).unwrap();
+        let check = |e: &mut Engine, step: &str| {
+            for sql in queries {
+                // Twice: the second scan shares the first one's tail chunk.
+                same(e, sql, &format!("{n} rows, {step}"));
+                same(e, sql, &format!("{n} rows, {step}, again"));
+            }
+            for k in [3i64, 7, 12] {
+                let executed = render(
+                    e.execute_prepared_with("p", &[etypes::Value::Int(k)])
+                        .map(|r| r.into_relation()),
+                );
+                let literal = prepared.replace("$1", &k.to_string());
+                let reference = render(e.query_reference(&literal));
+                assert_eq!(executed, reference, "{n} rows, {step}: EXECUTE p ({k})");
+            }
+        };
+        check(&mut e, "loaded");
+        e.execute(&format!("INSERT INTO t VALUES {}", row(n)))
+            .unwrap();
+        check(&mut e, "one more row");
+        let before = render(e.query("SELECT count(*) FROM t"));
+        let failed = format!("INSERT INTO t VALUES {}, {}, (1)", row(n + 1), row(n + 2));
+        assert!(e.execute(&failed).is_err(), "{failed}");
+        assert_eq!(render(e.query("SELECT count(*) FROM t")), before);
+        check(&mut e, "failed insert");
+        let more: Vec<String> = (n + 1..n + 1 + 1030).map(row).collect();
+        e.execute(&format!("INSERT INTO t VALUES {}", more.join(", ")))
+            .unwrap();
+        check(&mut e, "a full tail sealed");
+    }
+}

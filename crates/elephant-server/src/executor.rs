@@ -44,6 +44,7 @@ use crate::shard::ShardStats;
 use etypes::{next_span_id, SharedSpanRing, SpanKind, SpanRecord, TraceContext};
 use mlinspect::backends::pandas::FileRegistry;
 use mlinspect::SqlMode;
+use sqlengine::ast::Statement;
 use sqlengine::{
     Engine, EngineProfile, FsyncPolicy, Phase, ResultSet, SqlError, TableImage, WalHandle,
 };
@@ -59,6 +60,13 @@ use std::time::{Duration, Instant};
 /// What the executor sends back: a response body, or an error code + message.
 pub(crate) type Reply = Result<String, (&'static str, String)>;
 
+/// The statements the shard router already parsed out of a command's SQL,
+/// one entry per text: one for a `QUERY`, one per statement for a `BATCH`.
+/// An entry is `None`, or the list is shorter, where the router did not
+/// parse that text (one shard, a text it could not parse, other verbs);
+/// the engine parses those itself.
+pub(crate) type Parsed = Vec<Option<Vec<Statement>>>;
+
 /// One unit of work for the executor thread.
 pub(crate) enum Job {
     /// A client command; the result goes back on `reply`.
@@ -67,6 +75,8 @@ pub(crate) enum Job {
         session: u64,
         /// The parsed command.
         command: Command,
+        /// The statements of its SQL, where the router parsed them.
+        parsed: Parsed,
         /// The gather leg of a cross-shard read: tables exported by the
         /// other involved shards, installed for the command and removed
         /// again before it answers.
@@ -315,6 +325,7 @@ pub(crate) fn spawn(
                         Job::Command {
                             session,
                             command,
+                            parsed,
                             images,
                             reply,
                             ctx,
@@ -340,11 +351,11 @@ pub(crate) fn spawn(
                             let result = match images {
                                 Some(images) => {
                                     let (result, install_us) =
-                                        state.gather(session, command, images);
+                                        state.gather(session, command, parsed, images);
                                     trace.install_us = Some(install_us);
                                     result
                                 }
-                                None => state.dispatch(session, command),
+                                None => state.dispatch(session, command, parsed),
                             };
                             state.collect_phases(&mut trace);
                             // A gather is read-only, so it never grows the
@@ -673,10 +684,14 @@ impl ExecutorState {
             .collect()
     }
 
-    fn dispatch(&mut self, session: u64, command: Command) -> Reply {
+    fn dispatch(&mut self, session: u64, command: Command, parsed: Parsed) -> Reply {
+        let mut parsed = parsed.into_iter();
         match command {
             Command::Query(sql) => {
-                let out = self.engine.execute(&sql).map_err(|e| self.classify(e))?;
+                let out = self
+                    .engine
+                    .execute_parsed(&sql, parsed.next().flatten())
+                    .map_err(|e| self.classify(e))?;
                 Ok(self.render(out.result, out.rows_affected))
             }
             Command::Prepare { name, sql } => {
@@ -716,7 +731,7 @@ impl ExecutorState {
                 let total = stmts.len();
                 let mut bodies = Vec::with_capacity(total);
                 for (i, sql) in stmts.iter().enumerate() {
-                    let body = match self.engine.execute(sql) {
+                    let body = match self.engine.execute_parsed(sql, parsed.next().flatten()) {
                         Ok(out) => self.render(out.result, out.rows_affected),
                         Err(e) => {
                             let (code, msg) = self.classify(e);
@@ -860,7 +875,13 @@ impl ExecutorState {
     /// the command against the combined catalog, then remove the images —
     /// always, even on error, so they never outlive the query. Returns the
     /// reply and the install time (µs) for the `sg-install` span.
-    fn gather(&mut self, session: u64, command: Command, images: Vec<TableImage>) -> (Reply, u64) {
+    fn gather(
+        &mut self,
+        session: u64,
+        command: Command,
+        parsed: Parsed,
+        images: Vec<TableImage>,
+    ) -> (Reply, u64) {
         let install_started = Instant::now();
         let mut installed: Vec<String> = Vec::with_capacity(images.len());
         let mut result: Reply = Ok(String::new());
@@ -879,7 +900,7 @@ impl ExecutorState {
         }
         let install_us = install_started.elapsed().as_micros() as u64;
         if result.is_ok() {
-            result = self.dispatch(session, command);
+            result = self.dispatch(session, command, parsed);
         }
         for name in &installed {
             self.engine.remove_foreign_table(name);
@@ -974,6 +995,7 @@ mod tests {
         tx.send(Job::Command {
             session,
             command: cmd,
+            parsed: Vec::new(),
             images: None,
             reply: rtx,
             // No root span: the children record as top-level spans.
@@ -1178,6 +1200,7 @@ mod tests {
         tx.send(Job::Command {
             session: 1,
             command: Command::Query("CREATE TABLE t (a int)".into()),
+            parsed: Vec::new(),
             images: None,
             reply: rtx,
             ctx,

@@ -15,8 +15,10 @@
 //! owning what it touches (names created or dropped by earlier statements
 //! of the same script or BATCH included), records each statement's
 //! ownership changes, and yields one [`Route`]. [`ShardRouter::begin`] and
-//! [`ShardRouter::submit`] consume the route and parse nothing. On one
-//! shard the planner returns before parsing. The routes, in order:
+//! [`ShardRouter::submit`] consume the route and parse nothing, and the
+//! statements the planner parsed travel to the shard with the job, so a
+//! routed `QUERY` or `BATCH` text is lexed and parsed once. On one shard
+//! the planner returns before parsing. The routes, in order:
 //!
 //! * SQL the router cannot parse falls back to shard 0, counted in
 //!   `shard_fallbacks`, where the engine produces the canonical error
@@ -81,10 +83,11 @@
 //! that `STATS` (answered here, like `TRACE`) and the `/metrics` listener
 //! both render — see [`crate::metrics`].
 
-use crate::executor::{Job, Reply};
+use crate::executor::{Job, Parsed, Reply};
 use crate::metrics::{fold_shards, render_prometheus, render_stats_text, sample, Metric, Metrics};
 use crate::protocol::{codes, Command, TraceRequest};
 use etypes::{SharedSpanRing, Span, SpanKind, SpanRecord, TraceContext};
+use sqlengine::ast::Statement;
 use sqlengine::{parse_fragments, statement_deps, TableImage, TxnDecisionLog, WalHandle};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,6 +205,8 @@ enum Change {
 struct Placed<'a> {
     /// Its source text; a two-phase-commit slice is built from these.
     sql: &'a str,
+    /// The text as parsed, handed to the shard that runs it.
+    stmts: Vec<Statement>,
     /// The shard owning what it touches (the first, when it touches
     /// several); `None` when it touches no known name.
     shard: Option<usize>,
@@ -226,19 +231,34 @@ impl SqlPlan<'_> {
         let shards: BTreeSet<usize> = self.names.values().map(|o| o.shard).collect();
         (shards.len() <= 1).then(|| shards.first().copied().unwrap_or(0))
     }
+
+    /// The whole text's statements in order, moved out of its pieces.
+    fn take_statements(&mut self) -> Vec<Statement> {
+        self.stmts
+            .iter_mut()
+            .flat_map(|p| std::mem::take(&mut p.stmts))
+            .collect()
+    }
 }
 
 /// Where one command runs on a single shard, and — when the planner made a
 /// decision worth a span of its own — the planning time in microseconds
-/// and the placement detail.
+/// and the placement detail. `parsed` holds the statements the planner
+/// parsed out of the command's SQL; they travel to the shard with the job,
+/// so the shard does not parse the text again.
 struct Placement {
     shard: usize,
     route: Option<(u64, String)>,
+    parsed: Parsed,
 }
 
 impl Placement {
     fn on(shard: usize) -> Placement {
-        Placement { shard, route: None }
+        Placement {
+            shard,
+            route: None,
+            parsed: Vec::new(),
+        }
     }
 }
 
@@ -248,6 +268,7 @@ struct GatherPlan {
     coordinator: usize,
     exports: BTreeMap<usize, Vec<String>>,
     plan_us: u64,
+    parsed: Parsed,
 }
 
 /// A cross-shard write script split per statement: each participant's
@@ -351,6 +372,7 @@ impl From<Refused> for (&'static str, String) {
 fn command_job(
     session: u64,
     command: Command,
+    parsed: Parsed,
     images: Option<Vec<TableImage>>,
     ctx: TraceContext,
     counted: bool,
@@ -359,6 +381,7 @@ fn command_job(
     let job = Job::Command {
         session,
         command,
+        parsed,
         images,
         reply,
         ctx,
@@ -533,7 +556,7 @@ impl ShardRouter {
         patient: bool,
     ) -> Result<Begun, (&'static str, String)> {
         let Planned { command, route } = planned;
-        let at = match route {
+        let mut at = match route {
             Route::Lane(at) => at,
             route => return Ok(Begun::Sync(Planned { command, route })),
         };
@@ -544,12 +567,16 @@ impl ShardRouter {
         } else {
             Duration::ZERO
         };
-        match self.launch(&at, session, command, query_id, started, wait) {
+        match self.launch(&mut at, session, command, query_id, started, wait) {
             Ok(in_flight) => Ok(Begun::InFlight(in_flight)),
             Err(Refused::Full { job, .. }) if !patient => {
-                let Job::Command { command, .. } = *job else {
+                let Job::Command {
+                    command, parsed, ..
+                } = *job
+                else {
                     unreachable!("admit hands back the job it was given")
                 };
+                at.parsed = parsed;
                 let route = Route::Lane(at);
                 Ok(Begun::Backpressure(Planned { command, route }))
             }
@@ -602,10 +629,10 @@ impl ShardRouter {
     ) -> Reply {
         match route {
             Route::Router => unreachable!("router-answered commands never run"),
-            Route::Lane(at) => self.run_traced(&at, session, command, query_id, started),
-            Route::Single { at, changes } => {
+            Route::Lane(mut at) => self.run_traced(&mut at, session, command, query_id, started),
+            Route::Single { mut at, changes } => {
                 let is_batch = matches!(command, Command::Batch(_));
-                let reply = self.run_traced(&at, session, command, query_id, started);
+                let reply = self.run_traced(&mut at, session, command, query_id, started);
                 // A mid-batch failure leaves the earlier statements applied
                 // (they are individually acknowledged); their changes must
                 // land even though the frame as a whole errored.
@@ -747,6 +774,7 @@ impl ShardRouter {
             plan.names.extend(names);
             plan.stmts.push(Placed {
                 sql: text,
+                stmts,
                 shard,
                 changes,
             });
@@ -761,13 +789,26 @@ impl ShardRouter {
         let started = Instant::now();
         let plan = self.place(sql, overlay);
         let us = started.elapsed().as_micros() as u64;
-        let Some(plan) = plan else {
+        let Some(mut plan) = plan else {
             let route = Some((us, "fallback shard=0".to_string()));
-            return Route::Lane(Placement { shard: 0, route });
+            return Route::Lane(Placement {
+                route,
+                ..Placement::on(0)
+            });
+        };
+        // EXPLAIN parses its own text on the shard.
+        let parsed = if explain {
+            Vec::new()
+        } else {
+            vec![Some(plan.take_statements())]
         };
         if let Some(shard) = plan.home() {
             let route = Some((us, format!("single shard={shard}")));
-            let at = Placement { shard, route };
+            let at = Placement {
+                shard,
+                route,
+                parsed,
+            };
             let changes: Vec<Change> = plan.stmts.into_iter().flat_map(|p| p.changes).collect();
             if changes.is_empty() {
                 return Route::Lane(at);
@@ -776,7 +817,7 @@ impl ShardRouter {
             return Route::Single { at, changes };
         }
         if !plan.any_write {
-            return self.route_gather(&plan.names, us);
+            return self.route_gather(&plan.names, us, parsed);
         }
         if explain {
             // EXPLAIN plans on one engine; a cross-shard write script has
@@ -801,6 +842,7 @@ impl ShardRouter {
             sql,
             shard,
             changes: c,
+            ..
         } in plan.stmts
         {
             let shard = shard.unwrap_or(0);
@@ -843,7 +885,7 @@ impl ShardRouter {
     /// Route a cross-shard read: the coordinator is the shard owning most
     /// of the touched names (fewest exports; ties break toward the lowest
     /// shard id), every other shard exports its tables to it.
-    fn route_gather(&self, names: &BTreeMap<String, Owner>, plan_us: u64) -> Route {
+    fn route_gather(&self, names: &BTreeMap<String, Owner>, plan_us: u64, parsed: Parsed) -> Route {
         let mut counts = vec![0usize; self.lanes.len()];
         for owner in names.values() {
             counts[owner.shard] += 1;
@@ -874,6 +916,7 @@ impl ShardRouter {
             coordinator,
             exports,
             plan_us,
+            parsed,
         })
     }
 
@@ -905,19 +948,29 @@ impl ShardRouter {
         let Some(shard) = home else {
             return Route::Split(routes);
         };
-        let changes = routes
+        // Each statement's parse (`None` where the router could not parse
+        // it) and ownership changes, in frame order.
+        let (parsed, changes) = routes
             .into_iter()
             .map(|route| match route {
-                Route::Single { changes, .. } => changes.into_iter().flatten().collect(),
-                _ => Vec::new(),
+                Route::Lane(mut at) => (at.parsed.pop().flatten(), Vec::new()),
+                Route::Single { mut at, changes } => (
+                    at.parsed.pop().flatten(),
+                    changes.into_iter().flatten().collect(),
+                ),
+                _ => unreachable!("every statement landed on one shard"),
             })
-            .collect();
+            .unzip();
         let route = Some((
             started.elapsed().as_micros() as u64,
             format!("batch single shard={shard}"),
         ));
         Route::Single {
-            at: Placement { shard, route },
+            at: Placement {
+                shard,
+                route,
+                parsed,
+            },
             changes,
         }
     }
@@ -1006,7 +1059,7 @@ impl ShardRouter {
     /// refusal is returned.
     fn launch(
         &self,
-        at: &Placement,
+        at: &mut Placement,
         session: u64,
         command: Command,
         query_id: u64,
@@ -1018,7 +1071,8 @@ impl ShardRouter {
         if let Some((us, detail)) = &at.route {
             self.record_route(shard, ctx, *us, detail);
         }
-        let (job, rx) = command_job(session, command, None, ctx, true);
+        let parsed = std::mem::take(&mut at.parsed);
+        let (job, rx) = command_job(session, command, parsed, None, ctx, true);
         match self.admit(shard, job, Admission::Client, wait) {
             Ok(()) => Ok(InFlight {
                 rx,
@@ -1037,7 +1091,7 @@ impl ShardRouter {
     /// its reply, within the bounded admission wait.
     fn run_traced(
         &self,
-        at: &Placement,
+        at: &mut Placement,
         session: u64,
         command: Command,
         query_id: u64,
@@ -1289,7 +1343,7 @@ impl ShardRouter {
         self.scatter_gathers.fetch_add(1, Ordering::Relaxed);
         // Gather: the coordinator installs the images, runs the query, and
         // removes them before answering.
-        let (job, rx) = command_job(session, command, Some(images), ctx, true);
+        let (job, rx) = command_job(session, command, plan.parsed, Some(images), ctx, true);
         self.admit(plan.coordinator, job, Admission::Client, ADMISSION_WAIT)?;
         recv(&rx)
     }
@@ -1330,7 +1384,14 @@ impl ShardRouter {
         let mut waits = Vec::with_capacity(self.lanes.len());
         for shard in 0..self.lanes.len() {
             // One client CHECKPOINT counts once, not once per shard.
-            let (job, rx) = command_job(session, Command::Checkpoint, None, ctx, shard == 0);
+            let (job, rx) = command_job(
+                session,
+                Command::Checkpoint,
+                Vec::new(),
+                None,
+                ctx,
+                shard == 0,
+            );
             self.admit(shard, job, Admission::Client, ADMISSION_WAIT)?;
             waits.push(rx);
         }

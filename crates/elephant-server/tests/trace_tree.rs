@@ -4,7 +4,7 @@
 //! group-commit fsync — retrievable over the wire with `TRACE q<id>`, with
 //! per-shard time attribution that reconciles with the root total.
 
-use elephant_server::{shard_of, start, ElephantClient, ServerConfig};
+use elephant_server::{shard_of, start, ElephantClient, PipelineClient, ServerConfig};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -418,4 +418,88 @@ fn a_capped_phase_capture_is_marked_truncated() {
     c.shutdown().unwrap();
     drop(c);
     handle.join();
+}
+
+/// The `engine-phase` names under the `shard-exec` span of the newest
+/// command whose root mentions `needle`, in order.
+fn exec_phases(c: &mut ElephantClient, needle: &str) -> Vec<String> {
+    let listing = c.trace(Some(16)).unwrap();
+    let tree = c.trace_tree(find_query_id(&listing, needle)).unwrap();
+    let spans: Vec<&str> = tree.lines().filter(|l| l.contains("span seq=")).collect();
+    let exec = spans
+        .iter()
+        .find(|l| field(l, "kind") == "shard-exec")
+        .unwrap_or_else(|| panic!("no shard-exec span:\n{tree}"));
+    spans
+        .iter()
+        .filter(|l| field(l, "kind") == "engine-phase")
+        .inspect(|l| assert_eq!(field(l, "parent"), field(exec, "id"), "{l}"))
+        .map(|l| field(l, "name").to_string())
+        .collect()
+}
+
+/// With several shards the router lexes and parses every `QUERY` and
+/// `BATCH` text to place it, and the statements travel to the shard with
+/// the job: a routed INSERT, a SELECT that misses the plan cache and each
+/// statement of a one-shard BATCH record no `lex`/`parse` phase. On one
+/// shard the router parses nothing and the shard does both; with several, a
+/// text the router cannot parse is still lexed on shard 0, which answers
+/// the parse error.
+#[test]
+fn a_routed_text_is_lexed_and_parsed_once() {
+    for shards in [1, 2] {
+        let handle = start(ServerConfig {
+            shards,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut c = ElephantClient::connect(handle.local_addr()).unwrap();
+        c.query_raw("CREATE TABLE t (a int, s text)").unwrap();
+        c.query_raw("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
+            .unwrap();
+        let body = c.query_raw("SELECT a, s FROM t WHERE a > 1").unwrap();
+        assert_eq!(body, "a,s\n2,y\n");
+        let mut p = PipelineClient::connect(handle.local_addr()).unwrap();
+        let bodies = p
+            .batch(&[
+                "INSERT INTO t VALUES (3, 'z')",
+                "SELECT count(*) AS n FROM t",
+            ])
+            .unwrap();
+        assert_eq!(bodies, ["ok 1", "n\n3\n"]);
+        drop(p);
+        let err = c.query_raw("SELEKT a FROM t").unwrap_err();
+        assert!(err.to_string().contains("parse error"), "{err}");
+
+        let front: &[&str] = match shards {
+            1 => &["lex", "parse"],
+            _ => &[],
+        };
+        let with_front = |rest: &[&str]| -> Vec<String> {
+            front.iter().chain(rest).map(|s| s.to_string()).collect()
+        };
+        let select = ["bind", "optimize", "execute", "encode"];
+        assert_eq!(
+            exec_phases(&mut c, "INSERT INTO t VALUES (1"),
+            with_front(&["execute"]),
+            "{shards} shards"
+        );
+        assert_eq!(
+            exec_phases(&mut c, "SELECT a, s FROM t"),
+            with_front(&select),
+            "{shards} shards"
+        );
+        let mut batch = with_front(&["execute"]);
+        batch.extend(with_front(&select));
+        assert_eq!(
+            exec_phases(&mut c, "2 statements"),
+            batch,
+            "{shards} shards"
+        );
+        assert_eq!(exec_phases(&mut c, "SELEKT"), ["lex"], "{shards} shards");
+
+        c.shutdown().unwrap();
+        drop(c);
+        handle.join();
+    }
 }

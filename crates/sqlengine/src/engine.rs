@@ -17,6 +17,7 @@ use elephant_store::{
     CheckpointStats, FsyncPolicy, RecoveryReport, StoreStats, TableImage, WalHandle, WalRecord,
 };
 use etypes::{Column, ColumnChunk, CsvOptions, DataType, Value};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::path::Path;
 use std::rc::Rc;
@@ -587,7 +588,20 @@ impl Engine {
     /// through the plan cache ([`Engine::lookup`]); any other text runs
     /// statement by statement and returns the last outcome.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
-        let statements = match self.lookup(sql)? {
+        self.execute_parsed(sql, None)
+    }
+
+    /// [`Engine::execute`] of a text whose statements the caller has
+    /// already parsed with this crate's parser (a shard router that parsed
+    /// the text to place it). The text is still the plan-cache key; on a
+    /// miss `parsed` stands in for lexing and parsing it, and `None` parses
+    /// the text here.
+    pub fn execute_parsed(
+        &mut self,
+        sql: &str,
+        parsed: Option<Vec<Statement>>,
+    ) -> Result<ExecOutcome> {
+        let statements = match self.lookup(sql, parsed)? {
             Lookup::Select(plan) => {
                 return Ok(ExecOutcome {
                     result: Some(self.run_bound(&plan.root, &plan.schema, &[])?),
@@ -616,14 +630,18 @@ impl Engine {
     }
 
     /// The plan cache's one lookup, keyed by the exact text: a cached SELECT
-    /// comes back without lexing. Otherwise `sql` is lexed and parsed, and
-    /// when it is exactly one SELECT it is planned and cached under its
-    /// text; any other text comes back as its parsed statements.
-    fn lookup(&mut self, sql: &str) -> Result<Lookup> {
+    /// comes back without lexing. Otherwise `sql` is lexed and parsed
+    /// (unless its statements are `parsed` already), and when it is exactly
+    /// one SELECT it is planned and cached under its text; any other text
+    /// comes back as its parsed statements.
+    fn lookup(&mut self, sql: &str, parsed: Option<Vec<Statement>>) -> Result<Lookup> {
         if let Some(plan) = self.plan_cache.get(sql) {
             return Ok(Lookup::Select(plan));
         }
-        let statements = self.parse_traced(sql)?;
+        let statements = match parsed {
+            Some(statements) => statements,
+            None => self.parse_traced(sql)?,
+        };
         match <[Statement; 1]>::try_from(statements) {
             Ok([Statement::Select(query)]) => {
                 let plan = Rc::new(self.plan_query(&query)?);
@@ -637,7 +655,7 @@ impl Engine {
 
     /// [`Engine::lookup`] of a text that must be exactly one SELECT.
     fn lookup_select(&mut self, sql: &str) -> Result<Rc<CachedPlan>> {
-        match self.lookup(sql)? {
+        match self.lookup(sql, None)? {
             Lookup::Select(plan) => Ok(plan),
             Lookup::Statements(s) if s.len() == 1 => Err(SqlError::bind(
                 "only SELECT statements can be prepared/cached",
@@ -777,7 +795,7 @@ impl Engine {
                 table,
                 columns,
                 values,
-            } => self.insert(&table, columns.as_deref(), &values),
+            } => self.insert(&table, columns.as_deref(), values),
             Statement::Copy {
                 table,
                 columns,
@@ -1081,62 +1099,54 @@ impl Engine {
         Relation::new(schema.names(), schema.types(), rows)
     }
 
+    /// `INSERT INTO table [(columns)] VALUES ...`. A literal cell is stored
+    /// as parsed; any other cell is bound and evaluated on its own (see
+    /// [`insert_values`]). Every row is checked before the first append, the
+    /// rows are logged as stored, and everything up to the WAL append is
+    /// timed as the execute phase.
     fn insert(
         &mut self,
         table: &str,
         columns: Option<&[String]>,
-        values: &[Vec<crate::ast::Expr>],
+        values: Vec<Vec<crate::ast::Expr>>,
     ) -> Result<ExecOutcome> {
-        // Evaluate the literal expressions with a throwaway context.
-        let empty_root = crate::plan::PlanRoot::new(
-            Vec::new(),
-            Vec::new(),
-            crate::plan::PlanNode::Values {
-                rows: Vec::new(),
-                schema: crate::plan::Schema::default(),
-            },
-        );
-        let mut evaluated: Vec<Vec<Value>> = Vec::with_capacity(values.len());
-        {
-            let ctx = ExecContext::new(&self.catalog, &self.profile, &empty_root);
-            let binder_schema = crate::plan::Schema::default();
-            for row in values {
-                let mut out = Vec::with_capacity(row.len());
-                for e in row {
-                    // Bind against an empty schema: literals and expressions
-                    // over literals only.
-                    let mut b = BindShim {
-                        catalog: &self.catalog,
-                        profile: &self.profile,
-                    };
-                    let bexpr = b.bind_const(e, &binder_schema)?;
-                    out.push(crate::exec::eval::eval(&bexpr, &[], &ctx)?);
-                }
-                evaluated.push(out);
-            }
-        }
-
+        let timer = self.trace.timer();
+        let evaluated = insert_values(&self.catalog, &self.profile, values)?;
         let table_ref = self
             .catalog
             .table_mut(table)
             .ok_or_else(|| SqlError::catalog(format!("unknown table '{table}'")))?;
         let width = table_ref.columns.len();
+        let targets = columns
+            .map(|cols| {
+                cols.iter()
+                    .map(|c| {
+                        table_ref.column_index(c).ok_or_else(|| {
+                            SqlError::bind(format!("unknown column '{c}' in INSERT"))
+                        })
+                    })
+                    .collect::<Result<Vec<usize>>>()
+            })
+            .transpose()?;
         // Every row is checked before the first is appended, so a statement
         // that fails leaves the table as it was.
         let full_rows = evaluated
             .into_iter()
-            .map(|row| match columns {
+            .map(|row| match &targets {
                 None if row.len() != width => Err(SqlError::exec(format!(
                     "INSERT arity {} vs table arity {width}",
                     row.len()
                 ))),
                 None => Ok(row),
-                Some(cols) => {
+                Some(t) if row.len() > t.len() => Err(SqlError::exec(
+                    "INSERT has more expressions than target columns",
+                )),
+                Some(t) if row.len() < t.len() => Err(SqlError::exec(
+                    "INSERT has more target columns than expressions",
+                )),
+                Some(t) => {
                     let mut full = vec![Value::Null; width];
-                    for (c, v) in cols.iter().zip(row) {
-                        let idx = table_ref.column_index(c).ok_or_else(|| {
-                            SqlError::bind(format!("unknown column '{c}' in INSERT"))
-                        })?;
+                    for (&idx, v) in t.iter().zip(row) {
                         full[idx] = v;
                     }
                     Ok(full)
@@ -1151,8 +1161,10 @@ impl Engine {
         }
         // Log the rows as stored (post serial-fill/coercion) so replay
         // reproduces the exact in-memory state, ctids included.
-        if count > 0 && (self.backend.is_durable() || self.txn_capture.is_some()) {
-            let rows = table_ref.heap.rows_from(first_new_row);
+        let logged = (count > 0 && (self.backend.is_durable() || self.txn_capture.is_some()))
+            .then(|| table_ref.heap.rows_from(first_new_row));
+        self.trace.record(Phase::Execute, timer);
+        if let Some(rows) = logged {
             if let Err(e) = self.log_durable(&WalRecord::Insert {
                 table: table.to_string(),
                 rows,
@@ -1270,45 +1282,77 @@ enum Lookup {
     Statements(Vec<Statement>),
 }
 
-/// Minimal binder for constant INSERT expressions (no FROM scope).
-struct BindShim<'a> {
-    catalog: &'a Catalog,
-    profile: &'a EngineProfile,
+/// The values of an INSERT's cells, row by row. A literal cell is its
+/// value as parsed: binding and evaluating it would return that same value.
+/// Any other cell (`-1`, `1+1`, `'3'::int`, ...) is bound as `SELECT <cell>`
+/// and evaluated over no row; the context it needs is built at the first
+/// such cell.
+fn insert_values(
+    catalog: &Catalog,
+    profile: &EngineProfile,
+    values: Vec<Vec<crate::ast::Expr>>,
+) -> Result<Vec<Vec<Value>>> {
+    let root = OnceCell::new();
+    let ctx = OnceCell::new();
+    values
+        .into_iter()
+        .map(|row| {
+            row.into_iter()
+                .map(|cell| match cell {
+                    crate::ast::Expr::Literal(v) => Ok(v),
+                    cell => {
+                        let ctx = ctx.get_or_init(|| {
+                            let root = root.get_or_init(|| {
+                                PlanRoot::new(
+                                    Vec::new(),
+                                    Vec::new(),
+                                    crate::plan::PlanNode::Values {
+                                        rows: Vec::new(),
+                                        schema: Schema::default(),
+                                    },
+                                )
+                            });
+                            ExecContext::new(catalog, profile, root)
+                        });
+                        let bexpr = bind_const(catalog, profile, cell)?;
+                        crate::exec::eval::eval(&bexpr, &[], ctx)
+                    }
+                })
+                .collect()
+        })
+        .collect()
 }
 
-impl<'a> BindShim<'a> {
-    fn bind_const(
-        &mut self,
-        e: &crate::ast::Expr,
-        schema: &crate::plan::Schema,
-    ) -> Result<crate::plan::BExpr> {
-        // Reuse the full binder by wrapping the expression in SELECT <e>.
-        let query = crate::ast::Query {
-            ctes: Vec::new(),
-            body: crate::ast::SelectBody {
-                distinct: false,
-                projection: vec![crate::ast::SelectItem::Expr {
-                    expr: e.clone(),
-                    alias: None,
-                }],
-                from: None,
-                selection: None,
-                group_by: Vec::new(),
-                having: None,
-                order_by: Vec::new(),
-                limit: None,
-            },
-        };
-        let _ = schema;
-        let (root, _) = bind_select(self.catalog, self.profile, &query)?;
-        // Extract the single projection expression.
-        match root.body {
-            crate::plan::PlanNode::Project { exprs, .. } if root.subplans.is_empty() => Ok(exprs
-                .into_iter()
-                .next()
-                .ok_or_else(|| SqlError::bind("empty INSERT expression"))?),
-            _ => Err(SqlError::bind("INSERT values must be constant expressions")),
-        }
+/// Bind a constant INSERT expression (no FROM scope) by running the full
+/// binder on `SELECT <e>` and taking its one projection.
+fn bind_const(
+    catalog: &Catalog,
+    profile: &EngineProfile,
+    e: crate::ast::Expr,
+) -> Result<crate::plan::BExpr> {
+    let query = crate::ast::Query {
+        ctes: Vec::new(),
+        body: crate::ast::SelectBody {
+            distinct: false,
+            projection: vec![crate::ast::SelectItem::Expr {
+                expr: e,
+                alias: None,
+            }],
+            from: None,
+            selection: None,
+            group_by: Vec::new(),
+            having: None,
+            order_by: Vec::new(),
+            limit: None,
+        },
+    };
+    let (root, _) = bind_select(catalog, profile, &query)?;
+    match root.body {
+        crate::plan::PlanNode::Project { exprs, .. } if root.subplans.is_empty() => Ok(exprs
+            .into_iter()
+            .next()
+            .ok_or_else(|| SqlError::bind("empty INSERT expression"))?),
+        _ => Err(SqlError::bind("INSERT values must be constant expressions")),
     }
 }
 
@@ -2153,6 +2197,231 @@ mod tests {
         e.execute("INSERT INTO t VALUES (1, 2)").unwrap();
         assert_eq!(count_of(&mut e, "t"), Value::Int(1));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A column list and its VALUES rows must have the same length, as in
+    /// PostgreSQL: extra values and missing ones are both refused with its
+    /// texts, and a refused statement appends and logs nothing.
+    #[test]
+    fn a_column_list_and_its_values_must_agree() {
+        let more = "execution error: INSERT has more expressions than target columns";
+        let fewer = "execution error: INSERT has more target columns than expressions";
+        let refused = [
+            ("INSERT INTO t (a) VALUES (3, 4)", more),
+            ("INSERT INTO t (a, b) VALUES (3)", fewer),
+            ("INSERT INTO t (a, b) VALUES (1, 2), (3)", fewer),
+            ("INSERT INTO t (a) VALUES (1), (2, 3)", more),
+        ];
+        let stored = "SELECT ctid, id, a, b FROM t";
+        let want = vec![vec![
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(7),
+            Value::Null,
+        ]];
+        let check = |e: &mut Engine| {
+            e.execute("CREATE TABLE t (id serial, a int, b int)")
+                .unwrap();
+            for (sql, text) in refused {
+                let err = e.execute(sql).unwrap_err();
+                assert_eq!(err.to_string(), text, "{sql}");
+            }
+            assert_eq!(count_of(e, "t"), Value::Int(0));
+            // The serial did not advance for the refused rows.
+            e.execute("INSERT INTO t (a) VALUES (7)").unwrap();
+            assert_eq!(e.query(stored).unwrap().rows, want);
+        };
+        check(&mut engine());
+        let dir = durable_dir("column-list-arity");
+        check(
+            &mut Engine::open_durable(EngineProfile::in_memory(), &dir, FsyncPolicy::Off).unwrap(),
+        );
+        let mut e =
+            Engine::open_durable(EngineProfile::in_memory(), &dir, FsyncPolicy::Off).unwrap();
+        assert_eq!(e.query(stored).unwrap().rows, want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every stored row of `table` with its ctid, in ctid order.
+    fn stored_rows(e: &mut Engine, table: &str, columns: &str) -> Vec<Vec<Value>> {
+        e.query(&format!(
+            "SELECT ctid, {columns} FROM {table} ORDER BY ctid"
+        ))
+        .unwrap()
+        .rows
+    }
+
+    /// Literal INSERT cells are stored exactly as COPY stores the same
+    /// values — same rows, ctids and serials, coerced to the column types —
+    /// in memory and again after a durable reopen replays the WAL.
+    #[test]
+    fn literal_insert_cells_store_what_copy_stores() {
+        // Each row's cells as SQL literals and as CSV fields: NULL, bools,
+        // the `int8` extremes, `1e308`, `-0.0`, an `Int` into the float
+        // column, quotes and non-ASCII text.
+        let rows = [
+            ["NULL", "0", "1e308", "'plain'", "true"],
+            [
+                "7",
+                "9223372036854775807",
+                "-0.0",
+                "'it''s \"quoted\"'",
+                "false",
+            ],
+            [
+                "NULL",
+                "-9223372036854775808",
+                "3",
+                "'héllo ✓ 日本'",
+                "NULL",
+            ],
+            ["NULL", "NULL", "NULL", "NULL", "true"],
+            ["2", "-1", "0.5", "'a,b'", "false"],
+        ];
+        let csv = [
+            ",0,1e308,plain,true",
+            "7,9223372036854775807,-0.0,\"it's \"\"quoted\"\"\",false",
+            ",-9223372036854775808,3,héllo ✓ 日本,",
+            ",,,,true",
+            "2,-1,0.5,\"a,b\",false",
+        ];
+        let create = "(id serial, i int, f float, t text, b bool)";
+        let all = "id, i, f, t, b";
+        let values = |from: usize| {
+            rows.iter()
+                .map(|r| format!("({})", r[from..].join(", ")))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let fields = |from: usize| {
+            let lines = csv.iter().map(|l| match from {
+                0 => l,
+                _ => l.split_once(',').unwrap().1,
+            });
+            std::iter::once(if from == 0 { "id,i,f,t,b" } else { "i,f,t,b" })
+                .chain(lines)
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let no_list = Some(vec!["i".to_string(), "f".into(), "t".into(), "b".into()]);
+        let load = |e: &mut Engine| {
+            for (name, list) in [("ins", ""), ("ins_cols", " (i, f, t, b)")] {
+                e.execute(&format!("CREATE TABLE {name} {create}")).unwrap();
+                let from = usize::from(!list.is_empty());
+                e.execute(&format!("INSERT INTO {name}{list} VALUES {}", values(from)))
+                    .unwrap();
+                e.execute(&format!("INSERT INTO {name}{list} VALUES {}", values(from)))
+                    .unwrap();
+            }
+            for (name, list) in [("cp", None), ("cp_cols", no_list.as_deref())] {
+                e.execute(&format!("CREATE TABLE {name} {create}")).unwrap();
+                let from = usize::from(list.is_some());
+                for _ in 0..2 {
+                    e.copy_from_str(name, list, &fields(from), &CsvOptions::default())
+                        .unwrap();
+                }
+            }
+        };
+        // The heaps' rows as stored, printed with each cell's variant:
+        // `Value`'s equality takes `Int(3)` for `Float(3.0)` and `-0.0`
+        // for `0.0`, so it cannot tell a skipped coercion.
+        let heap =
+            |e: &Engine, t: &str| format!("{:?}", e.catalog.table(t).unwrap().heap.rows_from(0));
+        let compare = |e: &mut Engine| {
+            assert_eq!(heap(e, "ins"), heap(e, "cp"));
+            assert_eq!(heap(e, "ins_cols"), heap(e, "cp_cols"));
+            let copied = stored_rows(e, "cp", all);
+            assert_eq!(copied[1][3], Value::Float(-0.0));
+            assert!(copied[1][3].to_string().starts_with('-'), "{:?}", copied[1]);
+            assert_eq!(copied[2][3], Value::Float(3.0));
+            assert_eq!(stored_rows(e, "ins", all), copied);
+            let copied = stored_rows(e, "cp_cols", all);
+            assert_eq!(copied[9][1], Value::Int(10), "serials fill every row");
+            assert_eq!(stored_rows(e, "ins_cols", all), copied);
+        };
+        let mut e = engine();
+        load(&mut e);
+        compare(&mut e);
+        let dir = durable_dir("literal-vs-copy");
+        {
+            let mut e =
+                Engine::open_durable(EngineProfile::in_memory(), &dir, FsyncPolicy::Off).unwrap();
+            load(&mut e);
+            compare(&mut e);
+        }
+        let mut e =
+            Engine::open_durable(EngineProfile::in_memory(), &dir, FsyncPolicy::Off).unwrap();
+        compare(&mut e);
+        // The serials continue after replay on both paths alike.
+        e.execute("INSERT INTO ins VALUES (NULL, 1, 1, 'x', true)")
+            .unwrap();
+        e.copy_from_str(
+            "cp",
+            None,
+            "id,i,f,t,b\n,1,1,x,true",
+            &CsvOptions::default(),
+        )
+        .unwrap();
+        compare(&mut e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cell that is not a literal is bound and evaluated on its own: it
+    /// stores what `SELECT <cell>` answers, coerced to the column type, and
+    /// one failing cell deep in a large INSERT keeps its error text and
+    /// appends nothing.
+    #[test]
+    fn expression_cells_store_what_select_answers() {
+        let cells = [
+            ["-1", "1 + 1", "'3'::int", "'a' || 'b'"],
+            ["-0.0", "2.5 * 2", "7 / 2", "upper('é')"],
+            [
+                "NULL::int",
+                "-(-9223372036854775807)",
+                "CAST('1.5' AS float)",
+                "1 < 2",
+            ],
+        ];
+        let types = [
+            DataType::Int,
+            DataType::Float,
+            DataType::Float,
+            DataType::Text,
+        ];
+        let mut e = engine();
+        e.execute("CREATE TABLE x (i int, f float, g float, t text)")
+            .unwrap();
+        for row in &cells {
+            e.execute(&format!("INSERT INTO x VALUES ({})", row.join(", ")))
+                .unwrap();
+            let selected = e
+                .query(&format!("SELECT {}", row.join(", ")))
+                .unwrap()
+                .rows
+                .remove(0);
+            let want: Vec<Value> = selected
+                .into_iter()
+                .zip(&types)
+                .map(|(v, ty)| v.cast(ty).unwrap_or(v))
+                .collect();
+            let stored = e
+                .query("SELECT i, f, g, t FROM x ORDER BY ctid DESC LIMIT 1")
+                .unwrap()
+                .rows
+                .remove(0);
+            assert_eq!(stored, want, "{row:?}");
+        }
+        let rows: Vec<String> = (0..1000)
+            .map(|k| match k {
+                699 => "(1/0, 0.5, 1, 'r')".to_string(),
+                k => format!("({k}, 0.5, 1, 'r{k}')"),
+            })
+            .collect();
+        let err = e
+            .execute(&format!("INSERT INTO x VALUES {}", rows.join(", ")))
+            .unwrap_err();
+        assert_eq!(err.to_string(), "execution error: division by zero");
+        assert_eq!(count_of(&mut e, "x"), Value::Int(3));
     }
 
     #[test]

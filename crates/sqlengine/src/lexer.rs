@@ -55,7 +55,11 @@ pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<usize>)> {
             c if c.is_ascii_digit() => {
                 let start = pos;
                 let mut is_float = false;
+                // The integer part's value while it fits an `i64`.
+                let mut int = Some(0i64);
                 while pos < chars.len() && chars[pos].is_ascii_digit() {
+                    let digit = i64::from(chars[pos] as u8 - b'0');
+                    int = int.and_then(|n| n.checked_mul(10)?.checked_add(digit));
                     pos += 1;
                 }
                 if pos < chars.len()
@@ -82,6 +86,10 @@ pub fn tokenize(sql: &str) -> Result<(Vec<Token>, Vec<usize>)> {
                     } else {
                         pos = save;
                     }
+                }
+                if let (false, Some(n)) = (is_float, int) {
+                    push!(Tok::Literal(Value::Int(n)));
+                    continue;
                 }
                 let text: String = chars[start..pos].iter().collect();
                 let bad = || SqlError::parse(line, format!("bad numeric literal {text}"));
@@ -291,6 +299,34 @@ mod tests {
         assert_eq!(kinds("1.5")[0], Tok::Literal(Value::Float(1.5)));
         assert_eq!(kinds("42")[0], Tok::Literal(Value::Int(42)));
         assert_eq!(kinds("1e3")[0], Tok::Literal(Value::Float(1000.0)));
+    }
+
+    #[test]
+    fn integers_up_to_the_i64_range() {
+        assert_eq!(kinds("007")[0], Tok::Literal(Value::Int(7)));
+        assert_eq!(
+            kinds("9223372036854775807")[0],
+            Tok::Literal(Value::Int(i64::MAX))
+        );
+        assert_eq!(kinds("9223372036854775808")[0], Tok::MinIntMagnitude);
+        let err = tokenize("92233720368547758070").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("bad numeric literal 92233720368547758070"),
+            "{err}"
+        );
+        assert_eq!(
+            kinds("12e"),
+            vec![
+                Tok::Literal(Value::Int(12)),
+                Tok::Word("e".into()),
+                Tok::Eof
+            ]
+        );
+        assert_eq!(
+            kinds("9223372036854775808.0")[0],
+            Tok::Literal(Value::Float(9223372036854775808.0))
+        );
     }
 
     #[test]

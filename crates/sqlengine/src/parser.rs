@@ -125,12 +125,16 @@ impl Parser {
         *self.peek() == Tok::Eof
     }
 
+    /// Consume the current token and return it. The parser never steps
+    /// back, so the token is moved out rather than cloned; the final `Eof`
+    /// is never consumed.
     fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].kind.clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1].kind, Tok::Eof)
+        } else {
+            Tok::Eof
         }
-        t
     }
 
     fn eat(&mut self, tok: &Tok) -> bool {
@@ -340,7 +344,7 @@ impl Parser {
             self.expect(&Tok::LParen)?;
             let mut row = Vec::new();
             loop {
-                row.push(self.expr()?);
+                row.push(self.values_cell()?);
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
@@ -352,6 +356,20 @@ impl Parser {
             }
         }
         Ok(rows)
+    }
+
+    /// One `VALUES` cell. A lone literal, the cell of a bulk load, is
+    /// taken as it is: [`Parser::expr`] would return the same
+    /// `Expr::Literal` after descending every precedence level.
+    fn values_cell(&mut self) -> Result<Expr> {
+        if matches!(self.peek(), Tok::Literal(_))
+            && matches!(self.peek_at(1), Tok::Comma | Tok::RParen)
+        {
+            if let Tok::Literal(v) = self.bump() {
+                return Ok(Expr::Literal(v));
+            }
+        }
+        self.expr()
     }
 
     fn copy(&mut self) -> Result<Statement> {
@@ -1083,6 +1101,34 @@ mod tests {
             panic!()
         };
         assert_eq!(values.len(), 2);
+    }
+
+    /// A `VALUES` cell parses to the expression the same text parses to as
+    /// a select item, whether it is a lone literal (taken directly) or not.
+    #[test]
+    fn values_cells_parse_as_select_items() {
+        let cells = "1, 'it''s', NULL, true, 1.5e3, -2, 9223372036854775807, \
+                     -9223372036854775808, 1 + 2, 'a' || 'b', 3::text, (4), 5 IS NULL, \
+                     1 < 2, 6 IN (6, 7), CASE WHEN true THEN 1 END";
+        let Statement::Insert { values, .. } =
+            parse_statement(&format!("INSERT INTO t VALUES ({cells}), ({cells})")).unwrap()
+        else {
+            panic!("not an INSERT")
+        };
+        let Statement::Select(q) = parse_statement(&format!("SELECT {cells}")).unwrap() else {
+            panic!("not a SELECT")
+        };
+        let items: Vec<Expr> = q
+            .body
+            .projection
+            .into_iter()
+            .map(|item| match item {
+                SelectItem::Expr { expr, .. } => expr,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(items.len(), 16);
+        assert_eq!(values, [items.clone(), items]);
     }
 
     #[test]

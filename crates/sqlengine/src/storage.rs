@@ -475,7 +475,8 @@ fn serial_of(serial_next: &mut [(usize, i64)], c: usize) -> Option<&mut i64> {
 /// A cell as a column of type `ty` stores it, the one rule for row appends
 /// and bulk loads: a NULL takes the next value of `serial` (when the
 /// column is a serial), any other cell is cast to `ty` where the cast
-/// succeeds and kept as it is where it fails.
+/// succeeds and kept as it is where it fails. A cell that already has the
+/// column's type is kept without a cast, which would return it unchanged.
 fn store_cell(ty: &DataType, cell: Value, serial: Option<&mut i64>) -> Value {
     match (cell, serial) {
         (Value::Null, Some(next)) => {
@@ -483,6 +484,17 @@ fn store_cell(ty: &DataType, cell: Value, serial: Option<&mut i64>) -> Value {
             Value::Int(*next - 1)
         }
         (Value::Null, None) => Value::Null,
+        (cell, _)
+            if matches!(
+                (&cell, ty),
+                (Value::Int(_), DataType::Int | DataType::Serial)
+                    | (Value::Float(_), DataType::Float)
+                    | (Value::Bool(_), DataType::Bool)
+                    | (Value::Text(_), DataType::Text)
+            ) =>
+        {
+            cell
+        }
         (cell, _) => cell.cast(ty).unwrap_or(cell),
     }
 }

@@ -5,9 +5,8 @@
 //! breaker there anyway — and keep the probe (left) side in its input
 //! batches, emitting pairs in exactly the row engine's order: probe order,
 //! then build order. The hash join indexes the build side once — each key
-//! to a dense id, each id's rows in one flat array — and probes a batch at
-//! a time: the lookup and the key storage are matched once per batch, so a
-//! dense `Int` key without NULLs finds its ids in one loop of subtractions.
+//! to a dense id through a [`KeyIndex`], each id's rows in one flat array —
+//! and probes a batch at a time, one loop per key column filling the ids.
 //! It emits at most one output chunk per probe batch, gathered by plain
 //! indices (NULL padding only for an outer join's misses); unmatched build
 //! rows of a right / full join follow as NULL-padded chunks at the end.
@@ -17,30 +16,15 @@
 //! WHERE.
 
 use super::kernels::eval_col;
-use super::{concat_chunks, exec_node, filter_chunk, CodeMemo, BATCH_ROWS, UNRESOLVED};
+use super::keys::{KeyIndex, NONE};
+use super::{concat_chunks, exec_node, filter_chunk, BATCH_ROWS};
 use crate::error::{Result, SqlError};
 use crate::exec::eval::{eval, truthy};
 use crate::exec::ExecContext;
 use crate::plan::{BExpr, EquiKey, JoinKind, PlanNode};
-use etypes::chunk::{page_tag, Column, ColumnData, NullBitmap, TextDict};
+use etypes::chunk::Column;
 use etypes::{ColumnChunk, Value};
-use std::collections::HashMap;
 use std::rc::Rc;
-
-/// Fill `key` with the row's composite key; `false` when a non-null-safe
-/// key is NULL (such rows never match, mirroring `exec::join_key`). The
-/// buffer is caller-owned so probing allocates nothing per row.
-fn fill_row_key(key_cols: &[Rc<Column>], equi: &[EquiKey], i: usize, key: &mut Vec<Value>) -> bool {
-    key.clear();
-    for (kc, k) in key_cols.iter().zip(equi) {
-        let v = kc.get(i);
-        if v.is_null() && !k.null_safe {
-            return false;
-        }
-        key.push(v);
-    }
-    true
-}
 
 /// Evaluate one side's equi keys over `chunk` as dense columns.
 fn key_columns<'e>(
@@ -54,10 +38,6 @@ fn key_columns<'e>(
         .collect()
 }
 
-/// A build key id that no probe row can reach.
-const NONE: u32 = u32::MAX;
-/// A probe code whose string the build side does not hold.
-const MISSING: u32 = u32::MAX - 1;
 /// The build row of an outer-join miss, padded with NULLs.
 const PAD: usize = usize::MAX;
 
@@ -97,222 +77,34 @@ impl Csr {
     }
 }
 
-/// The build side: each key mapped to a dense id, and each id's build rows
-/// in a [`Csr`]. A NULL key has an id only when the key is null-safe (such
-/// rows never match otherwise, mirroring `exec::join_key`).
-struct KeyTable<'a> {
-    lookup: Lookup<'a>,
+/// The build side: its keys' ids in a [`KeyIndex`], whose sources read the
+/// probe batches' key storage (`probes`) too, and each id's build rows in
+/// a [`Csr`].
+struct BuildTable {
+    index: KeyIndex,
     rows: Csr,
-    /// The id of a NULL probe key under a typed lookup.
-    null_id: u32,
 }
 
-/// How a probe key finds its id.
-enum Lookup<'a> {
-    /// A single `Int` key on both sides whose build values span at most
-    /// twice the build rows: the id is `key - min`, below `span`, with no
-    /// hashing.
-    Direct { min: i64, span: u64 },
-    /// A single `Int` key on both sides.
-    Int(HashMap<i64, u32>),
-    /// A single `Text` key on both sides, keyed by the build strings; the
-    /// memo resolves each probe-dictionary code to an id (or [`MISSING`])
-    /// once.
-    Text {
-        index: HashMap<&'a str, u32>,
-        memo: CodeMemo,
-    },
-    /// Any other single key, by value.
-    Single(HashMap<Value, u32>),
-    /// Composite keys, probed through a reused buffer (`Vec<Value>:
-    /// Borrow<[Value]>` makes the lookup allocation-free).
-    Multi(HashMap<Vec<Value>, u32>),
-}
-
-impl<'a> KeyTable<'a> {
-    /// Index the build side. `probe` is the storage every probe batch's
-    /// single key shares, if any; with the same `Int` or `Text` storage on
-    /// the build key it selects a typed lookup.
-    fn build(rkeys: &'a [Rc<Column>], equi: &[EquiKey], probe: Option<u8>) -> KeyTable<'a> {
-        let n = rkeys[0].len();
-        let mut ids = vec![NONE; n];
-        if equi.len() > 1 {
-            let mut map: HashMap<Vec<Value>, u32> = HashMap::with_capacity(n);
-            let mut key = Vec::with_capacity(equi.len());
-            for (j, id) in ids.iter_mut().enumerate() {
-                if fill_row_key(rkeys, equi, j, &mut key) {
-                    *id = match map.get(key.as_slice()) {
-                        Some(&d) => d,
-                        None => {
-                            let fresh = map.len() as u32;
-                            map.insert(key.clone(), fresh);
-                            fresh
-                        }
-                    };
+impl BuildTable {
+    fn new(keys: &[Rc<Column>], equi: &[EquiKey], probes: &[&[Rc<Column>]]) -> BuildTable {
+        let mut index = KeyIndex::new(equi.len(), &[keys], probes);
+        let mut ids = Vec::new();
+        index.assign(keys, &mut ids);
+        // A row with a NULL in a key that is not null-safe never matches
+        // (as in `exec::join_key`), so it stays out of the table.
+        for (key, _) in keys
+            .iter()
+            .zip(equi)
+            .filter(|(key, k)| !k.null_safe && !key.nulls().all_valid())
+        {
+            for (i, id) in ids.iter_mut().enumerate() {
+                if key.is_null(i) {
+                    *id = NONE;
                 }
-            }
-            let rows = Csr::new(&ids, map.len());
-            return KeyTable {
-                lookup: Lookup::Multi(map),
-                rows,
-                null_id: NONE,
-            };
-        }
-        let key = &rkeys[0];
-        let null_safe = equi[0].null_safe;
-        // Fill the id of every non-NULL build row; `keys` counts the ids.
-        let (keys, lookup) = match key.data() {
-            ColumnData::Int(v) if probe == Some(page_tag::INT) => {
-                let valid = || v.iter().enumerate().filter(|&(j, _)| !key.is_null(j));
-                let min = valid().map(|(_, &k)| k).min().unwrap_or(0);
-                let max = valid().map(|(_, &k)| k).max().unwrap_or(0);
-                // `abs_diff` spans `i64::MIN..=i64::MAX` without overflow.
-                // Twice the build rows keeps the id table within 8 bytes a
-                // row. Measured on 2 vCPU over 50 000 build rows, direct
-                // addressing runs 3.6× faster than hashing there and stays
-                // ahead up to about 20× the rows.
-                let span = max.abs_diff(min);
-                if span <= 2 * n as u64 {
-                    for (j, &k) in valid() {
-                        ids[j] = k.abs_diff(min) as u32;
-                    }
-                    let span = span + 1;
-                    (span as usize, Lookup::Direct { min, span })
-                } else {
-                    let mut map: HashMap<i64, u32> = HashMap::with_capacity(n);
-                    for (j, &k) in valid() {
-                        let fresh = map.len() as u32;
-                        ids[j] = *map.entry(k).or_insert(fresh);
-                    }
-                    (map.len(), Lookup::Int(map))
-                }
-            }
-            ColumnData::Text { dict, codes } if probe == Some(page_tag::TEXT) => {
-                let mut index: HashMap<&'a str, u32> = HashMap::new();
-                // Build code → id, so each build string is hashed once.
-                let mut memo = vec![NONE; dict.len()];
-                for (j, &code) in codes.iter().enumerate() {
-                    if key.is_null(j) {
-                        continue;
-                    }
-                    let slot = &mut memo[code as usize];
-                    if *slot == NONE {
-                        let fresh = index.len() as u32;
-                        *slot = *index.entry(dict.get(code)).or_insert(fresh);
-                    }
-                    ids[j] = *slot;
-                }
-                let keys = index.len();
-                let memo = CodeMemo::default();
-                (keys, Lookup::Text { index, memo })
-            }
-            _ => {
-                // NULL is a key like any other here, kept when null-safe.
-                let mut map: HashMap<Value, u32> = HashMap::with_capacity(n);
-                for (j, id) in ids.iter_mut().enumerate() {
-                    let v = key.get(j);
-                    if v.is_null() && !null_safe {
-                        continue;
-                    }
-                    let fresh = map.len() as u32;
-                    *id = *map.entry(v).or_insert(fresh);
-                }
-                (map.len(), Lookup::Single(map))
-            }
-        };
-        // A typed lookup files a null-safe key's NULL rows under one more id.
-        let typed = !matches!(lookup, Lookup::Single(_));
-        let null_id = if null_safe && typed {
-            for (j, id) in ids.iter_mut().enumerate() {
-                if key.is_null(j) {
-                    *id = keys as u32;
-                }
-            }
-            keys as u32
-        } else {
-            NONE
-        };
-        KeyTable {
-            rows: Csr::new(&ids, keys + usize::from(null_id != NONE)),
-            lookup,
-            null_id,
-        }
-    }
-
-    /// Fill `ids` with the key id of every row of a probe batch (`keys`
-    /// are its key columns): [`NONE`] when no build row can match. The
-    /// lookup and the key storage are matched once per batch, so a `Direct`
-    /// lookup over `Int` keys without NULLs is one loop of subtractions.
-    fn probe(&mut self, keys: &[Rc<Column>], equi: &[EquiKey], ids: &mut Vec<u32>) {
-        ids.clear();
-        let key = &keys[0];
-        let null_id = self.null_id;
-        let nulls = key.nulls();
-        // Per row: NULL, or the id `f` finds for the key.
-        fn each<T: Copy>(
-            ids: &mut Vec<u32>,
-            v: &[T],
-            nulls: &NullBitmap,
-            null_id: u32,
-            mut f: impl FnMut(T) -> u32,
-        ) {
-            if nulls.all_valid() {
-                ids.extend(v.iter().map(|&k| f(k)));
-            } else {
-                ids.extend(
-                    v.iter()
-                        .enumerate()
-                        .map(|(i, &k)| if nulls.is_null(i) { null_id } else { f(k) }),
-                );
             }
         }
-        match (&mut self.lookup, key.data()) {
-            // Exact for every `i64`: a key below `min` wraps to at least
-            // `2^64 - (min - key)`, never below `span`.
-            (Lookup::Direct { min, span }, ColumnData::Int(v)) => {
-                let (min, span) = (*min, *span);
-                each(ids, v, nulls, null_id, |k| {
-                    let d = k.wrapping_sub(min) as u64;
-                    if d < span {
-                        d as u32
-                    } else {
-                        NONE
-                    }
-                });
-            }
-            (Lookup::Int(map), ColumnData::Int(v)) => {
-                each(ids, v, nulls, null_id, |k| {
-                    map.get(&k).copied().unwrap_or(NONE)
-                });
-            }
-            (Lookup::Text { index, memo }, ColumnData::Text { dict, codes }) => {
-                let slots = memo.slots(dict);
-                each(ids, codes, nulls, null_id, |code| {
-                    probe_code(index, slots, dict, code)
-                });
-            }
-            (Lookup::Single(t), _) => {
-                ids.extend((0..key.len()).map(|i| {
-                    let v = key.get(i);
-                    if v.is_null() && !equi[0].null_safe {
-                        NONE
-                    } else {
-                        t.get(&v).copied().unwrap_or(NONE)
-                    }
-                }));
-            }
-            (Lookup::Multi(t), _) => {
-                let mut buf = Vec::with_capacity(equi.len());
-                ids.extend((0..key.len()).map(|i| {
-                    if fill_row_key(keys, equi, i, &mut buf) {
-                        t.get(buf.as_slice()).copied().unwrap_or(NONE)
-                    } else {
-                        NONE
-                    }
-                }));
-            }
-            _ => unreachable!("a typed lookup is chosen only for probe keys of its storage"),
-        }
+        let rows = Csr::new(&ids, index.len());
+        BuildTable { index, rows }
     }
 
     /// The build rows under key id `id`, in build order.
@@ -323,22 +115,6 @@ impl<'a> KeyTable<'a> {
         } else {
             self.rows.rows(id)
         }
-    }
-}
-
-/// The build id of a probe dictionary code, resolved once per probe
-/// dictionary (`slots` is the memo's, [`MISSING`] for a string the build
-/// side does not hold).
-#[inline]
-fn probe_code(index: &HashMap<&str, u32>, slots: &mut [u32], dict: &TextDict, code: u32) -> u32 {
-    let slot = &mut slots[code as usize];
-    if *slot == UNRESOLVED {
-        *slot = index.get(dict.get(code)).copied().unwrap_or(MISSING);
-    }
-    if *slot == MISSING {
-        NONE
-    } else {
-        *slot
     }
 }
 
@@ -364,7 +140,7 @@ pub(super) fn exec_join(
 
     // Build on right, probe with left (same as the row engine). Probe keys
     // are evaluated for every batch up front because their storage picks
-    // the table; an error there waits until the batches before it are
+    // the key index's sources; an error there waits until the batches before it are
     // probed, so an earlier residual error still wins as it does when the
     // row engine evaluates key and residual row by row.
     let rkeys = key_columns(equi.iter().map(|k| &k.right), &rchunk, ctx)?;
@@ -380,9 +156,8 @@ pub(super) fn exec_join(
             }
         }
     }
-    let probe_tag = lkeys.first().map(|keys| keys[0].data().tag());
-    let probe = probe_tag.filter(|&t| lkeys.iter().all(|keys| keys[0].data().tag() == t));
-    let mut table = KeyTable::build(&rkeys, equi, probe);
+    let probe_keys: Vec<&[Rc<Column>]> = lkeys.iter().map(Vec::as_slice).collect();
+    let mut table = BuildTable::new(&rkeys, equi, &probe_keys);
 
     let pads_right = matches!(kind, JoinKind::Left | JoinKind::Full);
     let keeps_right = matches!(kind, JoinKind::Right | JoinKind::Full);
@@ -395,7 +170,9 @@ pub(super) fn exec_join(
     let mut ridx: Vec<usize> = Vec::new();
     for (chunk, keys) in probes.iter().zip(&lkeys) {
         ctx.tick(chunk.len())?;
-        table.probe(keys, equi, &mut ids);
+        // A key with a NULL where the key is not null-safe finds `NONE`, or
+        // an id whose build rows all had that NULL and were left out.
+        table.index.probe(keys, &mut ids);
         lidx.clear();
         ridx.clear();
         let mut padded = false;
@@ -529,15 +306,23 @@ mod tests {
         }]
     }
 
-    /// The build rows each probe key matches.
-    fn matches(
-        table: &mut KeyTable<'_>,
-        probes: &[Option<i64>],
+    /// The build table over `build` when every probe batch has `probe`'s
+    /// key storage, and its key index's path.
+    fn build_table(
+        build: &[Rc<Column>],
         equi: &[EquiKey],
-    ) -> Vec<Vec<u32>> {
+        probe: &[Rc<Column>],
+    ) -> (BuildTable, String) {
+        let table = BuildTable::new(build, equi, &[probe]);
+        let path = table.index.path();
+        (table, path)
+    }
+
+    /// The build rows each probe key matches.
+    fn matches(table: &mut BuildTable, probes: &[Option<i64>]) -> Vec<Vec<u32>> {
         let keys = ints(probes);
         let mut ids = Vec::new();
-        table.probe(&keys, equi, &mut ids);
+        table.index.probe(&keys, &mut ids);
         ids.iter().map(|&id| table.rows(id).to_vec()).collect()
     }
 
@@ -546,8 +331,8 @@ mod tests {
         let build = ints(&[Some(5), Some(3), None, Some(5), Some(4), Some(5)]);
         for null_safe in [false, true] {
             let equi = key(null_safe);
-            let mut table = KeyTable::build(&build, &equi, Some(page_tag::INT));
-            assert!(matches!(table.lookup, Lookup::Direct { min: 3, span: 3 }));
+            let (mut table, path) = build_table(&build, &equi, &build);
+            assert_eq!(path, "direct/one");
             let probes = [
                 Some(5),
                 Some(2),
@@ -559,7 +344,7 @@ mod tests {
             ];
             let nulls = if null_safe { vec![2] } else { vec![] };
             assert_eq!(
-                matches(&mut table, &probes, &equi),
+                matches(&mut table, &probes),
                 vec![
                     vec![0, 3, 5],
                     vec![],
@@ -577,20 +362,20 @@ mod tests {
     fn a_key_span_of_all_of_i64_is_hashed_without_overflow() {
         let build = ints(&[Some(i64::MAX), Some(i64::MIN), Some(0), Some(i64::MIN)]);
         let equi = key(false);
-        let mut table = KeyTable::build(&build, &equi, Some(page_tag::INT));
-        assert!(matches!(table.lookup, Lookup::Int(_)));
+        let (mut table, path) = build_table(&build, &equi, &build);
+        assert_eq!(path, "int/one");
         let probes = [Some(i64::MIN), Some(i64::MAX), Some(1), None, Some(0)];
         assert_eq!(
-            matches(&mut table, &probes, &equi),
+            matches(&mut table, &probes),
             vec![vec![1, 3], vec![0], vec![], vec![], vec![2]]
         );
         // At the top of the range a direct table still answers exactly.
         let build = ints(&[Some(i64::MAX), Some(i64::MAX - 1)]);
-        let mut table = KeyTable::build(&build, &equi, Some(page_tag::INT));
-        assert!(matches!(table.lookup, Lookup::Direct { .. }));
+        let (mut table, path) = build_table(&build, &equi, &build);
+        assert_eq!(path, "direct/one");
         let probes = [Some(i64::MIN), Some(i64::MIN + 1), Some(i64::MAX), Some(-1)];
         assert_eq!(
-            matches(&mut table, &probes, &equi),
+            matches(&mut table, &probes),
             vec![vec![], vec![], vec![0], vec![]]
         );
     }
@@ -600,11 +385,13 @@ mod tests {
         let build = ints(&[Some(7000), Some(1), Some(7000), None, Some(1), Some(7000)]);
         let equi = key(true);
         // Hashed `Int`, then by value when the probe side is not `Int`.
-        for probe in [Some(page_tag::INT), Some(page_tag::FLOAT)] {
-            let mut table = KeyTable::build(&build, &equi, probe);
+        let floats = vec![Rc::new(Column::from_values(&[Value::Float(1.0)]))];
+        for (probe, want) in [(&build, "int/one"), (&floats, "value/one")] {
+            let (mut table, path) = build_table(&build, &equi, probe);
+            assert_eq!(path, want);
             let probes = [Some(7000), Some(1), None, Some(2)];
             assert_eq!(
-                matches(&mut table, &probes, &equi),
+                matches(&mut table, &probes),
                 vec![vec![0, 2, 5], vec![1, 4], vec![3], vec![]]
             );
         }

@@ -22,14 +22,16 @@
 mod agg;
 mod join;
 mod kernels;
+mod keys;
 
 use crate::error::Result;
 use crate::exec::{null_last_cmp, ExecContext, Row};
 use crate::plan::{BExpr, PlanNode, ScanSource, CTID_SENTINEL};
 use crate::storage::Heap;
-use etypes::chunk::{Column, ColumnData, NullBitmap, TextDict};
+use etypes::chunk::{Column, ColumnData, NullBitmap};
 use etypes::{ColumnChunk, Value};
 use kernels::{eval_col, gather_chunk, truthy_selection};
+use keys::KeyIndex;
 use std::rc::Rc;
 
 /// Target rows per [`ColumnChunk`] (defined beside the chunk, since the CSV
@@ -125,16 +127,19 @@ pub(crate) fn exec_node(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Co
             out
         }
         PlanNode::Distinct { input } => {
+            // A row is kept when its key over every column is new.
             let chunks = exec_node(input, ctx)?;
-            let mut seen = std::collections::HashSet::new();
+            let batches: Vec<&[Rc<Column>]> = chunks.iter().map(ColumnChunk::columns).collect();
+            let mut index = KeyIndex::new(plan.schema().len(), &batches, &[]);
+            let mut ids = Vec::new();
             let mut out = Vec::new();
             for chunk in &chunks {
-                let keep: Vec<usize> = (0..chunk.len())
-                    .filter(|&i| seen.insert(chunk.get_row(i)))
-                    .collect();
-                if keep.is_empty() {
+                let before = index.len();
+                index.assign(chunk.columns(), &mut ids);
+                if index.len() == before {
                     continue;
                 }
+                let keep = keys::opened(&ids, before);
                 if keep.len() == chunk.len() {
                     out.push(chunk.clone());
                 } else {
@@ -388,24 +393,4 @@ pub(crate) fn concat_chunks(chunks: &[ColumnChunk]) -> ColumnChunk {
         })
         .collect();
     ColumnChunk::new(cols, len)
-}
-
-/// A dictionary code not yet resolved by a [`CodeMemo`].
-const UNRESOLVED: u32 = u32::MAX;
-
-/// One answer per code of the last text dictionary a kernel saw: each code
-/// is resolved once, and the memo starts over when a batch brings another
-/// dictionary.
-#[derive(Default)]
-struct CodeMemo(Option<(Rc<TextDict>, Vec<u32>)>);
-
-impl CodeMemo {
-    /// The per-code slots for `dict`, [`UNRESOLVED`] until a caller fills
-    /// them.
-    fn slots(&mut self, dict: &Rc<TextDict>) -> &mut [u32] {
-        if !self.0.as_ref().is_some_and(|(d, _)| Rc::ptr_eq(d, dict)) {
-            self.0 = Some((Rc::clone(dict), vec![UNRESOLVED; dict.len()]));
-        }
-        &mut self.0.as_mut().expect("memo just set").1
-    }
 }

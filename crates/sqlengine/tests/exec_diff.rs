@@ -1292,3 +1292,101 @@ fn tail_chunk_scans_match_row_engine() {
         check(&mut e, "a full tail sealed");
     }
 }
+
+/// The shapes the shared key index must get right beyond the typed group
+/// keys and join lookups above: `DISTINCT` over `Float` zeros, NaN and
+/// NULL, over a list column and over `Text` whose batches bring different
+/// dictionaries; a `GROUP BY` whose first key changes storage between
+/// batches; dense `Int` with `Text` keys across a seal boundary; and a
+/// composite join with one null-safe component, under every join kind.
+#[test]
+fn key_index_shapes_match_row_engine() {
+    let mut rng = Prng::new(0xE1E9_000D);
+    let mut e = keyed_engine(&mut rng);
+    e.execute("CREATE TABLE fz (k int, x float)").unwrap();
+    let floats = [
+        "0.0",
+        "-0.0",
+        "CAST('NaN' AS float)",
+        "NULL",
+        "1.5",
+        "-2.25",
+    ];
+    let rows: Vec<String> = (0..1500)
+        .map(|i| format!("({i}, {})", floats[rng.below(floats.len())]))
+        .collect();
+    e.execute(&format!("INSERT INTO fz VALUES {}", rows.join(", ")))
+        .unwrap();
+    // COPY chunks share one dictionary; the INSERT tail codes its own.
+    let mut csv = String::from("id,t\n");
+    for id in 0..2100 {
+        let t = ["a", "b", "", "a b"][rng.below(4)];
+        csv.push_str(&format!("{id},{t}\n"));
+    }
+    copy_table(&mut e, "CREATE TABLE tc (id int, t text)", "tc", &csv);
+    e.execute("INSERT INTO tc VALUES (5000, 'zz'), (5001, NULL), (5002, 'a'), (5003, 'zz')")
+        .unwrap();
+    // A dense `Int` and a `Text` key over one sealed chunk and the tail.
+    e.execute("CREATE TABLE st (ki int, kt text)").unwrap();
+    let rows: Vec<String> = (0..1030)
+        .map(|_| {
+            let ki = match rng.below(8) {
+                0 => "NULL".to_string(),
+                k => k.to_string(),
+            };
+            let kt = ["'a'", "'b'", "NULL"][rng.below(3)];
+            format!("({ki}, {kt})")
+        })
+        .collect();
+    e.execute(&format!("INSERT INTO st VALUES {}", rows.join(", ")))
+        .unwrap();
+    // Build rows for the composite join: an `Int` and a nullable `Text`.
+    e.execute("CREATE TABLE dk (k int, t text, v int)").unwrap();
+    e.execute(
+        "INSERT INTO dk VALUES (1, 'a', 0), (1, NULL, 1), (NULL, 'a', 2), (2, 'b', 3), \
+         (NULL, NULL, 4), (1, 'a', 5), (3, 'ab', 6)",
+    )
+    .unwrap();
+
+    let mut cases = vec![
+        "SELECT DISTINCT x FROM fz".to_string(),
+        "SELECT DISTINCT x, k % 2 FROM fz".into(),
+        "SELECT count(*) FROM (SELECT DISTINCT x FROM fz) s".into(),
+        "SELECT DISTINCT l FROM (SELECT kt, array_agg(kb) AS l FROM g WHERE id < 40 GROUP BY kt) s"
+            .into(),
+        "SELECT DISTINCT l, kt FROM (SELECT kt, kt2, array_agg(ki) AS l FROM g WHERE id < 9 \
+         GROUP BY kt, kt2) s"
+            .into(),
+        "SELECT DISTINCT t FROM tc".into(),
+        "SELECT DISTINCT t, id > 2000 FROM tc".into(),
+        "SELECT DISTINCT kt, kb FROM gi".into(),
+        "SELECT DISTINCT ki, kt FROM st".into(),
+        "SELECT ki, kt, count(*) FROM st GROUP BY ki, kt".into(),
+        "SELECT kt, ki, count(*), min(ki) FROM st GROUP BY kt, ki".into(),
+    ];
+    for t in ["g", "gi"] {
+        for key in [
+            "CASE WHEN id < 1500 THEN ki ELSE ki + 0.5 END",
+            "CASE WHEN id < 1500 THEN ki ELSE ki * 1.0 END",
+        ] {
+            cases.push(format!(
+                "SELECT {key}, kt, count(*), sum(id) FROM {t} GROUP BY {key}, kt"
+            ));
+        }
+    }
+    for kind in ["INNER", "LEFT", "RIGHT", "FULL"] {
+        for on in [
+            "p.ki = d.k AND (p.kt = d.t OR (p.kt IS NULL AND d.t IS NULL))",
+            "(p.ki = d.k OR (p.ki IS NULL AND d.k IS NULL)) AND p.kt = d.t",
+        ] {
+            cases.push(format!(
+                "SELECT p.id, p.ki, p.kt, d.v FROM g p {kind} JOIN dk d ON {on} \
+                 WHERE p.id IS NULL OR p.id < 300"
+            ));
+        }
+    }
+    for (q, sql) in cases.iter().enumerate() {
+        let out = same(&mut e, sql, &format!("key index case {q}"));
+        assert!(!out.starts_with("ERR"), "{sql}: {out}");
+    }
+}

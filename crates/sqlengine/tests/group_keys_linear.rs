@@ -4,8 +4,10 @@
 //! `Text` columns sharing their loaded dictionaries, as here, they take
 //! the dense composite table, and a per-row cost that jumps once a second
 //! key joins would make every inspected column beyond the first dear.
-//! (Fig 11's taxi histograms have a `Float` key and group by value, so
-//! this test does not time them.)
+//! The same holds for a dense `Int` key beside a `Text` one, as in a
+//! histogram over a code column and a category. (Fig 11's taxi histograms
+//! have a `Float` key and group by value, so this test does not time
+//! them.)
 
 use etypes::CsvOptions;
 use sqlengine::{Engine, EngineProfile};
@@ -13,21 +15,27 @@ use std::time::{Duration, Instant};
 
 const ROWS: usize = 50_000;
 
-/// A table of `ROWS` rows and four text columns of 5, 4, 3 and 6 distinct
-/// values (a few NULL), loaded by COPY as the paper's inputs are.
+/// A table of `ROWS` rows, four text columns of 5, 4, 3 and 6 distinct
+/// values (a few NULL) and an `Int` column of 9 (and NULL), loaded by COPY
+/// as the paper's inputs are.
 fn engine() -> Engine {
     let mut e = Engine::new(EngineProfile::in_memory());
-    e.execute("CREATE TABLE t (a text, b text, c text, d text)")
+    e.execute("CREATE TABLE t (a text, b text, c text, d text, k int)")
         .unwrap();
-    let mut csv = String::from("a,b,c,d\n");
+    let mut csv = String::from("a,b,c,d,k\n");
     for i in 0..ROWS {
         let a = if i % 97 == 0 {
             String::new()
         } else {
             format!("a{}", i % 5)
         };
+        let k = if i % 89 == 0 {
+            String::new()
+        } else {
+            (i % 9).to_string()
+        };
         csv.push_str(&format!(
-            "{a},b{},c{},d{}\n",
+            "{a},b{},c{},d{},{k}\n",
             i % 4,
             (i / 7) % 3,
             (i / 3) % 6
@@ -56,16 +64,16 @@ fn best_of_five(e: &mut Engine, sql: &str, groups: usize) -> Duration {
 fn four_text_keys_cost_little_more_than_one() {
     let mut e = engine();
     let one = best_of_five(&mut e, "SELECT a, count(*) FROM t GROUP BY a", 6);
-    let four = best_of_five(
-        &mut e,
-        "SELECT a, b, c, d, count(*) FROM t GROUP BY a, b, c, d",
-        6 * 4 * 3 * 6,
-    );
-    let ratio = four.as_secs_f64() / one.as_secs_f64();
-    // Four passes over column-local ids cost a few times one; building a
-    // key of cloned strings per row cost 65 times.
-    assert!(
-        ratio <= 6.0,
-        "GROUP BY of 4 text keys took {four:?}, of 1 key {one:?}: ratio {ratio:.1}"
-    );
+    for (keys, groups) in [("a, b, c, d", 6 * 4 * 3 * 6), ("k, a", 10 * 6)] {
+        let sql = format!("SELECT {keys}, count(*) FROM t GROUP BY {keys}");
+        let many = best_of_five(&mut e, &sql, groups);
+        let ratio = many.as_secs_f64() / one.as_secs_f64();
+        // Passes over column-local ids cost a few times one; building a
+        // key of cloned values per row cost 65 times for the four text
+        // keys and 31 times for the `Int` and text key.
+        assert!(
+            ratio <= 6.0,
+            "GROUP BY {keys} took {many:?}, of 1 key {one:?}: ratio {ratio:.1}"
+        );
+    }
 }

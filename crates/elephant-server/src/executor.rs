@@ -728,25 +728,14 @@ impl ExecutorState {
                 // earlier statements stand (they are individually
                 // acknowledged in the body) and the error names the
                 // 1-based offending statement.
-                let total = stmts.len();
-                let mut bodies = Vec::with_capacity(total);
-                for (i, sql) in stmts.iter().enumerate() {
-                    let body = match self.engine.execute_parsed(sql, parsed.next().flatten()) {
-                        Ok(out) => self.render(out.result, out.rows_affected),
-                        Err(e) => {
-                            let (code, msg) = self.classify(e);
-                            return Err((
-                                code,
-                                format!("batch statement {}/{total}: {msg}", i + 1),
-                            ));
-                        }
-                    };
-                    self.metrics
-                        .batch_statements
-                        .fetch_add(1, Ordering::Relaxed);
-                    bodies.push(body);
-                }
-                Ok(bodies.join(&crate::protocol::BATCH_SEP.to_string()))
+                let metrics = Arc::clone(&self.metrics);
+                crate::shard::run_batch(stmts.iter(), &metrics.batch_statements, |sql| {
+                    let out = self
+                        .engine
+                        .execute_parsed(sql, parsed.next().flatten())
+                        .map_err(|e| self.classify(e))?;
+                    Ok(self.render(out.result, out.rows_affected))
+                })
             }
             Command::Deallocate(name) => {
                 let scoped = scoped_name(session, &name);

@@ -112,6 +112,27 @@ fn batch_error_index(msg: &str) -> Option<usize> {
     i.parse().ok()
 }
 
+/// Run a BATCH's statements in order, joining their bodies with
+/// [`BATCH_SEP`](crate::protocol::BATCH_SEP). Each statement that succeeds
+/// counts into `batch_statements`; the first that fails stops the batch
+/// (earlier ones stand) with its error prefixed `batch statement <i>/<k>: `,
+/// the shape [`batch_error_index`] reads back.
+pub(crate) fn run_batch<T>(
+    stmts: impl ExactSizeIterator<Item = T>,
+    batch_statements: &AtomicU64,
+    mut run: impl FnMut(T) -> Reply,
+) -> Reply {
+    let total = stmts.len();
+    let mut bodies = Vec::with_capacity(total);
+    for (i, stmt) in stmts.enumerate() {
+        let body = run(stmt)
+            .map_err(|(code, msg)| (code, format!("batch statement {}/{total}: {msg}", i + 1)))?;
+        batch_statements.fetch_add(1, Ordering::Relaxed);
+        bodies.push(body);
+    }
+    Ok(bodies.join(&crate::protocol::BATCH_SEP.to_string()))
+}
+
 /// The shard owning `name`: FNV-1a over the bytes, mod the shard count.
 /// Deterministic, so base-table placement needs no coordination and
 /// survives restarts (recovery re-seeds ownership from each shard's own
@@ -661,21 +682,11 @@ impl ShardRouter {
                 let Command::Batch(stmts) = command else {
                     unreachable!("only a BATCH splits")
                 };
-                let total = stmts.len();
-                let mut bodies = Vec::with_capacity(total);
-                for (i, (sql, route)) in stmts.into_iter().zip(routes).enumerate() {
+                let pairs = stmts.into_iter().zip(routes);
+                run_batch(pairs, &self.metrics.batch_statements, |(sql, route)| {
                     let stmt_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-                    let body = self
-                        .run(session, Command::Query(sql), route, stmt_id, Instant::now())
-                        .map_err(|(code, msg)| {
-                            (code, format!("batch statement {}/{total}: {msg}", i + 1))
-                        })?;
-                    self.metrics
-                        .batch_statements
-                        .fetch_add(1, Ordering::Relaxed);
-                    bodies.push(body);
-                }
-                Ok(bodies.join(&crate::protocol::BATCH_SEP.to_string()))
+                    self.run(session, Command::Query(sql), route, stmt_id, Instant::now())
+                })
             }
         }
     }

@@ -13,8 +13,9 @@
 //!
 //! The crate is engine-agnostic: it deals in [`TableImage`]s (schema +
 //! rows + serial counters) and [`WalRecord`]s, and knows nothing about SQL.
-//! `sqlengine` bridges its catalog to these types through a
-//! `StorageBackend` trait.
+//! A durable `sqlengine::Engine` owns its [`Store`]: it logs each mutation
+//! as a record, checkpoints its heaps through borrowed [`TableView`]s, and
+//! loads the recovered images into its catalog.
 //!
 //! ```
 //! use elephant_store::{FsyncPolicy, Store, StoreConfig, WalRecord};
@@ -652,29 +653,6 @@ fn apply(tables: &mut Vec<TableImage>, record: WalRecord) -> Result<()> {
             }
             t.restore_rows(rows);
         }
-        WalRecord::Update { table, rows } => {
-            let t = find(tables, &table)?;
-            for (ctid, row) in rows {
-                let slot = t.rows.get_mut(ctid as usize).ok_or_else(|| {
-                    StoreError::invalid(format!("update of missing ctid {ctid} in '{table}'"))
-                })?;
-                *slot = row;
-            }
-        }
-        WalRecord::Delete { table, ctids } => {
-            let t = find(tables, &table)?;
-            let mut ids: Vec<usize> = ctids.iter().map(|c| *c as usize).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            for id in ids.into_iter().rev() {
-                if id >= t.rows.len() {
-                    return Err(StoreError::invalid(format!(
-                        "delete of missing ctid {id} in '{table}'"
-                    )));
-                }
-                t.rows.remove(id);
-            }
-        }
         WalRecord::TxnPrepare { txn_id, .. }
         | WalRecord::TxnCommit { txn_id }
         | WalRecord::TxnAbort { txn_id }
@@ -767,42 +745,6 @@ mod tests {
         assert_eq!(report.wal_records_skipped, 0, "WAL truncated at checkpoint");
         assert_eq!(tables[0].rows.len(), 2);
         assert_eq!(tables[0].serial_next, vec![(0, 3)]);
-    }
-
-    #[test]
-    fn update_and_delete_replay() {
-        let cfg = tmp("updel");
-        {
-            let (mut store, _, _) = Store::open(cfg.clone()).unwrap();
-            store.log(&create_t()).unwrap();
-            store
-                .log(&insert(vec![
-                    vec![Value::Int(1), Value::text("a")],
-                    vec![Value::Int(2), Value::text("b")],
-                    vec![Value::Int(3), Value::text("c")],
-                ]))
-                .unwrap();
-            store
-                .log(&WalRecord::Update {
-                    table: "t".into(),
-                    rows: vec![(1, vec![Value::Int(2), Value::text("B")])],
-                })
-                .unwrap();
-            store
-                .log(&WalRecord::Delete {
-                    table: "t".into(),
-                    ctids: vec![0],
-                })
-                .unwrap();
-        }
-        let (_s, tables, _) = Store::open(cfg).unwrap();
-        assert_eq!(
-            tables[0].rows,
-            vec![
-                vec![Value::Int(2), Value::text("B")],
-                vec![Value::Int(3), Value::text("c")],
-            ]
-        );
     }
 
     #[test]

@@ -63,20 +63,6 @@ pub enum WalRecord {
         /// Full-width rows in append order.
         rows: Vec<Vec<Value>>,
     },
-    /// A batch of in-place row overwrites, addressed by ctid (row index).
-    Update {
-        /// Target table.
-        table: String,
-        /// `(ctid, new full-width row)` pairs.
-        rows: Vec<(u64, Vec<Value>)>,
-    },
-    /// A batch of row deletions, addressed by ctid (row index).
-    Delete {
-        /// Target table.
-        table: String,
-        /// Row indices to remove.
-        ctids: Vec<u64>,
-    },
     /// Two-phase commit prepare: this shard's slice of a cross-shard
     /// transaction, durably staged but **not applied**. Replay buffers the
     /// nested records until a matching [`WalRecord::TxnCommit`] applies them
@@ -115,13 +101,14 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The record's kind byte. Kinds 3 and 4 (row updates and deletes,
+    /// which the engine never wrote) are retired, not reused: a frame
+    /// carrying one decodes as an unknown kind.
     fn kind(&self) -> u8 {
         match self {
             WalRecord::CreateTable { .. } => 0,
             WalRecord::DropTable { .. } => 1,
             WalRecord::Insert { .. } => 2,
-            WalRecord::Update { .. } => 3,
-            WalRecord::Delete { .. } => 4,
             WalRecord::TxnPrepare { .. } => 5,
             WalRecord::TxnCommit { .. } => 6,
             WalRecord::TxnAbort { .. } => 7,
@@ -156,24 +143,6 @@ impl WalRecord {
                     for v in row {
                         put_value(&mut buf, v);
                     }
-                }
-            }
-            WalRecord::Update { table, rows } => {
-                put_str(&mut buf, table);
-                put_u32(&mut buf, rows.len() as u32);
-                for (ctid, row) in rows {
-                    put_u64(&mut buf, *ctid);
-                    put_u32(&mut buf, row.len() as u32);
-                    for v in row {
-                        put_value(&mut buf, v);
-                    }
-                }
-            }
-            WalRecord::Delete { table, ctids } => {
-                put_str(&mut buf, table);
-                put_u32(&mut buf, ctids.len() as u32);
-                for id in ctids {
-                    put_u64(&mut buf, *id);
                 }
             }
             WalRecord::TxnPrepare { txn_id, records } => {
@@ -233,30 +202,6 @@ impl WalRecord {
                     rows.push(row);
                 }
                 WalRecord::Insert { table, rows }
-            }
-            3 => {
-                let table = r.str()?;
-                let n = r.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let ctid = r.u64()?;
-                    let width = r.u32()? as usize;
-                    let mut row = Vec::with_capacity(width.min(1 << 16));
-                    for _ in 0..width {
-                        row.push(r.value()?);
-                    }
-                    rows.push((ctid, row));
-                }
-                WalRecord::Update { table, rows }
-            }
-            4 => {
-                let table = r.str()?;
-                let n = r.u32()? as usize;
-                let mut ctids = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    ctids.push(r.u64()?);
-                }
-                WalRecord::Delete { table, ctids }
             }
             5 => {
                 let txn_id = r.u64()?;
@@ -783,14 +728,6 @@ mod tests {
                     vec![Value::Int(2), Value::Null],
                 ],
             },
-            WalRecord::Update {
-                table: "t".into(),
-                rows: vec![(0, vec![Value::Int(1), Value::text("a2")])],
-            },
-            WalRecord::Delete {
-                table: "t".into(),
-                ctids: vec![1],
-            },
             WalRecord::DropTable { name: "t".into() },
         ]
     }
@@ -802,14 +739,14 @@ mod tests {
         for rec in sample_records() {
             w.append(&rec).unwrap();
         }
-        assert_eq!(w.stats().records_appended, 5);
-        assert!(w.stats().fsyncs >= 5);
+        assert_eq!(w.stats().records_appended, 3);
+        assert!(w.stats().fsyncs >= 3);
         drop(w);
         let out = read_wal(&path).unwrap();
         assert_eq!(out.torn_bytes, 0);
         assert!(!out.crc_mismatch);
         let lsns: Vec<u64> = out.records.iter().map(|(l, _)| *l).collect();
-        assert_eq!(lsns, vec![1, 2, 3, 4, 5]);
+        assert_eq!(lsns, vec![1, 2, 3]);
         let recs: Vec<WalRecord> = out.records.into_iter().map(|(_, r)| r).collect();
         assert_eq!(recs, sample_records());
     }
@@ -830,7 +767,7 @@ mod tests {
         f.set_len(full - 3).unwrap();
         drop(f);
         let out = read_wal(&path).unwrap();
-        assert_eq!(out.records.len(), 4, "last record torn away");
+        assert_eq!(out.records.len(), 2, "last record torn away");
         assert!(out.torn_bytes > 0);
         assert!(!out.crc_mismatch);
         // Reopen the writer at the valid boundary and append again.
@@ -839,7 +776,7 @@ mod tests {
             .unwrap();
         drop(w);
         let out = read_wal(&path).unwrap();
-        assert_eq!(out.records.len(), 5);
+        assert_eq!(out.records.len(), 3);
         assert_eq!(out.records.last().unwrap().0, 10);
         assert_eq!(out.torn_bytes, 0);
     }
@@ -864,7 +801,7 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let out = read_wal(&path).unwrap();
         assert!(out.crc_mismatch);
-        assert!(out.records.len() < 5);
+        assert!(out.records.len() < 3);
         assert!(out.torn_bytes > 0);
     }
 
@@ -881,7 +818,7 @@ mod tests {
         let lsn = w
             .append(&WalRecord::DropTable { name: "t".into() })
             .unwrap();
-        assert_eq!(lsn, 6, "LSNs continue across truncation");
+        assert_eq!(lsn, 4, "LSNs continue across truncation");
         drop(w);
         let out = read_wal(&path).unwrap();
         assert_eq!(out.records.len(), 1);
@@ -917,6 +854,84 @@ mod tests {
             assert!(decode_frame(&frame[..frame.len() - 1]).is_err());
         }
         assert!(decode_frame(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn frames_of_every_kind_keep_their_bytes() {
+        // One frame per kind the engine writes, at LSN 42: a log written by
+        // an earlier build must replay byte for byte.
+        let frozen = [
+            (
+                WalRecord::CreateTable {
+                    name: "t".into(),
+                    columns: vec!["id".into(), "v".into()],
+                    types: vec![DataType::Serial, DataType::Text],
+                },
+                "1f000000adf4e4692a000000000000000001000000740200000002000000696404010000007602",
+            ),
+            (
+                WalRecord::DropTable { name: "t".into() },
+                "0e000000b494bc6f2a00000000000000010100000074",
+            ),
+            (
+                WalRecord::Insert {
+                    table: "t".into(),
+                    rows: vec![
+                        vec![Value::Int(1), Value::text("a")],
+                        vec![Value::Int(2), Value::Null],
+                    ],
+                },
+                "33000000dcfb8db82a00000000000000020100000074020000000200000002010000000000000004\
+                 01000000610200000002020000000000000000",
+            ),
+            (
+                WalRecord::TxnPrepare {
+                    txn_id: 7,
+                    records: vec![
+                        WalRecord::DropTable { name: "u".into() },
+                        WalRecord::Insert {
+                            table: "t".into(),
+                            rows: vec![vec![Value::Float(0.5), Value::Bool(true)]],
+                        },
+                    ],
+                },
+                "4c000000a21c18872a00000000000000050700000000000000020000000e00000000000000000000\
+                 00010100000075210000000000000000000000020100000074010000000200000003000000000000\
+                 e03f0101",
+            ),
+            (
+                WalRecord::TxnCommit { txn_id: 7 },
+                "110000008d6cbfac2a00000000000000060700000000000000",
+            ),
+            (
+                WalRecord::TxnAbort { txn_id: 8 },
+                "11000000626ae4622a00000000000000070800000000000000",
+            ),
+            (
+                WalRecord::TxnDecision {
+                    txn_id: 7,
+                    commit: true,
+                },
+                "1200000059af69282a0000000000000008070000000000000001",
+            ),
+        ];
+        for (rec, hex) in frozen {
+            let frame = encode_frame(&rec, 42);
+            let got: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{rec:?}");
+            assert_eq!(decode_frame(&frame).unwrap(), (42, rec));
+        }
+        for retired in [3u8, 4] {
+            let mut payload = Vec::new();
+            put_u64(&mut payload, 42);
+            payload.push(retired);
+            put_str(&mut payload, "t");
+            let err = WalRecord::decode(&payload).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unknown WAL record kind {retired}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -51,20 +51,21 @@ impl Catalog {
         Ok(())
     }
 
-    /// Drop a table or view.
-    pub fn drop(&mut self, name: &str, is_view: bool, if_exists: bool) -> Result<()> {
-        let removed = if is_view {
-            self.views.remove(name).is_some()
+    /// Drop a table or view; returns the dropped base table, if one was.
+    pub fn drop(&mut self, name: &str, is_view: bool, if_exists: bool) -> Result<Option<Table>> {
+        let dropped = if is_view {
+            self.views.remove(name).map(|_| None)
         } else {
-            self.tables.remove(name).is_some()
+            self.tables.remove(name).map(Some)
         };
-        if !removed && !if_exists {
-            return Err(SqlError::catalog(format!(
+        match dropped {
+            Some(table) => Ok(table),
+            None if if_exists => Ok(None),
+            None => Err(SqlError::catalog(format!(
                 "{} '{name}' does not exist",
                 if is_view { "view" } else { "table" }
-            )));
+            ))),
         }
-        Ok(())
     }
 
     /// Look up a base table.

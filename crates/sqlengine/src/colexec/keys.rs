@@ -18,7 +18,10 @@
 //!   is keyed by `Value`, so `Int = Float` matches, `-0.0 = 0.0` and NaN
 //!   equals NaN, as in the reference.
 //!
-//! NULL is an id of its own in every column. One column's ids are the key
+//! NULL is an id of its own in every column. A batch whose key column is
+//! all NULL (generic storage, whatever the column's type) takes no part
+//! in picking the source: its rows all get the NULL id under any source.
+//! One column's ids are the key
 //! ids. Several columns combine through one mixed-radix table when every
 //! column bounds its ids before any row is seen (`Bool` by 3, `Text` whose
 //! batches share one dictionary by its size plus one, a direct `Int` by
@@ -133,7 +136,8 @@ fn fill<const ADD: bool, T>(
 impl KeyColumn {
     /// The source of key column `k` and a bound on its ids (NULL's
     /// included) when one is known before any row is seen. The storage of
-    /// every non-empty batch, `assigned` and `probed`, picks the source;
+    /// every batch with a non-NULL key, `assigned` and `probed`, picks the
+    /// source;
     /// only `assigned` rows are given ids, so they alone set an `Int` span
     /// and a `Text` bound.
     fn new(
@@ -176,8 +180,12 @@ impl KeyColumn {
         let KeyColumn { source, null, len } = self;
         let nulls = col.nulls();
         match (source, col.data()) {
-            // An empty batch's storage picked nothing.
+            // An empty or all-NULL batch's storage picked nothing.
             _ if col.is_empty() => {}
+            _ if nulls.null_count() == col.len() => {
+                let id = slot_id::<ADD>(null, len);
+                out.resize(col.len(), id);
+            }
             (Source::Direct { min, slots }, ColumnData::Int(v)) => {
                 let min = *min;
                 fill::<ADD, _>(out, v.iter().copied(), nulls, null, len, |k, len| {
@@ -244,12 +252,12 @@ fn text_id<const ADD: bool>(map: &mut HashMap<String, u32>, k: &str, len: &mut u
     }
 }
 
-/// Key column `k` of every batch that has rows.
+/// Key column `k` of every batch that has a non-NULL key.
 fn rows_of<'a>(batches: &'a [&[Rc<Column>]], k: usize) -> impl Iterator<Item = &'a Column> {
     batches
         .iter()
         .map(move |keys| keys[k].as_ref())
-        .filter(|c| !c.is_empty())
+        .filter(|c| c.nulls().null_count() < c.len())
 }
 
 /// The source of `Int` key column `k`: direct when the span of its
@@ -633,6 +641,39 @@ mod tests {
         // An all-NULL column is generic storage: it is keyed by value.
         let nulls = [vec![ints(&[None, None])]];
         assert_eq!(assign(&nulls), ("value/one".into(), vec![vec![0, 0]]));
+    }
+
+    #[test]
+    fn an_all_null_batch_does_not_move_a_typed_column_to_values() {
+        // The all-NULL batch is generic storage; the `Int` batches still
+        // pick the direct source, and every row of it gets the NULL id.
+        let mixed = [
+            vec![ints(&[Some(2), None, Some(5)])],
+            vec![ints(&[None, None])],
+            vec![ints(&[Some(5), Some(7)])],
+        ];
+        assert_eq!(assign(&mixed), ("direct/one".into(), by_value(&mixed)));
+        assert_eq!(
+            assign(&mixed).1,
+            vec![vec![0, 1, 2], vec![1, 1], vec![2, 3]]
+        );
+        // A first batch of NULLs, under a text and a bool source.
+        let text = [
+            vec![ints(&[None])],
+            vec![texts(&[Some("a"), None, Some("a")])],
+        ];
+        assert_eq!(
+            assign(&text),
+            ("text/one".into(), vec![vec![0], vec![1, 0, 1]])
+        );
+        let bools = [
+            vec![ints(&[None, None])],
+            vec![column(&[Value::Bool(true)])],
+        ];
+        assert_eq!(
+            assign(&bools),
+            ("bool/one".into(), vec![vec![0, 0], vec![1]])
+        );
     }
 
     #[test]

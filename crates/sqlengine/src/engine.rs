@@ -5,7 +5,7 @@ use crate::binder::bind_select;
 use crate::cache::{collect_table_deps, CachedPlan, PlanCache, PlanCacheStats};
 use crate::catalog::{Catalog, ViewDef};
 use crate::colexec;
-use crate::durable::{DurableBackend, MemoryBackend, StorageBackend};
+use crate::durable::{image_to_table, table_to_image};
 use crate::error::{Result, SqlError};
 use crate::exec::{ExecContext, ExecStats};
 use crate::optimizer::optimize;
@@ -14,7 +14,8 @@ use crate::profile::EngineProfile;
 use crate::storage::{Heap, Relation, ResultSet, StoredView, Table};
 use crate::trace::{EngineTrace, Phase, QueryProfile};
 use elephant_store::{
-    CheckpointStats, FsyncPolicy, RecoveryReport, StoreStats, TableImage, WalHandle, WalRecord,
+    CheckpointStats, FsyncPolicy, RecoveryReport, Store, StoreConfig, StoreStats, TableImage,
+    TableView, WalHandle, WalRecord,
 };
 use etypes::{Column, ColumnChunk, CsvOptions, DataType, Value};
 use std::cell::OnceCell;
@@ -83,7 +84,9 @@ pub struct Engine {
     plan_cache: PlanCache,
     /// Prepared statement name → its SELECT text, the plan-cache key.
     prepared: HashMap<String, Rc<str>>,
-    backend: Box<dyn StorageBackend>,
+    /// The WAL + snapshot store of a durable engine and what recovery found
+    /// when it was opened; `None` on a volatile engine.
+    store: Option<(Store, RecoveryReport)>,
     trace: EngineTrace,
     health: Health,
     /// When set, mutations bypass the WAL *and* the read-only gate: the
@@ -92,64 +95,59 @@ pub struct Engine {
     /// down with the first durability failure.
     unlogged: bool,
     statement_timeout: Option<Duration>,
-    /// True between [`Engine::begin_commit_group`] and
-    /// [`Engine::end_commit_group`]: logged mutations record an undo entry
-    /// so a failed group fsync can unwind them all.
-    in_commit_group: bool,
-    /// Undo entries for mutations whose WAL frames are deferred in the open
-    /// group window, in apply order.
-    group_undo: Vec<GroupUndo>,
-    /// Bumped whenever `group_undo` is retired without unwinding (group
-    /// fsync succeeded, or a checkpoint made the entries snapshot-durable).
-    /// Callers holding per-statement marks compare epochs to know whether
-    /// "this statement deferred its commit" is still true.
+    /// Between [`Engine::begin_commit_group`] and
+    /// [`Engine::end_commit_group`]: where the window's entries start on
+    /// the undo log.
+    group_mark: Option<usize>,
+    /// How to undo each applied mutation a later failure may still unwind,
+    /// in apply order (see [`Engine::log_mutation`]).
+    undo: Vec<Undo>,
+    /// Bumped whenever entries of a group window are retired without
+    /// unwinding (group fsync succeeded, or a checkpoint made them
+    /// snapshot-durable). Callers holding per-statement marks compare
+    /// epochs to know whether "this statement deferred its commit" is
+    /// still true.
     group_epoch: u64,
     /// While `Some`, [`Engine::log_durable`] diverts records here instead of
-    /// the backend: the 2PC prepare path runs statements normally, captures
+    /// the store: the 2PC prepare path runs statements normally, captures
     /// their WAL records, and stages the batch as one `PREPARE` frame.
     txn_capture: Option<Vec<WalRecord>>,
     /// A prepared-but-undecided cross-shard transaction: its in-memory
     /// effects are visible, its WAL records sit in a fsynced `PREPARE`
-    /// frame, and these undo entries unwind it on abort.
+    /// frame, and its entries on the undo log unwind it on abort.
     prepared_txn: Option<PreparedTxn>,
 }
 
 /// See [`Engine::prepare_txn`].
 struct PreparedTxn {
     txn_id: u64,
-    undo: Vec<GroupUndo>,
+    /// Where the transaction's entries start on the undo log.
+    mark: usize,
 }
 
-/// How to undo one logged-but-not-yet-group-committed mutation. Mirrors the
-/// per-statement rollback paths exactly: cut appended rows back out,
-/// drop an unlogged CREATE, resurrect an unlogged DROP.
-enum GroupUndo {
-    /// `CREATE TABLE name` — undo by dropping it.
-    Create {
-        /// The created table's name.
-        name: String,
-    },
-    /// `DROP TABLE` — undo by recreating the saved table.
-    Drop {
-        /// The dropped table, rows and serials included.
-        saved: Table,
-    },
-    /// `INSERT`/`COPY` — undo by truncating back to the pre-statement row
-    /// count and restoring serial counters.
+/// How to undo one applied mutation.
+enum Undo {
+    /// `CREATE TABLE` — undo by dropping the table.
+    Create(String),
+    /// `DROP TABLE` — undo by recreating the dropped table, rows and
+    /// serials included.
+    Drop(Table),
+    /// `INSERT`/`COPY` — undo by cutting the table back to its row count
+    /// before the statement and restoring its serial counters.
     Append {
         /// Target table.
         table: String,
         /// Row count before the statement.
-        first_new_row: usize,
+        rows: usize,
         /// Serial counters before the statement.
-        saved_serials: Vec<(usize, i64)>,
+        serials: Vec<(usize, i64)>,
     },
 }
 
 impl Engine {
     /// Create a volatile engine with the given execution profile.
     pub fn new(profile: EngineProfile) -> Engine {
-        Engine::with_backend(profile, Box::new(MemoryBackend))
+        Engine::with_store(profile, None)
     }
 
     /// Create a durable engine backed by a WAL + snapshot store in `dir`,
@@ -174,28 +172,31 @@ impl Engine {
         fsync: FsyncPolicy,
         txn_decisions: HashMap<u64, bool>,
     ) -> Result<Engine> {
-        let (backend, tables) = DurableBackend::open_with_decisions(dir, fsync, txn_decisions)?;
-        let mut engine = Engine::with_backend(profile, Box::new(backend));
-        for table in tables {
-            engine.catalog.create_table(table)?;
+        let config = StoreConfig::new(dir.as_ref())
+            .with_fsync(fsync)
+            .with_txn_decisions(txn_decisions);
+        let (store, images, recovery) = Store::open(config)?;
+        let mut engine = Engine::with_store(profile, Some((store, recovery)));
+        for image in images {
+            engine.catalog.create_table(image_to_table(image))?;
         }
         Ok(engine)
     }
 
-    fn with_backend(profile: EngineProfile, backend: Box<dyn StorageBackend>) -> Engine {
+    fn with_store(profile: EngineProfile, store: Option<(Store, RecoveryReport)>) -> Engine {
         Engine {
             catalog: Catalog::new(),
             profile,
             stats: EngineStats::default(),
             plan_cache: PlanCache::default(),
             prepared: HashMap::new(),
-            backend,
+            store,
             trace: EngineTrace::default(),
             health: Health::Healthy,
             unlogged: false,
             statement_timeout: None,
-            in_commit_group: false,
-            group_undo: Vec::new(),
+            group_mark: None,
+            undo: Vec::new(),
             group_epoch: 0,
             txn_capture: None,
             prepared_txn: None,
@@ -203,15 +204,17 @@ impl Engine {
     }
 
     /// Open a group-commit window: until [`Engine::end_commit_group`],
-    /// logged mutations on an `always`-fsync durable backend defer their
+    /// logged mutations on an `always`-fsync durable engine defer their
     /// fsync *and* their durability acknowledgment to the window's single
-    /// closing fsync. Each such mutation records an undo entry so the whole
-    /// window can be unwound if that fsync fails. A no-op on volatile
-    /// engines and lax fsync policies (their appends never fsync per
-    /// record, so there is nothing to defer).
+    /// closing fsync, and keep their undo entries so the whole window can
+    /// be unwound if that fsync fails. A no-op on volatile engines and lax
+    /// fsync policies (their appends never fsync per record, so there is
+    /// nothing to defer).
     pub fn begin_commit_group(&mut self) {
-        self.in_commit_group = true;
-        self.backend.begin_group();
+        self.group_mark = Some(self.undo.len());
+        if let Some((store, _)) = &mut self.store {
+            store.begin_group();
+        }
     }
 
     /// Close the group-commit window with one fsync; returns how many
@@ -222,54 +225,50 @@ impl Engine {
     /// [`Health::ReadOnly`] — the same contract as a failed per-statement
     /// append.
     pub fn end_commit_group(&mut self) -> Result<u64> {
-        self.in_commit_group = false;
-        match self.backend.end_group() {
-            Ok(n) => {
-                if !self.group_undo.is_empty() {
-                    self.group_undo.clear();
-                    self.group_epoch += 1;
-                }
-                Ok(n)
-            }
-            Err(e) => {
-                let undo = std::mem::take(&mut self.group_undo);
-                self.unwind_undo(undo);
-                self.group_epoch += 1;
-                self.health = Health::ReadOnly {
-                    reason: e.to_string(),
-                };
-                Err(e)
-            }
+        let mark = self.group_mark.take().unwrap_or(self.undo.len());
+        let closed = self.write_store(Store::end_group);
+        if closed.is_err() || self.undo.len() > mark {
+            self.group_epoch += 1;
         }
+        match closed {
+            Ok(_) => self.undo.truncate(mark),
+            Err(_) => self.unwind_to(mark),
+        }
+        closed
     }
 
-    /// Unwind a list of undo entries in reverse apply order: the shared
-    /// rollback path for a failed group fsync, a failed 2PC prepare, and a
-    /// 2PC abort. Mirrors the per-statement rollback paths exactly.
-    fn unwind_undo(&mut self, undo: Vec<GroupUndo>) {
-        for entry in undo.into_iter().rev() {
-            match entry {
-                GroupUndo::Create { name } => {
+    /// Unwind the undo log back to `mark`, newest entry first: the one
+    /// rollback path for a failed WAL append, a failed group fsync, a
+    /// failed 2PC prepare and a 2PC abort.
+    fn unwind_to(&mut self, mark: usize) {
+        while self.undo.len() > mark {
+            match self.undo.pop().expect("the log is longer than the mark") {
+                Undo::Create(name) => {
                     let _ = self.catalog.drop(&name, false, true);
                     self.plan_cache.invalidate_table(&name);
                 }
-                GroupUndo::Drop { saved } => {
-                    let name = saved.name.clone();
-                    let _ = self.catalog.create_table(saved);
+                Undo::Drop(table) => {
+                    let name = table.name.clone();
+                    let _ = self.catalog.create_table(table);
                     self.plan_cache.invalidate_table(&name);
                 }
-                GroupUndo::Append {
+                Undo::Append {
                     table,
-                    first_new_row,
-                    saved_serials,
-                } => self.rollback_append(&table, first_new_row, saved_serials),
+                    rows,
+                    serials,
+                } => {
+                    if let Some(t) = self.catalog.table_mut(&table) {
+                        t.heap.truncate(rows);
+                        t.serial_next = serials;
+                    }
+                }
             }
         }
     }
 
     /// Statements whose durability is deferred in the open group window.
     pub fn group_pending(&self) -> usize {
-        self.group_undo.len()
+        self.undo.len()
     }
 
     /// See [`Engine::end_commit_group`]: marks taken under an older epoch
@@ -282,8 +281,8 @@ impl Engine {
     /// Phase one of two-phase commit, participant side: execute this
     /// shard's slice of a cross-shard transaction and durably **prepare**
     /// it. The statements run through the normal per-statement validation
-    /// and rollback paths, but their WAL records are captured and staged as
-    /// a single `PREPARE{txn_id, records}` frame, fsynced before this
+    /// and undo log, but their WAL records are captured and staged as a
+    /// single `PREPARE{txn_id, records}` frame, fsynced before this
     /// returns — once it returns Ok, the coordinator may decide commit.
     /// The in-memory effects stay visible; [`Engine::commit_prepared`]
     /// retires them and [`Engine::abort_prepared`] unwinds them. Returns
@@ -299,7 +298,7 @@ impl Engine {
                 "a transaction is already prepared and undecided",
             ));
         }
-        if self.in_commit_group {
+        if self.group_mark.is_some() {
             return Err(SqlError::exec(
                 "2PC prepare inside an open group-commit window",
             ));
@@ -307,36 +306,25 @@ impl Engine {
         if let Health::ReadOnly { reason } = &self.health {
             return Err(SqlError::ReadOnly(reason.clone()));
         }
+        let mark = self.undo.len();
         self.txn_capture = Some(Vec::new());
-        let saved_undo = std::mem::take(&mut self.group_undo);
         let result = self.execute_script(sql);
         let captured = self.txn_capture.take().unwrap_or_default();
-        let undo = std::mem::replace(&mut self.group_undo, saved_undo);
-        match result {
-            Ok(mut outcomes) => {
-                if !captured.is_empty() {
-                    if let Err(e) = self.backend.log_txn_prepare(txn_id, captured) {
-                        // The prepare never became durable: unwind the
-                        // in-memory effects and degrade, the same contract
-                        // as a failed per-statement append.
-                        self.unwind_undo(undo);
-                        self.health = Health::ReadOnly {
-                            reason: e.to_string(),
-                        };
-                        return Err(e);
-                    }
-                }
-                self.prepared_txn = Some(PreparedTxn { txn_id, undo });
-                Ok(outcomes.pop().unwrap_or_default())
+        // A statement that failed mid-slice votes abort by reporting its
+        // error; a prepare frame that failed to land degrades the engine,
+        // the same contract as a failed per-statement append. Either way
+        // the slice is unwound.
+        let staged = result.and_then(|mut outcomes| {
+            if !captured.is_empty() {
+                self.write_store(|store| store.log_txn_prepare(txn_id, captured))?;
             }
-            Err(e) => {
-                // A statement failed mid-slice: earlier statements already
-                // applied in memory but nothing reached the WAL, so unwind
-                // them and vote abort by reporting the error.
-                self.unwind_undo(undo);
-                Err(e)
-            }
+            Ok(outcomes.pop().unwrap_or_default())
+        });
+        match staged {
+            Ok(_) => self.prepared_txn = Some(PreparedTxn { txn_id, mark }),
+            Err(_) => self.unwind_to(mark),
         }
+        staged
     }
 
     /// Phase two, commit: append + fsync the `COMMIT` outcome marker and
@@ -346,25 +334,11 @@ impl Engine {
     /// prepare frame plus the decision log — but the engine degrades to
     /// read-only until a checkpoint reconciles disk with memory.
     pub fn commit_prepared(&mut self, txn_id: u64) -> Result<()> {
-        let txn = self
-            .prepared_txn
-            .take()
-            .ok_or_else(|| SqlError::exec("no prepared transaction to commit"))?;
-        if txn.txn_id != txn_id {
-            let have = txn.txn_id;
-            self.prepared_txn = Some(txn);
-            return Err(SqlError::exec(format!(
-                "commit for txn {txn_id} but txn {have} is prepared"
-            )));
-        }
+        let txn = self.take_prepared(txn_id, "commit")?;
+        self.undo.truncate(txn.mark);
         self.group_epoch += 1;
-        if let Err(e) = self.backend.log_txn_commit(txn_id) {
-            self.health = Health::ReadOnly {
-                reason: e.to_string(),
-            };
-            return Err(e);
-        }
-        Ok(())
+        self.write_store(|store| store.log_txn_commit(txn_id))
+            .map(drop)
     }
 
     /// Phase two, abort: unwind the prepared transaction's in-memory
@@ -373,26 +347,27 @@ impl Engine {
     /// presumed-abort guarantees recovery discards the group either way, so
     /// memory must match that outcome now.
     pub fn abort_prepared(&mut self, txn_id: u64) -> Result<()> {
-        let txn = self
-            .prepared_txn
-            .take()
-            .ok_or_else(|| SqlError::exec("no prepared transaction to abort"))?;
-        if txn.txn_id != txn_id {
-            let have = txn.txn_id;
-            self.prepared_txn = Some(txn);
-            return Err(SqlError::exec(format!(
-                "abort for txn {txn_id} but txn {have} is prepared"
-            )));
-        }
-        self.unwind_undo(txn.undo);
+        let txn = self.take_prepared(txn_id, "abort")?;
+        self.unwind_to(txn.mark);
         self.group_epoch += 1;
-        if let Err(e) = self.backend.log_txn_abort(txn_id) {
-            self.health = Health::ReadOnly {
-                reason: e.to_string(),
-            };
-            return Err(e);
+        self.write_store(|store| store.log_txn_abort(txn_id))
+            .map(drop)
+    }
+
+    /// Take the prepared transaction `txn_id` off the engine to `verb` it;
+    /// any other (or none) is refused and left in place.
+    fn take_prepared(&mut self, txn_id: u64, verb: &str) -> Result<PreparedTxn> {
+        match self.prepared_txn.take() {
+            Some(txn) if txn.txn_id == txn_id => Ok(txn),
+            Some(txn) => {
+                let have = txn.txn_id;
+                self.prepared_txn = Some(txn);
+                Err(SqlError::exec(format!(
+                    "{verb} for txn {txn_id} but txn {have} is prepared"
+                )))
+            }
+            None => Err(SqlError::exec(format!("no prepared transaction to {verb}"))),
         }
-        Ok(())
     }
 
     /// The id of the currently prepared-but-undecided transaction, if any.
@@ -400,21 +375,23 @@ impl Engine {
         self.prepared_txn.as_ref().map(|t| t.txn_id)
     }
 
-    /// Record how to undo a mutation whose WAL frame is deferred in the
-    /// open group window. Outside a window — or when nothing was actually
-    /// logged (volatile backend, unlogged mode) — there is nothing a group
-    /// failure could unwind, so nothing is recorded.
-    fn note_group_undo(&mut self, undo: GroupUndo) {
-        if self.unlogged {
-            return;
-        }
-        // Inside a 2PC prepare capture, *every* mutation records its undo
-        // (abort must unwind even on a volatile backend); inside a plain
-        // group window, only durably logged mutations can be unwound by a
-        // failed group fsync.
-        if self.txn_capture.is_some() || (self.in_commit_group && self.backend.is_durable()) {
-            self.group_undo.push(undo);
-        }
+    /// One write to the store, if this engine has one (a volatile engine
+    /// writes nothing). A failed write degrades the engine to
+    /// [`Health::ReadOnly`].
+    fn write_store<T: Default>(
+        &mut self,
+        write: impl FnOnce(&mut Store) -> elephant_store::Result<T>,
+    ) -> Result<T> {
+        let Some((store, _)) = &mut self.store else {
+            return Ok(T::default());
+        };
+        write(store).map_err(|e| {
+            let e = SqlError::from(e);
+            self.health = Health::ReadOnly {
+                reason: e.to_string(),
+            };
+            e
+        })
     }
 
     /// The engine's durability health. Volatile engines are always
@@ -423,10 +400,10 @@ impl Engine {
         &self.health
     }
 
-    /// The durable backend's committed-LSN watermark (read by the shard
+    /// The durable store's committed-LSN watermark (read by the shard
     /// router's 2PC cut vectors); `None` on volatile engines.
     pub fn wal_handle(&self) -> Option<WalHandle> {
-        self.backend.wal_handle()
+        self.store.as_ref().map(|(store, _)| store.wal_handle())
     }
 
     /// Bypass the WAL and the read-only gate for subsequent mutations
@@ -503,19 +480,19 @@ impl Engine {
 
     /// True when this engine logs mutations to durable storage.
     pub fn is_durable(&self) -> bool {
-        self.backend.is_durable()
+        self.store.is_some()
     }
 
     /// What recovery found when a durable engine was opened; `None` on
     /// volatile engines.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.backend.recovery_report()
+        self.store.as_ref().map(|(_, recovery)| recovery)
     }
 
     /// Live storage counters (WAL appends, fsyncs, checkpoints); `None` on
     /// volatile engines.
     pub fn storage_stats(&self) -> Option<StoreStats> {
-        self.backend.store_stats()
+        self.store.as_ref().map(|(store, _)| store.stats())
     }
 
     /// Snapshot every base table and truncate the WAL. Returns `None` on a
@@ -534,19 +511,36 @@ impl Engine {
                 "cannot checkpoint while a transaction is prepared but undecided",
             ));
         }
-        let stats = self.backend.checkpoint(&self.catalog)?;
-        if stats.is_some() && self.health != Health::Healthy {
-            self.health = Health::Healthy;
-        }
-        if stats.is_some() && !self.group_undo.is_empty() {
+        let Some((store, _)) = &mut self.store else {
+            return Ok(None);
+        };
+        // Borrowed views: the snapshot is encoded straight from each
+        // heap's sealed chunks and tail.
+        let catalog = &self.catalog;
+        let views: Vec<TableView<'_>> = catalog
+            .table_names()
+            .into_iter()
+            .filter_map(|name| catalog.table(name))
+            .map(|table| TableView {
+                name: &table.name,
+                columns: &table.columns,
+                types: &table.types,
+                serial_next: &table.serial_next,
+                chunks: table.heap.sealed(),
+                tail: table.heap.tail(),
+            })
+            .collect();
+        let stats = store.checkpoint(&views)?;
+        self.health = Health::Healthy;
+        if !self.undo.is_empty() {
             // The snapshot covers every deferred mutation (it was written
             // from memory, which includes them) and the WAL layer advanced
             // its watermark over them at truncation — they are durable now,
             // so a later group failure must not unwind them.
-            self.group_undo.clear();
+            self.undo.clear();
             self.group_epoch += 1;
         }
-        Ok(stats)
+        Ok(Some(stats))
     }
 
     /// Export the named base tables as [`TableImage`]s (schema, serial
@@ -559,7 +553,7 @@ impl Engine {
             .map(|n| {
                 self.catalog
                     .table(n)
-                    .map(crate::durable::table_to_image)
+                    .map(table_to_image)
                     .ok_or_else(|| SqlError::catalog(format!("unknown table '{n}'")))
             })
             .collect()
@@ -571,8 +565,7 @@ impl Engine {
     /// [`Engine::remove_foreign_table`] once the query has run.
     pub fn install_foreign_table(&mut self, image: TableImage) -> Result<()> {
         let name = image.name.clone();
-        self.catalog
-            .create_table(crate::durable::image_to_table(image))?;
+        self.catalog.create_table(image_to_table(image))?;
         self.plan_cache.invalidate_table(&name);
         Ok(())
     }
@@ -687,61 +680,70 @@ impl Engine {
         }
     }
 
-    /// Log one mutation, attributing the whole append (fsync included) to
-    /// the WAL-append phase and the fsync share to its own phase.
-    ///
-    /// This is also the health gate: a [`Health::ReadOnly`] engine refuses
-    /// the log *before* touching the backend, and a backend failure
-    /// transitions the engine to read-only. Either way an `Err` obliges
-    /// the caller to roll the already-applied in-memory mutation back —
-    /// every call site does, so memory never diverges from what replay
-    /// will reconstruct. Unlogged mode (inspection) bypasses both.
-    fn log_durable(&mut self, record: &WalRecord) -> Result<()> {
-        if !self.logs_mutations() {
+    /// Enter one mutation, already applied in memory, on the undo log and
+    /// log its WAL `record` (`None` where this engine logs nothing). A
+    /// refused or failed append unwinds the log back to before the entry,
+    /// so memory keeps only what replay will rebuild. The entry outlives
+    /// the statement only while a group window or a 2PC prepare may still
+    /// unwind it. Unlogged mutations (inspection's scratch tables) enter
+    /// nothing.
+    fn log_mutation(&mut self, undo: Undo, record: Option<WalRecord>) -> Result<()> {
+        if self.unlogged || (self.store.is_none() && self.txn_capture.is_none()) {
             return Ok(());
         }
-        if let Health::ReadOnly { reason } = &self.health {
-            return Err(SqlError::ReadOnly(reason.clone()));
-        }
-        if let Some(captured) = &mut self.txn_capture {
-            // 2PC prepare capture: the record is staged, not appended — it
-            // becomes durable inside the single PREPARE frame.
-            captured.push(record.clone());
-            return Ok(());
-        }
-        let result = if self.trace.enabled() {
-            let before = self
-                .backend
-                .store_stats()
-                .map(|s| (s.wal.fsyncs, s.wal.fsync_us));
-            let started = Instant::now();
-            let result = self.backend.log(record);
-            self.trace
-                .record_duration(Phase::WalAppend, started.elapsed());
-            if let (Some((fsyncs, fsync_us)), Some(after)) = (before, self.backend.store_stats()) {
-                if after.wal.fsyncs > fsyncs {
-                    self.trace
-                        .record_us(Phase::Fsync, after.wal.fsync_us.saturating_sub(fsync_us));
-                }
+        let mark = self.undo.len();
+        self.undo.push(undo);
+        if let Some(record) = record {
+            if let Err(e) = self.log_durable(record) {
+                self.unwind_to(mark);
+                return Err(e);
             }
-            result
-        } else {
-            self.backend.log(record)
-        };
-        if let Err(e) = result {
-            self.health = Health::ReadOnly {
-                reason: e.to_string(),
-            };
-            return Err(e);
+        }
+        let pending = self.group_mark.is_some() && self.store.is_some();
+        if !pending && self.txn_capture.is_none() {
+            self.undo.truncate(mark);
         }
         Ok(())
     }
 
-    /// Whether [`Engine::log_durable`] would log a mutation right now:
-    /// callers that must build the record first (a copy of the loaded rows)
-    /// ask before paying for it.
+    /// Append one record, attributing the whole append (fsync included)
+    /// to the WAL-append phase and the fsync share to its own phase. In a
+    /// 2PC prepare the record is captured for the `PREPARE` frame instead.
+    ///
+    /// This is also the health gate: a [`Health::ReadOnly`] engine refuses
+    /// the record *before* touching the store, and a store failure
+    /// degrades the engine to read-only.
+    fn log_durable(&mut self, record: WalRecord) -> Result<()> {
+        if let Health::ReadOnly { reason } = &self.health {
+            return Err(SqlError::ReadOnly(reason.clone()));
+        }
+        if let Some(captured) = &mut self.txn_capture {
+            captured.push(record);
+            return Ok(());
+        }
+        let timed = self
+            .trace
+            .enabled()
+            .then(|| (Instant::now(), self.storage_stats()));
+        let result = self.write_store(|store| store.log(&record));
+        if let Some((started, Some(before))) = timed {
+            self.trace
+                .record_duration(Phase::WalAppend, started.elapsed());
+            let after = self.storage_stats().unwrap_or(before).wal;
+            if after.fsyncs > before.wal.fsyncs {
+                self.trace.record_us(
+                    Phase::Fsync,
+                    after.fsync_us.saturating_sub(before.wal.fsync_us),
+                );
+            }
+        }
+        result.map(drop)
+    }
+
+    /// Whether a mutation builds a WAL record: only on a durable engine
+    /// outside unlogged mode. Callers ask before copying rows into one.
     fn logs_mutations(&self) -> bool {
-        !self.unlogged && self.backend.is_durable()
+        !self.unlogged && self.store.is_some()
     }
 
     /// Execute one parsed statement.
@@ -750,22 +752,14 @@ impl Engine {
             Statement::CreateTable { name, columns } => {
                 let (names, types): (Vec<String>, Vec<DataType>) =
                     columns.into_iter().map(|c| (c.name, c.ty)).unzip();
-                self.catalog.create_table(Table::empty(
-                    name.clone(),
-                    names.clone(),
-                    types.clone(),
-                ))?;
-                if let Err(e) = self.log_durable(&WalRecord::CreateTable {
+                let record = self.logs_mutations().then(|| WalRecord::CreateTable {
                     name: name.clone(),
-                    columns: names,
-                    types,
-                }) {
-                    // Unlogged DDL must not outlive the failed statement:
-                    // replay would never recreate it.
-                    let _ = self.catalog.drop(&name, false, true);
-                    return Err(e);
-                }
-                self.note_group_undo(GroupUndo::Create { name: name.clone() });
+                    columns: names.clone(),
+                    types: types.clone(),
+                });
+                self.catalog
+                    .create_table(Table::empty(name.clone(), names, types))?;
+                self.log_mutation(Undo::Create(name.clone()), record)?;
                 self.plan_cache.invalidate_table(&name);
                 Ok(no_rows(0))
             }
@@ -774,19 +768,11 @@ impl Engine {
                 is_view,
                 if_exists,
             } => {
-                // Keep a copy so a failed WAL append can resurrect the
-                // table: an unlogged drop would survive in memory but not
-                // in replay.
-                let saved = (!is_view)
-                    .then(|| self.catalog.table(&name).cloned())
-                    .flatten();
-                self.catalog.drop(&name, is_view, if_exists)?;
-                if let Some(saved) = saved {
-                    if let Err(e) = self.log_durable(&WalRecord::DropTable { name: name.clone() }) {
-                        let _ = self.catalog.create_table(saved);
-                        return Err(e);
-                    }
-                    self.note_group_undo(GroupUndo::Drop { saved });
+                if let Some(table) = self.catalog.drop(&name, is_view, if_exists)? {
+                    let record = self
+                        .logs_mutations()
+                        .then(|| WalRecord::DropTable { name: name.clone() });
+                    self.log_mutation(Undo::Drop(table), record)?;
                 }
                 self.plan_cache.invalidate_table(&name);
                 Ok(no_rows(0))
@@ -1153,50 +1139,46 @@ impl Engine {
                 }
             })
             .collect::<Result<Vec<_>>>()?;
-        let first_new_row = table_ref.heap.len();
-        let saved_serials = table_ref.serial_next.clone();
+        let (rows, serials) = (table_ref.heap.len(), table_ref.serial_next.clone());
         let count = full_rows.len();
         for row in full_rows {
             table_ref.append(row)?;
         }
-        // Log the rows as stored (post serial-fill/coercion) so replay
-        // reproduces the exact in-memory state, ctids included.
-        let logged = (count > 0 && (self.backend.is_durable() || self.txn_capture.is_some()))
-            .then(|| table_ref.heap.rows_from(first_new_row));
-        self.trace.record(Phase::Execute, timer);
-        if let Some(rows) = logged {
-            if let Err(e) = self.log_durable(&WalRecord::Insert {
-                table: table.to_string(),
-                rows,
-            }) {
-                self.rollback_append(table, first_new_row, saved_serials);
-                return Err(e);
-            }
-            self.note_group_undo(GroupUndo::Append {
-                table: table.to_string(),
-                first_new_row,
-                saved_serials,
-            });
-        }
+        self.log_append(table, rows, serials, timer)?;
         self.profile.charge_io(count);
         self.stats.pages_written += self.profile.pages_for(count);
         Ok(no_rows(count))
     }
 
-    /// Undo an in-memory append whose WAL record failed to land: cut the
-    /// rows back out (unsealing a chunk the append sealed) and restore the
-    /// serial counters, so the visible state matches what replay will
-    /// reconstruct.
-    fn rollback_append(
+    /// Log the rows one INSERT or COPY appended to `table` past its first
+    /// `rows`, as stored (post serial-fill and coercion) so replay
+    /// reproduces the exact in-memory state, ctids included; its undo
+    /// restores `rows` and the serial counters `serials`. `timer`, when the
+    /// caller runs one, closes the execute phase once the record is built.
+    fn log_append(
         &mut self,
         table: &str,
-        first_new_row: usize,
-        saved_serials: Vec<(usize, i64)>,
-    ) {
-        if let Some(t) = self.catalog.table_mut(table) {
-            t.heap.truncate(first_new_row);
-            t.serial_next = saved_serials;
+        rows: usize,
+        serials: Vec<(usize, i64)>,
+        timer: Option<Instant>,
+    ) -> Result<()> {
+        let appended = self.catalog.table(table).filter(|t| t.heap.len() > rows);
+        let record = appended
+            .filter(|_| self.logs_mutations())
+            .map(|t| WalRecord::Insert {
+                table: table.to_string(),
+                rows: t.heap.rows_from(rows),
+            });
+        self.trace.record(Phase::Execute, timer);
+        if appended.is_none() {
+            return Ok(());
         }
+        let undo = Undo::Append {
+            table: table.to_string(),
+            rows,
+            serials,
+        };
+        self.log_mutation(undo, record)
     }
 
     /// Bulk-load parsed CSV content into an existing table (the COPY path,
@@ -1210,10 +1192,6 @@ impl Engine {
         columns: Option<&[String]>,
         csv: &etypes::CsvTable,
     ) -> Result<ExecOutcome> {
-        // An unlogged load (INSPECT's base tables) has no record to build:
-        // copying every loaded row for `log_durable` to discard would
-        // double the load's memory traffic.
-        let builds_record = self.logs_mutations() || self.txn_capture.is_some();
         let table_ref = self
             .catalog
             .table_mut(table)
@@ -1238,24 +1216,9 @@ impl Engine {
                 target_indices.len()
             )));
         }
-        let first_new_row = table_ref.heap.len();
-        let saved_serials = table_ref.serial_next.clone();
+        let (rows, serials) = (table_ref.heap.len(), table_ref.serial_next.clone());
         table_ref.load(&target_indices, &csv.chunks);
-        if count > 0 && builds_record {
-            let rows = table_ref.heap.rows_from(first_new_row);
-            if let Err(e) = self.log_durable(&WalRecord::Insert {
-                table: table.to_string(),
-                rows,
-            }) {
-                self.rollback_append(table, first_new_row, saved_serials);
-                return Err(e);
-            }
-            self.note_group_undo(GroupUndo::Append {
-                table: table.to_string(),
-                first_new_row,
-                saved_serials,
-            });
-        }
+        self.log_append(table, rows, serials, None)?;
         self.profile.charge_io(count);
         self.stats.pages_written += self.profile.pages_for(count);
         Ok(no_rows(count))
@@ -2496,11 +2459,16 @@ mod tests {
         e.execute("CREATE TABLE scratch (a int, b text)").unwrap();
         e.copy_from_str("scratch", None, "a,b\n1,x\n2,y\n", &CsvOptions::default())
             .unwrap();
-        assert_eq!(e.group_pending(), 0, "unlogged load left an undo entry");
-        assert_eq!(appended(&e), before, "unlogged load reached the WAL");
+        e.execute_script(
+            "INSERT INTO scratch VALUES (3, 'z');
+             CREATE TABLE gone (a int); INSERT INTO gone VALUES (1); DROP TABLE gone;",
+        )
+        .unwrap();
+        assert_eq!(e.group_pending(), 0, "unlogged writes left an undo entry");
+        assert_eq!(appended(&e), before, "unlogged writes reached the WAL");
         e.set_unlogged(false);
         assert_eq!(e.end_commit_group().unwrap(), 0);
-        assert_eq!(e.query("SELECT a FROM scratch").unwrap().rows.len(), 2);
+        assert_eq!(e.query("SELECT a FROM scratch").unwrap().rows.len(), 3);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod trace;
 
 pub use cache::{PlanCache, PlanCacheStats};
 pub use deps::{parse_fragments, parse_sql, statement_deps, StatementDeps};
-pub use durable::{DurableBackend, MemoryBackend, StorageBackend};
 pub use engine::{Engine, EngineStats, ExecOutcome, Health};
 pub use error::{Result, SqlError};
 pub use parser::parse_param_values;

@@ -1390,3 +1390,61 @@ fn key_index_shapes_match_row_engine() {
         assert!(!out.starts_with("ERR"), "{sql}: {out}");
     }
 }
+
+/// Key columns whose middle sealed chunk is all NULL (generic storage)
+/// between typed `Int`, `Text` and `Bool` batches, as group keys, as
+/// `DISTINCT` columns and as plain and null-safe join keys on both sides.
+#[test]
+fn all_null_key_batches_match_row_engine() {
+    let mut rng = Prng::new(0xE1E9_000E);
+    let mut e = Engine::new(EngineProfile::in_memory());
+    e.execute("CREATE TABLE nb (id int, k int, t text, b bool)")
+        .unwrap();
+    // 1024 typed rows seal a chunk, 1024 NULL rows seal an all-NULL one,
+    // and 300 typed rows stay in the tail.
+    let rows: Vec<String> = (0..2348)
+        .map(|id| {
+            if (1024..2048).contains(&id) || rng.below(6) == 0 {
+                return format!("({id}, NULL, NULL, NULL)");
+            }
+            let t = ["'a'", "'b'", "'c d'"][rng.below(3)];
+            let b = ["true", "false"][rng.below(2)];
+            format!("({id}, {}, {t}, {b})", rng.below(9))
+        })
+        .collect();
+    e.execute(&format!("INSERT INTO nb VALUES {}", rows.join(", ")))
+        .unwrap();
+    e.execute("CREATE TABLE nd (k int, t text, v int)").unwrap();
+    e.execute(
+        "INSERT INTO nd VALUES (1, 'a', 0), (NULL, 'b', 1), (2, NULL, 2), \
+         (NULL, NULL, 3), (8, 'c d', 4), (1, 'b', 5)",
+    )
+    .unwrap();
+
+    let mut cases = vec![
+        "SELECT k, count(*), sum(id) FROM nb GROUP BY k".to_string(),
+        "SELECT t, b, count(*), min(id) FROM nb GROUP BY t, b".into(),
+        "SELECT k, t, count(*) FROM nb GROUP BY k, t".into(),
+        "SELECT DISTINCT k FROM nb".into(),
+        "SELECT DISTINCT t, b FROM nb".into(),
+    ];
+    for kind in ["INNER", "LEFT", "RIGHT", "FULL"] {
+        for on in [
+            "n.k = d.k",
+            "(n.k = d.k OR (n.k IS NULL AND d.k IS NULL))",
+            "(n.t = d.t OR (n.t IS NULL AND d.t IS NULL)) AND n.k = d.k",
+        ] {
+            cases.push(format!(
+                "SELECT n.id, d.v FROM nb n {kind} JOIN nd d ON {on} \
+                 WHERE n.id IS NULL OR n.id % 7 = 0"
+            ));
+            cases.push(format!(
+                "SELECT count(*), sum(d.v) FROM nd d {kind} JOIN nb n ON {on}"
+            ));
+        }
+    }
+    for (q, sql) in cases.iter().enumerate() {
+        let out = same(&mut e, sql, &format!("all-NULL batch case {q}"));
+        assert!(!out.starts_with("ERR"), "{sql}: {out}");
+    }
+}

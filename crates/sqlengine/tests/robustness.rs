@@ -114,6 +114,121 @@ fn insert_across_a_seal_rolls_back_to_the_exact_heap() {
     assert_eq!(heap_state(&e, "t"), after, "recovery seals the same heap");
 }
 
+/// Everything an unwound write must leave as it was: each table's heap
+/// (by name, so the catalog's names too) and the number of cached plans.
+fn engine_state(e: &Engine) -> (Vec<(String, HeapState)>, usize) {
+    let tables = e.catalog().table_names().into_iter();
+    let heaps = tables.map(|n| (n.to_string(), heap_state(e, n))).collect();
+    (heaps, e.plan_cache_len())
+}
+
+/// How the matrix makes a write fail after it applied in memory.
+#[derive(Debug, Clone, Copy)]
+enum Trigger {
+    /// The statement's own WAL append fails.
+    Append,
+    /// The statement succeeds inside a group window whose fsync fails.
+    GroupFsync,
+    /// The statement is a prepared 2PC slice that is then aborted.
+    Abort,
+    /// A later statement of the same 2PC slice fails during prepare.
+    MidPrepare,
+}
+
+/// A durable engine holding `t` (one sealed chunk and a 1020-row tail),
+/// `d` (three rows) and `k` (exactly one sealed chunk), with a count of
+/// `t` and of `k` cached.
+fn matrix_engine(dir: &PathBuf) -> Engine {
+    let mut e = durable(dir);
+    let values = |n: usize| {
+        let tuples: Vec<String> = (0..n).map(|i| format!("(NULL, 'v{}')", i % 3)).collect();
+        tuples.join(", ")
+    };
+    e.execute_script(&format!(
+        "CREATE TABLE t (id serial, s text); INSERT INTO t VALUES {};
+         CREATE TABLE d (a int); INSERT INTO d VALUES (1), (2), (3);
+         CREATE TABLE k (id serial, s text); INSERT INTO k VALUES {};",
+        values(2044),
+        values(1024)
+    ))
+    .unwrap();
+    e.query("SELECT count(*) AS n FROM t").unwrap();
+    e.query("SELECT count(*) AS n FROM k").unwrap();
+    e
+}
+
+#[test]
+fn every_failed_write_unwinds_to_the_exact_state_and_recovers_it() {
+    let _g = locked();
+    let csv = tmp_dir("unwind-csv");
+    std::fs::create_dir_all(&csv).unwrap();
+    let csv = csv.join("k.csv");
+    std::fs::write(&csv, "s\nx\ny\n\nz\n").unwrap();
+    let ten: Vec<&str> = vec!["(NULL, 'w')"; 10];
+    // Each mutation with a query reading what it wrote, run while the
+    // write is pending: a plan it caches on a table the unwind removes
+    // must leave with it.
+    let mutations = [
+        ("CREATE TABLE c (a int)".to_string(), "SELECT a FROM c"),
+        ("DROP TABLE d".to_string(), "SELECT a FROM d"),
+        (
+            // Ten rows seal t's tail.
+            format!("INSERT INTO t VALUES {}", ten.join(", ")),
+            "SELECT count(*) AS n FROM t",
+        ),
+        (
+            format!(
+                "COPY k (s) FROM '{}' WITH (DELIMITER ',', NULL '', FORMAT CSV, HEADER TRUE)",
+                csv.display()
+            ),
+            "SELECT count(*) AS n FROM k",
+        ),
+    ];
+    let triggers = [
+        Trigger::Append,
+        Trigger::GroupFsync,
+        Trigger::Abort,
+        Trigger::MidPrepare,
+    ];
+    for (m, (sql, probe)) in mutations.iter().enumerate() {
+        for trigger in triggers {
+            let case = format!("{sql} under {trigger:?}");
+            let dir = tmp_dir(&format!("unwind-{m}-{trigger:?}"));
+            let mut e = matrix_engine(&dir);
+            let before = engine_state(&e);
+            match trigger {
+                Trigger::Append => {
+                    fault::set("wal.append", FaultPolicy::ErrorOnce);
+                    e.execute(sql).unwrap_err();
+                }
+                Trigger::GroupFsync => {
+                    e.begin_commit_group();
+                    e.execute(sql).unwrap();
+                    assert_ne!(engine_state(&e).0, before.0, "{case}: applied");
+                    let _ = e.query(probe);
+                    fault::set("wal.fsync", FaultPolicy::ErrorOnce);
+                    e.end_commit_group().unwrap_err();
+                }
+                Trigger::Abort => {
+                    e.prepare_txn(1, sql).unwrap();
+                    assert_ne!(engine_state(&e).0, before.0, "{case}: applied");
+                    let _ = e.query(probe);
+                    e.abort_prepared(1).unwrap();
+                }
+                Trigger::MidPrepare => {
+                    let slice = format!("{sql}; INSERT INTO nope VALUES (1)");
+                    e.prepare_txn(2, &slice).unwrap_err();
+                }
+            }
+            fault::clear_all();
+            assert_eq!(engine_state(&e), before, "{case}: memory");
+            drop(e);
+            let e = durable(&dir);
+            assert_eq!(engine_state(&e).0, before.0, "{case}: after reopen");
+        }
+    }
+}
+
 #[test]
 fn read_only_engine_serves_reads_and_checkpoint_rearms() {
     let _g = locked();

@@ -1014,8 +1014,8 @@ mod tests {
         }
     }
 
-    /// The collector's output over a server that recovered and invalidated
-    /// a prepared plan per table is the declaration table, exactly: nothing
+    /// The collector's output over a server that recovered and found a
+    /// prepared plan stale is the declaration table, exactly: nothing
     /// undeclared (`sample` would have panicked), nothing of the wrong
     /// type, nothing declared but dead.
     #[test]
@@ -1039,6 +1039,12 @@ mod tests {
         };
         router.submit(1, router.plan(1, prepare)).unwrap();
         query(&router, "DROP TABLE t");
+        // The EXECUTE finds the prepared plan stale.
+        let execute = Command::Execute {
+            name: "p".into(),
+            args: None,
+        };
+        assert!(router.submit(1, router.plan(1, execute)).is_err());
         let samples = router.collect().unwrap();
         drop(router);
         joins.into_iter().for_each(|j| j.join().unwrap());

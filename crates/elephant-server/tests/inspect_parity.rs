@@ -174,24 +174,34 @@ fn default_server_runs_vectorized_plans_columnar_and_never_bridges() {
 
 /// Served reports equal the golden fixtures, and a second INSPECT on the
 /// same session equals the first: nothing one run leaves behind reaches
-/// the next.
+/// the next. The second pass issues the first's statement texts again and
+/// runs every one from a cached plan.
 #[test]
 fn served_reports_match_the_golden_fixtures() {
     let handle = start(golden_config()).unwrap();
     let mut c = ElephantClient::connect(handle.local_addr()).unwrap();
+    let mut cache = Vec::new();
     for pass in 0..2 {
         for (pipeline, columns, golden) in GOLDEN {
             let report = c.inspect(columns, 0.3, &format!("@{pipeline}")).unwrap();
             assert_eq!(strip_times(&report), *golden, "{pipeline}, pass {pass}");
         }
+        let stats = c.stats().unwrap();
+        cache.push((
+            stat(&stats, "plan_cache_hits"),
+            stat(&stats, "plan_cache_misses"),
+        ));
     }
+    assert_eq!(cache[1].1, cache[0].1, "pass 1 planned nothing: {cache:?}");
+    assert!(cache[1].0 > cache[0].0, "pass 1 hit the cache: {cache:?}");
     c.shutdown().unwrap();
     drop(c);
     handle.join();
 }
 
 /// The embedded entry point answers the same report in every SQL mode the
-/// backend has, on both engine profiles.
+/// backend has, on both engine profiles, cold and warm: the second pass
+/// over one engine runs every statement from a cached plan.
 #[test]
 fn embedded_reports_match_the_golden_fixtures_in_every_sql_mode() {
     let files = golden_config().files;
@@ -209,25 +219,102 @@ fn embedded_reports_match_the_golden_fixtures_in_every_sql_mode() {
             (SqlMode::View, true),
         ] {
             let mut engine = Engine::new(profile.clone());
-            for (pipeline, columns, golden) in GOLDEN {
-                let source = stock.iter().find(|(n, _)| *n == pipeline).unwrap().1;
-                let report = mlinspect::inspect_pipeline_in_sql(
-                    source,
-                    &files,
-                    columns,
-                    0.3,
-                    &mut engine,
-                    mode,
-                    materialize,
-                )
-                .unwrap()
-                .render();
-                assert_eq!(
-                    strip_times(&report),
-                    *golden,
-                    "{pipeline} in {mode:?}/materialize={materialize} on {profile_name}"
-                );
+            let mut cache = Vec::new();
+            for pass in 0..2 {
+                for (pipeline, columns, golden) in GOLDEN {
+                    let source = stock.iter().find(|(n, _)| *n == pipeline).unwrap().1;
+                    let report = mlinspect::inspect_pipeline_in_sql(
+                        source,
+                        &files,
+                        columns,
+                        0.3,
+                        &mut engine,
+                        mode,
+                        materialize,
+                    )
+                    .unwrap()
+                    .render();
+                    assert_eq!(
+                        strip_times(&report),
+                        *golden,
+                        "{pipeline} in {mode:?}/materialize={materialize} on {profile_name}, \
+                         pass {pass}"
+                    );
+                }
+                cache.push(engine.plan_cache_stats());
             }
+            let case = format!("{mode:?}/materialize={materialize} on {profile_name}");
+            assert_eq!(cache[1].misses, cache[0].misses, "{case}: {cache:?}");
+            assert!(cache[1].hits > cache[0].hits, "{case}: {cache:?}");
         }
+    }
+}
+
+/// A warm engine holds the plans of the stock healthcare pipeline. The
+/// same pipeline with one projected column removed issues the same
+/// scratch view names over other columns, so the warm engine must find
+/// the plans that read them stale: its report equals a cold engine's byte
+/// for byte.
+#[test]
+fn a_changed_pipeline_on_a_warm_engine_reports_as_on_a_cold_one() {
+    let files = golden_config().files;
+    let stock = mlinspect::pipelines::HEALTHCARE;
+    let changed = stock.replace("'smoker', 'last_name', 'county'", "'smoker', 'county'");
+    assert_ne!(changed, stock);
+    let columns = ["race", "age_group"];
+    let views = |source: &str| {
+        let mut inspector = mlinspect::PipelineInspector::on_pipeline(source);
+        for (path, content) in &files {
+            inspector = inspector.with_file(path, content);
+        }
+        let sql = inspector.transpile_only(SqlMode::View).unwrap();
+        sql.container.entries().to_vec()
+    };
+    let (before, after) = (views(stock), views(&changed));
+    let names = |v: &[mlinspect::sqlgen::ContainerEntry]| -> Vec<String> {
+        v.iter().map(|e| e.name.clone()).collect()
+    };
+    assert_eq!(names(&before), names(&after), "the same scratch view names");
+    assert!(
+        before.iter().zip(&after).any(|(b, a)| b.body != a.body),
+        "over other columns"
+    );
+    let inspect = |engine: &mut Engine, source: &str, mode, materialize| {
+        let report = mlinspect::inspect_pipeline_in_sql(
+            source,
+            &files,
+            &columns,
+            0.3,
+            engine,
+            mode,
+            materialize,
+        )
+        .unwrap()
+        .render();
+        strip_times(&report)
+    };
+    for (mode, materialize) in [
+        (SqlMode::Cte, false),
+        (SqlMode::View, false),
+        (SqlMode::View, true),
+    ] {
+        let case = format!("{mode:?}/materialize={materialize}");
+        let mut warm = Engine::new(EngineProfile::in_memory());
+        assert_eq!(inspect(&mut warm, stock, mode, materialize), GOLDEN[0].2);
+        let stale_before = warm.plan_cache_stats().invalidations;
+        let report = inspect(&mut warm, &changed, mode, materialize);
+        let cold = inspect(
+            &mut Engine::new(EngineProfile::in_memory()),
+            &changed,
+            mode,
+            materialize,
+        );
+        assert_eq!(report, cold, "{case}");
+        if mode == SqlMode::View {
+            let stale = warm.plan_cache_stats().invalidations - stale_before;
+            assert!(stale > 0, "{case}: the view plans were found stale");
+        }
+        // And the stock pipeline reports as before on the same engine.
+        assert_eq!(inspect(&mut warm, stock, mode, materialize), GOLDEN[0].2);
     }
 }

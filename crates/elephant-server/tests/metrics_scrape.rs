@@ -172,14 +172,17 @@ fn every_stats_key_is_on_the_metrics_endpoint_with_the_same_value() {
     c.prepare("p", &format!("SELECT sum(x) AS s FROM {a}"))
         .unwrap();
     c.execute("p").unwrap();
-    // DROP after PREPARE drives the targeted per-table plan-cache
-    // invalidation counter, on whichever shard owns the scratch table.
+    // An EXECUTE after DROP finds the prepared plan stale and drives the
+    // per-table plan-cache invalidation counter, on whichever shard owns
+    // the scratch table.
     let scratch = names.iter().find(|n| **n != a && **n != b).unwrap().clone();
     c.query_raw(&format!("CREATE TABLE {scratch} (y int)"))
         .unwrap();
     c.prepare("stale", &format!("SELECT count(*) AS n FROM {scratch}"))
         .unwrap();
     c.query_raw(&format!("DROP TABLE {scratch}")).unwrap();
+    let err = c.execute("stale").unwrap_err();
+    assert!(err.to_string().contains("unknown relation"), "{err:?}");
     c.query_raw(&format!("SELECT x FROM {a} ORDER BY x"))
         .unwrap();
     let _ = c.query_raw("SELECT nope FROM missing_table").unwrap_err();

@@ -121,10 +121,16 @@ impl<'a> SqlBackend<'a> {
             return Ok(());
         };
         let started = Instant::now();
+        // PostgreSQL drops a materialized view only by its own verb.
+        let kind = if self.materialize {
+            "MATERIALIZED VIEW"
+        } else {
+            "VIEW"
+        };
         let views = self.gen.container.entries()[..self.created_views]
             .iter()
             .rev()
-            .map(|entry| format!("DROP VIEW IF EXISTS {}", entry.name));
+            .map(|entry| format!("DROP {kind} IF EXISTS {}", entry.name));
         let tables = self
             .setup
             .iter()

@@ -12,7 +12,7 @@
 //!   stored data.
 
 use crate::ast::{self, Expr, Query, SelectBody, SelectItem, Statement, TableRef};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, ViewBody};
 use crate::error::{Result, SqlError};
 use crate::functions::ScalarFunc;
 use crate::plan::{
@@ -22,6 +22,7 @@ use crate::plan::{
 use crate::profile::EngineProfile;
 use etypes::{DataType, Value};
 use std::collections::{BTreeSet, HashMap};
+use std::rc::Rc;
 
 /// Bind a SELECT statement into an executable plan.
 pub fn bind_select(
@@ -658,30 +659,32 @@ impl<'a> Binder<'a> {
         // 2. View.
         if let Some(view) = self.catalog.view(name) {
             self.reads.insert(name.to_string());
-            if let Some(data) = &view.materialized {
-                let schema = Schema {
-                    cols: data
-                        .columns
-                        .iter()
-                        .zip(&data.types)
-                        .map(|(n, t)| ColumnMeta {
-                            qualifier: Some(qualifier.clone()),
-                            name: n.clone(),
-                            ty: t.clone(),
-                            hidden: false,
-                        })
-                        .collect(),
-                };
-                return Ok((
-                    PlanNode::Scan {
-                        source: ScanSource::MaterializedView(name.to_string()),
-                        projection: (0..schema.len()).collect(),
-                        schema: schema.clone(),
-                    },
-                    schema,
-                ));
-            }
-            let query = view.query.clone();
+            let query = match &view.body {
+                ViewBody::Inline(query) => Rc::clone(query),
+                ViewBody::Stored(data) => {
+                    let schema = Schema {
+                        cols: data
+                            .columns
+                            .iter()
+                            .zip(&data.types)
+                            .map(|(n, t)| ColumnMeta {
+                                qualifier: Some(qualifier.clone()),
+                                name: n.clone(),
+                                ty: t.clone(),
+                                hidden: false,
+                            })
+                            .collect(),
+                    };
+                    return Ok((
+                        PlanNode::Scan {
+                            source: ScanSource::MaterializedView(name.to_string()),
+                            projection: (0..schema.len()).collect(),
+                            schema: schema.clone(),
+                        },
+                        schema,
+                    ));
+                }
+            };
             // Shared-scan dedup: the second reference to the same view in one
             // query becomes a scan of a shared intermediate.
             if self.profile.shared_scans {

@@ -2,8 +2,8 @@
 
 use crate::ast::Statement;
 use crate::binder::bind_select;
-use crate::cache::{collect_table_deps, CachedPlan, PlanCache, PlanCacheStats};
-use crate::catalog::{Catalog, ViewDef};
+use crate::cache::{collect_table_deps, CachedPlan, PlanCache, PlanCacheStats, ViewTarget};
+use crate::catalog::{Catalog, ViewBody, ViewDef};
 use crate::colexec;
 use crate::durable::{image_to_table, table_to_image};
 use crate::error::{Result, SqlError};
@@ -132,16 +132,33 @@ enum Undo {
     /// `DROP TABLE` — undo by recreating the dropped table, rows and
     /// serials included.
     Drop(Table),
-    /// `INSERT`/`COPY` — undo by cutting the table back to its row count
-    /// before the statement and restoring its serial counters.
-    Append {
-        /// Target table.
-        table: String,
-        /// Row count before the statement.
-        rows: usize,
-        /// Serial counters before the statement.
-        serials: Vec<(usize, i64)>,
-    },
+    /// `INSERT`/`COPY` — undo by cutting the table back to where it was.
+    Append(AppendMark),
+}
+
+/// A table's extent before an `INSERT` or `COPY`: what its undo restores.
+struct AppendMark {
+    /// Target table.
+    table: String,
+    /// Row count before the statement.
+    rows: usize,
+    /// Sealed-chunk count before the statement: a bulk load seals a
+    /// non-empty tail first, and the undo unseals it again.
+    chunks: usize,
+    /// Serial counters before the statement.
+    serials: Vec<(usize, i64)>,
+}
+
+impl AppendMark {
+    /// Taken before an append to `table`.
+    fn of(table: &Table) -> AppendMark {
+        AppendMark {
+            table: table.name.clone(),
+            rows: table.heap.len(),
+            chunks: table.heap.sealed().len(),
+            serials: table.serial_next.clone(),
+        }
+    }
 }
 
 impl Engine {
@@ -220,10 +237,9 @@ impl Engine {
     /// Close the group-commit window with one fsync; returns how many
     /// deferred WAL records it acknowledged. On failure every deferred
     /// record was already cut out of the log, so the matching in-memory
-    /// effects are unwound here (in reverse apply order), dependent cached
-    /// plans are invalidated, and the engine degrades to
-    /// [`Health::ReadOnly`] — the same contract as a failed per-statement
-    /// append.
+    /// effects are unwound here (in reverse apply order) and the engine
+    /// degrades to [`Health::ReadOnly`] — the same contract as a failed
+    /// per-statement append.
     pub fn end_commit_group(&mut self) -> Result<u64> {
         let mark = self.group_mark.take().unwrap_or(self.undo.len());
         let closed = self.write_store(Store::end_group);
@@ -245,20 +261,18 @@ impl Engine {
             match self.undo.pop().expect("the log is longer than the mark") {
                 Undo::Create(name) => {
                     let _ = self.catalog.drop(&name, false, true);
-                    self.plan_cache.invalidate_table(&name);
                 }
                 Undo::Drop(table) => {
-                    let name = table.name.clone();
                     let _ = self.catalog.create_table(table);
-                    self.plan_cache.invalidate_table(&name);
                 }
-                Undo::Append {
+                Undo::Append(AppendMark {
                     table,
                     rows,
+                    chunks,
                     serials,
-                } => {
+                }) => {
                     if let Some(t) = self.catalog.table_mut(&table) {
-                        t.heap.truncate(rows);
+                        t.heap.truncate(rows, chunks);
                         t.serial_next = serials;
                     }
                 }
@@ -564,22 +578,18 @@ impl Engine {
     /// shard already made the data durable); pair with
     /// [`Engine::remove_foreign_table`] once the query has run.
     pub fn install_foreign_table(&mut self, image: TableImage) -> Result<()> {
-        let name = image.name.clone();
-        self.catalog.create_table(image_to_table(image))?;
-        self.plan_cache.invalidate_table(&name);
-        Ok(())
+        self.catalog.create_table(image_to_table(image))
     }
 
-    /// Remove a table installed by [`Engine::install_foreign_table`],
-    /// invalidating any plan cached against it meanwhile.
+    /// Remove a table installed by [`Engine::install_foreign_table`].
     pub fn remove_foreign_table(&mut self, name: &str) {
         let _ = self.catalog.drop(name, false, true);
-        self.plan_cache.invalidate_table(name);
     }
 
-    /// Execute one statement text. A text that is exactly one SELECT runs
-    /// through the plan cache ([`Engine::lookup`]); any other text runs
-    /// statement by statement and returns the last outcome.
+    /// Execute one statement text. A text that is exactly one SELECT or one
+    /// `CREATE [MATERIALIZED] VIEW` runs through the plan cache
+    /// ([`Engine::lookup`]); any other text runs statement by statement and
+    /// returns the last outcome.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
         self.execute_parsed(sql, None)
     }
@@ -595,12 +605,7 @@ impl Engine {
         parsed: Option<Vec<Statement>>,
     ) -> Result<ExecOutcome> {
         let statements = match self.lookup(sql, parsed)? {
-            Lookup::Select(plan) => {
-                return Ok(ExecOutcome {
-                    result: Some(self.run_bound(&plan.root, &plan.schema, &[])?),
-                    rows_affected: 0,
-                })
-            }
+            Lookup::Planned(plan) => return self.run_planned(&plan),
             Lookup::Statements(statements) => statements,
         };
         self.run_statements(statements)?
@@ -609,7 +614,7 @@ impl Engine {
     }
 
     /// Execute a `;`-separated script, returning one outcome per statement.
-    /// Its SELECTs are bound afresh, never cached.
+    /// Its SELECTs and view bodies are bound afresh, never cached.
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<ExecOutcome>> {
         let statements = self.parse_traced(sql)?;
         self.run_statements(statements)
@@ -622,40 +627,76 @@ impl Engine {
             .collect()
     }
 
-    /// The plan cache's one lookup, keyed by the exact text: a cached SELECT
-    /// comes back without lexing. Otherwise `sql` is lexed and parsed
-    /// (unless its statements are `parsed` already), and when it is exactly
-    /// one SELECT it is planned and cached under its text; any other text
-    /// comes back as its parsed statements.
+    /// The plan cache's one lookup, keyed by the exact text: a cached plan
+    /// still valid against the catalog comes back without lexing.
+    /// Otherwise `sql` is lexed and parsed (unless its statements are
+    /// `parsed` already), and when it is exactly one SELECT or one `CREATE
+    /// [MATERIALIZED] VIEW` it is planned and cached under its text; any
+    /// other text comes back as its parsed statements.
     fn lookup(&mut self, sql: &str, parsed: Option<Vec<Statement>>) -> Result<Lookup> {
-        if let Some(plan) = self.plan_cache.get(sql) {
-            return Ok(Lookup::Select(plan));
+        if let Some(plan) = self.plan_cache.get(sql, &self.catalog) {
+            return Ok(Lookup::Planned(plan));
         }
         let statements = match parsed {
             Some(statements) => statements,
             None => self.parse_traced(sql)?,
         };
-        match <[Statement; 1]>::try_from(statements) {
-            Ok([Statement::Select(query)]) => {
-                let plan = Rc::new(self.plan_query(&query)?);
-                self.plan_cache.insert(sql, Rc::clone(&plan));
-                Ok(Lookup::Select(plan))
+        let plan = match <[Statement; 1]>::try_from(statements) {
+            Ok([Statement::Select(query)]) => self.plan_query(&query, None)?,
+            Ok(
+                [Statement::CreateView {
+                    name,
+                    query,
+                    materialized,
+                }],
+            ) => self.plan_view(name, query, materialized)?,
+            Ok(one) => return Ok(Lookup::Statements(one.into())),
+            Err(statements) => return Ok(Lookup::Statements(statements)),
+        };
+        let plan = Rc::new(plan);
+        self.plan_cache.insert(sql, Rc::clone(&plan));
+        Ok(Lookup::Planned(plan))
+    }
+
+    /// Run a plan [`Engine::lookup`] returned: a SELECT's result, or the
+    /// view a `CREATE [MATERIALIZED] VIEW` creates from its body. A
+    /// materialized body runs, and its batches are stored as they are; a
+    /// plain view was validated by binding its body.
+    fn run_planned(&mut self, plan: &CachedPlan) -> Result<ExecOutcome> {
+        let Some(view) = &plan.view else {
+            return Ok(ExecOutcome {
+                result: Some(self.run_bound(&plan.root, &plan.schema, &[])?),
+                rows_affected: 0,
+            });
+        };
+        let body = match &view.inline {
+            Some(query) => ViewBody::Inline(Rc::clone(query)),
+            None => {
+                let (chunks, _) = self.execute_bound(&plan.root, &[], false)?;
+                ViewBody::Stored(StoredView {
+                    columns: plan.schema.names(),
+                    types: plan.schema.types(),
+                    heap: Heap::from_chunks(plan.schema.len(), chunks),
+                })
             }
-            Ok(one) => Ok(Lookup::Statements(one.into())),
-            Err(statements) => Ok(Lookup::Statements(statements)),
-        }
+        };
+        self.catalog.create_view(ViewDef {
+            name: view.name.clone(),
+            body,
+        })?;
+        Ok(no_rows(0))
     }
 
     /// [`Engine::lookup`] of a text that must be exactly one SELECT.
     fn lookup_select(&mut self, sql: &str) -> Result<Rc<CachedPlan>> {
         match self.lookup(sql, None)? {
-            Lookup::Select(plan) => Ok(plan),
-            Lookup::Statements(s) if s.len() == 1 => Err(SqlError::bind(
-                "only SELECT statements can be prepared/cached",
-            )),
-            Lookup::Statements(s) => Err(SqlError::parse(
+            Lookup::Planned(plan) if plan.view.is_none() => Ok(plan),
+            Lookup::Statements(s) if s.len() != 1 => Err(SqlError::parse(
                 1,
                 format!("expected 1 statement, got {}", s.len()),
+            )),
+            _ => Err(SqlError::bind(
+                "only SELECT statements can be prepared/cached",
             )),
         }
     }
@@ -759,8 +800,7 @@ impl Engine {
                 });
                 self.catalog
                     .create_table(Table::empty(name.clone(), names, types))?;
-                self.log_mutation(Undo::Create(name.clone()), record)?;
-                self.plan_cache.invalidate_table(&name);
+                self.log_mutation(Undo::Create(name), record)?;
                 Ok(no_rows(0))
             }
             Statement::Drop {
@@ -774,7 +814,6 @@ impl Engine {
                         .then(|| WalRecord::DropTable { name: name.clone() });
                     self.log_mutation(Undo::Drop(table), record)?;
                 }
-                self.plan_cache.invalidate_table(&name);
                 Ok(no_rows(0))
             }
             Statement::Insert {
@@ -808,20 +847,8 @@ impl Engine {
                 query,
                 materialized,
             } => {
-                let data = if materialized {
-                    Some(self.store_query(&query)?)
-                } else {
-                    // Validate eagerly so errors surface at CREATE time.
-                    bind_select(&self.catalog, &self.profile, &query)?;
-                    None
-                };
-                self.catalog.create_view(ViewDef {
-                    name: name.clone(),
-                    query,
-                    materialized: data,
-                })?;
-                self.plan_cache.invalidate_table(&name);
-                Ok(no_rows(0))
+                let plan = self.plan_view(name, query, materialized)?;
+                self.run_planned(&plan)
             }
             Statement::Select(query) => Ok(ExecOutcome {
                 result: Some(self.run_query(&query)?),
@@ -862,18 +889,6 @@ impl Engine {
     fn run_query(&mut self, query: &crate::ast::Query) -> Result<ResultSet> {
         let (root, schema) = self.bind_traced(query)?;
         self.run_bound(&root, &schema, &[])
-    }
-
-    /// Bind, optimize and execute a query into a sealed heap (a
-    /// materialized view): columnar batches are stored as they are.
-    fn store_query(&mut self, query: &crate::ast::Query) -> Result<StoredView> {
-        let (root, schema) = self.bind_traced(query)?;
-        let (chunks, _) = self.execute_bound(&root, &[], false)?;
-        Ok(StoredView {
-            columns: schema.names(),
-            types: schema.types(),
-            heap: Heap::from_chunks(schema.len(), chunks),
-        })
     }
 
     /// Run a query with operator profiling on, returning both the result
@@ -953,15 +968,37 @@ impl Engine {
         Ok((output, profile))
     }
 
-    /// Bind + optimize an already parsed SELECT into a cacheable plan.
-    fn plan_query(&mut self, query: &crate::ast::Query) -> Result<CachedPlan> {
+    /// Bind + optimize an already parsed SELECT (or the body of `view`)
+    /// into a cacheable plan.
+    fn plan_query(
+        &mut self,
+        query: &crate::ast::Query,
+        view: Option<ViewTarget>,
+    ) -> Result<CachedPlan> {
         let (root, schema) = self.bind_traced(query)?;
-        let tables = collect_table_deps(query, &root);
+        let tables = collect_table_deps(query, &root, &self.catalog);
         Ok(CachedPlan {
             root,
             schema,
             tables,
+            view,
         })
+    }
+
+    /// Plan the body of `CREATE [MATERIALIZED] VIEW name AS query`, so
+    /// errors surface at CREATE time.
+    fn plan_view(
+        &mut self,
+        name: String,
+        query: crate::ast::Query,
+        materialized: bool,
+    ) -> Result<CachedPlan> {
+        let query = Rc::new(query);
+        let view = ViewTarget {
+            name,
+            inline: (!materialized).then(|| Rc::clone(&query)),
+        };
+        self.plan_query(&query, Some(view))
     }
 
     /// Register a named prepared statement (PostgreSQL `PREPARE name AS
@@ -1006,7 +1043,8 @@ impl Engine {
         self.plan_cache.len()
     }
 
-    /// Per-table targeted plan-cache invalidation counts (sorted by name).
+    /// Stale plans found at lookup, per first changed name (sorted by
+    /// name).
     pub fn plan_cache_table_invalidations(&self) -> Vec<(String, u64)> {
         self.plan_cache.table_invalidations()
     }
@@ -1139,46 +1177,38 @@ impl Engine {
                 }
             })
             .collect::<Result<Vec<_>>>()?;
-        let (rows, serials) = (table_ref.heap.len(), table_ref.serial_next.clone());
+        let mark = AppendMark::of(table_ref);
         let count = full_rows.len();
         for row in full_rows {
             table_ref.append(row)?;
         }
-        self.log_append(table, rows, serials, timer)?;
+        self.log_append(mark, timer)?;
         self.profile.charge_io(count);
         self.stats.pages_written += self.profile.pages_for(count);
         Ok(no_rows(count))
     }
 
-    /// Log the rows one INSERT or COPY appended to `table` past its first
-    /// `rows`, as stored (post serial-fill and coercion) so replay
+    /// Log the rows one INSERT or COPY appended to a table since `mark`
+    /// was taken, as stored (post serial-fill and coercion) so replay
     /// reproduces the exact in-memory state, ctids included; its undo
-    /// restores `rows` and the serial counters `serials`. `timer`, when the
-    /// caller runs one, closes the execute phase once the record is built.
-    fn log_append(
-        &mut self,
-        table: &str,
-        rows: usize,
-        serials: Vec<(usize, i64)>,
-        timer: Option<Instant>,
-    ) -> Result<()> {
-        let appended = self.catalog.table(table).filter(|t| t.heap.len() > rows);
+    /// restores the mark. `timer`, when the caller runs one, closes the
+    /// execute phase once the record is built.
+    fn log_append(&mut self, mark: AppendMark, timer: Option<Instant>) -> Result<()> {
+        let appended = self
+            .catalog
+            .table(&mark.table)
+            .filter(|t| t.heap.len() > mark.rows);
         let record = appended
             .filter(|_| self.logs_mutations())
             .map(|t| WalRecord::Insert {
-                table: table.to_string(),
-                rows: t.heap.rows_from(rows),
+                table: mark.table.clone(),
+                rows: t.heap.rows_from(mark.rows),
             });
         self.trace.record(Phase::Execute, timer);
         if appended.is_none() {
             return Ok(());
         }
-        let undo = Undo::Append {
-            table: table.to_string(),
-            rows,
-            serials,
-        };
-        self.log_mutation(undo, record)
+        self.log_mutation(Undo::Append(mark), record)
     }
 
     /// Bulk-load parsed CSV content into an existing table (the COPY path,
@@ -1216,9 +1246,9 @@ impl Engine {
                 target_indices.len()
             )));
         }
-        let (rows, serials) = (table_ref.heap.len(), table_ref.serial_next.clone());
+        let mark = AppendMark::of(table_ref);
         table_ref.load(&target_indices, &csv.chunks);
-        self.log_append(table, rows, serials, None)?;
+        self.log_append(mark, None)?;
         self.profile.charge_io(count);
         self.stats.pages_written += self.profile.pages_for(count);
         Ok(no_rows(count))
@@ -1239,8 +1269,9 @@ impl Engine {
 
 /// What [`Engine::lookup`] made of a statement text.
 enum Lookup {
-    /// Exactly one SELECT, planned now or earlier under its text.
-    Select(Rc<CachedPlan>),
+    /// Exactly one SELECT or `CREATE [MATERIALIZED] VIEW`, planned now or
+    /// earlier under its text.
+    Planned(Rc<CachedPlan>),
     /// Anything else, parsed.
     Statements(Vec<Statement>),
 }
@@ -1855,12 +1886,26 @@ mod tests {
         assert_eq!(e.plan_cache_stats().hits, 1);
     }
 
+    /// A text's answer through the engine, as rows or error text.
+    fn answer(e: &mut Engine, sql: &str) -> std::result::Result<Vec<Vec<Value>>, String> {
+        e.query(sql).map(|r| r.rows).map_err(|err| err.to_string())
+    }
+
+    /// The same text bound afresh on the reference interpreter.
+    fn fresh(e: &Engine, sql: &str) -> std::result::Result<Vec<Vec<Value>>, String> {
+        e.query_reference(sql)
+            .map(|r| r.rows)
+            .map_err(|err| err.to_string())
+    }
+
     #[test]
     fn ddl_invalidates_plan_cache() {
-        // Every catalog change evicts the cached SELECTs reading the name it
-        // changes. A name read as a CTE counts too: the eviction is
-        // spurious but harmless. (A failed group commit's undo is covered
-        // in `tests/robustness.rs`, which may arm failpoints.)
+        // A catalog change leaves the cache alone; the next lookup of a
+        // SELECT reading the changed name finds it stale, counts one
+        // invalidation against that name and plans the text afresh. A name
+        // read as a CTE counts too: the re-plan is spurious but harmless.
+        // (A failed group commit's undo is covered in
+        // `tests/robustness.rs`, which may arm failpoints.)
         type Step = fn(&mut Engine);
         let shadowed = "WITH n AS (SELECT a FROM t) SELECT a FROM n";
         let install_n: Step = |e| {
@@ -1868,7 +1913,7 @@ mod tests {
             image[0].name = "n".to_string();
             e.install_foreign_table(image.remove(0)).unwrap();
         };
-        let cases: [(&str, Step, &str, Step); 9] = [
+        let cases: [(&str, Step, &str, Step, &str); 9] = [
             (
                 "CREATE TABLE",
                 |_| {},
@@ -1876,6 +1921,7 @@ mod tests {
                 |e| {
                     e.execute("CREATE TABLE n (b int)").unwrap();
                 },
+                "n",
             ),
             (
                 "DROP TABLE",
@@ -1884,6 +1930,7 @@ mod tests {
                 |e| {
                     e.execute("DROP TABLE t").unwrap();
                 },
+                "t",
             ),
             (
                 "CREATE VIEW",
@@ -1892,6 +1939,7 @@ mod tests {
                 |e| {
                     e.execute("CREATE VIEW n AS SELECT a FROM t").unwrap();
                 },
+                "n",
             ),
             (
                 "CREATE MATERIALIZED VIEW",
@@ -1901,6 +1949,7 @@ mod tests {
                     e.execute("CREATE MATERIALIZED VIEW n AS SELECT a FROM t")
                         .unwrap();
                 },
+                "n",
             ),
             (
                 "DROP VIEW",
@@ -1911,6 +1960,7 @@ mod tests {
                 |e| {
                     e.execute("DROP VIEW n").unwrap();
                 },
+                "n",
             ),
             (
                 "DROP VIEW under a view",
@@ -1924,11 +1974,16 @@ mod tests {
                 |e| {
                     e.execute("DROP VIEW n").unwrap();
                 },
+                "n",
             ),
-            ("install_foreign_table", |_| {}, shadowed, install_n),
-            ("remove_foreign_table", install_n, "SELECT a FROM n", |e| {
-                e.remove_foreign_table("n")
-            }),
+            ("install_foreign_table", |_| {}, shadowed, install_n, "n"),
+            (
+                "remove_foreign_table",
+                install_n,
+                "SELECT a FROM n",
+                |e| e.remove_foreign_table("n"),
+                "n",
+            ),
             (
                 "abort_prepared of a CREATE",
                 |e| {
@@ -1936,18 +1991,35 @@ mod tests {
                 },
                 "SELECT a FROM n",
                 |e| e.abort_prepared(1).unwrap(),
+                "n",
             ),
         ];
-        for (what, setup, sql, change) in cases {
+        for (what, setup, sql, change, changed) in cases {
             let mut e = engine();
             e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1);")
                 .unwrap();
             setup(&mut e);
             e.query(sql).unwrap();
-            assert_eq!(e.plan_cache_len(), 1, "{what}: cached");
+            let cached = e.plan_cache_len();
             change(&mut e);
-            assert_eq!(e.plan_cache_len(), 0, "{what}: evicted");
-            assert_eq!(e.plan_cache_stats().invalidations, 1, "{what}");
+            // The change may cache its own text (a view's DDL), never drop.
+            let (len, before) = (e.plan_cache_len(), e.plan_cache_stats());
+            assert!(len >= cached, "{what}: DDL leaves the cache");
+            assert_eq!(before.invalidations, 0, "{what}");
+            let again = answer(&mut e, sql);
+            assert_eq!(again, fresh(&e, sql), "{what}: answered as planned afresh");
+            let stats = e.plan_cache_stats();
+            assert_eq!(stats.hits, before.hits, "{what}");
+            assert_eq!(stats.invalidations, 1, "{what}");
+            assert_eq!(
+                e.plan_cache_table_invalidations(),
+                vec![(changed.to_string(), 1)],
+                "{what}"
+            );
+            // Re-planned in place, or gone when the text no longer binds.
+            let replanned = usize::from(again.is_ok());
+            assert_eq!(e.plan_cache_len(), len - 1 + replanned, "{what}");
+            assert_eq!(stats.misses, before.misses + replanned as u64, "{what}");
         }
         // Re-planning after a drop reports the missing table.
         let mut e = engine();
@@ -1956,6 +2028,164 @@ mod tests {
         e.query("SELECT a FROM t").unwrap();
         e.execute("DROP TABLE t").unwrap();
         assert!(e.query("SELECT a FROM t").is_err());
+    }
+
+    #[test]
+    fn a_view_recreated_with_another_schema_or_definition_is_replanned() {
+        // Each change below re-creates `v` under the same name; the cached
+        // SELECT must answer what the new object answers.
+        let base = "CREATE TABLE t (a int, b text); INSERT INTO t VALUES (1, 'x'), (2, 'y');";
+        let sql = "SELECT * FROM v";
+        let cases = [
+            (
+                "another schema",
+                "CREATE VIEW v AS SELECT a FROM t",
+                "DROP VIEW v",
+                "CREATE VIEW v AS SELECT b FROM t",
+            ),
+            (
+                "another definition, same schema",
+                "CREATE VIEW v AS SELECT a FROM t",
+                "DROP VIEW v",
+                "CREATE VIEW v AS SELECT a + 10 AS a FROM t",
+            ),
+            (
+                "a materialized view with another schema",
+                "CREATE MATERIALIZED VIEW v AS SELECT a FROM t",
+                "DROP MATERIALIZED VIEW v",
+                "CREATE MATERIALIZED VIEW v AS SELECT a, b FROM t",
+            ),
+            (
+                "a view replaced by a table",
+                "CREATE VIEW v AS SELECT a FROM t",
+                "DROP VIEW v",
+                "CREATE TABLE v (a int); INSERT INTO v VALUES (7);",
+            ),
+            (
+                "a materialized view replaced by a table",
+                "CREATE MATERIALIZED VIEW v AS SELECT a FROM t",
+                "DROP VIEW v",
+                "CREATE TABLE v (a int); INSERT INTO v VALUES (7);",
+            ),
+        ];
+        for (what, create, drop, recreate) in cases {
+            let mut e = engine();
+            e.execute_script(base).unwrap();
+            e.execute(create).unwrap();
+            let first = answer(&mut e, sql).unwrap();
+            e.execute(drop).unwrap();
+            e.execute_script(recreate).unwrap();
+            let again = answer(&mut e, sql);
+            assert_eq!(again, fresh(&e, sql), "{what}");
+            assert_ne!(again, Ok(first), "{what}: the answer changed");
+            let stats = e.plan_cache_stats();
+            assert_eq!((stats.hits, stats.invalidations), (0, 1), "{what}");
+            assert_eq!(
+                e.plan_cache_table_invalidations(),
+                vec![("v".to_string(), 1)],
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_relation_recreated_with_the_same_schema_keeps_its_plan() {
+        // Scans resolve heaps by name at execution, so the cached plan
+        // reads the new rows: a table and a materialized view dropped and
+        // re-created with the same columns and types still hit.
+        let mut e = engine();
+        e.execute_script(
+            "CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2);
+             CREATE MATERIALIZED VIEW m AS SELECT a FROM t WHERE a > 1;",
+        )
+        .unwrap();
+        let sql = "SELECT t.a, (SELECT count(*) FROM m) AS n FROM t ORDER BY t.a";
+        let rows = |pairs: &[(i64, i64)]| -> Vec<Vec<Value>> {
+            pairs
+                .iter()
+                .map(|&(a, n)| vec![Value::Int(a), Value::Int(n)])
+                .collect()
+        };
+        assert_eq!(answer(&mut e, sql), Ok(rows(&[(1, 1), (2, 1)])));
+        e.execute_script(
+            "DROP MATERIALIZED VIEW m; DROP TABLE t;
+             CREATE TABLE t (a int); INSERT INTO t VALUES (5), (6), (7);
+             CREATE MATERIALIZED VIEW m AS SELECT a FROM t WHERE a < 0;",
+        )
+        .unwrap();
+        assert_eq!(answer(&mut e, sql), Ok(rows(&[(5, 0), (6, 0), (7, 0)])));
+        assert_eq!(answer(&mut e, sql), fresh(&e, sql));
+        let stats = e.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.invalidations), (2, 1, 0));
+    }
+
+    #[test]
+    fn a_dropped_relation_fails_as_unknown_through_query_and_execute() {
+        // The text is the same as on an engine that never cached the plan.
+        let mut e = engine();
+        e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1);")
+            .unwrap();
+        let sql = "SELECT a FROM t WHERE a = $1";
+        e.prepare("p", sql).unwrap();
+        e.execute_prepared_with("p", &[Value::Int(1)]).unwrap();
+        e.query("SELECT a FROM t").unwrap();
+        e.execute("DROP TABLE t").unwrap();
+        let want = "bind error: unknown relation 't'";
+        for _ in 0..2 {
+            assert_eq!(e.query("SELECT a FROM t").unwrap_err().to_string(), want);
+            let err = e.execute_prepared_with("p", &[Value::Int(1)]).unwrap_err();
+            assert_eq!(err.to_string(), want);
+        }
+        assert_eq!(e.plan_cache_stats().invalidations, 2);
+        assert_eq!(e.plan_cache_len(), 0);
+        // Re-created, the prepared statement serves again.
+        e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1);")
+            .unwrap();
+        let rows = e.execute_prepared_with("p", &[Value::Int(1)]).unwrap();
+        assert_eq!(rows.into_relation().rows, vec![vec![Value::Int(1)]]);
+    }
+
+    #[test]
+    fn a_repeated_view_ddl_text_skips_the_frontend() {
+        // `CREATE [MATERIALIZED] VIEW` texts share the plan cache: the
+        // second round of the same texts binds nothing, and the stored view
+        // holds the rows of the moment it is created.
+        let mut e = engine();
+        e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2);")
+            .unwrap();
+        let ddl = [
+            "CREATE MATERIALIZED VIEW m AS SELECT a * 10 AS b FROM t",
+            "CREATE VIEW v AS SELECT b + 1 AS c FROM m",
+        ];
+        let sql = "SELECT sum(c) AS s FROM v";
+        let binds = |e: &Engine| e.trace().phase(Phase::Bind).count();
+        let round = |e: &mut Engine| {
+            for text in ddl {
+                e.execute(text).unwrap();
+            }
+            let s = e.query(sql).unwrap().rows[0][0].clone();
+            e.execute_script("DROP VIEW v; DROP MATERIALIZED VIEW m;")
+                .unwrap();
+            s
+        };
+        assert_eq!(round(&mut e), Value::Int(32));
+        let (planned, stats) = (binds(&e), e.plan_cache_stats());
+        assert_eq!((stats.hits, stats.misses), (0, 3));
+        e.execute("INSERT INTO t VALUES (3)").unwrap();
+        assert_eq!(round(&mut e), Value::Int(63));
+        assert_eq!(binds(&e), planned, "no bind in the second round");
+        let stats = e.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.invalidations), (3, 3, 0));
+        // A DDL text is not a SELECT: it cannot be prepared.
+        assert_eq!(
+            e.prepare("p", ddl[0]).unwrap_err().to_string(),
+            "bind error: only SELECT statements can be prepared/cached"
+        );
+        assert!(e.catalog().view("m").is_none());
+        // Creating a view whose name is taken still fails after the body.
+        e.execute(ddl[0]).unwrap();
+        let err = e.execute(ddl[0]).unwrap_err().to_string();
+        assert_eq!(err, "catalog error: object 'm' already exists");
     }
 
     #[test]
@@ -1996,7 +2226,8 @@ mod tests {
         e.query("SELECT b FROM u").unwrap();
         assert_eq!(e.plan_cache_len(), 2);
         e.execute("DROP TABLE t").unwrap();
-        // Only the plan reading t is evicted.
+        // Only the plan reading t is found stale.
+        assert!(e.query("SELECT a FROM t").is_err());
         assert_eq!(e.plan_cache_len(), 1);
         e.query("SELECT b FROM u").unwrap();
         assert_eq!(e.plan_cache_stats().hits, 1);
@@ -2009,7 +2240,8 @@ mod tests {
     #[test]
     fn view_drop_invalidates_plans_reading_it() {
         // Inline views vanish from the bound plan; the AST walk must still
-        // record the dependency so DROP VIEW evicts the plan.
+        // record the dependency so a lookup after DROP VIEW finds the plan
+        // stale.
         let mut e = engine();
         e.execute_script(
             "CREATE TABLE t (a int); INSERT INTO t VALUES (1);
@@ -2019,8 +2251,12 @@ mod tests {
         e.query("SELECT d FROM v").unwrap();
         assert_eq!(e.plan_cache_len(), 1);
         e.execute("DROP VIEW v").unwrap();
-        assert_eq!(e.plan_cache_len(), 0);
         assert!(e.query("SELECT d FROM v").is_err());
+        assert_eq!(e.plan_cache_len(), 0);
+        assert_eq!(
+            e.plan_cache_table_invalidations(),
+            vec![("v".to_string(), 1)]
+        );
     }
 
     #[test]
@@ -2034,7 +2270,12 @@ mod tests {
         .unwrap();
         e.query("SELECT a FROM v").unwrap();
         e.execute("DROP TABLE t").unwrap();
+        assert!(e.query("SELECT a FROM v").is_err());
         assert_eq!(e.plan_cache_len(), 0);
+        assert_eq!(
+            e.plan_cache_table_invalidations(),
+            vec![("t".to_string(), 1)]
+        );
     }
 
     #[test]
@@ -2045,10 +2286,11 @@ mod tests {
              CREATE TABLE s (b int); INSERT INTO s VALUES (5);",
         )
         .unwrap();
-        e.query("SELECT a FROM t WHERE a < (SELECT max(b) FROM s)")
-            .unwrap();
+        let sql = "SELECT a FROM t WHERE a < (SELECT max(b) FROM s)";
+        e.query(sql).unwrap();
         e.execute("DROP TABLE s").unwrap();
-        assert_eq!(e.plan_cache_len(), 0, "scalar-subquery dep evicted");
+        assert!(e.query(sql).is_err());
+        assert_eq!(e.plan_cache_len(), 0, "scalar-subquery dep found stale");
     }
 
     fn durable_dir(name: &str) -> std::path::PathBuf {

@@ -16,7 +16,7 @@
 
 pub mod eval;
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, ViewBody};
 use crate::error::{Result, SqlError};
 use crate::plan::{
     AggCall, AggFunc, BExpr, JoinKind, PlanNode, PlanRoot, ScanSource, CTID_SENTINEL,
@@ -256,11 +256,12 @@ impl<'a> ExecContext<'a> {
                     .catalog
                     .view(name)
                     .ok_or_else(|| SqlError::exec(format!("view '{name}' disappeared")))?;
-                &view
-                    .materialized
-                    .as_ref()
-                    .ok_or_else(|| SqlError::exec(format!("view '{name}' is not materialized")))?
-                    .heap
+                match &view.body {
+                    ViewBody::Stored(data) => &data.heap,
+                    ViewBody::Inline(_) => {
+                        return Err(SqlError::exec(format!("view '{name}' is not materialized")))
+                    }
+                }
             }
             ScanSource::Cte(i) => {
                 cte = self.cte_heap(*i)?;

@@ -206,7 +206,12 @@ impl Parser {
             return self.create();
         }
         if self.eat_kw("drop") {
-            let is_view = if self.eat_kw("view") {
+            // `DROP MATERIALIZED VIEW` (PostgreSQL's only way to drop one)
+            // and `DROP VIEW` both drop any view.
+            let is_view = if self.eat_kw("materialized") {
+                self.expect_kw("view")?;
+                true
+            } else if self.eat_kw("view") {
                 true
             } else {
                 self.expect_kw("table")?;
@@ -1266,6 +1271,30 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn drop_materialized_view() {
+        for (sql, if_exists) in [
+            ("DROP MATERIALIZED VIEW v", false),
+            ("drop materialized view if exists v", true),
+        ] {
+            let s = parse_statement(sql).unwrap();
+            assert_eq!(
+                s,
+                Statement::Drop {
+                    name: "v".into(),
+                    is_view: true,
+                    if_exists,
+                },
+                "{sql}"
+            );
+        }
+        let err = parse_statement("DROP MATERIALIZED TABLE v").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error (line 1): expected view, found table"
+        );
     }
 
     #[test]

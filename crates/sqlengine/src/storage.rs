@@ -329,27 +329,27 @@ impl Heap {
         self.rows_from(0)
     }
 
-    /// Cut back to the first `len` rows (an append's undo). A cut inside a
-    /// sealed chunk — the undone statement crossed a seal — unseals that
-    /// chunk's surviving rows back into the tail, so the heap holds exactly
-    /// the rows, in the chunks, it held before a row append (a tail that an
-    /// undone bulk load sealed stays sealed).
-    pub fn truncate(&mut self, len: usize) {
+    /// Cut back to the first `len` rows and `chunks` sealed chunks (an
+    /// append's undo, given the heap's extent before the append). Every
+    /// chunk sealed since is unsealed, and the rows of it below `len` go
+    /// back to the tail, so the heap holds exactly the rows, in the chunks,
+    /// it held before: a tail that the undone statement sealed, by a row
+    /// append crossing a seal or by a bulk load sealing it first, is a
+    /// tail again, as a replay of the log rebuilds it.
+    pub fn truncate(&mut self, len: usize, chunks: usize) {
         self.tail_chunk.take();
-        if len >= self.sealed_rows {
+        if self.sealed.len() <= chunks {
             self.tail.truncate(len - self.sealed_rows);
             return;
         }
-        self.tail.clear();
-        while let Some(chunk) = self.sealed.pop() {
-            self.sealed_rows -= chunk.len();
-            if self.sealed_rows <= len {
-                self.tail = (0..len - self.sealed_rows)
-                    .map(|i| chunk.get_row(i))
-                    .collect();
-                break;
-            }
-        }
+        let unsealed = self.sealed.split_off(chunks);
+        self.sealed_rows -= unsealed.iter().map(ColumnChunk::len).sum::<usize>();
+        let keep = len - self.sealed_rows;
+        self.tail = unsealed
+            .iter()
+            .flat_map(|chunk| (0..chunk.len()).map(|i| chunk.get_row(i)))
+            .take(keep)
+            .collect();
     }
 }
 
@@ -580,12 +580,36 @@ mod tests {
         let (sealed, tail) = (heap.sealed().len(), heap.tail().to_vec());
         heap.extend(rows(before..before + 10));
         assert_eq!(heap.sealed().len(), 1, "the append crossed a seal");
-        heap.truncate(before as usize);
+        heap.truncate(before as usize, sealed);
         assert_eq!((heap.sealed().len(), heap.tail()), (sealed, &tail[..]));
         assert_eq!(heap.to_rows(), rows(0..before));
         // Cutting exactly at a chunk boundary drops the whole chunk.
         heap.extend(rows(before..2 * BATCH_ROWS as i64));
-        heap.truncate(BATCH_ROWS);
+        heap.truncate(BATCH_ROWS, 1);
+        assert_eq!((heap.sealed().len(), heap.tail().len()), (1, 0));
+        assert_eq!(heap.to_rows(), rows(0..BATCH_ROWS as i64));
+    }
+
+    #[test]
+    fn truncate_unseals_a_tail_a_bulk_load_sealed() {
+        // One chunk and a five-row tail, then a bulk load: the load seals
+        // the tail first, and its undo makes it a tail again.
+        let n = BATCH_ROWS as i64 + 5;
+        let mut heap = Heap::new(2);
+        heap.extend(rows(0..n));
+        let before = (heap.len(), heap.sealed().len(), heap.tail().to_vec());
+        heap.seal([ColumnChunk::from_rows(&rows(n..n + 3), 2)]);
+        assert_eq!(heap.sealed().len(), 3, "the tail was sealed first");
+        heap.truncate(before.0, before.1);
+        assert_eq!(
+            (heap.len(), heap.sealed().len(), heap.tail().to_vec()),
+            before
+        );
+        assert_eq!(heap.to_rows(), rows(0..n));
+        // A load into an empty tail leaves the earlier chunks as they are.
+        heap.truncate(BATCH_ROWS, 1);
+        heap.seal([ColumnChunk::from_rows(&rows(0..3), 2)]);
+        heap.truncate(BATCH_ROWS, 1);
         assert_eq!((heap.sealed().len(), heap.tail().len()), (1, 0));
         assert_eq!(heap.to_rows(), rows(0..BATCH_ROWS as i64));
     }
@@ -614,7 +638,7 @@ mod tests {
         assert!(!same_cols(&first, &pushed), "a push drops the chunk");
         assert_eq!(heap.tail_chunk().unwrap().to_rows(), rows(0..6));
 
-        heap.truncate(4);
+        heap.truncate(4, 0);
         let cut = tail_cols(&heap).unwrap();
         assert!(!same_cols(&pushed, &cut), "a cut drops the chunk");
         assert_eq!(heap.tail_chunk().unwrap().to_rows(), rows(0..4));
@@ -632,13 +656,13 @@ mod tests {
         let full = tail_cols(&heap).unwrap();
         heap.push(rows(0..1).remove(0));
         assert!(heap.tail().len() == 8 && !same_cols(&full, &tail_cols(&heap).unwrap()));
-        heap.truncate(BATCH_ROWS);
+        heap.truncate(BATCH_ROWS, 2);
         assert_eq!(heap.tail().len(), BATCH_ROWS - 7);
         assert_eq!(
             heap.tail_chunk().unwrap().to_rows(),
             rows(7..BATCH_ROWS as i64)
         );
-        heap.truncate(7);
+        heap.truncate(7, 2);
         assert!(heap.tail_chunk().is_none(), "a cut to a chunk boundary");
         assert_eq!(heap.to_rows(), rows(0..7));
     }

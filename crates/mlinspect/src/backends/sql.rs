@@ -26,9 +26,16 @@ pub struct TranspiledSql {
 }
 
 impl TranspiledSql {
-    /// Render the complete script for the given mode.
+    /// Render the complete script for the given mode. Both modes can run
+    /// again on the same database: each table is dropped before it is
+    /// created, and in VIEW mode every view is dropped, newest first,
+    /// before any table.
     pub fn script(&self, mode: SqlMode, materialize: bool) -> String {
         let mut out = String::new();
+        if mode == SqlMode::View && !self.container.is_empty() {
+            out.push_str(&self.container.view_drops(materialize));
+            out.push('\n');
+        }
         for s in &self.setup {
             out.push_str(&s.create);
             out.push('\n');

@@ -102,6 +102,26 @@ impl SqlQueryContainer {
         )
     }
 
+    /// `DROP [MATERIALIZED] VIEW IF EXISTS` for every entry, newest first,
+    /// each by the kind [`SqlQueryContainer::view_script`] creates it as
+    /// (PostgreSQL drops a materialized view only by its own verb). Run
+    /// before the script drops its tables, it makes the script rerunnable.
+    pub fn view_drops(&self, materialize: bool) -> String {
+        self.entries
+            .iter()
+            .rev()
+            .map(|e| {
+                let kind = if materialize && e.materialize_candidate {
+                    "MATERIALIZED "
+                } else {
+                    ""
+                };
+                format!("DROP {kind}VIEW IF EXISTS {};", e.name)
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
     /// The full VIEW-mode script (for display / debugging — execution happens
     /// incrementally).
     pub fn view_script(&self, materialize: bool) -> String {
@@ -146,6 +166,21 @@ mod tests {
         let script = c.view_script(true);
         assert!(script.contains("CREATE VIEW op"));
         assert!(script.contains("CREATE MATERIALIZED VIEW fit"));
+    }
+
+    #[test]
+    fn view_drops_go_newest_first_by_each_view_kind() {
+        let mut c = SqlQueryContainer::new();
+        c.push("op", "SELECT 1 AS x", false);
+        c.push("fit", "SELECT avg(x) AS m FROM op", true);
+        assert_eq!(
+            c.view_drops(true),
+            "DROP MATERIALIZED VIEW IF EXISTS fit;\nDROP VIEW IF EXISTS op;"
+        );
+        assert_eq!(
+            c.view_drops(false),
+            "DROP VIEW IF EXISTS fit;\nDROP VIEW IF EXISTS op;"
+        );
     }
 
     #[test]

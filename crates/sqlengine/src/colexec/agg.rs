@@ -23,18 +23,32 @@
 //! `array_agg` keeps each batch's argument column whole and records, per
 //! group, the positions of its rows across them; the finished aggregate is
 //! one gather into a list column, with no `Value` per element.
+//!
+//! A groupjoin: an aggregate straight over an inner hash join without a
+//! residual, whose group keys are build-side columns and whose arguments
+//! read probe-side columns only (a histogram restored through a key /
+//! foreign-key join), builds no join output. Each build row gets its group
+//! among the build rows once, from a [`KeyIndex`] over the build chunk;
+//! each probe batch's pairs then name their groups through their build
+//! rows, and its arguments, evaluated on the pairs' probe rows, fold into
+//! them. Output groups are numbered as the pairs first reach them — probe
+//! order, then build order — which is the order the join output would
+//! open them in, so the result, float summation order included, is the
+//! plain path's.
 
+use super::join::{HashJoin, Pairs};
 use super::kernels::{eval_col, gather_chunk, Evaluated};
-use super::keys::{opened, KeyIndex};
-use super::{exec_node, BATCH_ROWS};
+use super::keys::{opened, KeyIndex, NONE};
+use super::{account, concat_chunks, exec_node, BATCH_ROWS};
 use crate::error::{Result, SqlError};
 use crate::exec::{Acc, ExecContext};
-use crate::plan::{AggCall, AggFunc, BExpr, PlanNode};
+use crate::plan::{AggCall, AggFunc, BExpr, JoinKind, PlanNode};
 use etypes::chunk::{Column, ColumnData, NullBitmap};
 use etypes::value::float_cmp;
 use etypes::{ColumnChunk, Value};
 use std::cmp::Ordering;
 use std::rc::Rc;
+use std::time::Instant;
 
 /// One non-empty input batch with its group keys (as columns) and
 /// aggregate arguments (`None` for `count(*)`) evaluated.
@@ -460,6 +474,9 @@ pub(super) fn exec_aggregate(
     aggs: &[AggCall],
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<ColumnChunk>> {
+    if let Some(keys) = groupjoin_keys(input, group_exprs, aggs) {
+        return groupjoin(input, &keys, aggs, ctx);
+    }
     let chunks = exec_node(input, ctx)?;
 
     // Evaluate every batch first: the key index is chosen from the storage
@@ -514,7 +531,17 @@ pub(super) fn exec_aggregate(
         return Err(e);
     }
 
-    // One column per group key, then one per aggregate, cut into batches.
+    Ok(output(&firsts, states, aggs, groups))
+}
+
+/// One column per group key (each key's columns at the rows that opened a
+/// group, in group order), then one per aggregate, cut into batches.
+fn output(
+    firsts: &[Vec<Column>],
+    states: Vec<Slots>,
+    aggs: &[AggCall],
+    groups: usize,
+) -> Vec<ColumnChunk> {
     let mut columns: Vec<Rc<Column>> = firsts
         .iter()
         .map(|parts| Rc::new(Column::concat(&parts.iter().collect::<Vec<_>>())))
@@ -527,13 +554,147 @@ pub(super) fn exec_aggregate(
     );
     let all = ColumnChunk::new(columns, groups);
     if groups <= BATCH_ROWS {
-        return Ok(vec![all]);
+        return vec![all];
     }
-    Ok((0..groups)
+    (0..groups)
         .step_by(BATCH_ROWS)
         .map(|start| {
             let window: Vec<usize> = (start..(start + BATCH_ROWS).min(groups)).collect();
             gather_chunk(&all, &window)
         })
-        .collect())
+        .collect()
+}
+
+/// The build-side columns a grouped aggregate over `input` groups by when
+/// it runs as a groupjoin: `input` is an inner hash join without a
+/// residual, every group key is a build-side column, and every argument
+/// reads probe-side columns only.
+pub(super) fn groupjoin_keys(
+    input: &PlanNode,
+    group_exprs: &[BExpr],
+    aggs: &[AggCall],
+) -> Option<Vec<usize>> {
+    let PlanNode::Join {
+        left,
+        kind: JoinKind::Inner,
+        equi,
+        residual: None,
+        ..
+    } = input
+    else {
+        return None;
+    };
+    if equi.is_empty() || group_exprs.is_empty() {
+        return None;
+    }
+    let probe_width = left.schema().len();
+    let keys = group_exprs
+        .iter()
+        .map(|g| match g {
+            BExpr::Col(c) if *c >= probe_width => Some(c - probe_width),
+            _ => None,
+        })
+        .collect::<Option<Vec<usize>>>()?;
+    let mut read = Vec::new();
+    for arg in aggs.iter().filter_map(|call| call.arg.as_ref()) {
+        arg.columns_used(&mut read);
+    }
+    read.iter().all(|&c| c < probe_width).then_some(keys)
+}
+
+/// Run `join` and fold its pairs into groups of the build-side columns
+/// `keys`, with no join output. The join node is counted and profiled with
+/// the rows and batches it would have emitted on its own.
+fn groupjoin(
+    join: &PlanNode,
+    keys: &[usize],
+    aggs: &[AggCall],
+    ctx: &ExecContext<'_>,
+) -> Result<Vec<ColumnChunk>> {
+    let PlanNode::Join {
+        left, right, equi, ..
+    } = join
+    else {
+        unreachable!("groupjoin_keys took a join")
+    };
+    let timer = ctx.profiling().then(Instant::now);
+    let probes = exec_node(left, ctx)?;
+    let mut hash = HashJoin::new(probes, concat_chunks(&exec_node(right, ctx)?), equi, ctx)?;
+    // A probe key's error ends the join before the aggregate sees a row.
+    hash.key_error()?;
+
+    // Each build row's group among the build rows, and each such group's
+    // output group once a pair reaches it.
+    let key_cols: Vec<Rc<Column>> = keys
+        .iter()
+        .map(|&c| Rc::clone(hash.build.column(c)))
+        .collect();
+    let mut index = KeyIndex::new(keys.len(), &[&key_cols], &[]);
+    let mut local = Vec::new();
+    index.assign(&key_cols, &mut local);
+    let mut number = vec![NONE; index.len()];
+    let mut groups = 0;
+    // The build row that opened each output group.
+    let mut opened: Vec<usize> = Vec::new();
+    let mut states: Vec<Slots> = aggs.iter().map(|call| Slots::new(call, groups)).collect();
+    let (mut rows, mut batches) = (0, 0);
+    let (mut ids, mut every): (Vec<u32>, Vec<usize>) = (Vec::new(), Vec::new());
+    hash.probe(JoinKind::Inner, None, ctx, |chunk, pairs| {
+        rows += pairs.build.len();
+        batches += 1;
+        let args = probe_args(chunk, pairs, aggs, &mut every, ctx)?;
+        ids.clear();
+        ids.extend(pairs.build.iter().map(|&j| {
+            let group = &mut number[local[j] as usize];
+            if *group == NONE {
+                *group = groups as u32;
+                groups += 1;
+                opened.push(j);
+            }
+            *group
+        }));
+        for ((state, call), arg) in states.iter_mut().zip(aggs).zip(&args) {
+            state.resize(call, groups);
+            state.fold(call, arg.as_ref(), &ids)?;
+        }
+        Ok(())
+    })?;
+    // The bare join's output: one batch per probe batch with a pair, and
+    // one empty batch when there is none.
+    account(join, rows, batches.max(1), timer, ctx)?;
+
+    let firsts: Vec<Vec<Column>> = key_cols.iter().map(|c| vec![c.gather(&opened)]).collect();
+    Ok(output(&firsts, states, aggs, groups))
+}
+
+/// The aggregate arguments (`None` for `count(*)`) over the probe rows of
+/// `pairs`. Repeated probe rows are gathered first: `eval_col` takes a
+/// selection as strictly increasing, and one of the batch's length as the
+/// whole batch. `every` keeps `0..n` from batch to batch.
+fn probe_args(
+    chunk: &ColumnChunk,
+    pairs: &Pairs,
+    aggs: &[AggCall],
+    every: &mut Vec<usize>,
+    ctx: &ExecContext<'_>,
+) -> Result<Vec<Option<Evaluated>>> {
+    let n = pairs.build.len().max(chunk.len());
+    every.extend(every.len()..n);
+    let gathered;
+    let (chunk, sel) = match pairs.probe_rows() {
+        None => (chunk, &every[..chunk.len()]),
+        Some(rows) if !pairs.repeats => (chunk, rows),
+        Some(rows) => {
+            gathered = gather_chunk(chunk, rows);
+            (&gathered, &every[..rows.len()])
+        }
+    };
+    aggs.iter()
+        .map(|call| {
+            call.arg
+                .as_ref()
+                .map(|e| eval_col(e, chunk, sel, ctx))
+                .transpose()
+        })
+        .collect()
 }

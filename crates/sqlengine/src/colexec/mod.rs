@@ -179,10 +179,24 @@ pub(crate) fn exec_node(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Co
     };
     let chunks = ensure_nonempty(chunks, plan.schema().len());
     let rows: usize = chunks.iter().map(ColumnChunk::len).sum();
+    account(plan, rows, chunks.len(), timer, ctx)?;
+    Ok(chunks)
+}
+
+/// Count `plan`'s output of `rows` rows in `batches` batches: the stats, the
+/// cost model's charge, a cancellation tick and, under `EXPLAIN ANALYZE`,
+/// the node's profile, timed from `timer`.
+fn account(
+    plan: &PlanNode,
+    rows: usize,
+    batches: usize,
+    timer: Option<std::time::Instant>,
+    ctx: &ExecContext<'_>,
+) -> Result<()> {
     {
         let mut stats = ctx.stats.borrow_mut();
         stats.rows_processed += rows as u64;
-        stats.batches_executed += chunks.len() as u64;
+        stats.batches_executed += batches as u64;
     }
     ctx.profile.charge_rows(rows);
     ctx.tick(rows)?;
@@ -190,11 +204,11 @@ pub(crate) fn exec_node(plan: &PlanNode, ctx: &ExecContext<'_>) -> Result<Vec<Co
         ctx.record_node_profile(
             plan as *const PlanNode as usize,
             rows as u64,
-            chunks.len() as u64,
+            batches as u64,
             t.elapsed(),
         );
     }
-    Ok(chunks)
+    Ok(())
 }
 
 /// The rows of `chunk` whose `predicate` is exactly `TRUE` (a WHERE, or a

@@ -123,12 +123,13 @@ pub fn gen_pred(rng: &mut Prng, depth: usize) -> String {
     }
 }
 
-/// One random query over the corpus tables (ten shapes: filter+project,
+/// One random query over the corpus tables (eleven shapes: filter+project,
 /// four-way joins, grouped and global aggregates, DISTINCT+ORDER+LIMIT, an
 /// aggregated CTE join, `array_agg` → `unnest` round trips, `ROW_NUMBER()`
-/// windows, nested-loop joins, and scalar subqueries).
+/// windows, nested-loop joins, scalar subqueries, and `GROUP BY`s of `t2`
+/// columns over a join).
 pub fn gen_query(rng: &mut Prng) -> String {
-    match rng.below(10) {
+    match rng.below(11) {
         // Filter + project over t1.
         0 => format!(
             "SELECT {} AS x, {} AS y, d FROM t1 WHERE {}",
@@ -185,6 +186,7 @@ pub fn gen_query(rng: &mut Prng) -> String {
                 )
             }
         }
+        10 => gen_groupjoin(rng),
         // Scalar subqueries: a NULL-able average, a global count, and a
         // LIMIT that makes the subquery return two rows (an error) half the
         // time — unless the WHERE leaves no row to evaluate it for.
@@ -227,6 +229,31 @@ fn gen_unnest(rng: &mut Prng) -> String {
              SELECT u.b, u.id, t1.a, t1.d FROM u INNER JOIN t1 ON u.id = t1.ctid"
         ),
     }
+}
+
+/// A `GROUP BY` of `t2` columns over `t1 INNER JOIN t2 ON t1.a = t2.k`
+/// (plain or null-safe), whose aggregates read `t1` only: the groupjoin's
+/// shape. `t2.k` repeats and is NULL in both tables, so probe rows pair
+/// with several build rows; one argument divides by zero when a joined
+/// `t1.a` meets the divisor. No ORDER BY: the groups' first-seen order is
+/// compared too.
+fn gen_groupjoin(rng: &mut Prng) -> String {
+    let keys = ["t2.w", "t2.v", "t2.w, t2.v", "t2.k"][rng.below(4)];
+    let on = [
+        "t1.a = t2.k",
+        "(t1.a = t2.k OR (t1.a IS NULL AND t2.k IS NULL))",
+    ][rng.below(2)];
+    let divisor = rng.range_i64(-8, 60);
+    let filter = if rng.chance(0.5) {
+        format!(" WHERE {}", gen_pred(rng, 1))
+    } else {
+        String::new()
+    };
+    format!(
+        "SELECT {keys}, count(*) AS n, count(t1.d) AS nd, sum(t1.a) AS s, avg(t1.c) AS m, \
+         min(t1.a) AS lo, max(t1.c) AS hi, array_agg(t1.a) AS l, sum(t1.b / (t1.a - {divisor})) AS q \
+         FROM t1 INNER JOIN t2 ON {on}{filter} GROUP BY {keys}"
+    )
 }
 
 /// A `ROW_NUMBER()` window over NULL-heavy keys with ties (input order

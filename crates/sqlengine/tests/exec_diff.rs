@@ -1448,3 +1448,116 @@ fn all_null_key_batches_match_row_engine() {
         assert!(!out.starts_with("ERR"), "{sql}: {out}");
     }
 }
+
+/// `GROUP BY`s of build-side columns over a hash join with probe-side
+/// arguments (the groupjoin under an inner join, a plain aggregate over the
+/// others), and plain joins through the unique-key lookup, under every join
+/// kind: no ORDER BY, so the group order is compared too; unique, duplicate
+/// and null-safe build keys; empty build and probe sides; a probe side of
+/// two sealed chunks and a row tail; float sums whose order shows; and an
+/// argument that divides by zero.
+#[test]
+fn groupjoins_and_unique_lookups_match_row_engine() {
+    let mut rng = Prng::new(0xE1E9_000F);
+    let mut e = Engine::new(EngineProfile::in_memory());
+    e.execute("CREATE TABLE p (id int, k int, v int, f float, t text)")
+        .unwrap();
+    fn null_or(rng: &mut Prng, p: f64, v: impl FnOnce(&mut Prng) -> String) -> String {
+        if rng.chance(p) {
+            "NULL".to_string()
+        } else {
+            v(rng)
+        }
+    }
+    // 2 500 rows in one INSERT: two sealed chunks and a tail of 452.
+    let rows: Vec<String> = (0..2500)
+        .map(|id| {
+            let k = null_or(&mut rng, 0.1, |r| r.below(60).to_string());
+            let v = null_or(&mut rng, 0.2, |r| r.range_i64(-3, 6).to_string());
+            let f = null_or(&mut rng, 0.2, |r| format!("{:.3}", r.range_f64(-4.0, 9.0)));
+            let t = null_or(&mut rng, 0.2, |r| format!("'t{}'", r.below(7)));
+            format!("({id}, {k}, {v}, {f}, {t})")
+        })
+        .collect();
+    e.execute(&format!("INSERT INTO p VALUES {}", rows.join(", ")))
+        .unwrap();
+    // Unique keys 0..40, so probe keys 40..59 miss; labels repeat.
+    e.execute("CREATE TABLE u (k int, w text, x int)").unwrap();
+    let rows: Vec<String> = (0..40)
+        .map(|k| {
+            let w = null_or(&mut rng, 0.15, |r| format!("'w{}'", r.below(4)));
+            format!("({k}, {w}, {})", rng.below(3))
+        })
+        .collect();
+    e.execute(&format!("INSERT INTO u VALUES {}", rows.join(", ")))
+        .unwrap();
+    // Duplicate and NULL keys.
+    e.execute("CREATE TABLE dup (k int, w text)").unwrap();
+    let rows: Vec<String> = (0..30)
+        .map(|_| {
+            let k = null_or(&mut rng, 0.2, |r| r.below(10).to_string());
+            format!("({k}, 'w{}')", rng.below(3))
+        })
+        .collect();
+    e.execute(&format!("INSERT INTO dup VALUES {}", rows.join(", ")))
+        .unwrap();
+    e.execute("CREATE TABLE e (k int, w text)").unwrap();
+    // Every other probe row meets two build rows and the rest none, so each
+    // probe batch pairs exactly as many rows as it holds, with repeats.
+    e.execute("CREATE TABLE alt (id int, k int)").unwrap();
+    let rows: Vec<String> = (0..2500)
+        .map(|id| format!("({id}, {})", 1 + id % 2))
+        .collect();
+    e.execute(&format!("INSERT INTO alt VALUES {}", rows.join(", ")))
+        .unwrap();
+    e.execute("CREATE TABLE two (k int, w text)").unwrap();
+    e.execute("INSERT INTO two VALUES (1, 'a'), (1, 'b')")
+        .unwrap();
+
+    let aggs = "count(*), count(p.t), sum(p.v), avg(p.f), sum(p.f), min(p.t), max(p.f), \
+                array_agg(p.id)";
+    let mut cases = Vec::new();
+    for kind in ["INNER", "LEFT", "RIGHT", "FULL"] {
+        for (build, on) in [
+            ("u", "p.k = b.k"),
+            ("dup", "p.k = b.k"),
+            ("dup", "(p.k = b.k OR (p.k IS NULL AND b.k IS NULL))"),
+            ("e", "p.k = b.k"),
+        ] {
+            let join = format!("p {kind} JOIN {build} b ON {on}");
+            cases.push(format!("SELECT b.w, {aggs} FROM {join} GROUP BY b.w"));
+            cases.push(format!("SELECT count(*), sum(p.v), avg(p.f) FROM {join}"));
+            cases.push(format!(
+                "SELECT b.w, b.k, sum(p.v * 2 + p.id), count(CASE WHEN p.v > 0 THEN p.t END) \
+                 FROM {join} GROUP BY b.w, b.k"
+            ));
+            cases.push(format!(
+                "SELECT b.w, {aggs} FROM (SELECT * FROM p WHERE id < 0) p {kind} JOIN {build} b \
+                 ON {on} GROUP BY b.w"
+            ));
+            cases.push(format!(
+                "SELECT p.id, p.k, b.k, b.w FROM {join} WHERE p.id IS NULL OR p.id % 3 = 0"
+            ));
+        }
+        cases.push(format!(
+            "SELECT b.w, b.x, count(*), sum(p.id), avg(p.f) FROM p {kind} JOIN u b ON p.k = b.k \
+             WHERE p.v > 0 GROUP BY b.w, b.x"
+        ));
+        cases.push(format!(
+            "SELECT b.w, count(*), sum(a.id), max(a.id * 2), array_agg(a.id) FROM alt a \
+             {kind} JOIN two b ON a.k = b.k GROUP BY b.w"
+        ));
+    }
+    for (q, sql) in cases.iter().enumerate() {
+        let out = same(&mut e, sql, &format!("groupjoin case {q}"));
+        assert!(!out.starts_with("ERR"), "{sql}: {out}");
+    }
+    // Division by zero fails alike, after the same folds.
+    for kind in ["INNER", "LEFT"] {
+        let sql = format!(
+            "SELECT b.w, sum(p.id / (p.v - 2)) FROM p {kind} JOIN u b ON p.k = b.k GROUP BY b.w"
+        );
+        let out = same(&mut e, &sql, "groupjoin division");
+        assert!(out.starts_with("ERR"), "{sql}: {out}");
+    }
+}

@@ -102,6 +102,26 @@ fn view_script_executes_on_a_fresh_engine() {
 }
 
 #[test]
+fn view_script_reruns_on_the_same_engine() {
+    for (name, src) in pipelines::all() {
+        let t = transpile(src, SqlMode::View);
+        for materialize in [false, true] {
+            // Without its COPYs, which name files this engine cannot read.
+            let mut script = t.script(SqlMode::View, materialize);
+            for setup in &t.setup {
+                script = script.replace(&setup.copy, "");
+            }
+            let mut engine = Engine::new(EngineProfile::disk_based_no_latency());
+            for run in 0..2 {
+                engine.execute_script(&script).unwrap_or_else(|e| {
+                    panic!("{name} (materialize {materialize}) run {run}: {e}")
+                });
+            }
+        }
+    }
+}
+
+#[test]
 fn generated_sql_follows_paper_naming_conventions() {
     let t = transpile(pipelines::HEALTHCARE, SqlMode::Cte);
     // Listing 5's conventions: <stem>_<line>_mlinid<n> tables, ctid-CTEs,

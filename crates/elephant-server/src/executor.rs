@@ -41,7 +41,7 @@
 use crate::metrics::{ratio, sample, Metric, Metrics};
 use crate::protocol::{codes, Command};
 use crate::shard::ShardStats;
-use etypes::{next_span_id, SharedSpanRing, SpanKind, SpanRecord, TraceContext};
+use etypes::{next_span_id, SharedSpanRing, SpanKind, SpanRecord, TraceContext, Value};
 use mlinspect::backends::pandas::FileRegistry;
 use mlinspect::SqlMode;
 use sqlengine::ast::Statement;
@@ -71,12 +71,13 @@ pub(crate) type Parsed = Vec<Option<Vec<Statement>>>;
 pub(crate) enum Job {
     /// A client command; the result goes back on `reply`.
     Command {
-        /// Originating session id (scopes prepared-statement names).
-        session: u64,
         /// The parsed command.
         command: Command,
         /// The statements of its SQL, where the router parsed them.
         parsed: Parsed,
+        /// The text an `EXECUTE` runs: its prepared statement's SQL, which
+        /// the session that prepared it resolved from the name.
+        text: Option<Arc<str>>,
         /// The gather leg of a cross-shard read: tables exported by the
         /// other involved shards, installed for the command and removed
         /// again before it answers.
@@ -121,11 +122,6 @@ pub(crate) enum Job {
         ctx: TraceContext,
         /// When the router admitted the job (measures queue wait).
         enqueued: Instant,
-    },
-    /// A session disconnected: drop its prepared statements.
-    CloseSession {
-        /// The closed session's id.
-        session: u64,
     },
     /// Scatter leg of a cross-shard read: export the named tables as
     /// images for a coordinator shard to install.
@@ -278,7 +274,6 @@ pub(crate) fn spawn(
             let mut state = ExecutorState {
                 engine,
                 files,
-                prepared: HashMap::new(),
                 metrics,
                 shutdown,
                 ring: cfg.ring,
@@ -323,41 +318,35 @@ pub(crate) fn spawn(
                 for job in batch {
                     match job {
                         Job::Command {
-                            session,
                             command,
                             parsed,
+                            text,
                             images,
                             reply,
                             ctx,
                             enqueued,
                             counted,
                         } => {
-                            // Only client-facing jobs were counted into the
-                            // gauges; decrementing for CloseSession
-                            // would underflow them.
-                            state.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                            state.lane.dec_queue_depth();
-                            state.lane.commands.fetch_add(1, Ordering::Relaxed);
+                            let kind = match images {
+                                Some(_) => SpanKind::SgGather,
+                                None => SpanKind::ShardExec,
+                            };
+                            let mut trace = state.start_job(ctx, kind, enqueued);
                             let started = Instant::now();
                             let verb = command.verb();
                             let detail = command.summary();
                             let pending_before = state.engine.group_pending();
                             let epoch = state.engine.group_epoch();
-                            let kind = match images {
-                                Some(_) => SpanKind::SgGather,
-                                None => SpanKind::ShardExec,
-                            };
-                            let mut trace = state.install_context(ctx, kind, enqueued);
                             let result = match images {
                                 Some(images) => {
                                     let (result, install_us) =
-                                        state.gather(session, command, parsed, images);
+                                        state.gather(command, parsed, text, images);
                                     trace.install_us = Some(install_us);
                                     result
                                 }
-                                None => state.dispatch(session, command, parsed),
+                                None => state.dispatch(command, parsed, text),
                             };
-                            state.collect_phases(&mut trace);
+                            state.finish_job(&mut trace);
                             // A gather is read-only, so it never grows the
                             // group; deferring its reply too keeps span
                             // order consistent — the root closes last.
@@ -376,7 +365,6 @@ pub(crate) fn spawn(
                         Job::Txn { .. } => {
                             unreachable!("Txn jobs close the batch before joining it")
                         }
-                        Job::CloseSession { session } => state.close_session(session),
                         Job::ExportTables { names, reply, ctx } => {
                             state.lane.dec_queue_depth();
                             state.lane.commands.fetch_add(1, Ordering::Relaxed);
@@ -422,17 +410,8 @@ pub(crate) fn spawn(
                         }
                     }
                     if d.counted {
-                        state.metrics.record_latency(d.verb, d.elapsed);
-                    }
-                    match &d.result {
-                        Ok(_) => {
-                            if d.counted {
-                                state.metrics.count_verb(d.verb);
-                            }
-                        }
-                        Err(_) => {
-                            state.metrics.exec_errors.fetch_add(1, Ordering::Relaxed);
-                        }
+                        let ok = d.result.is_ok();
+                        state.metrics.count_reply(d.verb, d.elapsed, ok);
                     }
                     state.finish_command(&d, fsync_us, durable, group_err.is_none());
                     // A dropped receiver means the session died mid-query;
@@ -459,8 +438,6 @@ struct ExecutorState {
     /// The `INSPECT` inputs: each is parsed on its first read and shared by
     /// every later `INSPECT` that reads it.
     files: FileRegistry,
-    /// Prepared-statement names per live session (engine-scoped form).
-    prepared: HashMap<u64, Vec<String>>,
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
     /// This shard's span ring, shared with the router (`TRACE` walks every
@@ -476,15 +453,14 @@ struct ExecutorState {
 }
 
 impl ExecutorState {
-    /// Prepare the trace bookkeeping for one job and install the engine's
-    /// capture context (phase samples parent to the pre-allocated exec
-    /// span).
-    fn install_context(
-        &mut self,
-        ctx: TraceContext,
-        kind: SpanKind,
-        enqueued: Instant,
-    ) -> DeferredTrace {
+    /// Start one admitted client job (a command, or a 2PC prepare leg):
+    /// take it off the queue gauges, count it on the lane, and install the
+    /// engine's capture context (phase samples parent to the pre-allocated
+    /// exec span). [`ExecutorState::finish_job`] closes what this opens.
+    fn start_job(&mut self, ctx: TraceContext, kind: SpanKind, enqueued: Instant) -> DeferredTrace {
+        self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.lane.dec_queue_depth();
+        self.lane.commands.fetch_add(1, Ordering::Relaxed);
         let exec_id = next_span_id();
         self.engine.set_trace_context(Some(TraceContext {
             query_id: ctx.query_id,
@@ -502,11 +478,13 @@ impl ExecutorState {
         }
     }
 
-    /// Drain the engine's captured phase samples, and the stages of an
-    /// `INSPECT`, into the trace record.
-    fn collect_phases(&mut self, trace: &mut DeferredTrace) {
+    /// Finish a job [`ExecutorState::start_job`] started: drain the
+    /// engine's captured phase samples, and the stages of an `INSPECT`,
+    /// into the trace record, and clear the capture context.
+    fn finish_job(&mut self, trace: &mut DeferredTrace) {
         (trace.phases, trace.dropped_phases) = self.engine.take_phase_spans();
         trace.stages = std::mem::take(&mut self.inspect_stages);
+        self.engine.set_trace_context(None);
     }
 
     /// Record one job's queue wait, its exec span (`name`, `detail`, `us`)
@@ -621,7 +599,6 @@ impl ExecutorState {
     /// storage and recovery state.
     fn engine_samples(&self) -> Vec<Metric> {
         let plan = self.engine.plan_cache_stats();
-        let prepared: usize = self.prepared.values().map(Vec::len).sum();
         let mut v = vec![
             sample("plan_cache_entries", self.engine.plan_cache_len() as u64),
             sample("plan_cache_hits", plan.hits),
@@ -629,7 +606,6 @@ impl ExecutorState {
             sample("plan_cache_evictions", plan.evictions),
             sample("plan_cache_invalidations", plan.invalidations),
             sample("plan_cache_hit_rate", plan.hit_rate()),
-            sample("prepared_statements", prepared as u64),
         ];
         for (table, n) in self.engine.plan_cache_table_invalidations() {
             v.push(sample("plan_cache_table_invalidations", n).label("table", table));
@@ -684,41 +660,23 @@ impl ExecutorState {
             .collect()
     }
 
-    fn dispatch(&mut self, session: u64, command: Command, parsed: Parsed) -> Reply {
+    fn dispatch(&mut self, command: Command, parsed: Parsed, text: Option<Arc<str>>) -> Reply {
         let mut parsed = parsed.into_iter();
         match command {
-            Command::Query(sql) => {
-                let out = self
-                    .engine
-                    .execute_parsed(&sql, parsed.next().flatten())
-                    .map_err(|e| self.classify(e))?;
-                Ok(self.render(out.result, out.rows_affected))
-            }
-            Command::Prepare { name, sql } => {
-                let scoped = scoped_name(session, &name);
-                self.engine
-                    .prepare(scoped.clone(), sql)
-                    .map_err(|e| (codes::EXEC, e.to_string()))?;
-                let names = self.prepared.entry(session).or_default();
-                if !names.contains(&scoped) {
-                    names.push(scoped);
-                }
-                Ok(format!("prepared {name}"))
-            }
-            Command::Execute { name, args } => {
+            Command::Query(sql) => self.run_sql(&sql, parsed.next().flatten(), &[]),
+            Command::Execute { args, .. } => {
+                let Some(sql) = text else {
+                    return Err((codes::INTERNAL, "EXECUTE arrived without its text".into()));
+                };
                 let values = match &args {
-                    Some(text) => sqlengine::parse_param_values(text)
+                    Some(args) => sqlengine::parse_param_values(args)
                         .map_err(|e| (codes::PARSE, e.to_string()))?,
                     None => Vec::new(),
                 };
                 self.metrics
                     .params_bound
                     .fetch_add(values.len() as u64, Ordering::Relaxed);
-                let result = self
-                    .engine
-                    .execute_prepared_with(&scoped_name(session, &name), &values)
-                    .map_err(|e| self.classify(e))?;
-                Ok(self.render(Some(result), 0))
+                self.run_sql(&sql, None, &values)
             }
             Command::Batch(stmts) => {
                 // One frame, many statements: every statement in the batch
@@ -730,22 +688,16 @@ impl ExecutorState {
                 // 1-based offending statement.
                 let metrics = Arc::clone(&self.metrics);
                 crate::shard::run_batch(stmts.iter(), &metrics.batch_statements, |sql| {
-                    let out = self
-                        .engine
-                        .execute_parsed(sql, parsed.next().flatten())
-                        .map_err(|e| self.classify(e))?;
-                    Ok(self.render(out.result, out.rows_affected))
+                    self.run_sql(sql, parsed.next().flatten(), &[])
                 })
             }
-            Command::Deallocate(name) => {
-                let scoped = scoped_name(session, &name);
+            // The session keeps the name; the shard only validates and
+            // plans the text, so its errors come back at PREPARE time.
+            Command::Prepare { name, sql } => {
                 self.engine
-                    .deallocate(&scoped)
+                    .prepare(&sql)
                     .map_err(|e| (codes::EXEC, e.to_string()))?;
-                if let Some(names) = self.prepared.get_mut(&session) {
-                    names.retain(|n| *n != scoped);
-                }
-                Ok(format!("deallocated {name}"))
+                Ok(format!("prepared {name}"))
             }
             Command::Explain { sql, analyze } => {
                 let out = if analyze {
@@ -755,11 +707,12 @@ impl ExecutorState {
                 };
                 out.map_err(|e| self.classify(e))
             }
-            // The router answers both itself, from every shard's ring and
-            // every shard's samples; neither is ever queued.
-            Command::Trace(_) | Command::Stats => Err((
+            // The router answers TRACE and STATS itself, from every shard's
+            // ring and samples, and the session answers DEALLOCATE; none is
+            // ever queued.
+            Command::Trace(_) | Command::Stats | Command::Deallocate(_) => Err((
                 codes::INTERNAL,
-                "TRACE and STATS are answered by the shard router".into(),
+                "TRACE, STATS and DEALLOCATE are answered before a shard".into(),
             )),
             Command::Inspect {
                 columns,
@@ -837,6 +790,16 @@ impl ExecutorState {
         }
     }
 
+    /// Run one SQL text (a `QUERY`, an `EXECUTE`'s prepared text with its
+    /// arguments, or one `BATCH` statement) and render its reply body.
+    fn run_sql(&mut self, sql: &str, parsed: Option<Vec<Statement>>, params: &[Value]) -> Reply {
+        let out = self
+            .engine
+            .execute_with(sql, parsed, params)
+            .map_err(|e| self.classify(e))?;
+        Ok(self.render(out.result, out.rows_affected))
+    }
+
     /// One statement's reply body: a result encoded to CSV straight from
     /// its column chunks, timed as the engine's `encode` phase, or
     /// `ok <rows affected>` for a statement without one.
@@ -850,25 +813,15 @@ impl ExecutorState {
         body
     }
 
-    fn close_session(&mut self, session: u64) {
-        if let Some(names) = self.prepared.remove(&session) {
-            for name in names {
-                let _ = self.engine.deallocate(&name);
-            }
-        }
-        // `sessions_closed` is counted once per session by the router (a
-        // CloseSession broadcast reaches every shard).
-    }
-
     /// Gather leg of a cross-shard read: install the foreign images, run
     /// the command against the combined catalog, then remove the images —
     /// always, even on error, so they never outlive the query. Returns the
     /// reply and the install time (µs) for the `sg-install` span.
     fn gather(
         &mut self,
-        session: u64,
         command: Command,
         parsed: Parsed,
+        text: Option<Arc<str>>,
         images: Vec<TableImage>,
     ) -> (Reply, u64) {
         let install_started = Instant::now();
@@ -889,7 +842,7 @@ impl ExecutorState {
         }
         let install_us = install_started.elapsed().as_micros() as u64;
         if result.is_ok() {
-            result = self.dispatch(session, command, parsed);
+            result = self.dispatch(command, parsed, text);
         }
         for name in &installed {
             self.engine.remove_foreign_table(name);
@@ -917,18 +870,14 @@ impl ExecutorState {
         else {
             return;
         };
-        self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        self.lane.dec_queue_depth();
-        self.lane.commands.fetch_add(1, Ordering::Relaxed);
-        let mut trace = self.install_context(ctx, SpanKind::TxnPrepare, enqueued);
+        let mut trace = self.start_job(ctx, SpanKind::TxnPrepare, enqueued);
         let started = Instant::now();
         let result = self
             .engine
             .prepare_txn(txn_id, &sql)
             .map(|out| self.render(out.result, out.rows_affected))
             .map_err(|e| self.classify(e));
-        self.collect_phases(&mut trace);
-        self.engine.set_trace_context(None);
+        self.finish_job(&mut trace);
         let ok = result.is_ok();
         let us = started.elapsed().as_micros() as u64;
         self.record_exec(&trace, "PREPARE", &format!("txn={txn_id} {sql}"), us, ok);
@@ -970,21 +919,19 @@ impl ExecutorState {
     }
 }
 
-fn scoped_name(session: u64, name: &str) -> String {
-    format!("s{session}.{name}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn send(tx: &SyncSender<Job>, metrics: &Metrics, session: u64, cmd: Command) -> Reply {
+    /// Run one command on the executor and wait for its reply; an
+    /// `EXECUTE` carries `text`, as its session would resolve it.
+    fn run(tx: &SyncSender<Job>, metrics: &Metrics, cmd: Command, text: Option<&str>) -> Reply {
         let (rtx, rrx) = mpsc::channel();
         metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
         tx.send(Job::Command {
-            session,
             command: cmd,
             parsed: Vec::new(),
+            text: text.map(Arc::from),
             images: None,
             reply: rtx,
             // No root span: the children record as top-level spans.
@@ -997,6 +944,10 @@ mod tests {
         })
         .expect("executor alive");
         rrx.recv().expect("reply")
+    }
+
+    fn send(tx: &SyncSender<Job>, metrics: &Metrics, cmd: Command) -> Reply {
+        run(tx, metrics, cmd, None)
     }
 
     /// This shard's engine samples, rendered as `STATS` lines.
@@ -1033,82 +984,52 @@ mod tests {
     }
 
     #[test]
-    fn executor_round_trip_and_scoped_prepare() {
+    fn executor_round_trip_and_prepare() {
         let metrics = Arc::new(Metrics::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, join) = spawn_volatile(&metrics, &shutdown);
         let r = send(
             &tx,
             &metrics,
-            1,
             Command::Query("CREATE TABLE t (a int)".into()),
         );
         assert_eq!(r.unwrap(), "ok 0");
         let r = send(
             &tx,
             &metrics,
-            1,
             Command::Query("INSERT INTO t VALUES (1), (2)".into()),
         );
         assert_eq!(r.unwrap(), "ok 2");
-        let r = send(
-            &tx,
-            &metrics,
-            1,
-            Command::Prepare {
-                name: "q".into(),
-                sql: "SELECT a FROM t ORDER BY a".into(),
-            },
-        );
-        assert_eq!(r.unwrap(), "prepared q");
-        // Same statement name in another session: independent namespace.
-        let r = send(
-            &tx,
-            &metrics,
-            2,
-            Command::Prepare {
-                name: "q".into(),
-                sql: "SELECT count(*) AS n FROM t".into(),
-            },
-        );
-        assert_eq!(r.unwrap(), "prepared q");
-        let r = send(
-            &tx,
-            &metrics,
-            1,
-            Command::Execute {
-                name: "q".into(),
-                args: None,
-            },
-        );
+        // PREPARE validates and plans the text; the name stays with the
+        // session, which sends the text along with each EXECUTE.
+        let sql = "SELECT a FROM t WHERE a >= $1 ORDER BY a";
+        let prepare = |sql: &str| Command::Prepare {
+            name: "q".into(),
+            sql: sql.into(),
+        };
+        assert_eq!(send(&tx, &metrics, prepare(sql)).unwrap(), "prepared q");
+        let (code, msg) = send(&tx, &metrics, prepare("SELECT a FROM nowhere")).unwrap_err();
+        assert_eq!(code, codes::EXEC);
+        assert_eq!(msg, "bind error: unknown relation 'nowhere'");
+        let execute = |args: &str| Command::Execute {
+            name: "q".into(),
+            args: Some(args.into()),
+        };
+        let r = run(&tx, &metrics, execute("1"), Some(sql));
         assert_eq!(r.unwrap(), "a\n1\n2\n");
-        let r = send(
-            &tx,
-            &metrics,
-            2,
-            Command::Execute {
-                name: "q".into(),
-                args: None,
-            },
-        );
-        assert_eq!(r.unwrap(), "n\n2\n");
-        // Executing session 1's statement from session 3 fails.
-        let r = send(
-            &tx,
-            &metrics,
-            3,
-            Command::Execute {
-                name: "q".into(),
-                args: None,
-            },
-        );
-        assert_eq!(r.unwrap_err().0, codes::EXEC);
+        let r = run(&tx, &metrics, execute("2"), Some(sql));
+        assert_eq!(r.unwrap(), "a\n2\n");
+        assert_eq!(metrics.params_bound.load(Ordering::Relaxed), 2);
+        let (code, _) = run(&tx, &metrics, execute("1,"), Some(sql)).unwrap_err();
+        assert_eq!(code, codes::PARSE);
+        let (code, msg) = run(&tx, &metrics, execute("1, 2"), Some(sql)).unwrap_err();
+        assert_eq!(code, codes::EXEC);
+        assert_eq!(msg, "bind error: statement needs 1 parameter, got 2");
         // Shutdown flips the flag but the executor keeps draining.
-        assert!(engine_stats(&tx).contains("prepared_statements 2"));
-        let r = send(&tx, &metrics, 1, Command::Shutdown);
+        let r = send(&tx, &metrics, Command::Shutdown);
         assert_eq!(r.unwrap(), "draining");
         assert!(shutdown.load(Ordering::SeqCst));
-        let r = send(&tx, &metrics, 1, Command::Query("SELECT a FROM t".into()));
+        let r = send(&tx, &metrics, Command::Query("SELECT a FROM t".into()));
         assert_eq!(r.unwrap(), "a\n1\n2\n");
         drop(tx);
         join.join().unwrap();
@@ -1119,7 +1040,7 @@ mod tests {
         let metrics = Arc::new(Metrics::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, join) = spawn_volatile(&metrics, &shutdown);
-        let r = send(&tx, &metrics, 1, Command::Checkpoint);
+        let r = send(&tx, &metrics, Command::Checkpoint);
         let (code, msg) = r.unwrap_err();
         assert_eq!(code, codes::EXEC);
         assert!(msg.contains("--data-dir"), "{msg}");
@@ -1139,7 +1060,6 @@ mod tests {
         let r = send(
             &tx,
             &metrics,
-            1,
             Command::Inspect {
                 columns: vec!["age".into()],
                 threshold: 0.3,
@@ -1187,9 +1107,9 @@ mod tests {
         let (rtx, rrx) = mpsc::channel();
         metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
         tx.send(Job::Command {
-            session: 1,
             command: Command::Query("CREATE TABLE t (a int)".into()),
             parsed: Vec::new(),
+            text: None,
             images: None,
             reply: rtx,
             ctx,
@@ -1246,23 +1166,20 @@ mod tests {
         send(
             &tx,
             &metrics,
-            1,
             Command::Query("CREATE TABLE t (a int)".into()),
         )
         .unwrap();
         send(
             &tx,
             &metrics,
-            1,
             Command::Query("INSERT INTO t VALUES (1), (2)".into()),
         )
         .unwrap();
-        let r = send(&tx, &metrics, 1, Command::Checkpoint).unwrap();
+        let r = send(&tx, &metrics, Command::Checkpoint).unwrap();
         assert!(r.starts_with("checkpoint tables=1 rows=2"), "{r}");
         send(
             &tx,
             &metrics,
-            1,
             Command::Query("INSERT INTO t VALUES (3)".into()),
         )
         .unwrap();
@@ -1278,7 +1195,6 @@ mod tests {
         let r = send(
             &tx,
             &metrics,
-            1,
             Command::Query("SELECT a FROM t ORDER BY a".into()),
         );
         assert_eq!(r.unwrap(), "a\n1\n2\n3\n");

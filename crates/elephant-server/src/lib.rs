@@ -54,7 +54,10 @@
 //! (`session.rs`): it reads frames in the connection's envelope, hands each
 //! command to the router (`begin`, then `finish` in request order; `submit`
 //! for commands with cross-command effects) and writes replies lazily.
-//! Prepared statements are namespaced per session inside the executor. The
+//! Prepared statements are session state: the session maps each name to
+//! the shard that prepared it and its text, and an `EXECUTE` travels to
+//! that shard carrying the text, so nothing below the session knows the
+//! name. The
 //! job queues are **bounded** `sync_channel`s behind one admission
 //! function: a full queue makes a pipelining session settle its oldest
 //! reply and retry, and a session with nothing in flight wait briefly and

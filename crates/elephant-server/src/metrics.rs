@@ -268,6 +268,7 @@ pub static DECLS: &[Decl] = &[
     server("pipelined_frames", Counter),
     server("batch_statements", Counter),
     server("params_bound", Counter),
+    server("prepared_statements", Gauge),
     server("chunks_streamed", Counter),
     server("result_buffer_bytes", Gauge),
     server("result_buffer_peak_bytes", Gauge),
@@ -279,7 +280,7 @@ pub static DECLS: &[Decl] = &[
     // are the process-wide views, so these have no total.
     engine("queue_depth", Gauge, PerShard).named("shard_queue_depth"),
     engine("commands", Counter, PerShard).named("shard_commands"),
-    // Plan cache and prepared statements.
+    // Plan cache.
     engine("plan_cache_entries", Gauge, Sum),
     engine("plan_cache_hits", Counter, Sum),
     engine("plan_cache_misses", Counter, Sum),
@@ -293,7 +294,6 @@ pub static DECLS: &[Decl] = &[
             den: &["plan_cache_hits", "plan_cache_misses"],
         },
     ),
-    engine("prepared_statements", Gauge, Sum),
     engine("plan_cache_invalidations.{table}", Counter, Sum)
         .named("plan_cache_table_invalidations"),
     // Execution.
@@ -713,6 +713,8 @@ pub struct Metrics {
     pub batch_statements: AtomicU64,
     /// Parameter values bound to `$n` placeholders by `EXECUTE name (...)`.
     pub params_bound: AtomicU64,
+    /// Prepared statements the live sessions hold, across sessions.
+    pub prepared_statements: AtomicU64,
     /// Result chunks streamed to v2 clients.
     pub chunks_streamed: AtomicU64,
     /// Result bytes currently buffered for streaming, across sessions.
@@ -744,6 +746,7 @@ impl Default for Metrics {
             pipelined_frames: AtomicU64::new(0),
             batch_statements: AtomicU64::new(0),
             params_bound: AtomicU64::new(0),
+            prepared_statements: AtomicU64::new(0),
             chunks_streamed: AtomicU64::new(0),
             result_buffer_bytes: AtomicU64::new(0),
             result_buffer_peak_bytes: AtomicU64::new(0),
@@ -759,8 +762,21 @@ impl Default for Metrics {
 }
 
 impl Metrics {
+    /// Account one answered client command: its latency under `verb` (and
+    /// in the all-verbs histogram), then a served tick for `verb` or, for
+    /// an error reply, an `exec_errors` tick. Every counted reply passes
+    /// here exactly once.
+    pub fn count_reply(&self, verb: &str, elapsed: Duration, ok: bool) {
+        self.record_latency(verb, elapsed);
+        if ok {
+            self.count_verb(verb);
+        } else {
+            self.exec_errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Count one served command for `verb` (post-success).
-    pub fn count_verb(&self, verb: &str) {
+    fn count_verb(&self, verb: &str) {
         self.served[verb_index(verb)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -779,7 +795,7 @@ impl Metrics {
 
     /// Record one job's end-to-end latency under its verb (and the
     /// all-verbs histogram).
-    pub fn record_latency(&self, verb: &str, elapsed: Duration) {
+    fn record_latency(&self, verb: &str, elapsed: Duration) {
         self.latency.record(elapsed);
         self.verb_latency[verb_index(verb)].record(elapsed);
     }
@@ -839,6 +855,7 @@ impl Metrics {
             sample("pipelined_frames", load(&self.pipelined_frames)),
             sample("batch_statements", load(&self.batch_statements)),
             sample("params_bound", load(&self.params_bound)),
+            sample("prepared_statements", load(&self.prepared_statements)),
             sample("chunks_streamed", load(&self.chunks_streamed)),
             sample("result_buffer_bytes", load(&self.result_buffer_bytes)),
             sample(
@@ -1015,7 +1032,7 @@ mod tests {
     }
 
     /// The collector's output over a server that recovered and found a
-    /// prepared plan stale is the declaration table, exactly: nothing
+    /// cached plan stale is the declaration table, exactly: nothing
     /// undeclared (`sample` would have panicked), nothing of the wrong
     /// type, nothing declared but dead.
     #[test]
@@ -1023,28 +1040,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("elephant-decls-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let query = |router: &ShardRouter, sql: &str| {
-            let planned = router.plan(1, Command::Query(sql.into()));
-            router.submit(1, planned).expect(sql);
+            router.submit(router.plan(Command::Query(sql.into())))
         };
         let (router, _, joins) = router_on(Some(&dir), 2);
-        query(&router, "CREATE TABLE t (a int)");
-        query(&router, "INSERT INTO t VALUES (1)");
+        query(&router, "CREATE TABLE t (a int)").unwrap();
+        query(&router, "INSERT INTO t VALUES (1)").unwrap();
         drop(router);
         joins.into_iter().for_each(|j| j.join().unwrap());
 
         let (router, _, joins) = router_on(Some(&dir), 2);
-        let prepare = Command::Prepare {
-            name: "p".into(),
-            sql: "SELECT a FROM t".into(),
-        };
-        router.submit(1, router.plan(1, prepare)).unwrap();
-        query(&router, "DROP TABLE t");
-        // The EXECUTE finds the prepared plan stale.
-        let execute = Command::Execute {
-            name: "p".into(),
-            args: None,
-        };
-        assert!(router.submit(1, router.plan(1, execute)).is_err());
+        query(&router, "SELECT a FROM t").unwrap();
+        query(&router, "DROP TABLE t").unwrap();
+        query(&router, "CREATE TABLE t (a text)").unwrap();
+        // The same text finds its cached plan stale.
+        query(&router, "SELECT a FROM t").unwrap();
         let samples = router.collect().unwrap();
         drop(router);
         joins.into_iter().for_each(|j| j.join().unwrap());

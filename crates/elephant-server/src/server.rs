@@ -281,7 +281,7 @@ pub fn start(mut config: ServerConfig) -> io::Result<ServerHandle> {
                         match thread::Builder::new()
                             .name(format!("elephant-session-{id}"))
                             .spawn(move || {
-                                run_session(stream, id, &router, &metrics, &shutdown, result_cap)
+                                run_session(stream, &router, &metrics, &shutdown, result_cap)
                             }) {
                             Ok(h) => sessions.push(h),
                             Err(_) => {

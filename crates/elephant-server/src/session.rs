@@ -21,6 +21,16 @@
 //! one-command-at-a-time client. At most [`V2_MAX_INFLIGHT`] replies are
 //! held per connection.
 //!
+//! **Prepared statements are session state**, as in PostgreSQL: the
+//! session maps each name to the shard that prepared it and its text, and
+//! nothing below it knows the name. `PREPARE` runs synchronously on the
+//! shard owning what its text reads, which validates and plans the text;
+//! the name is bound only when that shard answers `Ok`, and a second
+//! `PREPARE` of a name replaces the first. `EXECUTE` is resolved here and
+//! queued as a lane command carrying its shard, text and raw arguments.
+//! `DEALLOCATE`, and an `EXECUTE` of a name this session never prepared,
+//! are answered here without a job. The statements end with the session.
+//!
 //! Replies are flushed **lazily**: owed replies are settled and the write
 //! buffer flushed only when the read buffer is empty and the next read
 //! would block, so a burst of pipelined commands is answered with a handful
@@ -43,10 +53,11 @@ use crate::protocol::{
     V2_CHUNK,
 };
 use crate::shard::{Begun, InFlight, ShardRouter};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Poll interval for noticing the shutdown flag while blocked on a read.
@@ -61,7 +72,6 @@ const V2_MAX_INFLIGHT: usize = 128;
 /// client disconnects, a transport error occurs, or the server drains.
 pub(crate) fn run_session(
     stream: TcpStream,
-    session_id: u64,
     router: &ShardRouter,
     metrics: &Metrics,
     shutdown: &AtomicBool,
@@ -70,23 +80,15 @@ pub(crate) fn run_session(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let halves = stream.try_clone().map(|writer| (stream, writer));
-    serve(
-        halves,
-        session_id,
-        router,
-        metrics,
-        shutdown,
-        max_result_buffer,
-    );
+    serve(halves, router, metrics, shutdown, max_result_buffer);
 }
 
 /// Serve one connection given its read and write halves, or the error that
-/// kept it from being split. The single exit closes the session with the
-/// router however serving ended — including when it never began — so
-/// `sessions_opened - sessions_closed` is exactly the live sessions.
+/// kept it from being split. The single exit closes the session however
+/// serving ended — including when it never began — so `sessions_opened -
+/// sessions_closed` is exactly the live sessions.
 fn serve<R: Read, W: Write>(
     halves: io::Result<(R, W)>,
-    session_id: u64,
     router: &ShardRouter,
     metrics: &Metrics,
     shutdown: &AtomicBool,
@@ -94,12 +96,12 @@ fn serve<R: Read, W: Write>(
 ) {
     if let Ok((reader, writer)) = halves {
         let mut session = Session {
-            id: session_id,
             router,
             metrics,
             max_result_buffer,
             writer: BufWriter::new(writer),
             pending: VecDeque::new(),
+            prepared: HashMap::new(),
         };
         session.run(&mut BufReader::new(reader), shutdown);
         // Settle whatever is still owed: queued jobs have already executed
@@ -108,9 +110,12 @@ fn serve<R: Read, W: Write>(
         // way.
         let _ = session.drain();
         let _ = session.writer.flush();
+        let held = session.prepared.len() as u64;
+        metrics
+            .prepared_statements
+            .fetch_sub(held, Ordering::Relaxed);
     }
-    // Best effort: free this session's prepared statements on every shard.
-    router.close_session(session_id);
+    metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
 }
 
 /// One reply owed to the client.
@@ -124,7 +129,6 @@ enum Slot {
 
 /// The state of one connection's serving loop.
 struct Session<'a, W: Write> {
-    id: u64,
     router: &'a ShardRouter,
     metrics: &'a Metrics,
     max_result_buffer: usize,
@@ -133,6 +137,9 @@ struct Session<'a, W: Write> {
     /// id it answers on (`None`: the v1 envelope). Nothing is written out
     /// of turn.
     pending: VecDeque<(Option<u64>, Slot)>,
+    /// This session's prepared statements: name → the shard that prepared
+    /// the text, and the text.
+    prepared: HashMap<String, (usize, Arc<str>)>,
 }
 
 impl<W: Write> Session<'_, W> {
@@ -233,10 +240,39 @@ impl<W: Write> Session<'_, W> {
             if self.pending.len() >= V2_MAX_INFLIGHT && !self.settle_front() {
                 break;
             }
+            // The verbs that name a prepared statement are resolved here.
             // Planned once: a retry after backpressure, and the synchronous
             // path, reuse the route. Settling owed replies cannot stale it —
             // an in-flight command changes no routing state.
-            let mut planned = self.router.plan(self.id, command);
+            let mut planned = match command {
+                Command::Execute { name, args } => match self.prepared.get(&name) {
+                    Some((shard, text)) => {
+                        let text = Arc::clone(text);
+                        let command = Command::Execute { name, args };
+                        self.router.plan_execute(*shard, text, command)
+                    }
+                    None => {
+                        self.answer(frame.seq, "EXECUTE", Err(unknown(&name)));
+                        continue;
+                    }
+                },
+                Command::Deallocate(name) => {
+                    let reply = self.deallocate(name);
+                    self.answer(frame.seq, "DEALLOCATE", reply);
+                    continue;
+                }
+                Command::Prepare { name, sql } => {
+                    // Synchronous: an EXECUTE behind it in the same window
+                    // resolves against its outcome.
+                    if !self.drain() {
+                        break;
+                    }
+                    let reply = self.prepare(name, sql);
+                    self.pending.push_back((frame.seq, Slot::Ready(reply)));
+                    continue;
+                }
+                command => self.router.plan(command),
+            };
             let slot = loop {
                 // The one backpressure rule: a full shard queue is answered
                 // by settling the oldest owed reply — once it is answered
@@ -244,7 +280,7 @@ impl<W: Write> Session<'_, W> {
                 // nothing left to settle the router waits out its bounded
                 // admission wait and then refuses with ERR_BUSY.
                 let patient = self.pending.is_empty();
-                match self.router.begin(self.id, planned, patient) {
+                match self.router.begin(planned, patient) {
                     Ok(Begun::InFlight(in_flight)) => break Slot::InFlight(in_flight),
                     Ok(Begun::Backpressure(p)) => {
                         if !self.settle_front() {
@@ -258,13 +294,49 @@ impl<W: Write> Session<'_, W> {
                         if !self.drain() {
                             break 'conn;
                         }
-                        break Slot::Ready(self.router.submit(self.id, p));
+                        break Slot::Ready(self.router.submit(p));
                     }
                     Err(e) => break Slot::Ready(Err(e)),
                 }
             };
             self.pending.push_back((frame.seq, slot));
         }
+    }
+
+    /// Run a `PREPARE` on the shard its router places it on, and bind
+    /// `name` to that shard and the text once the shard has prepared it. A
+    /// failed `PREPARE` leaves an earlier binding of the name as it was.
+    fn prepare(&mut self, name: String, sql: String) -> Reply {
+        let text: Arc<str> = Arc::from(sql.as_str());
+        let planned = self.router.plan(Command::Prepare {
+            name: name.clone(),
+            sql,
+        });
+        let shard = planned.shard();
+        let reply = self.router.submit(planned);
+        if let (Ok(_), Some(shard)) = (&reply, shard) {
+            if self.prepared.insert(name, (shard, text)).is_none() {
+                let held = &self.metrics.prepared_statements;
+                held.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        reply
+    }
+
+    /// Drop one of this session's prepared statements.
+    fn deallocate(&mut self, name: String) -> Reply {
+        self.prepared.remove(&name).ok_or_else(|| unknown(&name))?;
+        let held = &self.metrics.prepared_statements;
+        held.fetch_sub(1, Ordering::Relaxed);
+        Ok(format!("deallocated {name}"))
+    }
+
+    /// Owe the client a reply the session answered itself, without a job:
+    /// counted like any executed command's, with no executor latency.
+    fn answer(&mut self, seq: Option<u64>, verb: &str, reply: Reply) {
+        self.metrics
+            .count_reply(verb, Duration::ZERO, reply.is_ok());
+        self.pending.push_back((seq, Slot::Ready(reply)));
     }
 
     /// Owe the client a protocol-level error on `seq`.
@@ -366,6 +438,12 @@ impl<W: Write> Session<'_, W> {
     }
 }
 
+/// The reply to a prepared-statement name this session does not hold.
+fn unknown(name: &str) -> (&'static str, String) {
+    let msg = format!("bind error: unknown prepared statement '{name}'");
+    (codes::EXEC, msg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,14 +457,7 @@ mod tests {
         let (router, metrics, joins) = router_on(None, shards);
         let mut out = Vec::new();
         let halves = Ok((Cursor::new(input.to_vec()), &mut out));
-        serve(
-            halves,
-            1,
-            &router,
-            &metrics,
-            &AtomicBool::new(false),
-            1 << 20,
-        );
+        serve(halves, &router, &metrics, &AtomicBool::new(false), 1 << 20);
         drop(router);
         joins.into_iter().for_each(|j| j.join().unwrap());
         (String::from_utf8(out).unwrap(), metrics)
@@ -396,14 +467,7 @@ mod tests {
     fn session_closes_even_when_the_connection_never_split() {
         let (router, metrics, joins) = router_on(None, 1);
         let halves: io::Result<(&[u8], Vec<u8>)> = Err(io::Error::other("dup failed"));
-        serve(
-            halves,
-            7,
-            &router,
-            &metrics,
-            &AtomicBool::new(false),
-            1 << 20,
-        );
+        serve(halves, &router, &metrics, &AtomicBool::new(false), 1 << 20);
         assert_eq!(metrics.sessions_closed.load(Ordering::Relaxed), 1);
         drop(router);
         joins.into_iter().for_each(|j| j.join().unwrap());
@@ -457,6 +521,62 @@ mod tests {
             let (out, metrics) = serve_bytes(shards, &input);
             assert_eq!(out, want.concat(), "shards={shards}");
             assert!(metrics.pipelined_frames.load(Ordering::Relaxed) >= 4);
+        }
+    }
+
+    /// Feed one burst of requests to a live session; what it answered.
+    fn feed(session: &mut Session<'_, Vec<u8>>, input: &str) -> String {
+        session.run(
+            &mut BufReader::new(input.as_bytes()),
+            &AtomicBool::new(false),
+        );
+        assert!(session.drain());
+        session.writer.flush().unwrap();
+        String::from_utf8(std::mem::take(session.writer.get_mut())).unwrap()
+    }
+
+    #[test]
+    fn prepared_names_belong_to_their_session() {
+        for shards in [1, 2] {
+            let (router, metrics, joins) = router_on(None, shards);
+            let open = || Session {
+                router: &router,
+                metrics: &metrics,
+                max_result_buffer: 1 << 20,
+                writer: BufWriter::new(Vec::new()),
+                pending: VecDeque::new(),
+                prepared: HashMap::new(),
+            };
+            let (mut one, mut two, mut three) = (open(), open(), open());
+            let setup = "QUERY CREATE TABLE t (a int)\nQUERY INSERT INTO t VALUES (1), (2)\n\
+                         PREPARE q AS SELECT a FROM t ORDER BY a\n";
+            let want = [
+                reply("+", "ok 0"),
+                reply("+", "ok 2"),
+                reply("+", "prepared q"),
+            ];
+            assert_eq!(feed(&mut one, setup), want.concat());
+            // Same name in another session: an independent statement.
+            let prepare = "PREPARE q AS SELECT count(*) AS n FROM t\n";
+            assert_eq!(feed(&mut two, prepare), reply("+", "prepared q"));
+            let held = || metrics.prepared_statements.load(Ordering::Relaxed);
+            assert_eq!(held(), 2);
+            assert_eq!(feed(&mut one, "EXECUTE q\n"), reply("+", "a\n1\n2\n"));
+            assert_eq!(feed(&mut two, "EXECUTE q\n"), reply("+", "n\n2\n"));
+            // A session that never prepared `q` can neither run nor drop it.
+            let unknown = reply("-", "ERR_EXEC bind error: unknown prepared statement 'q'");
+            let out = feed(&mut three, "EXECUTE q\nDEALLOCATE q\n");
+            assert_eq!(out, unknown.repeat(2), "shards={shards}");
+            // DEALLOCATE drops this session's `q` only, and only once.
+            let out = feed(&mut one, "DEALLOCATE q\nEXECUTE q\nDEALLOCATE q\n");
+            let want = [reply("+", "deallocated q"), unknown.clone(), unknown];
+            assert_eq!(out, want.concat(), "shards={shards}");
+            assert_eq!(feed(&mut two, "EXECUTE q\n"), reply("+", "n\n2\n"));
+            assert_eq!(held(), 1);
+            assert_eq!(metrics.exec_errors.load(Ordering::Relaxed), 4);
+            drop((one, two, three));
+            drop(router);
+            joins.into_iter().for_each(|j| j.join().unwrap());
         }
     }
 

@@ -45,7 +45,10 @@
 //!   [`codes::CROSS_SHARD`] — the transaction splits at statement
 //!   boundaries. See `docs/TXN.md`.
 //! * Broadcast (`CHECKPOINT`), router-answered (`TRACE`, `STATS`), and
-//!   pinned single-shard verbs (`PREPARE`'d statements, shard-0 surfaces).
+//!   pinned single-shard verbs (`PREPARE` on the shard owning what its text
+//!   reads, `INSPECT` on shard 0). A session keeps its prepared statements
+//!   itself, each with its shard and text, and hands an `EXECUTE` over
+//!   already placed ([`ShardRouter::plan_execute`]).
 //!
 //! **Consistent read cut**: cross-shard writes take the router's
 //! transaction gate exclusively; scatter-gather reads take it shared. A
@@ -205,20 +208,8 @@ type Overlay = HashMap<String, Option<Owner>>;
 /// acknowledged it.
 #[derive(Debug)]
 enum Change {
-    Create {
-        name: String,
-        is_view: bool,
-    },
+    Create { name: String, is_view: bool },
     Drop(String),
-    /// A session's prepared statement now lives on the shard.
-    Prepare {
-        session: u64,
-        name: String,
-    },
-    Deallocate {
-        session: u64,
-        name: String,
-    },
 }
 
 /// One statement — a `;`-delimited piece of a script — as the planner
@@ -266,11 +257,13 @@ impl SqlPlan<'_> {
 /// decision worth a span of its own — the planning time in microseconds
 /// and the placement detail. `parsed` holds the statements the planner
 /// parsed out of the command's SQL; they travel to the shard with the job,
-/// so the shard does not parse the text again.
+/// so the shard does not parse the text again. `text` is the prepared SQL
+/// an `EXECUTE` runs.
 struct Placement {
     shard: usize,
     route: Option<(u64, String)>,
     parsed: Parsed,
+    text: Option<Arc<str>>,
 }
 
 impl Placement {
@@ -279,6 +272,7 @@ impl Placement {
             shard,
             route: None,
             parsed: Vec::new(),
+            text: None,
         }
     }
 }
@@ -335,6 +329,16 @@ pub(crate) struct Planned {
     route: Route,
 }
 
+impl Planned {
+    /// The one shard the command runs on, when its route has one.
+    pub(crate) fn shard(&self) -> Option<usize> {
+        match &self.route {
+            Route::Lane(at) | Route::Single { at, .. } => Some(at.shard),
+            _ => None,
+        }
+    }
+}
+
 /// A command queued on its shard by [`ShardRouter::begin`] whose reply has
 /// not been collected yet. The executor's reply channel and the open root
 /// span both live in here until [`ShardRouter::finish`].
@@ -385,24 +389,24 @@ impl From<Refused> for (&'static str, String) {
     }
 }
 
-/// A client command's job under the open root span `ctx`, and the channel
-/// its reply arrives on. `images` make it the gather leg of a cross-shard
-/// read; `counted` says whether it ticks the per-verb counters — broadcasts
-/// fan one client command out to every shard and must count it exactly once
-/// (shard 0's leg).
+/// A client command's job under the open root span `ctx`, carrying what
+/// the placement `at` holds for the shard, and the channel its reply
+/// arrives on. `images` make it the gather leg of a cross-shard read;
+/// `counted` says whether the executor ticks the per-verb counters —
+/// broadcasts fan one client command out to every shard, and the router
+/// counts it once itself.
 fn command_job(
-    session: u64,
     command: Command,
-    parsed: Parsed,
+    at: &mut Placement,
     images: Option<Vec<TableImage>>,
     ctx: TraceContext,
     counted: bool,
 ) -> (Job, Receiver<Reply>) {
     let (reply, reply_rx) = mpsc::channel();
     let job = Job::Command {
-        session,
         command,
-        parsed,
+        parsed: std::mem::take(&mut at.parsed),
+        text: at.text.take(),
         images,
         reply,
         ctx,
@@ -435,8 +439,6 @@ pub(crate) struct ShardRouter {
     lanes: Vec<Lane>,
     /// Shared catalog map: which shard owns each table/view name.
     ownership: Mutex<HashMap<String, Owner>>,
-    /// Which shard holds each prepared statement, keyed by (session, name).
-    prepare_shards: Mutex<HashMap<(u64, String), usize>>,
     /// Statements routed to shard 0 because the router could not parse
     /// them.
     fallbacks: AtomicU64,
@@ -481,7 +483,6 @@ impl ShardRouter {
         ShardRouter {
             lanes,
             ownership: Mutex::new(HashMap::new()),
-            prepare_shards: Mutex::new(HashMap::new()),
             fallbacks: AtomicU64::new(0),
             scatter_gathers: AtomicU64::new(0),
             cross_shard_rejects: AtomicU64::new(0),
@@ -515,33 +516,26 @@ impl ShardRouter {
     /// command runs and the one place it parses SQL (through
     /// [`ShardRouter::place`]). On one shard there is nothing to place and
     /// no routing state to change, so nothing is parsed: every command but
-    /// the router-answered `TRACE`/`STATS` and `SHUTDOWN` (kept synchronous
-    /// so a draining pipeline has observed every earlier reply) is a lane
-    /// command. On several shards only `QUERY`/`EXPLAIN` landing on one
-    /// shard with no ownership changes, and `EXECUTE` (pinned at PREPARE
-    /// time), are; DDL, scatter-gather, 2PC, broadcasts and prepare
-    /// bookkeeping are not.
-    pub(crate) fn plan(&self, session: u64, command: Command) -> Planned {
+    /// the router-answered `TRACE`/`STATS`, `SHUTDOWN` (kept synchronous
+    /// so a draining pipeline has observed every earlier reply) and
+    /// `PREPARE` (whose session records the name only once the shard
+    /// prepared it) is a lane command. On several shards only
+    /// `QUERY`/`EXPLAIN` landing on one shard with no ownership changes
+    /// are; DDL, scatter-gather, 2PC and broadcasts are not. `EXECUTE` and
+    /// `DEALLOCATE` belong to the session ([`ShardRouter::plan_execute`]);
+    /// either one planned here reaches shard 0, which refuses it.
+    pub(crate) fn plan(&self, command: Command) -> Planned {
         let route = match &command {
             Command::Trace(_) | Command::Stats => Route::Router,
             Command::Shutdown => Route::Single {
                 at: Placement::on(0),
                 changes: Vec::new(),
             },
+            Command::Prepare { sql, .. } => self.route_prepare(sql),
             _ if self.lanes.len() == 1 => Route::Lane(Placement::on(0)),
             Command::Query(sql) => self.route_sql(sql, false, &mut Overlay::new()),
             Command::Explain { sql, .. } => self.route_sql(sql, true, &mut Overlay::new()),
-            Command::Prepare { name, sql } => self.route_prepare(session, name, sql),
-            Command::Execute { name, .. } => {
-                Route::Lane(Placement::on(self.prepared_shard(session, name)))
-            }
-            Command::Deallocate(name) => Route::Single {
-                at: Placement::on(self.prepared_shard(session, name)),
-                changes: vec![vec![Change::Deallocate {
-                    session,
-                    name: name.clone(),
-                }]],
-            },
+            Command::Execute { .. } | Command::Deallocate(_) => Route::Lane(Placement::on(0)),
             Command::Batch(stmts) => self.route_batch(stmts),
             Command::Checkpoint => Route::Broadcast,
             // Inspection scratch tables live on shard 0.
@@ -551,6 +545,19 @@ impl ShardRouter {
             },
         };
         Planned { command, route }
+    }
+
+    /// Plan an `EXECUTE` its session resolved: the prepared `text` runs on
+    /// the `shard` it was prepared on, overlapped like any lane command.
+    pub(crate) fn plan_execute(&self, shard: usize, text: Arc<str>, command: Command) -> Planned {
+        let at = Placement {
+            text: Some(text),
+            ..Placement::on(shard)
+        };
+        Planned {
+            command,
+            route: Route::Lane(at),
+        }
     }
 
     /// Take one planned command from a session. A lane command is queued on
@@ -572,7 +579,6 @@ impl ShardRouter {
     /// [`Begun::Backpressure`], neither queued nor executed.
     pub(crate) fn begin(
         &self,
-        session: u64,
         planned: Planned,
         patient: bool,
     ) -> Result<Begun, (&'static str, String)> {
@@ -588,16 +594,20 @@ impl ShardRouter {
         } else {
             Duration::ZERO
         };
-        match self.launch(&mut at, session, command, query_id, started, wait) {
+        match self.launch(&mut at, command, query_id, started, wait) {
             Ok(in_flight) => Ok(Begun::InFlight(in_flight)),
             Err(Refused::Full { job, .. }) if !patient => {
                 let Job::Command {
-                    command, parsed, ..
+                    command,
+                    parsed,
+                    text,
+                    ..
                 } = *job
                 else {
                     unreachable!("admit hands back the job it was given")
                 };
                 at.parsed = parsed;
+                at.text = text;
                 let route = Route::Lane(at);
                 Ok(Begun::Backpressure(Planned { command, route }))
             }
@@ -621,10 +631,9 @@ impl ShardRouter {
 
     /// Run one command [`ShardRouter::begin`] handed back as
     /// [`Begun::Sync`] and wait for its reply. The session has settled
-    /// every reply it owed first, so whatever this command changes —
-    /// ownership, prepared-statement placement, every shard's session
-    /// state — is in place before the next command is routed.
-    pub fn submit(&self, session: u64, Planned { command, route }: Planned) -> Reply {
+    /// every reply it owed first, so whatever this command changes in the
+    /// ownership map is in place before the next command is routed.
+    pub fn submit(&self, Planned { command, route }: Planned) -> Reply {
         // TRACE and STATS are answered by the router itself: they are the
         // verbs that need every shard's ring or samples, and answering them
         // here keeps them out of the rings and the lane counters (neither
@@ -636,24 +645,17 @@ impl ShardRouter {
             };
         }
         let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        self.run(session, command, route, query_id, Instant::now())
+        self.run(command, route, query_id, Instant::now())
     }
 
     /// Run one command along its route and wait for the reply.
-    fn run(
-        &self,
-        session: u64,
-        command: Command,
-        route: Route,
-        query_id: u64,
-        started: Instant,
-    ) -> Reply {
+    fn run(&self, command: Command, route: Route, query_id: u64, started: Instant) -> Reply {
         match route {
             Route::Router => unreachable!("router-answered commands never run"),
-            Route::Lane(mut at) => self.run_traced(&mut at, session, command, query_id, started),
+            Route::Lane(mut at) => self.run_traced(&mut at, command, query_id, started),
             Route::Single { mut at, changes } => {
                 let is_batch = matches!(command, Command::Batch(_));
-                let reply = self.run_traced(&mut at, session, command, query_id, started);
+                let reply = self.run_traced(&mut at, command, query_id, started);
                 // A mid-batch failure leaves the earlier statements applied
                 // (they are individually acknowledged); their changes must
                 // land even though the frame as a whole errored.
@@ -668,8 +670,8 @@ impl ShardRouter {
                 self.apply_changes(applied.map(|change| (at.shard, change)));
                 reply
             }
-            Route::Broadcast => self.broadcast_checkpoint(session, query_id, started),
-            Route::Gather(plan) => self.scatter_gather(session, command, plan, query_id, started),
+            Route::Broadcast => self.broadcast_checkpoint(query_id, started),
+            Route::Gather(plan) => self.scatter_gather(command, plan, query_id, started),
             Route::Txn(plan) => self.two_phase_commit(command, plan, query_id, started),
             Route::Refused(msg) => {
                 self.cross_shard_rejects.fetch_add(1, Ordering::Relaxed);
@@ -685,31 +687,10 @@ impl ShardRouter {
                 let pairs = stmts.into_iter().zip(routes);
                 run_batch(pairs, &self.metrics.batch_statements, |(sql, route)| {
                     let stmt_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-                    self.run(session, Command::Query(sql), route, stmt_id, Instant::now())
+                    self.run(Command::Query(sql), route, stmt_id, Instant::now())
                 })
             }
         }
-    }
-
-    /// A session disconnected: drop its prepared statements on every shard.
-    pub fn close_session(&self, session: u64) {
-        for lane in &self.lanes {
-            let _ = lane.tx.send(Job::CloseSession { session });
-        }
-        self.prepare_shards
-            .lock()
-            .expect("prepare lock")
-            .retain(|(s, _), _| *s != session);
-        self.metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn prepared_shard(&self, session: u64, name: &str) -> usize {
-        self.prepare_shards
-            .lock()
-            .expect("prepare lock")
-            .get(&(session, name.to_string()))
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Cut a SQL text at the lexer's `;` tokens and place each statement on
@@ -779,7 +760,6 @@ impl ShardRouter {
                         overlay.insert(name.clone(), shard.map(|shard| Owner { shard, is_view }))
                     }
                     Change::Drop(name) => overlay.insert(name.clone(), None),
-                    _ => None,
                 };
             }
             plan.names.extend(names);
@@ -819,6 +799,7 @@ impl ShardRouter {
                 shard,
                 route,
                 parsed,
+                text: None,
             };
             let changes: Vec<Change> = plan.stmts.into_iter().flat_map(|p| p.changes).collect();
             if changes.is_empty() {
@@ -868,10 +849,16 @@ impl ShardRouter {
         })
     }
 
-    /// Route a `PREPARE`: prepared statements are pinned to one shard,
-    /// recorded for the session once the shard prepared it.
-    fn route_prepare(&self, session: u64, name: &str, sql: &str) -> Route {
-        let shard = match self.place(sql, &mut Overlay::new()) {
+    /// Route a `PREPARE`: a prepared statement is pinned to the one shard
+    /// owning what its text reads, where it is validated and planned; its
+    /// session records the binding once that shard prepared it. One shard
+    /// needs no placement, so nothing is parsed there.
+    fn route_prepare(&self, sql: &str) -> Route {
+        let placed = match self.lanes.len() {
+            1 => None,
+            _ => self.place(sql, &mut Overlay::new()),
+        };
+        let shard = match placed {
             None => 0,
             Some(plan) => match plan.home() {
                 Some(shard) => shard,
@@ -886,10 +873,9 @@ impl ShardRouter {
                 }
             },
         };
-        let name = name.to_string();
         Route::Single {
             at: Placement::on(shard),
-            changes: vec![vec![Change::Prepare { session, name }]],
+            changes: Vec::new(),
         }
     }
 
@@ -981,6 +967,7 @@ impl ShardRouter {
                 shard,
                 route,
                 parsed,
+                text: None,
             },
             changes,
         }
@@ -1071,7 +1058,6 @@ impl ShardRouter {
     fn launch(
         &self,
         at: &mut Placement,
-        session: u64,
         command: Command,
         query_id: u64,
         started: Instant,
@@ -1082,8 +1068,7 @@ impl ShardRouter {
         if let Some((us, detail)) = &at.route {
             self.record_route(shard, ctx, *us, detail);
         }
-        let parsed = std::mem::take(&mut at.parsed);
-        let (job, rx) = command_job(session, command, parsed, None, ctx, true);
+        let (job, rx) = command_job(command, at, None, ctx, true);
         match self.admit(shard, job, Admission::Client, wait) {
             Ok(()) => Ok(InFlight {
                 rx,
@@ -1103,12 +1088,11 @@ impl ShardRouter {
     fn run_traced(
         &self,
         at: &mut Placement,
-        session: u64,
         command: Command,
         query_id: u64,
         started: Instant,
     ) -> Reply {
-        let in_flight = self.launch(at, session, command, query_id, started, ADMISSION_WAIT)?;
+        let in_flight = self.launch(at, command, query_id, started, ADMISSION_WAIT)?;
         self.finish(in_flight)
     }
 
@@ -1147,14 +1131,11 @@ impl ShardRouter {
             self.apply_changes(plan.changes);
         } else {
             self.txn_aborts.fetch_add(1, Ordering::Relaxed);
-            self.metrics.exec_errors.fetch_add(1, Ordering::Relaxed);
         }
         // Participants never count Txn jobs into the per-verb metrics; the
         // transaction is one client QUERY and counts once, here.
-        self.metrics.record_latency("QUERY", started.elapsed());
-        if reply.is_ok() {
-            self.metrics.count_verb("QUERY");
-        }
+        self.metrics
+            .count_reply("QUERY", started.elapsed(), reply.is_ok());
         self.finish_root(root_shard, ctx, started, reply.is_ok());
         reply
     }
@@ -1306,7 +1287,6 @@ impl ShardRouter {
     /// the exporting shards' rings with the same `query_id`.
     fn scatter_gather(
         &self,
-        session: u64,
         command: Command,
         plan: GatherPlan,
         query_id: u64,
@@ -1324,7 +1304,7 @@ impl ShardRouter {
             self.cut_vector()
         );
         self.record_route(coordinator, ctx, plan.plan_us, &detail);
-        let reply = self.scatter_gather_inner(session, command, plan, ctx);
+        let reply = self.scatter_gather_inner(command, plan, ctx);
         drop(gate);
         self.finish_root(coordinator, ctx, started, reply.is_ok());
         reply
@@ -1332,13 +1312,7 @@ impl ShardRouter {
 
     /// The fallible phase of a scatter-gather, split out so the caller can
     /// close the root span on every exit path.
-    fn scatter_gather_inner(
-        &self,
-        session: u64,
-        command: Command,
-        plan: GatherPlan,
-        ctx: TraceContext,
-    ) -> Reply {
+    fn scatter_gather_inner(&self, command: Command, plan: GatherPlan, ctx: TraceContext) -> Reply {
         // Scatter: all exports run in parallel on their shard threads.
         let mut waits = Vec::with_capacity(plan.exports.len());
         for (shard, names) in plan.exports {
@@ -1354,7 +1328,11 @@ impl ShardRouter {
         self.scatter_gathers.fetch_add(1, Ordering::Relaxed);
         // Gather: the coordinator installs the images, runs the query, and
         // removes them before answering.
-        let (job, rx) = command_job(session, command, plan.parsed, Some(images), ctx, true);
+        let mut at = Placement {
+            parsed: plan.parsed,
+            ..Placement::on(plan.coordinator)
+        };
+        let (job, rx) = command_job(command, &mut at, Some(images), ctx, true);
         self.admit(plan.coordinator, job, Admission::Client, ADMISSION_WAIT)?;
         recv(&rx)
     }
@@ -1363,20 +1341,13 @@ impl ShardRouter {
     /// acknowledged the statement it came from.
     fn apply_changes(&self, changes: impl IntoIterator<Item = (usize, Change)>) {
         for (shard, change) in changes {
-            let own = || self.ownership.lock().expect("ownership lock");
-            let prepared = || self.prepare_shards.lock().expect("prepare lock");
+            let mut own = self.ownership.lock().expect("ownership lock");
             match change {
                 Change::Create { name, is_view } => {
-                    own().insert(name, Owner { shard, is_view });
+                    own.insert(name, Owner { shard, is_view });
                 }
                 Change::Drop(name) => {
-                    own().remove(&name);
-                }
-                Change::Prepare { session, name } => {
-                    prepared().insert((session, name), shard);
-                }
-                Change::Deallocate { session, name } => {
-                    prepared().remove(&(session, name));
+                    own.remove(&name);
                 }
             }
         }
@@ -1384,25 +1355,21 @@ impl ShardRouter {
 
     /// `CHECKPOINT` runs on every shard in parallel; the per-shard summary
     /// lines are summed into one. The root span lives on shard 0's ring.
-    fn broadcast_checkpoint(&self, session: u64, query_id: u64, started: Instant) -> Reply {
+    /// The legs count nothing: one client CHECKPOINT counts once, here.
+    fn broadcast_checkpoint(&self, query_id: u64, started: Instant) -> Reply {
         let ctx = self.begin_root(0, query_id, &Command::Checkpoint);
-        let reply = self.broadcast_checkpoint_inner(session, ctx);
+        let reply = self.broadcast_checkpoint_inner(ctx);
+        self.metrics
+            .count_reply("CHECKPOINT", started.elapsed(), reply.is_ok());
         self.finish_root(0, ctx, started, reply.is_ok());
         reply
     }
 
-    fn broadcast_checkpoint_inner(&self, session: u64, ctx: TraceContext) -> Reply {
+    fn broadcast_checkpoint_inner(&self, ctx: TraceContext) -> Reply {
         let mut waits = Vec::with_capacity(self.lanes.len());
         for shard in 0..self.lanes.len() {
-            // One client CHECKPOINT counts once, not once per shard.
-            let (job, rx) = command_job(
-                session,
-                Command::Checkpoint,
-                Vec::new(),
-                None,
-                ctx,
-                shard == 0,
-            );
+            let mut at = Placement::on(shard);
+            let (job, rx) = command_job(Command::Checkpoint, &mut at, None, ctx, false);
             self.admit(shard, job, Admission::Client, ADMISSION_WAIT)?;
             waits.push(rx);
         }
@@ -1437,21 +1404,22 @@ impl ShardRouter {
                 render_query_tree(query_id, spans)
             }
         };
-        self.metrics.record_latency("TRACE", started.elapsed());
-        self.metrics.count_verb("TRACE");
+        self.metrics.count_reply("TRACE", started.elapsed(), true);
         Ok(body)
     }
 
     /// Answer `STATS` from the collected samples, without queueing a
     /// command anywhere. Like `TRACE`, the verb counts itself only after
     /// rendering, so the body matches a `/metrics` scrape taken a moment
-    /// earlier on a quiet server.
+    /// earlier on a quiet server; a failed collection counts as an error.
     fn serve_stats(&self) -> Reply {
         let started = Instant::now();
-        let body = render_stats_text(&fold_shards(self.collect()?));
-        self.metrics.record_latency("STATS", started.elapsed());
-        self.metrics.count_verb("STATS");
-        Ok(body)
+        let body = self
+            .collect()
+            .map(|samples| render_stats_text(&fold_shards(samples)));
+        self.metrics
+            .count_reply("STATS", started.elapsed(), body.is_ok());
+        body
     }
 
     /// The `/metrics` exposition body. The scrape counts itself *before*
@@ -1752,7 +1720,7 @@ mod tests {
         let (ta, tb, tv, tn, tw) = (on(0, 0), on(1, 0), on(0, 1), on(1, 1), on(1, 2));
         for t in [&ta, &tb] {
             let create = Command::Query(format!("CREATE TABLE {t} (a int)"));
-            router.submit(1, router.plan(1, create)).unwrap();
+            router.submit(router.plan(create)).unwrap();
         }
         let create = |name: &str, is_view| Change::Create {
             name: name.to_string(),
@@ -1849,7 +1817,7 @@ mod tests {
             ),
         ];
         for (sql, route, stmts) in cases {
-            let planned = router.plan(1, Command::Query(sql.clone()));
+            let planned = router.plan(Command::Query(sql.clone()));
             assert_eq!(describe(&planned.route), route, "{sql}");
             let plan = router.place(&sql, &mut Overlay::new()).expect("parses");
             let placed: Vec<String> = plan
@@ -1862,7 +1830,7 @@ mod tests {
         }
         // Unparsable SQL falls back to shard 0, where the engine words the
         // error.
-        let planned = router.plan(1, Command::Query("SELEC 1".into()));
+        let planned = router.plan(Command::Query("SELEC 1".into()));
         assert_eq!(
             describe(&planned.route),
             "lane shard=0 route=fallback shard=0"
@@ -1870,6 +1838,27 @@ mod tests {
         assert!(router.place("SELEC 1", &mut Overlay::new()).is_none());
         drop(router);
         joins.into_iter().for_each(|j| j.join().unwrap());
+    }
+
+    /// A `STATS` whose collection fails is an error reply like any other:
+    /// one `exec_errors` tick and one latency sample, and nothing served.
+    #[test]
+    fn a_failed_stats_counts_as_an_error() {
+        let metrics = Arc::new(Metrics::default());
+        let (tx, rx) = mpsc::sync_channel(1);
+        drop(rx);
+        let lane = Lane {
+            tx,
+            stats: Arc::default(),
+            ring: Arc::new(SharedSpanRing::new(4)),
+            wal: None,
+        };
+        let router = ShardRouter::new(vec![lane], Arc::clone(&metrics), None);
+        let err = router.submit(router.plan(Command::Stats)).unwrap_err();
+        assert_eq!(err, (codes::INTERNAL, "executor unavailable".to_string()));
+        assert_eq!(metrics.exec_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.total_served(), 0);
+        assert_eq!(metrics.verb_latency("STATS").count(), 1);
     }
 
     #[test]

@@ -35,6 +35,18 @@ fn per_verb_keys() -> impl Iterator<Item = &'static str> {
     VERBS.iter().map(|(_, key)| *key)
 }
 
+/// `command` names a prepared statement this session does not hold.
+fn assert_unknown(c: &mut ElephantClient, command: &str) {
+    match c.send(command).unwrap_err() {
+        ClientError::Server(e) => assert_eq!(
+            e.to_string(),
+            "ERR_EXEC bind error: unknown prepared statement 'q'",
+            "{command}"
+        ),
+        other => panic!("{command}: expected a server error, got {other}"),
+    }
+}
+
 fn stat(stats: &str, key: &str) -> u64 {
     stats
         .lines()
@@ -77,6 +89,10 @@ fn commands_served_reconciles_with_every_per_verb_counter() {
         "ok 1\u{1e}n\n3\n"
     );
     c.send("DEALLOCATE q").unwrap();
+    // Names this session does not hold: each an error reply its session
+    // answers, counted like any other.
+    assert_unknown(&mut c, "EXECUTE q");
+    assert_unknown(&mut c, "DEALLOCATE q");
     c.send("EXPLAIN SELECT a FROM t WHERE a > 1").unwrap();
     c.send("TRACE 5").unwrap();
     c.inspect(&["age_group"], 0.3, "@healthcare").unwrap();
@@ -110,6 +126,7 @@ fn commands_served_reconciles_with_every_per_verb_counter() {
         assert_eq!(stat(&body, key), want, "counter '{key}' off:\n{body}");
     }
     assert_eq!(served, 14);
+    assert_eq!(stat(&body, "exec_errors"), 2, "{body}");
 
     // Protocol-v2 satellite counters. This session is a v1 text client, so
     // nothing was pipelined or streamed; the BATCH frame carried two
@@ -318,6 +335,8 @@ fn sharded_stats_reconcile_count_txns_and_rejects() {
 
     // The broadcast verb fans out to every shard but counts once.
     c.checkpoint().unwrap();
+    assert_unknown(&mut c, "EXECUTE q");
+    assert_unknown(&mut c, "DEALLOCATE q");
 
     let stats = c.stats().unwrap();
     assert_eq!(stat(&stats, "shards"), SHARDS as u64);
@@ -347,6 +366,7 @@ fn sharded_stats_reconcile_count_txns_and_rejects() {
     let sum: u64 = per_verb_keys().map(|k| stat(&stats, k)).sum();
     assert_eq!(served, sum, "4-shard reconciliation broke:\n{stats}");
     assert_eq!(served, 13, "{stats}");
+    assert_eq!(stat(&stats, "exec_errors"), 2, "{stats}");
 
     c.shutdown().unwrap();
     drop(c);

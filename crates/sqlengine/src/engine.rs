@@ -82,8 +82,6 @@ pub struct Engine {
     profile: EngineProfile,
     stats: EngineStats,
     plan_cache: PlanCache,
-    /// Prepared statement name → its SELECT text, the plan-cache key.
-    prepared: HashMap<String, Rc<str>>,
     /// The WAL + snapshot store of a durable engine and what recovery found
     /// when it was opened; `None` on a volatile engine.
     store: Option<(Store, RecoveryReport)>,
@@ -206,7 +204,6 @@ impl Engine {
             profile,
             stats: EngineStats::default(),
             plan_cache: PlanCache::default(),
-            prepared: HashMap::new(),
             store,
             trace: EngineTrace::default(),
             health: Health::Healthy,
@@ -591,21 +588,29 @@ impl Engine {
     /// ([`Engine::lookup`]); any other text runs statement by statement and
     /// returns the last outcome.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
-        self.execute_parsed(sql, None)
+        self.execute_with(sql, None, &[])
     }
 
-    /// [`Engine::execute`] of a text whose statements the caller has
-    /// already parsed with this crate's parser (a shard router that parsed
-    /// the text to place it). The text is still the plan-cache key; on a
-    /// miss `parsed` stands in for lexing and parsing it, and `None` parses
-    /// the text here.
-    pub fn execute_parsed(
+    /// [`Engine::execute`] with its `$n` placeholders bound to `params`
+    /// (1-based: `$1` takes `params[0]`), of a text whose statements the
+    /// caller may have parsed already with this crate's parser (a shard
+    /// router that parsed the text to place it). The text is still the
+    /// plan-cache key; on a miss `parsed` stands in for lexing and parsing
+    /// it, and `None` parses the text here. Only a cached text (one SELECT
+    /// or one view) takes parameters, and its parameter count must match.
+    pub fn execute_with(
         &mut self,
         sql: &str,
         parsed: Option<Vec<Statement>>,
+        params: &[Value],
     ) -> Result<ExecOutcome> {
         let statements = match self.lookup(sql, parsed)? {
-            Lookup::Planned(plan) => return self.run_planned(&plan),
+            Lookup::Planned(plan) => return self.run_planned(&plan, params),
+            Lookup::Statements(_) if !params.is_empty() => {
+                return Err(SqlError::bind(
+                    "only a single SELECT statement takes parameters",
+                ))
+            }
             Lookup::Statements(statements) => statements,
         };
         self.run_statements(statements)?
@@ -658,21 +663,21 @@ impl Engine {
         Ok(Lookup::Planned(plan))
     }
 
-    /// Run a plan [`Engine::lookup`] returned: a SELECT's result, or the
-    /// view a `CREATE [MATERIALIZED] VIEW` creates from its body. A
-    /// materialized body runs, and its batches are stored as they are; a
-    /// plain view was validated by binding its body.
-    fn run_planned(&mut self, plan: &CachedPlan) -> Result<ExecOutcome> {
+    /// Run a plan [`Engine::lookup`] returned, with `params` bound: a
+    /// SELECT's result, or the view a `CREATE [MATERIALIZED] VIEW` creates
+    /// from its body. A materialized body runs, and its batches are stored
+    /// as they are; a plain view was validated by binding its body.
+    fn run_planned(&mut self, plan: &CachedPlan, params: &[Value]) -> Result<ExecOutcome> {
         let Some(view) = &plan.view else {
             return Ok(ExecOutcome {
-                result: Some(self.run_bound(&plan.root, &plan.schema, &[])?),
+                result: Some(self.run_bound(&plan.root, &plan.schema, params)?),
                 rows_affected: 0,
             });
         };
         let body = match &view.inline {
             Some(query) => ViewBody::Inline(Rc::clone(query)),
             None => {
-                let (chunks, _) = self.execute_bound(&plan.root, &[], false)?;
+                let (chunks, _) = self.execute_bound(&plan.root, params, false)?;
                 ViewBody::Stored(StoredView {
                     columns: plan.schema.names(),
                     types: plan.schema.types(),
@@ -685,20 +690,6 @@ impl Engine {
             body,
         })?;
         Ok(no_rows(0))
-    }
-
-    /// [`Engine::lookup`] of a text that must be exactly one SELECT.
-    fn lookup_select(&mut self, sql: &str) -> Result<Rc<CachedPlan>> {
-        match self.lookup(sql, None)? {
-            Lookup::Planned(plan) if plan.view.is_none() => Ok(plan),
-            Lookup::Statements(s) if s.len() != 1 => Err(SqlError::parse(
-                1,
-                format!("expected 1 statement, got {}", s.len()),
-            )),
-            _ => Err(SqlError::bind(
-                "only SELECT statements can be prepared/cached",
-            )),
-        }
     }
 
     /// Lex and parse with each phase attributed to its own trace histogram.
@@ -848,7 +839,7 @@ impl Engine {
                 materialized,
             } => {
                 let plan = self.plan_view(name, query, materialized)?;
-                self.run_planned(&plan)
+                self.run_planned(&plan, &[])
             }
             Statement::Select(query) => Ok(ExecOutcome {
                 result: Some(self.run_query(&query)?),
@@ -1001,36 +992,21 @@ impl Engine {
         self.plan_query(&query, Some(view))
     }
 
-    /// Register a named prepared statement (PostgreSQL `PREPARE name AS
-    /// SELECT ...`): planned eagerly into the plan cache under its text,
-    /// the same entry a plain run of that text uses.
-    pub fn prepare(&mut self, name: impl Into<String>, sql: impl Into<String>) -> Result<()> {
-        let (name, sql) = (name.into(), sql.into());
-        self.lookup_select(&sql)?;
-        self.prepared.insert(name, sql.into());
-        Ok(())
-    }
-
-    /// Execute a named prepared statement, binding `$n` placeholders to
-    /// `params` (the `EXECUTE name (v1, v2, ...)` form). A plan evicted
-    /// since `PREPARE` is re-planned from the stored text.
-    pub fn execute_prepared_with(&mut self, name: &str, params: &[Value]) -> Result<ResultSet> {
-        let sql = self
-            .prepared
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SqlError::bind(format!("unknown prepared statement '{name}'")))?;
-        let plan = self.lookup_select(&sql)?;
-        self.run_bound(&plan.root, &plan.schema, params)
-    }
-
-    /// Drop a named prepared statement (PostgreSQL `DEALLOCATE`). The plan
-    /// may stay cached; only the name binding is removed.
-    pub fn deallocate(&mut self, name: &str) -> Result<()> {
-        self.prepared
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| SqlError::bind(format!("unknown prepared statement '{name}'")))
+    /// Validate a text as one SELECT and plan it into the plan cache (the
+    /// engine side of PostgreSQL `PREPARE name AS SELECT ...`; the name
+    /// belongs to the caller). [`Engine::execute_with`] of the same text
+    /// then runs the cached plan, or re-plans it if it was evicted.
+    pub fn prepare(&mut self, sql: &str) -> Result<()> {
+        match self.lookup(sql, None)? {
+            Lookup::Planned(plan) if plan.view.is_none() => Ok(()),
+            Lookup::Statements(s) if s.len() != 1 => Err(SqlError::parse(
+                1,
+                format!("expected 1 statement, got {}", s.len()),
+            )),
+            _ => Err(SqlError::bind(
+                "only SELECT statements can be prepared/cached",
+            )),
+        }
     }
 
     /// Plan-cache hit/miss counters.
@@ -1367,6 +1343,12 @@ mod tests {
 
     fn pg() -> Engine {
         Engine::new(EngineProfile::disk_based_no_latency())
+    }
+
+    /// [`Engine::execute_with`] of a SELECT text, its result as rows.
+    fn run_with(e: &mut Engine, sql: &str, params: &[Value]) -> Result<Relation> {
+        let out = e.execute_with(sql, None, params)?;
+        Ok(out.result.expect("a SELECT has a result").into_relation())
     }
 
     #[test]
@@ -1833,8 +1815,8 @@ mod tests {
         let executes = e.trace().phase(Phase::Execute).count();
         e.query(ANALYZE_SQL).unwrap();
         e.execute(ANALYZE_SQL).unwrap();
-        e.prepare("p", ANALYZE_SQL).unwrap();
-        e.execute_prepared_with("p", &[]).unwrap();
+        e.prepare(ANALYZE_SQL).unwrap();
+        e.execute_with(ANALYZE_SQL, None, &[]).unwrap();
         assert_eq!(frontend(&e), planned);
         assert_eq!(e.trace().phase(Phase::Execute).count(), executes + 3);
         assert_eq!(e.plan_cache_stats().hits, 4);
@@ -1861,16 +1843,22 @@ mod tests {
                 assert_eq!(result.unwrap_err().to_string(), want, "path {i}: {sql}");
             }
         }
-        // PREPARE shares the entry; only EXECUTE with a value runs it.
+        // PREPARE shares the entry; only a run with a value runs it.
         let sql = "SELECT b FROM t WHERE a = $1";
-        e.prepare("p", sql).unwrap();
+        e.prepare(sql).unwrap();
         assert_eq!(e.query(sql).unwrap_err().to_string(), want);
         assert_eq!(
-            e.execute_prepared_with("p", &[]).unwrap_err().to_string(),
+            e.execute_with(sql, None, &[]).unwrap_err().to_string(),
             want
         );
-        let rows = e.execute_prepared_with("p", &[Value::Int(1)]).unwrap();
-        assert_eq!(rows.into_relation().rows, vec![vec![Value::text("x")]]);
+        let rows = run_with(&mut e, sql, &[Value::Int(1)]).unwrap();
+        assert_eq!(rows.rows, vec![vec![Value::text("x")]]);
+        // A text outside the plan cache takes no parameters.
+        let err = e.execute_with("INSERT INTO t VALUES (2, 'y')", None, &[Value::Int(1)]);
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "bind error: only a single SELECT statement takes parameters"
+        );
     }
 
     #[test]
@@ -2126,14 +2114,14 @@ mod tests {
         e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1);")
             .unwrap();
         let sql = "SELECT a FROM t WHERE a = $1";
-        e.prepare("p", sql).unwrap();
-        e.execute_prepared_with("p", &[Value::Int(1)]).unwrap();
+        e.prepare(sql).unwrap();
+        run_with(&mut e, sql, &[Value::Int(1)]).unwrap();
         e.query("SELECT a FROM t").unwrap();
         e.execute("DROP TABLE t").unwrap();
         let want = "bind error: unknown relation 't'";
         for _ in 0..2 {
             assert_eq!(e.query("SELECT a FROM t").unwrap_err().to_string(), want);
-            let err = e.execute_prepared_with("p", &[Value::Int(1)]).unwrap_err();
+            let err = run_with(&mut e, sql, &[Value::Int(1)]).unwrap_err();
             assert_eq!(err.to_string(), want);
         }
         assert_eq!(e.plan_cache_stats().invalidations, 2);
@@ -2141,8 +2129,8 @@ mod tests {
         // Re-created, the prepared statement serves again.
         e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (1);")
             .unwrap();
-        let rows = e.execute_prepared_with("p", &[Value::Int(1)]).unwrap();
-        assert_eq!(rows.into_relation().rows, vec![vec![Value::Int(1)]]);
+        let rows = run_with(&mut e, sql, &[Value::Int(1)]).unwrap();
+        assert_eq!(rows.rows, vec![vec![Value::Int(1)]]);
     }
 
     #[test]
@@ -2178,7 +2166,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.invalidations), (3, 3, 0));
         // A DDL text is not a SELECT: it cannot be prepared.
         assert_eq!(
-            e.prepare("p", ddl[0]).unwrap_err().to_string(),
+            e.prepare(ddl[0]).unwrap_err().to_string(),
             "bind error: only SELECT statements can be prepared/cached"
         );
         assert!(e.catalog().view("m").is_none());
@@ -2193,21 +2181,24 @@ mod tests {
         let mut e = engine();
         e.execute_script("CREATE TABLE t (a int); INSERT INTO t VALUES (5), (7);")
             .unwrap();
-        e.prepare("q", "SELECT max(a) AS m FROM t").unwrap();
+        let sql = "SELECT max(a) AS m FROM t";
+        e.prepare(sql).unwrap();
         for _ in 0..2 {
-            let r = e.execute_prepared_with("q", &[]).unwrap();
-            assert_eq!(r.into_relation().rows[0][0], Value::Int(7));
+            let r = run_with(&mut e, sql, &[]).unwrap();
+            assert_eq!(r.rows[0][0], Value::Int(7));
         }
         assert!(e.plan_cache_stats().hits >= 1);
-        e.deallocate("q").unwrap();
-        assert!(e.execute_prepared_with("q", &[]).is_err());
-        assert!(e.deallocate("q").is_err());
+        // A script is not one SELECT: it cannot be prepared.
+        assert_eq!(
+            e.prepare("SELECT 1; SELECT 2").unwrap_err().to_string(),
+            "parse error (line 1): expected 1 statement, got 2"
+        );
     }
 
     #[test]
     fn only_select_is_cacheable() {
         let mut e = engine();
-        assert!(e.prepare("p", "CREATE TABLE t (a int)").is_err());
+        assert!(e.prepare("CREATE TABLE t (a int)").is_err());
         e.execute("CREATE TABLE t (a int)").unwrap();
         e.execute("INSERT INTO t VALUES (1)").unwrap();
         assert_eq!(e.plan_cache_len(), 0);
@@ -2647,11 +2638,12 @@ mod tests {
             .query("SELECT a FROM m WHERE a = -9223372036854775808")
             .unwrap();
         assert_eq!(r.rows, vec![vec![min.clone()]]);
-        e.prepare("byval", "SELECT a FROM m WHERE a = $1").unwrap();
+        let byval = "SELECT a FROM m WHERE a = $1";
+        e.prepare(byval).unwrap();
         let params = crate::parse_param_values("-9223372036854775808").unwrap();
         assert_eq!(params, vec![min.clone()]);
-        let r = e.execute_prepared_with("byval", &params).unwrap();
-        assert_eq!(r.into_relation().rows, vec![vec![min]]);
+        let r = run_with(&mut e, byval, &params).unwrap();
+        assert_eq!(r.rows, vec![vec![min]]);
         // The magnitude alone is out of `int8` range, as before.
         let bad = "bad numeric literal 9223372036854775808";
         for sql in [

@@ -1260,7 +1260,7 @@ fn tail_chunk_scans_match_row_engine() {
             e.execute(&format!("INSERT INTO t VALUES {}", batch.join(", ")))
                 .unwrap();
         }
-        e.prepare("p", prepared).unwrap();
+        e.prepare(prepared).unwrap();
         let check = |e: &mut Engine, step: &str| {
             for sql in queries {
                 // Twice: the second scan shares the first one's tail chunk.
@@ -1269,8 +1269,8 @@ fn tail_chunk_scans_match_row_engine() {
             }
             for k in [3i64, 7, 12] {
                 let executed = render(
-                    e.execute_prepared_with("p", &[etypes::Value::Int(k)])
-                        .map(|r| r.into_relation()),
+                    e.execute_with(prepared, None, &[etypes::Value::Int(k)])
+                        .map(|out| out.result.expect("a SELECT").into_relation()),
                 );
                 let literal = prepared.replace("$1", &k.to_string());
                 let reference = render(e.query_reference(&literal));
